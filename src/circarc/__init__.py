@@ -5,8 +5,8 @@ from .edgetypes import (EdgeType, TypedGraph, avoids, circular_pairs,
                         classify_all, complete, verify_completion)
 from .graph import Graph, ReductionTrace, build_graph, reduce
 from .knotting import (AvoidWalkPair, KnottingGraph, bipartite_or_odd_cycle,
-                       build_knotting, build_Z, disagreement_partition,
-                       extract_invertible_pair)
+                       build_knotting, build_Z, extract_invertible_pair,
+                       overlap_side)
 from .oracle import cross_check, enumerate_labelled_graphs, oracle_is_ca
 from .recognizer import Certificate, recognize, verify_negative, verify_positive
 
@@ -15,8 +15,8 @@ __all__ = [
     "KnottingGraph", "ReductionTrace", "TypedGraph", "avoids",
     "bipartite_or_odd_cycle", "build_Z", "build_graph", "build_knotting",
     "circular_pairs", "classify_all", "complete", "cross_check",
-    "disagreement_partition", "enumerate_labelled_graphs", "expand_arcs",
-    "extract_invertible_pair", "oracle_is_ca", "recognize", "reduce",
+    "enumerate_labelled_graphs", "expand_arcs", "extract_invertible_pair",
+    "oracle_is_ca", "overlap_side", "recognize", "reduce",
     "verify_completion", "verify_negative", "verify_positive",
     "verify_representation",
 ]

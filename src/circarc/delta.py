@@ -14,6 +14,7 @@ outside), or fail by exhibiting a pair forced into both orientations.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Optional
@@ -21,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .edgetypes import EdgeType, InternalError, TypedGraph
+from .graph import tree_path
 
 Pair = tuple[int, int]
 
@@ -152,20 +154,7 @@ class DeltaClasses:
 
     def chain(self, p: Pair, q: Pair) -> list[Pair]:
         """Forcing chain from p to q inside their common class."""
-        if self.class_of[p] != self.class_of[q]:
-            raise ValueError("pairs lie in different classes")
-
-        def to_root(r: Pair) -> list[Pair]:
-            path = [r]
-            while self.parent[path[-1]] is not None:
-                path.append(self.parent[path[-1]])
-            return path
-
-        a, b = to_root(p), to_root(q)
-        while len(a) > 1 and len(b) > 1 and a[-2] == b[-2]:
-            a.pop()
-            b.pop()
-        return a + b[-2::-1]
+        return tree_path(self.parent, p, q)
 
 
 def span(c: PairClass) -> frozenset[int]:
@@ -191,10 +180,10 @@ def implication_classes(L: LabelledGraph) -> DeltaClasses:
         cid = len(classes)
         class_of[seed] = cid
         parent[seed] = None
-        queue = [seed]
+        queue = deque([seed])
         members = [seed]
         while queue:
-            a, b = queue.pop(0)
+            a, b = queue.popleft()
             # (a,b) -> (c,b) when edge ac avoids b; -> (a,c) when bc avoids a
             for c in np.flatnonzero(cube[a, :, b]).tolist():
                 nxt = (c, b)
@@ -221,7 +210,6 @@ def implication_classes(L: LabelledGraph) -> DeltaClasses:
 @dataclass(frozen=True)
 class Orientation:
     order: list[int]
-    oriented: frozenset[Pair]  # one direction per Overlap/NonEdge pair
 
 
 def _containment_order(L: LabelledGraph) -> list[int]:
@@ -320,14 +308,10 @@ def interval_orientation(L: LabelledGraph) -> Orientation:
         if bad.any():
             x, y, z = map(int, np.argwhere(bad)[0])
             raise TournamentNotTransitive(f"{z} placed between avoided edge {x},{y}")
-    oriented = frozenset(
-        (u, v) if pos[u] < pos[v] else (v, u)
-        for u in range(L.n) for v in range(u + 1, L.n)
-        if L.labels[u, v] != Label.INCLUSION)
     violation = ordering_violation(L, order)
     if violation is not None:
         raise InternalError(f"constructed order fails pattern check: {violation}")
-    return Orientation(order, oriented)
+    return Orientation(order)
 
 
 def ordering_violation(L: LabelledGraph, order: list[int]) -> Optional[tuple]:

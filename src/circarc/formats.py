@@ -171,6 +171,10 @@ def certificate_to_doc(G: Graph, cert: Certificate) -> dict[str, Any]:
     return doc
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def certificate_from_doc(G: Graph, doc: dict[str, Any]) -> Certificate:
     """Rebuild a certificate against G, checking the input echo."""
     if doc.get("format") != FORMAT_TAG:
@@ -186,7 +190,13 @@ def certificate_from_doc(G: Graph, doc: dict[str, Any]) -> Certificate:
     verdict = doc["verdict"]
     if verdict == POSITIVE:
         pos = doc["positive"]
-        arcs = {G.index_of(name): tuple(lr) for name, lr in pos["arcs"].items()}
+        if not _is_int(pos["circle_size"]):
+            raise FormatError("circle_size must be an integer")
+        arcs = {}
+        for name, lr in pos["arcs"].items():
+            if not (isinstance(lr, list) and len(lr) == 2 and all(map(_is_int, lr))):
+                raise FormatError(f"arc of {name!r} must be a pair of integers")
+            arcs[G.index_of(name)] = tuple(lr)
         return Certificate(POSITIVE, trace,
                            arcs=ArcRepresentation(pos["circle_size"], arcs))
     if verdict != NEGATIVE:

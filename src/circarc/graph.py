@@ -8,13 +8,37 @@ False diagonal; helpers that need the closed version OR in the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
 
 
 class GraphError(ValueError):
     pass
+
+
+Node = TypeVar("Node", bound=Hashable)
+
+
+def tree_path(parent: Mapping[Node, Optional[Node]], a: Node, b: Node) -> list[Node]:
+    """Path from a to b in a search forest given by parent links.
+
+    Roots map to None; a and b must lie in the same tree.  The path runs up
+    from a to the lowest common ancestor and down to b.
+    """
+    def to_root(v: Node) -> list[Node]:
+        path = [v]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        return path
+
+    up, down = to_root(a), to_root(b)
+    if up[-1] != down[-1]:
+        raise ValueError(f"{a!r} and {b!r} lie in different trees")
+    while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
+        up.pop()
+        down.pop()
+    return up + down[-2::-1]
 
 
 @dataclass(frozen=True)

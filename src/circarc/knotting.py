@@ -1,21 +1,24 @@
-"""Anchored knotting graph, disagreement bipartition, and the set Z.
+"""Anchored knotting graph, its 2-colouring, and the set Z.
 
 For a fixed anchor z of a completed graph, every vertex u that z does not
 include gets one copy per component of the "safe" subgraph around u: the
 vertices that both u and z tolerate, with overlap edges jumped over by u
 or z removed.  Walks inside such a component avoid both u and z.  An odd
 cycle among the copies rolls out into two mutually avoiding walks anchored
-at z; bipartiteness certifies there are none.
+at z; bipartiteness certifies there are none, and the 2-colouring splits
+the overlappers of z so that one side joins the non-inverting set Z.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .edgetypes import InternalError, TypedGraph, avoids, circular_pairs
+from .edgetypes import EdgeType, InternalError, TypedGraph, avoids, circular_pairs
+from .graph import tree_path
 
 Copy = tuple[int, int]  # (vertex, component index)
 
@@ -63,15 +66,11 @@ def walk_pair_error(H: TypedGraph, awp: AvoidWalkPair) -> Optional[str]:
 
 def tolerated(H: TypedGraph, z: int) -> np.ndarray:
     """Vertices z does not include: non-adjacent to z or overlapping it."""
-    from .edgetypes import EdgeType
-
     return np.asarray(H.types[z] != EdgeType.INCLUSION)
 
 
 def _pruned_subgraph(H: TypedGraph, u: int, z: int) -> tuple[np.ndarray, np.ndarray]:
     """Members and pruned adjacency of the safe subgraph for the pair u, z."""
-    from .edgetypes import EdgeType
-
     members = tolerated(H, u) & tolerated(H, z)
     ov = (H.types == EdgeType.OVERLAP1) | (H.types == EdgeType.OVERLAP2)
     adj = H.graph.adj & members[:, None] & members[None, :]
@@ -96,14 +95,11 @@ class KnottingGraph:
             raise InternalError(f"path endpoints outside component {u}/{comp}")
         adj = self._pruned[u]
         prev = {a: None}
-        queue = [a]
+        queue = deque([a])
         while queue:
-            cur = queue.pop(0)
+            cur = queue.popleft()
             if cur == b:
-                path = [b]
-                while prev[path[-1]] is not None:
-                    path.append(prev[path[-1]])
-                return path[::-1]
+                return tree_path(prev, a, b)
             for nxt in np.flatnonzero(adj[cur]).tolist():
                 if nxt in allowed and nxt not in prev:
                     prev[nxt] = cur
@@ -113,8 +109,6 @@ class KnottingGraph:
 
 def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
     """Assemble the anchored knotting graph of H at z."""
-    from .edgetypes import EdgeType
-
     n = H.graph.n
     az = tolerated(H, z)
     az_list = [u for u in range(n) if az[u] and u != z]
@@ -172,35 +166,57 @@ def bipartite_or_odd_cycle(K: KnottingGraph) -> Union[dict[Copy, int], list[Copy
             continue
         color[root] = 0
         parent[root] = None
-        queue = [root]
+        queue = deque([root])
         while queue:
-            cur = queue.pop(0)
+            cur = queue.popleft()
             for nxt in K.adjacency[cur]:
                 if nxt not in color:
                     color[nxt] = 1 - color[cur]
                     parent[nxt] = cur
                     queue.append(nxt)
                 elif color[nxt] == color[cur]:
-                    return _close_cycle(K, parent, cur, nxt)
+                    # both tree paths to the common ancestor plus the edge
+                    cycle = tree_path(parent, cur, nxt)
+                    if len(cycle) % 2 == 0 or len(cycle) < 3:
+                        raise InternalError("odd cycle extraction produced an even walk")
+                    return [K.copies[i] for i in cycle]
     return {K.copies[i]: c for i, c in color.items()}
 
 
-def _close_cycle(K: KnottingGraph, parent, a: int, b: int) -> list[Copy]:
-    def ancestry(v: int) -> list[int]:
-        path = [v]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        return path
+def overlap_side(H: TypedGraph, K: KnottingGraph, colouring: dict[Copy, int],
+                 zbar: int) -> set[int]:
+    """One side Y of the overlappers of the anchor, read off the 2-colouring.
 
-    pa, pb = ancestry(a), ancestry(b)
-    while len(pa) > 1 and len(pb) > 1 and pa[-2] == pb[-2]:
-        pa.pop()
-        pb.pop()
-    # pa and pb now share only their last entry; walk a..lca..b closes on ba
-    cycle = pa + pb[-2::-1]
-    if len(cycle) % 2 == 0 or len(cycle) < 3:
-        raise InternalError("odd cycle extraction produced an even walk")
-    return [K.copies[i] for i in cycle]
+    Each overlapper x stands for its copy whose component holds zbar, the
+    anchor's circular partner.  In each component of the knotting graph,
+    whose colouring is fixed only up to a swap, Y takes the least
+    overlapper and those whose copies share its colour.
+    """
+    z = K.anchor
+    xs = [x for x in range(H.graph.n)
+          if H.types[x, z] in (EdgeType.OVERLAP1, EdgeType.OVERLAP2)]
+    copies = []
+    for x in xs:
+        if H.types[x, z] != EdgeType.OVERLAP1:
+            raise InternalError(f"overlapper {x} of a minimum-degree anchor "
+                                "must form a 1-overlap edge")
+        if (x, zbar) not in K.gamma:
+            raise InternalError(f"partner {zbar} of the anchor lies outside "
+                                f"the safe subgraph of overlapper {x}")
+        copies.append(K.copy_index[(x, K.gamma[(x, zbar)])])
+    lead: dict[int, int] = {}  # copy -> copy of the least overlapper in its component
+    for c in copies:
+        if c in lead:
+            continue
+        lead[c] = c
+        stack = [c]
+        while stack:
+            for d in K.adjacency[stack.pop()]:
+                if d not in lead:
+                    lead[d] = c
+                    stack.append(d)
+    return {x for x, c in zip(xs, copies)
+            if colouring[K.copies[c]] == colouring[K.copies[lead[c]]]}
 
 
 def extract_invertible_pair(H: TypedGraph, K: KnottingGraph,
@@ -239,159 +255,8 @@ def extract_invertible_pair(H: TypedGraph, K: KnottingGraph,
     return awp
 
 
-def _graph_avoid_cube(H: TypedGraph) -> np.ndarray:
-    """cube[x,y,w] = the edge (or loop) xy exists in H and w avoids it."""
-    from .edgetypes import EdgeType
-
-    edge = H.graph.closed_adj()
-    incl = np.asarray(H.types == EdgeType.INCLUSION)
-    ov = (H.types == EdgeType.OVERLAP1) | (H.types == EdgeType.OVERLAP2)
-    return (edge[:, :, None] & ~incl[:, None, :] & ~incl[None, :, :]
-            & ~(ov[:, None, :] & ov[None, :, :] & ov[:, :, None]))
-
-
-class _PairSearch:
-    """Forcing components over ordered vertex pairs, restricted to walks
-    that keep avoiding the anchor z throughout."""
-
-    def __init__(self, H: TypedGraph, z: int):
-        self.n = H.graph.n
-        self.z = z
-        self.cube = _graph_avoid_cube(H)
-        self.comp = -np.ones((self.n, self.n), dtype=np.int64)
-        self.parent: dict[tuple[int, int], Optional[tuple[int, int]]] = {}
-        self.next_comp = 0
-
-    def component(self, p: int, q: int) -> int:
-        if self.comp[p, q] >= 0:
-            return int(self.comp[p, q])
-        cid = self.next_comp
-        self.next_comp += 1
-        self.comp[p, q] = cid
-        self.parent[(p, q)] = None
-        queue = [(p, q)]
-        cube, z = self.cube, self.z
-        while queue:
-            a, b = queue.pop(0)
-            step_a = np.flatnonzero(cube[a, :, b] & cube[a, :, z]).tolist()
-            step_b = np.flatnonzero(cube[b, :, a] & cube[b, :, z]).tolist()
-            for c in step_a:
-                if self.comp[c, b] < 0:
-                    self.comp[c, b] = cid
-                    self.parent[(c, b)] = (a, b)
-                    queue.append((c, b))
-            for c in step_b:
-                if self.comp[a, c] < 0:
-                    self.comp[a, c] = cid
-                    self.parent[(a, c)] = (a, b)
-                    queue.append((a, c))
-        return cid
-
-    def chain(self, s: tuple[int, int], t: tuple[int, int]) -> list[tuple[int, int]]:
-        def ancestry(state):
-            path = [state]
-            while self.parent[path[-1]] is not None:
-                path.append(self.parent[path[-1]])
-            return path
-
-        a, b = ancestry(s), ancestry(t)
-        while len(a) > 1 and len(b) > 1 and a[-2] == b[-2]:
-            a.pop()
-            b.pop()
-        return a + b[-2::-1]
-
-
-def disagreement_partition(H: TypedGraph, z: int) -> Union[set[int], AvoidWalkPair]:
-    """Split the overlappers of z into two agreeing sides, or fail.
-
-    Two overlappers x, y of z disagree when walks x -> z' and z' -> y (z'
-    being z's circular partner) can avoid each other while avoiding z.  The
-    disagreement graph must be bipartite; one side is returned as Y.  An odd
-    disagreement cycle concatenates into a pair of mutually avoiding walks
-    anchored at z, returned instead.
-    """
-    from .edgetypes import EdgeType
-
-    pairing = circular_pairs(H).partner
-    if z not in pairing:
-        raise InternalError("anchor is not circularly paired")
-    zbar = pairing[z]
-    xs = [x for x in range(H.graph.n)
-          if H.types[x, z] in (EdgeType.OVERLAP1, EdgeType.OVERLAP2)]
-    for x in xs:
-        if H.types[x, z] != EdgeType.OVERLAP1:
-            raise InternalError(f"overlapper {x} of a minimum-degree anchor "
-                                "must form a 1-overlap edge")
-    if not xs:
-        return set()
-    search = _PairSearch(H, z)
-    outgoing = {x: search.component(x, zbar) for x in xs}
-
-    def disagree(x: int, y: int) -> bool:
-        return outgoing[x] == int(search.comp[zbar, y]) and search.comp[zbar, y] >= 0
-
-    for x in xs:
-        if disagree(x, x):
-            return _cycle_to_walks(H, z, zbar, search, [x])
-    color: dict[int, int] = {}
-    parent: dict[int, Optional[int]] = {}
-    for root in xs:
-        if root in color:
-            continue
-        color[root] = 0
-        parent[root] = None
-        queue = [root]
-        while queue:
-            cur = queue.pop(0)
-            for nxt in xs:
-                if nxt == cur or not disagree(cur, nxt):
-                    continue
-                if nxt not in color:
-                    color[nxt] = 1 - color[cur]
-                    parent[nxt] = cur
-                    queue.append(nxt)
-                elif color[nxt] == color[cur]:
-                    pa, pb = [cur], [nxt]
-                    while parent[pa[-1]] is not None:
-                        pa.append(parent[pa[-1]])
-                    while parent[pb[-1]] is not None:
-                        pb.append(parent[pb[-1]])
-                    while len(pa) > 1 and len(pb) > 1 and pa[-2] == pb[-2]:
-                        pa.pop()
-                        pb.pop()
-                    return _cycle_to_walks(H, z, zbar, search, pa + pb[-2::-1])
-    return {x for x in xs if color[x] == 0}
-
-
-def _cycle_to_walks(H: TypedGraph, z: int, zbar: int, search: "_PairSearch",
-                    cycle: list[int]) -> AvoidWalkPair:
-    """Concatenate the witness chains of an odd disagreement cycle."""
-    if len(cycle) % 2 == 0:
-        raise InternalError("disagreement cycle must be odd")
-    states: list[tuple[int, int]] = []
-    for j, x in enumerate(cycle):
-        nxt = cycle[(j + 1) % len(cycle)]
-        seg = search.chain((x, zbar), (zbar, nxt))
-        if j % 2 == 1:
-            seg = [(b, a) for a, b in seg]
-        if states:
-            if states[-1] != seg[0]:
-                raise InternalError("chain concatenation lost continuity")
-            seg = seg[1:]
-        states.extend(seg)
-    walk_p = [s[0] for s in states]
-    walk_q = [s[1] for s in states]
-    awp = AvoidWalkPair(z, (cycle[0], zbar), walk_p, walk_q)
-    err = walk_pair_error(H, awp)
-    if err is not None:
-        raise InternalError(f"disagreement walks fail verification: {err}")
-    return awp
-
-
 def build_Z(H: TypedGraph, z: int, Y: set[int]) -> list[int]:
     """Non-inverting set: everything z does not see, plus one side of Y."""
-    from .edgetypes import EdgeType
-
     n = H.graph.n
     closed_z = H.graph.closed_neighborhood(z)
     zset = sorted(set(range(n)) - closed_z | set(Y))

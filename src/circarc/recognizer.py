@@ -18,7 +18,7 @@ from .edgetypes import (InternalError, TypedGraph, UnreducedGraphError,
 from .graph import Graph, ReductionTrace, reduce, replay_reduction
 from .intervals import build_intervals, lift_to_circle
 from .knotting import (AvoidWalkPair, bipartite_or_odd_cycle, build_knotting,
-                       build_Z, disagreement_partition, extract_invertible_pair,
+                       build_Z, extract_invertible_pair, overlap_side,
                        walk_pair_error)
 
 POSITIVE = "CircularArc"
@@ -69,11 +69,7 @@ def recognize(G: Graph) -> Certificate:
     if isinstance(res, list):
         awp = extract_invertible_pair(H, K, res)
         return _negative(G, trace, H, pairing, awp)
-    side = disagreement_partition(H, z)
-    if isinstance(side, AvoidWalkPair):
-        # bipartite knotting should have ruled this out; still a sound verdict
-        return _negative(G, trace, H, pairing, side)
-    zset = build_Z(H, z, side)
+    zset = build_Z(H, z, overlap_side(H, K, res, pairing[z]))
     L = labelled_from_typed(H, zset)
     try:
         orientation = interval_orientation(L)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from circarc.delta import Label, LabelledGraph
-from circarc.edgetypes import classify_all, complete
+from circarc.edgetypes import circular_pairs, classify_all, complete
 from circarc.formats import parse_edge_list
 from circarc.graph import build_graph, reduce as reduce_graph
+from circarc.knotting import bipartite_or_odd_cycle, build_knotting, overlap_side
 
 BICLAW_EDGES = "d f\nf a\nd g\nd h\ng b\nh c"
 NEAR_BICLAW_EDGES = "d f\nf a\nd g\nd h\ng b"
@@ -36,6 +37,14 @@ def completion_of(G):
     reduced, trace = reduce_graph(G)
     H, pairing = complete(classify_all(reduced))
     return reduced, trace, H, pairing
+
+
+def side_at(T, z):
+    """The side Y of z's overlappers, read from the knotting 2-colouring."""
+    K = build_knotting(T, z)
+    colouring = bipartite_or_odd_cycle(K)
+    assert isinstance(colouring, dict), "knotting graph is not bipartite"
+    return overlap_side(T, K, colouring, circular_pairs(T).partner[z])
 
 
 def make_labelled(n, overlaps=(), inclusions=()):

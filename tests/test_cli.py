@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from circarc.cli import main
 from conftest import BICLAW_EDGES, NEAR_BICLAW_EDGES
 
@@ -64,6 +66,27 @@ class TestVerifyCommand:
         out.write_text(json.dumps(doc))
         assert main(["verify", g, str(out)]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("field,value", [
+        ("arc", [1]),
+        ("arc", ["x", 1]),
+        ("arc", [True, 3]),
+        ("circle_size", "9"),
+    ])
+    def test_malformed_positive_field(self, tmp_path, capsys, field, value):
+        g = write(tmp_path, "g.txt", NEAR_BICLAW_EDGES)
+        out = tmp_path / "cert.json"
+        main(["recognize", g, "--out", str(out)])
+        doc = json.loads(out.read_text())
+        if field == "arc":
+            doc["positive"]["arcs"]["d"] = value
+        else:
+            doc["positive"]["circle_size"] = value
+        out.write_text(json.dumps(doc))
+        assert main(["verify", g, str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "invalid certificate" in captured.err
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestOracleCommand:

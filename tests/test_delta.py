@@ -10,7 +10,7 @@ from circarc.delta import (DeltaInvertiblePair, Label, LabelledGraph,
                            labelled_from_typed, ordering_violation, span,
                            verify_interval_ordering)
 from circarc.edgetypes import classify_all, complete
-from circarc.knotting import build_Z, disagreement_partition
+from circarc.knotting import build_knotting, build_Z, overlap_side
 from conftest import make_labelled
 
 
@@ -147,13 +147,14 @@ class TestOrdering:
         L = make_labelled(3, inclusions=[(0, 1), (1, 2), (0, 2)])
         orient = interval_orientation(L)
         assert orient.order == [0, 1, 2]
-        assert orient.oriented == frozenset()
 
     def test_invertible_pair_from_pipeline_labels(self, biclaw):
         # the forcing in the biclaw completion must trip an invertible pair
-        H, _ = complete(classify_all(biclaw))
+        H, pairing = complete(classify_all(biclaw))
         z = min(range(H.graph.n), key=lambda v: (H.graph.degree(v), v))
-        side = disagreement_partition(H, z)
+        # the knotting graph at z has an odd cycle, so there is no
+        # 2-colouring; z has no overlappers, so overlap_side reads no colour
+        side = overlap_side(H, build_knotting(H, z), {}, pairing[z])
         zset = build_Z(H, z, side)
         L = labelled_from_typed(H, zset)
         with pytest.raises(DeltaInvertiblePair) as exc:

@@ -1,0 +1,29 @@
+"""Golden certificate corpus: every graph of networkx's atlas (1 to 7 vertices).
+
+The verdict counts and the SHA-256 of the concatenated canonical
+certificates pin the recognizer's output byte for byte.  A change that
+alters any certificate on this corpus must say why and update the digest.
+"""
+
+import hashlib
+from collections import Counter
+
+import networkx as nx
+
+from circarc.formats import serialize_certificate
+from circarc.graph import build_graph
+from circarc.recognizer import NEGATIVE, POSITIVE, recognize
+
+ATLAS_SHA256 = "e9fcbd9b6ee2ef3cce4b5324c6a00ad5850268904bfb15f08dd3a116384908f5"
+
+
+def test_atlas_certificates_are_unchanged():
+    digest = hashlib.sha256()
+    verdicts = Counter()
+    for g in nx.graph_atlas_g()[1:]:
+        G = build_graph(g.number_of_nodes(), list(g.edges()))
+        cert = recognize(G)
+        verdicts[cert.verdict] += 1
+        digest.update(serialize_certificate(G, cert).encode())
+    assert verdicts == {POSITIVE: 826, NEGATIVE: 426}
+    assert digest.hexdigest() == ATLAS_SHA256

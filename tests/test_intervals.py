@@ -8,15 +8,15 @@ from circarc.delta import (interval_orientation, labelled_from_typed,
                            verify_interval_ordering)
 from circarc.edgetypes import InternalError
 from circarc.intervals import build_intervals, lift_to_circle
-from circarc.knotting import build_Z, disagreement_partition
-from conftest import completion_of, make_labelled
+from circarc.knotting import build_Z
+from conftest import completion_of, make_labelled, side_at
 
 
 def labels_on_Z(G):
     """Run the pipeline up to the labelled graph on the non-inverting set."""
     _, _, H, pairing = completion_of(G)
     z = min(range(H.graph.n), key=lambda v: (H.graph.degree(v), v))
-    side = disagreement_partition(H, z)
+    side = side_at(H, z)
     zset = build_Z(H, z, side)
     return H, pairing, zset, labelled_from_typed(H, zset)
 

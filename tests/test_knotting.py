@@ -6,9 +6,9 @@ import pytest
 from circarc.edgetypes import InternalError, avoids, classify_all
 from circarc.graph import build_graph, reduce as reduce_graph
 from circarc.knotting import (AvoidWalkPair, bipartite_or_odd_cycle, build_Z,
-                              build_knotting, disagreement_partition,
-                              extract_invertible_pair, walk_pair_error)
-from conftest import completion_of
+                              build_knotting, extract_invertible_pair,
+                              overlap_side, walk_pair_error)
+from conftest import completion_of, side_at
 
 
 def knotting_at(G, name):
@@ -115,33 +115,41 @@ class TestWalkPairChecker:
 class TestDisagreement:
     def test_c4(self, c4):
         T = classify_all(c4)
-        Y = disagreement_partition(T, 0)
+        Y = side_at(T, 0)
         assert isinstance(Y, set)
         assert Y == {1}
 
     def test_near_biclaw_positive_branch(self, near_biclaw):
         H = completion_of(near_biclaw)[2]
         z = min(range(H.graph.n), key=lambda v: (H.graph.degree(v), v))
-        Y = disagreement_partition(H, z)
+        Y = side_at(H, z)
         assert isinstance(Y, set)
 
     def test_no_overlappers(self):
         # two isolated vertices: each is the other's circular partner
         T = classify_all(build_graph(2, []))
-        assert disagreement_partition(T, 0) == set()
+        assert side_at(T, 0) == set()
+
+    def test_partner_outside_safe_subgraph(self, c4):
+        T = classify_all(c4)
+        K = build_knotting(T, 0)
+        colouring = bipartite_or_odd_cycle(K)
+        del K.gamma[(1, 2)]
+        with pytest.raises(InternalError):
+            overlap_side(T, K, colouring, 2)
 
 
 class TestBuildZ:
     def test_c4(self, c4):
         T = classify_all(c4)
-        Y = disagreement_partition(T, 0)
+        Y = side_at(T, 0)
         assert build_Z(T, 0, Y) == [1, 2]
 
     def test_p4(self, p4):
         T = classify_all(p4)
         z = min(range(4), key=lambda v: (T.graph.degree(v), v))
         assert z == 0
-        Y = disagreement_partition(T, z)
+        Y = side_at(T, z)
         assert Y <= {1}
         zset = build_Z(T, z, Y)
         assert set(zset) >= {2, 3}
