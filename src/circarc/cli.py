@@ -2,7 +2,8 @@
 
 Exit codes: 0 = circular-arc (or success), 10 = not circular-arc,
 1 = failed verification / cross-check disagreement, 2 = usage error,
-70 = internal error.
+70 = internal error, reported as '#' comments and, if a graph was read, the
+graph as an edge list: stderr replays as `circarc recognize` input.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional
 
 from .edgetypes import InternalError, classify_all, complete
 from .formats import (FormatError, parse_certificate, parse_edge_list,
-                      parse_graph6, serialize_certificate)
+                      parse_graph6, serialize_certificate, write_edge_list)
 from .graph import Graph, GraphError, reduce as reduce_graph
 from .knotting import KnottingGraph, bipartite_or_odd_cycle, build_knotting
 from .oracle import cross_check, oracle_is_ca
@@ -45,8 +46,7 @@ def _load_graph(path: str, fmt: str) -> Graph:
         raise UsageError(f"{path}: {exc}") from exc
 
 
-def _cmd_recognize(args) -> int:
-    G = _load_graph(args.file, args.format)
+def _cmd_recognize(args, G: Graph) -> int:
     cert = recognize(G)
     doc = serialize_certificate(G, cert)
     if args.out:
@@ -57,8 +57,7 @@ def _cmd_recognize(args) -> int:
     return EXIT_OK if cert.verdict == POSITIVE else EXIT_NOT_CA
 
 
-def _cmd_verify(args) -> int:
-    G = _load_graph(args.graph, args.format)
+def _cmd_verify(args, G: Graph) -> int:
     try:
         with open(args.cert, encoding="utf-8") as fh:
             text = fh.read()
@@ -75,8 +74,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_INVALID
 
 
-def _cmd_oracle(args) -> int:
-    G = _load_graph(args.file, args.format)
+def _cmd_oracle(args, G: Graph) -> int:
     try:
         is_ca = oracle_is_ca(G)
     except ValueError as exc:
@@ -85,7 +83,7 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK if is_ca else EXIT_NOT_CA
 
 
-def _cmd_crosscheck(args) -> int:
+def _cmd_crosscheck(args, _graph) -> int:
     spec: Optional[dict] = None
     if args.random:
         try:
@@ -110,8 +108,7 @@ def _completion_of(G: Graph):
     return reduced, trace, H, pairing
 
 
-def _cmd_complete(args) -> int:
-    G = _load_graph(args.file, args.format)
+def _cmd_complete(args, G: Graph) -> int:
     _, _, H, pairing = _completion_of(G)
     names = H.graph.names
     doc = {
@@ -139,8 +136,7 @@ def _knotting_dot(K: KnottingGraph, names) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_knotting(args) -> int:
-    G = _load_graph(args.file, args.format)
+def _cmd_knotting(args, G: Graph) -> int:
     _, _, H, _ = _completion_of(G)
     try:
         z = H.graph.index_of(args.anchor)
@@ -173,28 +169,28 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     add_format(sp)
     sp.add_argument("--out", help="write the certificate here instead of stdout")
-    sp.set_defaults(func=_cmd_recognize)
+    sp.set_defaults(func=_cmd_recognize, graph_arg="file")
 
     sp = sub.add_parser("verify", help="check a certificate against a graph")
     sp.add_argument("graph")
     sp.add_argument("cert")
     add_format(sp)
-    sp.set_defaults(func=_cmd_verify)
+    sp.set_defaults(func=_cmd_verify, graph_arg="graph")
 
     sp = sub.add_parser("oracle", help="brute-force ground truth (small graphs)")
     sp.add_argument("file")
     add_format(sp)
-    sp.set_defaults(func=_cmd_oracle)
+    sp.set_defaults(func=_cmd_oracle, graph_arg="file")
 
     sp = sub.add_parser("crosscheck", help="compare recognizer with the oracle")
     sp.add_argument("--max-n", type=int, default=4)
     sp.add_argument("--random", help="N,COUNT,P,SEED for a randomized batch")
-    sp.set_defaults(func=_cmd_crosscheck)
+    sp.set_defaults(func=_cmd_crosscheck, graph_arg=None)
 
     sp = sub.add_parser("complete", help="print the circular completion")
     sp.add_argument("file")
     add_format(sp)
-    sp.set_defaults(func=_cmd_complete)
+    sp.set_defaults(func=_cmd_complete, graph_arg="file")
 
     sp = sub.add_parser("knotting", help="inspect the knotting graph at an anchor")
     sp.add_argument("file")
@@ -202,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="vertex name in the completion")
     sp.add_argument("--dot", help="write the knotting graph as DOT")
     add_format(sp)
-    sp.set_defaults(func=_cmd_knotting)
+    sp.set_defaults(func=_cmd_knotting, graph_arg="file")
     return p
 
 
@@ -212,13 +208,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    G: Optional[Graph] = None
     try:
-        return args.func(args)
+        if args.graph_arg is not None:
+            G = _load_graph(getattr(args, args.graph_arg), args.format)
+        return args.func(args, G)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"# internal error: {exc}".replace("\n", "\n# "), file=sys.stderr)
+        if G is not None:
+            sys.stderr.write(write_edge_list(G))
         return EXIT_INTERNAL
 
 

@@ -3,9 +3,9 @@
 Every edge of a reduced graph is either an inclusion (one closed
 neighbourhood inside the other) or an overlap, and an overlap is a
 2-overlap exactly when its ends form a spanning pair.  Non-adjacent
-spanning pairs are circular pairs; completing a graph means adding, for
-each vertex that has no circular partner, a new vertex that becomes its
-partner, until every vertex is paired.
+spanning pairs are circular pairs; the circular completion gives each
+vertex without one a new partner vertex, all built in one pass from the
+containment and closed-adjacency matrices of the input.
 """
 
 from __future__ import annotations
@@ -88,10 +88,6 @@ def classify_all(G: Graph) -> TypedGraph:
 class CircularPairing:
     partner: dict[int, int]
 
-    @property
-    def paired_vertices(self) -> frozenset[int]:
-        return frozenset(self.partner)
-
 
 def circular_pairs(T: TypedGraph) -> CircularPairing:
     """Match each vertex with its circular partner, if it has one."""
@@ -108,41 +104,36 @@ def circular_pairs(T: TypedGraph) -> CircularPairing:
 def complete(T: TypedGraph) -> tuple[TypedGraph, dict[int, int]]:
     """Build the circular completion of T and its full pairing.
 
-    Repeatedly takes the smallest-index unpaired vertex v and adds a new
-    vertex adjacent to exactly the vertices whose closed neighbourhood is
-    not inside N[v]; the new vertex becomes v's circular partner.  Returns
-    the completed typed graph and the partner map covering all of it.
+    Each vertex v without a circular partner gets a partner ~v, placed after
+    the originals in increasing order of v.  ~v sees the originals u != v
+    with N[u] not inside N[v]; ~v and ~w are non-adjacent iff N[v] is not
+    inside N[w] and N[w] contains N[u] for every u outside N[v].
     """
     n0 = T.graph.n
     s0 = len(circular_pairs(T).partner)
-    adj = T.graph.adj
-    names = list(T.graph.names)
-    for _ in range(n0 + 1):
-        m = adj.shape[0]
-        closed = adj | np.eye(m, dtype=bool)
-        contains, spanning = _matrices(closed)
-        circ = spanning & ~closed
-        unpaired = np.flatnonzero(~circ.any(axis=1))
-        if unpaired.size == 0:
-            break
-        v = int(unpaired[0])
-        if v >= n0:
-            raise InternalError("an added vertex failed to stay paired")
-        row = ~contains[v]
-        row[v] = False
-        adj = np.block([[adj, row[:, None]], [row[None, :], np.zeros((1, 1), bool)]])
-        names.append("~" + names[v])
-    else:
-        raise InternalError("completion did not converge")
+    not_c, not_n = ~T.contains, ~T.graph.closed_adj()
+    unpaired = np.flatnonzero(~(T.spanning & not_n).any(axis=1))
+    # not_c[v, v] is False, so no added vertex sees its own partner
+    cross = not_c[unpaired]
+    covered = (cross.astype(np.int32) @ not_n[unpaired].T.astype(np.int32)) == 0
+    apart = not_c[np.ix_(unpaired, unpaired)] & covered
+    if not np.array_equal(apart, apart.T):
+        raise InternalError("added vertices have an asymmetric adjacency")
+    added = ~apart
+    np.fill_diagonal(added, False)
+    adj = np.block([[T.graph.adj, cross.T], [cross, added]])
+    names = T.graph.names + tuple("~" + T.graph.names[v] for v in unpaired)
     m = adj.shape[0]
     if m != 2 * n0 - s0:
         raise InternalError("completion has the wrong cardinality")
-    H = classify_all(Graph(m, adj, tuple(names)))
+    H = classify_all(Graph(m, adj, names))
     if not np.array_equal(H.types[:n0, :n0], T.types):
         raise InternalError("completion changed an edge type")
     pairing = circular_pairs(H).partner
     if len(pairing) != m:
         raise InternalError("completion is not circularly paired")
+    if [pairing[u] for u in range(n0, m)] != unpaired.tolist():
+        raise InternalError("an added vertex is not paired with its origin")
     return H, pairing
 
 

@@ -87,6 +87,12 @@ def parse_graph6(line: str) -> Graph:
     return build_graph(n, edges)
 
 
+def write_edge_list(G: Graph) -> str:
+    """Each vertex on a line of its own, then the edges: parses back as G."""
+    edges = [f"{G.names[u]} {G.names[v]}" for u, v in G.edges()]
+    return "\n".join([*G.names, *edges]) + "\n"
+
+
 def write_graph6(G: Graph) -> str:
     if G.n > 62:
         raise FormatError("short-form graph6 handles at most 62 vertices")

@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .edgetypes import EdgeType, InternalError, TypedGraph, avoids, circular_pairs
+from .edgetypes import EdgeType, InternalError, TypedGraph, avoids
 from .graph import tree_path
 
 Copy = tuple[int, int]  # (vertex, component index)
@@ -255,14 +255,14 @@ def extract_invertible_pair(H: TypedGraph, K: KnottingGraph,
     return awp
 
 
-def build_Z(H: TypedGraph, z: int, Y: set[int]) -> list[int]:
+def build_Z(H: TypedGraph, z: int, Y: set[int],
+            pairing: dict[int, int]) -> list[int]:
     """Non-inverting set: everything z does not see, plus one side of Y."""
     n = H.graph.n
     closed_z = H.graph.closed_neighborhood(z)
     zset = sorted(set(range(n)) - closed_z | set(Y))
     if not zset:
         raise InternalError("non-inverting set came out empty")
-    pairing = circular_pairs(H).partner
     inz = set(zset)
     for u in range(n):
         if (u in inz) == (pairing[u] in inz):

@@ -63,13 +63,13 @@ def recognize(G: Graph) -> Certificate:
         return _positive(G, trace, ArcRepresentation(4, {0: (0, 1)}))
     T = classify_all(G_r)
     H, pairing = complete(T)
-    z = min(range(H.graph.n), key=lambda v: (H.graph.degree(v), v))
+    z = int(H.graph.adj.sum(axis=1).argmin())
     K = build_knotting(H, z)
     res = bipartite_or_odd_cycle(K)
     if isinstance(res, list):
         awp = extract_invertible_pair(H, K, res)
         return _negative(G, trace, H, pairing, awp)
-    zset = build_Z(H, z, overlap_side(H, K, res, pairing[z]))
+    zset = build_Z(H, z, overlap_side(H, K, res, pairing[z]), pairing)
     L = labelled_from_typed(H, zset)
     try:
         orientation = interval_orientation(L)

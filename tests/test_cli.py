@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+import circarc.recognizer
 from circarc.cli import main
+from circarc.edgetypes import InternalError
+from circarc.formats import parse_edge_list
 from conftest import BICLAW_EDGES, NEAR_BICLAW_EDGES
 
 
@@ -39,6 +42,20 @@ class TestRecognizeCommand:
     def test_missing_file(self, capsys):
         assert main(["recognize", "/no/such/file"]) == 2
         capsys.readouterr()
+
+    def test_internal_error_prints_replayable_input(self, tmp_path, capsys,
+                                                    monkeypatch):
+        def broken(T):
+            raise InternalError("planted failure")
+        monkeypatch.setattr(circarc.recognizer, "complete", broken)
+        f = write(tmp_path, "g.txt", BICLAW_EDGES + "\nlone")
+        assert main(["recognize", f]) == 70
+        err = capsys.readouterr().err
+        assert "planted failure" in err
+        assert "Traceback" not in err
+        G, replay = parse_edge_list(BICLAW_EDGES + "\nlone"), parse_edge_list(err)
+        assert replay.names == G.names
+        assert (replay.adj == G.adj).all()
 
 
 class TestVerifyCommand:

@@ -155,7 +155,7 @@ class TestOrdering:
         # the knotting graph at z has an odd cycle, so there is no
         # 2-colouring; z has no overlappers, so overlap_side reads no colour
         side = overlap_side(H, build_knotting(H, z), {}, pairing[z])
-        zset = build_Z(H, z, side)
+        zset = build_Z(H, z, side, pairing)
         L = labelled_from_typed(H, zset)
         with pytest.raises(DeltaInvertiblePair) as exc:
             interval_orientation(L)

@@ -1,13 +1,17 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
-from circarc.edgetypes import (EdgeType, UnreducedGraphError, avoids,
+from circarc.arcs import ArcRepresentation
+from circarc.edgetypes import (EdgeType, UnreducedGraphError, _matrices, avoids,
                                circular_pairs, classify_all, complete,
                                completion_error, verify_completion)
-from circarc.graph import build_graph, reduce as reduce_graph
+from circarc.graph import Graph, build_graph, reduce as reduce_graph
 from conftest import completion_of
+from test_graph import random_graph_strategy
 
 
 def all_graphs(n):
@@ -23,6 +27,53 @@ def reduced_graphs(max_n):
             reduced, _ = reduce_graph(G)
             if reduced.n == G.n:
                 yield G
+
+
+def _iterative_completion(T):
+    """Reference completion: one added vertex per step, types recomputed.
+
+    Each step gives the least unpaired vertex v a new partner adjacent to
+    every vertex whose closed neighbourhood is not inside N[v].
+    """
+    adj, names = T.graph.adj, list(T.graph.names)
+    for _ in range(T.graph.n + 1):
+        m = adj.shape[0]
+        closed = adj | np.eye(m, dtype=bool)
+        contains, spanning = _matrices(closed)
+        unpaired = np.flatnonzero(~(spanning & ~closed).any(axis=1))
+        if unpaired.size == 0:
+            H = classify_all(Graph(m, adj, tuple(names)))
+            return H, circular_pairs(H).partner
+        v = int(unpaired[0])
+        assert v < T.graph.n, "an added vertex failed to stay paired"
+        row = ~contains[v]
+        row[v] = False
+        adj = np.block([[adj, row[:, None]], [row[None, :], np.zeros((1, 1), bool)]])
+        names.append("~" + names[v])
+    raise AssertionError("completion did not converge")
+
+
+def random_arc_model(rng, n):
+    """Graph of n arcs with distinct endpoints on a circle of 2n slots."""
+    ends = list(range(2 * n))
+    rng.shuffle(ends)
+    rep = ArcRepresentation(2 * n, {v: (ends[2 * v], ends[2 * v + 1])
+                                    for v in range(n)})
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                           if rep.intersects(u, v)])
+
+
+def seeded_graphs(count, seed=3):
+    """Seeded G(n, p) graphs alternating with arc models, n <= 30."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(2, 30)
+        if i % 2:
+            yield random_arc_model(rng, n)
+        else:
+            p = rng.random()
+            yield build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                  if rng.random() < p])
 
 
 class TestClassify:
@@ -130,6 +181,57 @@ class TestComplete:
             H, pairing = complete(T)
             for u, v in before.items():
                 assert pairing[u] == v
+
+
+class TestClosedFormCompletion:
+    @staticmethod
+    def assert_matches_reference(G):
+        T = classify_all(G)
+        H, pairing = complete(T)
+        H_ref, pairing_ref = _iterative_completion(T)
+        assert np.array_equal(H.graph.adj, H_ref.graph.adj)
+        assert H.graph.names == H_ref.graph.names
+        assert pairing == pairing_ref
+
+    def test_reduced_graphs(self):
+        for G in reduced_graphs(5):
+            self.assert_matches_reference(G)
+
+    def test_atlas(self):
+        import networkx as nx
+        checked = 0
+        for g in nx.graph_atlas_g():
+            G = build_graph(g.number_of_nodes(), list(g.edges()))
+            reduced, _ = reduce_graph(G)
+            if reduced.n >= 2:
+                self.assert_matches_reference(reduced)
+                checked += 1
+        assert checked == 1245
+
+    def test_seeded_random_and_arc_models(self):
+        checked = 0
+        for G in seeded_graphs(200):
+            reduced, _ = reduce_graph(G)
+            if reduced.n >= 2:
+                self.assert_matches_reference(reduced)
+                checked += 1
+        assert checked >= 150
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_graph_strategy(max_n=12))
+    def test_first_principles(self, G):
+        reduced, _ = reduce_graph(G)
+        assume(reduced.n >= 2)
+        T = classify_all(reduced)
+        H, pairing = complete(T)
+        assert completion_error(T, H, pairing) is None
+        n0 = reduced.n
+        nbhd = [reduced.closed_neighborhood(u) for u in range(n0)]
+        for bar in range(n0, H.graph.n):
+            v = pairing[bar]
+            seen = {u for u in range(n0) if H.graph.adj[bar, u]}
+            assert seen == {u for u in range(n0)
+                            if u != v and not nbhd[u] <= nbhd[v]}
 
 
 class TestVerifyCompletion:

@@ -17,7 +17,7 @@ def labels_on_Z(G):
     _, _, H, pairing = completion_of(G)
     z = min(range(H.graph.n), key=lambda v: (H.graph.degree(v), v))
     side = side_at(H, z)
-    zset = build_Z(H, z, side)
+    zset = build_Z(H, z, side, pairing)
     return H, pairing, zset, labelled_from_typed(H, zset)
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from circarc.edgetypes import InternalError, avoids, classify_all
+from circarc.edgetypes import InternalError, avoids, circular_pairs, classify_all
 from circarc.graph import build_graph, reduce as reduce_graph
 from circarc.knotting import (AvoidWalkPair, bipartite_or_odd_cycle, build_Z,
                               build_knotting, extract_invertible_pair,
@@ -143,7 +143,7 @@ class TestBuildZ:
     def test_c4(self, c4):
         T = classify_all(c4)
         Y = side_at(T, 0)
-        assert build_Z(T, 0, Y) == [1, 2]
+        assert build_Z(T, 0, Y, circular_pairs(T).partner) == [1, 2]
 
     def test_p4(self, p4):
         T = classify_all(p4)
@@ -151,13 +151,13 @@ class TestBuildZ:
         assert z == 0
         Y = side_at(T, z)
         assert Y <= {1}
-        zset = build_Z(T, z, Y)
+        zset = build_Z(T, z, Y, circular_pairs(T).partner)
         assert set(zset) >= {2, 3}
         assert set(zset) - {2, 3} <= {1}
 
     def test_never_empty(self):
         T = classify_all(build_graph(2, []))
-        assert build_Z(T, 0, set()) == [1]
+        assert build_Z(T, 0, set(), circular_pairs(T).partner) == [1]
 
 
 class TestBothDirections:
