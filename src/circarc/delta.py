@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .edgetypes import EdgeType, InternalError, TypedGraph
+from .edgetypes import EdgeType, InternalError, TypedGraph, avoiding
 from .graph import tree_path
 
 Pair = tuple[int, int]
@@ -71,7 +71,7 @@ class LabelledGraph:
             raise ValueError("orientation must cover exactly the inclusion edges")
         if (ins & ins.T).any():
             raise ValueError("orientation must be antisymmetric")
-        via = (ins.astype(np.int8) @ ins.astype(np.int8)) > 0
+        via = (ins.astype(np.int32) @ ins.astype(np.int32)) > 0
         if (via & ~ins).any():
             raise ValueError("orientation must be transitive")
 
@@ -105,16 +105,6 @@ def labelled_from_typed(T: TypedGraph, vertices: list[int]) -> LabelledGraph:
     if not np.array_equal(incl, inside | inside.T):
         raise InternalError("ambient containment does not orient an inclusion edge")
     return LabelledGraph(k, labels, inside)
-
-
-def avoid_cube(L: LabelledGraph) -> np.ndarray:
-    """cube[x,y,z] = the edge xy exists and label-avoids z (loops x=y allowed)."""
-    edge = L.labels != Label.NONEDGE  # diagonal True: loops
-    ni = L.labels != Label.INCLUSION  # diagonal False: z never avoids its loop
-    ov = L.labels == Label.OVERLAP
-    cube = (edge[:, :, None] & ni[:, None, :] & ni[None, :, :]
-            & ~(ov[:, None, :] & ov[None, :, :] & ov[:, :, None]))
-    return cube
 
 
 def label_avoids(L: LabelledGraph, x: int, y: int, z: int) -> bool:
@@ -168,7 +158,12 @@ def implication_classes(L: LabelledGraph) -> DeltaClasses:
     BFS forest is kept so chains between class members can be replayed.
     """
     n = L.n
-    cube = avoid_cube(L)
+    # avoid[z, x, y]: the edge xy (a loop when x = y) label-avoids z
+    closed, overlap = L.labels != Label.NONEDGE, L.labels == Label.OVERLAP
+    included = L.labels == Label.INCLUSION
+    avoid = np.empty((n, n, n), dtype=bool)
+    for z in range(n):
+        avoid[z] = avoiding(closed, overlap, included, z)
     active = [(int(a), int(b)) for a in range(n) for b in range(n)
               if a != b and L.labels[a, b] != Label.INCLUSION]
     class_of: dict[Pair, int] = {}
@@ -185,14 +180,14 @@ def implication_classes(L: LabelledGraph) -> DeltaClasses:
         while queue:
             a, b = queue.popleft()
             # (a,b) -> (c,b) when edge ac avoids b; -> (a,c) when bc avoids a
-            for c in np.flatnonzero(cube[a, :, b]).tolist():
+            for c in np.flatnonzero(avoid[b, a]).tolist():
                 nxt = (c, b)
                 if nxt not in class_of:
                     class_of[nxt] = cid
                     parent[nxt] = (a, b)
                     queue.append(nxt)
                     members.append(nxt)
-            for c in np.flatnonzero(cube[b, :, a]).tolist():
+            for c in np.flatnonzero(avoid[a, b]).tolist():
                 nxt = (a, c)
                 if nxt not in class_of:
                     class_of[nxt] = cid
@@ -207,29 +202,11 @@ def implication_classes(L: LabelledGraph) -> DeltaClasses:
     return DeltaClasses(out, class_of, parent)
 
 
-@dataclass(frozen=True)
-class Orientation:
-    order: list[int]
-
-
-def _containment_order(L: LabelledGraph) -> list[int]:
-    # all pairs inclusion-labelled: 'inside' is a transitive tournament
-    deg = L.inside.sum(axis=1)
-    order = sorted(range(L.n), key=lambda u: (-int(deg[u]), u))
-    for i, u in enumerate(order):
-        for v in order[i + 1:]:
-            if not L.inside[u, v]:
-                raise TournamentNotTransitive(f"containment not total at {u},{v}")
-    return order
-
-
 def _order_vertices(L: LabelledGraph) -> list[int]:
     n = L.n
     if n <= 1:
         return list(range(n))
     cls = implication_classes(L)
-    if not cls.classes:
-        return _containment_order(L)
     for c in cls.classes:
         if c.inverse_id == c.id:
             pair = min(c.pairs)
@@ -239,23 +216,25 @@ def _order_vertices(L: LabelledGraph) -> list[int]:
     if proper:
         _, _, c = min(proper, key=lambda s: (s[0], s[1]))
         return _splice_module(L, sorted(span(c)))
-    # every class spans all vertices: a single class and its inverse remain
-    if len(cls.classes) != 2 or cls.classes[0].inverse_id != 1:
-        raise InternalError("expected exactly one spanning class up to reversal")
-    least = min(min(c.pairs) for c in cls.classes)
-    chosen = cls.classes[cls.class_of[least]]
     rel = np.zeros((n, n), dtype=bool)
-    for a, b in chosen.pairs:
-        rel[a, b] = True
-    if (rel & rel.T).any():
-        raise InternalError("spanning class contains a pair and its reversal")
+    if cls.classes:
+        # every class spans all vertices: a single class and its inverse remain
+        if len(cls.classes) != 2 or cls.classes[0].inverse_id != 1:
+            raise InternalError("expected exactly one spanning class up to reversal")
+        least = min(min(c.pairs) for c in cls.classes)
+        for a, b in cls.classes[cls.class_of[least]].pairs:
+            rel[a, b] = True
+        if (rel & rel.T).any():
+            raise InternalError("spanning class contains a pair and its reversal")
+    # with no classes every pair is inclusion-labelled and 'inside' alone
+    # must be a transitive tournament
     tournament = rel | L.inside
     deg = tournament.sum(axis=1)
     order = sorted(range(n), key=lambda u: (-int(deg[u]), u))
-    for i, u in enumerate(order):
-        for v in order[i + 1:]:
-            if not tournament[u, v]:
-                raise TournamentNotTransitive(f"orientation cyclic at {u},{v}")
+    gaps = np.argwhere(np.triu(~tournament[np.ix_(order, order)], 1))
+    if gaps.size:
+        i, j = gaps[0]
+        raise TournamentNotTransitive(f"orientation cyclic at {order[i]},{order[j]}")
     return order
 
 
@@ -285,12 +264,13 @@ def _splice_module(L: LabelledGraph, module: list[int]) -> list[int]:
     return order
 
 
-def interval_orientation(L: LabelledGraph) -> Orientation:
-    """Construct an interval orientation, or fail with DeltaInvertiblePair.
+def interval_orientation(L: LabelledGraph) -> list[int]:
+    """Construct an interval ordering, or fail with DeltaInvertiblePair.
 
-    The derived linear order, together with the inclusion orientation, is
-    checked to be a transitive tournament that never puts an avoided vertex
-    between the ends of the edge it avoids.
+    The derived linear order is checked to agree with the inclusion
+    orientation and to avoid every pattern of ordering_violation; those
+    patterns include an avoided vertex placed between the ends of the edge
+    it avoids.
     """
     order = _order_vertices(L)
     pos = np.empty(L.n, dtype=int)
@@ -300,18 +280,10 @@ def interval_orientation(L: LabelledGraph) -> Orientation:
     if inside_bad.any():
         u, v = map(int, np.argwhere(inside_bad)[0])
         raise TournamentNotTransitive(f"order contradicts containment at {u},{v}")
-    if L.n:
-        cube = avoid_cube(L)
-        px, py, pz = pos[:, None, None], pos[None, :, None], pos[None, None, :]
-        between = ((px < pz) & (pz < py)) | ((py < pz) & (pz < px))
-        bad = cube & between
-        if bad.any():
-            x, y, z = map(int, np.argwhere(bad)[0])
-            raise TournamentNotTransitive(f"{z} placed between avoided edge {x},{y}")
     violation = ordering_violation(L, order)
     if violation is not None:
         raise InternalError(f"constructed order fails pattern check: {violation}")
-    return Orientation(order)
+    return order
 
 
 def ordering_violation(L: LabelledGraph, order: list[int]) -> Optional[tuple]:

@@ -107,7 +107,8 @@ def complete(T: TypedGraph) -> tuple[TypedGraph, dict[int, int]]:
     Each vertex v without a circular partner gets a partner ~v, placed after
     the originals in increasing order of v.  ~v sees the originals u != v
     with N[u] not inside N[v]; ~v and ~w are non-adjacent iff N[v] is not
-    inside N[w] and N[w] contains N[u] for every u outside N[v].
+    inside N[w] and N[w] contains N[u] for every u outside N[v].  ~v is
+    named "~" + v's name, with more "~" prefixed while that name is taken.
     """
     n0 = T.graph.n
     s0 = len(circular_pairs(T).partner)
@@ -122,11 +123,18 @@ def complete(T: TypedGraph) -> tuple[TypedGraph, dict[int, int]]:
     added = ~apart
     np.fill_diagonal(added, False)
     adj = np.block([[T.graph.adj, cross.T], [cross, added]])
-    names = T.graph.names + tuple("~" + T.graph.names[v] for v in unpaired)
+    names = list(T.graph.names)
+    taken = set(names)
+    for v in unpaired:
+        name = "~" + names[v]
+        while name in taken:
+            name = "~" + name
+        taken.add(name)
+        names.append(name)
     m = adj.shape[0]
     if m != 2 * n0 - s0:
         raise InternalError("completion has the wrong cardinality")
-    H = classify_all(Graph(m, adj, names))
+    H = classify_all(Graph(m, adj, tuple(names)))
     if not np.array_equal(H.types[:n0, :n0], T.types):
         raise InternalError("completion changed an edge type")
     pairing = circular_pairs(H).partner
@@ -135,6 +143,20 @@ def complete(T: TypedGraph) -> tuple[TypedGraph, dict[int, int]]:
     if [pairing[u] for u in range(n0, m)] != unpaired.tolist():
         raise InternalError("an added vertex is not paired with its origin")
     return H, pairing
+
+
+def avoiding(closed: np.ndarray, overlap: np.ndarray, included: np.ndarray,
+             z: int) -> np.ndarray:
+    """[x, y] = the edge xy (a loop when x = y) avoids z.
+
+    closed is the adjacency with loops, overlap marks the overlap edges and
+    included the inclusion pairs, loops included, so no edge at z avoids z.
+    xy avoids z when neither end is included with z and xy is not an
+    overlap edge between two vertices that both overlap z.
+    """
+    free, ov = ~included[z], overlap[z]
+    return (closed & free[:, None] & free[None, :]
+            & ~(overlap & ov[:, None] & ov[None, :]))
 
 
 def avoids(T: TypedGraph, z: int, walk: Sequence[int]) -> bool:

@@ -2,22 +2,24 @@
 
 For a fixed anchor z of a completed graph, every vertex u that z does not
 include gets one copy per component of the "safe" subgraph around u: the
-vertices that both u and z tolerate, with overlap edges jumped over by u
-or z removed.  Walks inside such a component avoid both u and z.  An odd
-cycle among the copies rolls out into two mutually avoiding walks anchored
-at z; bipartiteness certifies there are none, and the 2-colouring splits
-the overlappers of z so that one side joins the non-inverting set Z.
+edges, loops included, that avoid both u and z (``edgetypes.avoiding``).
+Its loops mark its vertices, so walks inside a component avoid both u and
+z.  An odd cycle among the copies rolls out into two mutually avoiding
+walks anchored at z; bipartiteness certifies there are none, and the
+2-colouring splits the overlappers of z so that one side joins the
+non-inverting set Z.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import partial
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .edgetypes import EdgeType, InternalError, TypedGraph, avoids
+from .edgetypes import EdgeType, InternalError, TypedGraph, avoiding, avoids
 from .graph import tree_path
 
 Copy = tuple[int, int]  # (vertex, component index)
@@ -64,18 +66,11 @@ def walk_pair_error(H: TypedGraph, awp: AvoidWalkPair) -> Optional[str]:
     return None
 
 
-def tolerated(H: TypedGraph, z: int) -> np.ndarray:
-    """Vertices z does not include: non-adjacent to z or overlapping it."""
-    return np.asarray(H.types[z] != EdgeType.INCLUSION)
-
-
-def _pruned_subgraph(H: TypedGraph, u: int, z: int) -> tuple[np.ndarray, np.ndarray]:
-    """Members and pruned adjacency of the safe subgraph for the pair u, z."""
-    members = tolerated(H, u) & tolerated(H, z)
-    ov = (H.types == EdgeType.OVERLAP1) | (H.types == EdgeType.OVERLAP2)
-    adj = H.graph.adj & members[:, None] & members[None, :]
-    jumped = ov & ((ov[u][:, None] & ov[u][None, :]) | (ov[z][:, None] & ov[z][None, :]))
-    return members, adj & ~jumped
+def _avoiding_at(H: TypedGraph) -> Callable[[int], np.ndarray]:
+    """z -> the matrix of edges of H (loops included) that avoid z."""
+    overlap = (H.types == EdgeType.OVERLAP1) | (H.types == EdgeType.OVERLAP2)
+    return partial(avoiding, H.graph.closed_adj(), overlap,
+                   H.types == EdgeType.INCLUSION)
 
 
 @dataclass
@@ -83,25 +78,24 @@ class KnottingGraph:
     anchor: int
     copies: list[Copy]
     copy_index: dict[Copy, int]
-    members: dict[Copy, tuple[int, ...]]  # component vertex sets
     gamma: dict[tuple[int, int], int]     # (u, v) -> component of v around u
     adjacency: list[list[int]]            # by copy index, sorted
-    _pruned: dict[int, np.ndarray]        # per-u pruned adjacency for path replay
 
-    def component_path(self, u: int, comp: int, a: int, b: int) -> list[int]:
+    def component_path(self, H: TypedGraph, u: int, comp: int,
+                       a: int, b: int) -> list[int]:
         """Shortest a-b path inside component comp of u's safe subgraph."""
-        allowed = set(self.members[(u, comp)])
-        if a not in allowed or b not in allowed:
+        if self.gamma.get((u, a)) != comp or self.gamma.get((u, b)) != comp:
             raise InternalError(f"path endpoints outside component {u}/{comp}")
-        adj = self._pruned[u]
+        avoid = _avoiding_at(H)
+        safe = avoid(u) & avoid(self.anchor)
         prev = {a: None}
         queue = deque([a])
         while queue:
             cur = queue.popleft()
             if cur == b:
                 return tree_path(prev, a, b)
-            for nxt in np.flatnonzero(adj[cur]).tolist():
-                if nxt in allowed and nxt not in prev:
+            for nxt in np.flatnonzero(safe[cur]).tolist():
+                if nxt not in prev:
                     prev[nxt] = cur
                     queue.append(nxt)
         raise InternalError(f"no path {a}-{b} in component {u}/{comp}")
@@ -109,37 +103,30 @@ class KnottingGraph:
 
 def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
     """Assemble the anchored knotting graph of H at z."""
-    n = H.graph.n
-    az = tolerated(H, z)
-    az_list = [u for u in range(n) if az[u] and u != z]
+    avoid = _avoiding_at(H)
+    avoid_z = avoid(z)
+    az = avoid_z.diagonal()  # the vertices z tolerates, z itself excluded
+    az_list = np.flatnonzero(az).tolist()
     copies: list[Copy] = []
-    members: dict[Copy, tuple[int, ...]] = {}
     gamma: dict[tuple[int, int], int] = {}
-    pruned: dict[int, np.ndarray] = {}
     for u in az_list:
-        mem, adj = _pruned_subgraph(H, u, z)
-        mem[u] = False
-        mem[z] = False
-        pruned[u] = adj
+        safe = avoid(u) & avoid_z  # diagonal: the members, u and z excluded
         seen = set()
         comp = 0
-        for s in np.flatnonzero(mem).tolist():
+        for s in np.flatnonzero(safe.diagonal()).tolist():
             if s in seen:
                 continue
-            stack, group = [s], [s]
+            stack = [s]
             seen.add(s)
+            gamma[(u, s)] = comp
             while stack:
                 cur = stack.pop()
-                for nxt in np.flatnonzero(adj[cur]).tolist():
-                    if mem[nxt] and nxt not in seen:
+                for nxt in np.flatnonzero(safe[cur]).tolist():
+                    if nxt not in seen:
                         seen.add(nxt)
                         stack.append(nxt)
-                        group.append(nxt)
-            key = (u, comp)
-            copies.append(key)
-            members[key] = tuple(sorted(group))
-            for v in group:
-                gamma[(u, v)] = comp
+                        gamma[(u, nxt)] = comp
+            copies.append((u, comp))
             comp += 1
     copy_index = {c: i for i, c in enumerate(copies)}
     adjacency: list[set[int]] = [set() for _ in copies]
@@ -153,8 +140,8 @@ def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
             b = copy_index[(v, gamma[(v, u)])]
             adjacency[a].add(b)
             adjacency[b].add(a)
-    return KnottingGraph(z, copies, copy_index, members, gamma,
-                         [sorted(s) for s in adjacency], pruned)
+    return KnottingGraph(z, copies, copy_index, gamma,
+                         [sorted(s) for s in adjacency])
 
 
 def bipartite_or_odd_cycle(K: KnottingGraph) -> Union[dict[Copy, int], list[Copy]]:
@@ -235,7 +222,7 @@ def extract_invertible_pair(H: TypedGraph, K: KnottingGraph,
     walk_q = [us[-1]]
     for j in range(k):
         u, comp = cycle[j]
-        path = K.component_path(u, comp, us[j - 1], us[(j + 1) % k])
+        path = K.component_path(H, u, comp, us[j - 1], us[(j + 1) % k])
         if j % 2 == 0:
             if walk_q[-1] != path[0]:
                 raise InternalError("walk assembly lost continuity")

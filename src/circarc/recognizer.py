@@ -72,12 +72,12 @@ def recognize(G: Graph) -> Certificate:
     zset = build_Z(H, z, overlap_side(H, K, res, pairing[z]), pairing)
     L = labelled_from_typed(H, zset)
     try:
-        orientation = interval_orientation(L)
+        order = interval_orientation(L)
     except DeltaInvertiblePair as exc:
         raise InternalError(
             "interval orientation failed although the knotting graph "
             f"is bipartite: {exc}") from exc
-    ivals = build_intervals(L, orientation.order)
+    ivals = build_intervals(L, order)
     arcs_h = lift_to_circle(ivals, zset, pairing, H)
     reduced_rep = ArcRepresentation(arcs_h.circle_size,
                                     {v: arcs_h.arcs[v] for v in range(G_r.n)})

@@ -43,6 +43,16 @@ class TestRecognizeCommand:
         assert main(["recognize", "/no/such/file"]) == 2
         capsys.readouterr()
 
+    def test_added_name_already_taken(self, tmp_path, capsys):
+        # b renamed "~a", the name a's added partner would have taken
+        f = write(tmp_path, "g.txt", BICLAW_EDGES.replace("b", "~a"))
+        out = str(tmp_path / "cert.json")
+        assert main(["recognize", f, "--out", out]) == 10
+        assert "Traceback" not in capsys.readouterr().err
+        assert json.loads(open(out).read())["verdict"] == "NotCircularArc"
+        assert main(["verify", f, out]) == 0
+        assert "OK" in capsys.readouterr().out
+
     def test_internal_error_prints_replayable_input(self, tmp_path, capsys,
                                                     monkeypatch):
         def broken(T):

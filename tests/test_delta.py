@@ -3,13 +3,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from circarc.delta import (DeltaInvertiblePair, Label, LabelledGraph,
                            delta_step, implication_classes,
                            interval_orientation, label_avoids,
                            labelled_from_typed, ordering_violation, span,
                            verify_interval_ordering)
-from circarc.edgetypes import classify_all, complete
+from circarc.edgetypes import avoiding, classify_all, complete
 from circarc.knotting import build_knotting, build_Z, overlap_side
 from conftest import make_labelled
 
@@ -52,6 +53,57 @@ def random_labelled(rng, n):
     labels[inside | inside.T] = Label.INCLUSION
     np.fill_diagonal(labels, Label.INCLUSION)
     return LabelledGraph(n, labels, inside)
+
+
+def avoid_at(L, z):
+    """The shared avoidance matrix of L's labels at anchor z."""
+    return avoiding(L.labels != Label.NONEDGE, L.labels == Label.OVERLAP,
+                    L.labels == Label.INCLUSION, z)
+
+
+class TestLabelledGraph:
+    @staticmethod
+    def fan(middles):
+        # 0 -> v -> last for every middle v, but 0 -> last missing
+        n = middles + 2
+        inside = np.zeros((n, n), dtype=bool)
+        inside[0, 1:-1] = inside[1:-1, -1] = True
+        labels = np.full((n, n), Label.NONEDGE, dtype=np.int8)
+        labels[inside | inside.T] = Label.INCLUSION
+        np.fill_diagonal(labels, Label.INCLUSION)
+        return n, labels, inside
+
+    @pytest.mark.parametrize("middles", [127, 128])
+    def test_non_transitive_orientation_rejected(self, middles):
+        # 128 two-step paths once wrapped an int8 product to -128
+        with pytest.raises(ValueError, match="transitive"):
+            LabelledGraph(*self.fan(middles))
+
+
+class TestAvoiding:
+    def test_matches_label_avoids(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            L = random_labelled(rng, rng.randint(1, 6))
+            for z in range(L.n):
+                M = avoid_at(L, z)
+                for x in range(L.n):
+                    for y in range(L.n):
+                        assert M[x, y] == label_avoids(L, x, y, z)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(3, 6))
+    def test_straddled_avoided_edge_violates_ordering(self, rng, n):
+        # a vertex strictly inside an edge it avoids always matches pattern
+        # (i), (iii) or (iv), so interval_orientation needs no separate check
+        L = random_labelled(rng, n)
+        order = list(range(n))
+        rng.shuffle(order)
+        pos = {v: i for i, v in enumerate(order)}
+        assume(any(avoid_at(L, z)[x, y]
+                   for x, y, z in itertools.permutations(range(n), 3)
+                   if pos[x] < pos[z] < pos[y]))
+        assert ordering_violation(L, order) is not None
 
 
 class TestDeltaStep:
@@ -139,14 +191,14 @@ class TestSpan:
 class TestOrdering:
     def test_overlap_path_order(self):
         L = overlap_path()
-        orient = interval_orientation(L)
-        assert orient.order in ([0, 1, 2], [2, 1, 0])
-        assert verify_interval_ordering(L, orient.order)
+        order = interval_orientation(L)
+        assert order in ([0, 1, 2], [2, 1, 0])
+        assert verify_interval_ordering(L, order)
 
     def test_all_inclusion(self):
         L = make_labelled(3, inclusions=[(0, 1), (1, 2), (0, 2)])
-        orient = interval_orientation(L)
-        assert orient.order == [0, 1, 2]
+        order = interval_orientation(L)
+        assert order == [0, 1, 2]
 
     def test_invertible_pair_from_pipeline_labels(self, biclaw):
         # the forcing in the biclaw completion must trip an invertible pair
@@ -174,14 +226,14 @@ class TestOrdering:
     def test_single_vertex(self):
         L = make_labelled(1)
         assert verify_interval_ordering(L, [0])
-        assert interval_orientation(L).order == [0]
+        assert interval_orientation(L) == [0]
 
     def test_module_recursion(self):
         # vertices 2,3 overlap each other and look identical from 0,1
         L = make_labelled(4, overlaps=[(2, 3)],
                           inclusions=[(0, 2), (0, 3), (1, 2), (1, 3), (0, 1)])
-        orient = interval_orientation(L)
-        assert verify_interval_ordering(L, orient.order)
+        order = interval_orientation(L)
+        assert verify_interval_ordering(L, order)
 
     def test_brute_force_agreement(self):
         rng = random.Random(23)

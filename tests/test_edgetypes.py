@@ -6,11 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 
 from circarc.arcs import ArcRepresentation
-from circarc.edgetypes import (EdgeType, UnreducedGraphError, _matrices, avoids,
-                               circular_pairs, classify_all, complete,
+from circarc.edgetypes import (EdgeType, UnreducedGraphError, _matrices, avoiding,
+                               avoids, circular_pairs, classify_all, complete,
                                completion_error, verify_completion)
 from circarc.graph import Graph, build_graph, reduce as reduce_graph
-from conftest import completion_of
+from circarc.formats import parse_edge_list
+from conftest import BICLAW_EDGES, completion_of
 from test_graph import random_graph_strategy
 
 
@@ -144,6 +145,15 @@ class TestComplete:
             missing = H.graph.closed_neighborhood(bar) ^ set(range(14))
             assert missing == {idx(name)}
         assert len(pairing) == 14
+
+    def test_added_names_stay_distinct(self):
+        # b renamed "~a": a's partner takes one more "~"
+        G = parse_edge_list(BICLAW_EDGES.replace("b", "~a"))
+        H, pairing = complete(classify_all(G))
+        names = H.graph.names
+        assert len(set(names)) == len(names)
+        assert pairing[names.index("~~a")] == names.index("a")
+        assert pairing[names.index("~~~a")] == names.index("~a")
 
     def test_near_biclaw_completion(self, near_biclaw):
         H, _ = complete(classify_all(near_biclaw))
@@ -289,6 +299,26 @@ class TestAvoids:
         T = classify_all(p4)
         with pytest.raises(ValueError):
             avoids(T, 3, [0, 2])
+
+    def test_matrix_matches_walk_check(self):
+        # the matrix form agrees with the walk check on every edge and loop,
+        # at six seeded anchors of each completion
+        rng = random.Random(21)
+        for G in seeded_graphs(12, seed=21):
+            reduced, _ = reduce_graph(G)
+            if reduced.n < 2:
+                continue
+            H, _ = complete(classify_all(reduced))
+            closed = H.graph.closed_adj()
+            overlap = ((H.types == EdgeType.OVERLAP1)
+                       | (H.types == EdgeType.OVERLAP2))
+            included = H.types == EdgeType.INCLUSION
+            edges = np.argwhere(closed).tolist()
+            for z in rng.sample(range(H.graph.n), min(H.graph.n, 6)):
+                M = avoiding(closed, overlap, included, z)
+                assert not (M & ~closed).any()
+                assert [bool(M[x, y]) for x, y in edges] == \
+                    [avoids(H, z, [x, y]) for x, y in edges]
 
 
 class TestCompletionUniqueness:

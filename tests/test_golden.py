@@ -1,7 +1,8 @@
 """Golden certificate corpus: every graph of networkx's atlas (1 to 7 vertices).
 
-The verdict counts and the SHA-256 of the concatenated canonical
-certificates pin the recognizer's output byte for byte.  A change that
+Each verdict must match the brute-force oracle.  The verdict counts and
+the SHA-256 of the concatenated canonical certificates pin the
+recognizer's output byte for byte.  A change that
 alters any certificate on this corpus must say why and update the digest.
 """
 
@@ -12,6 +13,7 @@ import networkx as nx
 
 from circarc.formats import serialize_certificate
 from circarc.graph import build_graph
+from circarc.oracle import oracle_is_ca
 from circarc.recognizer import NEGATIVE, POSITIVE, recognize
 
 ATLAS_SHA256 = "e9fcbd9b6ee2ef3cce4b5324c6a00ad5850268904bfb15f08dd3a116384908f5"
@@ -24,6 +26,7 @@ def test_atlas_certificates_are_unchanged():
         G = build_graph(g.number_of_nodes(), list(g.edges()))
         cert = recognize(G)
         verdicts[cert.verdict] += 1
+        assert oracle_is_ca(G) == (cert.verdict == POSITIVE), list(g.edges())
         digest.update(serialize_certificate(G, cert).encode())
     assert verdicts == {POSITIVE: 826, NEGATIVE: 426}
     assert digest.hexdigest() == ATLAS_SHA256

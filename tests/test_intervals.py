@@ -62,8 +62,8 @@ class TestLiftToCircle:
     def test_c4_pipeline_arcs(self, c4):
         H, pairing, zset, L = labels_on_Z(c4)
         assert [H.graph.names[v] for v in zset] == ["v2", "v3"]
-        orient = interval_orientation(L)
-        iv = build_intervals(L, orient.order)
+        order = interval_orientation(L)
+        iv = build_intervals(L, order)
         rep = lift_to_circle(iv, zset, pairing, H)
         assert rep.circle_size == 24
         by_name = {H.graph.names[v]: a for v, a in rep.arcs.items()}
@@ -85,8 +85,8 @@ class TestLiftToCircle:
 
     def test_near_biclaw_end_to_end(self, near_biclaw):
         H, pairing, zset, L = labels_on_Z(near_biclaw)
-        orient = interval_orientation(L)
-        rep = lift_to_circle(build_intervals(L, orient.order), zset, pairing, H)
+        order = interval_orientation(L)
+        rep = lift_to_circle(build_intervals(L, order), zset, pairing, H)
         assert len(rep.arcs) == 12
         assert verify_representation(H.graph, rep)
         covers = H.graph.closed_adj()
@@ -95,7 +95,7 @@ class TestLiftToCircle:
 
     def test_mismatched_pairing_fails(self, c4):
         H, pairing, zset, L = labels_on_Z(c4)
-        iv = build_intervals(L, interval_orientation(L).order)
+        iv = build_intervals(L, interval_orientation(L))
         broken = dict(pairing)
         a, b = zset
         broken[a], broken[b] = pairing[b], pairing[a]

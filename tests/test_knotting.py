@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from circarc.edgetypes import InternalError, avoids, circular_pairs, classify_all
@@ -14,6 +16,14 @@ from conftest import completion_of, side_at
 def knotting_at(G, name):
     H = completion_of(G)[2]
     return H, build_knotting(H, H.graph.index_of(name))
+
+
+def components(K):
+    """Vertex set of each copy's component, read off gamma."""
+    groups = {}
+    for (u, v), i in sorted(K.gamma.items()):
+        groups.setdefault((u, i), []).append(v)
+    return groups
 
 
 def copy_counts(H, K):
@@ -44,30 +54,46 @@ class TestBuildKnotting:
         assert isinstance(bipartite_or_odd_cycle(K), dict)
 
     def test_gamma_locates_members(self, biclaw):
+        # gamma's groups are the components of the edges avoiding u and z
         H, K = knotting_at(biclaw, "f")
-        for (u, i), group in K.members.items():
-            for v in group:
-                assert K.gamma[(u, v)] == i
+        groups = components(K)
+        assert set(groups) == set(K.copies)
+        z = K.anchor
+        for u in {u for u, _ in K.copies}:
+            safe = nx.Graph()
+            safe.add_nodes_from(v for v in range(H.graph.n)
+                                if avoids(H, u, [v]) and avoids(H, z, [v]))
+            safe.add_edges_from(
+                (a, b) for a, b in H.graph.edges()
+                if a in safe and b in safe
+                and avoids(H, u, [a, b]) and avoids(H, z, [a, b]))
+            want = {frozenset(c) for c in nx.connected_components(safe)}
+            assert {frozenset(g) for (w, _), g in groups.items() if w == u} == want
 
     def test_component_paths_avoid_both(self, biclaw):
         H, K = knotting_at(biclaw, "f")
         rng = random.Random(2)
         z = K.anchor
-        for (u, i), group in K.members.items():
+        for (u, i), group in components(K).items():
             a, b = rng.choice(group), rng.choice(group)
-            path = K.component_path(u, i, a, b)
+            path = K.component_path(H, u, i, a, b)
             assert path[0] == a and path[-1] == b
             assert avoids(H, u, path) if len(path) > 1 else True
             if len(path) > 1:
                 assert avoids(H, z, path)
+
+    def test_component_path_checks_endpoints(self, biclaw):
+        H, K = knotting_at(biclaw, "f")
+        (u, i), group = next(iter(components(K).items()))
+        with pytest.raises(InternalError):
+            K.component_path(H, u, i, group[0], u)
 
 
 class TestOddCycle:
     def test_edgeless(self, c4):
         T = classify_all(c4)
         K = build_knotting(T, 0)
-        K2 = type(K)(K.anchor, K.copies, K.copy_index, K.members, K.gamma,
-                     [[] for _ in K.copies], K._pruned)
+        K2 = dataclasses.replace(K, adjacency=[[] for _ in K.copies])
         coloring = bipartite_or_odd_cycle(K2)
         assert set(coloring.values()) == {0}
 
