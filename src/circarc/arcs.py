@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .graph import MergeTwins, RemoveUniversal
+
 
 @dataclass(frozen=True)
 class ArcRepresentation:
@@ -66,8 +68,6 @@ def expand_arcs(trace, rep: ArcRepresentation) -> ArcRepresentation:
     slot wider than its partner on each side; a reinstated universal vertex
     gets an arc covering all but one fresh slot.
     """
-    from .graph import MergeTwins, RemoveUniversal
-
     if set(rep.arcs) != set(range(len(trace.survivors))):
         raise ValueError("representation does not match the reduced graph")
     next_tag = rep.circle_size

@@ -32,16 +32,32 @@ class UsageError(Exception):
     pass
 
 
-def _load_graph(path: str, fmt: str) -> Graph:
+def _read_text(path: str) -> str:
+    """The text of path, or UsageError if it cannot be read; bytes that are
+    not UTF-8 raise UnicodeDecodeError for the caller to report."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
     try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
+def _load_graph(path: str, fmt: str) -> Graph:
+    try:
+        text = _read_text(path)
         if fmt == "graph6":
             return parse_graph6(text)
         return parse_edge_list(text)
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
     except (FormatError, GraphError) as exc:
         raise UsageError(f"{path}: {exc}") from exc
 
@@ -50,8 +66,7 @@ def _cmd_recognize(args, G: Graph) -> int:
     cert = recognize(G)
     doc = serialize_certificate(G, cert)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc)
+        _write_text(args.out, doc)
     else:
         sys.stdout.write(doc)
     return EXIT_OK if cert.verdict == POSITIVE else EXIT_NOT_CA
@@ -59,13 +74,8 @@ def _cmd_recognize(args, G: Graph) -> int:
 
 def _cmd_verify(args, G: Graph) -> int:
     try:
-        with open(args.cert, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.cert}: {exc}") from exc
-    try:
-        cert = parse_certificate(G, text)
-    except FormatError as exc:
+        cert = parse_certificate(G, _read_text(args.cert))
+    except (FormatError, UnicodeDecodeError) as exc:
         print(f"invalid certificate: {exc}", file=sys.stderr)
         return EXIT_INVALID
     ok = (verify_positive(G, cert) if cert.verdict == POSITIVE
@@ -92,7 +102,10 @@ def _cmd_crosscheck(args, _graph) -> int:
                     "edge_prob": float(prob), "seed": int(seed)}
         except ValueError as exc:
             raise UsageError("--random expects N,COUNT,P,SEED") from exc
-    report = cross_check(args.max_n, spec)
+    try:
+        report = cross_check(args.max_n, spec)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     for item in report.disagreements:
         print(json.dumps(item, sort_keys=True))
     print(json.dumps({"checked": report.checked,
@@ -145,8 +158,7 @@ def _cmd_knotting(args, G: Graph) -> int:
     K = build_knotting(H, z)
     result = bipartite_or_odd_cycle(K)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(_knotting_dot(K, H.graph.names))
+        _write_text(args.dot, _knotting_dot(K, H.graph.names))
     if isinstance(result, dict):
         print(f"knotting graph at anchor {args.anchor!r}: bipartite")
         return EXIT_OK

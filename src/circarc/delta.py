@@ -14,7 +14,6 @@ outside), or fail by exhibiting a pair forced into both orientations.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Optional
@@ -22,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .edgetypes import EdgeType, InternalError, TypedGraph, avoiding
-from .graph import tree_path
+from .graph import bfs, tree_path
 
 Pair = tuple[int, int]
 
@@ -166,34 +165,21 @@ def implication_classes(L: LabelledGraph) -> DeltaClasses:
         avoid[z] = avoiding(closed, overlap, included, z)
     active = [(int(a), int(b)) for a in range(n) for b in range(n)
               if a != b and L.labels[a, b] != Label.INCLUSION]
+
+    def forced(p: Pair) -> list[Pair]:
+        # (a,b) -> (c,b) when edge ac avoids b; -> (a,c) when bc avoids a
+        a, b = p
+        return ([(c, b) for c in np.flatnonzero(avoid[b, a]).tolist()]
+                + [(a, c) for c in np.flatnonzero(avoid[a, b]).tolist()])
+
     class_of: dict[Pair, int] = {}
     parent: dict[Pair, Optional[Pair]] = {}
     classes: list[frozenset[Pair]] = []
     for seed in active:
-        if seed in class_of:
+        if seed in parent:
             continue
-        cid = len(classes)
-        class_of[seed] = cid
-        parent[seed] = None
-        queue = deque([seed])
-        members = [seed]
-        while queue:
-            a, b = queue.popleft()
-            # (a,b) -> (c,b) when edge ac avoids b; -> (a,c) when bc avoids a
-            for c in np.flatnonzero(avoid[b, a]).tolist():
-                nxt = (c, b)
-                if nxt not in class_of:
-                    class_of[nxt] = cid
-                    parent[nxt] = (a, b)
-                    queue.append(nxt)
-                    members.append(nxt)
-            for c in np.flatnonzero(avoid[a, b]).tolist():
-                nxt = (a, c)
-                if nxt not in class_of:
-                    class_of[nxt] = cid
-                    parent[nxt] = (a, b)
-                    queue.append(nxt)
-                    members.append(nxt)
+        members = bfs(parent, seed, forced)
+        class_of.update(dict.fromkeys(members, len(classes)))
         classes.append(frozenset(members))
     out = []
     for cid, members in enumerate(classes):

@@ -3,12 +3,15 @@
 All adjacency questions are asked about closed neighbourhoods: a vertex is
 always considered adjacent to itself.  The adjacency matrix we store has a
 False diagonal; helpers that need the closed version OR in the identity.
+``bfs`` and ``tree_path`` are the package's only graph search and search-path
+helpers: every search elsewhere is a call to ``bfs``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Optional, Sequence, TypeVar
+from typing import (Callable, Hashable, Iterable, Mapping, MutableMapping,
+                    Optional, Sequence, TypeVar)
 
 import numpy as np
 
@@ -18,6 +21,24 @@ class GraphError(ValueError):
 
 
 Node = TypeVar("Node", bound=Hashable)
+
+
+def bfs(parent: MutableMapping[Node, Optional[Node]], root: Node,
+        neighbours: Callable[[Node], Iterable[Node]]) -> list[Node]:
+    """Breadth-first search from root over the nodes not yet keys of parent.
+
+    Records each reached node's tree parent in parent (root maps to None)
+    and returns the reached nodes in visit order.  Calls that share one
+    parent mapping grow a forest and never revisit a node.
+    """
+    parent[root] = None
+    order = [root]
+    for cur in order:  # order doubles as the queue
+        for nxt in neighbours(cur):
+            if nxt not in parent:
+                parent[nxt] = cur
+                order.append(nxt)
+    return order
 
 
 def tree_path(parent: Mapping[Node, Optional[Node]], a: Node, b: Node) -> list[Node]:

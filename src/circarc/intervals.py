@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arcs import ArcRepresentation
+from .arcs import ArcRepresentation, representation_error
 from .delta import Label, LabelledGraph, ordering_violation
 from .edgetypes import InternalError, TypedGraph
 
@@ -96,8 +96,6 @@ def lift_to_circle(ivals: IntervalRepresentation, zmap: list[int],
     both ends.  The result must verify against H, else the pipeline is
     broken.
     """
-    from .arcs import representation_error
-
     k = len(zmap)
     m = 8 * k + 8
     arcs: dict[int, tuple[int, int]] = {}

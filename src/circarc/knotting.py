@@ -12,7 +12,6 @@ non-inverting set Z.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Union
@@ -20,7 +19,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .edgetypes import EdgeType, InternalError, TypedGraph, avoiding, avoids
-from .graph import tree_path
+from .graph import bfs, tree_path
 
 Copy = tuple[int, int]  # (vertex, component index)
 
@@ -88,17 +87,11 @@ class KnottingGraph:
             raise InternalError(f"path endpoints outside component {u}/{comp}")
         avoid = _avoiding_at(H)
         safe = avoid(u) & avoid(self.anchor)
-        prev = {a: None}
-        queue = deque([a])
-        while queue:
-            cur = queue.popleft()
-            if cur == b:
-                return tree_path(prev, a, b)
-            for nxt in np.flatnonzero(safe[cur]).tolist():
-                if nxt not in prev:
-                    prev[nxt] = cur
-                    queue.append(nxt)
-        raise InternalError(f"no path {a}-{b} in component {u}/{comp}")
+        prev: dict[int, Optional[int]] = {}
+        bfs(prev, a, lambda cur: np.flatnonzero(safe[cur]).tolist())
+        if b not in prev:
+            raise InternalError(f"no path {a}-{b} in component {u}/{comp}")
+        return tree_path(prev, a, b)
 
 
 def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
@@ -111,21 +104,13 @@ def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
     gamma: dict[tuple[int, int], int] = {}
     for u in az_list:
         safe = avoid(u) & avoid_z  # diagonal: the members, u and z excluded
-        seen = set()
+        seen: dict[int, Optional[int]] = {}
         comp = 0
         for s in np.flatnonzero(safe.diagonal()).tolist():
             if s in seen:
                 continue
-            stack = [s]
-            seen.add(s)
-            gamma[(u, s)] = comp
-            while stack:
-                cur = stack.pop()
-                for nxt in np.flatnonzero(safe[cur]).tolist():
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-                        gamma[(u, nxt)] = comp
+            for v in bfs(seen, s, lambda cur: np.flatnonzero(safe[cur]).tolist()):
+                gamma[(u, v)] = comp
             copies.append((u, comp))
             comp += 1
     copy_index = {c: i for i, c in enumerate(copies)}
@@ -146,27 +131,22 @@ def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
 
 def bipartite_or_odd_cycle(K: KnottingGraph) -> Union[dict[Copy, int], list[Copy]]:
     """Two-color the copies, or return an odd closed walk of copies."""
-    color: dict[int, int] = {}
     parent: dict[int, Optional[int]] = {}
+    order: list[int] = []
     for root in range(len(K.copies)):
-        if root in color:
-            continue
-        color[root] = 0
-        parent[root] = None
-        queue = deque([root])
-        while queue:
-            cur = queue.popleft()
-            for nxt in K.adjacency[cur]:
-                if nxt not in color:
-                    color[nxt] = 1 - color[cur]
-                    parent[nxt] = cur
-                    queue.append(nxt)
-                elif color[nxt] == color[cur]:
-                    # both tree paths to the common ancestor plus the edge
-                    cycle = tree_path(parent, cur, nxt)
-                    if len(cycle) % 2 == 0 or len(cycle) < 3:
-                        raise InternalError("odd cycle extraction produced an even walk")
-                    return [K.copies[i] for i in cycle]
+        if root not in parent:
+            order += bfs(parent, root, K.adjacency.__getitem__)
+    color: dict[int, int] = {}
+    for v in order:  # parents come first: colour is the depth parity
+        color[v] = 0 if parent[v] is None else 1 - color[parent[v]]
+    for cur in order:
+        for nxt in K.adjacency[cur]:
+            if color[nxt] == color[cur]:
+                # both tree paths to the common ancestor plus the edge
+                cycle = tree_path(parent, cur, nxt)
+                if len(cycle) % 2 == 0 or len(cycle) < 3:
+                    raise InternalError("odd cycle extraction produced an even walk")
+                return [K.copies[i] for i in cycle]
     return {K.copies[i]: c for i, c in color.items()}
 
 
@@ -191,17 +171,11 @@ def overlap_side(H: TypedGraph, K: KnottingGraph, colouring: dict[Copy, int],
             raise InternalError(f"partner {zbar} of the anchor lies outside "
                                 f"the safe subgraph of overlapper {x}")
         copies.append(K.copy_index[(x, K.gamma[(x, zbar)])])
+    parent: dict[int, Optional[int]] = {}
     lead: dict[int, int] = {}  # copy -> copy of the least overlapper in its component
     for c in copies:
-        if c in lead:
-            continue
-        lead[c] = c
-        stack = [c]
-        while stack:
-            for d in K.adjacency[stack.pop()]:
-                if d not in lead:
-                    lead[d] = c
-                    stack.append(d)
+        if c not in parent:
+            lead.update(dict.fromkeys(bfs(parent, c, K.adjacency.__getitem__), c))
     return {x for x, c in zip(xs, copies)
             if colouring[K.copies[c]] == colouring[K.copies[lead[c]]]}
 
@@ -245,17 +219,19 @@ def extract_invertible_pair(H: TypedGraph, K: KnottingGraph,
 def build_Z(H: TypedGraph, z: int, Y: set[int],
             pairing: dict[int, int]) -> list[int]:
     """Non-inverting set: everything z does not see, plus one side of Y."""
-    n = H.graph.n
-    closed_z = H.graph.closed_neighborhood(z)
-    zset = sorted(set(range(n)) - closed_z | set(Y))
+    inz = ~H.graph.adj[z]
+    inz[z] = False
+    inz[sorted(Y)] = True
+    zset = np.flatnonzero(inz).tolist()
     if not zset:
         raise InternalError("non-inverting set came out empty")
-    inz = set(zset)
-    for u in range(n):
-        if (u in inz) == (pairing[u] in inz):
-            raise InternalError(f"pair {u},{pairing[u]} not split by Z")
-    for i, u in enumerate(zset):
-        for v in zset[i + 1:]:
-            if H.types[u, v] == EdgeType.OVERLAP2:
-                raise InternalError(f"2-overlap edge {u},{v} inside Z")
+    partner = [pairing[u] for u in range(H.graph.n)]
+    unsplit = np.flatnonzero(inz == inz[partner])
+    if unsplit.size:
+        u = int(unsplit[0])
+        raise InternalError(f"pair {u},{pairing[u]} not split by Z")
+    inside = np.argwhere(np.triu(H.types[np.ix_(zset, zset)] == EdgeType.OVERLAP2, 1))
+    if inside.size:
+        i, j = inside[0]
+        raise InternalError(f"2-overlap edge {zset[i]},{zset[j]} inside Z")
     return zset

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from .arcs import ArcRepresentation, verify_representation
 from .graph import Graph, build_graph
 from .recognizer import recognize, verify_negative, verify_positive
 
@@ -33,8 +34,6 @@ class EndpointSequence:
         return {v: (l, r) for v, (l, r) in out.items()}
 
     def realizes(self, G: Graph) -> bool:
-        from .arcs import ArcRepresentation, verify_representation
-
         return verify_representation(
             G, ArcRepresentation(len(self.symbols), self.arcs()))
 

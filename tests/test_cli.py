@@ -9,9 +9,15 @@ from circarc.formats import parse_edge_list
 from conftest import BICLAW_EDGES, NEAR_BICLAW_EDGES
 
 
+NOT_UTF8 = b"a b\n\xff\xfe c\n"
+
+
 def write(tmp_path, name, text):
     p = tmp_path / name
-    p.write_text(text)
+    if isinstance(text, bytes):
+        p.write_bytes(text)
+    else:
+        p.write_text(text)
     return str(p)
 
 
@@ -42,6 +48,17 @@ class TestRecognizeCommand:
     def test_missing_file(self, capsys):
         assert main(["recognize", "/no/such/file"]) == 2
         capsys.readouterr()
+
+    def test_graph_not_utf8(self, tmp_path, capsys):
+        f = write(tmp_path, "bad.txt", NOT_UTF8)
+        assert main(["recognize", f]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_out_dir_missing(self, tmp_path, capsys):
+        f = write(tmp_path, "g.txt", NEAR_BICLAW_EDGES)
+        out = str(tmp_path / "missing" / "c.json")
+        assert main(["recognize", f, "--out", out]) == 2
+        assert "cannot write" in capsys.readouterr().err
 
     def test_added_name_already_taken(self, tmp_path, capsys):
         # b renamed "~a", the name a's added partner would have taken
@@ -116,6 +133,13 @@ class TestVerifyCommand:
         assert "Traceback" not in captured.out + captured.err
 
 
+    def test_certificate_not_utf8(self, tmp_path, capsys):
+        f = write(tmp_path, "g.txt", NEAR_BICLAW_EDGES)
+        cert = write(tmp_path, "bad.txt", NOT_UTF8)
+        assert main(["verify", f, cert]) == 1
+        assert "invalid certificate" in capsys.readouterr().err
+
+
 class TestOracleCommand:
     def test_positive(self, tmp_path, capsys):
         f = write(tmp_path, "g.txt", NEAR_BICLAW_EDGES)
@@ -143,6 +167,14 @@ class TestCrossCheckCommand:
     def test_bad_random_spec(self, capsys):
         assert main(["crosscheck", "--random", "nope"]) == 2
         capsys.readouterr()
+
+    def test_max_n_over_cap(self, capsys):
+        assert main(["crosscheck", "--max-n", "6"]) == 2
+        assert "capped" in capsys.readouterr().err
+
+    def test_random_n_over_cap(self, capsys):
+        assert main(["crosscheck", "--random", "9,1,0.5,1"]) == 2
+        assert "capped" in capsys.readouterr().err
 
 
 class TestCompleteCommand:
@@ -173,6 +205,12 @@ class TestKnottingCommand:
         text = dot.read_text()
         assert text.startswith("graph knotting {")
         assert '"~f/2"' in text
+
+    def test_dot_dir_missing(self, tmp_path, capsys):
+        f = write(tmp_path, "g.txt", NEAR_BICLAW_EDGES)
+        dot = str(tmp_path / "missing" / "x.dot")
+        assert main(["knotting", f, "--anchor", "f", "--dot", dot]) == 2
+        assert "cannot write" in capsys.readouterr().err
 
     def test_unknown_anchor(self, tmp_path, capsys):
         f = write(tmp_path, "g.txt", BICLAW_EDGES)

@@ -1,10 +1,13 @@
+import random
+
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from circarc.arcs import ArcRepresentation, expand_arcs, verify_representation
-from circarc.graph import (Graph, GraphError, MergeTwins, RemoveUniversal,
-                           build_graph, reduce, replay_reduction)
+from circarc.graph import (Graph, GraphError, MergeTwins, RemoveUniversal, bfs,
+                           build_graph, reduce, replay_reduction, tree_path)
 
 
 def random_graph_strategy(max_n=7):
@@ -15,6 +18,84 @@ def random_graph_strategy(max_n=7):
         mask = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
         return build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
     return graphs()
+
+
+def seeded_gnp(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 30)
+    return nx.gnp_random_graph(n, rng.uniform(0.03, 0.4), seed=seed), rng
+
+
+def depths(parent, order):
+    depth = {}
+    for v in order:
+        depth[v] = 0 if parent[v] is None else depth[parent[v]] + 1
+    return depth
+
+
+class TestSearch:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_depth_is_distance(self, seed):
+        G, rng = seeded_gnp(seed)
+        root = rng.randrange(G.number_of_nodes())
+        parent = {}
+        order = bfs(parent, root, lambda v: sorted(G[v]))
+        assert depths(parent, order) == nx.single_source_shortest_path_length(G, root)
+        assert set(parent) == set(order) and len(order) == len(set(order))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_visit_order_is_breadth_first(self, seed):
+        G, rng = seeded_gnp(seed)
+        root = rng.randrange(G.number_of_nodes())
+        parent = {}
+        order = bfs(parent, root, lambda v: sorted(G[v]))
+        pos = {v: i for i, v in enumerate(order)}
+        # a first-in first-out queue: each node hangs off its earliest-visited
+        # neighbour, and children come in the order of their parents
+        for v in order[1:]:
+            assert parent[v] == min(G[v], key=pos.__getitem__)
+        assert [pos[parent[v]] for v in order[1:]] == sorted(pos[parent[v]] for v in order[1:])
+        for v in order:  # siblings in the order neighbours lists them
+            kids = [w for w in order if parent[w] == v]
+            assert kids == [w for w in sorted(G[v]) if w in kids]
+
+    def test_known_nodes_are_not_revisited(self):
+        arcs = {"a": ["b", "e"], "b": ["c"], "c": ["d"], "d": [], "e": ["c"]}
+        parent = {}
+        assert bfs(parent, "b", arcs.__getitem__) == ["b", "c", "d"]
+        assert bfs(parent, "a", arcs.__getitem__) == ["a", "e"]
+        assert parent == {"b": None, "c": "b", "d": "c", "a": None, "e": "a"}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_forest_across_roots(self, seed):
+        G, _ = seeded_gnp(seed)
+        parent = {}
+        trees = [bfs(parent, r, lambda v: sorted(G[v]))
+                 for r in G if r not in parent]
+        assert sorted(map(set, trees), key=min) == sorted(nx.connected_components(G), key=min)
+        assert all(parent[t[0]] is None for t in trees)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tree_path(self, seed):
+        G, rng = seeded_gnp(seed)
+        parent = {}
+        trees = [bfs(parent, r, lambda v: sorted(G[v]))
+                 for r in G if r not in parent]
+        for tree in trees:
+            a, b = rng.choice(tree), rng.choice(tree)
+            path = tree_path(parent, a, b)
+            assert path[0] == a and path[-1] == b
+            assert all(G.has_edge(x, y) for x, y in zip(path, path[1:]))
+            assert len(path) == len(set(path))
+            assert len(tree_path(parent, tree[0], b)) - 1 == nx.shortest_path_length(G, tree[0], b)
+
+    def test_tree_path_across_trees_raises(self):
+        G = nx.Graph([(0, 1), (2, 3)])
+        parent = {}
+        bfs(parent, 0, G.neighbors)
+        bfs(parent, 2, G.neighbors)
+        with pytest.raises(ValueError, match="different trees"):
+            tree_path(parent, 1, 3)
 
 
 class TestBuildGraph:

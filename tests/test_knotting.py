@@ -5,7 +5,8 @@ import random
 import networkx as nx
 import pytest
 
-from circarc.edgetypes import InternalError, avoids, circular_pairs, classify_all
+from circarc.edgetypes import (EdgeType, InternalError, avoids, circular_pairs,
+                               classify_all, complete)
 from circarc.graph import build_graph, reduce as reduce_graph
 from circarc.knotting import (AvoidWalkPair, bipartite_or_odd_cycle, build_Z,
                               build_knotting, extract_invertible_pair,
@@ -165,6 +166,29 @@ class TestDisagreement:
             overlap_side(T, K, colouring, 2)
 
 
+def loop_build_Z(H, z, Y, pairing):
+    """build_Z's checks as plain loops: the reference for its array form."""
+    n = H.graph.n
+    zset = sorted(set(range(n)) - H.graph.closed_neighborhood(z) | set(Y))
+    if not zset:
+        raise InternalError("non-inverting set came out empty")
+    for u in range(n):
+        if (u in zset) == (pairing[u] in zset):
+            raise InternalError(f"pair {u},{pairing[u]} not split by Z")
+    for i, u in enumerate(zset):
+        for v in zset[i + 1:]:
+            if H.types[u, v] == EdgeType.OVERLAP2:
+                raise InternalError(f"2-overlap edge {u},{v} inside Z")
+    return zset
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except InternalError as exc:
+        return str(exc)
+
+
 class TestBuildZ:
     def test_c4(self, c4):
         T = classify_all(c4)
@@ -184,6 +208,33 @@ class TestBuildZ:
     def test_never_empty(self):
         T = classify_all(build_graph(2, []))
         assert build_Z(T, 0, set(), circular_pairs(T).partner) == [1]
+
+    def test_matches_loop_reference(self):
+        # random sides Y of the anchor's neighbours trip either guard or none
+        rng = random.Random(5)
+        seen = set()
+        for _ in range(40):
+            n = rng.randint(3, 12)
+            G = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < 0.4])
+            if reduce_graph(G)[0].n < 2:
+                continue
+            _, _, H, pairing = completion_of(G)
+            for z in range(H.graph.n):
+                nbrs = sorted(H.graph.closed_neighborhood(z) - {z})
+                Y = {v for v in nbrs if rng.random() < 0.5}
+                got = outcome(build_Z, H, z, Y, pairing)
+                assert got == outcome(loop_build_Z, H, z, Y, pairing)
+                seen.add(type(got) if isinstance(got, list) else got.split()[0])
+        assert seen == {list, "pair", "2-overlap"}
+
+    def test_two_overlap_inside_rejected(self):
+        # three isolated vertices: anchor ~0 (3) misses only 0, and the
+        # added vertices ~1 (4) and ~2 (5) form a 2-overlap edge
+        H, pairing = complete(classify_all(build_graph(3, [])))
+        assert H.types[4, 5] == EdgeType.OVERLAP2
+        with pytest.raises(InternalError, match="2-overlap edge 4,5 inside Z"):
+            build_Z(H, 3, {4, 5}, pairing)
 
 
 class TestBothDirections:
