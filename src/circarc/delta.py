@@ -106,28 +106,6 @@ def labelled_from_typed(T: TypedGraph, vertices: list[int]) -> LabelledGraph:
     return LabelledGraph(k, labels, inside)
 
 
-def label_avoids(L: LabelledGraph, x: int, y: int, z: int) -> bool:
-    if x != y and L.labels[x, y] == Label.NONEDGE:
-        return False
-    if L.labels[x, z] == Label.INCLUSION or L.labels[y, z] == Label.INCLUSION:
-        return False
-    if z in (x, y):
-        return False
-    if (L.labels[x, z] == Label.OVERLAP and L.labels[y, z] == Label.OVERLAP
-            and x != y and L.labels[x, y] == Label.OVERLAP):
-        return False
-    return True
-
-
-def delta_step(L: LabelledGraph, p: Pair, q: Pair) -> bool:
-    """Single forcing step between two ordered pairs sharing a coordinate."""
-    if p[1] == q[1] and label_avoids(L, p[0], q[0], p[1]):
-        return True
-    if p[0] == q[0] and label_avoids(L, p[1], q[1], p[0]):
-        return True
-    return False
-
-
 @dataclass(frozen=True)
 class PairClass:
     id: int
@@ -153,8 +131,9 @@ def span(c: PairClass) -> frozenset[int]:
 def implication_classes(L: LabelledGraph) -> DeltaClasses:
     """Partition the ordered Overlap/NonEdge pairs into forcing classes.
 
-    Breadth-first closure of delta_step, seeded in lexicographic order; a
-    BFS forest is kept so chains between class members can be replayed.
+    Breadth-first closure of the single forcing step, seeded in
+    lexicographic order; a BFS forest is kept so chains between class
+    members can be replayed.
     """
     n = L.n
     # avoid[z, x, y]: the edge xy (a loop when x = y) label-avoids z

@@ -51,9 +51,6 @@ class TypedGraph:
     contains: np.ndarray  # bool (n, n); contains[u,v] = N[v] subset of N[u]
     spanning: np.ndarray  # bool (n, n)
 
-    def type_of(self, u: int, v: int) -> EdgeType:
-        return EdgeType(int(self.types[u, v]))
-
     def overlaps(self, u: int, v: int) -> bool:
         return self.types[u, v] in (EdgeType.OVERLAP1, EdgeType.OVERLAP2)
 

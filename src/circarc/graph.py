@@ -5,6 +5,10 @@ always considered adjacent to itself.  The adjacency matrix we store has a
 False diagonal; helpers that need the closed version OR in the identity.
 ``bfs`` and ``tree_path`` are the package's only graph search and search-path
 helpers: every search elsewhere is a call to ``bfs``.
+
+``reduce`` strips universal vertices and merges true twins in closed form:
+neither step creates or destroys universality or twinness among the
+vertices that survive it, so one look at the input finds every step.
 """
 
 from __future__ import annotations
@@ -158,40 +162,36 @@ class ReductionTrace:
 
 
 def reduce(G: Graph) -> tuple[Graph, ReductionTrace]:
-    """Strip universal vertices and merge true twins to a fixed point.
+    """Strip universal vertices and merge true twins, in one pass.
 
-    Universal removals are preferred over twin merges at each step; ties go
-    to the smallest index.  Twin merges keep the smaller index.  Reduction
-    stops once fewer than two vertices remain.
+    The steps are: every universal vertex in increasing order (a complete
+    graph keeps its last vertex), then for each true-twin class in order of
+    its least member, MergeTwins(least, other) for the other members in
+    increasing order.  This is the fixed point of removing the least
+    universal vertex while one exists, else merging the lexicographically
+    least twin pair, until fewer than two vertices remain.
     """
-    live = list(range(G.n))
-    adj = G.adj.copy()
-    steps: list[ReductionStep] = []
-    while len(live) >= 2:
-        idx = np.array(live, dtype=int)
-        sub = adj[np.ix_(idx, idx)]
-        closed = sub | np.eye(len(live), dtype=bool)
-        universal = np.flatnonzero(closed.all(axis=1))
-        if universal.size:
-            pos = int(universal[0])
-            steps.append(RemoveUniversal(live[pos]))
-            del live[pos]
-            continue
-        twin = None
-        for a in range(len(live)):
-            for b in range(a + 1, len(live)):
-                if sub[a, b] and np.array_equal(closed[a], closed[b]):
-                    twin = (a, b)
-                    break
-            if twin:
-                break
-        if twin is None:
-            break
-        a, b = twin
-        steps.append(MergeTwins(live[a], live[b]))
-        del live[b]
-    reduced = G.induced(live)
-    return reduced, ReductionTrace(G.n, steps, list(live))
+    closed = G.closed_adj()
+    universal = closed.all(axis=1)
+    if universal.all():
+        universal[-1:] = False  # a complete graph keeps its last vertex
+    # One scan of G finds every step: a universal vertex lies in every closed
+    # neighbourhood, and a merged twin in exactly those that hold its kept
+    # twin, so removing either never makes a surviving row full or not full,
+    # nor two surviving rows equal or unequal.  Universality and twinness
+    # among the survivors are those of G.
+    steps: list[ReductionStep] = [
+        RemoveUniversal(v) for v in np.flatnonzero(universal).tolist()]
+    rest = least = np.flatnonzero(~universal)
+    if rest.size:
+        _, first, label = np.unique(np.packbits(closed[rest], axis=1), axis=0,
+                                    return_index=True, return_inverse=True)
+        least = rest[first[label.reshape(-1)]]  # least member of each twin class
+        order = np.lexsort((rest, least))
+        steps += [MergeTwins(k, v) for k, v in zip(least[order].tolist(),
+                                                   rest[order].tolist()) if k != v]
+    survivors = np.unique(least).tolist()
+    return G.induced(survivors), ReductionTrace(G.n, steps, survivors)
 
 
 def replay_reduction(G: Graph, trace: ReductionTrace) -> Graph:

@@ -176,6 +176,13 @@ def cross_check(max_n: int, random_spec: Optional[dict] = None) -> CrossCheckRep
     """
     if max_n > 5:
         raise ValueError("exhaustive cross-check capped at 5 vertices")
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    if random_spec is not None:
+        if random_spec["count"] < 0:
+            raise ValueError("random count must be nonnegative")
+        if not 0 <= random_spec["edge_prob"] <= 1:
+            raise ValueError("edge probability must lie in [0, 1]")
     report = CrossCheckReport()
     for n in range(1, max_n + 1):
         for i, G in enumerate(enumerate_labelled_graphs(n)):

@@ -176,6 +176,23 @@ class TestCrossCheckCommand:
         assert main(["crosscheck", "--random", "9,1,0.5,1"]) == 2
         assert "capped" in capsys.readouterr().err
 
+    def test_negative_max_n(self, capsys):
+        assert main(["crosscheck", "--max-n", "-1"]) == 2
+        assert "max_n" in capsys.readouterr().err
+
+    def test_negative_random_count(self, capsys):
+        assert main(["crosscheck", "--random", "5,-1,0.5,1"]) == 2
+        assert "count" in capsys.readouterr().err
+
+    def test_edge_probability_out_of_range(self, capsys):
+        assert main(["crosscheck", "--random", "5,1,2.5,1"]) == 2
+        assert "probability" in capsys.readouterr().err
+
+    def test_random_batch_alone(self, capsys):
+        assert main(["crosscheck", "--max-n", "0", "--random", "5,3,0.5,1"]) == 0
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert summary == {"checked": 3, "disagreements": 0}
+
 
 class TestCompleteCommand:
     def test_biclaw(self, tmp_path, capsys):

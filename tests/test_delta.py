@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from circarc.delta import (DeltaInvertiblePair, Label, LabelledGraph,
-                           delta_step, implication_classes,
-                           interval_orientation, label_avoids,
+from circarc.delta import (DeltaInvertiblePair, Label, LabelledGraph, Pair,
+                           implication_classes, interval_orientation,
                            labelled_from_typed, ordering_violation, span,
                            verify_interval_ordering)
 from circarc.edgetypes import avoiding, classify_all, complete
@@ -53,6 +52,29 @@ def random_labelled(rng, n):
     labels[inside | inside.T] = Label.INCLUSION
     np.fill_diagonal(labels, Label.INCLUSION)
     return LabelledGraph(n, labels, inside)
+
+
+def label_avoids(L: LabelledGraph, x: int, y: int, z: int) -> bool:
+    """Reference for edgetypes.avoiding, one triple at a time from the labels."""
+    if x != y and L.labels[x, y] == Label.NONEDGE:
+        return False
+    if L.labels[x, z] == Label.INCLUSION or L.labels[y, z] == Label.INCLUSION:
+        return False
+    if z in (x, y):
+        return False
+    if (L.labels[x, z] == Label.OVERLAP and L.labels[y, z] == Label.OVERLAP
+            and x != y and L.labels[x, y] == Label.OVERLAP):
+        return False
+    return True
+
+
+def delta_step(L: LabelledGraph, p: Pair, q: Pair) -> bool:
+    """Single forcing step between two ordered pairs sharing a coordinate."""
+    if p[1] == q[1] and label_avoids(L, p[0], q[0], p[1]):
+        return True
+    if p[0] == q[0] and label_avoids(L, p[1], q[1], p[0]):
+        return True
+    return False
 
 
 def avoid_at(L, z):

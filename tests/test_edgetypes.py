@@ -80,7 +80,7 @@ def seeded_graphs(count, seed=3):
 class TestClassify:
     def test_path_leaf_inclusion(self, p4):
         T = classify_all(p4)
-        assert T.type_of(0, 1) == EdgeType.INCLUSION
+        assert EdgeType(int(T.types[0, 1])) == EdgeType.INCLUSION
         assert T.contains[1, 0]  # N[a] inside N[b]
 
     def test_p3_middle_is_universal(self):
@@ -91,15 +91,15 @@ class TestClassify:
     def test_biclaw_df_overlap1(self, biclaw):
         T = classify_all(biclaw)
         d, f = biclaw.index_of("d"), biclaw.index_of("f")
-        assert T.type_of(d, f) == EdgeType.OVERLAP1
+        assert EdgeType(int(T.types[d, f])) == EdgeType.OVERLAP1
 
     def test_p4_middle_overlap2(self, p4):
         T = classify_all(p4)
-        assert T.type_of(1, 2) == EdgeType.OVERLAP2
+        assert EdgeType(int(T.types[1, 2])) == EdgeType.OVERLAP2
 
     def test_loops_are_inclusion(self, c4):
         T = classify_all(c4)
-        assert all(T.type_of(v, v) == EdgeType.INCLUSION for v in range(4))
+        assert all(EdgeType(int(T.types[v, v])) == EdgeType.INCLUSION for v in range(4))
 
     def test_universal_vertex_rejected(self):
         with pytest.raises(UnreducedGraphError):
@@ -114,7 +114,7 @@ class TestClassify:
             T = classify_all(G)
             for u in range(G.n):
                 for v in range(u + 1, G.n):
-                    t = T.type_of(u, v)
+                    t = EdgeType(int(T.types[u, v]))
                     assert (t == EdgeType.NONEDGE) == (not G.adj[u, v])
                     if t == EdgeType.OVERLAP2:
                         assert T.spanning[u, v]

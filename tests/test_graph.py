@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from circarc.arcs import ArcRepresentation, expand_arcs, verify_representation
-from circarc.graph import (Graph, GraphError, MergeTwins, RemoveUniversal, bfs,
-                           build_graph, reduce, replay_reduction, tree_path)
+from circarc.graph import (Graph, GraphError, MergeTwins, ReductionStep,
+                           ReductionTrace, RemoveUniversal, bfs, build_graph,
+                           reduce, replay_reduction, tree_path)
 
 
 def random_graph_strategy(max_n=7):
@@ -24,6 +25,60 @@ def seeded_gnp(seed):
     rng = random.Random(seed)
     n = rng.randint(2, 30)
     return nx.gnp_random_graph(n, rng.uniform(0.03, 0.4), seed=seed), rng
+
+
+def _loop_reduce(G: Graph) -> tuple[Graph, ReductionTrace]:
+    """Reference reduction: one step at a time to a fixed point.
+
+    Universal removals are preferred over twin merges at each step; ties go
+    to the smallest index.  Twin merges keep the smaller index.  Reduction
+    stops once fewer than two vertices remain.
+    """
+    live = list(range(G.n))
+    adj = G.adj.copy()
+    steps: list[ReductionStep] = []
+    while len(live) >= 2:
+        idx = np.array(live, dtype=int)
+        sub = adj[np.ix_(idx, idx)]
+        closed = sub | np.eye(len(live), dtype=bool)
+        universal = np.flatnonzero(closed.all(axis=1))
+        if universal.size:
+            pos = int(universal[0])
+            steps.append(RemoveUniversal(live[pos]))
+            del live[pos]
+            continue
+        twin = None
+        for a in range(len(live)):
+            for b in range(a + 1, len(live)):
+                if sub[a, b] and np.array_equal(closed[a], closed[b]):
+                    twin = (a, b)
+                    break
+            if twin:
+                break
+        if twin is None:
+            break
+        a, b = twin
+        steps.append(MergeTwins(live[a], live[b]))
+        del live[b]
+    reduced = G.induced(live)
+    return reduced, ReductionTrace(G.n, steps, list(live))
+
+
+def planted_blowup(seed):
+    """Random graph with true-twin classes and universal vertices planted,
+    its vertex indices shuffled."""
+    rng = random.Random(seed)
+    k = rng.randint(1, 14)
+    base = nx.gnp_random_graph(k, rng.uniform(0.1, 0.9), seed=seed)
+    cls = [c for v in range(k) for c in [v] * rng.randint(1, 4)]
+    cls += [k] * rng.randint(0, 2)  # class k: universal vertices
+    n = len(cls)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)
+             if k in (cls[i], cls[j]) or cls[i] == cls[j]
+             or base.has_edge(cls[i], cls[j])]
+    return build_graph(n, edges)
 
 
 def depths(parent, order):
@@ -149,7 +204,7 @@ class TestReduce:
         K3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
         reduced, trace = reduce(K3)
         assert reduced.n == 1
-        assert len(trace.steps) == 2
+        assert trace.steps == [RemoveUniversal(0), RemoveUniversal(1)]
 
     def test_biclaw_irreducible(self, biclaw):
         reduced, trace = reduce(biclaw)
@@ -161,11 +216,28 @@ class TestReduce:
         assert reduced.n == 4
         assert trace.steps == []
 
-    def test_twin_then_universal(self):
-        # merging the twins 1,2 makes 0 universal
-        G = build_graph(3, [(0, 1), (0, 2), (1, 2)])
-        reduced, trace = reduce(G)
-        assert reduced.n == 1
+    def test_universal_first_then_classes_by_least_member(self):
+        # 1 and 4 are universal; {0, 3, 5} and {2, 6} are true-twin classes
+        edges = [(u, v) for u in (1, 4) for v in range(7) if u != v]
+        edges += [(0, 3), (0, 5), (3, 5), (2, 6)]
+        reduced, trace = reduce(build_graph(7, edges))
+        assert trace.steps == [RemoveUniversal(1), RemoveUniversal(4),
+                               MergeTwins(0, 3), MergeTwins(0, 5),
+                               MergeTwins(2, 6)]
+        assert trace.survivors == [0, 2]
+        assert reduced.names == ("0", "2") and not reduced.adj.any()
+
+    def test_matches_loop_reference(self):
+        graphs = [build_graph(g.number_of_nodes(), list(g.edges()))
+                  for g in nx.graph_atlas_g()]
+        graphs += [planted_blowup(seed) for seed in range(150)]
+        for G in graphs:
+            reduced, trace = reduce(G)
+            ref, ref_trace = _loop_reduce(G)
+            assert (trace.steps, trace.survivors, trace.n_original) == (
+                ref_trace.steps, ref_trace.survivors, ref_trace.n_original)
+            assert np.array_equal(reduced.adj, ref.adj) and reduced.names == ref.names
+        assert sum(G.n == 0 for G in graphs) == 1 and max(G.n for G in graphs) > 40
 
     @given(random_graph_strategy())
     @settings(deadline=None, max_examples=60)
