@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Optional
+from functools import lru_cache, partial
+import itertools
+from typing import Callable, Optional
 
 import numpy as np
 
 from .edgetypes import EdgeType, InternalError, TypedGraph, avoiding
-from .graph import bfs, tree_path
+from .graph import bfs, components, tree_path
 
 Pair = tuple[int, int]
 
@@ -117,54 +119,92 @@ class PairClass:
 class DeltaClasses:
     classes: list[PairClass]
     class_of: dict[Pair, int]
-    parent: dict[Pair, Optional[Pair]] = field(default_factory=dict)
+    avoid_at: Callable[[int], np.ndarray]  # z -> the label-avoidance matrix at z
+    _parent: dict[Pair, Optional[Pair]] = field(default_factory=dict, init=False,
+                                                repr=False)
 
     def chain(self, p: Pair, q: Pair) -> list[Pair]:
-        """Forcing chain from p to q inside their common class."""
-        return tree_path(self.parent, p, q)
+        """Forcing chain from p to q inside their common class.
+
+        The first chain asked of a class grows its breadth-first tree from
+        the class's least pair; the chain runs through their common ancestor.
+        """
+        if self.class_of[p] != self.class_of[q]:
+            raise ValueError(f"{p} and {q} lie in different classes")
+        if p not in self._parent:
+            bfs(self._parent, min(self.classes[self.class_of[p]].pairs), self._forced)
+        return tree_path(self._parent, p, q)
+
+    def _forced(self, p: Pair) -> list[Pair]:
+        # (a,b) -> (c,b) when edge ac avoids b; -> (a,c) when bc avoids a
+        a, b = p
+        return ([(c, b) for c in np.flatnonzero(self.avoid_at(b)[a]).tolist()]
+                + [(a, c) for c in np.flatnonzero(self.avoid_at(a)[b]).tolist()])
 
 
 def span(c: PairClass) -> frozenset[int]:
-    return frozenset(v for p in c.pairs for v in p)
+    return frozenset(itertools.chain.from_iterable(c.pairs))
+
+
+def _merge(n: int, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Least member of each component of the union of two partitions of 0..n-1.
+
+    first[i] and second[i] name a member of i's block in each partition.
+    Union-find over arrays: every root hooks to the least root it meets
+    through either partition, then pointers jump until each points at its
+    root; the least member is the root, as pointers only ever go down.
+    """
+    src = np.concatenate([np.arange(n), np.arange(n)])
+    dst = np.concatenate([first, second])
+    f = np.minimum(np.arange(n), np.minimum(first, second))
+    while True:
+        while True:
+            jumped = f[f]
+            if np.array_equal(jumped, f):
+                break
+            f = jumped
+        fs, fd = f[src], f[dst]
+        if np.array_equal(fs, fd):
+            return f
+        np.minimum.at(f, fs, fd)
+        np.minimum.at(f, fd, fs)
 
 
 def implication_classes(L: LabelledGraph) -> DeltaClasses:
     """Partition the ordered Overlap/NonEdge pairs into forcing classes.
 
-    Breadth-first closure of the single forcing step, seeded in
-    lexicographic order; a BFS forest is kept so chains between class
-    members can be replayed.
+    A step (a,b) -> (c,b) needs the edge ac to avoid b, and (a,b) -> (a,c)
+    needs bc to avoid a, so each kind of step stays inside one anchor's
+    avoidance matrix.  Labelling the components of that matrix once per
+    anchor z gives two partitions of the pairs: the pairs (x, z) joined by
+    the first kind of step, and the pairs (z, x) joined by the second.  The
+    classes are the components of the two together, found by an array
+    union-find over the pair ids a*n + b, and are numbered by least pair.
     """
     n = L.n
-    # avoid[z, x, y]: the edge xy (a loop when x = y) label-avoids z
-    closed, overlap = L.labels != Label.NONEDGE, L.labels == Label.OVERLAP
-    included = L.labels == Label.INCLUSION
-    avoid = np.empty((n, n, n), dtype=bool)
+    avoid_at = partial(avoiding, L.labels != Label.NONEDGE,
+                       L.labels == Label.OVERLAP, L.labels == Label.INCLUSION)
+    # lab[z, x]: least vertex of x's component in the matrix at z, n when the
+    # loop at x does not avoid z, that is when (x, z) is not an active pair
+    lab = np.empty((n, n), dtype=np.intp)
     for z in range(n):
-        avoid[z] = avoiding(closed, overlap, included, z)
-    active = [(int(a), int(b)) for a in range(n) for b in range(n)
-              if a != b and L.labels[a, b] != Label.INCLUSION]
-
-    def forced(p: Pair) -> list[Pair]:
-        # (a,b) -> (c,b) when edge ac avoids b; -> (a,c) when bc avoids a
-        a, b = p
-        return ([(c, b) for c in np.flatnonzero(avoid[b, a]).tolist()]
-                + [(a, c) for c in np.flatnonzero(avoid[a, b]).tolist()])
-
-    class_of: dict[Pair, int] = {}
-    parent: dict[Pair, Optional[Pair]] = {}
-    classes: list[frozenset[Pair]] = []
-    for seed in active:
-        if seed in parent:
-            continue
-        members = bfs(parent, seed, forced)
-        class_of.update(dict.fromkeys(members, len(classes)))
-        classes.append(frozenset(members))
-    out = []
-    for cid, members in enumerate(classes):
-        a, b = min(members)
-        out.append(PairClass(cid, members, class_of[(b, a)]))
-    return DeltaClasses(out, class_of, parent)
+        lab[z] = components(avoid_at(z))
+    a, b = np.nonzero(lab.T < n)  # the active pairs, in lexicographic order
+    rank = np.full((n, n), -1, dtype=np.intp)
+    rank[a, b] = np.arange(a.size)
+    # ranks keep the pair order, so the least rank is the least pair
+    least = _merge(a.size, rank[lab[b, a], b], rank[a, lab[a, b]])
+    roots, cid = np.unique(least, return_inverse=True)
+    cid = cid.reshape(-1)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    class_of = dict(zip(pairs, cid.tolist()))
+    by_class = [pairs[i] for i in np.argsort(cid, kind="stable").tolist()]
+    ends = np.cumsum(np.bincount(cid, minlength=roots.size)).tolist()
+    inverse = cid[rank[b[roots], a[roots]]].tolist()
+    classes = [PairClass(k, frozenset(by_class[start:end]), inverse[k])
+               for k, (start, end) in enumerate(zip([0] + ends, ends))]
+    # chain searches revisit anchors; a bounded cache keeps that O(n^2) too
+    return DeltaClasses(classes, class_of, lru_cache(maxsize=64)(avoid_at))
 
 
 def _order_vertices(L: LabelledGraph) -> list[int]:
@@ -176,19 +216,18 @@ def _order_vertices(L: LabelledGraph) -> list[int]:
         if c.inverse_id == c.id:
             pair = min(c.pairs)
             raise DeltaInvertiblePair(pair, cls.chain(pair, (pair[1], pair[0])))
-    spans = [(len(span(c)), min(c.pairs), c) for c in cls.classes]
-    proper = [s for s in spans if s[0] < n]
+    spans = [span(c) for c in cls.classes]
+    # classes are numbered by least pair: the least id breaks ties in size
+    proper = [(len(s), k) for k, s in enumerate(spans) if len(s) < n]
     if proper:
-        _, _, c = min(proper, key=lambda s: (s[0], s[1]))
-        return _splice_module(L, sorted(span(c)))
+        return _splice_module(L, sorted(spans[min(proper)[1]]))
     rel = np.zeros((n, n), dtype=bool)
     if cls.classes:
         # every class spans all vertices: a single class and its inverse remain
         if len(cls.classes) != 2 or cls.classes[0].inverse_id != 1:
             raise InternalError("expected exactly one spanning class up to reversal")
-        least = min(min(c.pairs) for c in cls.classes)
-        for a, b in cls.classes[cls.class_of[least]].pairs:
-            rel[a, b] = True
+        a, b = np.array(list(cls.classes[0].pairs)).T  # the class of the least pair
+        rel[a, b] = True
         if (rel & rel.T).any():
             raise InternalError("spanning class contains a pair and its reversal")
     # with no classes every pair is inclusion-labelled and 'inside' alone

@@ -188,9 +188,22 @@ def certificate_from_doc(G: Graph, doc: dict[str, Any]) -> Certificate:
     echo = doc["input"]
     if echo["n"] != G.n or list(G.names) != echo["vertices"]:
         raise FormatError("certificate was issued for a different graph")
-    want_edges = {frozenset(e) for e in echo["edges"]}
-    have_edges = {frozenset((G.names[u], G.names[v])) for u, v in G.edges()}
-    if want_edges != have_edges:
+    edges = echo["edges"]
+    pairs = [e for e in edges if type(e) is list and len(e) == 2]
+    if len(pairs) != len(edges):
+        raise FormatError("each edge echo entry must be a pair of names")
+    index = {name: i for i, name in enumerate(G.names)}
+    try:
+        ends = np.array([(index[a], index[b]) for a, b in pairs],
+                        dtype=np.intp).reshape(-1, 2)
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"edge echo names an unknown vertex: {exc}") from None
+    u, v = ends[:, 0], ends[:, 1]
+    if (u == v).any():
+        raise FormatError(f"edge echo lists a loop at {G.names[u[u == v][0]]!r}")
+    echoed = np.zeros((G.n, G.n), dtype=bool)
+    echoed[u, v] = echoed[v, u] = True
+    if not np.array_equal(echoed, G.adj):
         raise FormatError("certificate edge echo does not match the graph")
     trace = _trace_from_doc(G, doc["reduction"])
     verdict = doc["verdict"]

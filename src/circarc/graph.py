@@ -3,8 +3,9 @@
 All adjacency questions are asked about closed neighbourhoods: a vertex is
 always considered adjacent to itself.  The adjacency matrix we store has a
 False diagonal; helpers that need the closed version OR in the identity.
-``bfs`` and ``tree_path`` are the package's only graph search and search-path
-helpers: every search elsewhere is a call to ``bfs``.
+``components`` is the package's only component labeller, one numpy step per
+breadth-first level; ``bfs`` and ``tree_path`` are its only search-path
+helpers, used where a path itself is wanted.
 
 ``reduce`` strips universal vertices and merges true twins in closed form:
 neither step creates or destroys universality or twinness among the
@@ -43,6 +44,30 @@ def bfs(parent: MutableMapping[Node, Optional[Node]], root: Node,
                 parent[nxt] = cur
                 order.append(nxt)
     return order
+
+
+def components(M: np.ndarray) -> np.ndarray:
+    """Label the components of a boolean symmetric matrix M.
+
+    The vertices are those on M's diagonal, joined where M is True; each
+    gets the least vertex of its component, and every vertex off the
+    diagonal gets len(M).  A component grows by whole breadth-first levels.
+    """
+    n = M.shape[0]
+    label = np.full(n, n, dtype=np.intp)
+    reach = ~M.diagonal()  # off-diagonal vertices are never reached
+    for s in np.flatnonzero(~reach).tolist():
+        if reach[s]:
+            continue
+        front = np.zeros(n, dtype=bool)
+        front[s] = True
+        comp = front.copy()
+        while front.any():
+            reach |= front
+            front = M[front].any(axis=0) & ~reach
+            comp |= front
+        label[comp] = s
+    return label
 
 
 def tree_path(parent: Mapping[Node, Optional[Node]], a: Node, b: Node) -> list[Node]:

@@ -23,24 +23,30 @@ class IntervalRepresentation:
 
 
 def _consistency_error(L: LabelledGraph, iv: dict[int, tuple[int, int]]) -> str | None:
-    for u in range(L.n):
-        lu, ru = iv[u]
-        if not lu < ru:
-            return f"degenerate interval for {u}"
-        for v in range(u + 1, L.n):
-            lv, rv = iv[v]
-            disjoint = ru < lv or rv < lu
-            contained = (lu < lv and rv < ru) or (lv < lu and ru < rv)
-            lab = L.label(u, v)
-            if lab == Label.NONEDGE and not disjoint:
-                return f"{u},{v} labelled non-edge but intervals meet"
-            if lab == Label.OVERLAP and (disjoint or contained):
-                return f"{u},{v} labelled overlap but intervals do not overlap"
-            if lab == Label.INCLUSION:
-                want = (lu < lv and rv < ru) if L.inside[u, v] else (lv < lu and ru < rv)
-                if not want:
-                    return f"{u},{v} containment direction wrong"
-    return None
+    """First disagreement of the intervals with the labels, by (u, v) order.
+
+    Vertex u's own interval is checked just before its pairs (u, v), v > u.
+    """
+    lr = np.array([iv[u] for u in range(L.n)], dtype=np.int64).reshape(L.n, 2)
+    l, r = lr[:, 0], lr[:, 1]
+    disjoint = (r[:, None] < l[None, :]) | (r[None, :] < l[:, None])
+    inner = (l[:, None] < l[None, :]) & (r[None, :] < r[:, None])  # v inside u
+    lab = L.labels
+    faults = [
+        ((lab == Label.NONEDGE) & ~disjoint, "labelled non-edge but intervals meet"),
+        ((lab == Label.OVERLAP) & (disjoint | inner | inner.T),
+         "labelled overlap but intervals do not overlap"),
+        ((lab == Label.INCLUSION) & ~np.where(L.inside, inner, inner.T),
+         "containment direction wrong"),
+    ]
+    bad = np.triu(np.logical_or.reduce([m for m, _ in faults]), 1)
+    bad[np.diag_indices(L.n)] = l >= r
+    if not bad.any():
+        return None
+    u, v = map(int, np.argwhere(bad)[0])
+    if u == v:
+        return f"degenerate interval for {u}"
+    return next(f"{u},{v} {msg}" for m, msg in faults if m[u, v])
 
 
 def build_intervals(L: LabelledGraph, order: list[int]) -> IntervalRepresentation:
@@ -54,21 +60,19 @@ def build_intervals(L: LabelledGraph, order: list[int]) -> IntervalRepresentatio
     if bad is not None:
         raise ValueError(f"not an interval ordering: pattern {bad}")
     seq: list[tuple[str, int]] = []
+    idx = np.array(order, dtype=np.intp)
     for k in range(L.n - 1, -1, -1):
         x = order[k]
         seq.insert(0, ("L", x))
-        suffix = order[k:]
-        y = x
-        for v in suffix:
-            if L.labels[x, v] != Label.NONEDGE:
-                y = v
-        incl = [v for v in suffix if v != x and L.labels[x, v] == Label.INCLUSION]
-        for v in incl:
-            if not L.inside[x, v]:
-                raise InternalError(
-                    f"vertex {v} inclusion-tied to leftmost {x} but not inside it")
+        row = L.labels[x, idx[k:]]  # row[0] is the loop at x, never a non-edge
+        y = order[k + int(np.flatnonzero(row != Label.NONEDGE)[-1])]
+        incl = idx[k + 1:][row[1:] == Label.INCLUSION]
+        outer = incl[~L.inside[x, incl]]
+        if outer.size:
+            raise InternalError(
+                f"vertex {outer[0]} inclusion-tied to leftmost {x} but not inside it")
         t = seq.index(("L", y))
-        for v in incl:
+        for v in incl.tolist():
             t = max(t, seq.index(("R", v)))
         seq.insert(t + 1, ("R", x))
     iv: dict[int, tuple[int, int]] = {}

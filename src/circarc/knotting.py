@@ -19,7 +19,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .edgetypes import EdgeType, InternalError, TypedGraph, avoiding, avoids
-from .graph import bfs, tree_path
+from .graph import bfs, components, tree_path
 
 Copy = tuple[int, int]  # (vertex, component index)
 
@@ -95,38 +95,40 @@ class KnottingGraph:
 
 
 def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
-    """Assemble the anchored knotting graph of H at z."""
+    """Assemble the anchored knotting graph of H at z.
+
+    The copies of u are numbered, and listed, in order of their
+    components' least members.
+    """
+    n = H.graph.n
     avoid = _avoiding_at(H)
     avoid_z = avoid(z)
     az = avoid_z.diagonal()  # the vertices z tolerates, z itself excluded
     az_list = np.flatnonzero(az).tolist()
     copies: list[Copy] = []
     gamma: dict[tuple[int, int], int] = {}
+    # copy_at[u, v]: index of the copy of u whose component holds v
+    copy_at = np.full((n, n), -1, dtype=np.intp)
     for u in az_list:
-        safe = avoid(u) & avoid_z  # diagonal: the members, u and z excluded
-        seen: dict[int, Optional[int]] = {}
-        comp = 0
-        for s in np.flatnonzero(safe.diagonal()).tolist():
-            if s in seen:
-                continue
-            for v in bfs(seen, s, lambda cur: np.flatnonzero(safe[cur]).tolist()):
-                gamma[(u, v)] = comp
-            copies.append((u, comp))
-            comp += 1
+        label = components(avoid(u) & avoid_z)  # n off the safe subgraph
+        members = np.flatnonzero(label < n)
+        leads, comp = np.unique(label[members], return_inverse=True)
+        comp = comp.reshape(-1)
+        copy_at[u, members] = len(copies) + comp
+        gamma.update(zip(zip([u] * members.size, members.tolist()), comp.tolist()))
+        copies += [(u, i) for i in range(leads.size)]
     copy_index = {c: i for i, c in enumerate(copies)}
-    adjacency: list[set[int]] = [set() for _ in copies]
     # copies meet for every non-inclusion pair, adjacent or not
-    ni = np.asarray(H.types != EdgeType.INCLUSION)
-    for u in az_list:
-        for v in np.flatnonzero(ni[u]).tolist():
-            if v <= u or not az[v]:
-                continue
-            a = copy_index[(u, gamma[(u, v)])]
-            b = copy_index[(v, gamma[(v, u)])]
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-    return KnottingGraph(z, copies, copy_index, gamma,
-                         [sorted(s) for s in adjacency])
+    us, vs = np.nonzero((H.types != EdgeType.INCLUSION) & az[:, None] & az[None, :])
+    a, b = copy_at[us, vs], copy_at[vs, us]
+    if (a < 0).any():
+        raise InternalError("a tolerated pair lies outside a safe subgraph")
+    # both directions are listed; one sort of the keys a*m + b groups them
+    m = len(copies)
+    heads, tails = np.divmod(np.unique(a * m + b), m)
+    split = np.cumsum(np.bincount(heads, minlength=m))
+    adjacency = [nbrs.tolist() for nbrs in np.split(tails, split)[:-1]]
+    return KnottingGraph(z, copies, copy_index, gamma, adjacency)
 
 
 def bipartite_or_odd_cycle(K: KnottingGraph) -> Union[dict[Copy, int], list[Copy]]:

@@ -1,11 +1,14 @@
+import random
+
 import numpy as np
 import pytest
 
-from circarc.delta import Label, LabelledGraph
+from circarc.delta import Label, LabelledGraph, labelled_from_typed
 from circarc.edgetypes import circular_pairs, classify_all, complete
 from circarc.formats import parse_edge_list
-from circarc.graph import build_graph, reduce as reduce_graph
-from circarc.knotting import bipartite_or_odd_cycle, build_knotting, overlap_side
+from circarc.graph import Graph, build_graph, reduce as reduce_graph
+from circarc.knotting import (bipartite_or_odd_cycle, build_knotting, build_Z,
+                              overlap_side)
 
 BICLAW_EDGES = "d f\nf a\nd g\nd h\ng b\nh c"
 NEAR_BICLAW_EDGES = "d f\nf a\nd g\nd h\ng b"
@@ -45,6 +48,47 @@ def side_at(T, z):
     colouring = bipartite_or_odd_cycle(K)
     assert isinstance(colouring, dict), "knotting graph is not bipartite"
     return overlap_side(T, K, colouring, circular_pairs(T).partner[z])
+
+
+def labels_on_Z(G):
+    """Run the pipeline up to the labelled graph on the non-inverting set."""
+    _, _, H, pairing = completion_of(G)
+    z = min(range(H.graph.n), key=lambda v: (H.graph.degree(v), v))
+    side = side_at(H, z)
+    zset = build_Z(H, z, side, pairing)
+    return H, pairing, zset, labelled_from_typed(H, zset)
+
+
+def arc_model(rng: random.Random, n: int) -> Graph:
+    """Intersection graph of n arcs whose 2n ends are shuffled over 2n slots.
+
+    The arc of v runs clockwise from slot ends[2v] to slot ends[2v+1].
+    """
+    ends = list(range(2 * n))
+    rng.shuffle(ends)
+    left, right = np.array(ends[0::2]), np.array(ends[1::2])
+    # arc u meets arc v when it covers v's left end, or v covers u's
+    covers = (left[None, :] - left[:, None]) % (2 * n) <= ((right - left) % (2 * n))[:, None]
+    adj = covers | covers.T
+    np.fill_diagonal(adj, False)
+    return Graph(n, adj, tuple(map(str, range(n))))
+
+
+# minimal non-circular-arc graphs, as (vertex count, edges)
+PLANTED = {"biclaw": (7, [(0, 1), (1, 2), (0, 3), (0, 4), (3, 5), (4, 6)]),
+           "c4+k1": (5, [(0, 1), (1, 2), (2, 3), (3, 0)])}
+
+
+def planted_negative(rng: random.Random, n: int, pattern: str) -> Graph:
+    """An arc model on n vertices beside a disjoint obstruction, shuffled."""
+    k, edges = PLANTED[pattern]
+    adj = np.zeros((n + k, n + k), dtype=bool)
+    adj[:n, :n] = arc_model(rng, n).adj
+    for u, v in edges:
+        adj[n + u, n + v] = adj[n + v, n + u] = True
+    perm = list(range(n + k))
+    rng.shuffle(perm)
+    return Graph(n + k, adj[np.ix_(perm, perm)], tuple(map(str, range(n + k))))
 
 
 def make_labelled(n, overlaps=(), inclusions=()):

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from circarc.delta import (DeltaInvertiblePair, Label, LabelledGraph, Pair,
-                           implication_classes, interval_orientation,
+                           PairClass, implication_classes, interval_orientation,
                            labelled_from_typed, ordering_violation, span,
                            verify_interval_ordering)
 from circarc.edgetypes import avoiding, classify_all, complete
+from circarc.graph import bfs, tree_path
 from circarc.knotting import build_knotting, build_Z, overlap_side
-from conftest import make_labelled
+from conftest import arc_model, labels_on_Z, make_labelled
 
 
 def overlap_path():
@@ -81,6 +82,42 @@ def avoid_at(L, z):
     """The shared avoidance matrix of L's labels at anchor z."""
     return avoiding(L.labels != Label.NONEDGE, L.labels == Label.OVERLAP,
                     L.labels == Label.INCLUSION, z)
+
+
+def _bfs_implication_classes(L: LabelledGraph):
+    """Breadth-first closure of the single forcing step, seeded in
+    lexicographic order: the reference for implication_classes.  Returns
+    the classes, class_of and the BFS forest."""
+    n = L.n
+    # avoid[z, x, y]: the edge xy (a loop when x = y) label-avoids z
+    closed, overlap = L.labels != Label.NONEDGE, L.labels == Label.OVERLAP
+    included = L.labels == Label.INCLUSION
+    avoid = np.empty((n, n, n), dtype=bool)
+    for z in range(n):
+        avoid[z] = avoiding(closed, overlap, included, z)
+    active = [(int(a), int(b)) for a in range(n) for b in range(n)
+              if a != b and L.labels[a, b] != Label.INCLUSION]
+
+    def forced(p: Pair) -> list[Pair]:
+        # (a,b) -> (c,b) when edge ac avoids b; -> (a,c) when bc avoids a
+        a, b = p
+        return ([(c, b) for c in np.flatnonzero(avoid[b, a]).tolist()]
+                + [(a, c) for c in np.flatnonzero(avoid[a, b]).tolist()])
+
+    class_of: dict[Pair, int] = {}
+    parent: dict = {}
+    classes: list[frozenset[Pair]] = []
+    for seed in active:
+        if seed in parent:
+            continue
+        members = bfs(parent, seed, forced)
+        class_of.update(dict.fromkeys(members, len(classes)))
+        classes.append(frozenset(members))
+    out = []
+    for cid, members in enumerate(classes):
+        a, b = min(members)
+        out.append(PairClass(cid, members, class_of[(b, a)]))
+    return out, class_of, parent
 
 
 class TestLabelledGraph:
@@ -180,6 +217,34 @@ class TestImplicationClasses:
             want = {(a, b) for a in range(L.n) for b in range(L.n)
                     if a != b and L.labels[a, b] != Label.INCLUSION}
             assert seen == want
+
+    @staticmethod
+    def assert_matches_reference(L, chains):
+        cls = implication_classes(L)
+        classes, class_of, parent = _bfs_implication_classes(L)
+        assert cls.classes == classes
+        assert cls.class_of == class_of
+        for c in classes[:chains]:
+            root, *rest = sorted(c.pairs)
+            for q in rest[:3]:
+                assert cls.chain(root, q) == tree_path(parent, root, q)
+                assert cls.chain(q, root) == tree_path(parent, q, root)
+
+    def test_matches_bfs_reference_random(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            self.assert_matches_reference(random_labelled(rng, rng.randint(0, 12)), 3)
+
+    @pytest.mark.parametrize("seed,n", [(5, 40), (2, 56), (3, 68), (4, 80)])
+    def test_matches_bfs_reference_arc_models(self, seed, n):
+        L = labels_on_Z(arc_model(random.Random(seed), n))[3]
+        assert L.n >= 20
+        self.assert_matches_reference(L, 5)
+
+    def test_chain_across_classes_rejected(self):
+        cls = implication_classes(make_labelled(2, overlaps=[(0, 1)]))
+        with pytest.raises(ValueError, match="different classes"):
+            cls.chain((0, 1), (1, 0))
 
     def test_chain_replay(self):
         L = overlap_path()

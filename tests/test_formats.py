@@ -6,7 +6,9 @@ import pytest
 from circarc.formats import (FormatError, certificate_from_doc,
                              certificate_to_doc, parse_certificate,
                              parse_edge_list, parse_graph6,
-                             serialize_certificate, write_graph6)
+                             serialize_certificate, write_edge_list,
+                             write_graph6)
+from circarc.cli import main
 from circarc.graph import build_graph
 from circarc.recognizer import (recognize, verify_negative, verify_positive)
 
@@ -107,3 +109,39 @@ class TestCertificateDocs:
         doc = json.loads(text)
         assert doc["verdict"] == "NotCircularArc"
         assert doc["format"] == "ca-cert/1"
+
+
+def _drop_first(edges):
+    del edges[0]
+
+
+class TestEdgeEcho:
+    @pytest.mark.parametrize("edit,message", [
+        (_drop_first, "does not match"),
+        (lambda edges: edges.append(["v1", "v3"]), "does not match"),
+        (lambda edges: edges.append(["v1", "zz"]), "unknown vertex"),
+        (lambda edges: edges.append(["v1", ["v2"]]), "unknown vertex"),
+        (lambda edges: edges.append(["v2", "v2"]), "loop at 'v2'"),
+        (lambda edges: edges.append(["v1", "v2", "v3"]), "pair of names"),
+        (lambda edges: edges.append("v1v2"), "pair of names"),
+        (lambda edges: edges.append(["v1"]), "pair of names"),
+    ], ids=["missing", "extra", "unknown", "unhashable", "loop", "triple",
+            "string", "single"])
+    def test_bad_echo_rejected(self, c4, tmp_path, capsys, edit, message):
+        doc = certificate_to_doc(c4, recognize(c4))
+        edit(doc["input"]["edges"])
+        with pytest.raises(FormatError, match=message):
+            certificate_from_doc(c4, doc)
+        g, cert = tmp_path / "g.txt", tmp_path / "c.json"
+        g.write_text(write_edge_list(c4))
+        cert.write_text(json.dumps(doc))
+        assert main(["verify", str(g), str(cert)]) == 1
+        err = capsys.readouterr().err
+        assert "invalid certificate" in err and message in err
+        assert "Traceback" not in err
+
+    def test_duplicate_and_reversed_entries_accepted(self, c4):
+        doc = certificate_to_doc(c4, recognize(c4))
+        edges = doc["input"]["edges"]
+        edges += [edges[0], edges[1][::-1]]
+        assert verify_positive(c4, certificate_from_doc(c4, doc))

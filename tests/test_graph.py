@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from circarc.arcs import ArcRepresentation, expand_arcs, verify_representation
 from circarc.graph import (Graph, GraphError, MergeTwins, ReductionStep,
                            ReductionTrace, RemoveUniversal, bfs, build_graph,
-                           reduce, replay_reduction, tree_path)
+                           components, reduce, replay_reduction, tree_path)
 
 
 def random_graph_strategy(max_n=7):
@@ -151,6 +151,42 @@ class TestSearch:
         bfs(parent, 2, G.neighbors)
         with pytest.raises(ValueError, match="different trees"):
             tree_path(parent, 1, 3)
+
+
+class TestComponents:
+    @staticmethod
+    def networkx_labels(M):
+        """Least member per component of the graph M induces on its
+        diagonal, len(M) off the diagonal."""
+        n = M.shape[0]
+        on = np.flatnonzero(M.diagonal()).tolist()
+        G = nx.Graph()
+        G.add_nodes_from(on)
+        G.add_edges_from((u, v) for u in on for v in on if u != v and M[u, v])
+        want = np.full(n, n)
+        for comp in nx.connected_components(G):
+            want[list(comp)] = min(comp)
+        return want
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_networkx(self, seed):
+        G, rng = seeded_gnp(seed)
+        n = G.number_of_nodes()
+        M = nx.to_numpy_array(G, nodelist=range(n), dtype=bool)
+        # off-diagonal vertices keep their edges, which must not join anything
+        M[np.diag_indices(n)] = [rng.random() < 0.8 for _ in range(n)]
+        assert components(M).tolist() == self.networkx_labels(M).tolist()
+
+    def test_off_diagonal_vertex_does_not_bridge(self):
+        # 0 - 1 - 2 is a path, but 1 is off the diagonal
+        M = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=bool)
+        assert components(M).tolist() == [0, 3, 2]
+
+    def test_empty(self):
+        assert components(np.zeros((0, 0), dtype=bool)).shape == (0,)
+
+    def test_no_members(self):
+        assert components(np.ones((3, 3), dtype=bool) & ~np.eye(3, dtype=bool)).tolist() == [3, 3, 3]
 
 
 class TestBuildGraph:

@@ -4,21 +4,52 @@ import random
 import pytest
 
 from circarc.arcs import ArcRepresentation, verify_representation
-from circarc.delta import (interval_orientation, labelled_from_typed,
+from circarc.delta import (DeltaInvertiblePair, Label, interval_orientation,
                            verify_interval_ordering)
 from circarc.edgetypes import InternalError
-from circarc.intervals import build_intervals, lift_to_circle
-from circarc.knotting import build_Z
-from conftest import completion_of, make_labelled, side_at
+from circarc.intervals import _consistency_error, build_intervals, lift_to_circle
+from conftest import arc_model, completion_of, labels_on_Z, make_labelled
 
 
-def labels_on_Z(G):
-    """Run the pipeline up to the labelled graph on the non-inverting set."""
-    _, _, H, pairing = completion_of(G)
-    z = min(range(H.graph.n), key=lambda v: (H.graph.degree(v), v))
-    side = side_at(H, z)
-    zset = build_Z(H, z, side, pairing)
-    return H, pairing, zset, labelled_from_typed(H, zset)
+def _loop_consistency_error(L, iv):
+    """The label check as a loop over pairs: the reference for its array form."""
+    for u in range(L.n):
+        lu, ru = iv[u]
+        if not lu < ru:
+            return f"degenerate interval for {u}"
+        for v in range(u + 1, L.n):
+            lv, rv = iv[v]
+            disjoint = ru < lv or rv < lu
+            contained = (lu < lv and rv < ru) or (lv < lu and ru < rv)
+            lab = L.label(u, v)
+            if lab == Label.NONEDGE and not disjoint:
+                return f"{u},{v} labelled non-edge but intervals meet"
+            if lab == Label.OVERLAP and (disjoint or contained):
+                return f"{u},{v} labelled overlap but intervals do not overlap"
+            if lab == Label.INCLUSION:
+                want = (lu < lv and rv < ru) if L.inside[u, v] else (lv < lu and ru < rv)
+                if not want:
+                    return f"{u},{v} containment direction wrong"
+    return None
+
+
+def corrupted(rng, iv):
+    """iv with one random fault: two intervals swapped, an interval flipped
+    or two endpoints exchanged."""
+    iv = dict(iv)
+    u, v = rng.choice(list(iv)), rng.choice(list(iv))
+    kind = rng.randrange(3)
+    if kind == 0:
+        iv[u], iv[v] = iv[v], iv[u]
+    elif kind == 1:
+        iv[u] = iv[u][::-1]
+    else:
+        su, sv = rng.randrange(2), rng.randrange(2)
+        pu, pv = list(iv[u]), list(iv[v])
+        pu[su], pv[sv] = iv[v][sv], iv[u][su]
+        iv[u] = tuple(pu)
+        iv[v] = tuple(pv) if u != v else tuple(pu)
+    return iv
 
 
 class TestBuildIntervals:
@@ -56,6 +87,28 @@ class TestBuildIntervals:
             assert lefts == order
             spots = sorted(p for pair in iv.values() for p in pair)
             assert spots == list(range(1, 2 * L.n + 1))
+
+
+class TestConsistencyError:
+    def test_matches_loop_reference(self):
+        rng = random.Random(8)
+        from test_delta import random_labelled
+        cases = [labels_on_Z(arc_model(random.Random(seed), 40))[3] for seed in range(3)]
+        cases += [random_labelled(rng, rng.randint(1, 7)) for _ in range(60)]
+        kinds = ("degenerate", "non-edge", "overlap", "containment")
+        seen = set()
+        for L in cases:
+            try:
+                iv = build_intervals(L, interval_orientation(L)).intervals
+            except DeltaInvertiblePair:
+                continue
+            assert _consistency_error(L, iv) is None
+            for _ in range(30):
+                bad = corrupted(rng, iv)
+                got = _consistency_error(L, bad)
+                assert got == _loop_consistency_error(L, bad)
+                seen.add(got and next(k for k in kinds if k in got))
+        assert seen == {None, *kinds}
 
 
 class TestLiftToCircle:

@@ -5,13 +5,15 @@ import random
 import networkx as nx
 import pytest
 
-from circarc.edgetypes import (EdgeType, InternalError, avoids, circular_pairs,
-                               classify_all, complete)
-from circarc.graph import build_graph, reduce as reduce_graph
+import numpy as np
+
+from circarc.edgetypes import (EdgeType, InternalError, avoiding, avoids,
+                               circular_pairs, classify_all, complete)
+from circarc.graph import bfs, build_graph, reduce as reduce_graph
 from circarc.knotting import (AvoidWalkPair, bipartite_or_odd_cycle, build_Z,
                               build_knotting, extract_invertible_pair,
                               overlap_side, walk_pair_error)
-from conftest import completion_of, side_at
+from conftest import arc_model, completion_of, planted_negative, side_at
 
 
 def knotting_at(G, name):
@@ -35,7 +37,80 @@ def copy_counts(H, K):
     return counts
 
 
+def _bfs_knotting(H, z):
+    """Copies, gamma and adjacency by one breadth-first search per copy:
+    the reference for build_knotting."""
+    overlap = (H.types == EdgeType.OVERLAP1) | (H.types == EdgeType.OVERLAP2)
+
+    def avoid(v):
+        return avoiding(H.graph.closed_adj(), overlap, H.types == EdgeType.INCLUSION, v)
+
+    avoid_z = avoid(z)
+    az = avoid_z.diagonal()
+    az_list = np.flatnonzero(az).tolist()
+    copies = []
+    gamma = {}
+    for u in az_list:
+        safe = avoid(u) & avoid_z
+        seen = {}
+        comp = 0
+        for s in np.flatnonzero(safe.diagonal()).tolist():
+            if s in seen:
+                continue
+            for v in bfs(seen, s, lambda cur: np.flatnonzero(safe[cur]).tolist()):
+                gamma[(u, v)] = comp
+            copies.append((u, comp))
+            comp += 1
+    copy_index = {c: i for i, c in enumerate(copies)}
+    adjacency = [set() for _ in copies]
+    ni = np.asarray(H.types != EdgeType.INCLUSION)
+    for u in az_list:
+        for v in np.flatnonzero(ni[u]).tolist():
+            if v <= u or not az[v]:
+                continue
+            a = copy_index[(u, gamma[(u, v)])]
+            b = copy_index[(v, gamma[(v, u)])]
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    return copies, gamma, [sorted(s) for s in adjacency]
+
+
+def assert_matches_bfs_reference(H, anchors):
+    split = 0
+    for z in anchors:
+        K = build_knotting(H, z)
+        copies, gamma, adjacency = _bfs_knotting(H, z)
+        assert K.copies == copies
+        assert K.gamma == gamma
+        assert K.adjacency == adjacency
+        assert K.copy_index == {c: i for i, c in enumerate(copies)}
+        split += len(copies) - len({u for u, _ in copies})
+    return split
+
+
 class TestBuildKnotting:
+    def test_matches_bfs_reference_atlas(self):
+        # every anchor up to 6 vertices; at 7, the anchor recognize takes
+        split = 0
+        for g in nx.graph_atlas_g()[1:]:
+            G = build_graph(g.number_of_nodes(), list(g.edges()))
+            if reduce_graph(G)[0].n < 2:
+                continue
+            H = completion_of(G)[2]
+            degree = H.graph.adj.sum(axis=1)
+            anchors = range(H.graph.n) if G.n <= 6 else [int(degree.argmin())]
+            split += assert_matches_bfs_reference(H, anchors)
+        assert split > 0  # some safe subgraphs have several components
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_bfs_reference_seeded(self, seed):
+        rng = random.Random(seed)
+        for G in (arc_model(rng, 40), planted_negative(rng, 30, "biclaw")):
+            H = completion_of(G)[2]
+            anchors = rng.sample(range(H.graph.n), 4)
+            assert assert_matches_bfs_reference(H, anchors) > 0
+
+
     def test_biclaw_anchor_f(self, biclaw):
         H, K = knotting_at(biclaw, "f")
         assert copy_counts(H, K) == {"d": 1, "g": 1, "h": 1, "b": 1, "c": 1,
