@@ -9,21 +9,20 @@ Ordered pairs with Overlap or NonEdge labels force each other: (x,z) and
 (y,z) must orient the same way whenever the edge xy avoids z.  The
 connected classes of this forcing relation drive the construction of an
 interval ordering, recursing on modules (vertex sets seen uniformly from
-outside), or fail by exhibiting a pair forced into both orientations.
+outside), or fail by naming a pair forced onto its reversal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from functools import lru_cache, partial
-import itertools
-from typing import Callable, Optional
+from functools import partial
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .edgetypes import EdgeType, InternalError, TypedGraph, avoiding
-from .graph import bfs, components, tree_path
+from .graph import components
 
 Pair = tuple[int, int]
 
@@ -35,16 +34,11 @@ class Label(IntEnum):
 
 
 class DeltaInvertiblePair(Exception):
-    """A pair is forced into both orientations; no interval ordering exists.
+    """A pair is forced onto its own reversal; no interval ordering exists."""
 
-    chain is a forcing sequence of ordered pairs from .pair to its reversal,
-    each consecutive two related by a single step.
-    """
-
-    def __init__(self, pair: Pair, chain: list[Pair]):
+    def __init__(self, pair: Pair):
         super().__init__(f"pair {pair} is forced onto its own reversal")
         self.pair = pair
-        self.chain = chain
 
 
 class NonUniformQuotientLabel(InternalError):
@@ -108,42 +102,17 @@ def labelled_from_typed(T: TypedGraph, vertices: list[int]) -> LabelledGraph:
     return LabelledGraph(k, labels, inside)
 
 
-@dataclass(frozen=True)
-class PairClass:
-    id: int
-    pairs: frozenset[Pair]
-    inverse_id: int
+class DeltaClasses(NamedTuple):
+    """The forcing classes of the active (Overlap or NonEdge) ordered pairs.
 
-
-@dataclass
-class DeltaClasses:
-    classes: list[PairClass]
-    class_of: dict[Pair, int]
-    avoid_at: Callable[[int], np.ndarray]  # z -> the label-avoidance matrix at z
-    _parent: dict[Pair, Optional[Pair]] = field(default_factory=dict, init=False,
-                                                repr=False)
-
-    def chain(self, p: Pair, q: Pair) -> list[Pair]:
-        """Forcing chain from p to q inside their common class.
-
-        The first chain asked of a class grows its breadth-first tree from
-        the class's least pair; the chain runs through their common ancestor.
-        """
-        if self.class_of[p] != self.class_of[q]:
-            raise ValueError(f"{p} and {q} lie in different classes")
-        if p not in self._parent:
-            bfs(self._parent, min(self.classes[self.class_of[p]].pairs), self._forced)
-        return tree_path(self._parent, p, q)
-
-    def _forced(self, p: Pair) -> list[Pair]:
-        # (a,b) -> (c,b) when edge ac avoids b; -> (a,c) when bc avoids a
-        a, b = p
-        return ([(c, b) for c in np.flatnonzero(self.avoid_at(b)[a]).tolist()]
-                + [(a, c) for c in np.flatnonzero(self.avoid_at(a)[b]).tolist()])
-
-
-def span(c: PairClass) -> frozenset[int]:
-    return frozenset(itertools.chain.from_iterable(c.pairs))
+    The active pairs are (a[i], b[i]) in lexicographic order; cid[i] is the
+    class of pair i, classes numbered by least pair; inverse[k] is the class
+    that holds the reversals of class k's pairs.
+    """
+    a: np.ndarray
+    b: np.ndarray
+    cid: np.ndarray
+    inverse: np.ndarray
 
 
 def _merge(n: int, first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -196,38 +165,34 @@ def implication_classes(L: LabelledGraph) -> DeltaClasses:
     least = _merge(a.size, rank[lab[b, a], b], rank[a, lab[a, b]])
     roots, cid = np.unique(least, return_inverse=True)
     cid = cid.reshape(-1)
-    pairs = list(zip(a.tolist(), b.tolist()))
-    class_of = dict(zip(pairs, cid.tolist()))
-    by_class = [pairs[i] for i in np.argsort(cid, kind="stable").tolist()]
-    ends = np.cumsum(np.bincount(cid, minlength=roots.size)).tolist()
-    inverse = cid[rank[b[roots], a[roots]]].tolist()
-    classes = [PairClass(k, frozenset(by_class[start:end]), inverse[k])
-               for k, (start, end) in enumerate(zip([0] + ends, ends))]
-    # chain searches revisit anchors; a bounded cache keeps that O(n^2) too
-    return DeltaClasses(classes, class_of, lru_cache(maxsize=64)(avoid_at))
+    return DeltaClasses(a, b, cid, cid[rank[b[roots], a[roots]]])
 
 
 def _order_vertices(L: LabelledGraph) -> list[int]:
     n = L.n
     if n <= 1:
         return list(range(n))
-    cls = implication_classes(L)
-    for c in cls.classes:
-        if c.inverse_id == c.id:
-            pair = min(c.pairs)
-            raise DeltaInvertiblePair(pair, cls.chain(pair, (pair[1], pair[0])))
-    spans = [span(c) for c in cls.classes]
-    # classes are numbered by least pair: the least id breaks ties in size
-    proper = [(len(s), k) for k, s in enumerate(spans) if len(s) < n]
-    if proper:
-        return _splice_module(L, sorted(spans[min(proper)[1]]))
+    a, b, cid, inverse = implication_classes(L)
+    k = inverse.size
+    self_inverse = np.flatnonzero(inverse == np.arange(k))
+    if self_inverse.size:
+        i = int(np.argmax(cid == self_inverse[0]))  # the class's least pair
+        raise DeltaInvertiblePair((int(a[i]), int(b[i])))
+    # span members as keys cid*n + v, sorted by class and then by vertex
+    members = np.unique(np.concatenate([cid * n + a, cid * n + b]))
+    size = np.bincount(members // n, minlength=k)
+    proper = np.flatnonzero(size < n)
+    if proper.size:
+        # argmin keeps the first, least-numbered class among equal sizes
+        narrowest = proper[np.argmin(size[proper])]
+        return _splice_module(L, (members[members // n == narrowest] % n).tolist())
     rel = np.zeros((n, n), dtype=bool)
-    if cls.classes:
+    if k:
         # every class spans all vertices: a single class and its inverse remain
-        if len(cls.classes) != 2 or cls.classes[0].inverse_id != 1:
+        if k != 2 or inverse[0] != 1:
             raise InternalError("expected exactly one spanning class up to reversal")
-        a, b = np.array(list(cls.classes[0].pairs)).T  # the class of the least pair
-        rel[a, b] = True
+        first = cid == 0  # the class of the least pair
+        rel[a[first], b[first]] = True
         if (rel & rel.T).any():
             raise InternalError("spanning class contains a pair and its reversal")
     # with no classes every pair is inclusion-labelled and 'inside' alone
@@ -245,17 +210,20 @@ def _order_vertices(L: LabelledGraph) -> list[int]:
 def _splice_module(L: LabelledGraph, module: list[int]) -> list[int]:
     """Order L by contracting the module to its least vertex and recursing."""
     rep = module[0]
-    inside_set = set(module)
-    outside = [v for v in range(L.n) if v not in inside_set]
-    for x in outside:
-        labs = {int(L.labels[x, s]) for s in module}
-        if len(labs) != 1:
+    outside = np.setdiff1d(np.arange(L.n), module)
+    labs = L.labels[np.ix_(outside, module)]
+    dirs = L.inside[np.ix_(outside, module)]
+    # inside is False off the inclusion edges, so directions can only differ
+    # in a row whose labels differ or are all Inclusion
+    mixed = (labs != labs[:, :1]).any(axis=1)
+    bad = mixed | (dirs != dirs[:, :1]).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        x = int(outside[i])
+        if mixed[i]:
             raise NonUniformQuotientLabel(f"vertex {x} sees mixed labels in module")
-        if labs == {int(Label.INCLUSION)}:
-            dirs = {bool(L.inside[x, s]) for s in module}
-            if len(dirs) != 1:
-                raise NonUniformQuotientLabel(f"vertex {x} sees mixed directions")
-    quotient_verts = sorted(outside + [rep])
+        raise NonUniformQuotientLabel(f"vertex {x} sees mixed directions")
+    quotient_verts = sorted(outside.tolist() + [rep])
     qorder = _order_vertices(L.induced(quotient_verts))
     sorder = _order_vertices(L.induced(module))
     order: list[int] = []

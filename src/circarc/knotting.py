@@ -162,11 +162,11 @@ def overlap_side(H: TypedGraph, K: KnottingGraph, colouring: dict[Copy, int],
     overlapper and those whose copies share its colour.
     """
     z = K.anchor
-    xs = [x for x in range(H.graph.n)
-          if H.types[x, z] in (EdgeType.OVERLAP1, EdgeType.OVERLAP2)]
+    tz = H.types[:, z]
+    xs = np.flatnonzero((tz == EdgeType.OVERLAP1) | (tz == EdgeType.OVERLAP2)).tolist()
     copies = []
     for x in xs:
-        if H.types[x, z] != EdgeType.OVERLAP1:
+        if tz[x] != EdgeType.OVERLAP1:
             raise InternalError(f"overlapper {x} of a minimum-degree anchor "
                                 "must form a 1-overlap edge")
         if (x, zbar) not in K.gamma:

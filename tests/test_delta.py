@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from circarc.delta import (DeltaInvertiblePair, Label, LabelledGraph, Pair,
-                           PairClass, implication_classes, interval_orientation,
-                           labelled_from_typed, ordering_violation, span,
-                           verify_interval_ordering)
+from circarc import delta
+from circarc.delta import (DeltaInvertiblePair, Label, LabelledGraph,
+                           NonUniformQuotientLabel, Pair, implication_classes,
+                           interval_orientation, labelled_from_typed,
+                           ordering_violation, verify_interval_ordering)
 from circarc.edgetypes import avoiding, classify_all, complete
 from circarc.graph import bfs, tree_path
 from circarc.knotting import build_knotting, build_Z, overlap_side
@@ -87,7 +88,8 @@ def avoid_at(L, z):
 def _bfs_implication_classes(L: LabelledGraph):
     """Breadth-first closure of the single forcing step, seeded in
     lexicographic order: the reference for implication_classes.  Returns
-    the classes, class_of and the BFS forest."""
+    the classes as pair sets, each class's inverse, class_of and the BFS
+    forest, whose trees are the classes, each rooted at its least pair."""
     n = L.n
     # avoid[z, x, y]: the edge xy (a loop when x = y) label-avoids z
     closed, overlap = L.labels != Label.NONEDGE, L.labels == Label.OVERLAP
@@ -113,11 +115,42 @@ def _bfs_implication_classes(L: LabelledGraph):
         members = bfs(parent, seed, forced)
         class_of.update(dict.fromkeys(members, len(classes)))
         classes.append(frozenset(members))
-    out = []
-    for cid, members in enumerate(classes):
-        a, b = min(members)
-        out.append(PairClass(cid, members, class_of[(b, a)]))
-    return out, class_of, parent
+    inverse = [class_of[(b, a)] for a, b in map(min, classes)]
+    return classes, inverse, class_of, parent
+
+
+def forcing_chain(L: LabelledGraph, p: Pair, q: Pair) -> list[Pair]:
+    """Forcing chain from p to q, replayed over the reference's BFS forest:
+    up from p to the common ancestor and down to q."""
+    return tree_path(_bfs_implication_classes(L)[3], p, q)
+
+
+def class_sets(cls):
+    """The arrays of implication_classes as Python sets: each class's pair
+    set, in class order, and class_of."""
+    pairs = list(zip(cls.a.tolist(), cls.b.tolist()))
+    classes = [set() for _ in range(cls.inverse.size)]
+    for p, k in zip(pairs, cls.cid.tolist()):
+        classes[k].add(p)
+    return [frozenset(c) for c in classes], dict(zip(pairs, cls.cid.tolist()))
+
+
+def span(pairs) -> frozenset[int]:
+    return frozenset(itertools.chain.from_iterable(pairs))
+
+
+def check_module(L: LabelledGraph, module: list[int]) -> None:
+    """Reference for the module uniformity check of delta._splice_module,
+    one outside vertex and one module member at a time."""
+    inside_set = set(module)
+    for x in [v for v in range(L.n) if v not in inside_set]:
+        labs = {int(L.labels[x, s]) for s in module}
+        if len(labs) != 1:
+            raise NonUniformQuotientLabel(f"vertex {x} sees mixed labels in module")
+        if labs == {int(Label.INCLUSION)}:
+            dirs = {bool(L.inside[x, s]) for s in module}
+            if len(dirs) != 1:
+                raise NonUniformQuotientLabel(f"vertex {x} sees mixed directions")
 
 
 class TestLabelledGraph:
@@ -188,32 +221,32 @@ class TestImplicationClasses:
     def test_single_overlap_edge(self):
         L = make_labelled(2, overlaps=[(0, 1)])
         cls = implication_classes(L)
-        assert len(cls.classes) == 2
-        sets = {c.pairs for c in cls.classes}
-        assert sets == {frozenset({(0, 1)}), frozenset({(1, 0)})}
-        assert cls.classes[0].inverse_id == 1
+        classes, _ = class_sets(cls)
+        assert classes == [frozenset({(0, 1)}), frozenset({(1, 0)})]
+        assert cls.inverse.tolist() == [1, 0]
 
     def test_overlap_path_closure(self):
-        cls = implication_classes(overlap_path())
-        sets = {c.pairs for c in cls.classes}
-        assert frozenset({(0, 1), (0, 2), (1, 2)}) in sets
-        assert frozenset({(1, 0), (2, 0), (2, 1)}) in sets
+        classes, _ = class_sets(implication_classes(overlap_path()))
+        assert frozenset({(0, 1), (0, 2), (1, 2)}) in classes
+        assert frozenset({(1, 0), (2, 0), (2, 1)}) in classes
 
     def test_all_inclusion_no_classes(self):
         L = make_labelled(3, inclusions=[(0, 1), (1, 2), (0, 2)])
-        assert implication_classes(L).classes == []
+        cls = implication_classes(L)
+        assert cls.a.size == cls.b.size == cls.cid.size == cls.inverse.size == 0
 
     def test_partition_and_inverse_bijection(self):
         rng = random.Random(5)
         for _ in range(30):
             L = random_labelled(rng, rng.randint(2, 5))
             cls = implication_classes(L)
+            classes, _ = class_sets(cls)
             seen = set()
-            for c in cls.classes:
-                assert not (c.pairs & seen)
-                seen |= c.pairs
-                inv = cls.classes[c.inverse_id]
-                assert inv.pairs == frozenset((b, a) for a, b in c.pairs)
+            for k, c in enumerate(classes):
+                assert c and not (c & seen)
+                seen |= c
+                inv = classes[cls.inverse[k]]
+                assert inv == frozenset((b, a) for a, b in c)
             want = {(a, b) for a in range(L.n) for b in range(L.n)
                     if a != b and L.labels[a, b] != Label.INCLUSION}
             assert seen == want
@@ -221,14 +254,21 @@ class TestImplicationClasses:
     @staticmethod
     def assert_matches_reference(L, chains):
         cls = implication_classes(L)
-        classes, class_of, parent = _bfs_implication_classes(L)
-        assert cls.classes == classes
-        assert cls.class_of == class_of
+        classes, inverse, class_of, parent = _bfs_implication_classes(L)
+        pairs = sorted(class_of)
+        assert list(zip(cls.a.tolist(), cls.b.tolist())) == pairs
+        assert cls.cid.tolist() == [class_of[p] for p in pairs]
+        assert cls.inverse.tolist() == inverse
         for c in classes[:chains]:
-            root, *rest = sorted(c.pairs)
+            root, *rest = sorted(c)
             for q in rest[:3]:
-                assert cls.chain(root, q) == tree_path(parent, root, q)
-                assert cls.chain(q, root) == tree_path(parent, q, root)
+                # the chain runs inside the class, step by step, from root to q
+                chain = tree_path(parent, root, q)
+                assert chain[0] == root and chain[-1] == q
+                assert all(class_of[p] == class_of[root] for p in chain)
+                for p, r in zip(chain, chain[1:]):
+                    assert delta_step(L, p, r)
+                assert tree_path(parent, q, root) == chain[::-1]
 
     def test_matches_bfs_reference_random(self):
         rng = random.Random(17)
@@ -242,14 +282,14 @@ class TestImplicationClasses:
         self.assert_matches_reference(L, 5)
 
     def test_chain_across_classes_rejected(self):
-        cls = implication_classes(make_labelled(2, overlaps=[(0, 1)]))
-        with pytest.raises(ValueError, match="different classes"):
-            cls.chain((0, 1), (1, 0))
+        # the reference forest has one tree per class
+        L = make_labelled(2, overlaps=[(0, 1)])
+        with pytest.raises(ValueError, match="different trees"):
+            forcing_chain(L, (0, 1), (1, 0))
 
     def test_chain_replay(self):
         L = overlap_path()
-        cls = implication_classes(L)
-        chain = cls.chain((0, 1), (1, 2))
+        chain = forcing_chain(L, (0, 1), (1, 2))
         assert chain[0] == (0, 1) and chain[-1] == (1, 2)
         for p, q in zip(chain, chain[1:]):
             assert delta_step(L, p, q)
@@ -258,21 +298,21 @@ class TestImplicationClasses:
 class TestSpan:
     def test_singleton(self):
         L = make_labelled(2, overlaps=[(0, 1)])
-        c = implication_classes(L).classes[0]
-        assert span(c) == {0, 1}
+        classes, _ = class_sets(implication_classes(L))
+        assert span(classes[0]) == {0, 1}
 
     def test_closure_span(self):
-        cls = implication_classes(overlap_path())
-        big = max(cls.classes, key=lambda c: len(c.pairs))
-        assert span(big) == {0, 1, 2}
+        classes, _ = class_sets(implication_classes(overlap_path()))
+        assert span(max(classes, key=len)) == {0, 1, 2}
 
     def test_span_equals_inverse_span(self):
         rng = random.Random(11)
         for _ in range(20):
             L = random_labelled(rng, rng.randint(2, 5))
             cls = implication_classes(L)
-            for c in cls.classes:
-                assert span(c) == span(cls.classes[c.inverse_id])
+            classes, _ = class_sets(cls)
+            for k, c in enumerate(classes):
+                assert span(c) == span(classes[cls.inverse[k]])
 
 
 class TestOrdering:
@@ -299,7 +339,8 @@ class TestOrdering:
         with pytest.raises(DeltaInvertiblePair) as exc:
             interval_orientation(L)
         a, b = exc.value.pair
-        chain = exc.value.chain
+        # the pair's class is its own inverse: a chain leads to the reversal
+        chain = forcing_chain(L, (a, b), (b, a))
         assert chain[0] == (a, b) and chain[-1] == (b, a)
         for p, q in zip(chain, chain[1:]):
             assert delta_step(L, p, q)
@@ -344,18 +385,62 @@ class TestDisjointClassSpans:
         for _ in range(40):
             L = random_labelled(rng, rng.randint(3, 5))
             cls = implication_classes(L)
+            classes, class_of = class_sets(cls)
             for a in range(L.n):
                 for b in range(L.n):
                     for c in range(L.n):
                         if len({a, b, c}) != 3:
                             continue
                         pab, pbc, pac = (a, b), (b, c), (a, c)
-                        if not all(p in cls.class_of for p in (pab, pbc, pac)):
+                        if not all(p in class_of for p in (pab, pbc, pac)):
                             continue
-                        C = cls.class_of[pab]
-                        A = cls.class_of[pbc]
-                        B = cls.class_of[pac]
-                        if A in (B, C, cls.classes[C].inverse_id):
+                        C = class_of[pab]
+                        A = class_of[pbc]
+                        B = class_of[pac]
+                        if A in (B, C, cls.inverse[C]):
                             continue
-                        touched = span(cls.classes[A])
+                        touched = span(classes[A])
                         assert a not in touched
+
+
+class TestSpliceModule:
+    @staticmethod
+    def planted(rng):
+        """A random labelled graph and a proper module, with an outside
+        vertex whose labels or directions towards the module often differ."""
+        n = rng.randint(3, 8)
+        if rng.random() < 0.5:
+            L = random_labelled(rng, n)
+        else:
+            # a chain x -> s, t -> x: uniform Inclusion, mixed directions,
+            # the rest random labels towards a module {s, t, ...}
+            x, s, t = rng.sample(range(n), 3)
+            L = make_labelled(n, overlaps=[(u, v) for u in range(n)
+                                           for v in range(u + 1, n)
+                                           if {u, v} & {x, s, t} == set()
+                                           and rng.random() < 0.5],
+                              inclusions=[(x, s), (t, x), (t, s)])
+            rest = [v for v in range(n) if v not in (x, s, t)]
+            return L, sorted([s, t] + rng.sample(rest, rng.randint(0, len(rest))))
+        return L, sorted(rng.sample(range(n), rng.randint(2, n - 1)))
+
+    def test_uniformity_check_matches_loop(self, monkeypatch):
+        # only the check is compared: the recursion returns a fixed order
+        monkeypatch.setattr(delta, "_order_vertices", lambda L: list(range(L.n)))
+        rng = random.Random(41)
+        seen = set()
+        for _ in range(400):
+            L, module = self.planted(rng)
+            try:
+                check_module(L, module)
+                want = None
+            except NonUniformQuotientLabel as exc:
+                want = str(exc)
+            try:
+                delta._splice_module(L, module)
+                got = None
+            except NonUniformQuotientLabel as exc:
+                got = str(exc)
+            assert got == want
+            seen.add(want.split(" sees ")[1] if want else None)
+        assert seen == {None, "mixed labels in module", "mixed directions"}
