@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .edgetypes import EdgeType, InternalError, TypedGraph, avoiding
-from .graph import components
+from .graph import components, disjoint_rows
 
 Pair = tuple[int, int]
 
@@ -66,7 +66,7 @@ class LabelledGraph:
             raise ValueError("orientation must cover exactly the inclusion edges")
         if (ins & ins.T).any():
             raise ValueError("orientation must be antisymmetric")
-        via = (ins.astype(np.int32) @ ins.astype(np.int32)) > 0
+        via = ~disjoint_rows(ins, ins.T)
         if (via & ~ins).any():
             raise ValueError("orientation must be transitive")
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, disjoint_rows
 
 
 class EdgeType(IntEnum):
@@ -36,11 +36,9 @@ class InternalError(AssertionError):
 
 def _matrices(closed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """contains[u,v] = N[v] subset of N[u]; spanning[u,v] = spanning pair."""
-    ci = closed.astype(np.int32)
-    co = (~closed).astype(np.int32)
-    contains = (co @ ci.T) == 0
+    contains = disjoint_rows(~closed, closed)
     # (C1) for (u,v): every x outside N[v] has N[x] inside N[u]
-    span_c1 = ((~contains).astype(np.int32) @ co.T) == 0
+    span_c1 = disjoint_rows(~contains, ~closed)
     return contains, span_c1 & span_c1.T
 
 
@@ -113,7 +111,7 @@ def complete(T: TypedGraph) -> tuple[TypedGraph, dict[int, int]]:
     unpaired = np.flatnonzero(~(T.spanning & not_n).any(axis=1))
     # not_c[v, v] is False, so no added vertex sees its own partner
     cross = not_c[unpaired]
-    covered = (cross.astype(np.int32) @ not_n[unpaired].T.astype(np.int32)) == 0
+    covered = disjoint_rows(cross, not_n[unpaired])
     apart = not_c[np.ix_(unpaired, unpaired)] & covered
     if not np.array_equal(apart, apart.T):
         raise InternalError("added vertices have an asymmetric adjacency")

@@ -8,14 +8,15 @@ byte-identical on disk.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from typing import Any
 
 import numpy as np
 
 from .arcs import ArcRepresentation
 from .edgetypes import InternalError, circular_pairs, classify_all
-from .graph import (Graph, MergeTwins, ReductionTrace, RemoveUniversal,
-                    build_graph)
+from .graph import (Graph, GraphError, MergeTwins, ReductionTrace,
+                    RemoveUniversal, build_graph)
 from .knotting import AvoidWalkPair
 from .recognizer import NEGATIVE, POSITIVE, Certificate
 
@@ -122,31 +123,41 @@ def _trace_to_doc(G: Graph, trace: ReductionTrace) -> list[dict]:
     return steps
 
 
-def _trace_from_doc(G: Graph, doc: list[dict]) -> ReductionTrace:
+def _vertex(index: dict[str, int], name: Any) -> int:
+    """Index of the input vertex called name; GraphError, as from
+    Graph.index_of, when there is none."""
+    try:
+        return index[name]
+    except (KeyError, TypeError):
+        raise GraphError(f"unknown vertex name: {name!r}") from None
+
+
+def _trace_from_doc(index: dict[str, int], doc: list[dict]) -> ReductionTrace:
     steps = []
     removed = set()
     for item in doc:
         if item["kind"] == "remove_universal":
-            v = G.index_of(item["vertex"])
+            v = _vertex(index, item["vertex"])
             steps.append(RemoveUniversal(v))
             removed.add(v)
         elif item["kind"] == "merge_twins":
-            k, r = G.index_of(item["kept"]), G.index_of(item["removed"])
+            k, r = _vertex(index, item["kept"]), _vertex(index, item["removed"])
             steps.append(MergeTwins(k, r))
             removed.add(r)
         else:
             raise FormatError(f"unknown reduction step kind {item.get('kind')!r}")
-    survivors = [v for v in range(G.n) if v not in removed]
-    return ReductionTrace(G.n, steps, survivors)
+    survivors = [v for v in range(len(index)) if v not in removed]
+    return ReductionTrace(len(index), steps, survivors)
 
 
 def certificate_to_doc(G: Graph, cert: Certificate) -> dict[str, Any]:
+    names = np.array(G.names, dtype=object)
     doc: dict[str, Any] = {
         "format": FORMAT_TAG,
         "input": {
             "n": G.n,
             "vertices": list(G.names),
-            "edges": [[G.names[u], G.names[v]] for u, v in G.edges()],
+            "edges": names[np.stack(np.nonzero(np.triu(G.adj)), axis=1)].tolist(),
         },
         "verdict": cert.verdict,
         "reduction": _trace_to_doc(G, cert.reduction),
@@ -158,14 +169,10 @@ def certificate_to_doc(G: Graph, cert: Certificate) -> dict[str, Any]:
         }
     else:
         H = cert.completion.graph
-        n_r = len(cert.reduction.survivors)
-        added = []
-        for v in range(n_r, H.n):
-            added.append({
-                "name": H.names[v],
-                "partner": H.names[cert.pairing[v]],
-                "neighbors": [H.names[u] for u in sorted(H.closed_neighborhood(v) - {v})],
-            })
+        h_names = np.array(H.names, dtype=object)
+        added = [{"name": H.names[v], "partner": H.names[cert.pairing[v]],
+                  "neighbors": h_names[H.adj[v]].tolist()}
+                 for v in range(len(cert.reduction.survivors), H.n)]
         awp = cert.obstruction
         doc["negative"] = {
             "completion": {"added": added},
@@ -189,13 +196,12 @@ def certificate_from_doc(G: Graph, doc: dict[str, Any]) -> Certificate:
     if echo["n"] != G.n or list(G.names) != echo["vertices"]:
         raise FormatError("certificate was issued for a different graph")
     edges = echo["edges"]
-    pairs = [e for e in edges if type(e) is list and len(e) == 2]
-    if len(pairs) != len(edges):
+    if set(map(type, edges)) - {list} or set(map(len, edges)) - {2}:
         raise FormatError("each edge echo entry must be a pair of names")
     index = {name: i for i, name in enumerate(G.names)}
     try:
-        ends = np.array([(index[a], index[b]) for a, b in pairs],
-                        dtype=np.intp).reshape(-1, 2)
+        ends = np.fromiter(map(index.__getitem__, chain.from_iterable(edges)),
+                           dtype=np.intp, count=2 * len(edges)).reshape(-1, 2)
     except (KeyError, TypeError) as exc:
         raise FormatError(f"edge echo names an unknown vertex: {exc}") from None
     u, v = ends[:, 0], ends[:, 1]
@@ -205,7 +211,7 @@ def certificate_from_doc(G: Graph, doc: dict[str, Any]) -> Certificate:
     echoed[u, v] = echoed[v, u] = True
     if not np.array_equal(echoed, G.adj):
         raise FormatError("certificate edge echo does not match the graph")
-    trace = _trace_from_doc(G, doc["reduction"])
+    trace = _trace_from_doc(index, doc["reduction"])
     verdict = doc["verdict"]
     if verdict == POSITIVE:
         pos = doc["positive"]
@@ -215,7 +221,7 @@ def certificate_from_doc(G: Graph, doc: dict[str, Any]) -> Certificate:
         for name, lr in pos["arcs"].items():
             if not (isinstance(lr, list) and len(lr) == 2 and all(map(_is_int, lr))):
                 raise FormatError(f"arc of {name!r} must be a pair of integers")
-            arcs[G.index_of(name)] = tuple(lr)
+            arcs[_vertex(index, name)] = tuple(lr)
         return Certificate(POSITIVE, trace,
                            arcs=ArcRepresentation(pos["circle_size"], arcs))
     if verdict != NEGATIVE:
@@ -228,17 +234,20 @@ def certificate_from_doc(G: Graph, doc: dict[str, Any]) -> Certificate:
         raise FormatError("duplicate vertex names in completion")
     m = len(names)
     idx = {name: i for i, name in enumerate(names)}
+    lists = [a["neighbors"] for a in added]
+    u = np.fromiter(map(idx.get, chain.from_iterable(lists), repeat(-1)),
+                    dtype=np.intp)
+    v = np.repeat(np.arange(G_r.n, m), list(map(len, lists)))
+    bad = np.flatnonzero((u < 0) | (u == v))
+    if bad.size:
+        i = bad[0]
+        if u[i] < 0:
+            nb = list(chain.from_iterable(lists))[i]
+            raise FormatError(f"unknown neighbor {nb!r} in completion")
+        raise FormatError("completion lists a loop")
     adj = np.zeros((m, m), dtype=bool)
     adj[:G_r.n, :G_r.n] = G_r.adj
-    for a in added:
-        v = idx[a["name"]]
-        for nb in a["neighbors"]:
-            if nb not in idx:
-                raise FormatError(f"unknown neighbor {nb!r} in completion")
-            u = idx[nb]
-            if u == v:
-                raise FormatError("completion lists a loop")
-            adj[u, v] = adj[v, u] = True
+    adj[u, v] = adj[v, u] = True
     H = classify_all(Graph(m, adj, tuple(names)))
     pairing = dict(circular_pairs(H).partner)
     for a in added:

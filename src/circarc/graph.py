@@ -5,7 +5,9 @@ always considered adjacent to itself.  The adjacency matrix we store has a
 False diagonal; helpers that need the closed version OR in the identity.
 ``components`` is the package's only component labeller, one numpy step per
 breadth-first level; ``bfs`` and ``tree_path`` are its only search-path
-helpers, used where a path itself is wanted.
+helpers, used where a path itself is wanted.  ``disjoint_rows`` is the
+only 0/1 matrix product: bit-packed, because numpy multiplies integer
+matrices without BLAS.
 
 ``reduce`` strips universal vertices and merges true twins in closed form:
 neither step creates or destroys universality or twinness among the
@@ -68,6 +70,34 @@ def components(M: np.ndarray) -> np.ndarray:
             comp |= front
         label[comp] = s
     return label
+
+
+def disjoint_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """[i, j] = rows A[i] and B[j] of two boolean matrices share no column.
+
+    The 0/1 product A @ B.T is zero exactly there.  Rows are bit-packed
+    into zero-padded 64-bit words and ANDed one word at a time, a block of
+    A's rows at a time, so each temporary holds at most 2**13 words (64 KB).
+    """
+    p, q, w = A.shape[0], B.shape[0], (A.shape[1] + 63) // 64
+    if not (p and q and w):
+        return np.ones((p, q), dtype=bool)
+    words = np.zeros((p + q, 8 * w), dtype=np.uint8)
+    words[:, :(A.shape[1] + 7) // 8] = np.packbits(np.concatenate((A, B)), axis=1)
+    words = words.view(np.uint64)
+    a, b = words[:p], words[p:].T.copy()  # b: one row per word
+    step = max(1, (1 << 13) // q)
+    blocks = []
+    for i in range(0, p, step):
+        rows = a[i:i + step]
+        acc = rows[:, :1] & b[0]
+        if w > 1:
+            tmp = np.empty_like(acc)
+            for t in range(1, w):
+                np.bitwise_and(rows[:, t:t + 1], b[t], out=tmp)
+                acc |= tmp
+        blocks.append(acc == 0)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def tree_path(parent: Mapping[Node, Optional[Node]], a: Node, b: Node) -> list[Node]:

@@ -145,3 +145,55 @@ class TestEdgeEcho:
         edges = doc["input"]["edges"]
         edges += [edges[0], edges[1][::-1]]
         assert verify_positive(c4, certificate_from_doc(c4, doc))
+
+
+def _parse_doc(G, doc):
+    return parse_certificate(G, json.dumps(doc))
+
+
+class TestNamesInCertificate:
+    def test_unknown_neighbor(self, biclaw):
+        doc = certificate_to_doc(biclaw, recognize(biclaw))
+        doc["negative"]["completion"]["added"][1]["neighbors"].append("zz")
+        with pytest.raises(FormatError, match="unknown neighbor 'zz' in completion"):
+            certificate_from_doc(biclaw, doc)
+
+    def test_loop_in_completion(self, biclaw):
+        doc = certificate_to_doc(biclaw, recognize(biclaw))
+        entry = doc["negative"]["completion"]["added"][2]
+        entry["neighbors"].append(entry["name"])
+        with pytest.raises(FormatError, match="completion lists a loop"):
+            certificate_from_doc(biclaw, doc)
+
+    @pytest.mark.parametrize("first", ["loop", "unknown"])
+    def test_first_fault_in_reading_order(self, biclaw, first):
+        doc = certificate_to_doc(biclaw, recognize(biclaw))
+        added = doc["negative"]["completion"]["added"]
+        loop, unknown = (added[0], added[1]) if first == "loop" else (added[1], added[0])
+        loop["neighbors"].insert(0, loop["name"])
+        unknown["neighbors"].insert(0, "zz")
+        message = "lists a loop" if first == "loop" else "unknown neighbor 'zz'"
+        with pytest.raises(FormatError, match=message):
+            certificate_from_doc(biclaw, doc)
+
+    def test_neighbors_not_a_list(self, biclaw):
+        doc = certificate_to_doc(biclaw, recognize(biclaw))
+        doc["negative"]["completion"]["added"][0]["neighbors"] = 5
+        with pytest.raises(FormatError, match="malformed certificate document"):
+            _parse_doc(biclaw, doc)
+
+    def test_unknown_arc_vertex(self, c4):
+        doc = certificate_to_doc(c4, recognize(c4))
+        doc["positive"]["arcs"]["zz"] = [0, 1]
+        with pytest.raises(FormatError, match="unknown vertex name: 'zz'"):
+            _parse_doc(c4, doc)
+
+    @pytest.mark.parametrize("step", [
+        {"kind": "remove_universal", "vertex": "zz"},
+        {"kind": "merge_twins", "kept": "v1", "removed": ["v2"]},
+    ], ids=["unknown", "unhashable"])
+    def test_unknown_reduction_vertex(self, c4, step):
+        doc = certificate_to_doc(c4, recognize(c4))
+        doc["reduction"].append(step)
+        with pytest.raises(FormatError, match="unknown vertex name"):
+            _parse_doc(c4, doc)

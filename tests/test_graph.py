@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from circarc.arcs import ArcRepresentation, expand_arcs, verify_representation
 from circarc.graph import (Graph, GraphError, MergeTwins, ReductionStep,
                            ReductionTrace, RemoveUniversal, bfs, build_graph,
-                           components, reduce, replay_reduction, tree_path)
+                           components, disjoint_rows, reduce, replay_reduction,
+                           tree_path)
 
 
 def random_graph_strategy(max_n=7):
@@ -187,6 +188,53 @@ class TestComponents:
 
     def test_no_members(self):
         assert components(np.ones((3, 3), dtype=bool) & ~np.eye(3, dtype=bool)).tolist() == [3, 3, 3]
+
+
+def _product_disjoint_rows(A, B):
+    """The int32 0/1 product: the reference for the bit-packed kernel."""
+    return (A.astype(np.int32) @ B.T.astype(np.int32)) == 0
+
+
+def random_rows(rng, p, k):
+    """p boolean rows of width k, dense enough that two rows meet about half
+    the time."""
+    density = (1 - 0.5 ** (1 / k)) ** 0.5 if k else 0.0
+    return rng.random((p, k)) < density
+
+
+class TestDisjointRows:
+    @pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 130])
+    def test_matches_product(self, width):
+        rng = np.random.default_rng(width)
+        for p, q in [(0, 0), (0, 4), (4, 0), (1, 1), (9, 5), (40, 70)]:
+            A, B = random_rows(rng, p, width), random_rows(rng, q, width)
+            got = disjoint_rows(A, B)
+            assert got.dtype == np.bool_ and got.shape == (p, q)
+            assert np.array_equal(got, _product_disjoint_rows(A, B))
+        if width:
+            assert 0 < got.sum() < got.size  # both outcomes occur
+
+    @pytest.mark.parametrize("width", [2, 63, 64, 65, 130])
+    def test_transposed_inputs(self, width):
+        rng = np.random.default_rng(100 + width)
+        A = random_rows(rng, width, 50).T  # 50 rows of the given width
+        B = random_rows(rng, width, 30).T
+        assert not A.flags.c_contiguous
+        assert np.array_equal(disjoint_rows(A, B), _product_disjoint_rows(A, B))
+        S = random_rows(rng, width, width)
+        assert np.array_equal(disjoint_rows(S, S.T), _product_disjoint_rows(S, S.T))
+
+    def test_more_rows_than_one_block(self):
+        rng = np.random.default_rng(3)
+        # 2**13 words per block: 200 rows of B give 40 rows of A a block
+        for width in (64, 130):
+            A, B = random_rows(rng, 500, width), random_rows(rng, 200, width)
+            assert np.array_equal(disjoint_rows(A, B), _product_disjoint_rows(A, B))
+
+    def test_identity_and_complement(self):
+        eye = np.eye(70, dtype=bool)
+        assert np.array_equal(disjoint_rows(eye, eye), ~eye)
+        assert np.array_equal(disjoint_rows(eye, ~eye), eye)
 
 
 class TestBuildGraph:
