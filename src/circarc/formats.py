@@ -1,26 +1,38 @@
 """Text formats: edge lists, graph6, and certificate documents.
 
-Certificate documents are JSON with format tag "ca-cert/1".  Serialization
+Certificate documents are JSON with format tag "ca-cert/2".  Serialization
 is canonical (sorted keys, fixed separators) so identical certificates are
 byte-identical on disk.
+
+A document binds its input graph G by ``{"n": n, "sha256": graph_digest(G)}``,
+the SHA-256 of the compact JSON text ``[names, graph6]``; graph6 is written
+as ``networkx.to_graph6_bytes(g, header=False)`` writes it, less the final
+newline.  Both verdicts carry the reduction trace.  A positive certificate
+adds the arcs of every input vertex.  A negative one adds only the anchor,
+the pair and the two walks, named in the circular completion of the
+reduced graph: the reader rebuilds that completion with
+``edgetypes.complete``, and ``recognizer.negative_error`` re-checks it from
+first principles before it checks the walks.  "ca-cert/1" documents, which
+spelled out the edges and the completion, are no longer read.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-from itertools import chain, repeat
 from typing import Any
 
 import numpy as np
 
 from .arcs import ArcRepresentation
-from .edgetypes import InternalError, circular_pairs, classify_all
+from .edgetypes import InternalError, classify_all, complete
 from .graph import (Graph, GraphError, MergeTwins, ReductionTrace,
-                    RemoveUniversal, build_graph)
+                    RemoveUniversal, build_graph, replay_reduction)
 from .knotting import AvoidWalkPair
 from .recognizer import NEGATIVE, POSITIVE, Certificate
 
-FORMAT_TAG = "ca-cert/1"
+FORMAT_TAG = "ca-cert/2"
+G6_MAX_N = 258047  # the largest n of a 4-byte graph6 header
 
 
 class FormatError(ValueError):
@@ -57,35 +69,31 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def parse_graph6(line: str) -> Graph:
-    """Short-form graph6 (n <= 62)."""
+    """graph6, short form (n <= 62) or long form ('~' header, n <= 258047)."""
     data = line.strip()
     if not data:
         raise FormatError("empty graph6 input")
-    vals = []
-    for ch in data:
-        o = ord(ch)
-        if not 63 <= o <= 126:
-            raise FormatError(f"byte {o} outside graph6 range")
-        vals.append(o - 63)
-    n = vals[0]
-    if n == 63:
-        raise FormatError("long-form graph6 not supported")
-    need = (n * (n - 1) // 2 + 5) // 6
-    if len(vals) - 1 != need:
+    codes = np.frombuffer(data.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    bad = np.flatnonzero((codes < 63) | (codes > 126))
+    if bad.size:
+        raise FormatError(f"byte {codes[bad[0]]} outside graph6 range")
+    vals = codes.astype(np.uint8) - 63
+    n, head = int(vals[0]), 1
+    if n == 63:  # long form: three more 6-bit bytes of n
+        if vals.size < 4:
+            raise FormatError("graph6 header is cut short")
+        if vals[1] == 63:
+            raise FormatError(f"graph6 handles at most {G6_MAX_N} vertices here")
+        n, head = int(vals[1]) << 12 | int(vals[2]) << 6 | int(vals[3]), 4
+    k = n * (n - 1) // 2
+    if vals.size - head != (k + 5) // 6:
         raise FormatError("graph6 bit stream has the wrong length")
-    bits = []
-    for v in vals[1:]:
-        bits.extend((v >> k) & 1 for k in range(5, -1, -1))
-    edges = []
-    i = 0
-    for col in range(1, n):
-        for row in range(col):
-            if bits[i]:
-                edges.append((row, col))
-            i += 1
-    if any(bits[i:]):
+    bits = np.unpackbits(vals[head:, None], axis=1)[:, 2:].reshape(-1)
+    if bits[k:].any():
         raise FormatError("nonzero padding bits")
-    return build_graph(n, edges)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.tril_indices(n, -1)] = bits[:k]
+    return Graph(n, adj | adj.T, tuple(map(str, range(n))))
 
 
 def write_edge_list(G: Graph) -> str:
@@ -95,21 +103,23 @@ def write_edge_list(G: Graph) -> str:
 
 
 def write_graph6(G: Graph) -> str:
-    if G.n > 62:
-        raise FormatError("short-form graph6 handles at most 62 vertices")
-    bits = []
-    for col in range(1, G.n):
-        for row in range(col):
-            bits.append(1 if G.adj[row, col] else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(G.n + 63)]
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i:i + 6]:
-            val = val << 1 | b
-        out.append(chr(val + 63))
-    return "".join(out)
+    """graph6 of G without a trailing newline, as networkx.to_graph6_bytes
+    writes it: short form up to 62 vertices, long form above."""
+    n = G.n
+    if n > G6_MAX_N:
+        raise FormatError(f"graph6 handles at most {G6_MAX_N} vertices here")
+    head = [n] if n <= 62 else [63, n >> 12, n >> 6 & 63, n & 63]
+    bits = G.adj[np.tril_indices(n, -1)]
+    six = np.zeros(-(-bits.size // 6) * 6, dtype=np.uint8)
+    six[:bits.size] = bits
+    body = six.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
+    return bytes(np.concatenate((head, body)).astype(np.uint8) + 63).decode("ascii")
+
+
+def graph_digest(G: Graph) -> str:
+    """SHA-256 of the JSON text [names, graph6] that binds a certificate to G."""
+    text = json.dumps([list(G.names), write_graph6(G)], separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _trace_to_doc(G: Graph, trace: ReductionTrace) -> list[dict]:
@@ -151,14 +161,9 @@ def _trace_from_doc(index: dict[str, int], doc: list[dict]) -> ReductionTrace:
 
 
 def certificate_to_doc(G: Graph, cert: Certificate) -> dict[str, Any]:
-    names = np.array(G.names, dtype=object)
     doc: dict[str, Any] = {
         "format": FORMAT_TAG,
-        "input": {
-            "n": G.n,
-            "vertices": list(G.names),
-            "edges": names[np.stack(np.nonzero(np.triu(G.adj)), axis=1)].tolist(),
-        },
+        "input": {"n": G.n, "sha256": graph_digest(G)},
         "verdict": cert.verdict,
         "reduction": _trace_to_doc(G, cert.reduction),
     }
@@ -168,18 +173,13 @@ def certificate_to_doc(G: Graph, cert: Certificate) -> dict[str, Any]:
             "arcs": {G.names[v]: list(lr) for v, lr in sorted(cert.arcs.arcs.items())},
         }
     else:
-        H = cert.completion.graph
-        h_names = np.array(H.names, dtype=object)
-        added = [{"name": H.names[v], "partner": H.names[cert.pairing[v]],
-                  "neighbors": h_names[H.adj[v]].tolist()}
-                 for v in range(len(cert.reduction.survivors), H.n)]
+        names = cert.completion.graph.names
         awp = cert.obstruction
         doc["negative"] = {
-            "completion": {"added": added},
-            "anchor": H.names[awp.anchor],
-            "pair": [H.names[awp.pair[0]], H.names[awp.pair[1]]],
-            "walk_p": [H.names[v] for v in awp.walk_p],
-            "walk_q": [H.names[v] for v in awp.walk_q],
+            "anchor": names[awp.anchor],
+            "pair": [names[awp.pair[0]], names[awp.pair[1]]],
+            "walk_p": [names[v] for v in awp.walk_p],
+            "walk_q": [names[v] for v in awp.walk_q],
         }
     return doc
 
@@ -188,29 +188,29 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _vertices(index: dict[str, int], names: Any, what: str) -> list[int]:
+    if not isinstance(names, list):
+        raise FormatError(f"{what} must be a list of vertex names")
+    return [_vertex(index, name) for name in names]
+
+
 def certificate_from_doc(G: Graph, doc: dict[str, Any]) -> Certificate:
-    """Rebuild a certificate against G, checking the input echo."""
-    if doc.get("format") != FORMAT_TAG:
+    """Rebuild a certificate against G, checking that it was issued for G.
+
+    A negative certificate names vertices of the circular completion of
+    the reduced graph, which is rebuilt here; negative_error then checks
+    it from first principles like any other completion.
+    """
+    tag = doc.get("format")
+    if tag == "ca-cert/1":
+        raise FormatError("ca-cert/1 certificates are no longer read; re-run "
+                          f"`circarc recognize` to issue a {FORMAT_TAG} one")
+    if tag != FORMAT_TAG:
         raise FormatError("unknown certificate format tag")
-    echo = doc["input"]
-    if echo["n"] != G.n or list(G.names) != echo["vertices"]:
+    binding = doc["input"]
+    if binding["n"] != G.n or binding["sha256"] != graph_digest(G):
         raise FormatError("certificate was issued for a different graph")
-    edges = echo["edges"]
-    if set(map(type, edges)) - {list} or set(map(len, edges)) - {2}:
-        raise FormatError("each edge echo entry must be a pair of names")
     index = {name: i for i, name in enumerate(G.names)}
-    try:
-        ends = np.fromiter(map(index.__getitem__, chain.from_iterable(edges)),
-                           dtype=np.intp, count=2 * len(edges)).reshape(-1, 2)
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"edge echo names an unknown vertex: {exc}") from None
-    u, v = ends[:, 0], ends[:, 1]
-    if (u == v).any():
-        raise FormatError(f"edge echo lists a loop at {G.names[u[u == v][0]]!r}")
-    echoed = np.zeros((G.n, G.n), dtype=bool)
-    echoed[u, v] = echoed[v, u] = True
-    if not np.array_equal(echoed, G.adj):
-        raise FormatError("certificate edge echo does not match the graph")
     trace = _trace_from_doc(index, doc["reduction"])
     verdict = doc["verdict"]
     if verdict == POSITIVE:
@@ -227,39 +227,14 @@ def certificate_from_doc(G: Graph, doc: dict[str, Any]) -> Certificate:
     if verdict != NEGATIVE:
         raise FormatError(f"unknown verdict {verdict!r}")
     neg = doc["negative"]
-    G_r = G.induced(trace.survivors)
-    added = neg["completion"]["added"]
-    names = list(G_r.names) + [a["name"] for a in added]
-    if len(set(names)) != len(names):
-        raise FormatError("duplicate vertex names in completion")
-    m = len(names)
-    idx = {name: i for i, name in enumerate(names)}
-    lists = [a["neighbors"] for a in added]
-    u = np.fromiter(map(idx.get, chain.from_iterable(lists), repeat(-1)),
-                    dtype=np.intp)
-    v = np.repeat(np.arange(G_r.n, m), list(map(len, lists)))
-    bad = np.flatnonzero((u < 0) | (u == v))
-    if bad.size:
-        i = bad[0]
-        if u[i] < 0:
-            nb = list(chain.from_iterable(lists))[i]
-            raise FormatError(f"unknown neighbor {nb!r} in completion")
-        raise FormatError("completion lists a loop")
-    adj = np.zeros((m, m), dtype=bool)
-    adj[:G_r.n, :G_r.n] = G_r.adj
-    adj[u, v] = adj[v, u] = True
-    H = classify_all(Graph(m, adj, tuple(names)))
-    pairing = dict(circular_pairs(H).partner)
-    for a in added:
-        if pairing.get(idx[a["name"]]) != idx[a["partner"]]:
-            raise FormatError(f"stored partner of {a['name']!r} is not its "
-                              "circular partner")
-    awp = AvoidWalkPair(
-        idx[neg["anchor"]],
-        (idx[neg["pair"][0]], idx[neg["pair"][1]]),
-        [idx[v] for v in neg["walk_p"]],
-        [idx[v] for v in neg["walk_q"]],
-    )
+    H, pairing = complete(classify_all(replay_reduction(G, trace)))
+    h_index = {name: i for i, name in enumerate(H.graph.names)}
+    pair = _vertices(h_index, neg["pair"], "pair")
+    if len(pair) != 2:
+        raise FormatError("pair must name two vertices")
+    awp = AvoidWalkPair(_vertex(h_index, neg["anchor"]), (pair[0], pair[1]),
+                        _vertices(h_index, neg["walk_p"], "walk_p"),
+                        _vertices(h_index, neg["walk_q"], "walk_q"))
     return Certificate(NEGATIVE, trace, completion=H, pairing=pairing,
                        obstruction=awp)
 

@@ -76,14 +76,14 @@ def _avoiding_at(H: TypedGraph) -> Callable[[int], np.ndarray]:
 class KnottingGraph:
     anchor: int
     copies: list[Copy]
-    copy_index: dict[Copy, int]
-    gamma: dict[tuple[int, int], int]     # (u, v) -> component of v around u
-    adjacency: list[list[int]]            # by copy index, sorted
+    copy_at: np.ndarray         # [u, v]: the copy of u whose component holds v, or -1
+    adjacency: list[list[int]]  # by copy index, sorted
 
     def component_path(self, H: TypedGraph, u: int, comp: int,
                        a: int, b: int) -> list[int]:
         """Shortest a-b path inside component comp of u's safe subgraph."""
-        if self.gamma.get((u, a)) != comp or self.gamma.get((u, b)) != comp:
+        at = self.copy_at[u, [a, b]]
+        if at[0] != at[1] or at[0] < 0 or self.copies[at[0]] != (u, comp):
             raise InternalError(f"path endpoints outside component {u}/{comp}")
         avoid = _avoiding_at(H)
         safe = avoid(u) & avoid(self.anchor)
@@ -106,8 +106,6 @@ def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
     az = avoid_z.diagonal()  # the vertices z tolerates, z itself excluded
     az_list = np.flatnonzero(az).tolist()
     copies: list[Copy] = []
-    gamma: dict[tuple[int, int], int] = {}
-    # copy_at[u, v]: index of the copy of u whose component holds v
     copy_at = np.full((n, n), -1, dtype=np.intp)
     for u in az_list:
         label = components(avoid(u) & avoid_z)  # n off the safe subgraph
@@ -115,9 +113,7 @@ def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
         leads, comp = np.unique(label[members], return_inverse=True)
         comp = comp.reshape(-1)
         copy_at[u, members] = len(copies) + comp
-        gamma.update(zip(zip([u] * members.size, members.tolist()), comp.tolist()))
         copies += [(u, i) for i in range(leads.size)]
-    copy_index = {c: i for i, c in enumerate(copies)}
     # copies meet for every non-inclusion pair, adjacent or not
     us, vs = np.nonzero((H.types != EdgeType.INCLUSION) & az[:, None] & az[None, :])
     a, b = copy_at[us, vs], copy_at[vs, us]
@@ -128,7 +124,7 @@ def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
     heads, tails = np.divmod(np.unique(a * m + b), m)
     split = np.cumsum(np.bincount(heads, minlength=m))
     adjacency = [nbrs.tolist() for nbrs in np.split(tails, split)[:-1]]
-    return KnottingGraph(z, copies, copy_index, gamma, adjacency)
+    return KnottingGraph(z, copies, copy_at, adjacency)
 
 
 def bipartite_or_odd_cycle(K: KnottingGraph) -> Union[dict[Copy, int], list[Copy]]:
@@ -164,15 +160,14 @@ def overlap_side(H: TypedGraph, K: KnottingGraph, colouring: dict[Copy, int],
     z = K.anchor
     tz = H.types[:, z]
     xs = np.flatnonzero((tz == EdgeType.OVERLAP1) | (tz == EdgeType.OVERLAP2)).tolist()
-    copies = []
-    for x in xs:
+    copies = K.copy_at[xs, zbar].tolist()
+    for x, c in zip(xs, copies):
         if tz[x] != EdgeType.OVERLAP1:
             raise InternalError(f"overlapper {x} of a minimum-degree anchor "
                                 "must form a 1-overlap edge")
-        if (x, zbar) not in K.gamma:
+        if c < 0:
             raise InternalError(f"partner {zbar} of the anchor lies outside "
                                 f"the safe subgraph of overlapper {x}")
-        copies.append(K.copy_index[(x, K.gamma[(x, zbar)])])
     parent: dict[int, Optional[int]] = {}
     lead: dict[int, int] = {}  # copy -> copy of the least overlapper in its component
     for c in copies:

@@ -1,12 +1,13 @@
 import json
+import random
 
 import pytest
 
 import circarc.recognizer
 from circarc.cli import main
 from circarc.edgetypes import InternalError
-from circarc.formats import parse_edge_list
-from conftest import BICLAW_EDGES, NEAR_BICLAW_EDGES
+from circarc.formats import parse_edge_list, write_graph6
+from conftest import BICLAW_EDGES, NEAR_BICLAW_EDGES, arc_model, planted_negative
 
 
 NOT_UTF8 = b"a b\n\xff\xfe c\n"
@@ -38,6 +39,19 @@ class TestRecognizeCommand:
         f = write(tmp_path, "g.g6", "Cl\n")
         assert main(["recognize", f, "--format", "graph6"]) == 0
         capsys.readouterr()
+
+    def test_long_form_graph6_input(self, tmp_path, capsys):
+        # 63 and 70 vertices need the long-form '~' header
+        rng = random.Random(7)
+        for G, code in ((arc_model(rng, 63), 0),
+                        (planted_negative(rng, 63, "biclaw"), 10)):
+            text = write_graph6(G)
+            assert text.startswith("~")
+            f = write(tmp_path, "g.g6", text + "\n")
+            out = str(tmp_path / "cert.json")
+            assert main(["recognize", f, "--format", "graph6", "--out", out]) == code
+            assert main(["verify", f, out, "--format", "graph6"]) == 0
+            assert "certificate OK" in capsys.readouterr().out
 
     def test_out_file(self, tmp_path):
         f = write(tmp_path, "g.txt", NEAR_BICLAW_EDGES)

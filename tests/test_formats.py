@@ -1,15 +1,17 @@
+import hashlib
 import itertools
 import json
 
+import networkx as nx
 import pytest
 
 from circarc.formats import (FormatError, certificate_from_doc,
-                             certificate_to_doc, parse_certificate,
-                             parse_edge_list, parse_graph6,
+                             certificate_to_doc, graph_digest,
+                             parse_certificate, parse_edge_list, parse_graph6,
                              serialize_certificate, write_edge_list,
                              write_graph6)
 from circarc.cli import main
-from circarc.graph import build_graph
+from circarc.graph import Graph, build_graph
 from circarc.recognizer import (recognize, verify_negative, verify_positive)
 
 
@@ -60,6 +62,41 @@ class TestGraph6:
         with pytest.raises(FormatError):
             parse_graph6("C")
 
+    @pytest.mark.parametrize("text,code", [("C\u00e9", 233), ("C\ud800", 55296)])
+    def test_non_ascii_rejected(self, text, code):
+        with pytest.raises(FormatError, match=f"byte {code} outside"):
+            parse_graph6(text)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 180])
+    def test_matches_networkx(self, n):
+        for seed in range(3):
+            g = nx.gnp_random_graph(n, 0.3 * seed + 0.1, seed=seed)
+            G = build_graph(n, list(g.edges()))
+            text = write_graph6(G)
+            assert text == nx.to_graph6_bytes(g, header=False).decode().rstrip("\n")
+            assert (text[0] == "~") == (n > 62)
+            back = parse_graph6(text + "\n")
+            assert back.n == n and back.edges() == G.edges()
+            assert back.names == G.names
+
+    def test_long_form_header_cut_short(self):
+        with pytest.raises(FormatError, match="header is cut short"):
+            parse_graph6("~??")
+
+    def test_beyond_four_byte_header(self):
+        with pytest.raises(FormatError, match="at most 258047 vertices"):
+            parse_graph6("~~??????")
+
+    def test_long_form_wrong_length(self):
+        text = write_graph6(build_graph(70, [(0, 69)]))
+        with pytest.raises(FormatError, match="wrong length"):
+            parse_graph6(text[:-1])
+
+    def test_nonzero_padding(self):
+        # 5 vertices: 10 bits in two 6-bit groups, the last two bits padding
+        with pytest.raises(FormatError, match="nonzero padding"):
+            parse_graph6("D?@")
+
 
 class TestCertificateDocs:
     def test_positive_round_trip(self, c4):
@@ -96,55 +133,26 @@ class TestCertificateDocs:
         with pytest.raises(FormatError):
             parse_certificate(c4, "{not json")
 
-    def test_tampered_partner_rejected(self, biclaw):
+    def test_input_is_bound_by_digest(self, biclaw):
         doc = certificate_to_doc(biclaw, recognize(biclaw))
-        added = doc["negative"]["completion"]["added"]
-        added[0]["partner"], added[1]["partner"] = (added[1]["partner"],
-                                                    added[0]["partner"])
-        with pytest.raises(FormatError):
-            certificate_from_doc(biclaw, doc)
+        assert doc["input"] == {"n": 7, "sha256": graph_digest(biclaw)}
+        # the recipe needs only hashlib and networkx
+        g = nx.Graph()
+        g.add_nodes_from(range(biclaw.n))
+        g.add_edges_from(biclaw.edges())
+        g6 = nx.to_graph6_bytes(g, header=False).decode().rstrip("\n")
+        text = json.dumps([list(biclaw.names), g6], separators=(",", ":"))
+        assert doc["input"]["sha256"] == hashlib.sha256(text.encode()).hexdigest()
+
+    def test_negative_names_only_the_obstruction(self, biclaw):
+        doc = certificate_to_doc(biclaw, recognize(biclaw))
+        assert set(doc["negative"]) == {"anchor", "pair", "walk_p", "walk_q"}
 
     def test_doc_is_json(self, biclaw):
         text = serialize_certificate(biclaw, recognize(biclaw))
         doc = json.loads(text)
         assert doc["verdict"] == "NotCircularArc"
-        assert doc["format"] == "ca-cert/1"
-
-
-def _drop_first(edges):
-    del edges[0]
-
-
-class TestEdgeEcho:
-    @pytest.mark.parametrize("edit,message", [
-        (_drop_first, "does not match"),
-        (lambda edges: edges.append(["v1", "v3"]), "does not match"),
-        (lambda edges: edges.append(["v1", "zz"]), "unknown vertex"),
-        (lambda edges: edges.append(["v1", ["v2"]]), "unknown vertex"),
-        (lambda edges: edges.append(["v2", "v2"]), "loop at 'v2'"),
-        (lambda edges: edges.append(["v1", "v2", "v3"]), "pair of names"),
-        (lambda edges: edges.append("v1v2"), "pair of names"),
-        (lambda edges: edges.append(["v1"]), "pair of names"),
-    ], ids=["missing", "extra", "unknown", "unhashable", "loop", "triple",
-            "string", "single"])
-    def test_bad_echo_rejected(self, c4, tmp_path, capsys, edit, message):
-        doc = certificate_to_doc(c4, recognize(c4))
-        edit(doc["input"]["edges"])
-        with pytest.raises(FormatError, match=message):
-            certificate_from_doc(c4, doc)
-        g, cert = tmp_path / "g.txt", tmp_path / "c.json"
-        g.write_text(write_edge_list(c4))
-        cert.write_text(json.dumps(doc))
-        assert main(["verify", str(g), str(cert)]) == 1
-        err = capsys.readouterr().err
-        assert "invalid certificate" in err and message in err
-        assert "Traceback" not in err
-
-    def test_duplicate_and_reversed_entries_accepted(self, c4):
-        doc = certificate_to_doc(c4, recognize(c4))
-        edges = doc["input"]["edges"]
-        edges += [edges[0], edges[1][::-1]]
-        assert verify_positive(c4, certificate_from_doc(c4, doc))
+        assert doc["format"] == "ca-cert/2"
 
 
 def _parse_doc(G, doc):
@@ -152,36 +160,6 @@ def _parse_doc(G, doc):
 
 
 class TestNamesInCertificate:
-    def test_unknown_neighbor(self, biclaw):
-        doc = certificate_to_doc(biclaw, recognize(biclaw))
-        doc["negative"]["completion"]["added"][1]["neighbors"].append("zz")
-        with pytest.raises(FormatError, match="unknown neighbor 'zz' in completion"):
-            certificate_from_doc(biclaw, doc)
-
-    def test_loop_in_completion(self, biclaw):
-        doc = certificate_to_doc(biclaw, recognize(biclaw))
-        entry = doc["negative"]["completion"]["added"][2]
-        entry["neighbors"].append(entry["name"])
-        with pytest.raises(FormatError, match="completion lists a loop"):
-            certificate_from_doc(biclaw, doc)
-
-    @pytest.mark.parametrize("first", ["loop", "unknown"])
-    def test_first_fault_in_reading_order(self, biclaw, first):
-        doc = certificate_to_doc(biclaw, recognize(biclaw))
-        added = doc["negative"]["completion"]["added"]
-        loop, unknown = (added[0], added[1]) if first == "loop" else (added[1], added[0])
-        loop["neighbors"].insert(0, loop["name"])
-        unknown["neighbors"].insert(0, "zz")
-        message = "lists a loop" if first == "loop" else "unknown neighbor 'zz'"
-        with pytest.raises(FormatError, match=message):
-            certificate_from_doc(biclaw, doc)
-
-    def test_neighbors_not_a_list(self, biclaw):
-        doc = certificate_to_doc(biclaw, recognize(biclaw))
-        doc["negative"]["completion"]["added"][0]["neighbors"] = 5
-        with pytest.raises(FormatError, match="malformed certificate document"):
-            _parse_doc(biclaw, doc)
-
     def test_unknown_arc_vertex(self, c4):
         doc = certificate_to_doc(c4, recognize(c4))
         doc["positive"]["arcs"]["zz"] = [0, 1]
@@ -197,3 +175,112 @@ class TestNamesInCertificate:
         doc["reduction"].append(step)
         with pytest.raises(FormatError, match="unknown vertex name"):
             _parse_doc(c4, doc)
+
+    @pytest.mark.parametrize("field", ["pair", "walk_p", "walk_q"])
+    def test_names_must_be_a_list(self, biclaw, field):
+        doc = certificate_to_doc(biclaw, recognize(biclaw))
+        neg = doc["negative"]
+        neg[field] = "".join(neg[field])
+        with pytest.raises(FormatError, match=f"{field} must be a list"):
+            _parse_doc(biclaw, doc)
+
+    def test_pair_of_three(self, biclaw):
+        doc = certificate_to_doc(biclaw, recognize(biclaw))
+        doc["negative"]["pair"].append(doc["negative"]["anchor"])
+        with pytest.raises(FormatError, match="pair must name two vertices"):
+            _parse_doc(biclaw, doc)
+
+
+def _with_edge_flipped(G, u, v):
+    adj = G.adj.copy()
+    adj[u, v] = adj[v, u] = not adj[u, v]
+    return Graph(G.n, adj, G.names)
+
+
+def _with_names_swapped(G, u, v):
+    names = list(G.names)
+    names[u], names[v] = names[v], names[u]
+    return Graph(G.n, G.adj, tuple(names))
+
+
+def _replace_walk_vertex(doc):
+    neg = doc["negative"]
+    neg["walk_p"][1] = neg["anchor"]  # the anchor never avoids itself
+
+
+def _anchor_on_walk(doc):
+    neg = doc["negative"]
+    neg["anchor"] = neg["walk_q"][1]
+
+
+def _swap_pair(doc):
+    doc["negative"]["pair"].reverse()
+
+
+def _unknown_walk_name(doc):
+    doc["negative"]["walk_q"][1] = "zz"
+
+
+def _tamper_digest(doc):
+    digest = doc["input"]["sha256"]
+    doc["input"]["sha256"] = digest[:-1] + ("0" if digest[-1] != "0" else "1")
+
+
+def _old_format(doc):
+    doc["format"] = "ca-cert/1"
+
+
+class TestCertificateSafety:
+    """Tampered ca-cert/2 documents, or the right one against another
+    graph: "invalid" or "REJECTED", never "OK", and never a traceback."""
+
+    @staticmethod
+    def outcome(G, doc):
+        try:
+            cert = parse_certificate(G, json.dumps(doc))
+        except FormatError as exc:
+            return f"invalid: {exc}"
+        ok = (verify_positive(G, cert) if cert.verdict == "CircularArc"
+              else verify_negative(G, cert))
+        return "OK" if ok else "REJECTED"
+
+    @staticmethod
+    def cli_outcome(tmp_path, capsys, G, doc):
+        g, c = tmp_path / "g.txt", tmp_path / "c.json"
+        g.write_text(write_edge_list(G))
+        c.write_text(json.dumps(doc))
+        code = main(["verify", str(g), str(c)])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        return code, out + err
+
+    @pytest.mark.parametrize("edit,message", [
+        (_tamper_digest, "issued for a different graph"),
+        (_replace_walk_vertex, "REJECTED"),
+        (_anchor_on_walk, "REJECTED"),
+        (_swap_pair, "REJECTED"),
+        (_unknown_walk_name, "unknown vertex name: 'zz'"),
+        (_old_format, "ca-cert/1 certificates are no longer read; "
+                      "re-run `circarc recognize`"),
+    ], ids=["digest", "walk-vertex", "anchor", "pair-swapped", "unknown-name",
+            "ca-cert-1"])
+    def test_tampered_document(self, biclaw, tmp_path, capsys, edit, message):
+        doc = certificate_to_doc(biclaw, recognize(biclaw))
+        edit(doc)
+        got = self.outcome(biclaw, doc)
+        assert got != "OK" and message in got
+        code, text = self.cli_outcome(tmp_path, capsys, biclaw, doc)
+        assert code == 1 and message in text
+
+    @pytest.mark.parametrize("graph", ["c4", "biclaw"])
+    @pytest.mark.parametrize("other", [
+        lambda G: _with_edge_flipped(G, 0, 2),
+        lambda G: _with_names_swapped(G, 0, 1),
+    ], ids=["edge-flipped", "names-swapped"])
+    def test_other_graph(self, request, tmp_path, capsys, graph, other):
+        G = request.getfixturevalue(graph)
+        doc = certificate_to_doc(G, recognize(G))
+        H = other(G)
+        assert self.outcome(H, doc) == "invalid: certificate was issued for a different graph"
+        code, text = self.cli_outcome(tmp_path, capsys, H, doc)
+        assert code == 1 and "different graph" in text

@@ -16,7 +16,7 @@ from circarc.graph import build_graph
 from circarc.oracle import oracle_is_ca
 from circarc.recognizer import NEGATIVE, POSITIVE, recognize
 
-ATLAS_SHA256 = "e9fcbd9b6ee2ef3cce4b5324c6a00ad5850268904bfb15f08dd3a116384908f5"
+ATLAS_SHA256 = "39e1906cfabf5f9c4010fc27ba62a23fd3fb890ea77c9e790ea5756fccfd3494"
 
 
 def test_atlas_certificates_are_unchanged():

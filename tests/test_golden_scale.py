@@ -16,7 +16,7 @@ from circarc.formats import serialize_certificate
 from circarc.recognizer import NEGATIVE, POSITIVE, recognize
 from conftest import arc_model, planted_negative
 
-SCALE_SHA256 = "22fdc21af3f4880e0fc4b87b88f1aef3a3d0c5dad8104d9bb842275b4166c1aa"
+SCALE_SHA256 = "0ed7132372f673712464a1a5464ac450ce676c2699862e06217d6735a175e313"
 
 
 def corpus():

@@ -21,10 +21,20 @@ def knotting_at(G, name):
     return H, build_knotting(H, H.graph.index_of(name))
 
 
+def gamma_of(K):
+    """(u, v) -> the component of v around u, read off copy_at."""
+    gamma = {}
+    for u, v in np.argwhere(K.copy_at >= 0).tolist():
+        w, comp = K.copies[K.copy_at[u, v]]
+        assert w == u
+        gamma[(u, v)] = comp
+    return gamma
+
+
 def components(K):
-    """Vertex set of each copy's component, read off gamma."""
+    """Vertex set of each copy's component, read off copy_at."""
     groups = {}
-    for (u, v), i in sorted(K.gamma.items()):
+    for (u, v), i in sorted(gamma_of(K).items()):
         groups.setdefault((u, i), []).append(v)
     return groups
 
@@ -81,9 +91,8 @@ def assert_matches_bfs_reference(H, anchors):
         K = build_knotting(H, z)
         copies, gamma, adjacency = _bfs_knotting(H, z)
         assert K.copies == copies
-        assert K.gamma == gamma
+        assert gamma_of(K) == gamma
         assert K.adjacency == adjacency
-        assert K.copy_index == {c: i for i, c in enumerate(copies)}
         split += len(copies) - len({u for u, _ in copies})
     return split
 
@@ -130,7 +139,7 @@ class TestBuildKnotting:
         assert isinstance(bipartite_or_odd_cycle(K), dict)
 
     def test_gamma_locates_members(self, biclaw):
-        # gamma's groups are the components of the edges avoiding u and z
+        # copy_at's groups are the components of the edges avoiding u and z
         H, K = knotting_at(biclaw, "f")
         groups = components(K)
         assert set(groups) == set(K.copies)
@@ -236,7 +245,7 @@ class TestDisagreement:
         T = classify_all(c4)
         K = build_knotting(T, 0)
         colouring = bipartite_or_odd_cycle(K)
-        del K.gamma[(1, 2)]
+        K.copy_at[1, 2] = -1
         with pytest.raises(InternalError):
             overlap_side(T, K, colouring, 2)
 
