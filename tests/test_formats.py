@@ -133,6 +133,15 @@ class TestCertificateDocs:
         with pytest.raises(FormatError):
             parse_certificate(c4, "{not json")
 
+    def test_tampered_partner_rejected(self, biclaw):
+        # the pairing is rebuilt by the reader, not read; a wrong one still
+        # fails the verifier's first-principles completion check
+        cert = parse_certificate(biclaw, serialize_certificate(biclaw, recognize(biclaw)))
+        assert verify_negative(biclaw, cert)
+        u, v = sorted(cert.pairing)[-2:]  # added vertices come last
+        cert.pairing[u], cert.pairing[v] = cert.pairing[v], cert.pairing[u]
+        assert not verify_negative(biclaw, cert)
+
     def test_input_is_bound_by_digest(self, biclaw):
         doc = certificate_to_doc(biclaw, recognize(biclaw))
         assert doc["input"] == {"n": 7, "sha256": graph_digest(biclaw)}
@@ -157,6 +166,69 @@ class TestCertificateDocs:
 
 def _parse_doc(G, doc):
     return parse_certificate(G, json.dumps(doc))
+
+
+def _with_edge_flipped(G, u, v):
+    adj = G.adj.copy()
+    adj[u, v] = adj[v, u] = not adj[u, v]
+    return Graph(G.n, adj, G.names)
+
+
+def _with_names_swapped(G, u, v):
+    names = list(G.names)
+    names[u], names[v] = names[v], names[u]
+    return Graph(G.n, G.adj, tuple(names))
+
+
+def _with_name(G, u, name):
+    names = list(G.names)
+    names[u] = name
+    return Graph(G.n, G.adj, tuple(names))
+
+
+def _set_digest(other):
+    def edit(doc, G):
+        doc["input"]["sha256"] = graph_digest(other(G))
+    return edit
+
+
+class TestEdgeEcho:
+    """The input echo is {"n", "sha256"}: a digest of some other graph, or
+    an echo of the wrong shape, is rejected before any other check."""
+
+    @pytest.mark.parametrize("edit,message", [
+        (_set_digest(lambda G: _with_edge_flipped(G, 0, 1)), "different graph"),
+        (_set_digest(lambda G: _with_edge_flipped(G, 0, 2)), "different graph"),
+        (_set_digest(lambda G: _with_name(G, 3, "zz")), "different graph"),
+        (lambda doc, G: doc["input"].update(sha256=[doc["input"]["sha256"]]),
+         "different graph"),
+        (lambda doc, G: doc.update(input=[G.n, graph_digest(G), G.n]),
+         "malformed certificate document"),
+        (lambda doc, G: doc.update(input=graph_digest(G)),
+         "malformed certificate document"),
+        (lambda doc, G: doc["input"].pop("n"), "malformed certificate document"),
+    ], ids=["missing", "extra", "unknown", "unhashable", "triple", "string",
+            "single"])
+    def test_bad_echo_rejected(self, c4, tmp_path, capsys, edit, message):
+        doc = certificate_to_doc(c4, recognize(c4))
+        edit(doc, c4)
+        with pytest.raises(FormatError, match=message):
+            _parse_doc(c4, doc)
+        g, cert = tmp_path / "g.txt", tmp_path / "c.json"
+        g.write_text(write_edge_list(c4))
+        cert.write_text(json.dumps(doc))
+        assert main(["verify", str(g), str(cert)]) == 1
+        err = capsys.readouterr().err
+        assert "invalid certificate" in err and message in err
+        assert "Traceback" not in err
+
+    def test_duplicate_and_reversed_entries_accepted(self, c4):
+        # the digest binds the graph, not the text it was read from
+        text = write_edge_list(c4) + "v1 v2\nv2 v1\nv4 v3\n"
+        G = parse_edge_list(text)
+        assert graph_digest(G) == graph_digest(c4)
+        doc = certificate_to_doc(c4, recognize(c4))
+        assert verify_positive(G, _parse_doc(G, doc))
 
 
 class TestNamesInCertificate:
@@ -189,18 +261,6 @@ class TestNamesInCertificate:
         doc["negative"]["pair"].append(doc["negative"]["anchor"])
         with pytest.raises(FormatError, match="pair must name two vertices"):
             _parse_doc(biclaw, doc)
-
-
-def _with_edge_flipped(G, u, v):
-    adj = G.adj.copy()
-    adj[u, v] = adj[v, u] = not adj[u, v]
-    return Graph(G.n, adj, G.names)
-
-
-def _with_names_swapped(G, u, v):
-    names = list(G.names)
-    names[u], names[v] = names[v], names[u]
-    return Graph(G.n, G.adj, tuple(names))
 
 
 def _replace_walk_vertex(doc):
