@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import Graph, disjoint_rows
+from .graph import Graph, disjoint_rows, unpack_rows
 
 
 class EdgeType(IntEnum):
@@ -140,18 +140,37 @@ def complete(T: TypedGraph) -> tuple[TypedGraph, dict[int, int]]:
     return H, pairing
 
 
+AVOID_WORDS = 1 << 20  # words of packed avoidance rows built per block of anchors
+
+
+def anchor_blocks(zs: np.ndarray, n: int) -> list[np.ndarray]:
+    """Split the anchors zs of an n-vertex graph into blocks whose packed
+    avoidance rows hold at most AVOID_WORDS words (one anchor at least)."""
+    step = max(1, AVOID_WORDS // max(1, n * ((n + 63) // 64)))
+    return [zs[i:i + step] for i in range(0, len(zs), step)]
+
+
 def avoiding(closed: np.ndarray, overlap: np.ndarray, included: np.ndarray,
-             z: int) -> np.ndarray:
-    """[x, y] = the edge xy (a loop when x = y) avoids z.
+             zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges (loops included) that avoid each anchor z in zs, bit-packed.
 
     closed is the adjacency with loops, overlap marks the overlap edges and
-    included the inclusion pairs, loops included, so no edge at z avoids z.
-    xy avoids z when neither end is included with z and xy is not an
-    overlap edge between two vertices that both overlap z.
+    included the inclusion pairs, loops included, each as (n, w) rows
+    packed by ``graph.pack_rows``.  xy avoids z when neither end is
+    included with z and xy is not an overlap edge between two vertices that
+    both overlap z, so no edge at z avoids z.  Returns rows, (k, n, w):
+    rows[i, x] packs the y with xy avoiding zs[i], and on, (k, n): on[i, x]
+    says the loop at x avoids zs[i], that is x is not included with it.
     """
-    free, ov = ~included[z], overlap[z]
-    return (closed & free[:, None] & free[None, :]
-            & ~(overlap & ov[:, None] & ov[None, :]))
+    n = closed.shape[0]
+    free, ov = ~included[zs], overlap[zs]  # padding bits meet none of closed
+    on = ~unpack_rows(included[zs], n)
+    rows = closed & free[:, None]
+    rows[~on] = 0
+    cut = overlap & ov[:, None]
+    cut[~unpack_rows(ov, n)] = 0  # only rows of z's overlappers lose edges
+    rows &= np.invert(cut, out=cut)
+    return rows, on
 
 
 def avoids(T: TypedGraph, z: int, walk: Sequence[int]) -> bool:

@@ -3,11 +3,13 @@
 All adjacency questions are asked about closed neighbourhoods: a vertex is
 always considered adjacent to itself.  The adjacency matrix we store has a
 False diagonal; helpers that need the closed version OR in the identity.
-``components`` is the package's only component labeller, one numpy step per
-breadth-first level; ``bfs`` and ``tree_path`` are its only search-path
-helpers, used where a path itself is wanted.  ``disjoint_rows`` is the
-only 0/1 matrix product: bit-packed, because numpy multiplies integer
-matrices without BLAS.
+``components`` is the package's only component labeller: it labels a
+whole stack of graphs given by bit-packed rows in one lock-step
+breadth-first search, each level an OR of the frontier's uint64 rows per
+graph; ``bfs`` and ``tree_path`` are its only search-path helpers, used
+where a path itself is wanted.  ``disjoint_rows`` is the only 0/1 matrix
+product: bit-packed, because numpy multiplies integer matrices without
+BLAS.  Both pack rows with ``pack_rows``.
 
 ``reduce`` strips universal vertices and merges true twins in closed form:
 neither step creates or destroys universality or twinness among the
@@ -48,28 +50,58 @@ def bfs(parent: MutableMapping[Node, Optional[Node]], root: Node,
     return order
 
 
-def components(M: np.ndarray) -> np.ndarray:
-    """Label the components of a boolean symmetric matrix M.
+def pack_rows(M: np.ndarray) -> np.ndarray:
+    """The rows of a boolean array, np.packbits'd into zero-padded 64-bit words."""
+    c = M.shape[-1]
+    words = np.zeros(M.shape[:-1] + (8 * ((c + 63) // 64),), dtype=np.uint8)
+    words[..., :(c + 7) // 8] = np.packbits(M, axis=-1)
+    return words.view(np.uint64)
 
-    The vertices are those on M's diagonal, joined where M is True; each
-    gets the least vertex of its component, and every vertex off the
-    diagonal gets len(M).  A component grows by whole breadth-first levels.
+
+def unpack_rows(words: np.ndarray, c: int) -> np.ndarray:
+    """The first c columns of rows packed by ``pack_rows``, as booleans."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=c).view(bool)
+
+
+def components(rows: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """Label the components of a stack of graphs given by bit-packed rows.
+
+    rows is (k, n, w) uint64: row v of graph g, packed by ``pack_rows``,
+    lists v's neighbours and must be symmetric among the vertices of g,
+    which are those where on (k, n) is True; bits of other rows and
+    columns are ignored.  Each vertex gets the least vertex of its
+    component, and every non-vertex gets n.
+
+    All graphs grow their components in lock-step, one breadth-first level
+    at a time: the frontier rows of every graph are ORed per graph, and a
+    graph whose component is done starts the next at its least unreached
+    vertex, which is therefore the least vertex of that component.
     """
-    n = M.shape[0]
-    label = np.full(n, n, dtype=np.intp)
-    reach = ~M.diagonal()  # off-diagonal vertices are never reached
-    for s in np.flatnonzero(~reach).tolist():
-        if reach[s]:
-            continue
-        front = np.zeros(n, dtype=bool)
-        front[s] = True
-        comp = front.copy()
-        while front.any():
-            reach |= front
-            front = M[front].any(axis=0) & ~reach
-            comp |= front
-        label[comp] = s
-    return label
+    k, n = on.shape
+    label = np.full((k, n), n, dtype=np.intp)
+    todo = on.copy()  # the vertices not yet reached
+    lead = np.zeros(k, dtype=np.intp)  # the start of each graph's component
+    fg = fv = np.zeros(0, dtype=np.intp)  # the frontier, by graph
+    while True:
+        idle = todo.any(axis=1)
+        idle[fg] = False
+        idle = np.flatnonzero(idle)
+        if idle.size:
+            s = todo[idle].argmax(axis=1)
+            lead[idle] = label[idle, s] = s
+            todo[idle, s] = False
+            fg, fv = np.concatenate((fg, idle)), np.concatenate((fv, s))
+            by_graph = np.argsort(fg, kind="stable")
+            fg, fv = fg[by_graph], fv[by_graph]
+        if not fg.size:
+            return label
+        gs, first = np.unique(fg, return_index=True)
+        seen = unpack_rows(np.bitwise_or.reduceat(rows[fg, fv], first), n)
+        seen &= todo[gs]
+        i, fv = np.nonzero(seen)
+        fg = gs[i]
+        todo[fg, fv] = False
+        label[fg, fv] = lead[fg]
 
 
 def disjoint_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -82,9 +114,7 @@ def disjoint_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     p, q, w = A.shape[0], B.shape[0], (A.shape[1] + 63) // 64
     if not (p and q and w):
         return np.ones((p, q), dtype=bool)
-    words = np.zeros((p + q, 8 * w), dtype=np.uint8)
-    words[:, :(A.shape[1] + 7) // 8] = np.packbits(np.concatenate((A, B)), axis=1)
-    words = words.view(np.uint64)
+    words = pack_rows(np.concatenate((A, B)))
     a, b = words[:p], words[p:].T.copy()  # b: one row per word
     step = max(1, (1 << 13) // q)
     blocks = []

@@ -59,11 +59,16 @@ def build_intervals(L: LabelledGraph, order: list[int]) -> IntervalRepresentatio
     bad = ordering_violation(L, order)
     if bad is not None:
         raise ValueError(f"not an interval ordering: pattern {bad}")
-    seq: list[tuple[str, int]] = []
+    n = L.n
+    # pos[x] and pos[n + x]: the places, from 1, of L(x) and R(x) in the
+    # sequence built so far, negative until placed; an insertion shifts
+    # everything after it, so relative order never changes
+    pos = np.full(2 * n, -2 * n, dtype=np.intp)
     idx = np.array(order, dtype=np.intp)
-    for k in range(L.n - 1, -1, -1):
+    for k in range(n - 1, -1, -1):
         x = order[k]
-        seq.insert(0, ("L", x))
+        pos += 1
+        pos[x] = 1
         row = L.labels[x, idx[k:]]  # row[0] is the loop at x, never a non-edge
         y = order[k + int(np.flatnonzero(row != Label.NONEDGE)[-1])]
         incl = idx[k + 1:][row[1:] == Label.INCLUSION]
@@ -71,16 +76,10 @@ def build_intervals(L: LabelledGraph, order: list[int]) -> IntervalRepresentatio
         if outer.size:
             raise InternalError(
                 f"vertex {outer[0]} inclusion-tied to leftmost {x} but not inside it")
-        t = seq.index(("L", y))
-        for v in incl.tolist():
-            t = max(t, seq.index(("R", v)))
-        seq.insert(t + 1, ("R", x))
-    iv: dict[int, tuple[int, int]] = {}
-    for pos, (side, v) in enumerate(seq, start=1):
-        if side == "L":
-            iv[v] = (pos, 0)
-        else:
-            iv[v] = (iv[v][0], pos)
+        t = max(pos[y], pos[n + incl].max(initial=0))
+        pos[pos > t] += 1
+        pos[n + x] = t + 1
+    iv = dict(enumerate(zip(pos[:n].tolist(), pos[n:].tolist())))
     err = _consistency_error(L, iv)
     if err is not None:
         raise InternalError(f"built intervals inconsistent with labels: {err}")

@@ -18,8 +18,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .edgetypes import EdgeType, InternalError, TypedGraph, avoiding, avoids
-from .graph import bfs, components, tree_path
+from .edgetypes import (EdgeType, InternalError, TypedGraph, anchor_blocks,
+                        avoiding, avoids)
+from .graph import bfs, components, pack_rows, tree_path, unpack_rows
 
 Copy = tuple[int, int]  # (vertex, component index)
 
@@ -65,11 +66,13 @@ def walk_pair_error(H: TypedGraph, awp: AvoidWalkPair) -> Optional[str]:
     return None
 
 
-def _avoiding_at(H: TypedGraph) -> Callable[[int], np.ndarray]:
-    """z -> the matrix of edges of H (loops included) that avoid z."""
+def _avoiding_at(H: TypedGraph) -> Callable[[np.ndarray],
+                                             tuple[np.ndarray, np.ndarray]]:
+    """zs -> the packed rows and vertex masks of the edges of H (loops
+    included) that avoid each z in zs (``edgetypes.avoiding``)."""
     overlap = (H.types == EdgeType.OVERLAP1) | (H.types == EdgeType.OVERLAP2)
-    return partial(avoiding, H.graph.closed_adj(), overlap,
-                   H.types == EdgeType.INCLUSION)
+    return partial(avoiding, pack_rows(H.graph.closed_adj()), pack_rows(overlap),
+                   pack_rows(H.types == EdgeType.INCLUSION))
 
 
 @dataclass
@@ -85,10 +88,10 @@ class KnottingGraph:
         at = self.copy_at[u, [a, b]]
         if at[0] != at[1] or at[0] < 0 or self.copies[at[0]] != (u, comp):
             raise InternalError(f"path endpoints outside component {u}/{comp}")
-        avoid = _avoiding_at(H)
-        safe = avoid(u) & avoid(self.anchor)
+        rows, _ = _avoiding_at(H)(np.array([u, self.anchor]))
+        safe, n = rows[0] & rows[1], H.graph.n
         prev: dict[int, Optional[int]] = {}
-        bfs(prev, a, lambda cur: np.flatnonzero(safe[cur]).tolist())
+        bfs(prev, a, lambda cur: np.flatnonzero(unpack_rows(safe[cur], n)).tolist())
         if b not in prev:
             raise InternalError(f"no path {a}-{b} in component {u}/{comp}")
         return tree_path(prev, a, b)
@@ -102,18 +105,22 @@ def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
     """
     n = H.graph.n
     avoid = _avoiding_at(H)
-    avoid_z = avoid(z)
-    az = avoid_z.diagonal()  # the vertices z tolerates, z itself excluded
-    az_list = np.flatnonzero(az).tolist()
+    avoid_z, az = avoid(np.array([z]))
+    az = az[0]  # the vertices z tolerates, z itself excluded
     copies: list[Copy] = []
     copy_at = np.full((n, n), -1, dtype=np.intp)
-    for u in az_list:
-        label = components(avoid(u) & avoid_z)  # n off the safe subgraph
-        members = np.flatnonzero(label < n)
-        leads, comp = np.unique(label[members], return_inverse=True)
-        comp = comp.reshape(-1)
-        copy_at[u, members] = len(copies) + comp
-        copies += [(u, i) for i in range(leads.size)]
+    for us in anchor_blocks(np.flatnonzero(az), n):
+        safe, on = avoid(us)
+        safe &= avoid_z
+        on &= az
+        label = components(safe, on)  # n off each safe subgraph
+        i, v = np.nonzero(label < n)
+        # one copy per (u, least member), numbered by u, then by least member
+        keys, copy = np.unique(i * n + label[i, v], return_inverse=True)
+        copy_at[us[i], v] = len(copies) + copy.reshape(-1)
+        owner = keys // n
+        rank = np.arange(keys.size) - np.searchsorted(owner, owner)
+        copies += zip(us[owner].tolist(), rank.tolist())
     # copies meet for every non-inclusion pair, adjacent or not
     us, vs = np.nonzero((H.types != EdgeType.INCLUSION) & az[:, None] & az[None, :])
     a, b = copy_at[us, vs], copy_at[vs, us]

@@ -35,6 +35,35 @@ def p4():
     return build_graph(4, [(0, 1), (1, 2), (2, 3)], ["a", "b", "c", "d"])
 
 
+def _dense_avoiding(closed, overlap, included, z):
+    """[x, y] = the edge xy (a loop when x = y) avoids z, from dense boolean
+    matrices: the reference for the bit-packed edgetypes.avoiding."""
+    free, ov = ~included[z], overlap[z]
+    return (closed & free[:, None] & free[None, :]
+            & ~(overlap & ov[:, None] & ov[None, :]))
+
+
+def _bfs_components(M):
+    """Least member per component of the graph a boolean symmetric matrix
+    induces on its diagonal, len(M) off it; one breadth-first search per
+    component: the reference for the stack labeller graph.components."""
+    n = M.shape[0]
+    label = np.full(n, n, dtype=np.intp)
+    reach = ~M.diagonal()  # off-diagonal vertices are never reached
+    for s in np.flatnonzero(~reach).tolist():
+        if reach[s]:
+            continue
+        front = np.zeros(n, dtype=bool)
+        front[s] = True
+        comp = front.copy()
+        while front.any():
+            reach |= front
+            front = M[front].any(axis=0) & ~reach
+            comp |= front
+        label[comp] = s
+    return label
+
+
 def completion_of(G):
     """Reduce, classify and complete; returns (reduced, trace, H, pairing)."""
     reduced, trace = reduce_graph(G)

@@ -11,9 +11,9 @@ from circarc.delta import (DeltaInvertiblePair, Label, LabelledGraph,
                            interval_orientation, labelled_from_typed,
                            ordering_violation, verify_interval_ordering)
 from circarc.edgetypes import avoiding, classify_all, complete
-from circarc.graph import bfs, tree_path
+from circarc.graph import bfs, pack_rows, tree_path, unpack_rows
 from circarc.knotting import build_knotting, build_Z, overlap_side
-from conftest import arc_model, labels_on_Z, make_labelled
+from conftest import _dense_avoiding, arc_model, labels_on_Z, make_labelled
 
 
 def overlap_path():
@@ -81,8 +81,8 @@ def delta_step(L: LabelledGraph, p: Pair, q: Pair) -> bool:
 
 def avoid_at(L, z):
     """The shared avoidance matrix of L's labels at anchor z."""
-    return avoiding(L.labels != Label.NONEDGE, L.labels == Label.OVERLAP,
-                    L.labels == Label.INCLUSION, z)
+    return _dense_avoiding(L.labels != Label.NONEDGE, L.labels == Label.OVERLAP,
+                           L.labels == Label.INCLUSION, z)
 
 
 def _bfs_implication_classes(L: LabelledGraph):
@@ -96,7 +96,7 @@ def _bfs_implication_classes(L: LabelledGraph):
     included = L.labels == Label.INCLUSION
     avoid = np.empty((n, n, n), dtype=bool)
     for z in range(n):
-        avoid[z] = avoiding(closed, overlap, included, z)
+        avoid[z] = _dense_avoiding(closed, overlap, included, z)
     active = [(int(a), int(b)) for a in range(n) for b in range(n)
               if a != b and L.labels[a, b] != Label.INCLUSION]
 
@@ -177,8 +177,13 @@ class TestAvoiding:
         rng = random.Random(13)
         for _ in range(60):
             L = random_labelled(rng, rng.randint(1, 6))
+            rows, on = avoiding(pack_rows(L.labels != Label.NONEDGE),
+                                pack_rows(L.labels == Label.OVERLAP),
+                                pack_rows(L.labels == Label.INCLUSION), np.arange(L.n))
             for z in range(L.n):
                 M = avoid_at(L, z)
+                assert np.array_equal(unpack_rows(rows[z], L.n), M)
+                assert np.array_equal(on[z], M.diagonal())
                 for x in range(L.n):
                     for y in range(L.n):
                         assert M[x, y] == label_avoids(L, x, y, z)

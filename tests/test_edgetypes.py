@@ -9,9 +9,10 @@ from circarc.arcs import ArcRepresentation
 from circarc.edgetypes import (EdgeType, UnreducedGraphError, _matrices, avoiding,
                                avoids, circular_pairs, classify_all, complete,
                                completion_error, verify_completion)
-from circarc.graph import Graph, build_graph, reduce as reduce_graph
+from circarc.graph import (Graph, build_graph, pack_rows, reduce as reduce_graph,
+                           unpack_rows)
 from circarc.formats import parse_edge_list
-from conftest import BICLAW_EDGES, completion_of
+from conftest import BICLAW_EDGES, _dense_avoiding, arc_model, completion_of
 from test_graph import random_graph_strategy
 
 
@@ -315,10 +316,40 @@ class TestAvoids:
             included = H.types == EdgeType.INCLUSION
             edges = np.argwhere(closed).tolist()
             for z in rng.sample(range(H.graph.n), min(H.graph.n, 6)):
-                M = avoiding(closed, overlap, included, z)
+                M = _dense_avoiding(closed, overlap, included, z)
                 assert not (M & ~closed).any()
                 assert [bool(M[x, y]) for x, y in edges] == \
                     [avoids(H, z, [x, y]) for x, y in edges]
+
+    @staticmethod
+    def masks(H):
+        overlap = (H.types == EdgeType.OVERLAP1) | (H.types == EdgeType.OVERLAP2)
+        return H.graph.closed_adj(), overlap, H.types == EdgeType.INCLUSION
+
+    def test_packed_rows_unpack_to_dense_reference(self):
+        # |H| > 128, so every row spans three or more words
+        H = completion_of(arc_model(random.Random(7), 100))[2]
+        n = H.graph.n
+        assert n > 128
+        dense = self.masks(H)
+        rows, on = avoiding(*map(pack_rows, dense), np.arange(n))
+        assert rows.shape == (n, n, (n + 63) // 64) and rows.shape[2] >= 3
+        for z in range(n):
+            want = _dense_avoiding(*dense, z)
+            assert np.array_equal(unpack_rows(rows[z], n), want)
+            assert np.array_equal(on[z], want.diagonal())
+        # the padding past column n stays clear
+        assert not (rows & ~pack_rows(np.ones(n, dtype=bool))).any()
+
+    def test_packed_rows_of_an_anchor_subset(self):
+        H = completion_of(arc_model(random.Random(6), 30))[2]
+        dense = self.masks(H)
+        zs = np.array([4, 0, 4, H.graph.n - 1])
+        rows, on = avoiding(*map(pack_rows, dense), zs)
+        for i, z in enumerate(zs.tolist()):
+            want = _dense_avoiding(*dense, z)
+            assert np.array_equal(unpack_rows(rows[i], H.graph.n), want)
+            assert np.array_equal(on[i], want.diagonal())
 
 
 class TestCompletionUniqueness:

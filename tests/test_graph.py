@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from circarc.arcs import ArcRepresentation, expand_arcs, verify_representation
+from circarc import edgetypes
+from circarc.delta import implication_classes, labelled_from_typed
 from circarc.graph import (Graph, GraphError, MergeTwins, ReductionStep,
                            ReductionTrace, RemoveUniversal, bfs, build_graph,
-                           components, disjoint_rows, reduce, replay_reduction,
-                           tree_path)
+                           components, disjoint_rows, pack_rows, reduce,
+                           replay_reduction, tree_path, unpack_rows)
+from circarc.knotting import build_knotting
+from conftest import _bfs_components, arc_model, completion_of
 
 
 def random_graph_strategy(max_n=7):
@@ -169,6 +173,14 @@ class TestComponents:
             want[list(comp)] = min(comp)
         return want
 
+    @staticmethod
+    def labellers(M):
+        """The labels of M from the reference and from the stack labeller,
+        which reads M as a stack of one graph whose vertices are M's
+        diagonal."""
+        return (_bfs_components(M).tolist(),
+                components(pack_rows(M)[None], M.diagonal()[None])[0].tolist())
+
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_networkx(self, seed):
         G, rng = seeded_gnp(seed)
@@ -176,18 +188,83 @@ class TestComponents:
         M = nx.to_numpy_array(G, nodelist=range(n), dtype=bool)
         # off-diagonal vertices keep their edges, which must not join anything
         M[np.diag_indices(n)] = [rng.random() < 0.8 for _ in range(n)]
-        assert components(M).tolist() == self.networkx_labels(M).tolist()
+        want = self.networkx_labels(M).tolist()
+        assert self.labellers(M) == (want, want)
 
     def test_off_diagonal_vertex_does_not_bridge(self):
         # 0 - 1 - 2 is a path, but 1 is off the diagonal
         M = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=bool)
-        assert components(M).tolist() == [0, 3, 2]
+        assert self.labellers(M) == ([0, 3, 2], [0, 3, 2])
 
     def test_empty(self):
-        assert components(np.zeros((0, 0), dtype=bool)).shape == (0,)
+        assert _bfs_components(np.zeros((0, 0), dtype=bool)).shape == (0,)
+        rows = np.zeros((2, 0, 0), dtype=np.uint64)
+        assert components(rows, np.zeros((2, 0), dtype=bool)).shape == (2, 0)
 
     def test_no_members(self):
-        assert components(np.ones((3, 3), dtype=bool) & ~np.eye(3, dtype=bool)).tolist() == [3, 3, 3]
+        M = np.ones((3, 3), dtype=bool) & ~np.eye(3, dtype=bool)
+        assert self.labellers(M) == ([3, 3, 3], [3, 3, 3])
+
+    @staticmethod
+    def random_stack(rng, k, n):
+        """k random graphs on subsets of 0..n-1: each a boolean matrix,
+        symmetric among its vertices (its diagonal), with random bits in the
+        rows and columns of the other vertices."""
+        stack = np.zeros((k, n, n), dtype=bool)
+        for g in range(k):
+            p = rng.choice([0.0, 1.5 / max(n, 1), 4.0 / max(n, 1), 0.3])
+            M = np.triu(rng.random((n, n)) < p, 1)
+            M |= M.T
+            off = rng.random(n) >= 0.7
+            M |= (rng.random((n, n)) < 0.5) & (off[:, None] | off[None, :])
+            M[np.diag_indices(n)] = ~off
+            stack[g] = M
+        return stack
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+    def test_stack_matches_reference(self, n):
+        rng = np.random.default_rng(n)
+        stack = self.random_stack(rng, 7, n)
+        on = stack.diagonal(axis1=1, axis2=2)
+        got = components(pack_rows(stack), on)
+        assert got.shape == (7, n)
+        for g in range(7):
+            assert got[g].tolist() == _bfs_components(stack[g]).tolist()
+
+    def test_padding_bits_are_ignored(self):
+        # bits past column n in the last word name no vertex
+        rng = np.random.default_rng(7)
+        stack = self.random_stack(rng, 4, 70)
+        on = stack.diagonal(axis1=1, axis2=2)
+        rows = pack_rows(stack)
+        rows[..., -1] |= ~pack_rows(np.ones(70, dtype=bool))[-1]
+        assert np.array_equal(components(rows, on), components(pack_rows(stack), on))
+
+    def test_pack_round_trip(self):
+        rng = np.random.default_rng(3)
+        for c in (0, 1, 63, 64, 65, 130):
+            M = rng.random((3, 4, c)) < 0.5
+            words = pack_rows(M)
+            assert words.shape == (3, 4, (c + 63) // 64)
+            assert np.array_equal(unpack_rows(words, c), M)
+
+    def test_blocks_of_one_anchor_keep_the_labels(self, monkeypatch):
+        # the knotting graph and the delta classes, labelled a block of
+        # anchors at a time, do not depend on the block size
+        H = completion_of(arc_model(random.Random(11), 40))[2]
+        zs = np.flatnonzero(H.graph.adj.sum(axis=1) > 0)[:3].tolist()
+        L = labelled_from_typed(H, list(range(0, H.graph.n, 2)))
+
+        def run():
+            Ks = [build_knotting(H, z) for z in zs]
+            return ([(K.copies, K.copy_at.tolist(), K.adjacency) for K in Ks],
+                    [x.tolist() for x in implication_classes(L)])
+
+        assert len(edgetypes.anchor_blocks(np.arange(H.graph.n), H.graph.n)) == 1
+        whole = run()
+        monkeypatch.setattr(edgetypes, "AVOID_WORDS", 1)
+        assert len(edgetypes.anchor_blocks(np.arange(5), H.graph.n)) == 5
+        assert run() == whole
 
 
 def _product_disjoint_rows(A, B):

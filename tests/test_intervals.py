@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from circarc.arcs import ArcRepresentation, verify_representation
@@ -52,7 +53,43 @@ def corrupted(rng, iv):
     return iv
 
 
+def _list_build_intervals(L, order):
+    """The builder over a list of ("L" | "R", vertex) events, each insertion
+    point found with list.index: the reference for build_intervals."""
+    seq = []
+    idx = np.array(order, dtype=np.intp)
+    for k in range(L.n - 1, -1, -1):
+        x = order[k]
+        seq.insert(0, ("L", x))
+        row = L.labels[x, idx[k:]]
+        y = order[k + int(np.flatnonzero(row != Label.NONEDGE)[-1])]
+        incl = idx[k + 1:][row[1:] == Label.INCLUSION]
+        t = seq.index(("L", y))
+        for v in incl.tolist():
+            t = max(t, seq.index(("R", v)))
+        seq.insert(t + 1, ("R", x))
+    iv = {}
+    for pos, (side, v) in enumerate(seq, start=1):
+        iv[v] = (pos, 0) if side == "L" else (iv[v][0], pos)
+    return iv
+
+
 class TestBuildIntervals:
+    def test_matches_list_reference(self):
+        rng = random.Random(12)
+        from test_delta import random_labelled
+        cases = [labels_on_Z(arc_model(random.Random(seed), 60))[3] for seed in range(4)]
+        cases += [random_labelled(rng, rng.randint(1, 7)) for _ in range(80)]
+        built = 0
+        for L in cases:
+            try:
+                order = interval_orientation(L)
+            except DeltaInvertiblePair:
+                continue
+            assert build_intervals(L, order).intervals == _list_build_intervals(L, order)
+            built += 1
+        assert built >= 20
+
     def test_overlap_path(self):
         L = make_labelled(3, overlaps=[(0, 1), (1, 2)])
         iv = build_intervals(L, [0, 1, 2]).intervals

@@ -7,13 +7,14 @@ import pytest
 
 import numpy as np
 
-from circarc.edgetypes import (EdgeType, InternalError, avoiding, avoids,
+from circarc.edgetypes import (EdgeType, InternalError, avoids,
                                circular_pairs, classify_all, complete)
 from circarc.graph import bfs, build_graph, reduce as reduce_graph
 from circarc.knotting import (AvoidWalkPair, bipartite_or_odd_cycle, build_Z,
                               build_knotting, extract_invertible_pair,
                               overlap_side, walk_pair_error)
-from conftest import arc_model, completion_of, planted_negative, side_at
+from conftest import (_dense_avoiding, arc_model, completion_of,
+                      planted_negative, side_at)
 
 
 def knotting_at(G, name):
@@ -53,7 +54,8 @@ def _bfs_knotting(H, z):
     overlap = (H.types == EdgeType.OVERLAP1) | (H.types == EdgeType.OVERLAP2)
 
     def avoid(v):
-        return avoiding(H.graph.closed_adj(), overlap, H.types == EdgeType.INCLUSION, v)
+        return _dense_avoiding(H.graph.closed_adj(), overlap,
+                               H.types == EdgeType.INCLUSION, v)
 
     avoid_z = avoid(z)
     az = avoid_z.diagonal()
