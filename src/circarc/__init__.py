@@ -1,8 +1,8 @@
 """Certifying recognition of circular-arc graphs."""
 
-from .arcs import ArcRepresentation, expand_arcs, verify_representation
+from .arcs import ArcRepresentation, expand_arcs
 from .edgetypes import (EdgeType, TypedGraph, avoids, circular_pairs,
-                        classify_all, complete, verify_completion)
+                        classify_all, complete)
 from .graph import Graph, ReductionTrace, build_graph, reduce
 from .knotting import (AvoidWalkPair, KnottingGraph, bipartite_or_odd_cycle,
                        build_knotting, build_Z, extract_invertible_pair,
@@ -17,8 +17,7 @@ __all__ = [
     "circular_pairs", "classify_all", "complete", "cross_check",
     "enumerate_labelled_graphs", "expand_arcs", "extract_invertible_pair",
     "oracle_is_ca", "overlap_side", "recognize", "reduce",
-    "verify_completion", "verify_negative", "verify_positive",
-    "verify_representation",
+    "verify_negative", "verify_positive",
 ]
 
 __version__ = "0.1.0"

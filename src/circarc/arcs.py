@@ -77,10 +77,6 @@ def representation_error(G, rep: ArcRepresentation) -> Optional[str]:
     return None
 
 
-def verify_representation(G, rep: ArcRepresentation) -> bool:
-    return representation_error(G, rep) is None
-
-
 def expand_arcs(trace, rep: ArcRepresentation) -> ArcRepresentation:
     """Undo a reduction trace on a representation of the reduced graph.
 

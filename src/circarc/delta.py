@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .edgetypes import EdgeType, InternalError, TypedGraph, anchor_blocks, avoiding
-from .graph import components, disjoint_rows, pack_rows
+from .graph import components, disjoint_rows, pack_rows, sorted_unique
 
 Pair = tuple[int, int]
 
@@ -181,7 +181,7 @@ def _order_vertices(L: LabelledGraph) -> list[int]:
         i = int(np.argmax(cid == self_inverse[0]))  # the class's least pair
         raise DeltaInvertiblePair((int(a[i]), int(b[i])))
     # span members as keys cid*n + v, sorted by class and then by vertex
-    members = np.unique(np.concatenate([cid * n + a, cid * n + b]))
+    members = sorted_unique(np.concatenate([cid * n + a, cid * n + b]))
     size = np.bincount(members // n, minlength=k)
     proper = np.flatnonzero(size < n)
     if proper.size:

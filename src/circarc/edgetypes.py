@@ -224,8 +224,3 @@ def completion_error(Gt: TypedGraph, Ht: TypedGraph,
     if twins.any():
         return "completion has true twins"
     return None
-
-
-def verify_completion(Gt: TypedGraph, Ht: TypedGraph,
-                      pairing: dict[int, int]) -> bool:
-    return completion_error(Gt, Ht, pairing) is None

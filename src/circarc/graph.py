@@ -104,6 +104,15 @@ def components(rows: np.ndarray, on: np.ndarray) -> np.ndarray:
         label[fg, fv] = lead[fg]
 
 
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, in increasing order."""
+    # np.unique without return arrays hashes in numpy 2.x: 25-75x slower than a sort
+    keys = np.sort(keys, axis=None)
+    keep = np.ones(keys.size, dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
+
+
 def disjoint_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """[i, j] = rows A[i] and B[j] of two boolean matrices share no column.
 
@@ -275,7 +284,7 @@ def reduce(G: Graph) -> tuple[Graph, ReductionTrace]:
         order = np.lexsort((rest, least))
         steps += [MergeTwins(k, v) for k, v in zip(least[order].tolist(),
                                                    rest[order].tolist()) if k != v]
-    survivors = np.unique(least).tolist()
+    survivors = sorted_unique(least).tolist()
     return G.induced(survivors), ReductionTrace(G.n, steps, survivors)
 
 

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .arcs import ArcRepresentation, verify_representation
+from .arcs import ArcRepresentation, representation_error
 from .graph import Graph, build_graph
 from .recognizer import recognize, verify_negative, verify_positive
 
@@ -34,8 +34,8 @@ class EndpointSequence:
         return {v: (l, r) for v, (l, r) in out.items()}
 
     def realizes(self, G: Graph) -> bool:
-        return verify_representation(
-            G, ArcRepresentation(len(self.symbols), self.arcs()))
+        rep = ArcRepresentation(len(self.symbols), self.arcs())
+        return representation_error(G, rep) is None
 
 
 def _search(G: Graph, wrap: tuple[int, ...]) -> Optional[list[tuple[str, int]]]:

@@ -1,0 +1,35 @@
+"""Print the edge list of a seeded random arc model, for the CI scale smokes.
+
+Usage: python tests/arc_model_edges.py N SEED [--biclaw]
+
+The arcs of v0..v(N-1) have their 2N ends shuffled over 2N slots by
+random.Random(SEED).  The vertices are listed first, then every
+intersecting pair; --biclaw appends a disjoint biclaw on b0..b6, which
+makes the graph not circular-arc.
+"""
+
+import argparse
+import random
+
+BICLAW = ["b0 b1", "b1 b2", "b0 b3", "b0 b4", "b3 b5", "b4 b6"]
+
+
+def edge_lines(n: int, seed: int, biclaw: bool) -> list[str]:
+    rng = random.Random(seed)
+    ends = list(range(2 * n))
+    rng.shuffle(ends)
+    arcs = [(ends[2 * v], (ends[2 * v + 1] - ends[2 * v]) % (2 * n)) for v in range(n)]
+    return ([f"v{v}" for v in range(n)]
+            + [f"v{u} v{v}" for u in range(n) for v in range(u + 1, n)
+               if (arcs[v][0] - arcs[u][0]) % (2 * n) <= arcs[u][1]
+               or (arcs[u][0] - arcs[v][0]) % (2 * n) <= arcs[v][1]]
+            + (BICLAW if biclaw else []))
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("n", type=int)
+    parser.add_argument("seed", type=int)
+    parser.add_argument("--biclaw", action="store_true")
+    args = parser.parse_args()
+    print("\n".join(edge_lines(args.n, args.seed, args.biclaw)))

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from circarc.arcs import ArcRepresentation
 from circarc.edgetypes import (EdgeType, UnreducedGraphError, _matrices, avoiding,
                                avoids, circular_pairs, classify_all, complete,
-                               completion_error, verify_completion)
+                               completion_error)
 from circarc.graph import (Graph, build_graph, pack_rows, reduce as reduce_graph,
                            unpack_rows)
 from circarc.formats import parse_edge_list
@@ -249,16 +249,16 @@ class TestVerifyCompletion:
     def test_accepts_constructed(self, biclaw):
         T = classify_all(biclaw)
         H, pairing = complete(T)
-        assert verify_completion(T, H, pairing)
+        assert completion_error(T, H, pairing) is None
 
     def test_rejects_unpaired(self, biclaw):
         T = classify_all(biclaw)
-        assert not verify_completion(T, T, {})
+        assert completion_error(T, T, {}) is not None
 
     def test_c4_self_completion(self, c4):
         T = classify_all(c4)
         pairing = circular_pairs(T).partner
-        assert verify_completion(T, T, pairing)
+        assert completion_error(T, T, pairing) is None
 
     def test_names_first_clause(self, biclaw, c4):
         T = classify_all(biclaw)

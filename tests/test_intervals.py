@@ -4,9 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from circarc.arcs import ArcRepresentation, verify_representation
+from circarc.arcs import ArcRepresentation, representation_error
 from circarc.delta import (DeltaInvertiblePair, Label, interval_orientation,
-                           verify_interval_ordering)
+                           ordering_violation, verify_interval_ordering)
 from circarc.edgetypes import InternalError
 from circarc.intervals import _consistency_error, build_intervals, lift_to_circle
 from conftest import arc_model, completion_of, labels_on_Z, make_labelled
@@ -106,8 +106,30 @@ class TestBuildIntervals:
 
     def test_rejects_bad_order(self):
         L = make_labelled(3, overlaps=[(0, 1), (1, 2)])
-        with pytest.raises(ValueError):
+        with pytest.raises(InternalError):
             build_intervals(L, [1, 0, 2])
+
+    def test_rejects_exactly_the_bad_orders(self):
+        # build_intervals' own label check rejects an order exactly when it
+        # has a forbidden pattern or puts an inner interval before its outer
+        rng = random.Random(12)
+        from test_delta import random_labelled
+        seen = set()
+        for _ in range(40):
+            L = random_labelled(rng, rng.randint(2, 5))
+            for p in itertools.permutations(range(L.n)):
+                order = list(p)
+                pos = np.argsort(order)
+                bad = (ordering_violation(L, order) is not None
+                       or (L.inside & (pos[:, None] > pos[None, :])).any())
+                try:
+                    build_intervals(L, order)
+                    raised = False
+                except InternalError:
+                    raised = True
+                assert raised == bad, (L.labels, L.inside, order)
+                seen.add(bad)
+        assert seen == {False, True}
 
     def test_left_endpoints_follow_order(self):
         rng = random.Random(3)
@@ -159,7 +181,7 @@ class TestLiftToCircle:
         by_name = {H.graph.names[v]: a for v, a in rep.arcs.items()}
         assert by_name == {"v2": (4, 12), "v3": (8, 16),
                            "v4": (13, 3), "v1": (17, 7)}
-        assert verify_representation(H.graph, rep)
+        assert representation_error(H.graph, rep) is None
 
     def test_single_pair(self):
         # one vertex and its partner split the circle into two arcs
@@ -178,7 +200,7 @@ class TestLiftToCircle:
         order = interval_orientation(L)
         rep = lift_to_circle(build_intervals(L, order), zset, pairing, H)
         assert len(rep.arcs) == 12
-        assert verify_representation(H.graph, rep)
+        assert representation_error(H.graph, rep) is None
         covers = H.graph.closed_adj()
         for u, v in pairing.items():
             assert not covers[u, v] or u == v
@@ -198,13 +220,13 @@ class TestVerifyRepresentation:
     def test_c4_true(self, c4):
         rep = ArcRepresentation(24, {1: (4, 12), 2: (8, 16),
                                      3: (13, 3), 0: (17, 7)})
-        assert verify_representation(c4, rep)
+        assert representation_error(c4, rep) is None
 
     def test_c4_equal_arcs_false(self, c4):
         rep = ArcRepresentation(24, {v: (0, 5) for v in range(4)})
-        assert not verify_representation(c4, rep)
+        assert representation_error(c4, rep) is not None
 
     def test_single_vertex(self):
         from circarc.graph import build_graph
         rep = ArcRepresentation(4, {0: (0, 1)})
-        assert verify_representation(build_graph(1, []), rep)
+        assert representation_error(build_graph(1, []), rep) is None

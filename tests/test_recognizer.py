@@ -1,10 +1,14 @@
+import importlib
 import itertools
+import random
+import sys
 
 from circarc.arcs import ArcRepresentation
 from circarc.graph import build_graph
 from circarc.knotting import AvoidWalkPair
 from circarc.recognizer import (NEGATIVE, POSITIVE, Certificate, recognize,
                                 verify_negative, verify_positive)
+from conftest import arc_model, planted_negative
 
 
 class TestRecognize:
@@ -47,6 +51,52 @@ class TestRecognize:
         for G in (biclaw, near_biclaw):
             a, b = recognize(G), recognize(G)
             assert serialize_certificate(G, a) == serialize_certificate(G, b)
+
+
+def count_calls(monkeypatch, names):
+    """Count the calls of each "module.function" of circarc, wrapped at every
+    circarc module that binds it, so internal calls are counted too."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        module, _, attr = name.rpartition(".")
+        original = getattr(importlib.import_module(f"circarc.{module}"), attr)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "circarc" or mod_name.startswith("circarc."):
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, counted)
+    return counts
+
+
+class TestSelfChecksRunOnce:
+    NAMES = ("delta.ordering_violation", "knotting.walk_pair_error",
+             "arcs.representation_error")
+
+    def test_positive_route(self, monkeypatch):
+        counts = count_calls(monkeypatch, self.NAMES)
+        for seed in range(3):
+            counts.update(dict.fromkeys(counts, 0))
+            assert recognize(arc_model(random.Random(seed), 30)).verdict == POSITIVE
+            # the Δ-order once; the lift, then the emitted certificate
+            assert counts == {"delta.ordering_violation": 1,
+                              "knotting.walk_pair_error": 0,
+                              "arcs.representation_error": 2}
+
+    def test_negative_route(self, monkeypatch):
+        counts = count_calls(monkeypatch, self.NAMES)
+        for seed, pattern in enumerate(["biclaw", "c4+k1"]):
+            counts.update(dict.fromkeys(counts, 0))
+            G = planted_negative(random.Random(seed), 30, pattern)
+            assert recognize(G).verdict == NEGATIVE
+            # the walks are checked once, with the emitted certificate
+            assert counts == {"delta.ordering_violation": 0,
+                              "knotting.walk_pair_error": 1,
+                              "arcs.representation_error": 0}
 
 
 class TestVerifyPositive:
