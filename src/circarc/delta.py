@@ -212,7 +212,9 @@ def _order_vertices(L: LabelledGraph) -> list[int]:
 def _splice_module(L: LabelledGraph, module: list[int]) -> list[int]:
     """Order L by contracting the module to its least vertex and recursing."""
     rep = module[0]
-    outside = np.setdiff1d(np.arange(L.n), module)
+    outside = np.ones(L.n, dtype=bool)
+    outside[module] = False
+    outside = np.flatnonzero(outside)
     labs = L.labels[np.ix_(outside, module)]
     dirs = L.inside[np.ix_(outside, module)]
     # inside is False off the inclusion edges, so directions can only differ

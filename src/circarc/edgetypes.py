@@ -91,9 +91,8 @@ def circular_pairs(T: TypedGraph) -> CircularPairing:
     if (counts > 1).any():
         v = int(np.flatnonzero(counts > 1)[0])
         raise InternalError(f"vertex {v} has two circular partners")
-    partner = {int(u): int(np.flatnonzero(circ[u])[0])
-               for u in np.flatnonzero(counts)}
-    return CircularPairing(partner)
+    us, vs = np.nonzero(circ)  # at most one v per u, u increasing
+    return CircularPairing(dict(zip(us.tolist(), vs.tolist())))
 
 
 def complete(T: TypedGraph) -> tuple[TypedGraph, dict[int, int]]:

@@ -1,19 +1,20 @@
 """Text formats: edge lists, graph6, and certificate documents.
 
-Certificate documents are JSON with format tag "ca-cert/2".  Serialization
+Certificate documents are JSON with format tag "ca-cert/3".  Serialization
 is canonical (sorted keys, fixed separators) so identical certificates are
 byte-identical on disk.
 
 A document binds its input graph G by ``{"n": n, "sha256": graph_digest(G)}``,
 the SHA-256 of the compact JSON text ``[names, graph6]``; graph6 is written
 as ``networkx.to_graph6_bytes(g, header=False)`` writes it, less the final
-newline.  Both verdicts carry the reduction trace.  A positive certificate
-adds the arcs of every input vertex.  A negative one adds only the anchor,
-the pair and the two walks, named in the circular completion of the
-reduced graph: the reader rebuilds that completion with
-``edgetypes.complete``, and ``recognizer.negative_error`` re-checks it from
-first principles before it checks the walks.  "ca-cert/1" documents, which
-spelled out the edges and the completion, are no longer read.
+newline.  Beyond that a document holds only what its verifier checks.  A
+positive one holds the arcs of every input vertex.  A negative one holds
+a vertex set S, named in input order (the reduction's survivors), and the
+anchor, the pair and the two walks, named in the circular completion of
+G[S]: the reader rebuilds that completion with ``edgetypes.complete``, and
+``recognizer.negative_error`` re-checks it from first principles before it
+checks the walks.  "ca-cert/1" and "ca-cert/2" documents, which carried
+the reduction trace, are no longer read.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ import numpy as np
 
 from .arcs import ArcRepresentation
 from .edgetypes import InternalError, classify_all, complete
-from .graph import (Graph, GraphError, MergeTwins, ReductionTrace,
-                    RemoveUniversal, build_graph, replay_reduction)
+from .graph import Graph, GraphError, build_graph
 from .knotting import AvoidWalkPair
 from .recognizer import NEGATIVE, POSITIVE, Certificate
 
-FORMAT_TAG = "ca-cert/2"
+FORMAT_TAG = "ca-cert/3"
 G6_MAX_N = 258047  # the largest n of a 4-byte graph6 header
 
 
@@ -122,17 +122,6 @@ def graph_digest(G: Graph) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _trace_to_doc(G: Graph, trace: ReductionTrace) -> list[dict]:
-    steps = []
-    for step in trace.steps:
-        if isinstance(step, RemoveUniversal):
-            steps.append({"kind": "remove_universal", "vertex": G.names[step.vertex]})
-        else:
-            steps.append({"kind": "merge_twins", "kept": G.names[step.kept],
-                          "removed": G.names[step.removed]})
-    return steps
-
-
 def _vertex(index: dict[str, int], name: Any) -> int:
     """Index of the input vertex called name; GraphError, as from
     Graph.index_of, when there is none."""
@@ -142,30 +131,11 @@ def _vertex(index: dict[str, int], name: Any) -> int:
         raise GraphError(f"unknown vertex name: {name!r}") from None
 
 
-def _trace_from_doc(index: dict[str, int], doc: list[dict]) -> ReductionTrace:
-    steps = []
-    removed = set()
-    for item in doc:
-        if item["kind"] == "remove_universal":
-            v = _vertex(index, item["vertex"])
-            steps.append(RemoveUniversal(v))
-            removed.add(v)
-        elif item["kind"] == "merge_twins":
-            k, r = _vertex(index, item["kept"]), _vertex(index, item["removed"])
-            steps.append(MergeTwins(k, r))
-            removed.add(r)
-        else:
-            raise FormatError(f"unknown reduction step kind {item.get('kind')!r}")
-    survivors = [v for v in range(len(index)) if v not in removed]
-    return ReductionTrace(len(index), steps, survivors)
-
-
 def certificate_to_doc(G: Graph, cert: Certificate) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "format": FORMAT_TAG,
         "input": {"n": G.n, "sha256": graph_digest(G)},
         "verdict": cert.verdict,
-        "reduction": _trace_to_doc(G, cert.reduction),
     }
     if cert.verdict == POSITIVE:
         doc["positive"] = {
@@ -176,6 +146,7 @@ def certificate_to_doc(G: Graph, cert: Certificate) -> dict[str, Any]:
         names = cert.completion.graph.names
         awp = cert.obstruction
         doc["negative"] = {
+            "vertices": [G.names[v] for v in cert.vertices],
             "anchor": names[awp.anchor],
             "pair": [names[awp.pair[0]], names[awp.pair[1]]],
             "walk_p": [names[v] for v in awp.walk_p],
@@ -197,13 +168,13 @@ def _vertices(index: dict[str, int], names: Any, what: str) -> list[int]:
 def certificate_from_doc(G: Graph, doc: dict[str, Any]) -> Certificate:
     """Rebuild a certificate against G, checking that it was issued for G.
 
-    A negative certificate names vertices of the circular completion of
-    the reduced graph, which is rebuilt here; negative_error then checks
-    it from first principles like any other completion.
+    A negative certificate names a vertex set S of G, then vertices of the
+    circular completion of G[S], which is rebuilt here; negative_error
+    then checks it from first principles like any other completion.
     """
     tag = doc.get("format")
-    if tag == "ca-cert/1":
-        raise FormatError("ca-cert/1 certificates are no longer read; re-run "
+    if tag in ("ca-cert/1", "ca-cert/2"):
+        raise FormatError(f"{tag} certificates are no longer read; re-run "
                           f"`circarc recognize` to issue a {FORMAT_TAG} one")
     if tag != FORMAT_TAG:
         raise FormatError("unknown certificate format tag")
@@ -211,7 +182,6 @@ def certificate_from_doc(G: Graph, doc: dict[str, Any]) -> Certificate:
     if binding["n"] != G.n or binding["sha256"] != graph_digest(G):
         raise FormatError("certificate was issued for a different graph")
     index = {name: i for i, name in enumerate(G.names)}
-    trace = _trace_from_doc(index, doc["reduction"])
     verdict = doc["verdict"]
     if verdict == POSITIVE:
         pos = doc["positive"]
@@ -222,12 +192,14 @@ def certificate_from_doc(G: Graph, doc: dict[str, Any]) -> Certificate:
             if not (isinstance(lr, list) and len(lr) == 2 and all(map(_is_int, lr))):
                 raise FormatError(f"arc of {name!r} must be a pair of integers")
             arcs[_vertex(index, name)] = tuple(lr)
-        return Certificate(POSITIVE, trace,
-                           arcs=ArcRepresentation(pos["circle_size"], arcs))
+        return Certificate(POSITIVE, arcs=ArcRepresentation(pos["circle_size"], arcs))
     if verdict != NEGATIVE:
         raise FormatError(f"unknown verdict {verdict!r}")
     neg = doc["negative"]
-    H, pairing = complete(classify_all(replay_reduction(G, trace)))
+    S = _vertices(index, neg["vertices"], "vertices")
+    if len(set(S)) != len(S):
+        raise FormatError("vertices must name each vertex once")
+    H, pairing = complete(classify_all(G.induced(S)))
     h_index = {name: i for i, name in enumerate(H.graph.names)}
     pair = _vertices(h_index, neg["pair"], "pair")
     if len(pair) != 2:
@@ -235,7 +207,7 @@ def certificate_from_doc(G: Graph, doc: dict[str, Any]) -> Certificate:
     awp = AvoidWalkPair(_vertex(h_index, neg["anchor"]), (pair[0], pair[1]),
                         _vertices(h_index, neg["walk_p"], "walk_p"),
                         _vertices(h_index, neg["walk_q"], "walk_q"))
-    return Certificate(NEGATIVE, trace, completion=H, pairing=pairing,
+    return Certificate(NEGATIVE, vertices=S, completion=H, pairing=pairing,
                        obstruction=awp)
 
 

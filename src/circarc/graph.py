@@ -287,25 +287,3 @@ def reduce(G: Graph) -> tuple[Graph, ReductionTrace]:
     survivors = sorted_unique(least).tolist()
     return G.induced(survivors), ReductionTrace(G.n, steps, survivors)
 
-
-def replay_reduction(G: Graph, trace: ReductionTrace) -> Graph:
-    """Apply a recorded trace to G and return the surviving induced subgraph.
-
-    Only removal is replayed; step legality is not re-checked here because an
-    induced subgraph certificate does not depend on it.
-    """
-    if trace.n_original != G.n:
-        raise GraphError("trace does not match graph size")
-    removed = set()
-    for step in trace.steps:
-        v = step.vertex if isinstance(step, RemoveUniversal) else step.removed
-        if not (0 <= v < G.n) or v in removed:
-            raise GraphError("trace removes an invalid vertex")
-        if isinstance(step, MergeTwins):
-            if not (0 <= step.kept < G.n) or step.kept in removed:
-                raise GraphError("trace merge references a removed vertex")
-        removed.add(v)
-    survivors = [v for v in range(G.n) if v not in removed]
-    if survivors != trace.survivors:
-        raise GraphError("trace survivors are inconsistent")
-    return G.induced(survivors)

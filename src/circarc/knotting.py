@@ -80,7 +80,7 @@ def _avoiding_at(H: TypedGraph) -> Callable[[np.ndarray],
 class KnottingGraph:
     anchor: int
     copies: list[Copy]
-    copy_at: np.ndarray         # [u, v]: the copy of u whose component holds v, or -1
+    copy_at: np.ndarray         # int32 [u, v]: the copy of u whose component holds v, or -1
     adjacency: list[list[int]]  # by copy index, sorted
 
     def component_path(self, H: TypedGraph, u: int, comp: int,
@@ -90,9 +90,9 @@ class KnottingGraph:
         if at[0] != at[1] or at[0] < 0 or self.copies[at[0]] != (u, comp):
             raise InternalError(f"path endpoints outside component {u}/{comp}")
         rows, _ = _avoiding_at(H)(np.array([u, self.anchor]))
-        safe, n = rows[0] & rows[1], H.graph.n
+        safe = unpack_rows(rows[0] & rows[1], H.graph.n)
         prev: dict[int, Optional[int]] = {}
-        bfs(prev, a, lambda cur: np.flatnonzero(unpack_rows(safe[cur], n)).tolist())
+        bfs(prev, a, lambda cur: np.flatnonzero(safe[cur]).tolist())
         if b not in prev:
             raise InternalError(f"no path {a}-{b} in component {u}/{comp}")
         return tree_path(prev, a, b)
@@ -109,7 +109,7 @@ def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
     avoid_z, az = avoid(np.array([z]))
     az = az[0]  # the vertices z tolerates, z itself excluded
     copies: list[Copy] = []
-    copy_at = np.full((n, n), -1, dtype=np.intp)
+    copy_at = np.full((n, n), -1, dtype=np.int32)
     for us in anchor_blocks(np.flatnonzero(az), n):
         safe, on = avoid(us)
         safe &= avoid_z
@@ -124,10 +124,10 @@ def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
         copies += zip(us[owner].tolist(), rank.tolist())
     # copies meet for every non-inclusion pair, adjacent or not
     us, vs = np.nonzero((H.types != EdgeType.INCLUSION) & az[:, None] & az[None, :])
-    a, b = copy_at[us, vs], copy_at[vs, us]
+    a, b = copy_at[us, vs].astype(np.int64), copy_at[vs, us].astype(np.int64)
     if (a < 0).any():
         raise InternalError("a tolerated pair lies outside a safe subgraph")
-    # both directions are listed; one sort of the keys a*m + b groups them
+    # both directions are listed; one sort of the int64 keys a*m + b groups them
     m = len(copies)
     heads, tails = np.divmod(sorted_unique(a * m + b), m)
     split = np.cumsum(np.bincount(heads, minlength=m))

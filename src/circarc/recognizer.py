@@ -15,7 +15,7 @@ from .arcs import ArcRepresentation, expand_arcs, representation_error
 from .delta import DeltaInvertiblePair, interval_orientation, labelled_from_typed
 from .edgetypes import (InternalError, TypedGraph, UnreducedGraphError,
                         classify_all, complete, completion_error)
-from .graph import Graph, ReductionTrace, reduce, replay_reduction
+from .graph import Graph, ReductionTrace, reduce
 from .intervals import build_intervals, lift_to_circle
 from .knotting import (AvoidWalkPair, bipartite_or_odd_cycle, build_knotting,
                        build_Z, extract_invertible_pair, overlap_side,
@@ -28,17 +28,17 @@ NEGATIVE = "NotCircularArc"
 @dataclass
 class Certificate:
     verdict: str
-    reduction: ReductionTrace
     arcs: Optional[ArcRepresentation] = None            # positive: for the input graph
-    completion: Optional[TypedGraph] = None             # negative fields below
-    pairing: Optional[dict[int, int]] = None
+    vertices: Optional[list[int]] = None                # negative: S, by input index
+    completion: Optional[TypedGraph] = None             # negative: of G[S], as are
+    pairing: Optional[dict[int, int]] = None            # the pairing and the walks
     obstruction: Optional[AvoidWalkPair] = None
 
 
 def _negative(G: Graph, trace: ReductionTrace, H: TypedGraph,
               pairing: dict[int, int], awp: AvoidWalkPair) -> Certificate:
-    cert = Certificate(NEGATIVE, trace, completion=H, pairing=pairing,
-                       obstruction=awp)
+    cert = Certificate(NEGATIVE, vertices=trace.survivors, completion=H,
+                       pairing=pairing, obstruction=awp)
     err = negative_error(G, cert)
     if err is not None:
         raise InternalError(f"emitted negative certificate invalid: {err}")
@@ -47,7 +47,7 @@ def _negative(G: Graph, trace: ReductionTrace, H: TypedGraph,
 
 def _positive(G: Graph, trace: ReductionTrace, reduced_rep: ArcRepresentation) -> Certificate:
     full = expand_arcs(trace, reduced_rep)
-    cert = Certificate(POSITIVE, trace, arcs=full)
+    cert = Certificate(POSITIVE, arcs=full)
     err = representation_error(G, full)
     if err is not None:
         raise InternalError(f"emitted positive certificate invalid: {err}")
@@ -99,18 +99,23 @@ def verify_positive(G: Graph, cert: Certificate) -> bool:
 def negative_error(G: Graph, cert: Certificate) -> Optional[str]:
     """Check a negative certificate from first principles.
 
-    The reduction is replayed (induced subgraphs inherit circular-arc-ness,
-    so an obstruction for the reduced graph condemns the input), the
-    completion is re-verified with types recomputed from its adjacency
-    alone, and the walks are checked stepwise.
+    The certificate names a vertex set S of G.  Induced subgraphs inherit
+    circular-arc-ness, so an obstruction for G[S] condemns G, whichever S
+    it is.  G[S] must be reduced, its completion is re-verified with types
+    recomputed from adjacency alone, and the walks are checked stepwise.
     """
     if cert.verdict != NEGATIVE:
         return "not a negative certificate"
-    if cert.completion is None or cert.pairing is None or cert.obstruction is None:
+    if (cert.vertices is None or cert.completion is None
+            or cert.pairing is None or cert.obstruction is None):
         return "missing negative payload"
+    S = cert.vertices
+    if not all(0 <= v < G.n for v in S):
+        return "vertex set names a vertex outside the input"
+    if len(set(S)) != len(S):
+        return "vertex set repeats a vertex"
     try:
-        G_r = replay_reduction(G, cert.reduction)
-        Gt = classify_all(G_r)
+        Gt = classify_all(G.induced(S))
         Ht = classify_all(cert.completion.graph)
         err = completion_error(Gt, Ht, cert.pairing)
         if err is not None:

@@ -1,11 +1,12 @@
-"""Hypothesis fuzz of ca-cert/2 certificate documents.
+"""Hypothesis fuzz of ca-cert/3 certificate documents.
 
 Each example takes the certificate of a small graph and mutates its
-document: a field is deleted, retyped or replaced, or the reduction trace
-is cut short (twins or universal vertices remain) or extended (0, 1 or 2
-vertices survive).  parse_certificate and the verifier must answer
-"invalid" (FormatError) or "REJECTED" (False), or accept a certificate
-whose verdict the brute-force oracle confirms; any other exception fails.
+document: a field is deleted, retyped or replaced, or a negative
+certificate's vertex set S is extended (a merged twin or a universal
+vertex comes back) or truncated (0, 1 or 2 vertices are left).
+parse_certificate and the verifier must answer "invalid" (FormatError)
+or "REJECTED" (False), or accept a certificate whose verdict the
+brute-force oracle confirms; any other exception fails.
 """
 
 import copy
@@ -31,6 +32,7 @@ C4_EDGES = "v1 v2\nv2 v3\nv3 v4\nv4 v1"
 GRAPHS = {
     "biclaw": BICLAW_EDGES,                                   # negative
     "biclaw+twin": BICLAW_EDGES + "\nh2 h\nh2 d\nh2 c",       # merges twins
+    "biclaw+universal": _with_universal(BICLAW_EDGES, "u"),  # drops u
     "c4+twin+universal": _with_universal(C4_EDGES + "\nt v1\nt v2\nt v4", "u"),
     "near-biclaw+universal": _with_universal(NEAR_BICLAW_EDGES, "u"),
 }
@@ -83,24 +85,18 @@ def mutated(draw):
             else:
                 parent[path[-1]] = draw(st.sampled_from(all_names)
                                         | st.integers(-2, 2 * G.n + 2))
-        elif not isinstance(doc.get("reduction"), list):
             continue
-        elif kind == "truncate":
-            steps = doc["reduction"]
-            del steps[draw(st.integers(0, len(steps))):]
-        else:  # remove survivors until 0, 1 or 2 are left
-            gone = [step.get(k) for step in doc["reduction"]
-                    if isinstance(step, dict) for k in ("vertex", "removed")]
-            left = [v for v in G.names if v not in gone]
-            keep = draw(st.integers(0, 2))
-            order = draw(st.permutations(left))
-            for i, v in enumerate(order[keep:]):
-                if i % 2 and keep:
-                    doc["reduction"].append({"kind": "merge_twins",
-                                             "kept": order[0], "removed": v})
-                else:
-                    doc["reduction"].append({"kind": "remove_universal",
-                                             "vertex": v})
+        neg = doc.get("negative")
+        S = neg.get("vertices") if isinstance(neg, dict) else None
+        if not isinstance(S, list):
+            continue
+        if kind == "truncate":  # keep 0, 1 or 2 vertices of S, in order
+            picked = draw(st.permutations(range(len(S))))[:draw(st.integers(0, 2))]
+            S[:] = [S[i] for i in sorted(picked)]
+        else:  # a vertex the reduction removed comes back
+            gone = [v for v in G.names if v not in S]
+            if gone:
+                S.insert(draw(st.integers(0, len(S))), draw(st.sampled_from(gone)))
     return name, doc
 
 

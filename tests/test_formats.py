@@ -13,6 +13,7 @@ from circarc.formats import (FormatError, certificate_from_doc,
 from circarc.cli import main
 from circarc.graph import Graph, build_graph
 from circarc.recognizer import (recognize, verify_negative, verify_positive)
+from conftest import BICLAW_EDGES
 
 
 class TestEdgeList:
@@ -155,13 +156,28 @@ class TestCertificateDocs:
 
     def test_negative_names_only_the_obstruction(self, biclaw):
         doc = certificate_to_doc(biclaw, recognize(biclaw))
-        assert set(doc["negative"]) == {"anchor", "pair", "walk_p", "walk_q"}
+        assert set(doc) == {"format", "input", "verdict", "negative"}
+        assert set(doc["negative"]) == {"vertices", "anchor", "pair",
+                                        "walk_p", "walk_q"}
+        assert doc["negative"]["vertices"] == list(biclaw.names)
+
+    def test_positive_names_only_the_arcs(self, c4):
+        doc = certificate_to_doc(c4, recognize(c4))
+        assert set(doc) == {"format", "input", "verdict", "positive"}
+        assert set(doc["positive"]) == {"circle_size", "arcs"}
+
+    def test_vertices_are_the_survivors_in_input_order(self):
+        # h2 is a true twin of h, and u is universal: neither survives
+        G = parse_edge_list(BICLAW_EDGES + "\nh2 h\nh2 d\nh2 c"
+                            + "".join(f"\nu {v}" for v in "dfaghbc") + "\nu h2")
+        doc = certificate_to_doc(G, recognize(G))
+        assert doc["negative"]["vertices"] == ["d", "f", "a", "g", "h", "b", "c"]
 
     def test_doc_is_json(self, biclaw):
         text = serialize_certificate(biclaw, recognize(biclaw))
         doc = json.loads(text)
         assert doc["verdict"] == "NotCircularArc"
-        assert doc["format"] == "ca-cert/2"
+        assert doc["format"] == "ca-cert/3"
 
 
 def _parse_doc(G, doc):
@@ -238,17 +254,25 @@ class TestNamesInCertificate:
         with pytest.raises(FormatError, match="unknown vertex name: 'zz'"):
             _parse_doc(c4, doc)
 
-    @pytest.mark.parametrize("step", [
-        {"kind": "remove_universal", "vertex": "zz"},
-        {"kind": "merge_twins", "kept": "v1", "removed": ["v2"]},
-    ], ids=["unknown", "unhashable"])
-    def test_unknown_reduction_vertex(self, c4, step):
-        doc = certificate_to_doc(c4, recognize(c4))
-        doc["reduction"].append(step)
+    @pytest.mark.parametrize("name", ["zz", ["d"]], ids=["unknown", "unhashable"])
+    def test_unknown_reduction_vertex(self, biclaw, name):
+        # the vertex set S names survivors of the reduction, by input name
+        doc = certificate_to_doc(biclaw, recognize(biclaw))
+        doc["negative"]["vertices"].append(name)
         with pytest.raises(FormatError, match="unknown vertex name"):
-            _parse_doc(c4, doc)
+            _parse_doc(biclaw, doc)
 
-    @pytest.mark.parametrize("field", ["pair", "walk_p", "walk_q"])
+    @pytest.mark.parametrize("edit", [
+        lambda S: S.append(S[0]),
+        lambda S: S.__setitem__(1, S[0]),
+    ], ids=["extra", "replaced"])
+    def test_repeated_vertex(self, biclaw, edit):
+        doc = certificate_to_doc(biclaw, recognize(biclaw))
+        edit(doc["negative"]["vertices"])
+        with pytest.raises(FormatError, match="vertices must name each vertex once"):
+            _parse_doc(biclaw, doc)
+
+    @pytest.mark.parametrize("field", ["vertices", "pair", "walk_p", "walk_q"])
     def test_names_must_be_a_list(self, biclaw, field):
         doc = certificate_to_doc(biclaw, recognize(biclaw))
         neg = doc["negative"]
@@ -290,8 +314,20 @@ def _old_format(doc):
     doc["format"] = "ca-cert/1"
 
 
+def _trace_format(doc):
+    # ca-cert/2 carried the reduction trace and no vertex set
+    doc["format"] = "ca-cert/2"
+    doc["reduction"] = []
+    del doc["negative"]["vertices"]
+
+
+def _drop_centre(doc):
+    # G[S] must be reduced; f and a are true twins once d is gone
+    doc["negative"]["vertices"].remove("d")
+
+
 class TestCertificateSafety:
-    """Tampered ca-cert/2 documents, or the right one against another
+    """Tampered ca-cert/3 documents, or the right one against another
     graph: "invalid" or "REJECTED", never "OK", and never a traceback."""
 
     @staticmethod
@@ -322,8 +358,11 @@ class TestCertificateSafety:
         (_unknown_walk_name, "unknown vertex name: 'zz'"),
         (_old_format, "ca-cert/1 certificates are no longer read; "
                       "re-run `circarc recognize`"),
+        (_trace_format, "ca-cert/2 certificates are no longer read; "
+                        "re-run `circarc recognize`"),
+        (_drop_centre, "true twins"),
     ], ids=["digest", "walk-vertex", "anchor", "pair-swapped", "unknown-name",
-            "ca-cert-1"])
+            "ca-cert-1", "ca-cert-2", "unreduced"])
     def test_tampered_document(self, biclaw, tmp_path, capsys, edit, message):
         doc = certificate_to_doc(biclaw, recognize(biclaw))
         edit(doc)

@@ -16,7 +16,7 @@ from circarc.graph import build_graph
 from circarc.oracle import oracle_is_ca
 from circarc.recognizer import NEGATIVE, POSITIVE, recognize
 
-ATLAS_SHA256 = "39e1906cfabf5f9c4010fc27ba62a23fd3fb890ea77c9e790ea5756fccfd3494"
+ATLAS_SHA256 = "ee43a09b847ecaed6afba6e9211788854ad99fb8e54816e6dc935adf7a389b5b"
 
 
 def test_atlas_certificates_are_unchanged():

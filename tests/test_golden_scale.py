@@ -16,7 +16,7 @@ from circarc.formats import serialize_certificate
 from circarc.recognizer import NEGATIVE, POSITIVE, recognize
 from conftest import arc_model, planted_negative
 
-SCALE_SHA256 = "0ed7132372f673712464a1a5464ac450ce676c2699862e06217d6735a175e313"
+SCALE_SHA256 = "4d59392c5aa33c9009c19c15ad4b7cc6606ff1ae3c2ff04919dce25178bf22d4"
 
 
 def corpus():

@@ -11,8 +11,7 @@ from circarc.delta import implication_classes, labelled_from_typed
 from circarc.graph import (Graph, GraphError, MergeTwins, ReductionStep,
                            ReductionTrace, RemoveUniversal, bfs, build_graph,
                            components, disjoint_rows, pack_rows, reduce,
-                           replay_reduction, sorted_unique, tree_path,
-                           unpack_rows)
+                           sorted_unique, tree_path, unpack_rows)
 from circarc.knotting import build_knotting
 from conftest import _bfs_components, arc_model, completion_of
 
@@ -417,14 +416,6 @@ class TestReduce:
 
     @given(random_graph_strategy())
     @settings(deadline=None, max_examples=60)
-    def test_replay_matches(self, G):
-        reduced, trace = reduce(G)
-        replayed = replay_reduction(G, trace)
-        assert np.array_equal(replayed.adj, reduced.adj)
-        assert replayed.names == reduced.names
-
-    @given(random_graph_strategy())
-    @settings(deadline=None, max_examples=60)
     def test_idempotent(self, G):
         reduced, _ = reduce(G)
         again, trace = reduce(reduced)
@@ -443,20 +434,6 @@ class TestReduce:
             for b in range(a + 1, reduced.n):
                 if reduced.adj[a, b]:
                     assert not np.array_equal(closed[a], closed[b])
-
-
-class TestReplayValidation:
-    def test_size_mismatch(self, c4):
-        _, trace = reduce(build_graph(2, [(0, 1)]))
-        with pytest.raises(GraphError):
-            replay_reduction(c4, trace)
-
-    def test_double_removal_rejected(self):
-        G = build_graph(2, [(0, 1)])
-        from circarc.graph import ReductionTrace
-        bad = ReductionTrace(2, [RemoveUniversal(0), RemoveUniversal(0)], [1])
-        with pytest.raises(GraphError):
-            replay_reduction(G, bad)
 
 
 class TestExpandArcs:

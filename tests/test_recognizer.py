@@ -3,11 +3,14 @@ import itertools
 import random
 import sys
 
+import pytest
+
 from circarc.arcs import ArcRepresentation
 from circarc.graph import build_graph
 from circarc.knotting import AvoidWalkPair
-from circarc.recognizer import (NEGATIVE, POSITIVE, Certificate, recognize,
-                                verify_negative, verify_positive)
+from circarc.recognizer import (NEGATIVE, POSITIVE, Certificate,
+                                negative_error, recognize, verify_negative,
+                                verify_positive)
 from conftest import arc_model, planted_negative
 
 
@@ -106,8 +109,7 @@ class TestVerifyPositive:
 
     def test_single_vertex(self):
         G = build_graph(1, [])
-        cert = Certificate(POSITIVE, recognize(G).reduction,
-                           arcs=ArcRepresentation(4, {0: (0, 1)}))
+        cert = Certificate(POSITIVE, arcs=ArcRepresentation(4, {0: (0, 1)}))
         assert verify_positive(G, cert)
 
     def test_verdict_mismatch(self, biclaw):
@@ -120,7 +122,7 @@ class TestVerifyNegative:
         awp = cert.obstruction
         bad_walk = list(awp.walk_p)
         bad_walk[0] = awp.anchor
-        broken = Certificate(NEGATIVE, cert.reduction,
+        broken = Certificate(NEGATIVE, vertices=cert.vertices,
                              completion=cert.completion,
                              pairing=cert.pairing,
                              obstruction=AvoidWalkPair(
@@ -134,7 +136,7 @@ class TestVerifyNegative:
         H = cert.completion
         idx = H.graph.index_of
         hand = Certificate(
-            NEGATIVE, cert.reduction, completion=H, pairing=cert.pairing,
+            NEGATIVE, vertices=cert.vertices, completion=H, pairing=cert.pairing,
             obstruction=AvoidWalkPair(
                 idx("c"), (idx("a"), idx("b")),
                 [idx(v) for v in ["a", "f", "d", "d", "g", "b"]],
@@ -143,6 +145,19 @@ class TestVerifyNegative:
 
     def test_verdict_mismatch(self, c4):
         assert not verify_negative(c4, recognize(c4))
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda S: S[:-1] + [7], "outside the input"),
+        (lambda S: [-1] + S[1:], "outside the input"),
+        (lambda S: S[:-1] + S[:1], "repeats a vertex"),
+        (lambda S: S + S[:1], "repeats a vertex"),
+    ], ids=["past-the-end", "negative", "repeated", "repeated-extra"])
+    def test_bad_vertex_set(self, biclaw, edit, message):
+        # an index past the end would raise, and -1 would wrap, in G.induced
+        cert = recognize(biclaw)
+        assert cert.vertices == list(range(7))
+        cert.vertices = edit(cert.vertices)
+        assert message in negative_error(biclaw, cert)
 
 
 class TestOracleAgreementSmall:
