@@ -1,14 +1,14 @@
 """Certifying recognition of circular-arc graphs."""
 
 from .arcs import ArcRepresentation, expand_arcs
-from .edgetypes import (EdgeType, TypedGraph, avoids, circular_pairs,
-                        classify_all, complete)
+from .check import (AvoidWalkPair, Certificate, EdgeType, TypedGraph, avoids,
+                    circular_pairs, classify_all, verify_negative, verify_positive)
+from .edgetypes import complete
 from .graph import Graph, ReductionTrace, build_graph, reduce
-from .knotting import (AvoidWalkPair, KnottingGraph, bipartite_or_odd_cycle,
-                       build_knotting, build_Z, extract_invertible_pair,
-                       overlap_side)
+from .knotting import (KnottingGraph, bipartite_or_odd_cycle, build_knotting,
+                       build_Z, extract_invertible_pair, overlap_side)
 from .oracle import cross_check, enumerate_labelled_graphs, oracle_is_ca
-from .recognizer import Certificate, recognize, verify_negative, verify_positive
+from .recognizer import recognize
 
 __all__ = [
     "ArcRepresentation", "AvoidWalkPair", "Certificate", "EdgeType", "Graph",

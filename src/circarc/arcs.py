@@ -3,16 +3,15 @@
 An arc (l, r) covers the slots l, l+1, ..., r clockwise, indices taken
 modulo the circle size.  Two arcs intersect when they share a slot.  A
 representation is valid for a graph when arcs pairwise intersect exactly
-for (closed-)adjacent vertex pairs, and all endpoints are distinct.
+for (closed-)adjacent vertex pairs, and all endpoints are distinct
+(``check.representation_error``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-import numpy as np
-
+from .check import representation_error  # re-exported under its old name
 from .graph import MergeTwins, RemoveUniversal
 
 
@@ -30,51 +29,6 @@ class ArcRepresentation:
         lu, _ = self.arcs[u]
         lv, _ = self.arcs[v]
         return self.covers(u, lv) or self.covers(v, lu)
-
-
-def representation_error(G, rep: ArcRepresentation) -> Optional[str]:
-    """First problem found in rep as a model of G, or None if it is valid.
-
-    G only needs .n and .adj (boolean, False diagonal); the check is
-    first-principles and does not rely on how the representation was
-    produced.  Endpoints are read vertex by vertex, left before right; the
-    first one outside the circle or already used is reported, then the
-    first vertex pair u < v, in row order, that meets wrongly.
-    """
-    if rep.circle_size < 1:
-        return "circle has no slots"
-    if set(rep.arcs) != set(range(G.n)):
-        return "arc set does not match vertex set"
-    flat = [e for v in range(G.n) for e in rep.arcs[v]]
-    try:
-        ends = np.array(flat, dtype=np.int64)
-    except OverflowError:  # integers past 64 bits, as a JSON document may hold
-        ends = np.array(flat, dtype=object)
-    order = ends.argsort(kind="stable")
-    outside = (ends < 0) | (ends >= rep.circle_size)
-    if outside.any() or (ends[order[1:]] == ends[order[:-1]]).any():
-        # first[rank[i]]: the first position holding the value at position i
-        _, first, rank = np.unique(ends, return_index=True, return_inverse=True)
-        i = int(np.flatnonzero(outside | (first[rank] < np.arange(ends.size)))[0])
-        e, v = flat[i], i // 2
-        if outside[i]:
-            return f"endpoint {e} of vertex {v} outside circle"
-        return f"vertices {first[rank[i]] // 2} and {v} share endpoint {e}"
-    # The endpoints are distinct, so only their circular order matters:
-    # replace each by its rank on a circle of 2n slots.
-    m = ends.size
-    rank = np.empty(m, dtype=np.intp)
-    rank[order] = np.arange(m)
-    left, right = rank[0::2], rank[1::2]
-    covers_left = (left[None, :] - left[:, None]) % m <= ((right - left) % m)[:, None]
-    wrong = (covers_left | covers_left.T) != G.adj
-    np.fill_diagonal(wrong, False)
-    if wrong.any():
-        # wrong is symmetric, so its first entry in row order has u < v
-        u, v = divmod(int(wrong.argmax()), G.n)
-        want = "intersect" if G.adj[u, v] else "be disjoint"
-        return f"arcs of {u} and {v} should {want}"
-    return None
 
 
 def expand_arcs(trace, rep: ArcRepresentation) -> ArcRepresentation:

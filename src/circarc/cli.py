@@ -13,13 +13,14 @@ import json
 import sys
 from typing import Optional
 
-from .edgetypes import InternalError, classify_all, complete
+from .check import POSITIVE, InternalError, classify_all, verify_negative, verify_positive
+from .edgetypes import complete
 from .formats import (FormatError, parse_certificate, parse_edge_list,
                       parse_graph6, serialize_certificate, write_edge_list)
 from .graph import Graph, GraphError, reduce as reduce_graph
 from .knotting import KnottingGraph, bipartite_or_odd_cycle, build_knotting
 from .oracle import cross_check, oracle_is_ca
-from .recognizer import POSITIVE, recognize, verify_negative, verify_positive
+from .recognizer import recognize
 
 EXIT_OK = 0
 EXIT_INVALID = 1

@@ -21,7 +21,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .edgetypes import EdgeType, InternalError, TypedGraph, anchor_blocks, avoiding
+from .check import EdgeType, InternalError, TypedGraph
+from .edgetypes import anchor_blocks, avoiding
 from .graph import components, disjoint_rows, pack_rows, sorted_unique
 
 Pair = tuple[int, int]

@@ -1,98 +1,17 @@
-"""Edge classification, spanning pairs, and the circular completion.
+"""The circular completion and the avoidance rows of anchors.
 
-Every edge of a reduced graph is either an inclusion (one closed
-neighbourhood inside the other) or an overlap, and an overlap is a
-2-overlap exactly when its ends form a spanning pair.  Non-adjacent
-spanning pairs are circular pairs; the circular completion gives each
-vertex without one a new partner vertex, all built in one pass from the
-containment and closed-adjacency matrices of the input.
+The circular completion gives each vertex without a circular partner
+(``check.circular_pairs``) a new partner vertex, all built in one pass
+from the containment and closed-adjacency matrices of the input.  It is
+not trusted: ``check.completion_error`` re-checks a certificate's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import IntEnum
-from typing import Optional, Sequence
-
 import numpy as np
 
+from .check import InternalError, TypedGraph, circular_pairs, classify_all
 from .graph import Graph, disjoint_rows, unpack_rows
-
-
-class EdgeType(IntEnum):
-    NONEDGE = 0
-    OVERLAP1 = 1
-    OVERLAP2 = 2
-    INCLUSION = 3
-
-
-class UnreducedGraphError(ValueError):
-    """Raised when classification meets a universal vertex or true twins."""
-
-
-class InternalError(AssertionError):
-    """A structural guarantee failed; indicates a bug, not bad input."""
-
-
-def _matrices(closed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """contains[u,v] = N[v] subset of N[u]; spanning[u,v] = spanning pair."""
-    contains = disjoint_rows(~closed, closed)
-    # (C1) for (u,v): every x outside N[v] has N[x] inside N[u]
-    span_c1 = disjoint_rows(~contains, ~closed)
-    return contains, span_c1 & span_c1.T
-
-
-@dataclass(frozen=True)
-class TypedGraph:
-    graph: Graph
-    types: np.ndarray    # int8 (n, n); diagonal INCLUSION
-    contains: np.ndarray  # bool (n, n); contains[u,v] = N[v] subset of N[u]
-    spanning: np.ndarray  # bool (n, n)
-
-    def overlaps(self, u: int, v: int) -> bool:
-        return self.types[u, v] in (EdgeType.OVERLAP1, EdgeType.OVERLAP2)
-
-
-def classify_all(G: Graph) -> TypedGraph:
-    """Classify every vertex pair of a reduced graph.
-
-    Raises UnreducedGraphError if G still has a universal vertex or true
-    twins (their edges would admit no type).  Graphs with at most one
-    vertex pass trivially.
-    """
-    closed = G.closed_adj()
-    contains, spanning = _matrices(closed)
-    if G.n >= 2:
-        universal = np.flatnonzero(closed.all(axis=1))
-        if universal.size:
-            raise UnreducedGraphError(f"universal vertex {int(universal[0])}")
-        twins = contains & contains.T & G.adj
-        if twins.any():
-            u, v = map(int, np.argwhere(twins)[0])
-            raise UnreducedGraphError(f"true twins {u}, {v}")
-    types = np.zeros((G.n, G.n), dtype=np.int8)
-    incl = G.adj & (contains | contains.T)
-    types[incl] = EdgeType.INCLUSION
-    types[G.adj & ~incl & spanning] = EdgeType.OVERLAP2
-    types[G.adj & ~incl & ~spanning] = EdgeType.OVERLAP1
-    np.fill_diagonal(types, EdgeType.INCLUSION)
-    return TypedGraph(G, types, contains, spanning)
-
-
-@dataclass(frozen=True)
-class CircularPairing:
-    partner: dict[int, int]
-
-
-def circular_pairs(T: TypedGraph) -> CircularPairing:
-    """Match each vertex with its circular partner, if it has one."""
-    circ = T.spanning & ~T.graph.closed_adj()
-    counts = circ.sum(axis=1)
-    if (counts > 1).any():
-        v = int(np.flatnonzero(counts > 1)[0])
-        raise InternalError(f"vertex {v} has two circular partners")
-    us, vs = np.nonzero(circ)  # at most one v per u, u increasing
-    return CircularPairing(dict(zip(us.tolist(), vs.tolist())))
 
 
 def complete(T: TypedGraph) -> tuple[TypedGraph, dict[int, int]]:
@@ -170,56 +89,3 @@ def avoiding(closed: np.ndarray, overlap: np.ndarray, included: np.ndarray,
     cut[~unpack_rows(ov, n)] = 0  # only rows of z's overlappers lose edges
     rows &= np.invert(cut, out=cut)
     return rows, on
-
-
-def avoids(T: TypedGraph, z: int, walk: Sequence[int]) -> bool:
-    """Does z avoid the given walk?
-
-    Requires every neighbour of z on the walk (including z itself, which
-    never overlaps itself) to overlap z, and forbids the walk from using an
-    overlap edge between two vertices that both overlap z.  Repeated
-    vertices in the walk denote loops and are allowed.
-    """
-    for a, b in zip(walk, walk[1:]):
-        if a != b and not T.graph.adjacent(a, b):
-            raise ValueError(f"not a walk: {a} and {b} are non-adjacent")
-    for x in walk:
-        if T.graph.adjacent(z, x) and not T.overlaps(z, x):
-            return False
-    for a, b in zip(walk, walk[1:]):
-        if a != b and T.overlaps(z, a) and T.overlaps(z, b) and T.overlaps(a, b):
-            return False
-    return True
-
-
-def completion_error(Gt: TypedGraph, Ht: TypedGraph,
-                     pairing: dict[int, int]) -> Optional[str]:
-    """First-principles check that (Ht, pairing) completes Gt; None if OK.
-
-    Gt's vertices must be the first vertices of Ht.
-    """
-    n, m = Gt.graph.n, Ht.graph.n
-    if m < n:
-        return "completion smaller than input"
-    if not np.array_equal(Ht.graph.adj[:n, :n], Gt.graph.adj):
-        return "input graph is not induced in the completion"
-    if not np.array_equal(Ht.types[:n, :n], Gt.types):
-        return "edge types not preserved"
-    if m != 2 * n - len(circular_pairs(Gt).partner):
-        return "wrong completion cardinality"
-    if set(pairing) != set(range(m)):
-        return "pairing does not cover the completion"
-    for u, v in pairing.items():
-        if u == v or pairing.get(v) != u:
-            return "pairing is not an involution without fixed points"
-        if Ht.graph.adjacent(u, v) or not Ht.spanning[u, v]:
-            return f"{u}, {v} paired but not a circular pair"
-        if u >= n and v >= n:
-            return f"added vertices {u}, {v} paired together"
-    closed = Ht.graph.closed_adj()
-    if m >= 2 and closed.all(axis=1).any():
-        return "completion has a universal vertex"
-    twins = Ht.contains & Ht.contains.T & Ht.graph.adj
-    if twins.any():
-        return "completion has true twins"
-    return None

@@ -7,32 +7,32 @@ byte-identical on disk.
 A document binds its input graph G by ``{"n": n, "sha256": graph_digest(G)}``,
 the SHA-256 of the compact JSON text ``[names, graph6]``; graph6 is written
 as ``networkx.to_graph6_bytes(g, header=False)`` writes it, less the final
-newline.  Beyond that a document holds only what its verifier checks.  A
-positive one holds the arcs of every input vertex.  A negative one holds
-a vertex set S, named in input order (the reduction's survivors), and the
-anchor, the pair and the two walks, named in the circular completion of
-G[S]: the reader rebuilds that completion with ``edgetypes.complete``, and
-``recognizer.negative_error`` re-checks it from first principles before it
-checks the walks.  "ca-cert/1" and "ca-cert/2" documents, which carried
-the reduction trace, are no longer read.
+newline (``check.graph_digest``).  Beyond that a document holds only what
+its checker reads.  A positive one holds the arcs of every input vertex.
+A negative one holds a vertex set S, named in input order (the
+reduction's survivors), and the anchor, the pair and the two walks, named
+in the circular completion of G[S]: the reader rebuilds it with the
+untrusted ``edgetypes.complete``, and ``check.negative_error`` re-derives
+it from adjacency before it checks the walks.  "ca-cert/1" and
+"ca-cert/2" documents, which carried the reduction trace, are no longer
+read.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any
 
 import numpy as np
 
 from .arcs import ArcRepresentation
-from .edgetypes import InternalError, classify_all, complete
+from .check import (G6_MAX_N, NEGATIVE, POSITIVE, AvoidWalkPair, Certificate,
+                    InternalError, classify_all, graph_digest)
+from .check import write_graph6  # re-exported: the writer graph_digest relies on
+from .edgetypes import complete
 from .graph import Graph, GraphError, build_graph
-from .knotting import AvoidWalkPair
-from .recognizer import NEGATIVE, POSITIVE, Certificate
 
 FORMAT_TAG = "ca-cert/3"
-G6_MAX_N = 258047  # the largest n of a 4-byte graph6 header
 
 
 class FormatError(ValueError):
@@ -100,26 +100,6 @@ def write_edge_list(G: Graph) -> str:
     """Each vertex on a line of its own, then the edges: parses back as G."""
     edges = [f"{G.names[u]} {G.names[v]}" for u, v in G.edges()]
     return "\n".join([*G.names, *edges]) + "\n"
-
-
-def write_graph6(G: Graph) -> str:
-    """graph6 of G without a trailing newline, as networkx.to_graph6_bytes
-    writes it: short form up to 62 vertices, long form above."""
-    n = G.n
-    if n > G6_MAX_N:
-        raise FormatError(f"graph6 handles at most {G6_MAX_N} vertices here")
-    head = [n] if n <= 62 else [63, n >> 12, n >> 6 & 63, n & 63]
-    bits = G.adj[np.tril_indices(n, -1)]
-    six = np.zeros(-(-bits.size // 6) * 6, dtype=np.uint8)
-    six[:bits.size] = bits
-    body = six.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
-    return bytes(np.concatenate((head, body)).astype(np.uint8) + 63).decode("ascii")
-
-
-def graph_digest(G: Graph) -> str:
-    """SHA-256 of the JSON text [names, graph6] that binds a certificate to G."""
-    text = json.dumps([list(G.names), write_graph6(G)], separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _vertex(index: dict[str, int], name: Any) -> int:

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arcs import ArcRepresentation, representation_error
+from .arcs import ArcRepresentation
+from .check import InternalError, TypedGraph, representation_error
 from .delta import Label, LabelledGraph
-from .edgetypes import InternalError, TypedGraph
 
 
 @dataclass(frozen=True)

@@ -18,53 +18,13 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .edgetypes import (EdgeType, InternalError, TypedGraph, anchor_blocks,
-                        avoiding, avoids)
+from .check import AvoidWalkPair, EdgeType, InternalError, TypedGraph
+from .check import walk_pair_error  # re-exported under its old name
+from .edgetypes import anchor_blocks, avoiding
 from .graph import (bfs, components, pack_rows, sorted_unique, tree_path,
                     unpack_rows)
 
 Copy = tuple[int, int]  # (vertex, component index)
-
-
-@dataclass(frozen=True)
-class AvoidWalkPair:
-    anchor: int
-    pair: tuple[int, int]
-    walk_p: list[int]  # pair[0] -> pair[1]
-    walk_q: list[int]  # pair[1] -> pair[0]
-
-
-def walk_pair_error(H: TypedGraph, awp: AvoidWalkPair) -> Optional[str]:
-    """First-principles check of an anchored pair of avoiding walks."""
-    n = H.graph.n
-    x, y = awp.pair
-    z = awp.anchor
-    p, q = awp.walk_p, awp.walk_q
-    for v in [x, y, z, *p, *q]:
-        if not 0 <= v < n:
-            return f"vertex {v} out of range"
-    if x == y:
-        return "pair members must be distinct"
-    if z in (x, y):
-        return "anchor may not belong to the pair"
-    if len(p) != len(q) or not p:
-        return "walks must be nonempty and of equal length"
-    if p[0] != x or p[-1] != y or q[0] != y or q[-1] != x:
-        return "walk endpoints do not match the pair"
-    for walk in (p, q):
-        for a, b in zip(walk, walk[1:]):
-            if a != b and not H.graph.adjacent(a, b):
-                return f"step {a}-{b} is not an edge"
-    if not avoids(H, z, p):
-        return "anchor does not avoid the first walk"
-    if not avoids(H, z, q):
-        return "anchor does not avoid the second walk"
-    for i in range(len(p) - 1):
-        if not avoids(H, p[i], [q[i], q[i + 1]]):
-            return f"{p[i]} does not avoid step {i} of the second walk"
-        if not avoids(H, q[i + 1], [p[i], p[i + 1]]):
-            return f"{q[i + 1]} does not avoid step {i} of the first walk"
-    return None
 
 
 def _avoiding_at(H: TypedGraph) -> Callable[[np.ndarray],

@@ -15,9 +15,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .arcs import ArcRepresentation, representation_error
+from .arcs import ArcRepresentation
+from .check import representation_error, verify_negative, verify_positive
 from .graph import Graph, build_graph
-from .recognizer import recognize, verify_negative, verify_positive
+from .recognizer import recognize
 
 ORACLE_CAP = 8
 

@@ -3,55 +3,33 @@
 recognize() either produces an arc representation of the input or a pair
 of mutually avoiding walks, anchored at a minimum-degree vertex of the
 circular completion of the reduced input.  Both certificate kinds are
-checked by independent verifiers before being returned.
+checked by the independent checker in ``check`` before being returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-from .arcs import ArcRepresentation, expand_arcs, representation_error
+from .arcs import ArcRepresentation, expand_arcs
+from .check import (NEGATIVE, POSITIVE, Certificate, InternalError, classify_all,
+                    negative_error, positive_error)
+from .check import verify_negative, verify_positive  # re-exported under their old names
 from .delta import DeltaInvertiblePair, interval_orientation, labelled_from_typed
-from .edgetypes import (InternalError, TypedGraph, UnreducedGraphError,
-                        classify_all, complete, completion_error)
+from .edgetypes import complete
 from .graph import Graph, ReductionTrace, reduce
 from .intervals import build_intervals, lift_to_circle
-from .knotting import (AvoidWalkPair, bipartite_or_odd_cycle, build_knotting,
-                       build_Z, extract_invertible_pair, overlap_side,
-                       walk_pair_error)
-
-POSITIVE = "CircularArc"
-NEGATIVE = "NotCircularArc"
+from .knotting import (bipartite_or_odd_cycle, build_knotting, build_Z,
+                       extract_invertible_pair, overlap_side)
 
 
-@dataclass
-class Certificate:
-    verdict: str
-    arcs: Optional[ArcRepresentation] = None            # positive: for the input graph
-    vertices: Optional[list[int]] = None                # negative: S, by input index
-    completion: Optional[TypedGraph] = None             # negative: of G[S], as are
-    pairing: Optional[dict[int, int]] = None            # the pairing and the walks
-    obstruction: Optional[AvoidWalkPair] = None
-
-
-def _negative(G: Graph, trace: ReductionTrace, H: TypedGraph,
-              pairing: dict[int, int], awp: AvoidWalkPair) -> Certificate:
-    cert = Certificate(NEGATIVE, vertices=trace.survivors, completion=H,
-                       pairing=pairing, obstruction=awp)
-    err = negative_error(G, cert)
+def _checked(G: Graph, cert: Certificate) -> Certificate:
+    """cert, once the checker accepts it for G."""
+    err = (positive_error if cert.verdict == POSITIVE else negative_error)(G, cert)
     if err is not None:
-        raise InternalError(f"emitted negative certificate invalid: {err}")
+        raise InternalError(f"emitted certificate invalid: {err}")
     return cert
 
 
 def _positive(G: Graph, trace: ReductionTrace, reduced_rep: ArcRepresentation) -> Certificate:
-    full = expand_arcs(trace, reduced_rep)
-    cert = Certificate(POSITIVE, arcs=full)
-    err = representation_error(G, full)
-    if err is not None:
-        raise InternalError(f"emitted positive certificate invalid: {err}")
-    return cert
+    return _checked(G, Certificate(POSITIVE, arcs=expand_arcs(trace, reduced_rep)))
 
 
 def recognize(G: Graph) -> Certificate:
@@ -68,7 +46,8 @@ def recognize(G: Graph) -> Certificate:
     res = bipartite_or_odd_cycle(K)
     if isinstance(res, list):
         awp = extract_invertible_pair(H, K, res)
-        return _negative(G, trace, H, pairing, awp)
+        return _checked(G, Certificate(NEGATIVE, vertices=trace.survivors, completion=H,
+                                       pairing=pairing, obstruction=awp))
     zset = build_Z(H, z, overlap_side(H, K, res, pairing[z]), pairing)
     L = labelled_from_typed(H, zset)
     try:
@@ -82,51 +61,3 @@ def recognize(G: Graph) -> Certificate:
     reduced_rep = ArcRepresentation(arcs_h.circle_size,
                                     {v: arcs_h.arcs[v] for v in range(G_r.n)})
     return _positive(G, trace, reduced_rep)
-
-
-def positive_error(G: Graph, cert: Certificate) -> Optional[str]:
-    if cert.verdict != POSITIVE:
-        return "not a positive certificate"
-    if cert.arcs is None:
-        return "missing arcs"
-    return representation_error(G, cert.arcs)
-
-
-def verify_positive(G: Graph, cert: Certificate) -> bool:
-    return positive_error(G, cert) is None
-
-
-def negative_error(G: Graph, cert: Certificate) -> Optional[str]:
-    """Check a negative certificate from first principles.
-
-    The certificate names a vertex set S of G.  Induced subgraphs inherit
-    circular-arc-ness, so an obstruction for G[S] condemns G, whichever S
-    it is.  G[S] must be reduced, its completion is re-verified with types
-    recomputed from adjacency alone, and the walks are checked stepwise.
-    """
-    if cert.verdict != NEGATIVE:
-        return "not a negative certificate"
-    if (cert.vertices is None or cert.completion is None
-            or cert.pairing is None or cert.obstruction is None):
-        return "missing negative payload"
-    S = cert.vertices
-    if not all(0 <= v < G.n for v in S):
-        return "vertex set names a vertex outside the input"
-    if len(set(S)) != len(S):
-        return "vertex set repeats a vertex"
-    try:
-        Gt = classify_all(G.induced(S))
-        Ht = classify_all(cert.completion.graph)
-        err = completion_error(Gt, Ht, cert.pairing)
-        if err is not None:
-            return f"completion check failed: {err}"
-        err = walk_pair_error(Ht, cert.obstruction)
-        if err is not None:
-            return f"walk check failed: {err}"
-    except (ValueError, UnreducedGraphError, InternalError) as exc:
-        return str(exc)
-    return None
-
-
-def verify_negative(G: Graph, cert: Certificate) -> bool:
-    return negative_error(G, cert) is None

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from circarc.delta import Label, LabelledGraph, labelled_from_typed
-from circarc.edgetypes import circular_pairs, classify_all, complete
+from circarc.check import circular_pairs, classify_all
+from circarc.edgetypes import complete
 from circarc.formats import parse_edge_list
 from circarc.graph import Graph, build_graph, reduce as reduce_graph
 from circarc.knotting import (bipartite_or_odd_cycle, build_knotting, build_Z,

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from circarc.arcs import ArcRepresentation, representation_error
+from circarc.arcs import ArcRepresentation
+from circarc.check import representation_error
 from circarc.graph import Graph, build_graph
 from circarc.recognizer import POSITIVE, recognize
 from conftest import arc_model

@@ -3,7 +3,11 @@
 Each example takes the certificate of a small graph and mutates its
 document: a field is deleted, retyped or replaced, or a negative
 certificate's vertex set S is extended (a merged twin or a universal
-vertex comes back) or truncated (0, 1 or 2 vertices are left).
+vertex comes back) or truncated (0, 1 or 2 vertices are left).  Most
+examples of a negative certificate only move its walks, which keeps the
+document readable so that it reaches the walk checker: a name of the
+anchor, the pair or a walk is replaced by another name of the same
+completion, or a walk step is repeated or dropped.
 parse_certificate and the verifier must answer "invalid" (FormatError)
 or "REJECTED" (False), or accept a certificate whose verdict the
 brute-force oracle confirms; any other exception fails.
@@ -40,12 +44,14 @@ GRAPHS = {
 
 @lru_cache(maxsize=None)
 def case(name):
-    """(graph, certificate document as JSON text, oracle verdict)."""
+    """(graph, certificate document as JSON text, oracle verdict, names of
+    the negative certificate's completion)."""
     G = parse_edge_list(GRAPHS[name])
     cert = recognize(G)
     verdict = POSITIVE if oracle_is_ca(G) else NEGATIVE
     assert cert.verdict == verdict
-    return G, json.dumps(certificate_to_doc(G, cert)), verdict
+    names = cert.completion.graph.names if verdict == NEGATIVE else ()
+    return G, json.dumps(certificate_to_doc(G, cert)), verdict, names
 
 
 def paths(doc, prefix=()):
@@ -59,17 +65,39 @@ def paths(doc, prefix=()):
 
 ODD_VALUES = [None, True, 0, -1, 2 ** 70, 1.5, "", "zz", "~zz", [], {}, [[]],
               ["zz", "zz"], {"kind": "merge_twins"}, {"kind": "nope"}]
+DOCUMENT_KINDS = ["delete", "retype", "replace", "truncate", "extend"]
+WALK_KINDS = ["rename", "repeat", "drop"]
 
 
 @st.composite
 def mutated(draw):
     name = draw(st.sampled_from(sorted(GRAPHS)))
-    G, text, verdict = case(name)
+    G, text, verdict, h_names = case(name)
     doc = json.loads(text)
     all_names = list(G.names) + ["~" + v for v in G.names]
+    kinds = DOCUMENT_KINDS
+    if verdict == NEGATIVE:  # two examples in three move only the walks
+        kinds = draw(st.sampled_from([DOCUMENT_KINDS, WALK_KINDS, WALK_KINDS]))
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["delete", "retype", "replace",
-                                     "truncate", "extend"]))
+        kind = draw(st.sampled_from(kinds))
+        if kind in WALK_KINDS:
+            neg = doc["negative"]
+            keys = ["walk_p", "walk_q"] + (["anchor", "pair"] if kind == "rename" else [])
+            key = draw(st.sampled_from(keys))
+            if key == "anchor":
+                neg[key] = draw(st.sampled_from(h_names))
+                continue
+            seq = neg[key]
+            if not seq:
+                continue
+            i = draw(st.integers(0, len(seq) - 1))
+            if kind == "rename":
+                seq[i] = draw(st.sampled_from(h_names))
+            elif kind == "repeat":
+                seq.insert(i, seq[i])
+            else:
+                del seq[i]
+            continue
         if kind in ("delete", "retype", "replace"):
             options = list(paths(doc))
             if not options:
@@ -104,7 +132,7 @@ def mutated(draw):
 @given(mutated())
 def test_mutated_certificates_never_crash(example):
     name, doc = example
-    G, _, verdict = case(name)
+    G, _, verdict, _ = case(name)
     try:
         cert = parse_certificate(G, json.dumps(doc))
     except FormatError:

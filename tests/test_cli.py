@@ -5,7 +5,7 @@ import pytest
 
 import circarc.recognizer
 from circarc.cli import main
-from circarc.edgetypes import InternalError
+from circarc.check import InternalError
 from circarc.formats import parse_edge_list, write_graph6
 from conftest import BICLAW_EDGES, NEAR_BICLAW_EDGES, arc_model, planted_negative
 

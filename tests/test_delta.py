@@ -10,7 +10,8 @@ from circarc.delta import (DeltaInvertiblePair, Label, LabelledGraph,
                            NonUniformQuotientLabel, Pair, implication_classes,
                            interval_orientation, labelled_from_typed,
                            ordering_violation, verify_interval_ordering)
-from circarc.edgetypes import avoiding, classify_all, complete
+from circarc.check import classify_all
+from circarc.edgetypes import avoiding, complete
 from circarc.graph import bfs, pack_rows, tree_path, unpack_rows
 from circarc.knotting import build_knotting, build_Z, overlap_side
 from conftest import _dense_avoiding, arc_model, labels_on_Z, make_labelled

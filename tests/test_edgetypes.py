@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 
 from circarc.arcs import ArcRepresentation
-from circarc.edgetypes import (EdgeType, UnreducedGraphError, _matrices, avoiding,
-                               avoids, circular_pairs, classify_all, complete,
-                               completion_error)
+from circarc.check import (EdgeType, UnreducedGraphError, _matrices, avoids,
+                           circular_pairs, classify_all, completion_error)
+from circarc.edgetypes import avoiding, complete
 from circarc.graph import (Graph, build_graph, pack_rows, reduce as reduce_graph,
                            unpack_rows)
 from circarc.formats import parse_edge_list
@@ -86,7 +86,7 @@ class TestClassify:
 
     def test_p3_middle_is_universal(self):
         P3 = build_graph(3, [(0, 1), (1, 2)], ["a", "b", "c"])
-        with pytest.raises(UnreducedGraphError):
+        with pytest.raises(UnreducedGraphError, match="universal vertex 'b'"):
             classify_all(P3)
 
     def test_biclaw_df_overlap1(self, biclaw):
@@ -107,8 +107,10 @@ class TestClassify:
             classify_all(build_graph(3, [(0, 1), (0, 2)]))
 
     def test_true_twins_rejected(self):
-        with pytest.raises(UnreducedGraphError):
-            classify_all(build_graph(3, [(0, 1), (0, 2), (1, 2)]))
+        # triangle abc with a path c-d-e: a and b are true twins, named as in G
+        G = build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)], list("abcde"))
+        with pytest.raises(UnreducedGraphError, match="true twins 'a', 'b'"):
+            classify_all(G)
 
     def test_trichotomy(self):
         for G in reduced_graphs(4):

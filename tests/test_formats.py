@@ -360,7 +360,7 @@ class TestCertificateSafety:
                       "re-run `circarc recognize`"),
         (_trace_format, "ca-cert/2 certificates are no longer read; "
                         "re-run `circarc recognize`"),
-        (_drop_centre, "true twins"),
+        (_drop_centre, "true twins 'f', 'a'"),
     ], ids=["digest", "walk-vertex", "anchor", "pair-swapped", "unknown-name",
             "ca-cert-1", "ca-cert-2", "unreduced"])
     def test_tampered_document(self, biclaw, tmp_path, capsys, edit, message):

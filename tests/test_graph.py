@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circarc.arcs import ArcRepresentation, expand_arcs, representation_error
+from circarc.arcs import ArcRepresentation, expand_arcs
+from circarc.check import representation_error
 from circarc import edgetypes
 from circarc.delta import implication_classes, labelled_from_typed
 from circarc.graph import (Graph, GraphError, MergeTwins, ReductionStep,

@@ -4,10 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from circarc.arcs import ArcRepresentation, representation_error
+from circarc.arcs import ArcRepresentation
+from circarc.check import InternalError, representation_error
 from circarc.delta import (DeltaInvertiblePair, Label, interval_orientation,
                            ordering_violation, verify_interval_ordering)
-from circarc.edgetypes import InternalError
 from circarc.intervals import _consistency_error, build_intervals, lift_to_circle
 from conftest import arc_model, completion_of, labels_on_Z, make_labelled
 

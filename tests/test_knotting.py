@@ -7,12 +7,12 @@ import pytest
 
 import numpy as np
 
-from circarc.edgetypes import (EdgeType, InternalError, avoids,
-                               circular_pairs, classify_all, complete)
+from circarc.check import (AvoidWalkPair, EdgeType, InternalError, avoids,
+                           circular_pairs, classify_all, walk_pair_error)
+from circarc.edgetypes import complete
 from circarc.graph import bfs, build_graph, reduce as reduce_graph
-from circarc.knotting import (AvoidWalkPair, bipartite_or_odd_cycle, build_Z,
-                              build_knotting, extract_invertible_pair,
-                              overlap_side, walk_pair_error)
+from circarc.knotting import (bipartite_or_odd_cycle, build_Z, build_knotting,
+                              extract_invertible_pair, overlap_side)
 from conftest import (_dense_avoiding, arc_model, completion_of,
                       planted_negative, side_at)
 

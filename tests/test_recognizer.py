@@ -6,11 +6,10 @@ import sys
 import pytest
 
 from circarc.arcs import ArcRepresentation
+from circarc.check import (NEGATIVE, POSITIVE, AvoidWalkPair, Certificate,
+                           negative_error, verify_negative, verify_positive)
 from circarc.graph import build_graph
-from circarc.knotting import AvoidWalkPair
-from circarc.recognizer import (NEGATIVE, POSITIVE, Certificate,
-                                negative_error, recognize, verify_negative,
-                                verify_positive)
+from circarc.recognizer import recognize
 from conftest import arc_model, planted_negative
 
 
