@@ -13,7 +13,7 @@ import json
 import sys
 from typing import Optional
 
-from .check import POSITIVE, InternalError, classify_all, verify_negative, verify_positive
+from .check import POSITIVE, InternalError, classify_all, negative_error, positive_error
 from .edgetypes import complete
 from .formats import (FormatError, parse_certificate, parse_edge_list,
                       parse_graph6, serialize_certificate, write_edge_list)
@@ -79,10 +79,11 @@ def _cmd_verify(args, G: Graph) -> int:
     except (FormatError, UnicodeDecodeError) as exc:
         print(f"invalid certificate: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    ok = (verify_positive(G, cert) if cert.verdict == POSITIVE
-          else verify_negative(G, cert))
-    print("certificate OK" if ok else "certificate REJECTED")
-    return EXIT_OK if ok else EXIT_INVALID
+    err = (positive_error if cert.verdict == POSITIVE else negative_error)(G, cert)
+    if err is not None:
+        print(err, file=sys.stderr)
+    print("certificate OK" if err is None else "certificate REJECTED")
+    return EXIT_OK if err is None else EXIT_INVALID
 
 
 def _cmd_oracle(args, G: Graph) -> int:

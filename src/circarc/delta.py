@@ -251,8 +251,7 @@ def interval_orientation(L: LabelledGraph) -> list[int]:
     """
     order = _order_vertices(L)
     pos = np.empty(L.n, dtype=int)
-    for i, v in enumerate(order):
-        pos[v] = i
+    pos[order] = np.arange(L.n)
     inside_bad = L.inside & (pos[:, None] > pos[None, :])
     if inside_bad.any():
         u, v = map(int, np.argwhere(inside_bad)[0])
@@ -264,37 +263,45 @@ def interval_orientation(L: LabelledGraph) -> list[int]:
 
 
 def ordering_violation(L: LabelledGraph, order: list[int]) -> Optional[tuple]:
-    """First forbidden triple in the candidate interval ordering, if any."""
+    """First forbidden triple (pattern, a, b, c) of a candidate interval ordering.
+
+    With a < b < c in the order, the patterns are, as labels of (a, b),
+    (b, c) and (a, c):
+      i    non-edge, any,        edge
+      ii   inclusion, edge,      non-edge
+      iii  overlap, non-edge,    edge
+      iv   overlap, overlap,     inclusion
+      v    inclusion, inclusion, overlap
+    where an edge is an overlap or an inclusion.  Each pattern is one 0/1
+    product over the middle b, masked by the (a, c) label.  "First" means
+    the first pattern that occurs, then its first (a, c) in row order by
+    position, then the least b between them.
+    """
     n = L.n
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the vertices")
     idx = np.array(order, dtype=int)
     lab = L.labels[np.ix_(idx, idx)]
-    non = lab == Label.NONEDGE
-    ov = lab == Label.OVERLAP
-    inc = lab == Label.INCLUSION
-    np.fill_diagonal(inc, False)
+    # rows and columns by position; the diagonal drops out of every triu
+    non = np.triu(lab == Label.NONEDGE, 1)
+    ov = np.triu(lab == Label.OVERLAP, 1)
+    inc = np.triu(lab == Label.INCLUSION, 1)
     edge = ov | inc
-    for bpos in range(1, n - 1):
-        a_rng = slice(0, bpos)
-        c_rng = slice(bpos + 1, n)
-        an, ao, ai = non[a_rng, bpos], ov[a_rng, bpos], inc[a_rng, bpos]
-        cn, co, ci = non[bpos, c_rng], ov[bpos, c_rng], inc[bpos, c_rng]
-        ac_n = non[a_rng, c_rng]
-        ac_e = edge[a_rng, c_rng]
-        ac_o = ov[a_rng, c_rng]
-        ac_i = inc[a_rng, c_rng]
-        pats = [
-            (an[:, None] & ac_e, "i"),
-            (ai[:, None] & ac_n & (co | ci)[None, :], "ii"),
-            (ao[:, None] & ac_e & cn[None, :], "iii"),
-            (ao[:, None] & co[None, :] & ac_i, "iv"),
-            (ai[:, None] & ci[None, :] & ac_o, "v"),
-        ]
-        for m, name in pats:
-            if m.any():
-                ai_, ci_ = map(int, np.argwhere(m)[0])
-                return (name, order[ai_], order[bpos], order[ci_ + bpos + 1])
+    pats = [
+        ("i", non, np.triu(np.ones((n, n), dtype=bool), 1), edge),
+        ("ii", inc, edge, non),
+        ("iii", ov, non, edge),
+        ("iv", ov, ov, inc),
+        ("v", inc, inc, ov),
+    ]
+    for name, ab, bc, ac in pats:
+        # some b has ab[a, b] and bc[b, c]; both are above the diagonal,
+        # so a < b < c
+        hit = ac & ~disjoint_rows(ab, bc.T)
+        if hit.any():
+            a, c = map(int, np.argwhere(hit)[0])
+            b = int(np.argmax(ab[a] & bc[:, c]))
+            return (name, order[a], order[b], order[c])
     return None
 
 

@@ -57,25 +57,35 @@ def build_intervals(L: LabelledGraph, order: list[int]) -> IntervalRepresentatio
     was not an interval ordering and is reported as an internal error.
     """
     n = L.n
-    # pos[x] and pos[n + x]: the places, from 1, of L(x) and R(x) in the
-    # sequence built so far, negative until placed; an insertion shifts
-    # everything after it, so relative order never changes
-    pos = np.full(2 * n, -2 * n, dtype=np.intp)
     idx = np.array(order, dtype=np.intp)
+    lab = L.labels[np.ix_(idx, idx)]  # rows and columns by position
+    # last[k]: the position of y, the last vertex from order[k] on that
+    # meets order[k]; the loop at order[k] is never a non-edge
+    last = np.where(np.triu(lab != Label.NONEDGE), np.arange(n), 0).max(axis=1, initial=0)
+    incl = np.triu(lab == Label.INCLUSION, 1)
+    outer = incl & ~L.inside[np.ix_(idx, idx)]
+    if outer.any():
+        k = int(np.flatnonzero(outer.any(axis=1))[-1])
+        v = order[int(np.argmax(outer[k]))]
+        raise InternalError(
+            f"vertex {v} inclusion-tied to leftmost {order[k]} but not inside it")
+    # Right to left, L(order[k]) goes first and R(order[k]) right after the
+    # latest of L(y) and the R(i) of the vertices i inside it.  Insertions
+    # never reorder what is placed, so the sequence is a preorder: L(order[j])
+    # has key (j,) and R(order[k]) the key of that anchor extended by k.
+    rows, inner = np.nonzero(incl)
+    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    inner, last = inner.tolist(), last.tolist()
+    lkey = [(j,) for j in range(n)]
+    rkey: list[tuple[int, ...]] = [()] * n
     for k in range(n - 1, -1, -1):
-        x = order[k]
-        pos += 1
-        pos[x] = 1
-        row = L.labels[x, idx[k:]]  # row[0] is the loop at x, never a non-edge
-        y = order[k + int(np.flatnonzero(row != Label.NONEDGE)[-1])]
-        incl = idx[k + 1:][row[1:] == Label.INCLUSION]
-        outer = incl[~L.inside[x, incl]]
-        if outer.size:
-            raise InternalError(
-                f"vertex {outer[0]} inclusion-tied to leftmost {x} but not inside it")
-        t = max(pos[y], pos[n + incl].max(initial=0))
-        pos[pos > t] += 1
-        pos[n + x] = t + 1
+        anchor = max([lkey[last[k]]] + [rkey[i] for i in inner[starts[k]:starts[k + 1]]])
+        rkey[k] = anchor + (k,)
+    keys = lkey + rkey
+    rank = np.empty(2 * n, dtype=np.intp)
+    rank[sorted(range(2 * n), key=keys.__getitem__)] = np.arange(1, 2 * n + 1)
+    pos = np.empty(2 * n, dtype=np.intp)
+    pos[idx], pos[n + idx] = rank[:n], rank[n:]
     iv = dict(enumerate(zip(pos[:n].tolist(), pos[n:].tolist())))
     err = _consistency_error(L, iv)
     if err is not None:

@@ -125,6 +125,34 @@ class TestVerifyCommand:
         assert main(["verify", g, str(out)]) == 1
         capsys.readouterr()
 
+    def test_walk_step_replaced_by_anchor(self, tmp_path, capsys):
+        # the reason goes to stderr; stdout stays the bare verdict line
+        g = write(tmp_path, "g.txt", BICLAW_EDGES)
+        out = tmp_path / "cert.json"
+        main(["recognize", g, "--out", str(out)])
+        doc = json.loads(out.read_text())
+        neg = doc["negative"]
+        neg["walk_p"][1] = neg["anchor"]
+        out.write_text(json.dumps(doc))
+        assert main(["verify", g, str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "certificate REJECTED\n"
+        assert "walk check failed" in captured.err
+
+    def test_copied_arc(self, tmp_path, capsys):
+        g = write(tmp_path, "g.txt", NEAR_BICLAW_EDGES)
+        out = tmp_path / "cert.json"
+        main(["recognize", g, "--out", str(out)])
+        doc = json.loads(out.read_text())
+        arcs = doc["positive"]["arcs"]
+        first, second = sorted(arcs)[:2]
+        arcs[second] = list(arcs[first])
+        out.write_text(json.dumps(doc))
+        assert main(["verify", g, str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "certificate REJECTED\n"
+        assert "share endpoint" in captured.err
+
     @pytest.mark.parametrize("field,value", [
         ("arc", [1]),
         ("arc", ["x", 1]),

@@ -154,6 +154,86 @@ def check_module(L: LabelledGraph, module: list[int]) -> None:
                 raise NonUniformQuotientLabel(f"vertex {x} sees mixed directions")
 
 
+def _loop_ordering_violation(L: LabelledGraph, order: list[int]):
+    """The pattern check as a loop over the middle position, five masks per
+    step: the reference for ordering_violation.  Its first triple is by
+    middle position, then pattern, then (a, c)."""
+    n = L.n
+    idx = np.array(order, dtype=int)
+    lab = L.labels[np.ix_(idx, idx)]
+    non = lab == Label.NONEDGE
+    ov = lab == Label.OVERLAP
+    inc = lab == Label.INCLUSION
+    np.fill_diagonal(inc, False)
+    edge = ov | inc
+    for bpos in range(1, n - 1):
+        a_rng = slice(0, bpos)
+        c_rng = slice(bpos + 1, n)
+        an, ao, ai = non[a_rng, bpos], ov[a_rng, bpos], inc[a_rng, bpos]
+        cn, co, ci = non[bpos, c_rng], ov[bpos, c_rng], inc[bpos, c_rng]
+        ac_n = non[a_rng, c_rng]
+        ac_e = edge[a_rng, c_rng]
+        ac_o = ov[a_rng, c_rng]
+        ac_i = inc[a_rng, c_rng]
+        pats = [
+            (an[:, None] & ac_e, "i"),
+            (ai[:, None] & ac_n & (co | ci)[None, :], "ii"),
+            (ao[:, None] & ac_e & cn[None, :], "iii"),
+            (ao[:, None] & co[None, :] & ac_i, "iv"),
+            (ai[:, None] & ci[None, :] & ac_o, "v"),
+        ]
+        for m, name in pats:
+            if m.any():
+                ai_, ci_ = map(int, np.argwhere(m)[0])
+                return (name, order[ai_], order[bpos], order[ci_ + bpos + 1])
+    return None
+
+
+EDGE = {Label.OVERLAP, Label.INCLUSION}
+# the labels of (a, b), (b, c) and (a, c) in each forbidden pattern
+PATTERNS = {
+    "i": ({Label.NONEDGE}, set(Label), EDGE),
+    "ii": ({Label.INCLUSION}, EDGE, {Label.NONEDGE}),
+    "iii": ({Label.OVERLAP}, {Label.NONEDGE}, EDGE),
+    "iv": ({Label.OVERLAP}, {Label.OVERLAP}, {Label.INCLUSION}),
+    "v": ({Label.INCLUSION}, {Label.INCLUSION}, {Label.OVERLAP}),
+}
+
+
+def matches_pattern(L: LabelledGraph, order: list[int], triple) -> bool:
+    """The triple (name, a, b, c) has a < b < c in the order and the labels
+    of its named pattern."""
+    name, a, b, c = triple
+    if not order.index(a) < order.index(b) < order.index(c):
+        return False
+    return all(L.label(u, v) in want
+               for (u, v), want in zip(((a, b), (b, c), (a, c)), PATTERNS[name]))
+
+
+def orders_to_check(seed: int):
+    """(L, order) cases for the interval stage: every order of random
+    labelled graphs on at most six vertices, then the constructed order of
+    a few seeded arc models and perturbed copies of it (a swap of two
+    vertices or one vertex moved)."""
+    rng = random.Random(seed)
+    for n in [1, 2, 3, 3, 4, 4, 4, 5, 5, 5, 5, 6, 6]:
+        L = random_labelled(rng, n)
+        for p in itertools.permutations(range(n)):
+            yield L, list(p)
+    for model in range(3):
+        L = labels_on_Z(arc_model(random.Random(model), 36))[3]
+        order = interval_orientation(L)
+        yield L, order
+        for _ in range(40):
+            moved = list(order)
+            i, j = rng.sample(range(L.n), 2)
+            if rng.random() < 0.5:
+                moved[i], moved[j] = moved[j], moved[i]
+            else:
+                moved.insert(j, moved.pop(i))
+            yield L, moved
+
+
 class TestLabelledGraph:
     @staticmethod
     def fan(middles):
@@ -202,6 +282,29 @@ class TestAvoiding:
                    for x, y, z in itertools.permutations(range(n), 3)
                    if pos[x] < pos[z] < pos[y]))
         assert ordering_violation(L, order) is not None
+
+
+class TestOrderingViolation:
+    def test_matches_loop_reference(self):
+        seen = set()
+        for L, order in orders_to_check(7):
+            got = ordering_violation(L, order)
+            want = _loop_ordering_violation(L, order)
+            assert (got is None) == (want is None), (L.labels, order)
+            if got is not None:
+                assert matches_pattern(L, order, got), (L.labels, order, got)
+            seen.add(got and got[0])
+        assert seen == {None, *PATTERNS}
+
+    def test_first_by_pattern_then_pair_then_middle(self):
+        # pattern iii at (0, 1, 2) and pattern i at (1, 2, 3): the first
+        # pattern wins, where the loop took the first middle position
+        L = make_labelled(4, overlaps=[(0, 1), (0, 2), (1, 3)])
+        assert ordering_violation(L, [0, 1, 2, 3]) == ("i", 1, 2, 3)
+        assert _loop_ordering_violation(L, [0, 1, 2, 3]) == ("iii", 0, 1, 2)
+        # both 1 and 2 fit as b in (0, b, 3): the least is named
+        L = make_labelled(4, overlaps=[(0, 3)])
+        assert ordering_violation(L, [0, 1, 2, 3]) == ("i", 0, 1, 3)
 
 
 class TestDeltaStep:

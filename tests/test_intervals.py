@@ -74,6 +74,36 @@ def _list_build_intervals(L, order):
     return iv
 
 
+def _loop_build_intervals(L, order):
+    """The builder right to left with an int position array, one insertion
+    per step: the reference for build_intervals."""
+    n = L.n
+    # pos[x] and pos[n + x]: the places, from 1, of L(x) and R(x) in the
+    # sequence built so far, negative until placed; an insertion shifts
+    # everything after it, so relative order never changes
+    pos = np.full(2 * n, -2 * n, dtype=np.intp)
+    idx = np.array(order, dtype=np.intp)
+    for k in range(n - 1, -1, -1):
+        x = order[k]
+        pos += 1
+        pos[x] = 1
+        row = L.labels[x, idx[k:]]  # row[0] is the loop at x, never a non-edge
+        y = order[k + int(np.flatnonzero(row != Label.NONEDGE)[-1])]
+        incl = idx[k + 1:][row[1:] == Label.INCLUSION]
+        outer = incl[~L.inside[x, incl]]
+        if outer.size:
+            raise InternalError(
+                f"vertex {outer[0]} inclusion-tied to leftmost {x} but not inside it")
+        t = max(pos[y], pos[n + incl].max(initial=0))
+        pos[pos > t] += 1
+        pos[n + x] = t + 1
+    iv = dict(enumerate(zip(pos[:n].tolist(), pos[n:].tolist())))
+    err = _consistency_error(L, iv)
+    if err is not None:
+        raise InternalError(f"built intervals inconsistent with labels: {err}")
+    return iv
+
+
 class TestBuildIntervals:
     def test_matches_list_reference(self):
         rng = random.Random(12)
@@ -89,6 +119,22 @@ class TestBuildIntervals:
             assert build_intervals(L, order).intervals == _list_build_intervals(L, order)
             built += 1
         assert built >= 20
+
+    def test_matches_loop_reference(self):
+        from test_delta import orders_to_check
+        seen = set()
+        for L, order in orders_to_check(9):
+            try:
+                want = _loop_build_intervals(L, order)
+            except InternalError as exc:
+                want = str(exc)
+            try:
+                got = build_intervals(L, order).intervals
+            except InternalError as exc:
+                got = str(exc)
+            assert got == want, (L.labels, L.inside, order)
+            seen.add("inclusion-tied" in want if isinstance(want, str) else None)
+        assert seen == {None, False, True}
 
     def test_overlap_path(self):
         L = make_labelled(3, overlaps=[(0, 1), (1, 2)])
