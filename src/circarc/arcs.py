@@ -20,16 +20,6 @@ class ArcRepresentation:
     circle_size: int
     arcs: dict[int, tuple[int, int]]  # vertex -> (left slot, right slot)
 
-    def covers(self, v: int, slot: int) -> bool:
-        l, r = self.arcs[v]
-        m = self.circle_size
-        return (slot - l) % m <= (r - l) % m
-
-    def intersects(self, u: int, v: int) -> bool:
-        lu, _ = self.arcs[u]
-        lv, _ = self.arcs[v]
-        return self.covers(u, lv) or self.covers(v, lu)
-
 
 def expand_arcs(trace, rep: ArcRepresentation) -> ArcRepresentation:
     """Undo a reduction trace on a representation of the reduced graph.

@@ -8,8 +8,8 @@ neighborhoods of the labelled graph itself.
 Ordered pairs with Overlap or NonEdge labels force each other: (x,z) and
 (y,z) must orient the same way whenever the edge xy avoids z.  The
 connected classes of this forcing relation drive the construction of an
-interval ordering, recursing on modules (vertex sets seen uniformly from
-outside), or fail by naming a pair forced onto its reversal.
+interval ordering, working through a stack of modules (vertex sets seen
+uniformly from outside), or fail by naming a pair forced onto its reversal.
 """
 
 from __future__ import annotations
@@ -70,9 +70,6 @@ class LabelledGraph:
         via = ~disjoint_rows(ins, ins.T)
         if (via & ~ins).any():
             raise ValueError("orientation must be transitive")
-
-    def label(self, u: int, v: int) -> Label:
-        return Label(int(self.labels[u, v]))
 
     def induced(self, vertices: list[int]) -> "LabelledGraph":
         idx = np.array(vertices, dtype=int)
@@ -171,51 +168,11 @@ def implication_classes(L: LabelledGraph) -> DeltaClasses:
     return DeltaClasses(a, b, cid, cid[rank[b[roots], a[roots]]])
 
 
-def _order_vertices(L: LabelledGraph) -> list[int]:
-    n = L.n
-    if n <= 1:
-        return list(range(n))
-    a, b, cid, inverse = implication_classes(L)
-    k = inverse.size
-    self_inverse = np.flatnonzero(inverse == np.arange(k))
-    if self_inverse.size:
-        i = int(np.argmax(cid == self_inverse[0]))  # the class's least pair
-        raise DeltaInvertiblePair((int(a[i]), int(b[i])))
-    # span members as keys cid*n + v, sorted by class and then by vertex
-    members = sorted_unique(np.concatenate([cid * n + a, cid * n + b]))
-    size = np.bincount(members // n, minlength=k)
-    proper = np.flatnonzero(size < n)
-    if proper.size:
-        # argmin keeps the first, least-numbered class among equal sizes
-        narrowest = proper[np.argmin(size[proper])]
-        return _splice_module(L, (members[members // n == narrowest] % n).tolist())
-    rel = np.zeros((n, n), dtype=bool)
-    if k:
-        # every class spans all vertices: a single class and its inverse remain
-        if k != 2 or inverse[0] != 1:
-            raise InternalError("expected exactly one spanning class up to reversal")
-        first = cid == 0  # the class of the least pair
-        rel[a[first], b[first]] = True
-        if (rel & rel.T).any():
-            raise InternalError("spanning class contains a pair and its reversal")
-    # with no classes every pair is inclusion-labelled and 'inside' alone
-    # must be a transitive tournament
-    tournament = rel | L.inside
-    deg = tournament.sum(axis=1)
-    order = sorted(range(n), key=lambda u: (-int(deg[u]), u))
-    gaps = np.argwhere(np.triu(~tournament[np.ix_(order, order)], 1))
-    if gaps.size:
-        i, j = gaps[0]
-        raise TournamentNotTransitive(f"orientation cyclic at {order[i]},{order[j]}")
-    return order
-
-
-def _splice_module(L: LabelledGraph, module: list[int]) -> list[int]:
-    """Order L by contracting the module to its least vertex and recursing."""
-    rep = module[0]
-    outside = np.ones(L.n, dtype=bool)
-    outside[module] = False
-    outside = np.flatnonzero(outside)
+def _check_module(L: LabelledGraph, module: np.ndarray, names: np.ndarray) -> None:
+    """Fail unless every vertex outside the module sees all of it with one
+    label and, on inclusion edges, one direction; names[x] names L's
+    vertex x in the message."""
+    outside = np.delete(np.arange(L.n), module)
     labs = L.labels[np.ix_(outside, module)]
     dirs = L.inside[np.ix_(outside, module)]
     # inside is False off the inclusion edges, so directions can only differ
@@ -224,21 +181,69 @@ def _splice_module(L: LabelledGraph, module: list[int]) -> list[int]:
     bad = mixed | (dirs != dirs[:, :1]).any(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
-        x = int(outside[i])
+        x = names[outside[i]]
         if mixed[i]:
             raise NonUniformQuotientLabel(f"vertex {x} sees mixed labels in module")
         raise NonUniformQuotientLabel(f"vertex {x} sees mixed directions")
-    quotient_verts = sorted(outside.tolist() + [rep])
-    qorder = _order_vertices(L.induced(quotient_verts))
-    sorder = _order_vertices(L.induced(module))
-    order: list[int] = []
-    for qi in qorder:
-        v = quotient_verts[qi]
-        if v == rep:
-            order.extend(module[si] for si in sorder)
-        else:
-            order.append(v)
-    return order
+
+
+def _order_vertices(L: LabelledGraph) -> list[int]:
+    """Order L by a loop over a stack of sorted vertex sets of L.
+
+    A set whose narrowest proper class spans a module M pushes M, then the
+    quotient that keeps only M's least vertex, so the quotient's subtree is
+    ordered first.  A set with only a spanning class gives its p-th vertex
+    in the class's tournament the key of its least vertex extended by p.
+    These are preorder keys: one sort splices each module into the slot of
+    its least vertex.
+    """
+    key: list[tuple[int, ...]] = [()] * L.n
+    # a class spans two vertices, so no set pushed below has fewer
+    stack = [np.arange(L.n)] if L.n > 1 else []
+    while stack:
+        vs = stack.pop()
+        n = vs.size
+        sub = L.induced(vs.tolist())
+        a, b, cid, inverse = implication_classes(sub)
+        k = inverse.size
+        self_inverse = np.flatnonzero(inverse == np.arange(k))
+        if self_inverse.size:
+            i = int(np.argmax(cid == self_inverse[0]))  # the class's least pair
+            raise DeltaInvertiblePair((int(vs[a[i]]), int(vs[b[i]])))
+        # span members as keys cid*n + v, sorted by class and then by vertex
+        members = sorted_unique(np.concatenate([cid * n + a, cid * n + b]))
+        size = np.bincount(members // n, minlength=k)
+        proper = np.flatnonzero(size < n)
+        if proper.size:
+            # argmin keeps the first, least-numbered class among equal sizes
+            narrowest = proper[np.argmin(size[proper])]
+            module = members[members // n == narrowest] % n
+            _check_module(sub, module, vs)
+            stack += [vs[module], np.delete(vs, module[1:])]
+            continue
+        rel = np.zeros((n, n), dtype=bool)
+        if k:
+            # every class spans all vertices: a single class and its inverse remain
+            if k != 2 or inverse[0] != 1:
+                raise InternalError("expected exactly one spanning class up to reversal")
+            first = cid == 0  # the class of the least pair
+            rel[a[first], b[first]] = True
+            if (rel & rel.T).any():
+                raise InternalError("spanning class contains a pair and its reversal")
+        # with no classes every pair is inclusion-labelled and 'inside' alone
+        # must be a transitive tournament
+        tournament = rel | sub.inside
+        deg = tournament.sum(axis=1)
+        order = sorted(range(n), key=lambda u: (-int(deg[u]), u))
+        gaps = np.argwhere(np.triu(~tournament[np.ix_(order, order)], 1))
+        named = vs[order].tolist()
+        if gaps.size:
+            i, j = gaps[0]
+            raise TournamentNotTransitive(f"orientation cyclic at {named[i]},{named[j]}")
+        head = key[vs[0]]
+        for p, u in enumerate(named):
+            key[u] = head + (p,)
+    return sorted(range(L.n), key=key.__getitem__)
 
 
 def interval_orientation(L: LabelledGraph) -> list[int]:

@@ -25,10 +25,10 @@ from .graph import (bfs, components, pack_rows, sorted_unique, tree_path,
                     unpack_rows)
 
 Copy = tuple[int, int]  # (vertex, component index)
+Avoid = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def _avoiding_at(H: TypedGraph) -> Callable[[np.ndarray],
-                                             tuple[np.ndarray, np.ndarray]]:
+def _avoiding_at(H: TypedGraph) -> Avoid:
     """zs -> the packed rows and vertex masks of the edges of H (loops
     included) that avoid each z in zs (``edgetypes.avoiding``)."""
     overlap = (H.types == EdgeType.OVERLAP1) | (H.types == EdgeType.OVERLAP2)
@@ -42,15 +42,15 @@ class KnottingGraph:
     copies: list[Copy]
     copy_at: np.ndarray         # int32 [u, v]: the copy of u whose component holds v, or -1
     adjacency: list[list[int]]  # by copy index, sorted
+    avoid: Avoid                # _avoiding_at(H), packed once by build_knotting
 
-    def component_path(self, H: TypedGraph, u: int, comp: int,
-                       a: int, b: int) -> list[int]:
+    def component_path(self, u: int, comp: int, a: int, b: int) -> list[int]:
         """Shortest a-b path inside component comp of u's safe subgraph."""
         at = self.copy_at[u, [a, b]]
         if at[0] != at[1] or at[0] < 0 or self.copies[at[0]] != (u, comp):
             raise InternalError(f"path endpoints outside component {u}/{comp}")
-        rows, _ = _avoiding_at(H)(np.array([u, self.anchor]))
-        safe = unpack_rows(rows[0] & rows[1], H.graph.n)
+        rows, _ = self.avoid(np.array([u, self.anchor]))
+        safe = unpack_rows(rows[0] & rows[1], len(self.copy_at))
         prev: dict[int, Optional[int]] = {}
         bfs(prev, a, lambda cur: np.flatnonzero(safe[cur]).tolist())
         if b not in prev:
@@ -92,7 +92,7 @@ def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
     heads, tails = np.divmod(sorted_unique(a * m + b), m)
     split = np.cumsum(np.bincount(heads, minlength=m))
     adjacency = [nbrs.tolist() for nbrs in np.split(tails, split)[:-1]]
-    return KnottingGraph(z, copies, copy_at, adjacency)
+    return KnottingGraph(z, copies, copy_at, adjacency, avoid)
 
 
 def bipartite_or_odd_cycle(K: KnottingGraph) -> Union[dict[Copy, int], list[Copy]]:
@@ -145,8 +145,7 @@ def overlap_side(H: TypedGraph, K: KnottingGraph, colouring: dict[Copy, int],
             if colouring[K.copies[c]] == colouring[K.copies[lead[c]]]}
 
 
-def extract_invertible_pair(H: TypedGraph, K: KnottingGraph,
-                            cycle: list[Copy]) -> AvoidWalkPair:
+def extract_invertible_pair(K: KnottingGraph, cycle: list[Copy]) -> AvoidWalkPair:
     """Roll an odd copy cycle out into two mutually avoiding walks.
 
     For each cycle position j, a path inside that copy's component links the
@@ -162,7 +161,7 @@ def extract_invertible_pair(H: TypedGraph, K: KnottingGraph,
     walk_q = [us[-1]]
     for j in range(k):
         u, comp = cycle[j]
-        path = K.component_path(H, u, comp, us[j - 1], us[(j + 1) % k])
+        path = K.component_path(u, comp, us[j - 1], us[(j + 1) % k])
         if j % 2 == 0:
             if walk_q[-1] != path[0]:
                 raise InternalError("walk assembly lost continuity")

@@ -45,7 +45,7 @@ def recognize(G: Graph) -> Certificate:
     K = build_knotting(H, z)
     res = bipartite_or_odd_cycle(K)
     if isinstance(res, list):
-        awp = extract_invertible_pair(H, K, res)
+        awp = extract_invertible_pair(K, res)
         return _checked(G, Certificate(NEGATIVE, vertices=trace.survivors, completion=H,
                                        pairing=pairing, obstruction=awp))
     zset = build_Z(H, z, overlap_side(H, K, res, pairing[z]), pairing)

@@ -1,11 +1,13 @@
-"""Print the edge list of a seeded random arc model, for the CI scale smokes.
+"""Print the edge list of a seeded random arc model, for the CI smokes.
 
-Usage: python tests/arc_model_edges.py N SEED [--biclaw]
+Usage: python tests/arc_model_edges.py N SEED [--biclaw | --nested]
 
 The arcs of v0..v(N-1) have their 2N ends shuffled over 2N slots by
 random.Random(SEED).  The vertices are listed first, then every
 intersecting pair; --biclaw appends a disjoint biclaw on b0..b6, which
-makes the graph not circular-arc.
+makes the graph not circular-arc.  --nested prints the interval graph of
+nested_lines instead, whose Δ-orientation is about N/2 modules deep; SEED is
+then unused.
 """
 
 import argparse
@@ -26,10 +28,23 @@ def edge_lines(n: int, seed: int, biclaw: bool) -> list[str]:
             + (BICLAW if biclaw else []))
 
 
+def nested_lines(n: int) -> list[str]:
+    """Nested intervals (2i, 4n-2i) and point intervals (2i+1, 2i+1) for
+    i < n/2: vertex v is the interval whose left end is v."""
+    ivs = [(v, 4 * n - v) if v % 2 == 0 else (v, v) for v in range(n)]
+    return ([f"v{v}" for v in range(n)]
+            + [f"v{u} v{v}" for u in range(n) for v in range(u + 1, n)
+               if ivs[v][0] <= ivs[u][1] and ivs[u][0] <= ivs[v][1]])
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("n", type=int)
     parser.add_argument("seed", type=int)
-    parser.add_argument("--biclaw", action="store_true")
+    family = parser.add_mutually_exclusive_group()
+    family.add_argument("--biclaw", action="store_true")
+    family.add_argument("--nested", action="store_true")
     args = parser.parse_args()
-    print("\n".join(edge_lines(args.n, args.seed, args.biclaw)))
+    lines = (nested_lines(args.n) if args.nested
+             else edge_lines(args.n, args.seed, args.biclaw))
+    print("\n".join(lines))

@@ -89,6 +89,19 @@ def labels_on_Z(G):
     return H, pairing, zset, labelled_from_typed(H, zset)
 
 
+def covers(m, arc, slot):
+    """The arc (l, r) on a circle of m slots covers the slot: the clockwise
+    run l, l+1, ..., r holds it.  Works elementwise on numpy arrays."""
+    l, r = arc
+    return (slot - l) % m <= (r - l) % m
+
+
+def arcs_meet(rep, u: int, v: int) -> bool:
+    """The arcs of u and v share a slot: one covers the other's left end."""
+    m, au, av = rep.circle_size, rep.arcs[u], rep.arcs[v]
+    return covers(m, au, av[0]) or covers(m, av, au[0])
+
+
 def arc_model(rng: random.Random, n: int) -> Graph:
     """Intersection graph of n arcs whose 2n ends are shuffled over 2n slots.
 
@@ -98,8 +111,8 @@ def arc_model(rng: random.Random, n: int) -> Graph:
     rng.shuffle(ends)
     left, right = np.array(ends[0::2]), np.array(ends[1::2])
     # arc u meets arc v when it covers v's left end, or v covers u's
-    covers = (left[None, :] - left[:, None]) % (2 * n) <= ((right - left) % (2 * n))[:, None]
-    adj = covers | covers.T
+    cov = covers(2 * n, (left[:, None], right[:, None]), left[None, :])
+    adj = cov | cov.T
     np.fill_diagonal(adj, False)
     return Graph(n, adj, tuple(map(str, range(n))))
 

@@ -6,7 +6,7 @@ from circarc.arcs import ArcRepresentation
 from circarc.check import representation_error
 from circarc.graph import Graph, build_graph
 from circarc.recognizer import POSITIVE, recognize
-from conftest import arc_model
+from conftest import arc_model, arcs_meet
 
 
 def _loop_representation_error(G: Graph, rep: ArcRepresentation):
@@ -26,7 +26,7 @@ def _loop_representation_error(G: Graph, rep: ArcRepresentation):
             seen[e] = v
     for u in range(G.n):
         for v in range(u + 1, G.n):
-            if rep.intersects(u, v) != G.adjacent(u, v):
+            if arcs_meet(rep, u, v) != G.adjacent(u, v):
                 want = "intersect" if G.adjacent(u, v) else "be disjoint"
                 return f"arcs of {u} and {v} should {want}"
     return None
@@ -37,7 +37,7 @@ def random_model(rng: random.Random, n: int) -> tuple[Graph, ArcRepresentation]:
     m = 3 * n + 1
     ends = rng.sample(range(m), 2 * n)
     rep = ArcRepresentation(m, {v: (ends[2 * v], ends[2 * v + 1]) for v in range(n)})
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rep.intersects(u, v)]
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if arcs_meet(rep, u, v)]
     return build_graph(n, edges), rep
 
 

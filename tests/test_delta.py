@@ -1,19 +1,27 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import circarc
 from circarc import delta
 from circarc.delta import (DeltaInvertiblePair, Label, LabelledGraph,
-                           NonUniformQuotientLabel, Pair, implication_classes,
+                           NonUniformQuotientLabel, Pair,
+                           TournamentNotTransitive, implication_classes,
                            interval_orientation, labelled_from_typed,
                            ordering_violation, verify_interval_ordering)
-from circarc.check import classify_all
+from circarc.check import InternalError, classify_all
 from circarc.edgetypes import avoiding, complete
-from circarc.graph import bfs, pack_rows, tree_path, unpack_rows
+from circarc.formats import parse_edge_list
+from circarc.graph import bfs, pack_rows, sorted_unique, tree_path, unpack_rows
 from circarc.knotting import build_knotting, build_Z, overlap_side
+from arc_model_edges import nested_lines
 from conftest import _dense_avoiding, arc_model, labels_on_Z, make_labelled
 
 
@@ -141,8 +149,8 @@ def span(pairs) -> frozenset[int]:
 
 
 def check_module(L: LabelledGraph, module: list[int]) -> None:
-    """Reference for the module uniformity check of delta._splice_module,
-    one outside vertex and one module member at a time."""
+    """Reference for the module uniformity check delta._check_module, one
+    outside vertex and one module member at a time."""
     inside_set = set(module)
     for x in [v for v in range(L.n) if v not in inside_set]:
         labs = {int(L.labels[x, s]) for s in module}
@@ -152,6 +160,60 @@ def check_module(L: LabelledGraph, module: list[int]) -> None:
             dirs = {bool(L.inside[x, s]) for s in module}
             if len(dirs) != 1:
                 raise NonUniformQuotientLabel(f"vertex {x} sees mixed directions")
+
+
+def _recursive_order_vertices(L: LabelledGraph) -> list[int]:
+    """Order L by recursing on modules, a stack frame per module level:
+    the reference for the work-stack delta._order_vertices.  Exceptions
+    name vertices of the level that raised them."""
+    n = L.n
+    if n <= 1:
+        return list(range(n))
+    a, b, cid, inverse = implication_classes(L)
+    k = inverse.size
+    self_inverse = np.flatnonzero(inverse == np.arange(k))
+    if self_inverse.size:
+        i = int(np.argmax(cid == self_inverse[0]))  # the class's least pair
+        raise DeltaInvertiblePair((int(a[i]), int(b[i])))
+    # span members as keys cid*n + v, sorted by class and then by vertex
+    members = sorted_unique(np.concatenate([cid * n + a, cid * n + b]))
+    size = np.bincount(members // n, minlength=k)
+    proper = np.flatnonzero(size < n)
+    if proper.size:
+        narrowest = proper[np.argmin(size[proper])]
+        return _recursive_splice_module(
+            L, (members[members // n == narrowest] % n).tolist())
+    rel = np.zeros((n, n), dtype=bool)
+    if k:
+        if k != 2 or inverse[0] != 1:
+            raise InternalError("expected exactly one spanning class up to reversal")
+        first = cid == 0  # the class of the least pair
+        rel[a[first], b[first]] = True
+        if (rel & rel.T).any():
+            raise InternalError("spanning class contains a pair and its reversal")
+    tournament = rel | L.inside
+    deg = tournament.sum(axis=1)
+    order = sorted(range(n), key=lambda u: (-int(deg[u]), u))
+    gaps = np.argwhere(np.triu(~tournament[np.ix_(order, order)], 1))
+    if gaps.size:
+        i, j = gaps[0]
+        raise TournamentNotTransitive(f"orientation cyclic at {order[i]},{order[j]}")
+    return order
+
+
+def _recursive_splice_module(L: LabelledGraph, module: list[int]) -> list[int]:
+    """Order L by contracting the module to its least vertex and recursing
+    on the quotient, then on the module."""
+    check_module(L, module)
+    rep = module[0]
+    quotient = [v for v in range(L.n) if v == rep or v not in module]
+    qorder = _recursive_order_vertices(L.induced(quotient))
+    sorder = _recursive_order_vertices(L.induced(module))
+    order: list[int] = []
+    for qi in qorder:
+        v = quotient[qi]
+        order.extend([module[si] for si in sorder] if v == rep else [v])
+    return order
 
 
 def _loop_ordering_violation(L: LabelledGraph, order: list[int]):
@@ -206,7 +268,7 @@ def matches_pattern(L: LabelledGraph, order: list[int], triple) -> bool:
     name, a, b, c = triple
     if not order.index(a) < order.index(b) < order.index(c):
         return False
-    return all(L.label(u, v) in want
+    return all(int(L.labels[u, v]) in want
                for (u, v), want in zip(((a, b), (b, c), (a, c)), PATTERNS[name]))
 
 
@@ -533,9 +595,7 @@ class TestSpliceModule:
             return L, sorted([s, t] + rng.sample(rest, rng.randint(0, len(rest))))
         return L, sorted(rng.sample(range(n), rng.randint(2, n - 1)))
 
-    def test_uniformity_check_matches_loop(self, monkeypatch):
-        # only the check is compared: the recursion returns a fixed order
-        monkeypatch.setattr(delta, "_order_vertices", lambda L: list(range(L.n)))
+    def test_uniformity_check_matches_loop(self):
         rng = random.Random(41)
         seen = set()
         for _ in range(400):
@@ -546,10 +606,78 @@ class TestSpliceModule:
             except NonUniformQuotientLabel as exc:
                 want = str(exc)
             try:
-                delta._splice_module(L, module)
+                delta._check_module(L, np.array(module), np.arange(L.n))
                 got = None
             except NonUniformQuotientLabel as exc:
                 got = str(exc)
             assert got == want
             seen.add(want.split(" sees ")[1] if want else None)
         assert seen == {None, "mixed labels in module", "mixed directions"}
+
+    def test_check_names_the_vertex_through_names(self):
+        # vertex 0 includes 1 and is included in 2; as vertices 10, 11, 12
+        # of the labelled graph the work stack came from, 0 is named 10
+        L = make_labelled(3, inclusions=[(0, 1), (2, 0), (2, 1)])
+        with pytest.raises(NonUniformQuotientLabel,
+                           match="^vertex 10 sees mixed directions$"):
+            delta._check_module(L, np.array([1, 2]), np.array([10, 11, 12]))
+
+
+def outcome(order_vertices, L):
+    """("order", the order) or (the exception's type, the pair of a
+    DeltaInvertiblePair or None).  Only types are compared, because below
+    the top level the reference names vertices of that level."""
+    try:
+        return "order", order_vertices(L)
+    except DeltaInvertiblePair as exc:
+        return DeltaInvertiblePair, exc.pair
+    except InternalError as exc:
+        return type(exc), None
+
+
+class TestOrderVertices:
+    """The work-stack ordering against the recursive reference."""
+
+    @staticmethod
+    def assert_matches_recursion(L):
+        want = outcome(_recursive_order_vertices, L)
+        assert outcome(delta._order_vertices, L) == want, L.labels
+        return want[0]
+
+    def test_random_labelled(self):
+        rng = random.Random(43)
+        seen = {self.assert_matches_recursion(random_labelled(rng, rng.randint(0, 8)))
+                for _ in range(2000)}
+        assert seen == {"order", DeltaInvertiblePair}
+
+    def test_planted(self):
+        rng = random.Random(47)
+        seen = {self.assert_matches_recursion(TestSpliceModule.planted(rng)[0])
+                for _ in range(400)}
+        assert seen == {"order", DeltaInvertiblePair}
+
+    @pytest.mark.parametrize("seed,n", [(1, 30), (2, 60), (3, 100)])
+    def test_arc_models(self, seed, n):
+        self.assert_matches_recursion(labels_on_Z(arc_model(random.Random(seed), n))[3])
+
+    def test_nested_intervals(self):
+        # 28 nested modules
+        G = parse_edge_list("\n".join(nested_lines(60)))
+        assert self.assert_matches_recursion(labels_on_Z(G)[3]) == "order"
+
+    def test_deep_modules_under_a_low_recursion_limit(self):
+        # 98 nested modules: two stack frames per module would exceed 150
+        code = "\n".join([
+            "import sys",
+            "from arc_model_edges import nested_lines",
+            "from circarc.formats import parse_edge_list",
+            "from circarc.recognizer import POSITIVE, recognize",
+            "G = parse_edge_list('\\n'.join(nested_lines(200)))",
+            "sys.setrecursionlimit(150)",
+            "sys.exit(recognize(G).verdict != POSITIVE)",
+        ])
+        paths = [Path(circarc.__file__).parents[1], Path(__file__).parent]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr

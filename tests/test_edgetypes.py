@@ -12,7 +12,8 @@ from circarc.edgetypes import avoiding, complete
 from circarc.graph import (Graph, build_graph, pack_rows, reduce as reduce_graph,
                            unpack_rows)
 from circarc.formats import parse_edge_list
-from conftest import BICLAW_EDGES, _dense_avoiding, arc_model, completion_of
+from conftest import (BICLAW_EDGES, _dense_avoiding, arc_model, arcs_meet,
+                      completion_of)
 from test_graph import random_graph_strategy
 
 
@@ -62,7 +63,7 @@ def random_arc_model(rng, n):
     rep = ArcRepresentation(2 * n, {v: (ends[2 * v], ends[2 * v + 1])
                                     for v in range(n)})
     return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                           if rep.intersects(u, v)])
+                           if arcs_meet(rep, u, v)])
 
 
 def seeded_graphs(count, seed=3):

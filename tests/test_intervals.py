@@ -22,7 +22,7 @@ def _loop_consistency_error(L, iv):
             lv, rv = iv[v]
             disjoint = ru < lv or rv < lu
             contained = (lu < lv and rv < ru) or (lv < lu and ru < rv)
-            lab = L.label(u, v)
+            lab = L.labels[u, v]
             if lab == Label.NONEDGE and not disjoint:
                 return f"{u},{v} labelled non-edge but intervals meet"
             if lab == Label.OVERLAP and (disjoint or contained):

@@ -163,7 +163,7 @@ class TestBuildKnotting:
         z = K.anchor
         for (u, i), group in components(K).items():
             a, b = rng.choice(group), rng.choice(group)
-            path = K.component_path(H, u, i, a, b)
+            path = K.component_path(u, i, a, b)
             assert path[0] == a and path[-1] == b
             assert avoids(H, u, path) if len(path) > 1 else True
             if len(path) > 1:
@@ -173,7 +173,7 @@ class TestBuildKnotting:
         H, K = knotting_at(biclaw, "f")
         (u, i), group = next(iter(components(K).items()))
         with pytest.raises(InternalError):
-            K.component_path(H, u, i, group[0], u)
+            K.component_path(u, i, group[0], u)
 
 
 class TestOddCycle:
@@ -187,14 +187,14 @@ class TestOddCycle:
     def test_extracted_pair_verifies(self, biclaw):
         H, K = knotting_at(biclaw, "f")
         cycle = bipartite_or_odd_cycle(K)
-        awp = extract_invertible_pair(H, K, cycle)
+        awp = extract_invertible_pair(K, cycle)
         assert walk_pair_error(H, awp) is None
         assert awp.anchor == H.graph.index_of("f")
 
     def test_short_cycle_rejected(self, biclaw):
-        H, K = knotting_at(biclaw, "f")
+        _, K = knotting_at(biclaw, "f")
         with pytest.raises(InternalError):
-            extract_invertible_pair(H, K, [K.copies[0]])
+            extract_invertible_pair(K, [K.copies[0]])
 
 
 class TestWalkPairChecker:
@@ -343,6 +343,6 @@ class TestBothDirections:
                 if not flags[-1]:
                     K = build_knotting(H, z)
                     cycle = bipartite_or_odd_cycle(K)
-                    awp = extract_invertible_pair(H, K, cycle)
+                    awp = extract_invertible_pair(K, cycle)
                     assert walk_pair_error(H, awp) is None
             assert all(flags) == oracle_is_ca(G)

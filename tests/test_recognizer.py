@@ -10,7 +10,7 @@ from circarc.check import (NEGATIVE, POSITIVE, AvoidWalkPair, Certificate,
                            negative_error, verify_negative, verify_positive)
 from circarc.graph import build_graph
 from circarc.recognizer import recognize
-from conftest import arc_model, planted_negative
+from conftest import arc_model, covers, planted_negative
 
 
 class TestRecognize:
@@ -31,7 +31,7 @@ class TestRecognize:
         assert verify_positive(c4, cert)
         # the four arcs jointly cover the whole circle
         m = cert.arcs.circle_size
-        assert all(any(cert.arcs.covers(v, s) for v in range(4))
+        assert all(any(covers(m, cert.arcs.arcs[v], s) for v in range(4))
                    for s in range(m))
 
     def test_c4_plus_isolated_negative(self):
