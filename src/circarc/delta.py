@@ -7,9 +7,10 @@ neighborhoods of the labelled graph itself.
 
 Ordered pairs with Overlap or NonEdge labels force each other: (x,z) and
 (y,z) must orient the same way whenever the edge xy avoids z.  The
-connected classes of this forcing relation drive the construction of an
-interval ordering, working through a stack of modules (vertex sets seen
-uniformly from outside), or fail by naming a pair forced onto its reversal.
+connected classes of this relation, computed once, either name a pair
+forced onto its reversal or build an interval ordering through a stack of
+modules (vertex sets seen uniformly from outside), each reading the classes
+restricted to it.
 """
 
 from __future__ import annotations
@@ -71,13 +72,6 @@ class LabelledGraph:
         if (via & ~ins).any():
             raise ValueError("orientation must be transitive")
 
-    def induced(self, vertices: list[int]) -> "LabelledGraph":
-        idx = np.array(vertices, dtype=int)
-        if len(vertices) == 0:
-            return LabelledGraph(0, np.zeros((0, 0), np.int8), np.zeros((0, 0), bool))
-        return LabelledGraph(len(vertices), self.labels[np.ix_(idx, idx)],
-                             self.inside[np.ix_(idx, idx)])
-
 
 def labelled_from_typed(T: TypedGraph, vertices: list[int]) -> LabelledGraph:
     """Restrict a typed graph to a vertex subset, keeping the ambient types.
@@ -87,8 +81,6 @@ def labelled_from_typed(T: TypedGraph, vertices: list[int]) -> LabelledGraph:
     """
     idx = np.array(vertices, dtype=int)
     k = len(vertices)
-    if k == 0:
-        return LabelledGraph(0, np.zeros((0, 0), np.int8), np.zeros((0, 0), bool))
     t = T.types[np.ix_(idx, idx)]
     labels = np.zeros((k, k), dtype=np.int8)
     labels[(t == EdgeType.OVERLAP1) | (t == EdgeType.OVERLAP2)] = Label.OVERLAP
@@ -168,11 +160,10 @@ def implication_classes(L: LabelledGraph) -> DeltaClasses:
     return DeltaClasses(a, b, cid, cid[rank[b[roots], a[roots]]])
 
 
-def _check_module(L: LabelledGraph, module: np.ndarray, names: np.ndarray) -> None:
-    """Fail unless every vertex outside the module sees all of it with one
-    label and, on inclusion edges, one direction; names[x] names L's
-    vertex x in the message."""
-    outside = np.delete(np.arange(L.n), module)
+def _check_module(L: LabelledGraph, vs: np.ndarray, module: np.ndarray) -> None:
+    """Fail, naming a vertex of L, unless every vertex of vs outside the
+    module sees it with one label and, on inclusion edges, one direction."""
+    outside = np.setdiff1d(vs, module, assume_unique=True)
     labs = L.labels[np.ix_(outside, module)]
     dirs = L.inside[np.ix_(outside, module)]
     # inside is False off the inclusion edges, so directions can only differ
@@ -181,58 +172,66 @@ def _check_module(L: LabelledGraph, module: np.ndarray, names: np.ndarray) -> No
     bad = mixed | (dirs != dirs[:, :1]).any(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
-        x = names[outside[i]]
         if mixed[i]:
-            raise NonUniformQuotientLabel(f"vertex {x} sees mixed labels in module")
-        raise NonUniformQuotientLabel(f"vertex {x} sees mixed directions")
+            raise NonUniformQuotientLabel(f"vertex {outside[i]} sees mixed labels in module")
+        raise NonUniformQuotientLabel(f"vertex {outside[i]} sees mixed directions")
 
 
 def _order_vertices(L: LabelledGraph) -> list[int]:
     """Order L by a loop over a stack of sorted vertex sets of L.
 
-    A set whose narrowest proper class spans a module M pushes M, then the
-    quotient that keeps only M's least vertex, so the quotient's subtree is
-    ordered first.  A set with only a spanning class gives its p-th vertex
-    in the class's tournament the key of its least vertex extended by p.
-    These are preorder keys: one sort splices each module into the slot of
-    its least vertex.
+    The forcing classes are computed once, on L: as in modular
+    decomposition, a module's or a quotient's classes are the whole graph's
+    restricted to it, ranked by their least pair there.  A set whose
+    narrowest proper class (the first in rank among equal sizes) spans a
+    module M pushes M, then the quotient that keeps only M's least vertex,
+    so the quotient's subtree is ordered first.  A set with only a spanning
+    class, the class of its least pair, gives its p-th vertex in the
+    class's tournament the key of its least vertex extended by p.  These
+    are preorder keys: one sort splices each module into the slot of its
+    least vertex.
     """
+    a, b, cid, inverse = implication_classes(L)
+    self_inverse = np.flatnonzero(inverse[cid] == cid)
+    if self_inverse.size:
+        i = self_inverse[0]  # the least pair of the least self-inverse class
+        raise DeltaInvertiblePair((int(a[i]), int(b[i])))
     key: list[tuple[int, ...]] = [()] * L.n
     # a class spans two vertices, so no set pushed below has fewer
     stack = [np.arange(L.n)] if L.n > 1 else []
     while stack:
         vs = stack.pop()
         n = vs.size
-        sub = L.induced(vs.tolist())
-        a, b, cid, inverse = implication_classes(sub)
-        k = inverse.size
-        self_inverse = np.flatnonzero(inverse == np.arange(k))
-        if self_inverse.size:
-            i = int(np.argmax(cid == self_inverse[0]))  # the class's least pair
-            raise DeltaInvertiblePair((int(vs[a[i]]), int(vs[b[i]])))
-        # span members as keys cid*n + v, sorted by class and then by vertex
-        members = sorted_unique(np.concatenate([cid * n + a, cid * n + b]))
-        size = np.bincount(members // n, minlength=k)
-        proper = np.flatnonzero(size < n)
-        if proper.size:
-            # argmin keeps the first, least-numbered class among equal sizes
-            narrowest = proper[np.argmin(size[proper])]
-            module = members[members // n == narrowest] % n
-            _check_module(sub, module, vs)
-            stack += [vs[module], np.delete(vs, module[1:])]
+        pos = np.full(L.n, -1)
+        pos[vs] = np.arange(n)  # position in vs, -1 outside it
+        keep = np.flatnonzero((pos[a] >= 0) & (pos[b] >= 0))
+        c = cid[keep]  # the kept pairs stay in lexicographic order
+        sa, sb = pos[a[keep]], pos[b[keep]]
+        # span members as keys c*n + p, sorted by class and then by position
+        members = sorted_unique(np.concatenate([c * n + sa, c * n + sb]))
+        classes, size = np.unique(members // n, return_counts=True)
+        proper = size < n
+        if proper.any():
+            # of the narrowest proper classes, the one with the least pair in vs
+            narrow = classes[proper & (size == size[proper].min())]
+            narrowest = c[np.isin(c, narrow)][0]
+            module = vs[members[members // n == narrowest] % n]
+            _check_module(L, vs, module)
+            stack += [module, np.setdiff1d(vs, module[1:], assume_unique=True)]
             continue
         rel = np.zeros((n, n), dtype=bool)
-        if k:
-            # every class spans all vertices: a single class and its inverse remain
-            if k != 2 or inverse[0] != 1:
+        if classes.size:
+            # every class spans all vertices: a single class and its inverse
+            # remain, as no class of L is self-inverse
+            if classes.size != 2:
                 raise InternalError("expected exactly one spanning class up to reversal")
-            first = cid == 0  # the class of the least pair
-            rel[a[first], b[first]] = True
+            least = c == c[0]  # the class of the least pair
+            rel[sa[least], sb[least]] = True
             if (rel & rel.T).any():
                 raise InternalError("spanning class contains a pair and its reversal")
         # with no classes every pair is inclusion-labelled and 'inside' alone
         # must be a transitive tournament
-        tournament = rel | sub.inside
+        tournament = rel | L.inside[np.ix_(vs, vs)]
         deg = tournament.sum(axis=1)
         order = sorted(range(n), key=lambda u: (-int(deg[u]), u))
         gaps = np.argwhere(np.triu(~tournament[np.ix_(order, order)], 1))

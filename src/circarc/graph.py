@@ -3,13 +3,13 @@
 All adjacency questions are asked about closed neighbourhoods: a vertex is
 always considered adjacent to itself.  The adjacency matrix we store has a
 False diagonal; helpers that need the closed version OR in the identity.
-``components`` is the package's only component labeller: it labels a
-whole stack of graphs given by bit-packed rows in one lock-step
-breadth-first search, each level an OR of the frontier's uint64 rows per
-graph; ``bfs`` and ``tree_path`` are its only search-path helpers, used
-where a path itself is wanted.  ``disjoint_rows`` is the only 0/1 matrix
-product: bit-packed, because numpy multiplies integer matrices without
-BLAS.  Both pack rows with ``pack_rows``.
+``components`` labels a whole stack of graphs given by bit-packed rows in
+one lock-step breadth-first search, each level an OR of the frontier's
+uint64 rows per graph (``delta._merge``, an array union-find, joins two
+such labellings into the Δ-forcing classes); ``bfs`` and ``tree_path`` are
+the only search-path helpers, used where a path itself is wanted.
+``disjoint_rows`` is the only 0/1 matrix product: bit-packed, because numpy
+multiplies integer matrices without BLAS.  Both use ``pack_rows``.
 
 ``reduce`` strips universal vertices and merges true twins in closed form:
 neither step creates or destroys universality or twinness among the

@@ -21,7 +21,7 @@ from circarc.edgetypes import avoiding, complete
 from circarc.formats import parse_edge_list
 from circarc.graph import bfs, pack_rows, sorted_unique, tree_path, unpack_rows
 from circarc.knotting import build_knotting, build_Z, overlap_side
-from arc_model_edges import nested_lines
+from arc_model_edges import nested_lines, short_lines
 from conftest import _dense_avoiding, arc_model, labels_on_Z, make_labelled
 
 
@@ -162,11 +162,23 @@ def check_module(L: LabelledGraph, module: list[int]) -> None:
                 raise NonUniformQuotientLabel(f"vertex {x} sees mixed directions")
 
 
-def _recursive_order_vertices(L: LabelledGraph) -> list[int]:
-    """Order L by recursing on modules, a stack frame per module level:
-    the reference for the work-stack delta._order_vertices.  Exceptions
-    name vertices of the level that raised them."""
+def induced(L: LabelledGraph, vertices: list[int]) -> LabelledGraph:
+    """The labelled subgraph of L on a vertex list, validated afresh."""
+    idx = np.ix_(vertices, vertices)
+    return LabelledGraph(len(vertices), L.labels[idx], L.inside[idx])
+
+
+def _recursive_order_vertices(L: LabelledGraph, visit=None,
+                              vertices=None) -> list[int]:
+    """Order L by recursing on modules, a stack frame per module level, with
+    the classes of each level computed afresh: the reference for the
+    work-stack delta._order_vertices.  Exceptions name vertices of the level
+    that raised them.  visit, if given, is called with each level's vertices
+    as the list of their indices in the outermost L."""
     n = L.n
+    vertices = list(range(n)) if vertices is None else vertices
+    if visit is not None:
+        visit(vertices)
     if n <= 1:
         return list(range(n))
     a, b, cid, inverse = implication_classes(L)
@@ -182,7 +194,7 @@ def _recursive_order_vertices(L: LabelledGraph) -> list[int]:
     if proper.size:
         narrowest = proper[np.argmin(size[proper])]
         return _recursive_splice_module(
-            L, (members[members // n == narrowest] % n).tolist())
+            L, (members[members // n == narrowest] % n).tolist(), visit, vertices)
     rel = np.zeros((n, n), dtype=bool)
     if k:
         if k != 2 or inverse[0] != 1:
@@ -201,14 +213,17 @@ def _recursive_order_vertices(L: LabelledGraph) -> list[int]:
     return order
 
 
-def _recursive_splice_module(L: LabelledGraph, module: list[int]) -> list[int]:
+def _recursive_splice_module(L: LabelledGraph, module: list[int], visit,
+                             vertices: list[int]) -> list[int]:
     """Order L by contracting the module to its least vertex and recursing
     on the quotient, then on the module."""
     check_module(L, module)
     rep = module[0]
     quotient = [v for v in range(L.n) if v == rep or v not in module]
-    qorder = _recursive_order_vertices(L.induced(quotient))
-    sorder = _recursive_order_vertices(L.induced(module))
+    qorder = _recursive_order_vertices(induced(L, quotient), visit,
+                                       [vertices[v] for v in quotient])
+    sorder = _recursive_order_vertices(induced(L, module), visit,
+                                       [vertices[v] for v in module])
     order: list[int] = []
     for qi in qorder:
         v = quotient[qi]
@@ -527,6 +542,11 @@ class TestOrdering:
         assert verify_interval_ordering(L, [0])
         assert interval_orientation(L) == [0]
 
+    def test_empty_vertex_set(self, c4):
+        L = labelled_from_typed(classify_all(c4), [])
+        assert (L.n, L.labels.shape, L.inside.shape) == (0, (0, 0), (0, 0))
+        assert interval_orientation(L) == []
+
     def test_module_recursion(self):
         # vertices 2,3 overlap each other and look identical from 0,1
         L = make_labelled(4, overlaps=[(2, 3)],
@@ -606,7 +626,7 @@ class TestSpliceModule:
             except NonUniformQuotientLabel as exc:
                 want = str(exc)
             try:
-                delta._check_module(L, np.array(module), np.arange(L.n))
+                delta._check_module(L, np.arange(L.n), np.array(module))
                 got = None
             except NonUniformQuotientLabel as exc:
                 got = str(exc)
@@ -614,13 +634,17 @@ class TestSpliceModule:
             seen.add(want.split(" sees ")[1] if want else None)
         assert seen == {None, "mixed labels in module", "mixed directions"}
 
-    def test_check_names_the_vertex_through_names(self):
-        # vertex 0 includes 1 and is included in 2; as vertices 10, 11, 12
-        # of the labelled graph the work stack came from, 0 is named 10
-        L = make_labelled(3, inclusions=[(0, 1), (2, 0), (2, 1)])
+    def test_check_names_the_vertex_of_L_within_vs(self):
+        # in vs = [2, 3, 4], vertex 2 (position 0) includes 3 and is included
+        # in 4; vertex 0 overlaps only 3 of the module, but is outside vs
+        L = make_labelled(5, overlaps=[(0, 3)],
+                          inclusions=[(2, 3), (4, 2), (4, 3)])
         with pytest.raises(NonUniformQuotientLabel,
-                           match="^vertex 10 sees mixed directions$"):
-            delta._check_module(L, np.array([1, 2]), np.array([10, 11, 12]))
+                           match="^vertex 2 sees mixed directions$"):
+            delta._check_module(L, np.array([2, 3, 4]), np.array([3, 4]))
+        with pytest.raises(NonUniformQuotientLabel,
+                           match="^vertex 0 sees mixed labels in module$"):
+            delta._check_module(L, np.arange(5), np.array([3, 4]))
 
 
 def outcome(order_vertices, L):
@@ -665,6 +689,11 @@ class TestOrderVertices:
         G = parse_edge_list("\n".join(nested_lines(60)))
         assert self.assert_matches_recursion(labels_on_Z(G)[3]) == "order"
 
+    @pytest.mark.parametrize("n", [60, 120])
+    def test_short_arc_models(self, n):
+        G = parse_edge_list("\n".join(short_lines(n, 1)))
+        assert self.assert_matches_recursion(labels_on_Z(G)[3]) == "order"
+
     def test_deep_modules_under_a_low_recursion_limit(self):
         # 98 nested modules: two stack frames per module would exceed 150
         code = "\n".join([
@@ -681,3 +710,51 @@ class TestOrderVertices:
         run = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
+
+
+def pair_partition(a, b, cid) -> set[frozenset[Pair]]:
+    """The classes given by arrays of pairs (a[i], b[i]) and class ids cid[i],
+    as a set of pair sets: the numbering drops out."""
+    classes: dict[int, set[Pair]] = {}
+    for x, y, k in zip(a.tolist(), b.tolist(), cid.tolist()):
+        classes.setdefault(k, set()).add((x, y))
+    return {frozenset(c) for c in classes.values()}
+
+
+class TestRestrictedClasses:
+    """delta._order_vertices computes the forcing classes once, on L: it
+    rests on the classes of every set the recursion visits being L's
+    classes restricted to the pairs inside that set."""
+
+    @staticmethod
+    def visited_sets_match(L) -> int:
+        """Check every set the recursive reference visits; return how many."""
+        sets: list[list[int]] = []
+        try:
+            _recursive_order_vertices(L, sets.append)
+        except (DeltaInvertiblePair, InternalError):
+            pass
+        a, b, cid, _ = implication_classes(L)
+        for vertices in sets:
+            inside = np.isin(a, vertices) & np.isin(b, vertices)
+            sub = implication_classes(induced(L, vertices))
+            names = np.array(vertices, dtype=int)
+            assert (pair_partition(names[sub.a], names[sub.b], sub.cid)
+                    == pair_partition(a[inside], b[inside], cid[inside])), vertices
+        return len(sets)
+
+    def test_random_labelled(self):
+        rng = random.Random(53)
+        graphs = 2000
+        visited = sum(self.visited_sets_match(random_labelled(rng, rng.randint(2, 8)))
+                      for _ in range(graphs))
+        assert visited > graphs  # some graphs split into modules
+
+    def test_nested_intervals(self):
+        G = parse_edge_list("\n".join(nested_lines(60)))
+        assert self.visited_sets_match(labels_on_Z(G)[3]) > 50
+
+    @pytest.mark.parametrize("n", [60, 120])
+    def test_short_arc_models(self, n):
+        G = parse_edge_list("\n".join(short_lines(n, 1)))
+        assert self.visited_sets_match(labels_on_Z(G)[3]) >= n // 2

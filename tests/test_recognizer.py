@@ -8,8 +8,10 @@ import pytest
 from circarc.arcs import ArcRepresentation
 from circarc.check import (NEGATIVE, POSITIVE, AvoidWalkPair, Certificate,
                            negative_error, verify_negative, verify_positive)
+from circarc.formats import parse_edge_list
 from circarc.graph import build_graph
 from circarc.recognizer import recognize
+from arc_model_edges import nested_lines, short_lines
 from conftest import arc_model, covers, planted_negative
 
 
@@ -48,6 +50,13 @@ class TestRecognize:
             assert cert.verdict == POSITIVE
             assert verify_positive(G, cert)
 
+    def test_short_arc_model(self):
+        # a sparse model whose Δ-orientation splits off 74 modules
+        G = parse_edge_list("\n".join(short_lines(200, 1)))
+        cert = recognize(G)
+        assert cert.verdict == POSITIVE
+        assert verify_positive(G, cert)
+
     def test_deterministic(self, biclaw, near_biclaw):
         from circarc.formats import serialize_certificate
         for G in (biclaw, near_biclaw):
@@ -76,16 +85,19 @@ def count_calls(monkeypatch, names):
 
 
 class TestSelfChecksRunOnce:
-    NAMES = ("delta.ordering_violation", "knotting.walk_pair_error",
-             "arcs.representation_error")
+    NAMES = ("delta.implication_classes", "delta.ordering_violation",
+             "knotting.walk_pair_error", "arcs.representation_error")
 
     def test_positive_route(self, monkeypatch):
         counts = count_calls(monkeypatch, self.NAMES)
-        for seed in range(3):
+        nested = parse_edge_list("\n".join(nested_lines(60)))  # 28 modules deep
+        for G in [arc_model(random.Random(seed), 30) for seed in range(3)] + [nested]:
             counts.update(dict.fromkeys(counts, 0))
-            assert recognize(arc_model(random.Random(seed), 30)).verdict == POSITIVE
-            # the Δ-order once; the lift, then the emitted certificate
-            assert counts == {"delta.ordering_violation": 1,
+            assert recognize(G).verdict == POSITIVE
+            # the forcing classes and the Δ-order once; the lift, then the
+            # emitted certificate
+            assert counts == {"delta.implication_classes": 1,
+                              "delta.ordering_violation": 1,
                               "knotting.walk_pair_error": 0,
                               "arcs.representation_error": 2}
 
@@ -96,7 +108,8 @@ class TestSelfChecksRunOnce:
             G = planted_negative(random.Random(seed), 30, pattern)
             assert recognize(G).verdict == NEGATIVE
             # the walks are checked once, with the emitted certificate
-            assert counts == {"delta.ordering_violation": 0,
+            assert counts == {"delta.implication_classes": 0,
+                              "delta.ordering_violation": 0,
                               "knotting.walk_pair_error": 1,
                               "arcs.representation_error": 0}
 
