@@ -17,14 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .check import EdgeType, InternalError, TypedGraph
-from .edgetypes import anchor_blocks, avoiding
-from .graph import components, disjoint_rows, pack_rows, sorted_unique
+from .edgetypes import avoiding_labels
+from .graph import disjoint_rows, pack_rows, sorted_unique
 
 Pair = tuple[int, int]
 
@@ -134,22 +133,19 @@ def implication_classes(L: LabelledGraph) -> DeltaClasses:
 
     A step (a,b) -> (c,b) needs the edge ac to avoid b, and (a,b) -> (a,c)
     needs bc to avoid a, so each kind of step stays inside one anchor's
-    avoidance matrix.  Labelling the components of those matrices, a block
-    of anchors at a time, gives two partitions of the pairs: the pairs
-    (x, z) joined by the first kind of step, and the pairs (z, x) joined by
-    the second.  The classes are the components of the two together, found
-    by an array union-find over the pair ids a*n + b, and are numbered by
-    least pair.
+    avoidance matrix.  Labelling the components of those matrices
+    (``edgetypes.avoiding_labels``) gives two partitions of the pairs:
+    the pairs (x, z) joined by the first kind of step, and the pairs (z, x)
+    joined by the second.  The classes are the components of the two
+    together, found by an array union-find over the pair ids a*n + b, and
+    are numbered by least pair.
     """
     n = L.n
-    avoid = partial(avoiding, pack_rows(L.labels != Label.NONEDGE),
-                    pack_rows(L.labels == Label.OVERLAP),
-                    pack_rows(L.labels == Label.INCLUSION))
     # lab[z, x]: least vertex of x's component in the matrix at z, n when the
     # loop at x does not avoid z, that is when (x, z) is not an active pair
-    lab = np.empty((n, n), dtype=np.intp)
-    for zs in anchor_blocks(np.arange(n), n):
-        lab[zs] = components(*avoid(zs))
+    lab = avoiding_labels(pack_rows(L.labels != Label.NONEDGE),
+                          pack_rows(L.labels == Label.OVERLAP),
+                          pack_rows(L.labels == Label.INCLUSION), np.arange(n))
     a, b = np.nonzero(lab.T < n)  # the active pairs, in lexicographic order
     rank = np.full((n, n), -1, dtype=np.intp)
     rank[a, b] = np.arange(a.size)

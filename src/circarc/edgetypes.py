@@ -1,9 +1,11 @@
-"""The circular completion and the avoidance rows of anchors.
+"""The circular completion and the edges that avoid an anchor.
 
 The circular completion gives each vertex without a circular partner
 (``check.circular_pairs``) a new partner vertex, all built in one pass
 from the containment and closed-adjacency matrices of the input.  It is
 not trusted: ``check.completion_error`` re-checks a certificate's.
+``avoiding_labels`` labels the components of the edges that avoid
+each anchor, for the knotting graph and the Δ-forcing classes alike.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .check import InternalError, TypedGraph, circular_pairs, classify_all
-from .graph import Graph, disjoint_rows, unpack_rows
+from .graph import Graph, components, disjoint_rows, unpack_rows
 
 
 def complete(T: TypedGraph) -> tuple[TypedGraph, dict[int, int]]:
@@ -61,13 +63,6 @@ def complete(T: TypedGraph) -> tuple[TypedGraph, dict[int, int]]:
 AVOID_WORDS = 1 << 20  # words of packed avoidance rows built per block of anchors
 
 
-def anchor_blocks(zs: np.ndarray, n: int) -> list[np.ndarray]:
-    """Split the anchors zs of an n-vertex graph into blocks whose packed
-    avoidance rows hold at most AVOID_WORDS words (one anchor at least)."""
-    step = max(1, AVOID_WORDS // max(1, n * ((n + 63) // 64)))
-    return [zs[i:i + step] for i in range(0, len(zs), step)]
-
-
 def avoiding(closed: np.ndarray, overlap: np.ndarray, included: np.ndarray,
              zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The edges (loops included) that avoid each anchor z in zs, bit-packed.
@@ -89,3 +84,23 @@ def avoiding(closed: np.ndarray, overlap: np.ndarray, included: np.ndarray,
     cut[~unpack_rows(ov, n)] = 0  # only rows of z's overlappers lose edges
     rows &= np.invert(cut, out=cut)
     return rows, on
+
+
+def avoiding_labels(closed: np.ndarray, overlap: np.ndarray, included: np.ndarray,
+                    zs: np.ndarray, also: int | None = None) -> np.ndarray:
+    """Label each vertex, for each anchor z in zs, with the least vertex of
+    its component among the edges (loops included) avoiding z, and also if
+    given, or with n where its loop does not.  The relations are packed for
+    ``avoiding``; blocks of anchors whose packed rows hold at most
+    AVOID_WORDS words (one anchor at least) go to ``graph.components``."""
+    labels = []
+    if also is not None:
+        also_rows, also_on = avoiding(closed, overlap, included, np.array([also]))
+    step = max(1, AVOID_WORDS // max(1, closed.size))
+    for i in range(0, max(1, len(zs)), step):  # no anchors: one empty block
+        rows, on = avoiding(closed, overlap, included, zs[i:i + step])
+        if also is not None:
+            rows &= also_rows
+            on &= also_on
+        labels.append(components(rows, on))
+    return labels[0] if len(labels) == 1 else np.concatenate(labels)

@@ -5,9 +5,9 @@ always considered adjacent to itself.  The adjacency matrix we store has a
 False diagonal; helpers that need the closed version OR in the identity.
 ``components`` labels a whole stack of graphs given by bit-packed rows in
 one lock-step breadth-first search, each level an OR of the frontier's
-uint64 rows per graph (``delta._merge``, an array union-find, joins two
-such labellings into the Δ-forcing classes); ``bfs`` and ``tree_path`` are
-the only search-path helpers, used where a path itself is wanted.
+uint64 rows per graph, for ``edgetypes.avoiding_labels`` alone;
+``bfs`` and ``tree_path`` are the only search-path helpers, used where a
+path itself is wanted.
 ``disjoint_rows`` is the only 0/1 matrix product: bit-packed, because numpy
 multiplies integer matrices without BLAS.  Both use ``pack_rows``.
 

@@ -2,38 +2,27 @@
 
 For a fixed anchor z of a completed graph, every vertex u that z does not
 include gets one copy per component of the "safe" subgraph around u: the
-edges, loops included, that avoid both u and z (``edgetypes.avoiding``).
-Its loops mark its vertices, so walks inside a component avoid both u and
-z.  An odd cycle among the copies rolls out into two mutually avoiding
-walks anchored at z; bipartiteness certifies there are none, and the
-2-colouring splits the overlappers of z so that one side joins the
-non-inverting set Z.
+edges, loops included, that avoid both u and z, labelled for every u by
+one ``edgetypes.avoiding_labels`` call.  Its loops mark its vertices,
+so walks inside a component avoid both u and z.  An odd cycle among the
+copies rolls out into two mutually avoiding walks anchored at z;
+bipartiteness certifies there are none, and the 2-colouring splits the
+overlappers of z so that one side joins the non-inverting set Z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .check import AvoidWalkPair, EdgeType, InternalError, TypedGraph
 from .check import walk_pair_error  # re-exported under its old name
-from .edgetypes import anchor_blocks, avoiding
-from .graph import (bfs, components, pack_rows, sorted_unique, tree_path,
-                    unpack_rows)
+from .edgetypes import avoiding, avoiding_labels
+from .graph import bfs, pack_rows, sorted_unique, tree_path, unpack_rows
 
 Copy = tuple[int, int]  # (vertex, component index)
-Avoid = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-
-
-def _avoiding_at(H: TypedGraph) -> Avoid:
-    """zs -> the packed rows and vertex masks of the edges of H (loops
-    included) that avoid each z in zs (``edgetypes.avoiding``)."""
-    overlap = (H.types == EdgeType.OVERLAP1) | (H.types == EdgeType.OVERLAP2)
-    return partial(avoiding, pack_rows(H.graph.closed_adj()), pack_rows(overlap),
-                   pack_rows(H.types == EdgeType.INCLUSION))
 
 
 @dataclass
@@ -42,14 +31,14 @@ class KnottingGraph:
     copies: list[Copy]
     copy_at: np.ndarray         # int32 [u, v]: the copy of u whose component holds v, or -1
     adjacency: list[list[int]]  # by copy index, sorted
-    avoid: Avoid                # _avoiding_at(H), packed once by build_knotting
+    avoid: tuple[np.ndarray, ...]  # H's packed closed, overlap and included rows
 
     def component_path(self, u: int, comp: int, a: int, b: int) -> list[int]:
         """Shortest a-b path inside component comp of u's safe subgraph."""
         at = self.copy_at[u, [a, b]]
         if at[0] != at[1] or at[0] < 0 or self.copies[at[0]] != (u, comp):
             raise InternalError(f"path endpoints outside component {u}/{comp}")
-        rows, _ = self.avoid(np.array([u, self.anchor]))
+        rows, _ = avoiding(*self.avoid, np.array([u, self.anchor]))
         safe = unpack_rows(rows[0] & rows[1], len(self.copy_at))
         prev: dict[int, Optional[int]] = {}
         bfs(prev, a, lambda cur: np.flatnonzero(safe[cur]).tolist())
@@ -65,26 +54,23 @@ def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
     components' least members.
     """
     n = H.graph.n
-    avoid = _avoiding_at(H)
-    avoid_z, az = avoid(np.array([z]))
-    az = az[0]  # the vertices z tolerates, z itself excluded
-    copies: list[Copy] = []
+    overlap = (H.types == EdgeType.OVERLAP1) | (H.types == EdgeType.OVERLAP2)
+    included = H.types == EdgeType.INCLUSION
+    avoid = tuple(map(pack_rows, (H.graph.closed_adj(), overlap, included)))
+    az = ~included[z]  # the vertices z tolerates, z itself excluded
+    us = np.flatnonzero(az)
+    label = avoiding_labels(*avoid, us, also=z)  # n off each safe subgraph
+    i, v = np.nonzero(label < n)
+    # one copy per (u, least member), numbered by u, then by least member
+    keys, copy = np.unique(i * n + label[i, v], return_inverse=True)
     copy_at = np.full((n, n), -1, dtype=np.int32)
-    for us in anchor_blocks(np.flatnonzero(az), n):
-        safe, on = avoid(us)
-        safe &= avoid_z
-        on &= az
-        label = components(safe, on)  # n off each safe subgraph
-        i, v = np.nonzero(label < n)
-        # one copy per (u, least member), numbered by u, then by least member
-        keys, copy = np.unique(i * n + label[i, v], return_inverse=True)
-        copy_at[us[i], v] = len(copies) + copy.reshape(-1)
-        owner = keys // n
-        rank = np.arange(keys.size) - np.searchsorted(owner, owner)
-        copies += zip(us[owner].tolist(), rank.tolist())
+    copy_at[us[i], v] = copy.reshape(-1)
+    owner = keys // n
+    rank = np.arange(keys.size) - np.searchsorted(owner, owner)
+    copies = list(zip(us[owner].tolist(), rank.tolist()))
     # copies meet for every non-inclusion pair, adjacent or not
-    us, vs = np.nonzero((H.types != EdgeType.INCLUSION) & az[:, None] & az[None, :])
-    a, b = copy_at[us, vs].astype(np.int64), copy_at[vs, us].astype(np.int64)
+    xs, ys = np.nonzero(~included & az[:, None] & az[None, :])
+    a, b = copy_at[xs, ys].astype(np.int64), copy_at[ys, xs].astype(np.int64)
     if (a < 0).any():
         raise InternalError("a tolerated pair lies outside a safe subgraph")
     # both directions are listed; one sort of the int64 keys a*m + b groups them

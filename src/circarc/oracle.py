@@ -180,6 +180,8 @@ def cross_check(max_n: int, random_spec: Optional[dict] = None) -> CrossCheckRep
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     if random_spec is not None:
+        if not 0 <= random_spec["n"] <= ORACLE_CAP:
+            raise ValueError(f"oracle capped at {ORACLE_CAP} vertices")
         if random_spec["count"] < 0:
             raise ValueError("random count must be nonnegative")
         if not 0 <= random_spec["edge_prob"] <= 1:

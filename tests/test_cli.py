@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import circarc.oracle
 import circarc.recognizer
 from circarc.cli import main
 from circarc.check import InternalError
@@ -217,6 +218,16 @@ class TestCrossCheckCommand:
     def test_random_n_over_cap(self, capsys):
         assert main(["crosscheck", "--random", "9,1,0.5,1"]) == 2
         assert "capped" in capsys.readouterr().err
+
+    def test_random_n_over_cap_fails_before_any_work(self, monkeypatch, capsys):
+        # a 1500-vertex batch is refused before a graph is built or recognized
+        def refuse(G):
+            raise AssertionError("recognize ran before the size check")
+
+        monkeypatch.setattr(circarc.oracle, "recognize", refuse)
+        for n in ("1500", "-1"):
+            assert main(["crosscheck", "--max-n", "0", f"--random={n},1,0.5,1"]) == 2
+            assert "oracle capped at 8 vertices" in capsys.readouterr().err
 
     def test_negative_max_n(self, capsys):
         assert main(["crosscheck", "--max-n", "-1"]) == 2

@@ -8,12 +8,16 @@ from hypothesis import assume, given, settings
 from circarc.arcs import ArcRepresentation
 from circarc.check import (EdgeType, UnreducedGraphError, _matrices, avoids,
                            circular_pairs, classify_all, completion_error)
-from circarc.edgetypes import avoiding, complete
+from circarc import edgetypes
+from circarc.delta import implication_classes, labelled_from_typed
+from circarc.edgetypes import avoiding, avoiding_labels, complete
 from circarc.graph import (Graph, build_graph, pack_rows, reduce as reduce_graph,
                            unpack_rows)
 from circarc.formats import parse_edge_list
-from conftest import (BICLAW_EDGES, _dense_avoiding, arc_model, arcs_meet,
-                      completion_of)
+from circarc.knotting import build_knotting
+from arc_model_edges import nested_lines
+from conftest import (BICLAW_EDGES, _bfs_components, _dense_avoiding, arc_model,
+                      arcs_meet, completion_of, planted_negative)
 from test_graph import random_graph_strategy
 
 
@@ -353,6 +357,72 @@ class TestAvoids:
             want = _dense_avoiding(*dense, z)
             assert np.array_equal(unpack_rows(rows[i], H.graph.n), want)
             assert np.array_equal(on[i], want.diagonal())
+
+
+class TestAvoidingLabels:
+    @staticmethod
+    def counted_blocks(monkeypatch):
+        """The anchor count of every graph.components call made from now on."""
+        sizes = []
+        real = edgetypes.components
+
+        def counted(rows, on):
+            sizes.append(len(on))
+            return real(rows, on)
+
+        monkeypatch.setattr(edgetypes, "components", counted)
+        return sizes
+
+    def test_matches_dense_reference(self, monkeypatch):
+        # each anchor's labels are its avoidance matrix's, ANDed with also's
+        H = completion_of(arc_model(random.Random(8), 30))[2]
+        n = H.graph.n
+        dense = TestAvoids.masks(H)
+        packed = tuple(map(pack_rows, dense))
+        sizes = self.counted_blocks(monkeypatch)
+        for also in (None, 0, n - 1):
+            got = avoiding_labels(*packed, np.arange(n), also=also)
+            for z in range(n):
+                M = _dense_avoiding(*dense, z)
+                if also is not None:
+                    M &= _dense_avoiding(*dense, also)
+                assert got[z].tolist() == _bfs_components(M).tolist()
+        assert sizes == [n] * 3  # every anchor in one block
+        zs = np.array([5, 2, 5])
+        got = avoiding_labels(*packed, zs, also=3)
+        assert np.array_equal(got, avoiding_labels(*packed, np.arange(n), also=3)[zs])
+        assert avoiding_labels(*packed, zs[:0]).shape == (0, n)
+
+    def test_blocks_of_one_anchor_keep_the_labels(self, monkeypatch):
+        # the knotting graph and the delta classes, labelled a block of
+        # anchors at a time, do not depend on the block size
+        rng = random.Random(11)
+        graphs = [arc_model(rng, 40), arc_model(rng, 25),
+                  planted_negative(rng, 30, "biclaw"),
+                  planted_negative(rng, 30, "c4+k1"),
+                  parse_edge_list("\n".join(nested_lines(60)))]
+        cases = []
+        for G in graphs:
+            H = completion_of(G)[2]
+            zs = np.flatnonzero(H.graph.adj.sum(axis=1) > 0)[:3].tolist()
+            cases.append((H, zs, labelled_from_typed(H, list(range(0, H.graph.n, 2)))))
+
+        def run():
+            out = []
+            for H, zs, L in cases:
+                Ks = [build_knotting(H, z) for z in zs]
+                out.append(([(K.copies, K.copy_at.tolist(), K.adjacency) for K in Ks],
+                            [x.tolist() for x in implication_classes(L)]))
+            return out
+
+        sizes = self.counted_blocks(monkeypatch)
+        whole = run()
+        assert max(sizes) > 1
+        anchors = sum(sizes)
+        sizes.clear()
+        monkeypatch.setattr(edgetypes, "AVOID_WORDS", 1)
+        assert run() == whole
+        assert set(sizes) == {1} and len(sizes) == anchors
 
 
 class TestCompletionUniqueness:

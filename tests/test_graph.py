@@ -7,14 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from circarc.arcs import ArcRepresentation, expand_arcs
 from circarc.check import representation_error
-from circarc import edgetypes
-from circarc.delta import implication_classes, labelled_from_typed
 from circarc.graph import (Graph, GraphError, MergeTwins, ReductionStep,
                            ReductionTrace, RemoveUniversal, bfs, build_graph,
                            components, disjoint_rows, pack_rows, reduce,
                            sorted_unique, tree_path, unpack_rows)
-from circarc.knotting import build_knotting
-from conftest import _bfs_components, arc_model, completion_of
+from conftest import _bfs_components
 
 
 def random_graph_strategy(max_n=7):
@@ -248,24 +245,6 @@ class TestComponents:
             words = pack_rows(M)
             assert words.shape == (3, 4, (c + 63) // 64)
             assert np.array_equal(unpack_rows(words, c), M)
-
-    def test_blocks_of_one_anchor_keep_the_labels(self, monkeypatch):
-        # the knotting graph and the delta classes, labelled a block of
-        # anchors at a time, do not depend on the block size
-        H = completion_of(arc_model(random.Random(11), 40))[2]
-        zs = np.flatnonzero(H.graph.adj.sum(axis=1) > 0)[:3].tolist()
-        L = labelled_from_typed(H, list(range(0, H.graph.n, 2)))
-
-        def run():
-            Ks = [build_knotting(H, z) for z in zs]
-            return ([(K.copies, K.copy_at.tolist(), K.adjacency) for K in Ks],
-                    [x.tolist() for x in implication_classes(L)])
-
-        assert len(edgetypes.anchor_blocks(np.arange(H.graph.n), H.graph.n)) == 1
-        whole = run()
-        monkeypatch.setattr(edgetypes, "AVOID_WORDS", 1)
-        assert len(edgetypes.anchor_blocks(np.arange(5), H.graph.n)) == 5
-        assert run() == whole
 
 
 def _product_disjoint_rows(A, B):
