@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .check import representation_error  # re-exported under its old name
 from .graph import MergeTwins, RemoveUniversal
 
@@ -25,30 +27,32 @@ def expand_arcs(trace, rep: ArcRepresentation) -> ArcRepresentation:
     """Undo a reduction trace on a representation of the reduced graph.
 
     Returns a representation of the original graph, indexed by its vertices.
-    Steps are undone in reverse.  A reinstated twin gets an arc one fresh
-    slot wider than its partner on each side; a reinstated universal vertex
-    gets an arc covering all but one fresh slot.
+    Each slot gets a key (reduced slot, offset), and one sort of the keys
+    places every endpoint: a reduced slot has offset 0, and the twin of the
+    i-th MergeTwins step (from 1) has its ends at offsets -i and +i of its
+    kept vertex's ends, so earlier steps sit innermost.  Each universal
+    vertex then adds three slots at the end, in reverse step order, and
+    covers all but the middle one.  Every kept vertex must be a survivor.
     """
-    if set(rep.arcs) != set(range(len(trace.survivors))):
+    surv = trace.survivors
+    if set(rep.arcs) != set(range(len(surv))):
         raise ValueError("representation does not match the reduced graph")
-    next_tag = rep.circle_size
-    circle = list(range(rep.circle_size))
-    arcs = {trace.survivors[i]: lr for i, lr in rep.arcs.items()}
-    for step in reversed(trace.steps):
-        if isinstance(step, MergeTwins):
-            l_k, r_k = arcs[step.kept]
-            a, b = next_tag, next_tag + 1
-            next_tag += 2
-            circle.insert(circle.index(l_k), a)
-            circle.insert(circle.index(r_k) + 1, b)
-            arcs[step.removed] = (a, b)
-        else:
-            assert isinstance(step, RemoveUniversal)
-            s1, s2, s3 = next_tag, next_tag + 1, next_tag + 2
-            next_tag += 3
-            circle.extend([s1, s2, s3])
-            # wraps the whole circle, missing only s2
-            arcs[step.vertex] = (s3, s1)
-    pos = {tag: i for i, tag in enumerate(circle)}
-    out = {v: (pos[l], pos[r]) for v, (l, r) in arcs.items()}
-    return ArcRepresentation(len(circle), out)
+    twins = [s for s in trace.steps if isinstance(s, MergeTwins)]
+    kept, removed = [s.kept for s in twins], [s.removed for s in twins]
+    universal = [s.vertex for s in trace.steps if isinstance(s, RemoveUniversal)]
+    n, c, t = trace.n_original, rep.circle_size, len(twins)
+    if sorted(surv + removed + universal) != list(range(n)) or not set(kept) <= set(surv):
+        raise ValueError("malformed reduction trace")
+    ends = np.array([rep.arcs[i] for i in range(len(surv))], dtype=np.intp).reshape(-1, 2)
+    at = dict(zip(surv, range(len(surv))))
+    i = np.arange(1, t + 1)
+    major = np.concatenate((np.arange(c), ends[[at[k] for k in kept]].T.reshape(-1)))
+    minor = np.concatenate((np.zeros(c, dtype=np.intp), -i, i))
+    pos = np.empty(c + 2 * t, dtype=np.intp)
+    pos[np.lexsort((minor, major))] = np.arange(c + 2 * t)
+    size = c + 2 * t + 3 * len(universal)
+    arcs = dict(zip(surv, zip(*pos[ends].T.tolist())))
+    arcs.update(zip(removed, zip(pos[c:c + t].tolist(), pos[c + t:].tolist())))
+    # the q-th universal step (from 0) gets slots size - 3q - 3..1 and misses the middle one
+    arcs.update(zip(universal, zip(range(size - 1, -1, -3), range(size - 3, -1, -3))))
+    return ArcRepresentation(size, arcs)

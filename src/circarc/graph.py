@@ -14,6 +14,9 @@ multiplies integer matrices without BLAS.  Both use ``pack_rows``.
 ``reduce`` strips universal vertices and merges true twins in closed form:
 neither step creates or destroys universality or twinness among the
 vertices that survive it, so one look at the input finds every step.
+Twins are grouped by one sort of packed closed rows as opaque byte strings:
+``np.unique(axis=0)`` sorts rows as records of one field per column, which
+is ~10x slower at n = 180.
 """
 
 from __future__ import annotations
@@ -278,9 +281,10 @@ def reduce(G: Graph) -> tuple[Graph, ReductionTrace]:
         RemoveUniversal(v) for v in np.flatnonzero(universal).tolist()]
     rest = least = np.flatnonzero(~universal)
     if rest.size:
-        _, first, label = np.unique(np.packbits(closed[rest], axis=1), axis=0,
-                                    return_index=True, return_inverse=True)
-        least = rest[first[label.reshape(-1)]]  # least member of each twin class
+        words = pack_rows(closed[rest])
+        rows = words.view(np.dtype((np.void, words.strides[0]))).reshape(-1)
+        _, first, label = np.unique(rows, return_index=True, return_inverse=True)
+        least = rest[first[label]]  # least member of each twin class
         order = np.lexsort((rest, least))
         steps += [MergeTwins(k, v) for k, v in zip(least[order].tolist(),
                                                    rest[order].tolist()) if k != v]

@@ -1,11 +1,14 @@
 """Print the edge list of a seeded random arc model, for the CI smokes.
 
-Usage: python tests/arc_model_edges.py N SEED [--biclaw | --nested | --short]
+Usage: python tests/arc_model_edges.py N SEED [--twins T] [--biclaw | --nested | --short]
 
-The arcs of v0..v(N-1) have their 2N ends shuffled over 2N slots by
-random.Random(SEED).  The vertices are listed first, then every
-intersecting pair; --biclaw appends a disjoint biclaw on b0..b6, which
-makes the graph not circular-arc.  --nested prints the interval graph of
+The N arcs have their 2N ends shuffled over 2N slots by random.Random(SEED).
+--twins T makes each arc T true twins: on the circle refined 2T-fold, copy j
+of an arc starts j fine slots before it and ends j fine slots after it, which
+is less than half an old slot, so copies meet exactly when their arcs do.
+Copy j of arc a is v(aT + j), so the vertices are v0..v(NT-1), listed first,
+then every intersecting pair; --biclaw appends a disjoint biclaw on b0..b6,
+which makes the graph not circular-arc.  --nested prints the interval graph of
 nested_lines instead, whose Δ-orientation is about N/2 modules deep; SEED is
 then unused.  --short prints the sparse model of short_lines instead.
 """
@@ -16,15 +19,18 @@ import random
 BICLAW = ["b0 b1", "b1 b2", "b0 b3", "b0 b4", "b3 b5", "b4 b6"]
 
 
-def edge_lines(n: int, seed: int, biclaw: bool) -> list[str]:
+def edge_lines(n: int, seed: int, biclaw: bool, twins: int = 1) -> list[str]:
     rng = random.Random(seed)
     ends = list(range(2 * n))
     rng.shuffle(ends)
-    arcs = [(ends[2 * v], (ends[2 * v + 1] - ends[2 * v]) % (2 * n)) for v in range(n)]
-    return ([f"v{v}" for v in range(n)]
-            + [f"v{u} v{v}" for u in range(n) for v in range(u + 1, n)
-               if (arcs[v][0] - arcs[u][0]) % (2 * n) <= arcs[u][1]
-               or (arcs[u][0] - arcs[v][0]) % (2 * n) <= arcs[v][1]]
+    t, m = twins, 4 * n * twins  # arcs as (start, length) on m fine slots
+    arcs = [((2 * t * ends[2 * a] - j) % m,
+             2 * t * ((ends[2 * a + 1] - ends[2 * a]) % (2 * n)) + 2 * j)
+            for a in range(n) for j in range(t)]
+    return ([f"v{v}" for v in range(n * t)]
+            + [f"v{u} v{v}" for u in range(n * t) for v in range(u + 1, n * t)
+               if (arcs[v][0] - arcs[u][0]) % m <= arcs[u][1]
+               or (arcs[u][0] - arcs[v][0]) % m <= arcs[v][1]]
             + (BICLAW if biclaw else []))
 
 
@@ -58,8 +64,11 @@ if __name__ == "__main__":
     family.add_argument("--biclaw", action="store_true")
     family.add_argument("--nested", action="store_true")
     family.add_argument("--short", action="store_true")
+    parser.add_argument("--twins", type=int, default=1, metavar="T")
     args = parser.parse_args()
+    if args.twins < 1 or (args.twins > 1 and (args.nested or args.short)):
+        parser.error("--twins takes T >= 1 and applies to the arc model alone")
     lines = (nested_lines(args.n) if args.nested
              else short_lines(args.n, args.seed) if args.short
-             else edge_lines(args.n, args.seed, args.biclaw))
+             else edge_lines(args.n, args.seed, args.biclaw, args.twins))
     print("\n".join(lines))

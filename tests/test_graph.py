@@ -67,6 +67,39 @@ def _loop_reduce(G: Graph) -> tuple[Graph, ReductionTrace]:
     return reduced, ReductionTrace(G.n, steps, list(live))
 
 
+def _loop_expand(trace: ReductionTrace, rep: ArcRepresentation) -> ArcRepresentation:
+    """Reference expansion: undo the steps in reverse on a list of slot tags.
+
+    A reinstated twin gets a fresh tag inserted just before its kept
+    vertex's left tag and one just after its right tag; a reinstated
+    universal vertex appends three fresh tags and covers all but the middle
+    one.  The circle is the final tag list.
+    """
+    if set(rep.arcs) != set(range(len(trace.survivors))):
+        raise ValueError("representation does not match the reduced graph")
+    next_tag = rep.circle_size
+    circle = list(range(rep.circle_size))
+    arcs = {trace.survivors[i]: lr for i, lr in rep.arcs.items()}
+    for step in reversed(trace.steps):
+        if isinstance(step, MergeTwins):
+            l_k, r_k = arcs[step.kept]
+            a, b = next_tag, next_tag + 1
+            next_tag += 2
+            circle.insert(circle.index(l_k), a)
+            circle.insert(circle.index(r_k) + 1, b)
+            arcs[step.removed] = (a, b)
+        else:
+            assert isinstance(step, RemoveUniversal)
+            s1, s2, s3 = next_tag, next_tag + 1, next_tag + 2
+            next_tag += 3
+            circle.extend([s1, s2, s3])
+            # wraps the whole circle, missing only s2
+            arcs[step.vertex] = (s3, s1)
+    pos = {tag: i for i, tag in enumerate(circle)}
+    out = {v: (pos[l], pos[r]) for v, (l, r) in arcs.items()}
+    return ArcRepresentation(len(circle), out)
+
+
 def planted_blowup(seed):
     """Random graph with true-twin classes and universal vertices planted,
     its vertex indices shuffled."""
@@ -82,6 +115,47 @@ def planted_blowup(seed):
              if k in (cls[i], cls[j]) or cls[i] == cls[j]
              or base.has_edge(cls[i], cls[j])]
     return build_graph(n, edges)
+
+
+def wide_blowup(n, seed):
+    """Random graph on exactly n >= 4 vertices with true-twin classes and
+    universal vertices planted, so that its closed rows fill several 64-bit
+    words.  Vertex n - 1 is z, alone in its class.  Classes 0 and 1 form a
+    clique, meet every other class alike, and differ only in that class 0
+    meets z: their closed rows differ only at column n - 1, in the last word.
+    The other vertices are shuffled over 0..n-2."""
+    rng = random.Random(seed)
+    cls = [0] * rng.randint(1, 3) + [1] * rng.randint(1, 3) + [2]
+    while len(cls) < n - 1:  # classes of 1-6 twins; about 1 in 40 is universal
+        cls += [-1 if rng.random() < 0.025 else max(cls) + 1] * rng.randint(1, 6)
+    cls = cls[:n - 1]
+    rng.shuffle(cls)
+    z, k = n - 1, max(cls) + 1
+    base = nx.gnp_random_graph(k, rng.uniform(0.2, 0.8), seed=seed)
+    base.add_edge(0, 1)
+    base.remove_edges_from([(0, 2), (1, 2)])  # so neither class is universal
+    for c in range(2, k):  # class 1 meets other classes as class 0 does
+        if base.has_edge(0, c) != base.has_edge(1, c):
+            base.remove_edge(*((0, c) if base.has_edge(0, c) else (1, c)))
+    meets_z = [c == 0 or (c > 1 and rng.random() < 0.5) for c in range(k)]
+    edges = [(i, j) for i in range(n - 1) for j in range(i + 1, n - 1)
+             if -1 in (cls[i], cls[j]) or cls[i] == cls[j]
+             or base.has_edge(cls[i], cls[j])]
+    edges += [(i, z) for i in range(n - 1) if cls[i] == -1 or meets_z[cls[i]]]
+    return build_graph(n, edges)
+
+
+def random_reduced_rep(rng, s):
+    """Arcs for vertices 0..s-1 with distinct endpoints on a circle with up
+    to three spare slots, dealt at random so that about half of them wrap
+    (l > r); when s > 0, one arc ends on the last slot."""
+    c = 2 * s + rng.randint(0, 3)
+    slots = rng.sample(range(c - 1), 2 * s - 1) + [c - 1] if s else []
+    rng.shuffle(slots)
+    i = slots.index(c - 1) if s else 0
+    if i % 2 == 0 and s:  # c - 1 is a left end: swap it with its right end
+        slots[i], slots[i + 1] = slots[i + 1], slots[i]
+    return ArcRepresentation(c, {v: (slots[2 * v], slots[2 * v + 1]) for v in range(s)})
 
 
 def depths(parent, order):
@@ -394,6 +468,22 @@ class TestReduce:
             assert np.array_equal(reduced.adj, ref.adj) and reduced.names == ref.names
         assert sum(G.n == 0 for G in graphs) == 1 and max(G.n for G in graphs) > 40
 
+    @pytest.mark.parametrize("n", [63, 64, 65, 128, 129, 200])
+    def test_rows_of_several_words_match_loop_reference(self, n):
+        for seed in range(3):
+            G = wide_blowup(n, seed)
+            reduced, trace = reduce(G)
+            ref, ref_trace = _loop_reduce(G)
+            assert (trace.steps, trace.survivors, trace.n_original) == (
+                ref_trace.steps, ref_trace.survivors, ref_trace.n_original)
+            assert np.array_equal(reduced.adj, ref.adj) and reduced.names == ref.names
+            # two adjacent survivors whose closed rows differ only in the last
+            # column, so only in the last word, are kept apart
+            rows = G.closed_adj()[trace.survivors]
+            near = (rows[:, None, :-1] == rows[None, :, :-1]).all(axis=2)
+            assert (near & reduced.adj).any()
+            assert len(trace.steps) > n // 3
+
     @given(random_graph_strategy())
     @settings(deadline=None, max_examples=60)
     def test_idempotent(self, G):
@@ -450,6 +540,70 @@ class TestExpandArcs:
         _, trace = reduce(K2)
         with pytest.raises(ValueError):
             expand_arcs(trace, ArcRepresentation(4, {0: (0, 1), 1: (2, 3)}))
+
+    @staticmethod
+    def assert_matches_loop(trace, rep):
+        got, want = expand_arcs(trace, rep), _loop_expand(trace, rep)
+        assert got.circle_size == want.circle_size
+        assert got.arcs == want.arcs
+
+    def test_matches_loop_reference(self):
+        graphs = [build_graph(g.number_of_nodes(), list(g.edges()))
+                  for g in nx.graph_atlas_g()]
+        graphs += [planted_blowup(seed) for seed in range(150)]
+        rng = random.Random(5)
+        wraps = last = 0
+        for G in graphs:
+            _, trace = reduce(G)
+            rep = random_reduced_rep(rng, len(trace.survivors))
+            self.assert_matches_loop(trace, rep)
+            wraps += sum(l > r for l, r in rep.arcs.values())
+            last += any(r == rep.circle_size - 1 for _, r in rep.arcs.values())
+        assert wraps > 1000 and last == len(graphs) - 1  # all but the empty graph
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_complete_graph_keeps_its_last_vertex(self, n):
+        _, trace = reduce(build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)]))
+        assert trace.survivors == [n - 1]
+        assert trace.steps == [RemoveUniversal(v) for v in range(n - 1)]
+        for rep in (ArcRepresentation(2, {0: (0, 1)}), ArcRepresentation(3, {0: (2, 0)})):
+            self.assert_matches_loop(trace, rep)
+
+    def test_many_twins_per_kept_vertex(self):
+        rng = random.Random(11)
+        for n in (65, 129, 200):
+            G = wide_blowup(n, n)
+            _, trace = reduce(G)
+            kept = [s.kept for s in trace.steps if isinstance(s, MergeTwins)]
+            assert max(map(kept.count, kept)) >= 4
+            for _ in range(3):
+                self.assert_matches_loop(trace, random_reduced_rep(rng, len(trace.survivors)))
+
+    def test_steps_not_grouped_by_kept_vertex(self):
+        rng = random.Random(13)
+        for seed in range(40):
+            _, trace = reduce(planted_blowup(seed))
+            steps = trace.steps[:]
+            rng.shuffle(steps)  # twins of one kept vertex and universal vertices interleave
+            shuffled = ReductionTrace(trace.n_original, steps, trace.survivors)
+            self.assert_matches_loop(shuffled, random_reduced_rep(rng, len(trace.survivors)))
+
+    @pytest.mark.parametrize("trace", [
+        ReductionTrace(3, [MergeTwins(0, 2), MergeTwins(2, 1)], [0]),  # kept 2 was removed
+        ReductionTrace(3, [MergeTwins(2, 1), MergeTwins(0, 2)], [0]),
+        ReductionTrace(3, [RemoveUniversal(1), MergeTwins(1, 2)], [0]),  # kept 1 is universal
+        ReductionTrace(2, [MergeTwins(0, 1)], [0, 1]),  # removed 1 survives
+        ReductionTrace(2, [RemoveUniversal(1)], [0, 1]),  # universal 1 survives
+        ReductionTrace(3, [MergeTwins(0, 1), MergeTwins(0, 1)], [0, 2]),  # 1 removed twice
+        ReductionTrace(3, [MergeTwins(0, 1)], [0]),  # 2 is missing
+        ReductionTrace(2, [MergeTwins(0, 5)], [0, 1]),  # 5 is out of range
+        ReductionTrace(2, [MergeTwins(7, 1)], [0]),
+    ])
+    def test_malformed_trace(self, trace):
+        rep = ArcRepresentation(2 * len(trace.survivors),
+                                {i: (2 * i, 2 * i + 1) for i in range(len(trace.survivors))})
+        with pytest.raises(ValueError, match="malformed reduction trace"):
+            expand_arcs(trace, rep)
 
 
 class TestGraphValidation:
