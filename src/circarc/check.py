@@ -83,7 +83,8 @@ def classify_all(G: Graph) -> TypedGraph:
     form a spanning pair.  Raises UnreducedGraphError, naming the vertices
     by G.names, if G still has a universal vertex or true twins (their
     edges would admit no type).  Graphs with at most one vertex pass
-    trivially.
+    trivially.  The types are int8 arithmetic on the boolean matrices
+    viewed as int8, with no masked assignment.
     """
     closed = G.closed_adj()
     contains, spanning = _matrices(closed)
@@ -95,12 +96,13 @@ def classify_all(G: Graph) -> TypedGraph:
         if twins.any():
             u, v = np.argwhere(twins)[0]
             raise UnreducedGraphError(f"true twins {G.names[u]!r}, {G.names[v]!r}")
-    types = np.zeros((G.n, G.n), dtype=np.int8)
-    incl = G.adj & (contains | contains.T)
-    types[incl] = EdgeType.INCLUSION
-    types[G.adj & ~incl & spanning] = EdgeType.OVERLAP2
-    types[G.adj & ~incl & ~spanning] = EdgeType.OVERLAP1
-    np.fill_diagonal(types, EdgeType.INCLUSION)
+    # 1 + spanning is the overlap type, raised to INCLUSION where either
+    # neighbourhood holds the other (the diagonal among them), and 0 off
+    # the closed adjacency
+    types = spanning.view(np.int8) + np.int8(EdgeType.OVERLAP1)
+    incl = (contains | contains.T).view(np.int8)
+    np.maximum(types, incl * np.int8(EdgeType.INCLUSION), out=types)
+    types *= closed.view(np.int8)
     return TypedGraph(G, types, contains, spanning)
 
 

@@ -74,16 +74,21 @@ def avoiding(closed: np.ndarray, overlap: np.ndarray, included: np.ndarray,
     both overlap z, so no edge at z avoids z.  Returns rows, (k, n, w):
     rows[i, x] packs the y with xy avoiding zs[i], and on, (k, n): on[i, x]
     says the loop at x avoids zs[i], that is x is not included with it.
+
+    The stack is built word-major, (k, w, n), so every broadcast runs along
+    the long vertex axis, and rows are cleared by multiplying with 0/1
+    masks rather than through boolean indexing; rows is its (k, n, w)
+    transposed view, whose last axis is strided.
     """
     n = closed.shape[0]
     free, ov = ~included[zs], overlap[zs]  # padding bits meet none of closed
     on = ~unpack_rows(included[zs], n)
-    rows = closed & free[:, None]
-    rows[~on] = 0
-    cut = overlap & ov[:, None]
-    cut[~unpack_rows(ov, n)] = 0  # only rows of z's overlappers lose edges
+    rows = free[:, :, None] & np.ascontiguousarray(closed.T)
+    rows *= on[:, None, :]
+    cut = ov[:, :, None] & np.ascontiguousarray(overlap.T)
+    cut *= unpack_rows(ov, n)[:, None, :]  # only rows of z's overlappers lose edges
     rows &= np.invert(cut, out=cut)
-    return rows, on
+    return rows.transpose(0, 2, 1), on
 
 
 def avoiding_labels(closed: np.ndarray, overlap: np.ndarray, included: np.ndarray,

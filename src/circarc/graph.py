@@ -6,8 +6,10 @@ False diagonal; helpers that need the closed version OR in the identity.
 ``components`` labels a whole stack of graphs given by bit-packed rows in
 one lock-step breadth-first search, each level an OR of the frontier's
 uint64 rows per graph, for ``edgetypes.avoiding_labels`` alone;
-``bfs`` and ``tree_path`` are the only search-path helpers, used where a
-path itself is wanted.
+``bfs`` and ``tree_path`` are the search-path helpers of the Python-object
+searches (the knotting graph's 2-colouring and its odd cycle).
+``knotting.KnottingGraph.component_path`` runs its own level-by-level
+search over a dense safe matrix, which grows the same tree as ``bfs``.
 ``disjoint_rows`` is the only 0/1 matrix product: bit-packed, because numpy
 multiplies integer matrices without BLAS.  Both use ``pack_rows``.
 
@@ -62,7 +64,12 @@ def pack_rows(M: np.ndarray) -> np.ndarray:
 
 
 def unpack_rows(words: np.ndarray, c: int) -> np.ndarray:
-    """The first c columns of rows packed by ``pack_rows``, as booleans."""
+    """The first c columns of rows packed by ``pack_rows``, as booleans.
+
+    The words of a row need not be adjacent in memory (a transposed
+    word-major stack); such rows are copied to C order first.
+    """
+    words = np.ascontiguousarray(words)
     return np.unpackbits(words.view(np.uint8), axis=-1, count=c).view(bool)
 
 
@@ -98,7 +105,8 @@ def components(rows: np.ndarray, on: np.ndarray) -> np.ndarray:
             fg, fv = fg[by_graph], fv[by_graph]
         if not fg.size:
             return label
-        gs, first = np.unique(fg, return_index=True)
+        first = np.flatnonzero(np.r_[True, fg[1:] != fg[:-1]])  # fg is sorted
+        gs = fg[first]
         seen = unpack_rows(np.bitwise_or.reduceat(rows[fg, fv], first), n)
         seen &= todo[gs]
         i, fv = np.nonzero(seen)

@@ -34,17 +34,36 @@ class KnottingGraph:
     avoid: tuple[np.ndarray, ...]  # H's packed closed, overlap and included rows
 
     def component_path(self, u: int, comp: int, a: int, b: int) -> list[int]:
-        """Shortest a-b path inside component comp of u's safe subgraph."""
+        """Shortest a-b path inside component comp of u's safe subgraph.
+
+        A search level by level over the dense safe matrix, stopped once b
+        is reached: each new vertex's parent is the first vertex of the
+        level before, in visit order, that sees it, and a level is visited
+        by parent, then by index.  This is the tree ``graph.bfs`` grows
+        from a, so the path is the one ``graph.tree_path`` reads off it.
+        """
         at = self.copy_at[u, [a, b]]
         if at[0] != at[1] or at[0] < 0 or self.copies[at[0]] != (u, comp):
             raise InternalError(f"path endpoints outside component {u}/{comp}")
         rows, _ = avoiding(*self.avoid, np.array([u, self.anchor]))
         safe = unpack_rows(rows[0] & rows[1], len(self.copy_at))
-        prev: dict[int, Optional[int]] = {}
-        bfs(prev, a, lambda cur: np.flatnonzero(safe[cur]).tolist())
-        if b not in prev:
+        parent = np.full(len(safe), -1, dtype=np.intp)
+        todo = np.ones(len(safe), dtype=bool)
+        todo[a] = False
+        level = np.array([a])
+        while todo[b] and level.size:
+            sees = safe[level] & todo  # (level, n): who in level sees whom
+            new = np.flatnonzero(sees.any(axis=0))
+            first = sees[:, new].argmax(axis=0)  # first seer in visit order
+            parent[new] = level[first]
+            todo[new] = False
+            level = new[np.lexsort((new, first))]
+        if todo[b]:
             raise InternalError(f"no path {a}-{b} in component {u}/{comp}")
-        return tree_path(prev, a, b)
+        path = [b]
+        while path[-1] != a:
+            path.append(int(parent[path[-1]]))
+        return path[::-1]
 
 
 def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
@@ -76,8 +95,9 @@ def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
     # both directions are listed; one sort of the int64 keys a*m + b groups them
     m = len(copies)
     heads, tails = np.divmod(sorted_unique(a * m + b), m)
-    split = np.cumsum(np.bincount(heads, minlength=m))
-    adjacency = [nbrs.tolist() for nbrs in np.split(tails, split)[:-1]]
+    ends = np.searchsorted(heads, np.arange(m + 1)).tolist()
+    flat = tails.tolist()
+    adjacency = [flat[i:j] for i, j in zip(ends[:-1], ends[1:])]
     return KnottingGraph(z, copies, copy_at, adjacency, avoid)
 
 

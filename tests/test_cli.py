@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -58,7 +59,7 @@ class TestRecognizeCommand:
         f = write(tmp_path, "g.txt", NEAR_BICLAW_EDGES)
         out = str(tmp_path / "cert.json")
         assert main(["recognize", f, "--out", out]) == 0
-        assert json.loads(open(out).read())["verdict"] == "CircularArc"
+        assert json.loads(Path(out).read_text())["verdict"] == "CircularArc"
 
     def test_missing_file(self, capsys):
         assert main(["recognize", "/no/such/file"]) == 2
@@ -81,7 +82,7 @@ class TestRecognizeCommand:
         out = str(tmp_path / "cert.json")
         assert main(["recognize", f, "--out", out]) == 10
         assert "Traceback" not in capsys.readouterr().err
-        assert json.loads(open(out).read())["verdict"] == "NotCircularArc"
+        assert json.loads(Path(out).read_text())["verdict"] == "NotCircularArc"
         assert main(["verify", f, out]) == 0
         assert "OK" in capsys.readouterr().out
 

@@ -83,6 +83,56 @@ def seeded_graphs(count, seed=3):
                                   if rng.random() < p])
 
 
+def _masked_types(G):
+    """Edge types by masked assignment, one mask per type: the reference
+    for classify_all's int8 arithmetic."""
+    contains, spanning = _matrices(G.closed_adj())
+    types = np.zeros((G.n, G.n), dtype=np.int8)
+    incl = G.adj & (contains | contains.T)
+    types[incl] = EdgeType.INCLUSION
+    types[G.adj & ~incl & spanning] = EdgeType.OVERLAP2
+    types[G.adj & ~incl & ~spanning] = EdgeType.OVERLAP1
+    np.fill_diagonal(types, EdgeType.INCLUSION)
+    return types
+
+
+def reduced_gnp(rng, n):
+    """A seeded G(n, 1/2) with no universal vertex and no true twins; at
+    n = 2 only the edgeless graph qualifies."""
+    while True:
+        M = np.triu(rng.random((n, n)) < 0.5, 1)
+        G = Graph(n, M | M.T, tuple(map(str, range(n))))
+        if reduce_graph(G)[0].n == n:
+            return G
+
+
+class TestClassifyArithmetic:
+    @staticmethod
+    def assert_matches_masked(G):
+        types = classify_all(G).types
+        assert types.dtype == np.int8
+        assert np.array_equal(types, _masked_types(G))
+
+    def test_reduced_atlas(self):
+        import networkx as nx
+        for g in nx.graph_atlas_g():
+            G = build_graph(g.number_of_nodes(), list(g.edges()))
+            self.assert_matches_masked(reduce_graph(G)[0])
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 150])
+    def test_seeded(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            self.assert_matches_masked(reduced_gnp(rng, n))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bench_sized_completions(self, seed):
+        rng = random.Random(seed)
+        for G in (arc_model(rng, 100), planted_negative(rng, 85, "biclaw"),
+                  planted_negative(rng, 85, "c4+k1")):
+            self.assert_matches_masked(completion_of(G)[2].graph)
+
+
 class TestClassify:
     def test_path_leaf_inclusion(self, p4):
         T = classify_all(p4)

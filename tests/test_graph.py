@@ -312,6 +312,18 @@ class TestComponents:
         rows[..., -1] |= ~pack_rows(np.ones(70, dtype=bool))[-1]
         assert np.array_equal(components(rows, on), components(pack_rows(stack), on))
 
+    @pytest.mark.parametrize("n", [65, 130, 200])
+    def test_strided_word_major_stack(self, n):
+        # edgetypes.avoiding returns the (k, n, w) view of a (k, w, n) stack
+        rng = np.random.default_rng(n)
+        stack = self.random_stack(rng, 5, n)
+        on = stack.diagonal(axis1=1, axis2=2)
+        rows = pack_rows(stack)
+        strided = np.ascontiguousarray(rows.transpose(0, 2, 1)).transpose(0, 2, 1)
+        assert not strided.flags.c_contiguous and np.array_equal(strided, rows)
+        assert np.array_equal(unpack_rows(strided, n), stack)
+        assert np.array_equal(components(strided, on), components(rows, on))
+
     def test_pack_round_trip(self):
         rng = np.random.default_rng(3)
         for c in (0, 1, 63, 64, 65, 130):

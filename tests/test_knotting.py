@@ -10,9 +10,11 @@ import numpy as np
 from circarc.check import (AvoidWalkPair, EdgeType, InternalError, avoids,
                            circular_pairs, classify_all, walk_pair_error)
 from circarc.edgetypes import complete
-from circarc.graph import bfs, build_graph, reduce as reduce_graph
+from circarc.formats import parse_edge_list
+from circarc.graph import bfs, build_graph, reduce as reduce_graph, tree_path
 from circarc.knotting import (bipartite_or_odd_cycle, build_Z, build_knotting,
                               extract_invertible_pair, overlap_side)
+from arc_model_edges import short_lines
 from conftest import (_dense_avoiding, arc_model, completion_of,
                       planted_negative, side_at)
 
@@ -85,6 +87,19 @@ def _bfs_knotting(H, z):
             adjacency[a].add(b)
             adjacency[b].add(a)
     return copies, gamma, [sorted(s) for s in adjacency]
+
+
+def _bfs_component_path(H, K, u, a, b):
+    """a-b path by graph.bfs from a and graph.tree_path over the dense
+    safe subgraph of u: the reference for KnottingGraph.component_path."""
+    overlap = (H.types == EdgeType.OVERLAP1) | (H.types == EdgeType.OVERLAP2)
+    included = H.types == EdgeType.INCLUSION
+    closed = H.graph.closed_adj()
+    safe = (_dense_avoiding(closed, overlap, included, u)
+            & _dense_avoiding(closed, overlap, included, K.anchor))
+    prev = {}
+    bfs(prev, a, lambda cur: np.flatnonzero(safe[cur]).tolist())
+    return tree_path(prev, a, b)
 
 
 def assert_matches_bfs_reference(H, anchors):
@@ -168,6 +183,30 @@ class TestBuildKnotting:
             assert avoids(H, u, path) if len(path) > 1 else True
             if len(path) > 1:
                 assert avoids(H, z, path)
+
+    @staticmethod
+    def assert_paths_match_bfs_reference(G):
+        # every (u, comp, a, b), a = b included, at a minimum-degree anchor
+        H = completion_of(G)[2]
+        K = build_knotting(H, int(H.graph.adj.sum(axis=1).argmin()))
+        for (u, i), group in components(K).items():
+            for a, b in itertools.product(group, repeat=2):
+                assert (K.component_path(u, i, a, b)
+                        == _bfs_component_path(H, K, u, a, b))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_component_paths_match_bfs_reference(self, seed):
+        rng = random.Random(seed)
+        for G in (arc_model(rng, 14), planted_negative(rng, 10, "biclaw"),
+                  planted_negative(rng, 10, "c4+k1")):
+            self.assert_paths_match_bfs_reference(G)
+
+    def test_long_component_paths_match_bfs_reference(self):
+        # paths of up to 12 vertices in the path's safe subgraphs
+        self.assert_paths_match_bfs_reference(
+            build_graph(16, [(i, i + 1) for i in range(15)]))
+        self.assert_paths_match_bfs_reference(
+            parse_edge_list("\n".join(short_lines(24, 1))))
 
     def test_component_path_checks_endpoints(self, biclaw):
         H, K = knotting_at(biclaw, "f")
