@@ -142,8 +142,9 @@ def _knotting_dot(K: KnottingGraph, names) -> str:
     for u, i in K.copies:
         node = f'"{names[u]}/{i + 1}"'
         lines.append(f"  {node};")
+    adjacency = K.adjacency
     for a, (u, i) in enumerate(K.copies):
-        for b in K.adjacency[a]:
+        for b in adjacency[a]:
             if b > a:
                 v, j = K.copies[b]
                 lines.append(f'  "{names[u]}/{i + 1}" -- "{names[v]}/{j + 1}";')

@@ -23,7 +23,7 @@ import numpy as np
 
 from .check import EdgeType, InternalError, TypedGraph
 from .edgetypes import avoiding_labels
-from .graph import disjoint_rows, pack_rows, sorted_unique
+from .graph import disjoint_rows, pack_rows, sorted_unique, union_find
 
 Pair = tuple[int, int]
 
@@ -104,30 +104,6 @@ class DeltaClasses(NamedTuple):
     inverse: np.ndarray
 
 
-def _merge(n: int, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Least member of each component of the union of two partitions of 0..n-1.
-
-    first[i] and second[i] name a member of i's block in each partition.
-    Union-find over arrays: every root hooks to the least root it meets
-    through either partition, then pointers jump until each points at its
-    root; the least member is the root, as pointers only ever go down.
-    """
-    src = np.concatenate([np.arange(n), np.arange(n)])
-    dst = np.concatenate([first, second])
-    f = np.minimum(np.arange(n), np.minimum(first, second))
-    while True:
-        while True:
-            jumped = f[f]
-            if np.array_equal(jumped, f):
-                break
-            f = jumped
-        fs, fd = f[src], f[dst]
-        if np.array_equal(fs, fd):
-            return f
-        np.minimum.at(f, fs, fd)
-        np.minimum.at(f, fd, fs)
-
-
 def implication_classes(L: LabelledGraph) -> DeltaClasses:
     """Partition the ordered Overlap/NonEdge pairs into forcing classes.
 
@@ -137,8 +113,9 @@ def implication_classes(L: LabelledGraph) -> DeltaClasses:
     (``edgetypes.avoiding_labels``) gives two partitions of the pairs:
     the pairs (x, z) joined by the first kind of step, and the pairs (z, x)
     joined by the second.  The classes are the components of the two
-    together, found by an array union-find over the pair ids a*n + b, and
-    are numbered by least pair.
+    together: ``graph.union_find`` over the edges joining each pair to a
+    member of its block in either partition.  They are numbered by least
+    pair.
     """
     n = L.n
     # lab[z, x]: least vertex of x's component in the matrix at z, n when the
@@ -150,7 +127,8 @@ def implication_classes(L: LabelledGraph) -> DeltaClasses:
     rank = np.full((n, n), -1, dtype=np.intp)
     rank[a, b] = np.arange(a.size)
     # ranks keep the pair order, so the least rank is the least pair
-    least = _merge(a.size, rank[lab[b, a], b], rank[a, lab[a, b]])
+    least = union_find(a.size, np.tile(np.arange(a.size), 2),
+                       np.concatenate([rank[lab[b, a], b], rank[a, lab[a, b]]]))
     roots, cid = np.unique(least, return_inverse=True)
     cid = cid.reshape(-1)
     return DeltaClasses(a, b, cid, cid[rank[b[roots], a[roots]]])

@@ -5,13 +5,14 @@ always considered adjacent to itself.  The adjacency matrix we store has a
 False diagonal; helpers that need the closed version OR in the identity.
 ``components`` labels a whole stack of graphs given by bit-packed rows in
 one lock-step breadth-first search, each level an OR of the frontier's
-uint64 rows per graph, for ``edgetypes.avoiding_labels`` alone;
-``bfs`` and ``tree_path`` are the search-path helpers of the Python-object
-searches (the knotting graph's 2-colouring and its odd cycle).
-``knotting.KnottingGraph.component_path`` runs its own level-by-level
-search over a dense safe matrix, which grows the same tree as ``bfs``.
+uint64 rows per graph, for ``edgetypes.avoiding_labels`` alone.
+``union_find`` labels the components of a graph given as an edge list by
+hook-and-jump over arrays; it is the package's one union-find, for the
+Δ-forcing classes and the knotting graph's 2-colouring.  Both give each
+node its component's least member.
 ``disjoint_rows`` is the only 0/1 matrix product: bit-packed, because numpy
-multiplies integer matrices without BLAS.  Both use ``pack_rows``.
+multiplies integer matrices without BLAS.  It and ``components`` take rows
+packed by ``pack_rows``.
 
 ``reduce`` strips universal vertices and merges true twins in closed form:
 neither step creates or destroys universality or twinness among the
@@ -24,35 +25,13 @@ is ~10x slower at n = 180.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Callable, Hashable, Iterable, Mapping, MutableMapping,
-                    Optional, Sequence, TypeVar)
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 
 class GraphError(ValueError):
     pass
-
-
-Node = TypeVar("Node", bound=Hashable)
-
-
-def bfs(parent: MutableMapping[Node, Optional[Node]], root: Node,
-        neighbours: Callable[[Node], Iterable[Node]]) -> list[Node]:
-    """Breadth-first search from root over the nodes not yet keys of parent.
-
-    Records each reached node's tree parent in parent (root maps to None)
-    and returns the reached nodes in visit order.  Calls that share one
-    parent mapping grow a forest and never revisit a node.
-    """
-    parent[root] = None
-    order = [root]
-    for cur in order:  # order doubles as the queue
-        for nxt in neighbours(cur):
-            if nxt not in parent:
-                parent[nxt] = cur
-                order.append(nxt)
-    return order
 
 
 def pack_rows(M: np.ndarray) -> np.ndarray:
@@ -115,6 +94,28 @@ def components(rows: np.ndarray, on: np.ndarray) -> np.ndarray:
         label[fg, fv] = lead[fg]
 
 
+def union_find(m: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Least member of each node's component in the graph on nodes 0..m-1
+    whose edges are src[i]-dst[i].
+
+    Shiloach-Vishkin over arrays: every root hooks to the least root it
+    meets along an edge, then pointers jump until each points at its root;
+    the least member is the root, as pointers only ever go down.
+    """
+    f = np.arange(m)
+    while True:
+        fs, fd = f[src], f[dst]
+        if np.array_equal(fs, fd):
+            return f
+        np.minimum.at(f, fs, fd)
+        np.minimum.at(f, fd, fs)
+        while True:
+            jumped = f[f]
+            if np.array_equal(jumped, f):
+                break
+            f = jumped
+
+
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
     """The distinct values of an integer array, in increasing order."""
     # np.unique without return arrays hashes in numpy 2.x: 25-75x slower than a sort
@@ -148,27 +149,6 @@ def disjoint_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
                 acc |= tmp
         blocks.append(acc == 0)
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-
-
-def tree_path(parent: Mapping[Node, Optional[Node]], a: Node, b: Node) -> list[Node]:
-    """Path from a to b in a search forest given by parent links.
-
-    Roots map to None; a and b must lie in the same tree.  The path runs up
-    from a to the lowest common ancestor and down to b.
-    """
-    def to_root(v: Node) -> list[Node]:
-        path = [v]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        return path
-
-    up, down = to_root(a), to_root(b)
-    if up[-1] != down[-1]:
-        raise ValueError(f"{a!r} and {b!r} lie in different trees")
-    while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
-        up.pop()
-        down.pop()
-    return up + down[-2::-1]
 
 
 @dataclass(frozen=True)

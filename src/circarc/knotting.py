@@ -4,10 +4,14 @@ For a fixed anchor z of a completed graph, every vertex u that z does not
 include gets one copy per component of the "safe" subgraph around u: the
 edges, loops included, that avoid both u and z, labelled for every u by
 one ``edgetypes.avoiding_labels`` call.  Its loops mark its vertices,
-so walks inside a component avoid both u and z.  An odd cycle among the
-copies rolls out into two mutually avoiding walks anchored at z;
-bipartiteness certifies there are none, and the 2-colouring splits the
-overlappers of z so that one side joins the non-inverting set Z.
+so walks inside a component avoid both u and z.  The knotting graph K is
+held as CSR arrays and 2-coloured by one ``graph.union_find`` call over
+its bipartite double cover.  An odd cycle among the copies rolls out into
+two mutually avoiding walks anchored at z; bipartiteness certifies there
+are none, and the 2-colouring splits the overlappers of z so that one
+side joins the non-inverting set Z.  The odd cycle and the walks inside a
+component come from one breadth-first search over a dense boolean matrix,
+``_search``, run level by level.
 """
 
 from __future__ import annotations
@@ -20,45 +24,60 @@ import numpy as np
 from .check import AvoidWalkPair, EdgeType, InternalError, TypedGraph
 from .check import walk_pair_error  # re-exported under its old name
 from .edgetypes import avoiding, avoiding_labels
-from .graph import bfs, pack_rows, sorted_unique, tree_path, unpack_rows
+from .graph import pack_rows, sorted_unique, union_find, unpack_rows
 
 Copy = tuple[int, int]  # (vertex, component index)
+
+
+def _search(adj: np.ndarray, a: int,
+            stop: Optional[int] = None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Breadth-first search from a over a dense symmetric boolean matrix,
+    level by level, ended after the level that reaches stop, if given.
+
+    Returns each vertex's tree parent (-1 for a and the unreached) and the
+    levels in visit order.  A new vertex's parent is the first vertex of
+    the level before that sees it, and a level is visited by parent, then
+    by index: the tree of a first-in first-out search that scans
+    neighbours by index.
+    """
+    parent = np.full(len(adj), -1, dtype=np.intp)
+    todo = np.ones(len(adj), dtype=bool)
+    todo[a] = False
+    levels = [np.array([a])]
+    while levels[-1].size and (stop is None or todo[stop]):
+        sees = adj[levels[-1]] & todo  # (level, n): who in level sees whom
+        new = np.flatnonzero(sees.any(axis=0))
+        first = sees[:, new].argmax(axis=0)  # first seer in visit order
+        parent[new] = levels[-1][first]
+        todo[new] = False
+        levels.append(new[np.lexsort((new, first))])
+    return parent, levels
 
 
 @dataclass
 class KnottingGraph:
     anchor: int
     copies: list[Copy]
-    copy_at: np.ndarray         # int32 [u, v]: the copy of u whose component holds v, or -1
-    adjacency: list[list[int]]  # by copy index, sorted
+    copy_at: np.ndarray  # int32 [u, v]: the copy of u whose component holds v, or -1
+    ends: np.ndarray     # copy i's neighbours are tails[ends[i]:ends[i + 1]]
+    tails: np.ndarray    # the neighbours of every copy, sorted, copy by copy
     avoid: tuple[np.ndarray, ...]  # H's packed closed, overlap and included rows
 
-    def component_path(self, u: int, comp: int, a: int, b: int) -> list[int]:
-        """Shortest a-b path inside component comp of u's safe subgraph.
+    @property
+    def adjacency(self) -> list[list[int]]:
+        """The sorted neighbours of each copy, as Python lists."""
+        flat, ends = self.tails.tolist(), self.ends.tolist()
+        return [flat[i:j] for i, j in zip(ends[:-1], ends[1:])]
 
-        A search level by level over the dense safe matrix, stopped once b
-        is reached: each new vertex's parent is the first vertex of the
-        level before, in visit order, that sees it, and a level is visited
-        by parent, then by index.  This is the tree ``graph.bfs`` grows
-        from a, so the path is the one ``graph.tree_path`` reads off it.
-        """
+    def component_path(self, u: int, comp: int, a: int, b: int) -> list[int]:
+        """Shortest a-b path inside component comp of u's safe subgraph,
+        read off a ``_search`` from a over the dense safe matrix."""
         at = self.copy_at[u, [a, b]]
         if at[0] != at[1] or at[0] < 0 or self.copies[at[0]] != (u, comp):
             raise InternalError(f"path endpoints outside component {u}/{comp}")
         rows, _ = avoiding(*self.avoid, np.array([u, self.anchor]))
-        safe = unpack_rows(rows[0] & rows[1], len(self.copy_at))
-        parent = np.full(len(safe), -1, dtype=np.intp)
-        todo = np.ones(len(safe), dtype=bool)
-        todo[a] = False
-        level = np.array([a])
-        while todo[b] and level.size:
-            sees = safe[level] & todo  # (level, n): who in level sees whom
-            new = np.flatnonzero(sees.any(axis=0))
-            first = sees[:, new].argmax(axis=0)  # first seer in visit order
-            parent[new] = level[first]
-            todo[new] = False
-            level = new[np.lexsort((new, first))]
-        if todo[b]:
+        parent, _ = _search(unpack_rows(rows[0] & rows[1], len(self.copy_at)), a, b)
+        if a != b and parent[b] < 0:
             raise InternalError(f"no path {a}-{b} in component {u}/{comp}")
         path = [b]
         while path[-1] != a:
@@ -95,41 +114,64 @@ def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
     # both directions are listed; one sort of the int64 keys a*m + b groups them
     m = len(copies)
     heads, tails = np.divmod(sorted_unique(a * m + b), m)
-    ends = np.searchsorted(heads, np.arange(m + 1)).tolist()
-    flat = tails.tolist()
-    adjacency = [flat[i:j] for i, j in zip(ends[:-1], ends[1:])]
-    return KnottingGraph(z, copies, copy_at, adjacency, avoid)
+    ends = np.searchsorted(heads, np.arange(m + 1))
+    return KnottingGraph(z, copies, copy_at, ends, tails, avoid)
 
 
 def bipartite_or_odd_cycle(K: KnottingGraph) -> Union[dict[Copy, int], list[Copy]]:
-    """Two-color the copies, or return an odd closed walk of copies."""
-    parent: dict[int, Optional[int]] = {}
-    order: list[int] = []
-    for root in range(len(K.copies)):
-        if root not in parent:
-            order += bfs(parent, root, K.adjacency.__getitem__)
-    color: dict[int, int] = {}
-    for v in order:  # parents come first: colour is the depth parity
-        color[v] = 0 if parent[v] is None else 1 - color[parent[v]]
-    for cur in order:
-        for nxt in K.adjacency[cur]:
-            if color[nxt] == color[cur]:
-                # both tree paths to the common ancestor plus the edge
-                cycle = tree_path(parent, cur, nxt)
-                if len(cycle) % 2 == 0 or len(cycle) < 3:
-                    raise InternalError("odd cycle extraction produced an even walk")
-                return [K.copies[i] for i in cycle]
-    return {K.copies[i]: c for i, c in color.items()}
+    """Each copy's side id, or an odd closed walk of copies.
+
+    One ``union_find`` labels the bipartite double cover of K: copy c
+    becomes the nodes 2c and 2c + 1, and an edge ab joins 2a to 2b + 1 and
+    2a + 1 to 2b.  K is bipartite iff no copy has both nodes in one
+    component.  Then the side id of c is the least node of 2c's component,
+    2r + (c's depth parity in a breadth-first search from r), where r is
+    the least copy of c's component of K: side % 2 is a 2-colouring and
+    side // 2 names the component.  Otherwise the cycle lies in the
+    conflicting component of least r.  It is the first edge, in visit
+    order, that joins two copies of one depth in a ``_search`` from r,
+    closed through both tree paths to their common ancestor.
+    """
+    m = len(K.copies)
+    heads = np.repeat(np.arange(m), np.diff(K.ends))
+    f = union_find(2 * m, 2 * heads, 2 * K.tails + 1)
+    side = f[0::2]
+    odd = side == f[1::2]
+    if not odd.any():
+        return dict(zip(K.copies, side.tolist()))
+    r = side[odd].min() // 2
+    members = np.flatnonzero(side // 2 == r)  # increasing, so r is member 0
+    at = np.full(m, -1)
+    at[members] = np.arange(members.size)
+    a, b = at[heads], at[K.tails]
+    inside = a >= 0
+    adj = np.zeros((members.size, members.size), dtype=bool)
+    adj[a[inside], b[inside]] = True
+    parent, levels = _search(adj, 0)
+    depth = np.empty(members.size, dtype=np.intp)
+    for d, level in enumerate(levels):
+        depth[level] = d
+    same = adj & (depth[:, None] == depth)
+    order = np.concatenate(levels)
+    up = [order[same[order].any(axis=1).argmax()]]
+    down = [same[up[0]].argmax()]  # its least neighbour of the same depth
+    while up[-1] != down[-1]:  # both climb to the common ancestor
+        up.append(parent[up[-1]])
+        down.append(parent[down[-1]])
+    cycle = members[up + down[-2::-1]].tolist()
+    if len(cycle) % 2 == 0 or len(cycle) < 3:
+        raise InternalError("odd cycle extraction produced an even walk")
+    return [K.copies[i] for i in cycle]
 
 
 def overlap_side(H: TypedGraph, K: KnottingGraph, colouring: dict[Copy, int],
                  zbar: int) -> set[int]:
-    """One side Y of the overlappers of the anchor, read off the 2-colouring.
+    """One side Y of the overlappers of the anchor, read off the side ids.
 
     Each overlapper x stands for its copy whose component holds zbar, the
-    anchor's circular partner.  In each component of the knotting graph,
-    whose colouring is fixed only up to a swap, Y takes the least
-    overlapper and those whose copies share its colour.
+    anchor's circular partner.  In each component of the knotting graph
+    (side // 2), whose colouring is fixed only up to a swap, Y takes the
+    least overlapper and those whose copies share its side id.
     """
     z = K.anchor
     tz = H.types[:, z]
@@ -142,13 +184,9 @@ def overlap_side(H: TypedGraph, K: KnottingGraph, colouring: dict[Copy, int],
         if c < 0:
             raise InternalError(f"partner {zbar} of the anchor lies outside "
                                 f"the safe subgraph of overlapper {x}")
-    parent: dict[int, Optional[int]] = {}
-    lead: dict[int, int] = {}  # copy -> copy of the least overlapper in its component
-    for c in copies:
-        if c not in parent:
-            lead.update(dict.fromkeys(bfs(parent, c, K.adjacency.__getitem__), c))
-    return {x for x, c in zip(xs, copies)
-            if colouring[K.copies[c]] == colouring[K.copies[lead[c]]]}
+    sides = [colouring[K.copies[c]] for c in copies]
+    lead: dict[int, int] = {}  # component -> side of its least overlapper
+    return {x for x, s in zip(xs, sides) if lead.setdefault(s // 2, s) == s}
 
 
 def extract_invertible_pair(K: KnottingGraph, cycle: list[Copy]) -> AvoidWalkPair:

@@ -1,4 +1,5 @@
 import random
+from typing import Callable, Hashable, Iterable, Mapping, MutableMapping, Optional, TypeVar
 
 import numpy as np
 import pytest
@@ -34,6 +35,49 @@ def c4():
 @pytest.fixture
 def p4():
     return build_graph(4, [(0, 1), (1, 2), (2, 3)], ["a", "b", "c", "d"])
+
+
+Node = TypeVar("Node", bound=Hashable)
+
+
+def bfs(parent: MutableMapping[Node, Optional[Node]], root: Node,
+        neighbours: Callable[[Node], Iterable[Node]]) -> list[Node]:
+    """Breadth-first search from root over the nodes not yet keys of parent.
+
+    Records each reached node's tree parent in parent (root maps to None)
+    and returns the reached nodes in visit order.  Calls that share one
+    parent mapping grow a forest and never revisit a node.  The reference
+    search of the tests' Python-object graph searches.
+    """
+    parent[root] = None
+    order = [root]
+    for cur in order:  # order doubles as the queue
+        for nxt in neighbours(cur):
+            if nxt not in parent:
+                parent[nxt] = cur
+                order.append(nxt)
+    return order
+
+
+def tree_path(parent: Mapping[Node, Optional[Node]], a: Node, b: Node) -> list[Node]:
+    """Path from a to b in a search forest given by parent links.
+
+    Roots map to None; a and b must lie in the same tree.  The path runs up
+    from a to the lowest common ancestor and down to b.
+    """
+    def to_root(v: Node) -> list[Node]:
+        path = [v]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        return path
+
+    up, down = to_root(a), to_root(b)
+    if up[-1] != down[-1]:
+        raise ValueError(f"{a!r} and {b!r} lie in different trees")
+    while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
+        up.pop()
+        down.pop()
+    return up + down[-2::-1]
 
 
 def _dense_avoiding(closed, overlap, included, z):

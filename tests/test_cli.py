@@ -14,6 +14,59 @@ from conftest import BICLAW_EDGES, NEAR_BICLAW_EDGES, arc_model, planted_negativ
 
 NOT_UTF8 = b"a b\n\xff\xfe c\n"
 
+# `circarc knotting --dot` at anchor f, byte for byte
+NEAR_BICLAW_DOT = (
+    'graph knotting {\n'
+    '  "d/1";\n'
+    '  "g/1";\n'
+    '  "g/2";\n'
+    '  "h/1";\n'
+    '  "b/1";\n'
+    '  "~d/1";\n'
+    '  "~f/1";\n'
+    '  "~f/2";\n'
+    '  "~a/1";\n'
+    '  "d/1" -- "g/1";\n'
+    '  "d/1" -- "b/1";\n'
+    '  "d/1" -- "~d/1";\n'
+    '  "d/1" -- "~f/1";\n'
+    '  "g/1" -- "h/1";\n'
+    '  "g/2" -- "~d/1";\n'
+    '  "h/1" -- "b/1";\n'
+    '  "h/1" -- "~d/1";\n'
+    '  "~d/1" -- "~f/2";\n'
+    '  "~d/1" -- "~a/1";\n'
+    '}\n'
+)
+
+BICLAW_DOT = (
+    'graph knotting {\n'
+    '  "d/1";\n'
+    '  "g/1";\n'
+    '  "h/1";\n'
+    '  "b/1";\n'
+    '  "c/1";\n'
+    '  "~d/1";\n'
+    '  "~f/1";\n'
+    '  "~f/2";\n'
+    '  "~a/1";\n'
+    '  "d/1" -- "g/1";\n'
+    '  "d/1" -- "h/1";\n'
+    '  "d/1" -- "b/1";\n'
+    '  "d/1" -- "c/1";\n'
+    '  "d/1" -- "~d/1";\n'
+    '  "d/1" -- "~f/1";\n'
+    '  "g/1" -- "h/1";\n'
+    '  "g/1" -- "c/1";\n'
+    '  "g/1" -- "~d/1";\n'
+    '  "h/1" -- "b/1";\n'
+    '  "h/1" -- "~d/1";\n'
+    '  "b/1" -- "c/1";\n'
+    '  "~d/1" -- "~f/2";\n'
+    '  "~d/1" -- "~a/1";\n'
+    '}\n'
+)
+
 
 def write(tmp_path, name, text):
     p = tmp_path / name
@@ -272,10 +325,16 @@ class TestKnottingCommand:
         f = write(tmp_path, "g.txt", NEAR_BICLAW_EDGES)
         dot = tmp_path / "k.dot"
         assert main(["knotting", f, "--anchor", "f", "--dot", str(dot)]) == 0
-        assert "bipartite" in capsys.readouterr().out
-        text = dot.read_text()
-        assert text.startswith("graph knotting {")
-        assert '"~f/2"' in text
+        assert capsys.readouterr().out == "knotting graph at anchor 'f': bipartite\n"
+        assert dot.read_text() == NEAR_BICLAW_DOT
+
+    def test_biclaw_anchor_f_with_dot(self, tmp_path, capsys):
+        f = write(tmp_path, "g.txt", BICLAW_EDGES)
+        dot = tmp_path / "k.dot"
+        assert main(["knotting", f, "--anchor", "f", "--dot", str(dot)]) == 10
+        assert capsys.readouterr().out == ("knotting graph at anchor 'f': NOT bipartite "
+                                           "(odd cycle: g/1, d/1, h/1)\n")
+        assert dot.read_text() == BICLAW_DOT
 
     def test_dot_dir_missing(self, tmp_path, capsys):
         f = write(tmp_path, "g.txt", NEAR_BICLAW_EDGES)

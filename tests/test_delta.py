@@ -19,10 +19,11 @@ from circarc.delta import (DeltaInvertiblePair, Label, LabelledGraph,
 from circarc.check import InternalError, classify_all
 from circarc.edgetypes import avoiding, complete
 from circarc.formats import parse_edge_list
-from circarc.graph import bfs, pack_rows, sorted_unique, tree_path, unpack_rows
+from circarc.graph import pack_rows, sorted_unique, unpack_rows
 from circarc.knotting import build_knotting, build_Z, overlap_side
 from arc_model_edges import nested_lines, short_lines
-from conftest import _dense_avoiding, arc_model, labels_on_Z, make_labelled
+from conftest import (_dense_avoiding, arc_model, bfs, labels_on_Z, make_labelled,
+                      tree_path)
 
 
 def overlap_path():

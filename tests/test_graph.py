@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from circarc.arcs import ArcRepresentation, expand_arcs
 from circarc.check import representation_error
 from circarc.graph import (Graph, GraphError, MergeTwins, ReductionStep,
-                           ReductionTrace, RemoveUniversal, bfs, build_graph,
+                           ReductionTrace, RemoveUniversal, build_graph,
                            components, disjoint_rows, pack_rows, reduce,
-                           sorted_unique, tree_path, unpack_rows)
-from conftest import _bfs_components
+                           sorted_unique, union_find, unpack_rows)
+from conftest import _bfs_components, bfs, tree_path
 
 
 def random_graph_strategy(max_n=7):
@@ -331,6 +331,46 @@ class TestComponents:
             words = pack_rows(M)
             assert words.shape == (3, 4, (c + 63) // 64)
             assert np.array_equal(unpack_rows(words, c), M)
+
+
+class TestUnionFind:
+    @staticmethod
+    def networkx_labels(m, src, dst):
+        G = nx.empty_graph(m)
+        G.add_edges_from(zip(src.tolist(), dst.tolist()))
+        label = np.empty(m, dtype=np.intp)
+        for comp in nx.connected_components(G):
+            label[list(comp)] = min(comp)
+        return label
+
+    def assert_matches_networkx(self, m, src, dst):
+        got = union_find(m, np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp))
+        # each label is the least member of its node's component
+        assert got.tolist() == self.networkx_labels(m, np.asarray(src), np.asarray(dst)).tolist()
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_networkx(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 80))
+        e = int(rng.integers(0, 2 * m))
+        src, dst = rng.integers(0, m, e), rng.integers(0, m, e)
+        # self-loops, and every edge again in the other direction
+        loops = rng.integers(0, m, 3)
+        self.assert_matches_networkx(m, np.r_[src, loops, dst], np.r_[dst, loops, src])
+
+    def test_no_nodes(self):
+        assert union_find(0, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)).shape == (0,)
+
+    def test_no_edges(self):
+        self.assert_matches_networkx(5, [], [])
+
+    def test_self_loops_and_repeated_edges(self):
+        self.assert_matches_networkx(6, [3, 3, 4, 1, 1, 5], [3, 4, 3, 1, 5, 1])
+
+    def test_long_paths(self):
+        # a path numbered against its edge order, and two interleaved ones
+        self.assert_matches_networkx(200, np.arange(199, 0, -1), np.arange(198, -1, -1))
+        self.assert_matches_networkx(200, np.arange(2, 200), np.arange(0, 198))
 
 
 def _product_disjoint_rows(A, B):

@@ -11,12 +11,12 @@ from circarc.check import (AvoidWalkPair, EdgeType, InternalError, avoids,
                            circular_pairs, classify_all, walk_pair_error)
 from circarc.edgetypes import complete
 from circarc.formats import parse_edge_list
-from circarc.graph import bfs, build_graph, reduce as reduce_graph, tree_path
+from circarc.graph import build_graph, reduce as reduce_graph
 from circarc.knotting import (bipartite_or_odd_cycle, build_Z, build_knotting,
                               extract_invertible_pair, overlap_side)
-from arc_model_edges import short_lines
-from conftest import (_dense_avoiding, arc_model, completion_of,
-                      planted_negative, side_at)
+from arc_model_edges import nested_lines, short_lines
+from conftest import (_dense_avoiding, arc_model, bfs, completion_of,
+                      planted_negative, side_at, tree_path)
 
 
 def knotting_at(G, name):
@@ -215,13 +215,141 @@ class TestBuildKnotting:
             K.component_path(u, i, group[0], u)
 
 
+def _forest_bipartite_or_odd_cycle(K):
+    """Depth-parity colours of a breadth-first forest over K's adjacency
+    lists, rooted at each component's least copy, or the odd cycle through
+    the first same-coloured edge in visit order: the reference for
+    bipartite_or_odd_cycle."""
+    adjacency = K.adjacency
+    parent, order = {}, []
+    for root in range(len(K.copies)):
+        if root not in parent:
+            order += bfs(parent, root, adjacency.__getitem__)
+    color = {}
+    for v in order:  # parents come first: colour is the depth parity
+        color[v] = 0 if parent[v] is None else 1 - color[parent[v]]
+    for cur in order:
+        for nxt in adjacency[cur]:
+            if color[nxt] == color[cur]:
+                return [K.copies[i] for i in tree_path(parent, cur, nxt)]
+    return {K.copies[i]: c for i, c in color.items()}
+
+
+def _forest_overlap_side(H, K, colouring, zbar):
+    """overlap_side with its components found by a breadth-first forest
+    over K from each overlapper's copy, least overlapper first, and
+    colouring a 0/1 colour per copy: the reference for overlap_side."""
+    tz = H.types[:, K.anchor]
+    xs = np.flatnonzero((tz == EdgeType.OVERLAP1) | (tz == EdgeType.OVERLAP2)).tolist()
+    copies = K.copy_at[xs, zbar].tolist()
+    for x, c in zip(xs, copies):
+        if tz[x] != EdgeType.OVERLAP1:
+            raise InternalError(f"overlapper {x} of a minimum-degree anchor "
+                                "must form a 1-overlap edge")
+        if c < 0:
+            raise InternalError(f"partner {zbar} of the anchor lies outside "
+                                f"the safe subgraph of overlapper {x}")
+    adjacency = K.adjacency
+    parent, lead = {}, {}  # copy -> copy of the least overlapper in its component
+    for c in copies:
+        if c not in parent:
+            lead.update(dict.fromkeys(bfs(parent, c, adjacency.__getitem__), c))
+    return {x for x, c in zip(xs, copies)
+            if colouring[K.copies[c]] == colouring[K.copies[lead[c]]]}
+
+
+def assert_colouring_matches_reference(H, anchors, partner):
+    """bipartite_or_odd_cycle and overlap_side against the forest
+    references at each anchor, plus the side-id and cycle properties.
+    Returns the number of empty and of multi-component knotting graphs."""
+    empty = split = 0
+    for z in anchors:
+        K = build_knotting(H, z)
+        adjacency = K.adjacency
+        graph = nx.empty_graph(len(adjacency))
+        graph.add_edges_from((a, b) for a, nbrs in enumerate(adjacency) for b in nbrs)
+        parts = nx.number_connected_components(graph)
+        empty += parts == 0
+        split += parts > 1
+        got, want = bipartite_or_odd_cycle(K), _forest_bipartite_or_odd_cycle(K)
+        if isinstance(want, list):
+            assert got == want
+            # a closed walk in K of odd length at least 3
+            index = {c: i for i, c in enumerate(K.copies)}
+            ids = [index[c] for c in got]
+            assert len(ids) % 2 == 1 and len(ids) >= 3
+            assert all(b in adjacency[a] for a, b in zip(ids, ids[1:] + ids[:1]))
+            continue
+        assert {c: s % 2 for c, s in got.items()} == want
+        sides = [got[c] for c in K.copies]
+        # no edge joins one side id; a component's ids are 2r and 2r + 1
+        assert all(sides[a] != sides[b] for a, nbrs in enumerate(adjacency) for b in nbrs)
+        assert all(sides[a] // 2 == sides[b] // 2 for a, nbrs in enumerate(adjacency)
+                   for b in nbrs)
+        assert all(s // 2 <= i for i, s in enumerate(sides))
+        assert len({s // 2 for s in sides}) == parts
+        assert (outcome(overlap_side, H, K, got, partner[z])
+                == outcome(_forest_overlap_side, H, K, want, partner[z]))
+    return empty, split
+
+
+class TestColouringReference:
+    def test_atlas(self):
+        # every anchor up to 6 vertices; at 7, the anchor recognize takes
+        empty = split = anchors = 0
+        for g in nx.graph_atlas_g()[1:]:
+            G = build_graph(g.number_of_nodes(), list(g.edges()))
+            if reduce_graph(G)[0].n < 2:
+                continue
+            _, _, H, pairing = completion_of(G)
+            degree = H.graph.adj.sum(axis=1)
+            zs = range(H.graph.n) if G.n <= 6 else [int(degree.argmin())]
+            e, s = assert_colouring_matches_reference(H, zs, pairing)
+            empty, split, anchors = empty + e, split + s, anchors + len(zs)
+        # all anchors of these graphs, at 7 vertices too, are 12,676, with
+        # 226 empty and 3,914 multi-component knotting graphs
+        assert (anchors, empty, split) == (2551, 137, 643)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded(self, seed):
+        rng = random.Random(seed)
+        for G in (arc_model(rng, 40), planted_negative(rng, 30, "biclaw"),
+                  planted_negative(rng, 30, "c4+k1")):
+            _, _, H, pairing = completion_of(G)
+            degree = H.graph.adj.sum(axis=1)
+            zs = [int(degree.argmin())] + rng.sample(range(H.graph.n), 6)
+            assert_colouring_matches_reference(H, zs, pairing)
+
+    @pytest.mark.parametrize("lines", [nested_lines(60), short_lines(120, 1)],
+                             ids=["nested", "short"])
+    def test_deep_and_sparse(self, lines):
+        _, _, H, pairing = completion_of(parse_edge_list("\n".join(lines)))
+        degree = H.graph.adj.sum(axis=1)
+        zs = [int(degree.argmin())] + random.Random(1).sample(range(H.graph.n), 4)
+        assert assert_colouring_matches_reference(H, zs, pairing)[1] > 0
+
+    def test_cycles_of_five(self):
+        # C_n beside an isolated vertex: some anchors have an odd cycle of 5
+        lengths = set()
+        for n in range(4, 13):
+            G = build_graph(n + 1, [(i, (i + 1) % n) for i in range(n)])
+            _, _, H, pairing = completion_of(G)
+            assert_colouring_matches_reference(H, range(H.graph.n), pairing)
+            for z in range(H.graph.n):
+                res = bipartite_or_odd_cycle(build_knotting(H, z))
+                lengths.add(len(res) if isinstance(res, list) else 0)
+        assert lengths == {0, 3, 5}
+
+
 class TestOddCycle:
     def test_edgeless(self, c4):
+        # with no edges, each copy alone is a component: copy i gets side 2i
         T = classify_all(c4)
         K = build_knotting(T, 0)
-        K2 = dataclasses.replace(K, adjacency=[[] for _ in K.copies])
+        K2 = dataclasses.replace(K, ends=np.zeros(len(K.copies) + 1, dtype=np.intp),
+                                 tails=np.zeros(0, dtype=np.intp))
         coloring = bipartite_or_odd_cycle(K2)
-        assert set(coloring.values()) == {0}
+        assert coloring == {c: 2 * i for i, c in enumerate(K.copies)}
 
     def test_extracted_pair_verifies(self, biclaw):
         H, K = knotting_at(biclaw, "f")
