@@ -4,6 +4,8 @@ Exit codes: 0 = circular-arc (or success), 10 = not circular-arc,
 1 = failed verification / cross-check disagreement, 2 = usage error,
 70 = internal error, reported as '#' comments and, if a graph was read, the
 graph as an edge list: stderr replays as `circarc recognize` input.
+71 = out of memory, reported as one line without the input, whose writing
+may itself need memory.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_NOT_CA = 10
 EXIT_INTERNAL = 70
+EXIT_OUT_OF_MEMORY = 71  # sysexits EX_OSERR
 
 
 class UsageError(Exception):
@@ -236,6 +239,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         if G is not None:
             sys.stderr.write(write_edge_list(G))
         return EXIT_INTERNAL
+    except MemoryError:  # numpy's _ArrayMemoryError too
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
 
 
 if __name__ == "__main__":

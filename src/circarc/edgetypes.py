@@ -3,7 +3,9 @@
 The circular completion gives each vertex without a circular partner
 (``check.circular_pairs``) a new partner vertex, all built in one pass
 from the containment and closed-adjacency matrices of the input.  It is
-not trusted: ``check.completion_error`` re-checks a certificate's.
+not trusted: it checks itself with ``check.completion_error``, the
+certificate checker's own test, which derives the pairing from the
+completion alone.
 ``avoiding_labels`` labels the components of the edges that avoid
 each anchor, for the knotting graph and the Δ-forcing classes alike.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .check import InternalError, TypedGraph, circular_pairs, classify_all
+from .check import InternalError, TypedGraph, circular_pairs, classify_all, completion_error
 from .graph import Graph, components, disjoint_rows, unpack_rows
 
 
@@ -26,7 +28,6 @@ def complete(T: TypedGraph) -> tuple[TypedGraph, dict[int, int]]:
     named "~" + v's name, with more "~" prefixed while that name is taken.
     """
     n0 = T.graph.n
-    s0 = len(circular_pairs(T).partner)
     not_c, not_n = ~T.contains, ~T.graph.closed_adj()
     unpaired = np.flatnonzero(~(T.spanning & not_n).any(axis=1))
     # not_c[v, v] is False, so no added vertex sees its own partner
@@ -46,16 +47,12 @@ def complete(T: TypedGraph) -> tuple[TypedGraph, dict[int, int]]:
             name = "~" + name
         taken.add(name)
         names.append(name)
-    m = adj.shape[0]
-    if m != 2 * n0 - s0:
-        raise InternalError("completion has the wrong cardinality")
-    H = classify_all(Graph(m, adj, tuple(names)))
-    if not np.array_equal(H.types[:n0, :n0], T.types):
-        raise InternalError("completion changed an edge type")
+    H = classify_all(Graph(adj.shape[0], adj, tuple(names)))
+    err = completion_error(T, H)
+    if err is not None:
+        raise InternalError(f"completion check failed: {err}")
     pairing = circular_pairs(H).partner
-    if len(pairing) != m:
-        raise InternalError("completion is not circularly paired")
-    if [pairing[u] for u in range(n0, m)] != unpaired.tolist():
+    if [pairing[u] for u in range(n0, H.graph.n)] != unpaired.tolist():
         raise InternalError("an added vertex is not paired with its origin")
     return H, pairing
 

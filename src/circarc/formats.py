@@ -179,7 +179,7 @@ def certificate_from_doc(G: Graph, doc: dict[str, Any]) -> Certificate:
     S = _vertices(index, neg["vertices"], "vertices")
     if len(set(S)) != len(S):
         raise FormatError("vertices must name each vertex once")
-    H, pairing = complete(classify_all(G.induced(S)))
+    H, _ = complete(classify_all(G.induced(S)))
     h_index = {name: i for i, name in enumerate(H.graph.names)}
     pair = _vertices(h_index, neg["pair"], "pair")
     if len(pair) != 2:
@@ -187,8 +187,7 @@ def certificate_from_doc(G: Graph, doc: dict[str, Any]) -> Certificate:
     awp = AvoidWalkPair(_vertex(h_index, neg["anchor"]), (pair[0], pair[1]),
                         _vertices(h_index, neg["walk_p"], "walk_p"),
                         _vertices(h_index, neg["walk_q"], "walk_q"))
-    return Certificate(NEGATIVE, vertices=S, completion=H, pairing=pairing,
-                       obstruction=awp)
+    return Certificate(NEGATIVE, vertices=S, completion=H, obstruction=awp)
 
 
 def serialize_certificate(G: Graph, cert: Certificate) -> str:

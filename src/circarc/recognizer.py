@@ -47,7 +47,7 @@ def recognize(G: Graph) -> Certificate:
     if isinstance(res, list):
         awp = extract_invertible_pair(K, res)
         return _checked(G, Certificate(NEGATIVE, vertices=trace.survivors, completion=H,
-                                       pairing=pairing, obstruction=awp))
+                                       obstruction=awp))
     zset = build_Z(H, z, overlap_side(H, K, res, pairing[z]), pairing)
     L = labelled_from_typed(H, zset)
     try:

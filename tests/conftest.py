@@ -109,6 +109,33 @@ def _bfs_components(M):
     return label
 
 
+def pairing_completion_error(Gt, Ht, pairing):
+    """First problem found in (Ht, pairing) as a completion of Gt, or None:
+    the check of certificates that carried their pairing, less its checks
+    for a universal vertex and true twins, which ``classify_all`` makes
+    first.  The reference for ``check.completion_error``, which derives the
+    pairing from Ht."""
+    n, m = Gt.graph.n, Ht.graph.n
+    if m < n:
+        return "completion smaller than input"
+    if not np.array_equal(Ht.graph.adj[:n, :n], Gt.graph.adj):
+        return "input graph is not induced in the completion"
+    if not np.array_equal(Ht.types[:n, :n], Gt.types):
+        return "edge types not preserved"
+    if m != 2 * n - len(circular_pairs(Gt).partner):
+        return "wrong completion cardinality"
+    if set(pairing) != set(range(m)):
+        return "pairing does not cover the completion"
+    for u, v in pairing.items():
+        if u == v or pairing.get(v) != u:
+            return "pairing is not an involution without fixed points"
+        if Ht.graph.adjacent(u, v) or not Ht.spanning[u, v]:
+            return f"{u}, {v} paired but not a circular pair"
+        if u >= n and v >= n:
+            return f"added vertices {u}, {v} paired together"
+    return None
+
+
 def completion_of(G):
     """Reduce, classify and complete; returns (reduced, trace, H, pairing)."""
     reduced, trace = reduce_graph(G)

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ import circarc.recognizer
 from circarc.cli import main
 from circarc.check import InternalError
 from circarc.formats import parse_edge_list, write_graph6
+from arc_model_edges import edge_lines
 from conftest import BICLAW_EDGES, NEAR_BICLAW_EDGES, arc_model, planted_negative
 
 
@@ -356,3 +360,32 @@ class TestUsage:
     def test_help_is_ok(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+# Caps its own address space at its size after the import plus argv[2] MB,
+# then runs `circarc recognize argv[1] --out argv[3]`.
+OUT_OF_MEMORY_CHILD = """
+import resource, sys
+from circarc.cli import main
+with open("/proc/self/status") as fh:
+    size_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+cap = (size_kb + int(sys.argv[2]) * 1024) * 1024
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.exit(main(["recognize", sys.argv[1], "--out", sys.argv[3]]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+class TestOutOfMemory:
+    # the 1000-vertex arc model: with 60 MB to spare the edge-list parser
+    # runs out of memory, with 90 MB a later stage does
+    @pytest.mark.parametrize("spare_mb", [60, 90])
+    def test_one_line_and_exit_71(self, tmp_path, spare_mb):
+        f = write(tmp_path, "g.txt", "\n".join(edge_lines(1000, 1000, False)) + "\n")
+        src = str(Path(circarc.oracle.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", OUT_OF_MEMORY_CHILD, f, str(spare_mb),
+                              str(tmp_path / "c.json")],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert (run.returncode, run.stderr) == (71, "error: out of memory\n")

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 
 from circarc.arcs import ArcRepresentation
-from circarc.check import (EdgeType, UnreducedGraphError, _matrices, avoids,
-                           circular_pairs, classify_all, completion_error)
+from circarc.check import (EdgeType, InternalError, UnreducedGraphError, _matrices,
+                           avoids, circular_pairs, classify_all, completion_error)
 from circarc import edgetypes
 from circarc.delta import implication_classes, labelled_from_typed
 from circarc.edgetypes import avoiding, avoiding_labels, complete
@@ -17,7 +17,8 @@ from circarc.formats import parse_edge_list
 from circarc.knotting import build_knotting
 from arc_model_edges import nested_lines
 from conftest import (BICLAW_EDGES, _bfs_components, _dense_avoiding, arc_model,
-                      arcs_meet, completion_of, planted_negative)
+                      arcs_meet, completion_of, pairing_completion_error,
+                      planted_negative)
 from test_graph import random_graph_strategy
 
 
@@ -292,7 +293,7 @@ class TestClosedFormCompletion:
         assume(reduced.n >= 2)
         T = classify_all(reduced)
         H, pairing = complete(T)
-        assert completion_error(T, H, pairing) is None
+        assert completion_error(T, H) is None
         n0 = reduced.n
         nbhd = [reduced.closed_neighborhood(u) for u in range(n0)]
         for bar in range(n0, H.graph.n):
@@ -302,25 +303,116 @@ class TestClosedFormCompletion:
                             if u != v and not nbhd[u] <= nbhd[v]}
 
 
+def _toggled(H, u, v):
+    """H's graph with the edge uv toggled, classified afresh."""
+    adj = H.graph.adj.copy()
+    adj[u, v] = adj[v, u] = not adj[u, v]
+    return classify_all(Graph(H.graph.n, adj, H.graph.names))
+
+
 class TestVerifyCompletion:
     def test_accepts_constructed(self, biclaw):
         T = classify_all(biclaw)
-        H, pairing = complete(T)
-        assert completion_error(T, H, pairing) is None
+        H, _ = complete(T)
+        assert completion_error(T, H) is None
 
     def test_rejects_unpaired(self, biclaw):
         T = classify_all(biclaw)
-        assert completion_error(T, T, {}) is not None
+        assert completion_error(T, T) is not None
 
     def test_c4_self_completion(self, c4):
         T = classify_all(c4)
-        pairing = circular_pairs(T).partner
-        assert completion_error(T, T, pairing) is None
+        assert completion_error(T, T) is None
 
     def test_names_first_clause(self, biclaw, c4):
         T = classify_all(biclaw)
-        err = completion_error(T, classify_all(c4), {})
+        err = completion_error(T, classify_all(c4))
         assert err == "completion smaller than input"
+
+    def test_rejects_missing_last_added_vertex(self, biclaw):
+        T = classify_all(biclaw)
+        H, _ = complete(T)
+        Ht = classify_all(H.graph.induced(range(H.graph.n - 1)))
+        assert completion_error(T, Ht) == "wrong completion cardinality"
+
+    def test_rejects_toggled_original_to_added_edge(self, biclaw):
+        T = classify_all(biclaw)
+        H, _ = complete(T)
+        idx = H.graph.index_of
+        Ht = _toggled(H, idx("f"), idx("~d"))
+        assert completion_error(T, Ht) == "edge types not preserved"
+
+    def test_names_vertex_without_partner(self, biclaw):
+        # ~a and ~g become adjacent; a, the least vertex left unpaired,
+        # is named by its index
+        T = classify_all(biclaw)
+        H, _ = complete(T)
+        idx = H.graph.index_of
+        Ht = _toggled(H, idx("~a"), idx("~g"))
+        assert completion_error(T, Ht) == f"vertex {idx('a')} has no circular partner"
+
+
+def _completion_verdicts(Gt, Ht):
+    """(old, new): whether the pairing-based reference, given the pairing
+    circular_pairs derives, and completion_error accept Ht as a completion
+    of Gt.  A vertex with two circular partners rejects under both."""
+    try:
+        old = pairing_completion_error(Gt, Ht, circular_pairs(Ht).partner) is None
+    except InternalError:
+        old = False
+    try:
+        new = completion_error(Gt, Ht) is None
+    except InternalError:
+        new = False
+    return old, new
+
+
+class TestCompletionCheckReference:
+    """completion_error(Gt, Ht) accepts exactly what the pairing-based check
+    accepted when handed the pairing circular_pairs derives from Ht."""
+
+    def test_atlas_completions_and_added_edge_toggles(self):
+        import networkx as nx
+        completions = toggles = rejected = 0
+        for g in nx.graph_atlas_g():
+            G = build_graph(g.number_of_nodes(), list(g.edges()))
+            reduced, _ = reduce_graph(G)
+            if reduced.n < 2:
+                continue
+            T = classify_all(reduced)
+            H, _ = complete(T)
+            assert _completion_verdicts(T, H) == (True, True)
+            completions += 1
+            if reduced.n > 6:
+                continue
+            for u, v in itertools.combinations(range(reduced.n, H.graph.n), 2):
+                try:
+                    Ht = _toggled(H, u, v)
+                except UnreducedGraphError:
+                    continue  # classify_all rejects it before any completion check
+                old, new = _completion_verdicts(T, Ht)
+                assert old == new, (g.edges(), u, v)
+                toggles += 1
+                rejected += not new
+        assert completions == 1245
+        assert (toggles, rejected) == (4158, 4158)
+
+    def test_spanning_pairs_span_in_induced_subgraphs(self):
+        # why completion_error needs no check that two added vertices are
+        # partners: Ht's circular pairs among Gt's vertices are Gt's own
+        import networkx as nx
+        checked = 0
+        for g in nx.graph_atlas_g():
+            G = build_graph(g.number_of_nodes(), list(g.edges()))
+            if G.n > 6:
+                break
+            spanning = _matrices(G.closed_adj())[1]
+            for w in range(G.n):
+                S = [v for v in range(G.n) if v != w]
+                sub = _matrices(G.induced(S).closed_adj())[1]
+                assert not (spanning[np.ix_(S, S)] & ~sub).any()
+                checked += 1
+        assert checked == 1167
 
 
 class TestAvoids:

@@ -10,6 +10,7 @@ from circarc.formats import (FormatError, certificate_from_doc,
                              parse_certificate, parse_edge_list, parse_graph6,
                              serialize_certificate, write_edge_list,
                              write_graph6)
+from circarc.check import classify_all
 from circarc.cli import main
 from circarc.graph import Graph, build_graph
 from circarc.recognizer import (recognize, verify_negative, verify_positive)
@@ -135,12 +136,16 @@ class TestCertificateDocs:
             parse_certificate(c4, "{not json")
 
     def test_tampered_partner_rejected(self, biclaw):
-        # the pairing is rebuilt by the reader, not read; a wrong one still
-        # fails the verifier's first-principles completion check
+        # the completion is rebuilt by the reader, not read; one with an edge
+        # between two added vertices toggled still fails the verifier's
+        # first-principles completion check, which derives the pairing
         cert = parse_certificate(biclaw, serialize_certificate(biclaw, recognize(biclaw)))
         assert verify_negative(biclaw, cert)
-        u, v = sorted(cert.pairing)[-2:]  # added vertices come last
-        cert.pairing[u], cert.pairing[v] = cert.pairing[v], cert.pairing[u]
+        H = cert.completion.graph
+        u, v = H.n - 2, H.n - 1  # added vertices come last
+        adj = H.adj.copy()
+        adj[u, v] = adj[v, u] = not adj[u, v]
+        cert.completion = classify_all(Graph(H.n, adj, H.names))
         assert not verify_negative(biclaw, cert)
 
     def test_input_is_bound_by_digest(self, biclaw):

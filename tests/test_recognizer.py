@@ -136,7 +136,6 @@ class TestVerifyNegative:
         bad_walk[0] = awp.anchor
         broken = Certificate(NEGATIVE, vertices=cert.vertices,
                              completion=cert.completion,
-                             pairing=cert.pairing,
                              obstruction=AvoidWalkPair(
                                  awp.anchor, (awp.anchor, awp.pair[1]),
                                  bad_walk, awp.walk_q))
@@ -148,7 +147,7 @@ class TestVerifyNegative:
         H = cert.completion
         idx = H.graph.index_of
         hand = Certificate(
-            NEGATIVE, vertices=cert.vertices, completion=H, pairing=cert.pairing,
+            NEGATIVE, vertices=cert.vertices, completion=H,
             obstruction=AvoidWalkPair(
                 idx("c"), (idx("a"), idx("b")),
                 [idx(v) for v in ["a", "f", "d", "d", "g", "b"]],
