@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .check import representation_error  # re-exported under its old name
-from .graph import MergeTwins, RemoveUniversal
 
 
 @dataclass(frozen=True)
@@ -28,31 +27,33 @@ def expand_arcs(trace, rep: ArcRepresentation) -> ArcRepresentation:
 
     Returns a representation of the original graph, indexed by its vertices.
     Each slot gets a key (reduced slot, offset), and one sort of the keys
-    places every endpoint: a reduced slot has offset 0, and the twin of the
-    i-th MergeTwins step (from 1) has its ends at offsets -i and +i of its
-    kept vertex's ends, so earlier steps sit innermost.  Each universal
-    vertex then adds three slots at the end, in reverse step order, and
-    covers all but the middle one.  Every kept vertex must be a survivor.
+    places every endpoint: a reduced slot has offset 0, and the removed twin
+    of the i-th twin step (from 1, universal steps not counted) has its ends
+    at offsets -i and +i of its kept vertex's ends, so earlier steps sit
+    innermost.  Each universal vertex then adds three slots at the end, in
+    reverse step order, and covers all but the middle one.  Every kept
+    vertex must be a survivor.
     """
     surv = trace.survivors
     if set(rep.arcs) != set(range(len(surv))):
         raise ValueError("representation does not match the reduced graph")
-    twins = [s for s in trace.steps if isinstance(s, MergeTwins)]
-    kept, removed = [s.kept for s in twins], [s.removed for s in twins]
-    universal = [s.vertex for s in trace.steps if isinstance(s, RemoveUniversal)]
-    n, c, t = trace.n_original, rep.circle_size, len(twins)
-    if sorted(surv + removed + universal) != list(range(n)) or not set(kept) <= set(surv):
+    kept, removed = trace.steps.T
+    twin = kept >= 0
+    universal, kept, removed = removed[~twin], kept[twin], removed[twin]
+    at = np.searchsorted(surv, kept)  # each kept vertex's survivor rank
+    n, c, t = trace.n_original, rep.circle_size, kept.size
+    everyone = np.sort(np.concatenate((surv, trace.steps[:, 1])))
+    if not (np.array_equal(everyone, np.arange(n)) and np.array_equal(np.r_[surv, -1][at], kept)):
         raise ValueError("malformed reduction trace")
     ends = np.array([rep.arcs[i] for i in range(len(surv))], dtype=np.intp).reshape(-1, 2)
-    at = dict(zip(surv, range(len(surv))))
     i = np.arange(1, t + 1)
-    major = np.concatenate((np.arange(c), ends[[at[k] for k in kept]].T.reshape(-1)))
+    major = np.concatenate((np.arange(c), ends[at].T.reshape(-1)))
     minor = np.concatenate((np.zeros(c, dtype=np.intp), -i, i))
     pos = np.empty(c + 2 * t, dtype=np.intp)
     pos[np.lexsort((minor, major))] = np.arange(c + 2 * t)
-    size = c + 2 * t + 3 * len(universal)
+    size = c + 2 * t + 3 * universal.size
     arcs = dict(zip(surv, zip(*pos[ends].T.tolist())))
-    arcs.update(zip(removed, zip(pos[c:c + t].tolist(), pos[c + t:].tolist())))
+    arcs.update(zip(removed.tolist(), zip(pos[c:c + t].tolist(), pos[c + t:].tolist())))
     # the q-th universal step (from 0) gets slots size - 3q - 3..1 and misses the middle one
-    arcs.update(zip(universal, zip(range(size - 1, -1, -3), range(size - 3, -1, -3))))
+    arcs.update(zip(universal.tolist(), zip(range(size - 1, -1, -3), range(size - 3, -1, -3))))
     return ArcRepresentation(size, arcs)

@@ -224,7 +224,11 @@ class AvoidWalkPair:
 
 
 def walk_pair_error(H: TypedGraph, awp: AvoidWalkPair) -> Optional[str]:
-    """First-principles check of an anchored pair of avoiding walks."""
+    """First-principles check of an anchored pair of avoiding walks.
+
+    Reasons name the completion's vertices by name, except an index out of
+    range.
+    """
     n = H.graph.n
     (x, y), z, p, q = awp.pair, awp.anchor, awp.walk_p, awp.walk_q
     for v in [x, y, z, *p, *q]:
@@ -238,19 +242,20 @@ def walk_pair_error(H: TypedGraph, awp: AvoidWalkPair) -> Optional[str]:
         return "walks must be nonempty and of equal length"
     if p[0] != x or p[-1] != y or q[0] != y or q[-1] != x:
         return "walk endpoints do not match the pair"
+    names = H.graph.names
     for walk in (p, q):
         for a, b in zip(walk, walk[1:]):
             if a != b and not H.graph.adjacent(a, b):
-                return f"step {a}-{b} is not an edge"
+                return f"step {names[a]!r}-{names[b]!r} is not an edge"
     if not avoids(H, z, p):
-        return "anchor does not avoid the first walk"
+        return f"anchor {names[z]!r} does not avoid the first walk"
     if not avoids(H, z, q):
-        return "anchor does not avoid the second walk"
+        return f"anchor {names[z]!r} does not avoid the second walk"
     for i in range(len(p) - 1):
         if not avoids(H, p[i], [q[i], q[i + 1]]):
-            return f"{p[i]} does not avoid step {i} of the second walk"
+            return f"{names[p[i]]!r} does not avoid step {i} of the second walk"
         if not avoids(H, q[i + 1], [p[i], p[i + 1]]):
-            return f"{q[i + 1]} does not avoid step {i} of the first walk"
+            return f"{names[q[i + 1]]!r} does not avoid step {i} of the first walk"
     return None
 
 

@@ -24,7 +24,7 @@ is ~10x slower at n = 180.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -219,31 +219,19 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]],
     return Graph(n, adj, tuple(names))
 
 
-@dataclass(frozen=True)
-class RemoveUniversal:
-    vertex: int  # index in the graph the step was applied to
-
-
-@dataclass(frozen=True)
-class MergeTwins:
-    kept: int
-    removed: int
-
-
-ReductionStep = RemoveUniversal | MergeTwins
-
-
 @dataclass
 class ReductionTrace:
     """Record of a reduction run.
 
-    Each step stores vertex indices of the original graph.  ``survivors``
-    lists the original indices that remain, in increasing order; the reduced
-    graph uses their rank in that list as its vertex index.
+    ``steps`` is an int array of shape (s, 2) with one row (kept, removed)
+    per step, in step order, by vertex index of the original graph; kept is
+    -1 when the removed vertex was universal.  ``survivors`` lists the
+    original indices that remain, in increasing order; the reduced graph
+    uses their rank in that list as its vertex index.
     """
     n_original: int
-    steps: list[ReductionStep] = field(default_factory=list)
-    survivors: list[int] = field(default_factory=list)
+    steps: np.ndarray
+    survivors: list[int]
 
 
 def reduce(G: Graph) -> tuple[Graph, ReductionTrace]:
@@ -251,10 +239,10 @@ def reduce(G: Graph) -> tuple[Graph, ReductionTrace]:
 
     The steps are: every universal vertex in increasing order (a complete
     graph keeps its last vertex), then for each true-twin class in order of
-    its least member, MergeTwins(least, other) for the other members in
-    increasing order.  This is the fixed point of removing the least
-    universal vertex while one exists, else merging the lexicographically
-    least twin pair, until fewer than two vertices remain.
+    its least member, (least, other) for the other members in increasing
+    order.  This is the fixed point of removing the least universal vertex
+    while one exists, else merging the lexicographically least twin pair,
+    until fewer than two vertices remain.
     """
     closed = G.closed_adj()
     universal = closed.all(axis=1)
@@ -265,17 +253,16 @@ def reduce(G: Graph) -> tuple[Graph, ReductionTrace]:
     # twin, so removing either never makes a surviving row full or not full,
     # nor two surviving rows equal or unequal.  Universality and twinness
     # among the survivors are those of G.
-    steps: list[ReductionStep] = [
-        RemoveUniversal(v) for v in np.flatnonzero(universal).tolist()]
     rest = least = np.flatnonzero(~universal)
     if rest.size:
         words = pack_rows(closed[rest])
         rows = words.view(np.dtype((np.void, words.strides[0]))).reshape(-1)
         _, first, label = np.unique(rows, return_index=True, return_inverse=True)
         least = rest[first[label]]  # least member of each twin class
-        order = np.lexsort((rest, least))
-        steps += [MergeTwins(k, v) for k, v in zip(least[order].tolist(),
-                                                   rest[order].tolist()) if k != v]
+    uni = np.flatnonzero(universal)
+    order = np.lexsort((rest, least))
+    kept = np.concatenate((np.full(uni.size, -1, dtype=np.intp), least[order]))
+    removed = np.concatenate((uni, rest[order]))
+    steps = np.stack((kept, removed), axis=1)[kept != removed]
     survivors = sorted_unique(least).tolist()
     return G.induced(survivors), ReductionTrace(G.n, steps, survivors)
-

@@ -3,12 +3,11 @@
 The builder processes the ordering right to left, always giving the new
 leftmost vertex a fresh global-minimum left endpoint and a right endpoint
 squeezed into a fresh slot just past everything it must reach.  Endpoint
-positions are integers 1..2n, all distinct.
+positions are integers 1..2n, all distinct; the intervals are an (n, 2)
+array whose row v is (l, r) of vertex v.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,17 +16,11 @@ from .check import InternalError, TypedGraph, representation_error
 from .delta import Label, LabelledGraph
 
 
-@dataclass(frozen=True)
-class IntervalRepresentation:
-    intervals: dict[int, tuple[int, int]]  # vertex -> (l, r), l < r
-
-
-def _consistency_error(L: LabelledGraph, iv: dict[int, tuple[int, int]]) -> str | None:
+def _consistency_error(L: LabelledGraph, lr: np.ndarray) -> str | None:
     """First disagreement of the intervals with the labels, by (u, v) order.
 
     Vertex u's own interval is checked just before its pairs (u, v), v > u.
     """
-    lr = np.array([iv[u] for u in range(L.n)], dtype=np.int64).reshape(L.n, 2)
     l, r = lr[:, 0], lr[:, 1]
     disjoint = (r[:, None] < l[None, :]) | (r[None, :] < l[:, None])
     inner = (l[:, None] < l[None, :]) & (r[None, :] < r[:, None])  # v inside u
@@ -49,7 +42,7 @@ def _consistency_error(L: LabelledGraph, iv: dict[int, tuple[int, int]]) -> str 
     return next(f"{u},{v} {msg}" for m, msg in faults if m[u, v])
 
 
-def build_intervals(L: LabelledGraph, order: list[int]) -> IntervalRepresentation:
+def build_intervals(L: LabelledGraph, order: list[int]) -> np.ndarray:
     """Realize an interval ordering as concrete integer intervals.
 
     Left endpoints come out in exactly the given order, by construction.
@@ -84,32 +77,29 @@ def build_intervals(L: LabelledGraph, order: list[int]) -> IntervalRepresentatio
     keys = lkey + rkey
     rank = np.empty(2 * n, dtype=np.intp)
     rank[sorted(range(2 * n), key=keys.__getitem__)] = np.arange(1, 2 * n + 1)
-    pos = np.empty(2 * n, dtype=np.intp)
-    pos[idx], pos[n + idx] = rank[:n], rank[n:]
-    iv = dict(enumerate(zip(pos[:n].tolist(), pos[n:].tolist())))
-    err = _consistency_error(L, iv)
+    lr = np.empty((n, 2), dtype=np.intp)
+    lr[idx] = rank.reshape(2, n).T
+    err = _consistency_error(L, lr)
     if err is not None:
         raise InternalError(f"built intervals inconsistent with labels: {err}")
-    return IntervalRepresentation(iv)
+    return lr
 
 
-def lift_to_circle(ivals: IntervalRepresentation, zmap: list[int],
+def lift_to_circle(ivals: np.ndarray, zmap: list[int],
                    pairing: dict[int, int], H: TypedGraph) -> ArcRepresentation:
     """Lift intervals on one side of every circular pair to arcs for all of H.
 
-    zmap sends the interval vertices (0..|Z|-1) to their H indices.  Each
-    lifted interval is scaled by 4 onto a circle of 8|Z|+8 slots; the
+    zmap sends the interval vertices, the rows of ivals, to their H indices.
+    Each lifted interval is scaled by 4 onto a circle of 8|Z|+8 slots; the
     partner of each vertex gets the complementary arc shrunk by one slot at
     both ends.  The result must verify against H, else the pipeline is
     broken.
     """
-    k = len(zmap)
-    m = 8 * k + 8
+    m = 8 * len(zmap) + 8
     arcs: dict[int, tuple[int, int]] = {}
-    for i, u in enumerate(zmap):
-        l, r = ivals.intervals[i]
-        arcs[u] = (4 * l, 4 * r)
-        arcs[pairing[u]] = ((4 * r + 1) % m, (4 * l - 1) % m)
+    for u, (l, r) in zip(zmap, (4 * ivals).tolist()):
+        arcs[u] = (l, r)
+        arcs[pairing[u]] = ((r + 1) % m, (l - 1) % m)
     err = representation_error(H.graph, ArcRepresentation(m, arcs))
     if err is not None:
         raise InternalError(f"lifted arcs fail verification: {err}")

@@ -206,18 +206,11 @@ def extract_invertible_pair(K: KnottingGraph, cycle: list[Copy]) -> AvoidWalkPai
     for j in range(k):
         u, comp = cycle[j]
         path = K.component_path(u, comp, us[j - 1], us[(j + 1) % k])
-        if j % 2 == 0:
-            if walk_q[-1] != path[0]:
-                raise InternalError("walk assembly lost continuity")
-            for w in path[1:]:
-                walk_q.append(w)
-                walk_p.append(u)
-        else:
-            if walk_p[-1] != path[0]:
-                raise InternalError("walk assembly lost continuity")
-            for w in path[1:]:
-                walk_p.append(w)
-                walk_q.append(u)
+        moving, waiting = (walk_q, walk_p) if j % 2 == 0 else (walk_p, walk_q)
+        if moving[-1] != path[0]:
+            raise InternalError("walk assembly lost continuity")
+        moving += path[1:]
+        waiting += [u] * (len(path) - 1)
     return AvoidWalkPair(K.anchor, (us[0], us[-1]), walk_p, walk_q)
 
 

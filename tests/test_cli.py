@@ -197,6 +197,7 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == "certificate REJECTED\n"
         assert "walk check failed" in captured.err
+        assert repr(neg["anchor"]) in captured.err
 
     def test_copied_arc(self, tmp_path, capsys):
         g = write(tmp_path, "g.txt", NEAR_BICLAW_EDGES)

@@ -316,9 +316,9 @@ class TestVerifyCompletion:
         H, _ = complete(T)
         assert completion_error(T, H) is None
 
-    def test_rejects_unpaired(self, biclaw):
+    def test_rejects_wrong_cardinality(self, biclaw):
         T = classify_all(biclaw)
-        assert completion_error(T, T) is not None
+        assert completion_error(T, T) == "wrong completion cardinality"
 
     def test_c4_self_completion(self, c4):
         T = classify_all(c4)

@@ -5,18 +5,22 @@ rarely recurses into modules and safe subgraphs rarely split into several
 components.  This corpus takes seeded arc models with 60 to 100 vertices
 and arc models with a planted biclaw or C4+K1 beside them, whose verdicts
 are known by construction, and pins the SHA-256 of their concatenated
-canonical certificates.  A change that alters any of them must say why
-and update the digest.
+canonical certificates.  A twin corpus of 36-arc models blown up into 5
+true twins per arc, one with two universal vertices added, pins the undoing
+of ~150-step reduction traces by ``expand_arcs``.  A change that alters any
+of them must say why and update the digest.
 """
 
 import hashlib
 import random
 
-from circarc.formats import serialize_certificate
+from arc_model_edges import edge_lines
+from circarc.formats import parse_edge_list, serialize_certificate
 from circarc.recognizer import NEGATIVE, POSITIVE, recognize
 from conftest import arc_model, planted_negative
 
 SCALE_SHA256 = "4d59392c5aa33c9009c19c15ad4b7cc6606ff1ae3c2ff04919dce25178bf22d4"
+TWIN_SHA256 = "2c2d8773a0b07bf7c030735f0931a45d56e8fdccb33d8956a7925832c3c8d0c1"
 
 
 def corpus():
@@ -34,3 +38,21 @@ def test_scale_certificates_are_unchanged():
         assert cert.verdict == verdict
         digest.update(serialize_certificate(G, cert).encode())
     assert digest.hexdigest() == SCALE_SHA256
+
+
+def twin_corpus():
+    for seed in (1, 2, 3):
+        yield edge_lines(36, seed, False, twins=5)
+    lines = edge_lines(36, 4, False, twins=5)
+    names = [line for line in lines if " " not in line]
+    yield lines + [f"u{i} {v}" for i in (0, 1) for v in names] + ["u0 u1"]
+
+
+def test_twin_certificates_are_unchanged():
+    digest = hashlib.sha256()
+    for lines in twin_corpus():
+        G = parse_edge_list("\n".join(lines))
+        cert = recognize(G)
+        assert cert.verdict == POSITIVE
+        digest.update(serialize_certificate(G, cert).encode())
+    assert digest.hexdigest() == TWIN_SHA256

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from circarc.arcs import ArcRepresentation, expand_arcs
 from circarc.check import representation_error
-from circarc.graph import (Graph, GraphError, MergeTwins, ReductionStep,
-                           ReductionTrace, RemoveUniversal, build_graph,
+from circarc.graph import (Graph, GraphError, ReductionTrace, build_graph,
                            components, disjoint_rows, pack_rows, reduce,
                            sorted_unique, union_find, unpack_rows)
 from conftest import _bfs_components, bfs, tree_path
@@ -30,6 +29,11 @@ def seeded_gnp(seed):
     return nx.gnp_random_graph(n, rng.uniform(0.03, 0.4), seed=seed), rng
 
 
+def trace_of(n: int, steps: list[tuple[int, int]], survivors: list[int]) -> ReductionTrace:
+    """A trace from (kept, removed) steps given as a list, kept -1 for universal."""
+    return ReductionTrace(n, np.array(steps, dtype=np.intp).reshape(-1, 2), survivors)
+
+
 def _loop_reduce(G: Graph) -> tuple[Graph, ReductionTrace]:
     """Reference reduction: one step at a time to a fixed point.
 
@@ -39,7 +43,7 @@ def _loop_reduce(G: Graph) -> tuple[Graph, ReductionTrace]:
     """
     live = list(range(G.n))
     adj = G.adj.copy()
-    steps: list[ReductionStep] = []
+    steps: list[tuple[int, int]] = []
     while len(live) >= 2:
         idx = np.array(live, dtype=int)
         sub = adj[np.ix_(idx, idx)]
@@ -47,7 +51,7 @@ def _loop_reduce(G: Graph) -> tuple[Graph, ReductionTrace]:
         universal = np.flatnonzero(closed.all(axis=1))
         if universal.size:
             pos = int(universal[0])
-            steps.append(RemoveUniversal(live[pos]))
+            steps.append((-1, live[pos]))
             del live[pos]
             continue
         twin = None
@@ -61,10 +65,10 @@ def _loop_reduce(G: Graph) -> tuple[Graph, ReductionTrace]:
         if twin is None:
             break
         a, b = twin
-        steps.append(MergeTwins(live[a], live[b]))
+        steps.append((live[a], live[b]))
         del live[b]
     reduced = G.induced(live)
-    return reduced, ReductionTrace(G.n, steps, list(live))
+    return reduced, trace_of(G.n, steps, list(live))
 
 
 def _loop_expand(trace: ReductionTrace, rep: ArcRepresentation) -> ArcRepresentation:
@@ -80,21 +84,20 @@ def _loop_expand(trace: ReductionTrace, rep: ArcRepresentation) -> ArcRepresenta
     next_tag = rep.circle_size
     circle = list(range(rep.circle_size))
     arcs = {trace.survivors[i]: lr for i, lr in rep.arcs.items()}
-    for step in reversed(trace.steps):
-        if isinstance(step, MergeTwins):
-            l_k, r_k = arcs[step.kept]
+    for kept, removed in reversed(trace.steps.tolist()):
+        if kept >= 0:
+            l_k, r_k = arcs[kept]
             a, b = next_tag, next_tag + 1
             next_tag += 2
             circle.insert(circle.index(l_k), a)
             circle.insert(circle.index(r_k) + 1, b)
-            arcs[step.removed] = (a, b)
+            arcs[removed] = (a, b)
         else:
-            assert isinstance(step, RemoveUniversal)
             s1, s2, s3 = next_tag, next_tag + 1, next_tag + 2
             next_tag += 3
             circle.extend([s1, s2, s3])
             # wraps the whole circle, missing only s2
-            arcs[step.vertex] = (s3, s1)
+            arcs[removed] = (s3, s1)
     pos = {tag: i for i, tag in enumerate(circle)}
     out = {v: (pos[l], pos[r]) for v, (l, r) in arcs.items()}
     return ArcRepresentation(len(circle), out)
@@ -485,26 +488,24 @@ class TestReduce:
         K3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
         reduced, trace = reduce(K3)
         assert reduced.n == 1
-        assert trace.steps == [RemoveUniversal(0), RemoveUniversal(1)]
+        assert trace.steps.tolist() == [[-1, 0], [-1, 1]]
 
     def test_biclaw_irreducible(self, biclaw):
         reduced, trace = reduce(biclaw)
         assert reduced.n == 7
-        assert trace.steps == []
+        assert trace.steps.shape == (0, 2)
 
     def test_c4_irreducible(self, c4):
         reduced, trace = reduce(c4)
         assert reduced.n == 4
-        assert trace.steps == []
+        assert trace.steps.shape == (0, 2)
 
     def test_universal_first_then_classes_by_least_member(self):
         # 1 and 4 are universal; {0, 3, 5} and {2, 6} are true-twin classes
         edges = [(u, v) for u in (1, 4) for v in range(7) if u != v]
         edges += [(0, 3), (0, 5), (3, 5), (2, 6)]
         reduced, trace = reduce(build_graph(7, edges))
-        assert trace.steps == [RemoveUniversal(1), RemoveUniversal(4),
-                               MergeTwins(0, 3), MergeTwins(0, 5),
-                               MergeTwins(2, 6)]
+        assert trace.steps.tolist() == [[-1, 1], [-1, 4], [0, 3], [0, 5], [2, 6]]
         assert trace.survivors == [0, 2]
         assert reduced.names == ("0", "2") and not reduced.adj.any()
 
@@ -515,8 +516,9 @@ class TestReduce:
         for G in graphs:
             reduced, trace = reduce(G)
             ref, ref_trace = _loop_reduce(G)
-            assert (trace.steps, trace.survivors, trace.n_original) == (
-                ref_trace.steps, ref_trace.survivors, ref_trace.n_original)
+            assert np.array_equal(trace.steps, ref_trace.steps)
+            assert (trace.survivors, trace.n_original) == (
+                ref_trace.survivors, ref_trace.n_original)
             assert np.array_equal(reduced.adj, ref.adj) and reduced.names == ref.names
         assert sum(G.n == 0 for G in graphs) == 1 and max(G.n for G in graphs) > 40
 
@@ -526,8 +528,9 @@ class TestReduce:
             G = wide_blowup(n, seed)
             reduced, trace = reduce(G)
             ref, ref_trace = _loop_reduce(G)
-            assert (trace.steps, trace.survivors, trace.n_original) == (
-                ref_trace.steps, ref_trace.survivors, ref_trace.n_original)
+            assert np.array_equal(trace.steps, ref_trace.steps)
+            assert (trace.survivors, trace.n_original) == (
+                ref_trace.survivors, ref_trace.n_original)
             assert np.array_equal(reduced.adj, ref.adj) and reduced.names == ref.names
             # two adjacent survivors whose closed rows differ only in the last
             # column, so only in the last word, are kept apart
@@ -541,7 +544,7 @@ class TestReduce:
     def test_idempotent(self, G):
         reduced, _ = reduce(G)
         again, trace = reduce(reduced)
-        assert trace.steps == []
+        assert trace.steps.shape == (0, 2)
         assert np.array_equal(again.adj, reduced.adj)
 
     @given(random_graph_strategy())
@@ -582,7 +585,7 @@ class TestExpandArcs:
         # star plus center: center is universal, leaves become twins
         G = build_graph(3, [(0, 1), (0, 2)])
         reduced, trace = reduce(G)
-        assert any(isinstance(s, RemoveUniversal) for s in trace.steps)
+        assert (trace.steps[:, 0] < 0).any()
         base = ArcRepresentation(4, {i: (2 * i, 2 * i + 1)
                                      for i in range(reduced.n)})
         assert representation_error(G, expand_arcs(trace, base)) is None
@@ -617,7 +620,7 @@ class TestExpandArcs:
     def test_complete_graph_keeps_its_last_vertex(self, n):
         _, trace = reduce(build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)]))
         assert trace.survivors == [n - 1]
-        assert trace.steps == [RemoveUniversal(v) for v in range(n - 1)]
+        assert trace.steps.tolist() == [[-1, v] for v in range(n - 1)]
         for rep in (ArcRepresentation(2, {0: (0, 1)}), ArcRepresentation(3, {0: (2, 0)})):
             self.assert_matches_loop(trace, rep)
 
@@ -626,8 +629,8 @@ class TestExpandArcs:
         for n in (65, 129, 200):
             G = wide_blowup(n, n)
             _, trace = reduce(G)
-            kept = [s.kept for s in trace.steps if isinstance(s, MergeTwins)]
-            assert max(map(kept.count, kept)) >= 4
+            kept = trace.steps[:, 0]
+            assert np.bincount(kept[kept >= 0]).max() >= 4
             for _ in range(3):
                 self.assert_matches_loop(trace, random_reduced_rep(rng, len(trace.survivors)))
 
@@ -635,21 +638,21 @@ class TestExpandArcs:
         rng = random.Random(13)
         for seed in range(40):
             _, trace = reduce(planted_blowup(seed))
-            steps = trace.steps[:]
+            steps = trace.steps.tolist()
             rng.shuffle(steps)  # twins of one kept vertex and universal vertices interleave
-            shuffled = ReductionTrace(trace.n_original, steps, trace.survivors)
+            shuffled = trace_of(trace.n_original, steps, trace.survivors)
             self.assert_matches_loop(shuffled, random_reduced_rep(rng, len(trace.survivors)))
 
     @pytest.mark.parametrize("trace", [
-        ReductionTrace(3, [MergeTwins(0, 2), MergeTwins(2, 1)], [0]),  # kept 2 was removed
-        ReductionTrace(3, [MergeTwins(2, 1), MergeTwins(0, 2)], [0]),
-        ReductionTrace(3, [RemoveUniversal(1), MergeTwins(1, 2)], [0]),  # kept 1 is universal
-        ReductionTrace(2, [MergeTwins(0, 1)], [0, 1]),  # removed 1 survives
-        ReductionTrace(2, [RemoveUniversal(1)], [0, 1]),  # universal 1 survives
-        ReductionTrace(3, [MergeTwins(0, 1), MergeTwins(0, 1)], [0, 2]),  # 1 removed twice
-        ReductionTrace(3, [MergeTwins(0, 1)], [0]),  # 2 is missing
-        ReductionTrace(2, [MergeTwins(0, 5)], [0, 1]),  # 5 is out of range
-        ReductionTrace(2, [MergeTwins(7, 1)], [0]),
+        trace_of(3, [(0, 2), (2, 1)], [0]),  # kept 2 was removed
+        trace_of(3, [(2, 1), (0, 2)], [0]),
+        trace_of(3, [(-1, 1), (1, 2)], [0]),  # kept 1 is universal
+        trace_of(2, [(0, 1)], [0, 1]),  # removed 1 survives
+        trace_of(2, [(-1, 1)], [0, 1]),  # universal 1 survives
+        trace_of(3, [(0, 1), (0, 1)], [0, 2]),  # 1 removed twice
+        trace_of(3, [(0, 1)], [0]),  # 2 is missing
+        trace_of(2, [(0, 5)], [0, 1]),  # 5 is out of range
+        trace_of(2, [(7, 1)], [0]),
     ])
     def test_malformed_trace(self, trace):
         rep = ArcRepresentation(2 * len(trace.survivors),

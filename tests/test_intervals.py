@@ -37,19 +37,16 @@ def _loop_consistency_error(L, iv):
 def corrupted(rng, iv):
     """iv with one random fault: two intervals swapped, an interval flipped
     or two endpoints exchanged."""
-    iv = dict(iv)
-    u, v = rng.choice(list(iv)), rng.choice(list(iv))
+    iv = iv.copy()
+    u, v = rng.randrange(len(iv)), rng.randrange(len(iv))
     kind = rng.randrange(3)
     if kind == 0:
-        iv[u], iv[v] = iv[v], iv[u]
+        iv[[u, v]] = iv[[v, u]]
     elif kind == 1:
-        iv[u] = iv[u][::-1]
+        iv[u] = iv[u, ::-1]
     else:
         su, sv = rng.randrange(2), rng.randrange(2)
-        pu, pv = list(iv[u]), list(iv[v])
-        pu[su], pv[sv] = iv[v][sv], iv[u][su]
-        iv[u] = tuple(pu)
-        iv[v] = tuple(pv) if u != v else tuple(pu)
+        iv[u, su], iv[v, sv] = iv[v, sv], iv[u, su]
     return iv
 
 
@@ -68,9 +65,9 @@ def _list_build_intervals(L, order):
         for v in incl.tolist():
             t = max(t, seq.index(("R", v)))
         seq.insert(t + 1, ("R", x))
-    iv = {}
+    iv = np.zeros((L.n, 2), dtype=np.intp)
     for pos, (side, v) in enumerate(seq, start=1):
-        iv[v] = (pos, 0) if side == "L" else (iv[v][0], pos)
+        iv[v, int(side == "R")] = pos
     return iv
 
 
@@ -97,7 +94,7 @@ def _loop_build_intervals(L, order):
         t = max(pos[y], pos[n + incl].max(initial=0))
         pos[pos > t] += 1
         pos[n + x] = t + 1
-    iv = dict(enumerate(zip(pos[:n].tolist(), pos[n:].tolist())))
+    iv = np.stack((pos[:n], pos[n:]), axis=1)
     err = _consistency_error(L, iv)
     if err is not None:
         raise InternalError(f"built intervals inconsistent with labels: {err}")
@@ -116,7 +113,7 @@ class TestBuildIntervals:
                 order = interval_orientation(L)
             except DeltaInvertiblePair:
                 continue
-            assert build_intervals(L, order).intervals == _list_build_intervals(L, order)
+            assert np.array_equal(build_intervals(L, order), _list_build_intervals(L, order))
             built += 1
         assert built >= 20
 
@@ -125,11 +122,11 @@ class TestBuildIntervals:
         seen = set()
         for L, order in orders_to_check(9):
             try:
-                want = _loop_build_intervals(L, order)
+                want = _loop_build_intervals(L, order).tolist()
             except InternalError as exc:
                 want = str(exc)
             try:
-                got = build_intervals(L, order).intervals
+                got = build_intervals(L, order).tolist()
             except InternalError as exc:
                 got = str(exc)
             assert got == want, (L.labels, L.inside, order)
@@ -138,17 +135,17 @@ class TestBuildIntervals:
 
     def test_overlap_path(self):
         L = make_labelled(3, overlaps=[(0, 1), (1, 2)])
-        iv = build_intervals(L, [0, 1, 2]).intervals
-        assert iv == {0: (1, 3), 1: (2, 5), 2: (4, 6)}
+        iv = build_intervals(L, [0, 1, 2])
+        assert iv.tolist() == [[1, 3], [2, 5], [4, 6]]
 
     def test_single_vertex(self):
         L = make_labelled(1)
-        assert build_intervals(L, [0]).intervals == {0: (1, 2)}
+        assert build_intervals(L, [0]).tolist() == [[1, 2]]
 
     def test_containment(self):
         L = make_labelled(2, inclusions=[(0, 1)])
-        iv = build_intervals(L, [0, 1]).intervals
-        assert iv == {0: (1, 4), 1: (2, 3)}
+        iv = build_intervals(L, [0, 1])
+        assert iv.tolist() == [[1, 4], [2, 3]]
 
     def test_rejects_bad_order(self):
         L = make_labelled(3, overlaps=[(0, 1), (1, 2)])
@@ -187,11 +184,9 @@ class TestBuildIntervals:
                  if verify_interval_ordering(L, list(p))), None)
             if order is None:
                 continue
-            iv = build_intervals(L, order).intervals
-            lefts = sorted(iv, key=lambda v: iv[v][0])
-            assert lefts == order
-            spots = sorted(p for pair in iv.values() for p in pair)
-            assert spots == list(range(1, 2 * L.n + 1))
+            iv = build_intervals(L, order)
+            assert np.argsort(iv[:, 0]).tolist() == order
+            assert np.sort(iv, axis=None).tolist() == list(range(1, 2 * L.n + 1))
 
 
 class TestConsistencyError:
@@ -204,7 +199,7 @@ class TestConsistencyError:
         seen = set()
         for L in cases:
             try:
-                iv = build_intervals(L, interval_orientation(L)).intervals
+                iv = build_intervals(L, interval_orientation(L))
             except DeltaInvertiblePair:
                 continue
             assert _consistency_error(L, iv) is None
