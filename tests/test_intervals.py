@@ -45,8 +45,13 @@ def corrupted(rng, iv):
     elif kind == 1:
         iv[u] = iv[u, ::-1]
     else:
+        # with u == v and su != sv this copies one endpoint over the
+        # other, an interval with l == r
         su, sv = rng.randrange(2), rng.randrange(2)
-        iv[u, su], iv[v, sv] = iv[v, sv], iv[u, su]
+        a, b = iv[v, sv], iv[u, su]
+        iv[u, su] = a
+        if u != v:
+            iv[v, sv] = b
     return iv
 
 

@@ -384,6 +384,25 @@ class TestWalkPairChecker:
             [idx(v) for v in ["b", "b", "b", "~h", "a", "a"]])
         assert walk_pair_error(H, awp) is not None
 
+    def test_names_vertices_in_reasons(self, biclaw):
+        # the hand-built walks with a bad anchor or a moved step, each
+        # reason naming the offending vertex
+        H = completion_of(biclaw)[2]
+        idx = H.graph.index_of
+        p, q = ["a", "f", "d", "d", "g", "b"], ["b", "b", "b", "~h", "a", "a"]
+
+        def reason(z, pair, p, q):
+            return walk_pair_error(H, AvoidWalkPair(
+                idx(z), (idx(pair[0]), idx(pair[1])),
+                [idx(v) for v in p], [idx(v) for v in q]))
+
+        assert reason("f", "ab", p, q) == "anchor 'f' does not avoid the first walk"
+        assert reason("d", "ba", q, p) == "anchor 'd' does not avoid the second walk"
+        assert (reason("c", "ab", p, ["b", "b", "~h", "~h", "a", "a"])
+                == "'f' does not avoid step 1 of the second walk")
+        assert (reason("c", "ab", p, ["b", "b", "b", "b", "~h", "a"])
+                == "'~h' does not avoid step 3 of the first walk")
+
     def test_rejects_anchor_in_pair(self, biclaw):
         H = completion_of(biclaw)[2]
         idx = H.graph.index_of
