@@ -28,7 +28,7 @@ def write_graph6(G: Graph) -> str:
     if n > G6_MAX_N:
         raise ValueError(f"graph6 handles at most {G6_MAX_N} vertices here")
     head = [n] if n <= 62 else [63, n >> 12, n >> 6 & 63, n & 63]
-    bits = G.adj[np.tril_indices(n, -1)]
+    bits = G.adj[np.tril(np.ones((n, n), dtype=bool), -1)]  # row-major, as graph6 orders them
     six = np.zeros(-(-bits.size // 6) * 6, dtype=np.uint8)
     six[:bits.size] = bits
     body = six.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
@@ -70,9 +70,6 @@ class TypedGraph:
     types: np.ndarray    # int8 (n, n); diagonal INCLUSION
     contains: np.ndarray  # bool (n, n); contains[u,v] = N[v] subset of N[u]
     spanning: np.ndarray  # bool (n, n)
-
-    def overlaps(self, u: int, v: int) -> bool:
-        return self.types[u, v] in (EdgeType.OVERLAP1, EdgeType.OVERLAP2)
 
 
 def classify_all(G: Graph) -> TypedGraph:
@@ -171,6 +168,18 @@ def representation_error(G, rep: Arcs) -> Optional[str]:
     return None
 
 
+def _fails(types: np.ndarray, z, a, b) -> np.ndarray:
+    """Where z fails to avoid the step a-b, elementwise over index arrays:
+    an end is included with z (z itself among them), or z, a and b
+    pairwise overlap (a loop a-a never overlaps itself).  The callers find
+    the steps that are no edge in types too: it is NONEDGE exactly off the
+    closed adjacency."""
+    t = np.stack([types[z, a], types[z, b], types[a, b]])
+    # plain ints: numpy compares with an IntEnum member several times slower
+    overlap = (t == EdgeType.OVERLAP1.value) | (t == EdgeType.OVERLAP2.value)
+    return (t[:2] == EdgeType.INCLUSION.value).any(axis=0) | overlap.all(axis=0)
+
+
 def avoids(T: TypedGraph, z: int, walk: Sequence[int]) -> bool:
     """Does z avoid the given walk?
 
@@ -179,16 +188,14 @@ def avoids(T: TypedGraph, z: int, walk: Sequence[int]) -> bool:
     overlap edge between two vertices that both overlap z.  Repeated
     vertices in the walk denote loops and are allowed.
     """
-    for a, b in zip(walk, walk[1:]):
-        if a != b and not T.graph.adjacent(a, b):
-            raise ValueError(f"not a walk: {a} and {b} are non-adjacent")
-    for x in walk:
-        if T.graph.adjacent(z, x) and not T.overlaps(z, x):
-            return False
-    for a, b in zip(walk, walk[1:]):
-        if a != b and T.overlaps(z, a) and T.overlaps(z, b) and T.overlaps(a, b):
-            return False
-    return True
+    w = np.asarray(walk, dtype=np.intp)
+    apart = T.types[w[:-1], w[1:]] == EdgeType.NONEDGE.value
+    if apart.any():
+        i = int(apart.argmax())
+        raise ValueError(f"not a walk: {w[i]} and {w[i + 1]} are non-adjacent")
+    # a one-vertex walk is the loop at that vertex; an empty one has no step
+    a, b = (w, w) if w.size == 1 else (w[:-1], w[1:])
+    return not _fails(T.types, z, a, b).any()
 
 
 def completion_error(Gt: TypedGraph, Ht: TypedGraph) -> Optional[str]:
@@ -226,8 +233,11 @@ class AvoidWalkPair:
 def walk_pair_error(H: TypedGraph, awp: AvoidWalkPair) -> Optional[str]:
     """First-principles check of an anchored pair of avoiding walks.
 
-    Reasons name the completion's vertices by name, except an index out of
-    range.
+    Each check reads the edge types of all steps at once.  The first
+    failure is reported: a step that is no edge (the first walk first), the
+    anchor against either walk, then for each i in turn p[i] against step i
+    of q and q[i+1] against step i of p.  Reasons name the completion's
+    vertices by name, except an index out of range.
     """
     n = H.graph.n
     (x, y), z, p, q = awp.pair, awp.anchor, awp.walk_p, awp.walk_q
@@ -243,19 +253,27 @@ def walk_pair_error(H: TypedGraph, awp: AvoidWalkPair) -> Optional[str]:
     if p[0] != x or p[-1] != y or q[0] != y or q[-1] != x:
         return "walk endpoints do not match the pair"
     names = H.graph.names
-    for walk in (p, q):
-        for a, b in zip(walk, walk[1:]):
-            if a != b and not H.graph.adjacent(a, b):
-                return f"step {names[a]!r}-{names[b]!r} is not an edge"
-    if not avoids(H, z, p):
+    P, Q = np.array(p, dtype=np.intp), np.array(q, dtype=np.intp)
+    a, b = np.concatenate((P[:-1], Q[:-1])), np.concatenate((P[1:], Q[1:]))
+    apart = H.types[a, b] == EdgeType.NONEDGE.value
+    if apart.any():
+        i = int(apart.argmax())
+        return f"step {names[a[i]]!r}-{names[b[i]]!r} is not an edge"
+    # rows: the anchor against each step of p, then of q; p[i] against
+    # step i of q; q[i+1] against step i of p
+    P0, P1, Q0, Q1, Z = P[:-1], P[1:], Q[:-1], Q[1:], np.full(len(p) - 1, z)
+    fails = _fails(H.types, np.stack([Z, Z, P0, Q1]),
+                   np.stack([P0, Q0, Q0, P0]), np.stack([P1, Q1, Q1, P1]))
+    if fails[0].any():
         return f"anchor {names[z]!r} does not avoid the first walk"
-    if not avoids(H, z, q):
+    if fails[1].any():
         return f"anchor {names[z]!r} does not avoid the second walk"
-    for i in range(len(p) - 1):
-        if not avoids(H, p[i], [q[i], q[i + 1]]):
+    mutual = fails[2:].T  # row-major: step i's two checks before step i+1's
+    if mutual.any():
+        i, j = divmod(int(mutual.argmax()), 2)
+        if j == 0:
             return f"{names[p[i]]!r} does not avoid step {i} of the second walk"
-        if not avoids(H, q[i + 1], [p[i], p[i + 1]]):
-            return f"{names[q[i + 1]]!r} does not avoid step {i} of the first walk"
+        return f"{names[q[i + 1]]!r} does not avoid step {i} of the first walk"
     return None
 
 
@@ -268,8 +286,8 @@ class Certificate:
     verdict: str
     arcs: Optional[Arcs] = None                         # positive: for the input graph
     vertices: Optional[list[int]] = None                # negative: S, by input index
-    completion: Optional[TypedGraph] = None             # negative: of G[S]; its pairing
-    obstruction: Optional[AvoidWalkPair] = None         # is derived, the walks index it
+    completion: Optional[Graph] = None                  # negative: of G[S], re-classified
+    obstruction: Optional[AvoidWalkPair] = None         # by the checker; the walks index it
 
 
 def positive_error(G: Graph, cert: Certificate) -> Optional[str]:
@@ -303,7 +321,7 @@ def negative_error(G: Graph, cert: Certificate) -> Optional[str]:
         return "vertex set repeats a vertex"
     try:
         Gt = classify_all(G.induced(S))
-        Ht = classify_all(cert.completion.graph)
+        Ht = classify_all(cert.completion)
         err = completion_error(Gt, Ht)
         if err is not None:
             return f"completion check failed: {err}"

@@ -2,10 +2,11 @@
 
 The circular completion gives each vertex without a circular partner
 (``check.circular_pairs``) a new partner vertex, all built in one pass
-from the containment and closed-adjacency matrices of the input.  It is
-not trusted: it checks itself with ``check.completion_error``, the
-certificate checker's own test, which derives the pairing from the
-completion alone.
+from the containment and closed-adjacency matrices of the input
+(``completion_graph``).  It is not trusted: the recognizer's ``complete``
+checks it with ``check.completion_error``, the certificate checker's own
+test, which derives the pairing from the completion alone; the reader of
+certificates builds the bare graph and leaves every check to the checker.
 ``avoiding_labels`` labels the components of the edges that avoid
 each anchor, for the knotting graph and the Δ-forcing classes alike.
 """
@@ -18,8 +19,8 @@ from .check import InternalError, TypedGraph, circular_pairs, classify_all, comp
 from .graph import Graph, components, disjoint_rows, unpack_rows
 
 
-def complete(T: TypedGraph) -> tuple[TypedGraph, dict[int, int]]:
-    """Build the circular completion of T and its full pairing.
+def completion_graph(T: TypedGraph) -> Graph:
+    """Build the circular completion of T, unchecked.
 
     Each vertex v without a circular partner gets a partner ~v, placed after
     the originals in increasing order of v.  ~v sees the originals u != v
@@ -27,7 +28,6 @@ def complete(T: TypedGraph) -> tuple[TypedGraph, dict[int, int]]:
     inside N[w] and N[w] contains N[u] for every u outside N[v].  ~v is
     named "~" + v's name, with more "~" prefixed while that name is taken.
     """
-    n0 = T.graph.n
     not_c, not_n = ~T.contains, ~T.graph.closed_adj()
     unpaired = np.flatnonzero(~(T.spanning & not_n).any(axis=1))
     # not_c[v, v] is False, so no added vertex sees its own partner
@@ -47,12 +47,22 @@ def complete(T: TypedGraph) -> tuple[TypedGraph, dict[int, int]]:
             name = "~" + name
         taken.add(name)
         names.append(name)
-    H = classify_all(Graph(adj.shape[0], adj, tuple(names)))
+    return Graph(adj.shape[0], adj, tuple(names))
+
+
+def complete(T: TypedGraph) -> tuple[TypedGraph, dict[int, int]]:
+    """The circular completion of T, classified and checked, and its full
+    pairing, in which each added vertex pairs the original it was added for."""
+    n0 = T.graph.n
+    H = classify_all(completion_graph(T))
     err = completion_error(T, H)
     if err is not None:
         raise InternalError(f"completion check failed: {err}")
     pairing = circular_pairs(H).partner
-    if [pairing[u] for u in range(n0, H.graph.n)] != unpaired.tolist():
+    # with the cardinality checked, the originals paired with added vertices
+    # are exactly those T leaves unpaired
+    added_for = [v for v in range(n0) if pairing[v] >= n0]
+    if [pairing[u] for u in range(n0, H.graph.n)] != added_for:
         raise InternalError("an added vertex is not paired with its origin")
     return H, pairing
 

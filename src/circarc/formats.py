@@ -12,8 +12,9 @@ its checker reads.  A positive one holds the arcs of every input vertex.
 A negative one holds a vertex set S, named in input order (the
 reduction's survivors), and the anchor, the pair and the two walks, named
 in the circular completion of G[S]: the reader rebuilds it with the
-untrusted ``edgetypes.complete``, and ``check.negative_error`` re-derives
-it from adjacency before it checks the walks.  "ca-cert/1" and
+untrusted ``edgetypes.completion_graph`` and checks nothing of it, and
+``check.negative_error`` re-classifies it from adjacency and checks it
+before it checks the walks.  "ca-cert/1" and
 "ca-cert/2" documents, which carried the reduction trace, are no longer
 read.
 """
@@ -29,7 +30,7 @@ from .arcs import ArcRepresentation
 from .check import (G6_MAX_N, NEGATIVE, POSITIVE, AvoidWalkPair, Certificate,
                     InternalError, classify_all, graph_digest)
 from .check import write_graph6  # re-exported: the writer graph_digest relies on
-from .edgetypes import complete
+from .edgetypes import completion_graph
 from .graph import Graph, GraphError, build_graph
 
 FORMAT_TAG = "ca-cert/3"
@@ -123,7 +124,7 @@ def certificate_to_doc(G: Graph, cert: Certificate) -> dict[str, Any]:
             "arcs": {G.names[v]: list(lr) for v, lr in sorted(cert.arcs.arcs.items())},
         }
     else:
-        names = cert.completion.graph.names
+        names = cert.completion.names
         awp = cert.obstruction
         doc["negative"] = {
             "vertices": [G.names[v] for v in cert.vertices],
@@ -179,8 +180,8 @@ def certificate_from_doc(G: Graph, doc: dict[str, Any]) -> Certificate:
     S = _vertices(index, neg["vertices"], "vertices")
     if len(set(S)) != len(S):
         raise FormatError("vertices must name each vertex once")
-    H, _ = complete(classify_all(G.induced(S)))
-    h_index = {name: i for i, name in enumerate(H.graph.names)}
+    H = completion_graph(classify_all(G.induced(S)))
+    h_index = {name: i for i, name in enumerate(H.names)}
     pair = _vertices(h_index, neg["pair"], "pair")
     if len(pair) != 2:
         raise FormatError("pair must name two vertices")

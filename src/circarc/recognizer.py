@@ -46,7 +46,7 @@ def recognize(G: Graph) -> Certificate:
     res = bipartite_or_odd_cycle(K)
     if isinstance(res, list):
         awp = extract_invertible_pair(K, res)
-        return _checked(G, Certificate(NEGATIVE, vertices=trace.survivors, completion=H,
+        return _checked(G, Certificate(NEGATIVE, vertices=trace.survivors, completion=H.graph,
                                        obstruction=awp))
     zset = build_Z(H, z, overlap_side(H, K, res, pairing[z]), pairing)
     L = labelled_from_typed(H, zset)

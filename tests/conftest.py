@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from circarc.delta import Label, LabelledGraph, labelled_from_typed
-from circarc.check import circular_pairs, classify_all
+from circarc.check import EdgeType, circular_pairs, classify_all
 from circarc.edgetypes import complete
 from circarc.formats import parse_edge_list
 from circarc.graph import Graph, build_graph, reduce as reduce_graph
@@ -133,6 +133,58 @@ def pairing_completion_error(Gt, Ht, pairing):
             return f"{u}, {v} paired but not a circular pair"
         if u >= n and v >= n:
             return f"added vertices {u}, {v} paired together"
+    return None
+
+
+def _overlaps(T, u, v):
+    return T.types[u, v] in (EdgeType.OVERLAP1, EdgeType.OVERLAP2)
+
+
+def stepwise_avoids(T, z, walk):
+    """Does z avoid the walk, vertex by vertex and step by step: the
+    reference for the array ``check.avoids``."""
+    for a, b in zip(walk, walk[1:]):
+        if a != b and not T.graph.adjacent(a, b):
+            raise ValueError(f"not a walk: {a} and {b} are non-adjacent")
+    for x in walk:
+        if T.graph.adjacent(z, x) and not _overlaps(T, z, x):
+            return False
+    for a, b in zip(walk, walk[1:]):
+        if a != b and _overlaps(T, z, a) and _overlaps(T, z, b) and _overlaps(T, a, b):
+            return False
+    return True
+
+
+def stepwise_walk_pair_error(H, awp):
+    """First problem found in an anchored pair of avoiding walks, one step at
+    a time: the reference for the array ``check.walk_pair_error``."""
+    n = H.graph.n
+    (x, y), z, p, q = awp.pair, awp.anchor, awp.walk_p, awp.walk_q
+    for v in [x, y, z, *p, *q]:
+        if not 0 <= v < n:
+            return f"vertex {v} out of range"
+    if x == y:
+        return "pair members must be distinct"
+    if z in (x, y):
+        return "anchor may not belong to the pair"
+    if len(p) != len(q) or not p:
+        return "walks must be nonempty and of equal length"
+    if p[0] != x or p[-1] != y or q[0] != y or q[-1] != x:
+        return "walk endpoints do not match the pair"
+    names = H.graph.names
+    for walk in (p, q):
+        for a, b in zip(walk, walk[1:]):
+            if a != b and not H.graph.adjacent(a, b):
+                return f"step {names[a]!r}-{names[b]!r} is not an edge"
+    if not stepwise_avoids(H, z, p):
+        return f"anchor {names[z]!r} does not avoid the first walk"
+    if not stepwise_avoids(H, z, q):
+        return f"anchor {names[z]!r} does not avoid the second walk"
+    for i in range(len(p) - 1):
+        if not stepwise_avoids(H, p[i], [q[i], q[i + 1]]):
+            return f"{names[p[i]]!r} does not avoid step {i} of the second walk"
+        if not stepwise_avoids(H, q[i + 1], [p[i], p[i + 1]]):
+            return f"{names[q[i + 1]]!r} does not avoid step {i} of the first walk"
     return None
 
 

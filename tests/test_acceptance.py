@@ -25,13 +25,13 @@ def test_criterion_01_biclaw_negative():
     G = parse_edge_list(BICLAW_EDGES)
     cert = recognize(G)
     assert cert.verdict == NEGATIVE
-    H = cert.completion.graph
+    H = cert.completion
     assert H.n == 14
     for name in "abcd":
         bar = H.index_of("~" + name)
         assert H.closed_neighborhood(bar) == set(range(14)) - {H.index_of(name)}
     assert verify_negative(G, cert)
-    K = build_knotting(cert.completion, H.index_of("f"))
+    K = build_knotting(classify_all(H), H.index_of("f"))
     assert isinstance(bipartite_or_odd_cycle(K), list)
     elapsed = time.monotonic() - start
     assert elapsed < 1.0

@@ -50,7 +50,7 @@ def case(name):
     cert = recognize(G)
     verdict = POSITIVE if oracle_is_ca(G) else NEGATIVE
     assert cert.verdict == verdict
-    names = cert.completion.graph.names if verdict == NEGATIVE else ()
+    names = cert.completion.names if verdict == NEGATIVE else ()
     return G, json.dumps(certificate_to_doc(G, cert)), verdict, names
 
 

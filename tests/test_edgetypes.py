@@ -18,7 +18,7 @@ from circarc.knotting import build_knotting
 from arc_model_edges import nested_lines
 from conftest import (BICLAW_EDGES, _bfs_components, _dense_avoiding, arc_model,
                       arcs_meet, completion_of, pairing_completion_error,
-                      planted_negative)
+                      planted_negative, stepwise_avoids)
 from test_graph import random_graph_strategy
 
 
@@ -449,6 +449,30 @@ class TestAvoids:
         T = classify_all(p4)
         with pytest.raises(ValueError):
             avoids(T, 3, [0, 2])
+
+    def test_matches_stepwise_reference(self):
+        # every one- and two-vertex walk, and seeded longer walks (most
+        # along edges), at six seeded anchors of a completion
+        rng = random.Random(5)
+        H = completion_of(planted_negative(rng, 20, "biclaw"))[2]
+        m = H.graph.n
+        walks = [[x] for x in range(m)] + [list(e) for e in itertools.product(range(m), repeat=2)]
+        closed = H.graph.closed_adj()
+        for _ in range(500):
+            walk = [rng.randrange(m)]
+            for _ in range(rng.randint(2, 5)):  # along edges, or anywhere
+                at = np.flatnonzero(closed[walk[-1]]) if rng.random() < 0.9 else range(m)
+                walk.append(int(rng.choice(at)))
+            walks.append(walk)
+        for z in rng.sample(range(m), 6):
+            for walk in walks:
+                try:
+                    want = stepwise_avoids(H, z, walk)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=str(exc)):
+                        avoids(H, z, walk)
+                else:
+                    assert avoids(H, z, walk) == want, (z, walk)
 
     def test_matrix_matches_walk_check(self):
         # the matrix form agrees with the walk check on every edge and loop,

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -14,9 +15,11 @@ from circarc.formats import parse_edge_list
 from circarc.graph import build_graph, reduce as reduce_graph
 from circarc.knotting import (bipartite_or_odd_cycle, build_Z, build_knotting,
                               extract_invertible_pair, overlap_side)
-from arc_model_edges import nested_lines, short_lines
+from circarc.recognizer import recognize
+from arc_model_edges import edge_lines, nested_lines, short_lines
 from conftest import (_dense_avoiding, arc_model, bfs, completion_of,
-                      planted_negative, side_at, tree_path)
+                      planted_negative, side_at, stepwise_walk_pair_error,
+                      tree_path)
 
 
 def knotting_at(G, name):
@@ -409,6 +412,65 @@ class TestWalkPairChecker:
         awp = AvoidWalkPair(idx("a"), (idx("a"), idx("b")),
                             [idx("a")], [idx("b")])
         assert walk_pair_error(H, awp) is not None
+
+
+def walk_mutations(awp, m):
+    """awp with one thing changed: each walk position renamed to every
+    vertex (and to -1 and m, out of range), repeated or dropped; each
+    position of the first walk repeated together with each of the second,
+    keeping the lengths equal; the anchor and each pair member renamed, the
+    anchor also with the pair and the walks swapped."""
+    p, q = awp.walk_p, awp.walk_q
+    for k, walk in enumerate((p, q)):
+        for i in range(len(walk)):
+            variants = [walk[:i] + [v] + walk[i + 1:] for v in range(-1, m + 1)]
+            variants += [walk[:i + 1] + walk[i:], walk[:i] + walk[i + 1:]]
+            for w in variants:
+                yield dataclasses.replace(awp, **{("walk_p", "walk_q")[k]: w})
+    for i, j in itertools.product(range(len(p)), range(len(q))):
+        yield dataclasses.replace(awp, walk_p=p[:i + 1] + p[i:], walk_q=q[:j + 1] + q[j:])
+    swapped = AvoidWalkPair(awp.anchor, awp.pair[::-1], q, p)
+    for v in range(-1, m + 1):
+        yield dataclasses.replace(awp, anchor=v)
+        yield dataclasses.replace(swapped, anchor=v)
+        yield dataclasses.replace(awp, pair=(v, awp.pair[1]))
+        yield dataclasses.replace(awp, pair=(awp.pair[0], v))
+
+
+class TestWalkCheckerDifferential:
+    """The array walk checker returns the stepwise reference's reason, None
+    included, on every single mutation of emitted obstructions."""
+
+    # each reason with its vertex names and numbers blanked
+    KINDS = {None, "vertex # out of range", "pair members must be distinct",
+             "anchor may not belong to the pair",
+             "walks must be nonempty and of equal length",
+             "walk endpoints do not match the pair", "step #-# is not an edge",
+             "anchor # does not avoid the first walk",
+             "anchor # does not avoid the second walk",
+             "# does not avoid step # of the second walk",
+             "# does not avoid step # of the first walk"}
+
+    @staticmethod
+    def check(G):
+        """The kinds of reason met over G's obstruction and its mutations."""
+        cert = recognize(G)
+        H = classify_all(cert.completion)
+        kinds = set()
+        for awp in [cert.obstruction, *walk_mutations(cert.obstruction, H.graph.n)]:
+            want = stepwise_walk_pair_error(H, awp)
+            assert walk_pair_error(H, awp) == want, awp
+            kinds.add(want and re.sub(r"'[^']*'|-?\d+", "#", want))
+        return kinds
+
+    def test_biclaw(self, biclaw):
+        assert self.check(biclaw) == self.KINDS
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_planted_biclaw(self, seed):
+        # an 85-arc model beside a biclaw, as the bench's planted negatives
+        G = parse_edge_list("\n".join(edge_lines(85, seed, biclaw=True)))
+        assert self.check(G) == self.KINDS
 
 
 class TestDisagreement:

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import json
 import random
 import sys
 
@@ -8,10 +9,11 @@ import pytest
 from circarc.arcs import ArcRepresentation
 from circarc.check import (NEGATIVE, POSITIVE, AvoidWalkPair, Certificate,
                            negative_error, verify_negative, verify_positive)
-from circarc.formats import parse_edge_list
+from circarc.formats import (FormatError, parse_certificate, parse_edge_list,
+                             serialize_certificate)
 from circarc.graph import build_graph
 from circarc.recognizer import recognize
-from arc_model_edges import nested_lines, short_lines
+from arc_model_edges import edge_lines, nested_lines, short_lines
 from conftest import arc_model, covers, planted_negative
 
 
@@ -19,7 +21,7 @@ class TestRecognize:
     def test_biclaw_negative(self, biclaw):
         cert = recognize(biclaw)
         assert cert.verdict == NEGATIVE
-        assert cert.completion.graph.n == 14
+        assert cert.completion.n == 14
         assert verify_negative(biclaw, cert)
 
     def test_near_biclaw_positive(self, near_biclaw):
@@ -114,6 +116,25 @@ class TestSelfChecksRunOnce:
                               "arcs.representation_error": 0}
 
 
+class TestNegativeCheckWork:
+    def test_parse_and_verify(self, monkeypatch):
+        # an 85-arc model beside a biclaw on b0..b6, as the bench's planted
+        # negatives
+        G = parse_edge_list("\n".join(edge_lines(85, 1, biclaw=True)))
+        text = serialize_certificate(G, recognize(G))
+        counts = count_calls(monkeypatch, ("check.classify_all", "check.circular_pairs"))
+        assert verify_negative(G, parse_certificate(G, text))
+        # the reader classifies G[S] to build the completion; the checker
+        # classifies G[S] and the completion, and pairs each once
+        assert counts == {"check.classify_all": 3, "check.circular_pairs": 2}
+        # without the biclaw centre b0, G[S] has true twins: the reader
+        # refuses it, naming them by input name
+        doc = json.loads(text)
+        doc["negative"]["vertices"].remove("b0")
+        with pytest.raises(FormatError, match=r"true twins 'b\d+', 'b\d+'"):
+            parse_certificate(G, json.dumps(doc))
+
+
 class TestVerifyPositive:
     def test_wrong_graph(self, c4, p4):
         cert = recognize(c4)
@@ -145,7 +166,7 @@ class TestVerifyNegative:
         # hand-built obstruction, independent of what recognize emits
         cert = recognize(biclaw)
         H = cert.completion
-        idx = H.graph.index_of
+        idx = H.index_of
         hand = Certificate(
             NEGATIVE, vertices=cert.vertices, completion=H,
             obstruction=AvoidWalkPair(
