@@ -103,19 +103,16 @@ def classify_all(G: Graph) -> TypedGraph:
     return TypedGraph(G, types, contains, spanning)
 
 
-@dataclass(frozen=True)
-class CircularPairing:
-    partner: dict[int, int]
-
-
-def circular_pairs(T: TypedGraph) -> CircularPairing:
-    """Match each vertex with its circular partner, if it has one."""
+def circular_pairs(T: TypedGraph) -> np.ndarray:
+    """Each vertex's circular partner, or -1 where it has none."""
     circ = T.spanning & ~T.graph.closed_adj()
     many = np.flatnonzero(circ.sum(axis=1) > 1)
     if many.size:
         raise InternalError(f"vertex {many[0]} has two circular partners")
-    us, vs = np.divmod(np.flatnonzero(circ), len(circ))  # at most one v per u, u increasing
-    return CircularPairing(dict(zip(us.tolist(), vs.tolist())))
+    us, vs = np.divmod(np.flatnonzero(circ), len(circ))  # at most one v per u
+    partner = np.full(len(circ), -1, dtype=np.intp)
+    partner[us] = vs
+    return partner
 
 
 class Arcs(Protocol):  # what the checker reads of an arcs.ArcRepresentation
@@ -126,11 +123,12 @@ class Arcs(Protocol):  # what the checker reads of an arcs.ArcRepresentation
 def representation_error(G, rep: Arcs) -> Optional[str]:
     """First problem found in rep as a model of G, or None if it is valid.
 
-    G only needs .n and .adj (boolean, False diagonal); the check is
-    first-principles and does not rely on how the representation was
-    produced.  Endpoints are read vertex by vertex, left before right; the
-    first one outside the circle or already used is reported, then the
-    first vertex pair u < v, in row order, that meets wrongly.
+    G only needs .n, .adj (boolean, False diagonal) and .names, by which
+    the reasons name vertices; the check is first-principles and does not
+    rely on how the representation was produced.  Endpoints are read
+    vertex by vertex, left before right; the first one outside the circle
+    or already used is reported, then the first vertex pair u < v, in row
+    order, that meets wrongly.
     """
     if rep.circle_size < 1:
         return "circle has no slots"
@@ -147,10 +145,10 @@ def representation_error(G, rep: Arcs) -> Optional[str]:
         # first[rank[i]]: the first position holding the value at position i
         _, first, rank = np.unique(ends, return_index=True, return_inverse=True)
         i = int(np.flatnonzero(outside | (first[rank] < np.arange(ends.size)))[0])
-        e, v = flat[i], i // 2
+        e, v, names = flat[i], i // 2, G.names
         if outside[i]:
-            return f"endpoint {e} of vertex {v} outside circle"
-        return f"vertices {first[rank[i]] // 2} and {v} share endpoint {e}"
+            return f"endpoint {e} of vertex {names[v]!r} outside circle"
+        return f"vertices {names[first[rank[i]] // 2]!r} and {names[v]!r} share endpoint {e}"
     # The endpoints are distinct, so only their circular order matters:
     # replace each by its rank on a circle of 2n slots.
     m = ends.size
@@ -164,7 +162,7 @@ def representation_error(G, rep: Arcs) -> Optional[str]:
         # wrong is symmetric, so its first entry in row order has u < v
         u, v = divmod(int(wrong.argmax()), G.n)
         want = "intersect" if G.adj[u, v] else "be disjoint"
-        return f"arcs of {u} and {v} should {want}"
+        return f"arcs of {G.names[u]!r} and {G.names[v]!r} should {want}"
     return None
 
 
@@ -213,11 +211,10 @@ def completion_error(Gt: TypedGraph, Ht: TypedGraph) -> Optional[str]:
         return "input graph is not induced in the completion"
     if not np.array_equal(Ht.types[:n, :n], Gt.types):
         return "edge types not preserved"
-    if m != 2 * n - len(circular_pairs(Gt).partner):
+    if m != 2 * n - (circular_pairs(Gt) >= 0).sum():
         return "wrong completion cardinality"
-    pairing = circular_pairs(Ht).partner
-    unpaired = [v for v in range(m) if v not in pairing]
-    if unpaired:
+    unpaired = np.flatnonzero(circular_pairs(Ht) < 0)
+    if unpaired.size:
         return f"vertex {unpaired[0]} has no circular partner"
     return None
 

@@ -122,19 +122,19 @@ def _completion_of(G: Graph):
     reduced, trace = reduce_graph(G)
     if reduced.n <= 1:
         raise UsageError("graph reduces to a trivial graph; nothing to complete")
-    H, pairing = complete(classify_all(reduced))
-    return reduced, trace, H, pairing
+    H, partner = complete(classify_all(reduced))
+    return reduced, trace, H, partner
 
 
 def _cmd_complete(args, G: Graph) -> int:
-    _, _, H, pairing = _completion_of(G)
+    _, _, H, partner = _completion_of(G)
     names = H.graph.names
     doc = {
         "n": H.graph.n,
         "vertices": list(names),
         "edges": [[names[u], names[v]] for u, v in H.graph.edges()],
         "pairs": sorted([sorted((names[u], names[v]))
-                         for u, v in pairing.items() if u < v]),
+                         for u, v in enumerate(partner.tolist()) if u < v]),
     }
     print(json.dumps(doc, sort_keys=True))
     return EXIT_OK
@@ -142,14 +142,15 @@ def _cmd_complete(args, G: Graph) -> int:
 
 def _knotting_dot(K: KnottingGraph, names) -> str:
     lines = ["graph knotting {"]
-    for u, i in K.copies:
+    copies = K.copies.tolist()
+    for u, i in copies:
         node = f'"{names[u]}/{i + 1}"'
         lines.append(f"  {node};")
     adjacency = K.adjacency
-    for a, (u, i) in enumerate(K.copies):
+    for a, (u, i) in enumerate(copies):
         for b in adjacency[a]:
             if b > a:
-                v, j = K.copies[b]
+                v, j = copies[b]
                 lines.append(f'  "{names[u]}/{i + 1}" -- "{names[v]}/{j + 1}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -165,10 +166,10 @@ def _cmd_knotting(args, G: Graph) -> int:
     result = bipartite_or_odd_cycle(K)
     if args.dot:
         _write_text(args.dot, _knotting_dot(K, H.graph.names))
-    if isinstance(result, dict):
+    if not isinstance(result, list):
         print(f"knotting graph at anchor {args.anchor!r}: bipartite")
         return EXIT_OK
-    cyc = ", ".join(f"{H.graph.names[u]}/{i + 1}" for u, i in result)
+    cyc = ", ".join(f"{H.graph.names[u]}/{i + 1}" for u, i in K.copies[result].tolist())
     print(f"knotting graph at anchor {args.anchor!r}: NOT bipartite "
           f"(odd cycle: {cyc})")
     return EXIT_NOT_CA

@@ -50,21 +50,21 @@ def completion_graph(T: TypedGraph) -> Graph:
     return Graph(adj.shape[0], adj, tuple(names))
 
 
-def complete(T: TypedGraph) -> tuple[TypedGraph, dict[int, int]]:
-    """The circular completion of T, classified and checked, and its full
-    pairing, in which each added vertex pairs the original it was added for."""
+def complete(T: TypedGraph) -> tuple[TypedGraph, np.ndarray]:
+    """The circular completion of T, classified and checked, and each of
+    its vertices' partner, each added vertex paired with the original it
+    was added for."""
     n0 = T.graph.n
     H = classify_all(completion_graph(T))
     err = completion_error(T, H)
     if err is not None:
         raise InternalError(f"completion check failed: {err}")
-    pairing = circular_pairs(H).partner
+    partner = circular_pairs(H)
     # with the cardinality checked, the originals paired with added vertices
     # are exactly those T leaves unpaired
-    added_for = [v for v in range(n0) if pairing[v] >= n0]
-    if [pairing[u] for u in range(n0, H.graph.n)] != added_for:
+    if not np.array_equal(partner[n0:], np.flatnonzero(partner[:n0] >= n0)):
         raise InternalError("an added vertex is not paired with its origin")
-    return H, pairing
+    return H, partner
 
 
 AVOID_WORDS = 1 << 20  # words of packed avoidance rows built per block of anchors

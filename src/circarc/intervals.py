@@ -86,7 +86,7 @@ def build_intervals(L: LabelledGraph, order: list[int]) -> np.ndarray:
 
 
 def lift_to_circle(ivals: np.ndarray, zmap: list[int],
-                   pairing: dict[int, int], H: TypedGraph) -> ArcRepresentation:
+                   partner: np.ndarray, H: TypedGraph) -> ArcRepresentation:
     """Lift intervals on one side of every circular pair to arcs for all of H.
 
     zmap sends the interval vertices, the rows of ivals, to their H indices.
@@ -97,9 +97,9 @@ def lift_to_circle(ivals: np.ndarray, zmap: list[int],
     """
     m = 8 * len(zmap) + 8
     arcs: dict[int, tuple[int, int]] = {}
-    for u, (l, r) in zip(zmap, (4 * ivals).tolist()):
+    for u, w, (l, r) in zip(zmap, partner[zmap].tolist(), (4 * ivals).tolist()):
         arcs[u] = (l, r)
-        arcs[pairing[u]] = ((r + 1) % m, (l - 1) % m)
+        arcs[w] = ((r + 1) % m, (l - 1) % m)
     err = representation_error(H.graph, ArcRepresentation(m, arcs))
     if err is not None:
         raise InternalError(f"lifted arcs fail verification: {err}")

@@ -26,8 +26,6 @@ from .check import walk_pair_error  # re-exported under its old name
 from .edgetypes import avoiding, avoiding_labels
 from .graph import pack_rows, sorted_unique, union_find, unpack_rows
 
-Copy = tuple[int, int]  # (vertex, component index)
-
 
 def _search(adj: np.ndarray, a: int,
             stop: Optional[int] = None) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -57,7 +55,7 @@ def _search(adj: np.ndarray, a: int,
 @dataclass
 class KnottingGraph:
     anchor: int
-    copies: list[Copy]
+    copies: np.ndarray   # int (m, 2): copy c is the component copies[c, 1] of copies[c, 0]
     copy_at: np.ndarray  # int32 [u, v]: the copy of u whose component holds v, or -1
     ends: np.ndarray     # copy i's neighbours are tails[ends[i]:ends[i + 1]]
     tails: np.ndarray    # the neighbours of every copy, sorted, copy by copy
@@ -69,11 +67,11 @@ class KnottingGraph:
         flat, ends = self.tails.tolist(), self.ends.tolist()
         return [flat[i:j] for i, j in zip(ends[:-1], ends[1:])]
 
-    def component_path(self, u: int, comp: int, a: int, b: int) -> list[int]:
-        """Shortest a-b path inside component comp of u's safe subgraph,
-        read off a ``_search`` from a over the dense safe matrix."""
-        at = self.copy_at[u, [a, b]]
-        if at[0] != at[1] or at[0] < 0 or self.copies[at[0]] != (u, comp):
+    def component_path(self, c: int, a: int, b: int) -> list[int]:
+        """Shortest a-b path inside copy c's component of its owner's safe
+        subgraph, read off a ``_search`` from a over the dense safe matrix."""
+        u, comp = self.copies[c].tolist()
+        if (self.copy_at[u, [a, b]] != c).any():
             raise InternalError(f"path endpoints outside component {u}/{comp}")
         rows, _ = avoiding(*self.avoid, np.array([u, self.anchor]))
         parent, _ = _search(unpack_rows(rows[0] & rows[1], len(self.copy_at)), a, b)
@@ -89,7 +87,8 @@ def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
     """Assemble the anchored knotting graph of H at z.
 
     The copies of u are numbered, and listed, in order of their
-    components' least members.
+    components' least members, the roots where a label names its own
+    vertex: row-major order lists them by u, then by least member.
     """
     n = H.graph.n
     overlap = (H.types == EdgeType.OVERLAP1) | (H.types == EdgeType.OVERLAP2)
@@ -98,14 +97,12 @@ def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
     az = ~included[z]  # the vertices z tolerates, z itself excluded
     us = np.flatnonzero(az)
     label = avoiding_labels(*avoid, us, also=z)  # n off each safe subgraph
-    i, v = np.nonzero(label < n)
-    # one copy per (u, least member), numbered by u, then by least member
-    keys, copy = np.unique(i * n + label[i, v], return_inverse=True)
+    i, v = np.nonzero(label == np.arange(n))
+    copies = np.stack((us[i], np.arange(i.size) - np.searchsorted(i, i)), axis=1)
+    at = np.full((us.size, n + 1), -1, dtype=np.int32)  # label -> copy, n -> -1
+    at[i, v] = np.arange(i.size)
     copy_at = np.full((n, n), -1, dtype=np.int32)
-    copy_at[us[i], v] = copy.reshape(-1)
-    owner = keys // n
-    rank = np.arange(keys.size) - np.searchsorted(owner, owner)
-    copies = list(zip(us[owner].tolist(), rank.tolist()))
+    copy_at[us] = np.take_along_axis(at, label, axis=1)
     # copies meet for every non-inclusion pair, adjacent or not
     xs, ys = np.nonzero(~included & az[:, None] & az[None, :])
     a, b = copy_at[xs, ys].astype(np.int64), copy_at[ys, xs].astype(np.int64)
@@ -118,8 +115,8 @@ def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
     return KnottingGraph(z, copies, copy_at, ends, tails, avoid)
 
 
-def bipartite_or_odd_cycle(K: KnottingGraph) -> Union[dict[Copy, int], list[Copy]]:
-    """Each copy's side id, or an odd closed walk of copies.
+def bipartite_or_odd_cycle(K: KnottingGraph) -> Union[np.ndarray, list[int]]:
+    """Each copy's side id, as an array, or an odd closed walk of copy indices.
 
     One ``union_find`` labels the bipartite double cover of K: copy c
     becomes the nodes 2c and 2c + 1, and an edge ab joins 2a to 2b + 1 and
@@ -138,7 +135,7 @@ def bipartite_or_odd_cycle(K: KnottingGraph) -> Union[dict[Copy, int], list[Copy
     side = f[0::2]
     odd = side == f[1::2]
     if not odd.any():
-        return dict(zip(K.copies, side.tolist()))
+        return side
     r = side[odd].min() // 2
     members = np.flatnonzero(side // 2 == r)  # increasing, so r is member 0
     at = np.full(m, -1)
@@ -161,10 +158,10 @@ def bipartite_or_odd_cycle(K: KnottingGraph) -> Union[dict[Copy, int], list[Copy
     cycle = members[up + down[-2::-1]].tolist()
     if len(cycle) % 2 == 0 or len(cycle) < 3:
         raise InternalError("odd cycle extraction produced an even walk")
-    return [K.copies[i] for i in cycle]
+    return cycle
 
 
-def overlap_side(H: TypedGraph, K: KnottingGraph, colouring: dict[Copy, int],
+def overlap_side(H: TypedGraph, K: KnottingGraph, side: np.ndarray,
                  zbar: int) -> set[int]:
     """One side Y of the overlappers of the anchor, read off the side ids.
 
@@ -176,20 +173,19 @@ def overlap_side(H: TypedGraph, K: KnottingGraph, colouring: dict[Copy, int],
     z = K.anchor
     tz = H.types[:, z]
     xs = np.flatnonzero((tz == EdgeType.OVERLAP1) | (tz == EdgeType.OVERLAP2)).tolist()
-    copies = K.copy_at[xs, zbar].tolist()
-    for x, c in zip(xs, copies):
+    copies = K.copy_at[xs, zbar]
+    for x, c in zip(xs, copies.tolist()):
         if tz[x] != EdgeType.OVERLAP1:
             raise InternalError(f"overlapper {x} of a minimum-degree anchor "
                                 "must form a 1-overlap edge")
         if c < 0:
             raise InternalError(f"partner {zbar} of the anchor lies outside "
                                 f"the safe subgraph of overlapper {x}")
-    sides = [colouring[K.copies[c]] for c in copies]
     lead: dict[int, int] = {}  # component -> side of its least overlapper
-    return {x for x, s in zip(xs, sides) if lead.setdefault(s // 2, s) == s}
+    return {x for x, s in zip(xs, side[copies].tolist()) if lead.setdefault(s // 2, s) == s}
 
 
-def extract_invertible_pair(K: KnottingGraph, cycle: list[Copy]) -> AvoidWalkPair:
+def extract_invertible_pair(K: KnottingGraph, cycle: list[int]) -> AvoidWalkPair:
     """Roll an odd copy cycle out into two mutually avoiding walks.
 
     For each cycle position j, a path inside that copy's component links the
@@ -200,22 +196,20 @@ def extract_invertible_pair(K: KnottingGraph, cycle: list[Copy]) -> AvoidWalkPai
     k = len(cycle)
     if k < 3 or k % 2 == 0:
         raise InternalError("need an odd cycle of length at least 3")
-    us = [c[0] for c in cycle]
+    us = K.copies[cycle, 0].tolist()
     walk_p = [us[0]]
     walk_q = [us[-1]]
-    for j in range(k):
-        u, comp = cycle[j]
-        path = K.component_path(u, comp, us[j - 1], us[(j + 1) % k])
+    for j, c in enumerate(cycle):
+        path = K.component_path(c, us[j - 1], us[(j + 1) % k])
         moving, waiting = (walk_q, walk_p) if j % 2 == 0 else (walk_p, walk_q)
         if moving[-1] != path[0]:
             raise InternalError("walk assembly lost continuity")
         moving += path[1:]
-        waiting += [u] * (len(path) - 1)
+        waiting += [us[j]] * (len(path) - 1)
     return AvoidWalkPair(K.anchor, (us[0], us[-1]), walk_p, walk_q)
 
 
-def build_Z(H: TypedGraph, z: int, Y: set[int],
-            pairing: dict[int, int]) -> list[int]:
+def build_Z(H: TypedGraph, z: int, Y: set[int], partner: np.ndarray) -> list[int]:
     """Non-inverting set: everything z does not see, plus one side of Y."""
     inz = ~H.graph.adj[z]
     inz[z] = False
@@ -223,11 +217,10 @@ def build_Z(H: TypedGraph, z: int, Y: set[int],
     zset = np.flatnonzero(inz).tolist()
     if not zset:
         raise InternalError("non-inverting set came out empty")
-    partner = [pairing[u] for u in range(H.graph.n)]
     unsplit = np.flatnonzero(inz == inz[partner])
     if unsplit.size:
         u = int(unsplit[0])
-        raise InternalError(f"pair {u},{pairing[u]} not split by Z")
+        raise InternalError(f"pair {u},{partner[u]} not split by Z")
     inside = np.argwhere(np.triu(H.types[np.ix_(zset, zset)] == EdgeType.OVERLAP2, 1))
     if inside.size:
         i, j = inside[0]

@@ -40,7 +40,7 @@ def recognize(G: Graph) -> Certificate:
     if G_r.n == 1:
         return _positive(G, trace, ArcRepresentation(4, {0: (0, 1)}))
     T = classify_all(G_r)
-    H, pairing = complete(T)
+    H, partner = complete(T)
     z = int(H.graph.adj.sum(axis=1).argmin())
     K = build_knotting(H, z)
     res = bipartite_or_odd_cycle(K)
@@ -48,7 +48,7 @@ def recognize(G: Graph) -> Certificate:
         awp = extract_invertible_pair(K, res)
         return _checked(G, Certificate(NEGATIVE, vertices=trace.survivors, completion=H.graph,
                                        obstruction=awp))
-    zset = build_Z(H, z, overlap_side(H, K, res, pairing[z]), pairing)
+    zset = build_Z(H, z, overlap_side(H, K, res, partner[z]), partner)
     L = labelled_from_typed(H, zset)
     try:
         order = interval_orientation(L)
@@ -57,7 +57,7 @@ def recognize(G: Graph) -> Certificate:
             "interval orientation failed although the knotting graph "
             f"is bipartite: {exc}") from exc
     ivals = build_intervals(L, order)
-    arcs_h = lift_to_circle(ivals, zset, pairing, H)
+    arcs_h = lift_to_circle(ivals, zset, partner, H)
     reduced_rep = ArcRepresentation(arcs_h.circle_size,
                                     {v: arcs_h.arcs[v] for v in range(G_r.n)})
     return _positive(G, trace, reduced_rep)

@@ -109,8 +109,8 @@ def _bfs_components(M):
     return label
 
 
-def pairing_completion_error(Gt, Ht, pairing):
-    """First problem found in (Ht, pairing) as a completion of Gt, or None:
+def pairing_completion_error(Gt, Ht, partner):
+    """First problem found in (Ht, partner) as a completion of Gt, or None:
     the check of certificates that carried their pairing, less its checks
     for a universal vertex and true twins, which ``classify_all`` makes
     first.  The reference for ``check.completion_error``, which derives the
@@ -122,12 +122,12 @@ def pairing_completion_error(Gt, Ht, pairing):
         return "input graph is not induced in the completion"
     if not np.array_equal(Ht.types[:n, :n], Gt.types):
         return "edge types not preserved"
-    if m != 2 * n - len(circular_pairs(Gt).partner):
+    if m != 2 * n - (circular_pairs(Gt) >= 0).sum():
         return "wrong completion cardinality"
-    if set(pairing) != set(range(m)):
+    if len(partner) != m or (partner < 0).any():
         return "pairing does not cover the completion"
-    for u, v in pairing.items():
-        if u == v or pairing.get(v) != u:
+    for u, v in enumerate(partner.tolist()):
+        if u == v or partner[v] != u:
             return "pairing is not an involution without fixed points"
         if Ht.graph.adjacent(u, v) or not Ht.spanning[u, v]:
             return f"{u}, {v} paired but not a circular pair"
@@ -189,27 +189,27 @@ def stepwise_walk_pair_error(H, awp):
 
 
 def completion_of(G):
-    """Reduce, classify and complete; returns (reduced, trace, H, pairing)."""
+    """Reduce, classify and complete; returns (reduced, trace, H, partner)."""
     reduced, trace = reduce_graph(G)
-    H, pairing = complete(classify_all(reduced))
-    return reduced, trace, H, pairing
+    H, partner = complete(classify_all(reduced))
+    return reduced, trace, H, partner
 
 
 def side_at(T, z):
     """The side Y of z's overlappers, read from the knotting 2-colouring."""
     K = build_knotting(T, z)
-    colouring = bipartite_or_odd_cycle(K)
-    assert isinstance(colouring, dict), "knotting graph is not bipartite"
-    return overlap_side(T, K, colouring, circular_pairs(T).partner[z])
+    side = bipartite_or_odd_cycle(K)
+    assert isinstance(side, np.ndarray), "knotting graph is not bipartite"
+    return overlap_side(T, K, side, circular_pairs(T)[z])
 
 
 def labels_on_Z(G):
     """Run the pipeline up to the labelled graph on the non-inverting set."""
-    _, _, H, pairing = completion_of(G)
+    _, _, H, partner = completion_of(G)
     z = min(range(H.graph.n), key=lambda v: (H.graph.degree(v), v))
     side = side_at(H, z)
-    zset = build_Z(H, z, side, pairing)
-    return H, pairing, zset, labelled_from_typed(H, zset)
+    zset = build_Z(H, z, side, partner)
+    return H, partner, zset, labelled_from_typed(H, zset)
 
 
 def covers(m, arc, slot):

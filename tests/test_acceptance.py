@@ -4,6 +4,8 @@ import itertools
 import random
 import time
 
+import numpy as np
+
 from circarc.formats import (parse_edge_list, parse_graph6,
                              serialize_certificate, write_graph6)
 from circarc.graph import build_graph, reduce as reduce_graph
@@ -48,7 +50,7 @@ def test_criterion_02_near_biclaw_positive():
     H = completion_of(G)[2]
     assert H.graph.n == 12
     K = build_knotting(H, H.graph.index_of("f"))
-    assert isinstance(bipartite_or_odd_cycle(K), dict)
+    assert isinstance(bipartite_or_odd_cycle(K), np.ndarray)
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     report(f"criterion 2: biclaw minus one edge accepted, 12-vertex "
@@ -102,7 +104,7 @@ def test_criterion_06_completion_law_and_uniqueness():
                 continue
             T = classify_all(reduced)
             H, _ = complete(T)
-            s = len(circular_pairs(T).partner)
+            s = (circular_pairs(T) >= 0).sum()
             assert H.graph.n == 2 * reduced.n - s
             H2, _ = complete(classify_all(reduced.induced(
                 list(range(reduced.n))[::-1])))
@@ -146,7 +148,7 @@ def test_criterion_08_bipartiteness_characterization():
             if oracle_is_ca(G):
                 for z in range(H.graph.n):
                     res = bipartite_or_odd_cycle(build_knotting(H, z))
-                    assert isinstance(res, dict), (G.edges(), z)
+                    assert isinstance(res, np.ndarray), (G.edges(), z)
                 checked_pos += 1
             else:
                 z = min(range(H.graph.n),

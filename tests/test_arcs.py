@@ -16,29 +16,31 @@ def _loop_representation_error(G: Graph, rep: ArcRepresentation):
         return "circle has no slots"
     if set(rep.arcs) != set(range(G.n)):
         return "arc set does not match vertex set"
+    names = G.names
     seen: dict[int, int] = {}
     for v, (l, r) in sorted(rep.arcs.items()):
         for e in (l, r):
             if not (0 <= e < rep.circle_size):
-                return f"endpoint {e} of vertex {v} outside circle"
+                return f"endpoint {e} of vertex {names[v]!r} outside circle"
             if e in seen:
-                return f"vertices {seen[e]} and {v} share endpoint {e}"
+                return f"vertices {names[seen[e]]!r} and {names[v]!r} share endpoint {e}"
             seen[e] = v
     for u in range(G.n):
         for v in range(u + 1, G.n):
             if arcs_meet(rep, u, v) != G.adjacent(u, v):
                 want = "intersect" if G.adjacent(u, v) else "be disjoint"
-                return f"arcs of {u} and {v} should {want}"
+                return f"arcs of {names[u]!r} and {names[v]!r} should {want}"
     return None
 
 
 def random_model(rng: random.Random, n: int) -> tuple[Graph, ArcRepresentation]:
-    """n arcs with distinct ends among 3n slots, and their intersection graph."""
+    """n arcs with distinct ends among 3n slots, and their intersection
+    graph, whose vertex v is named "v" + v."""
     m = 3 * n + 1
     ends = rng.sample(range(m), 2 * n)
     rep = ArcRepresentation(m, {v: (ends[2 * v], ends[2 * v + 1]) for v in range(n)})
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if arcs_meet(rep, u, v)]
-    return build_graph(n, edges), rep
+    return build_graph(n, edges, [f"v{v}" for v in range(n)]), rep
 
 
 def valid_models():
@@ -92,10 +94,10 @@ class TestRepresentationError:
         G, rep = random_model(random.Random(3), 6)
         l1, r1 = rep.arcs[1]
         l4, r4 = rep.arcs[4]
-        check(G, with_arcs(rep, {4: (r1, r4)}), f"vertices 1 and 4 share endpoint {r1}")
-        check(G, with_arcs(rep, {4: (l4, l1)}), f"vertices 1 and 4 share endpoint {l1}")
-        check(G, with_arcs(rep, {4: (l4, l4)}), f"vertices 4 and 4 share endpoint {l4}")
-        check(G, with_arcs(rep, {0: (l4, l4)}), f"vertices 0 and 0 share endpoint {l4}")
+        check(G, with_arcs(rep, {4: (r1, r4)}), f"vertices 'v1' and 'v4' share endpoint {r1}")
+        check(G, with_arcs(rep, {4: (l4, l1)}), f"vertices 'v1' and 'v4' share endpoint {l1}")
+        check(G, with_arcs(rep, {4: (l4, l4)}), f"vertices 'v4' and 'v4' share endpoint {l4}")
+        check(G, with_arcs(rep, {0: (l4, l4)}), f"vertices 'v0' and 'v0' share endpoint {l4}")
 
     def test_outside_before_and_after_a_duplicate(self):
         G, rep = random_model(random.Random(4), 6)
@@ -105,14 +107,14 @@ class TestRepresentationError:
         # later) has an end off the circle
         dup = {3: (rep.arcs[3][0], l1)}
         check(G, with_arcs(rep, {**dup, 2: (rep.arcs[2][0], m)}),
-              f"endpoint {m} of vertex 2 outside circle")
+              f"endpoint {m} of vertex 'v2' outside circle")
         check(G, with_arcs(rep, {**dup, 5: (-1, rep.arcs[5][1])}),
-              f"vertices 1 and 3 share endpoint {l1}")
+              f"vertices 'v1' and 'v3' share endpoint {l1}")
         # an end off the circle and repeated: reported as off the circle
         check(G, with_arcs(rep, {2: (m + 5, r1), 3: (m + 5, 0)}),
-              f"endpoint {m + 5} of vertex 2 outside circle")
+              f"endpoint {m + 5} of vertex 'v2' outside circle")
         check(G, with_arcs(rep, {0: (2 ** 70, 1)}),
-              f"endpoint {2 ** 70} of vertex 0 outside circle")
+              f"endpoint {2 ** 70} of vertex 'v0' outside circle")
 
     def test_one_flipped_edge(self):
         rng = random.Random(5)
@@ -124,7 +126,7 @@ class TestRepresentationError:
             adj[u, v] = adj[v, u] = not adj[u, v]
             H = Graph(G.n, adj, G.names)
             want = "intersect" if H.adj[u, v] else "be disjoint"
-            check(H, rep, f"arcs of {u} and {v} should {want}")
+            check(H, rep, f"arcs of {G.names[u]!r} and {G.names[v]!r} should {want}")
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_corruptions_match_loop(self, seed):
@@ -152,4 +154,4 @@ class TestRepresentationError:
         rep = ArcRepresentation(big, {0: (0, 2 ** 70), 1: (2 ** 65, 2 ** 75),
                                       2: (2 ** 76, 2 ** 77)})
         check(G, rep)
-        check(build_graph(3, []), rep, "arcs of 0 and 1 should be disjoint")
+        check(build_graph(3, []), rep, "arcs of '0' and '1' should be disjoint")

@@ -516,12 +516,12 @@ class TestOrdering:
 
     def test_invertible_pair_from_pipeline_labels(self, biclaw):
         # the forcing in the biclaw completion must trip an invertible pair
-        H, pairing = complete(classify_all(biclaw))
+        H, partner = complete(classify_all(biclaw))
         z = min(range(H.graph.n), key=lambda v: (H.graph.degree(v), v))
         # the knotting graph at z has an odd cycle, so there is no
-        # 2-colouring; z has no overlappers, so overlap_side reads no colour
-        side = overlap_side(H, build_knotting(H, z), {}, pairing[z])
-        zset = build_Z(H, z, side, pairing)
+        # 2-colouring; z has no overlappers, so overlap_side reads no side id
+        side = overlap_side(H, build_knotting(H, z), np.empty(0, dtype=np.intp), partner[z])
+        zset = build_Z(H, z, side, partner)
         L = labelled_from_typed(H, zset)
         with pytest.raises(DeltaInvertiblePair) as exc:
             interval_orientation(L)

@@ -218,11 +218,11 @@ class TestConsistencyError:
 
 class TestLiftToCircle:
     def test_c4_pipeline_arcs(self, c4):
-        H, pairing, zset, L = labels_on_Z(c4)
+        H, partner, zset, L = labels_on_Z(c4)
         assert [H.graph.names[v] for v in zset] == ["v2", "v3"]
         order = interval_orientation(L)
         iv = build_intervals(L, order)
-        rep = lift_to_circle(iv, zset, pairing, H)
+        rep = lift_to_circle(iv, zset, partner, H)
         assert rep.circle_size == 24
         by_name = {H.graph.names[v]: a for v, a in rep.arcs.items()}
         assert by_name == {"v2": (4, 12), "v3": (8, 16),
@@ -232,32 +232,32 @@ class TestLiftToCircle:
     def test_single_pair(self):
         # one vertex and its partner split the circle into two arcs
         from circarc.graph import build_graph
-        _, pairing, zset, L = labels_on_Z(build_graph(2, []))
+        _, partner, zset, L = labels_on_Z(build_graph(2, []))
         H = completion_of(build_graph(2, []))[2]
         iv = build_intervals(L, [0])
-        rep = lift_to_circle(iv, zset, pairing, H)
+        rep = lift_to_circle(iv, zset, partner, H)
         assert rep.circle_size == 16
         u = zset[0]
         assert rep.arcs[u] == (4, 8)
-        assert rep.arcs[pairing[u]] == (9, 3)
+        assert rep.arcs[int(partner[u])] == (9, 3)
 
     def test_near_biclaw_end_to_end(self, near_biclaw):
-        H, pairing, zset, L = labels_on_Z(near_biclaw)
+        H, partner, zset, L = labels_on_Z(near_biclaw)
         order = interval_orientation(L)
-        rep = lift_to_circle(build_intervals(L, order), zset, pairing, H)
+        rep = lift_to_circle(build_intervals(L, order), zset, partner, H)
         assert len(rep.arcs) == 12
         assert representation_error(H.graph, rep) is None
         covers = H.graph.closed_adj()
-        for u, v in pairing.items():
+        for u, v in enumerate(partner.tolist()):
             assert not covers[u, v] or u == v
 
     def test_mismatched_pairing_fails(self, c4):
-        H, pairing, zset, L = labels_on_Z(c4)
+        H, partner, zset, L = labels_on_Z(c4)
         iv = build_intervals(L, interval_orientation(L))
-        broken = dict(pairing)
+        broken = partner.copy()
         a, b = zset
-        broken[a], broken[b] = pairing[b], pairing[a]
-        broken[pairing[b]], broken[pairing[a]] = a, b
+        broken[a], broken[b] = partner[b], partner[a]
+        broken[partner[b]], broken[partner[a]] = a, b
         with pytest.raises(InternalError):
             lift_to_circle(iv, zset, broken, H)
 

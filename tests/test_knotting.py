@@ -30,24 +30,25 @@ def knotting_at(G, name):
 def gamma_of(K):
     """(u, v) -> the component of v around u, read off copy_at."""
     gamma = {}
+    copies = K.copies.tolist()
     for u, v in np.argwhere(K.copy_at >= 0).tolist():
-        w, comp = K.copies[K.copy_at[u, v]]
+        w, comp = copies[K.copy_at[u, v]]
         assert w == u
         gamma[(u, v)] = comp
     return gamma
 
 
 def components(K):
-    """Vertex set of each copy's component, read off copy_at."""
+    """Copy index -> the vertex set of its component, read off copy_at."""
     groups = {}
-    for (u, v), i in sorted(gamma_of(K).items()):
-        groups.setdefault((u, i), []).append(v)
+    for u, v in np.argwhere(K.copy_at >= 0).tolist():
+        groups.setdefault(int(K.copy_at[u, v]), []).append(v)
     return groups
 
 
 def copy_counts(H, K):
     counts = {}
-    for u, _ in K.copies:
+    for u in K.copies[:, 0].tolist():
         nm = H.graph.names[u]
         counts[nm] = counts.get(nm, 0) + 1
     return counts
@@ -76,17 +77,17 @@ def _bfs_knotting(H, z):
                 continue
             for v in bfs(seen, s, lambda cur: np.flatnonzero(safe[cur]).tolist()):
                 gamma[(u, v)] = comp
-            copies.append((u, comp))
+            copies.append([u, comp])
             comp += 1
-    copy_index = {c: i for i, c in enumerate(copies)}
+    copy_index = {tuple(c): i for i, c in enumerate(copies)}
     adjacency = [set() for _ in copies]
     ni = np.asarray(H.types != EdgeType.INCLUSION)
     for u in az_list:
         for v in np.flatnonzero(ni[u]).tolist():
             if v <= u or not az[v]:
                 continue
-            a = copy_index[(u, gamma[(u, v)])]
-            b = copy_index[(v, gamma[(v, u)])]
+            a = copy_index[u, gamma[(u, v)]]
+            b = copy_index[v, gamma[(v, u)]]
             adjacency[a].add(b)
             adjacency[b].add(a)
     return copies, gamma, [sorted(s) for s in adjacency]
@@ -110,7 +111,7 @@ def assert_matches_bfs_reference(H, anchors):
     for z in anchors:
         K = build_knotting(H, z)
         copies, gamma, adjacency = _bfs_knotting(H, z)
-        assert K.copies == copies
+        assert K.copies.tolist() == copies
         assert gamma_of(K) == gamma
         assert K.adjacency == adjacency
         split += len(copies) - len({u for u, _ in copies})
@@ -150,21 +151,21 @@ class TestBuildKnotting:
         H, K = knotting_at(near_biclaw, "f")
         assert copy_counts(H, K) == {"d": 1, "g": 2, "h": 1, "b": 1,
                                      "~d": 1, "~f": 2, "~a": 1}
-        assert isinstance(bipartite_or_odd_cycle(K), dict)
+        assert isinstance(bipartite_or_odd_cycle(K), np.ndarray)
 
     def test_c4(self, c4):
         T = classify_all(c4)
         K = build_knotting(T, 0)
-        assert {u for u, _ in K.copies} == {1, 2, 3}
-        assert isinstance(bipartite_or_odd_cycle(K), dict)
+        assert set(K.copies[:, 0].tolist()) == {1, 2, 3}
+        assert isinstance(bipartite_or_odd_cycle(K), np.ndarray)
 
     def test_gamma_locates_members(self, biclaw):
         # copy_at's groups are the components of the edges avoiding u and z
         H, K = knotting_at(biclaw, "f")
         groups = components(K)
-        assert set(groups) == set(K.copies)
+        assert set(groups) == set(range(len(K.copies)))
         z = K.anchor
-        for u in {u for u, _ in K.copies}:
+        for u in set(K.copies[:, 0].tolist()):
             safe = nx.Graph()
             safe.add_nodes_from(v for v in range(H.graph.n)
                                 if avoids(H, u, [v]) and avoids(H, z, [v]))
@@ -173,15 +174,16 @@ class TestBuildKnotting:
                 if a in safe and b in safe
                 and avoids(H, u, [a, b]) and avoids(H, z, [a, b]))
             want = {frozenset(c) for c in nx.connected_components(safe)}
-            assert {frozenset(g) for (w, _), g in groups.items() if w == u} == want
+            assert {frozenset(g) for c, g in groups.items() if K.copies[c, 0] == u} == want
 
     def test_component_paths_avoid_both(self, biclaw):
         H, K = knotting_at(biclaw, "f")
         rng = random.Random(2)
         z = K.anchor
-        for (u, i), group in components(K).items():
+        for c, group in components(K).items():
+            u = K.copies[c, 0]
             a, b = rng.choice(group), rng.choice(group)
-            path = K.component_path(u, i, a, b)
+            path = K.component_path(c, a, b)
             assert path[0] == a and path[-1] == b
             assert avoids(H, u, path) if len(path) > 1 else True
             if len(path) > 1:
@@ -189,13 +191,13 @@ class TestBuildKnotting:
 
     @staticmethod
     def assert_paths_match_bfs_reference(G):
-        # every (u, comp, a, b), a = b included, at a minimum-degree anchor
+        # every (copy, a, b), a = b included, at a minimum-degree anchor
         H = completion_of(G)[2]
         K = build_knotting(H, int(H.graph.adj.sum(axis=1).argmin()))
-        for (u, i), group in components(K).items():
+        for c, group in components(K).items():
             for a, b in itertools.product(group, repeat=2):
-                assert (K.component_path(u, i, a, b)
-                        == _bfs_component_path(H, K, u, a, b))
+                assert (K.component_path(c, a, b)
+                        == _bfs_component_path(H, K, K.copies[c, 0], a, b))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_component_paths_match_bfs_reference(self, seed):
@@ -213,16 +215,16 @@ class TestBuildKnotting:
 
     def test_component_path_checks_endpoints(self, biclaw):
         H, K = knotting_at(biclaw, "f")
-        (u, i), group = next(iter(components(K).items()))
+        c, group = next(iter(components(K).items()))
         with pytest.raises(InternalError):
-            K.component_path(u, i, group[0], u)
+            K.component_path(c, group[0], K.copies[c, 0])
 
 
 def _forest_bipartite_or_odd_cycle(K):
     """Depth-parity colours of a breadth-first forest over K's adjacency
-    lists, rooted at each component's least copy, or the odd cycle through
-    the first same-coloured edge in visit order: the reference for
-    bipartite_or_odd_cycle."""
+    lists, rooted at each component's least copy, as a list by copy, or
+    the odd cycle of copies through the first same-coloured edge in visit
+    order: the reference for bipartite_or_odd_cycle."""
     adjacency = K.adjacency
     parent, order = {}, []
     for root in range(len(K.copies)):
@@ -234,14 +236,14 @@ def _forest_bipartite_or_odd_cycle(K):
     for cur in order:
         for nxt in adjacency[cur]:
             if color[nxt] == color[cur]:
-                return [K.copies[i] for i in tree_path(parent, cur, nxt)]
-    return {K.copies[i]: c for i, c in color.items()}
+                return tree_path(parent, cur, nxt)
+    return [color[i] for i in range(len(K.copies))]
 
 
 def _forest_overlap_side(H, K, colouring, zbar):
     """overlap_side with its components found by a breadth-first forest
     over K from each overlapper's copy, least overlapper first, and
-    colouring a 0/1 colour per copy: the reference for overlap_side."""
+    colouring a 0/1 colour by copy index: the reference for overlap_side."""
     tz = H.types[:, K.anchor]
     xs = np.flatnonzero((tz == EdgeType.OVERLAP1) | (tz == EdgeType.OVERLAP2)).tolist()
     copies = K.copy_at[xs, zbar].tolist()
@@ -258,7 +260,7 @@ def _forest_overlap_side(H, K, colouring, zbar):
         if c not in parent:
             lead.update(dict.fromkeys(bfs(parent, c, adjacency.__getitem__), c))
     return {x for x, c in zip(xs, copies)
-            if colouring[K.copies[c]] == colouring[K.copies[lead[c]]]}
+            if colouring[c] == colouring[lead[c]]}
 
 
 def assert_colouring_matches_reference(H, anchors, partner):
@@ -275,16 +277,14 @@ def assert_colouring_matches_reference(H, anchors, partner):
         empty += parts == 0
         split += parts > 1
         got, want = bipartite_or_odd_cycle(K), _forest_bipartite_or_odd_cycle(K)
-        if isinstance(want, list):
+        if not isinstance(got, np.ndarray):
             assert got == want
             # a closed walk in K of odd length at least 3
-            index = {c: i for i, c in enumerate(K.copies)}
-            ids = [index[c] for c in got]
-            assert len(ids) % 2 == 1 and len(ids) >= 3
-            assert all(b in adjacency[a] for a, b in zip(ids, ids[1:] + ids[:1]))
+            assert len(got) % 2 == 1 and len(got) >= 3
+            assert all(b in adjacency[a] for a, b in zip(got, got[1:] + got[:1]))
             continue
-        assert {c: s % 2 for c, s in got.items()} == want
-        sides = [got[c] for c in K.copies]
+        assert (got % 2).tolist() == want
+        sides = got.tolist()
         # no edge joins one side id; a component's ids are 2r and 2r + 1
         assert all(sides[a] != sides[b] for a, nbrs in enumerate(adjacency) for b in nbrs)
         assert all(sides[a] // 2 == sides[b] // 2 for a, nbrs in enumerate(adjacency)
@@ -304,10 +304,10 @@ class TestColouringReference:
             G = build_graph(g.number_of_nodes(), list(g.edges()))
             if reduce_graph(G)[0].n < 2:
                 continue
-            _, _, H, pairing = completion_of(G)
+            _, _, H, partner = completion_of(G)
             degree = H.graph.adj.sum(axis=1)
             zs = range(H.graph.n) if G.n <= 6 else [int(degree.argmin())]
-            e, s = assert_colouring_matches_reference(H, zs, pairing)
+            e, s = assert_colouring_matches_reference(H, zs, partner)
             empty, split, anchors = empty + e, split + s, anchors + len(zs)
         # all anchors of these graphs, at 7 vertices too, are 12,676, with
         # 226 empty and 3,914 multi-component knotting graphs
@@ -318,29 +318,29 @@ class TestColouringReference:
         rng = random.Random(seed)
         for G in (arc_model(rng, 40), planted_negative(rng, 30, "biclaw"),
                   planted_negative(rng, 30, "c4+k1")):
-            _, _, H, pairing = completion_of(G)
+            _, _, H, partner = completion_of(G)
             degree = H.graph.adj.sum(axis=1)
             zs = [int(degree.argmin())] + rng.sample(range(H.graph.n), 6)
-            assert_colouring_matches_reference(H, zs, pairing)
+            assert_colouring_matches_reference(H, zs, partner)
 
     @pytest.mark.parametrize("lines", [nested_lines(60), short_lines(120, 1)],
                              ids=["nested", "short"])
     def test_deep_and_sparse(self, lines):
-        _, _, H, pairing = completion_of(parse_edge_list("\n".join(lines)))
+        _, _, H, partner = completion_of(parse_edge_list("\n".join(lines)))
         degree = H.graph.adj.sum(axis=1)
         zs = [int(degree.argmin())] + random.Random(1).sample(range(H.graph.n), 4)
-        assert assert_colouring_matches_reference(H, zs, pairing)[1] > 0
+        assert assert_colouring_matches_reference(H, zs, partner)[1] > 0
 
     def test_cycles_of_five(self):
         # C_n beside an isolated vertex: some anchors have an odd cycle of 5
         lengths = set()
         for n in range(4, 13):
             G = build_graph(n + 1, [(i, (i + 1) % n) for i in range(n)])
-            _, _, H, pairing = completion_of(G)
-            assert_colouring_matches_reference(H, range(H.graph.n), pairing)
+            _, _, H, partner = completion_of(G)
+            assert_colouring_matches_reference(H, range(H.graph.n), partner)
             for z in range(H.graph.n):
                 res = bipartite_or_odd_cycle(build_knotting(H, z))
-                lengths.add(len(res) if isinstance(res, list) else 0)
+                lengths.add(0 if isinstance(res, np.ndarray) else len(res))
         assert lengths == {0, 3, 5}
 
 
@@ -352,7 +352,7 @@ class TestOddCycle:
         K2 = dataclasses.replace(K, ends=np.zeros(len(K.copies) + 1, dtype=np.intp),
                                  tails=np.zeros(0, dtype=np.intp))
         coloring = bipartite_or_odd_cycle(K2)
-        assert coloring == {c: 2 * i for i, c in enumerate(K.copies)}
+        assert coloring.tolist() == [2 * i for i in range(len(K.copies))]
 
     def test_extracted_pair_verifies(self, biclaw):
         H, K = knotting_at(biclaw, "f")
@@ -364,7 +364,7 @@ class TestOddCycle:
     def test_short_cycle_rejected(self, biclaw):
         _, K = knotting_at(biclaw, "f")
         with pytest.raises(InternalError):
-            extract_invertible_pair(K, [K.copies[0]])
+            extract_invertible_pair(K, [0])
 
 
 class TestWalkPairChecker:
@@ -500,15 +500,15 @@ class TestDisagreement:
             overlap_side(T, K, colouring, 2)
 
 
-def loop_build_Z(H, z, Y, pairing):
+def loop_build_Z(H, z, Y, partner):
     """build_Z's checks as plain loops: the reference for its array form."""
     n = H.graph.n
     zset = sorted(set(range(n)) - H.graph.closed_neighborhood(z) | set(Y))
     if not zset:
         raise InternalError("non-inverting set came out empty")
-    for u in range(n):
-        if (u in zset) == (pairing[u] in zset):
-            raise InternalError(f"pair {u},{pairing[u]} not split by Z")
+    for u, v in enumerate(partner.tolist()):
+        if (u in zset) == (v in zset):
+            raise InternalError(f"pair {u},{v} not split by Z")
     for i, u in enumerate(zset):
         for v in zset[i + 1:]:
             if H.types[u, v] == EdgeType.OVERLAP2:
@@ -527,7 +527,7 @@ class TestBuildZ:
     def test_c4(self, c4):
         T = classify_all(c4)
         Y = side_at(T, 0)
-        assert build_Z(T, 0, Y, circular_pairs(T).partner) == [1, 2]
+        assert build_Z(T, 0, Y, circular_pairs(T)) == [1, 2]
 
     def test_p4(self, p4):
         T = classify_all(p4)
@@ -535,13 +535,13 @@ class TestBuildZ:
         assert z == 0
         Y = side_at(T, z)
         assert Y <= {1}
-        zset = build_Z(T, z, Y, circular_pairs(T).partner)
+        zset = build_Z(T, z, Y, circular_pairs(T))
         assert set(zset) >= {2, 3}
         assert set(zset) - {2, 3} <= {1}
 
     def test_never_empty(self):
         T = classify_all(build_graph(2, []))
-        assert build_Z(T, 0, set(), circular_pairs(T).partner) == [1]
+        assert build_Z(T, 0, set(), circular_pairs(T)) == [1]
 
     def test_matches_loop_reference(self):
         # random sides Y of the anchor's neighbours trip either guard or none
@@ -553,22 +553,22 @@ class TestBuildZ:
                                 if rng.random() < 0.4])
             if reduce_graph(G)[0].n < 2:
                 continue
-            _, _, H, pairing = completion_of(G)
+            _, _, H, partner = completion_of(G)
             for z in range(H.graph.n):
                 nbrs = sorted(H.graph.closed_neighborhood(z) - {z})
                 Y = {v for v in nbrs if rng.random() < 0.5}
-                got = outcome(build_Z, H, z, Y, pairing)
-                assert got == outcome(loop_build_Z, H, z, Y, pairing)
+                got = outcome(build_Z, H, z, Y, partner)
+                assert got == outcome(loop_build_Z, H, z, Y, partner)
                 seen.add(type(got) if isinstance(got, list) else got.split()[0])
         assert seen == {list, "pair", "2-overlap"}
 
     def test_two_overlap_inside_rejected(self):
         # three isolated vertices: anchor ~0 (3) misses only 0, and the
         # added vertices ~1 (4) and ~2 (5) form a 2-overlap edge
-        H, pairing = complete(classify_all(build_graph(3, [])))
+        H, partner = complete(classify_all(build_graph(3, [])))
         assert H.types[4, 5] == EdgeType.OVERLAP2
         with pytest.raises(InternalError, match="2-overlap edge 4,5 inside Z"):
-            build_Z(H, 3, {4, 5}, pairing)
+            build_Z(H, 3, {4, 5}, partner)
 
 
 class TestBothDirections:
@@ -587,7 +587,7 @@ class TestBothDirections:
             flags = []
             for z in range(H.graph.n):
                 res = bipartite_or_odd_cycle(build_knotting(H, z))
-                flags.append(isinstance(res, dict))
+                flags.append(isinstance(res, np.ndarray))
                 if not flags[-1]:
                     K = build_knotting(H, z)
                     cycle = bipartite_or_odd_cycle(K)
