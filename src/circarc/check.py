@@ -28,7 +28,7 @@ def write_graph6(G: Graph) -> str:
     if n > G6_MAX_N:
         raise ValueError(f"graph6 handles at most {G6_MAX_N} vertices here")
     head = [n] if n <= 62 else [63, n >> 12, n >> 6 & 63, n & 63]
-    bits = G.adj[np.tril(np.ones((n, n), dtype=bool), -1)]  # row-major, as graph6 orders them
+    bits = G.adj[np.tri(n, n, -1, dtype=bool)]  # row-major, as graph6 orders them
     six = np.zeros(-(-bits.size // 6) * 6, dtype=np.uint8)
     six[:bits.size] = bits
     body = six.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
@@ -108,7 +108,7 @@ def circular_pairs(T: TypedGraph) -> np.ndarray:
     circ = T.spanning & ~T.graph.closed_adj()
     many = np.flatnonzero(circ.sum(axis=1) > 1)
     if many.size:
-        raise InternalError(f"vertex {many[0]} has two circular partners")
+        raise InternalError(f"vertex {T.graph.names[many[0]]!r} has two circular partners")
     us, vs = np.divmod(np.flatnonzero(circ), len(circ))  # at most one v per u
     partner = np.full(len(circ), -1, dtype=np.intp)
     partner[us] = vs
@@ -152,10 +152,17 @@ def representation_error(G, rep: Arcs) -> Optional[str]:
     # The endpoints are distinct, so only their circular order matters:
     # replace each by its rank on a circle of 2n slots.
     m = ends.size
-    rank = np.empty(m, dtype=np.intp)
-    rank[order] = np.arange(m)
+    rank = np.empty(m, dtype=np.int32)
+    rank[order] = np.arange(m, dtype=np.int32)
     left, right = rank[0::2], rank[1::2]
-    covers_left = (left[None, :] - left[:, None]) % m <= ((right - left) % m)[:, None]
+    # u's arc reaches v's left end p when p >= left[u] and p <= right[u]
+    # both hold, if it does not wrap (left < right), where one always
+    # holds; or when either holds, if it wraps, where never both do.  So
+    # it reaches p exactly when the two comparisons differ on a wrapping
+    # arc and agree on any other.
+    covers_left = left[None, :] >= left[:, None]
+    covers_left ^= left[None, :] <= right[:, None]
+    covers_left ^= (left < right)[:, None]
     wrong = (covers_left | covers_left.T) != G.adj
     np.fill_diagonal(wrong, False)
     if wrong.any():
@@ -215,7 +222,7 @@ def completion_error(Gt: TypedGraph, Ht: TypedGraph) -> Optional[str]:
         return "wrong completion cardinality"
     unpaired = np.flatnonzero(circular_pairs(Ht) < 0)
     if unpaired.size:
-        return f"vertex {unpaired[0]} has no circular partner"
+        return f"vertex {Ht.graph.names[unpaired[0]]!r} has no circular partner"
     return None
 
 

@@ -136,10 +136,6 @@ def certificate_to_doc(G: Graph, cert: Certificate) -> dict[str, Any]:
     return doc
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _vertices(index: dict[str, int], names: Any, what: str) -> list[int]:
     if not isinstance(names, list):
         raise FormatError(f"{what} must be a list of vertex names")
@@ -166,13 +162,21 @@ def certificate_from_doc(G: Graph, doc: dict[str, Any]) -> Certificate:
     verdict = doc["verdict"]
     if verdict == POSITIVE:
         pos = doc["positive"]
-        if not _is_int(pos["circle_size"]):
+        if type(pos["circle_size"]) is not int:  # JSON integers; bool is not one
             raise FormatError("circle_size must be an integer")
-        arcs = {}
-        for name, lr in pos["arcs"].items():
-            if not (isinstance(lr, list) and len(lr) == 2 and all(map(_is_int, lr))):
-                raise FormatError(f"arc of {name!r} must be a pair of integers")
-            arcs[_vertex(index, name)] = tuple(lr)
+        named = pos["arcs"]
+        lrs = list(named.values())
+        vs = [index.get(name) for name in named]
+        ok = [type(lr) is list and len(lr) == 2 and type(lr[0]) is int and type(lr[1]) is int
+              for lr in lrs]
+        if not all(ok) or None in vs:
+            # the first bad item in document order; its arc before its name
+            for name, good, v in zip(named, ok, vs):
+                if not good:
+                    raise FormatError(f"arc of {name!r} must be a pair of integers")
+                if v is None:
+                    _vertex(index, name)  # raises: no vertex has this name
+        arcs = dict(zip(vs, map(tuple, lrs)))
         return Certificate(POSITIVE, arcs=ArcRepresentation(pos["circle_size"], arcs))
     if verdict != NEGATIVE:
         raise FormatError(f"unknown verdict {verdict!r}")

@@ -59,6 +59,18 @@ def with_arcs(rep: ArcRepresentation, arcs: dict) -> ArcRepresentation:
     return ArcRepresentation(rep.circle_size, {**rep.arcs, **arcs})
 
 
+def rotated(rep: ArcRepresentation, k: int) -> ArcRepresentation:
+    """rep turned k slots clockwise."""
+    m = rep.circle_size
+    return ArcRepresentation(m, {v: ((l + k) % m, (r + k) % m) for v, (l, r) in rep.arcs.items()})
+
+
+def with_edge_flipped(G: Graph, u: int, v: int) -> Graph:
+    adj = G.adj.copy()
+    adj[u, v] = adj[v, u] = not adj[u, v]
+    return Graph(G.n, adj, G.names)
+
+
 def check(G, rep, message_start=None):
     got = representation_error(G, rep)
     assert got == _loop_representation_error(G, rep)
@@ -122,9 +134,7 @@ class TestRepresentationError:
             if G.n < 2:
                 continue
             u, v = sorted(rng.sample(range(G.n), 2))
-            adj = G.adj.copy()
-            adj[u, v] = adj[v, u] = not adj[u, v]
-            H = Graph(G.n, adj, G.names)
+            H = with_edge_flipped(G, u, v)
             want = "intersect" if H.adj[u, v] else "be disjoint"
             check(H, rep, f"arcs of {G.names[u]!r} and {G.names[v]!r} should {want}")
 
@@ -155,3 +165,39 @@ class TestRepresentationError:
                                       2: (2 ** 76, 2 ** 77)})
         check(G, rep)
         check(build_graph(3, []), rep, "arcs of '0' and '1' should be disjoint")
+
+
+class TestWrappingArcs:
+    """A model turned around the circle stays a model of its graph.  Turning
+    it by -r, for r the right end of some arc, makes that arc wrap (its left
+    end comes after its right end), so over all such turns every arc wraps
+    in some rotation."""
+
+    @staticmethod
+    def models():
+        yield from valid_models()
+        yield random_model(random.Random(11), 150)
+
+    def test_every_arc_wraps_and_the_model_stays_valid(self):
+        for G, rep in self.models():
+            wrapped = set()
+            for k in sorted({-r % rep.circle_size for _, r in rep.arcs.values()}):
+                turned = rotated(rep, k)
+                assert representation_error(G, turned) is None
+                wrapped |= {v for v, (l, r) in turned.arcs.items() if l > r}
+            assert wrapped == set(rep.arcs)
+
+    def test_flipped_edge_at_a_wrapping_arc(self):
+        rng = random.Random(12)
+        for G, rep in self.models():
+            if G.n < 2:
+                continue
+            for _ in range(3):
+                # u's arc wraps in the turned model; u-v is flipped in G
+                u, v = rng.sample(range(G.n), 2)
+                turned = rotated(rep, -rep.arcs[u][1] % rep.circle_size)
+                assert turned.arcs[u][0] > turned.arcs[u][1]
+                H = with_edge_flipped(G, u, v)
+                a, b = sorted((u, v))
+                want = "intersect" if H.adj[u, v] else "be disjoint"
+                check(H, turned, f"arcs of {G.names[a]!r} and {G.names[b]!r} should {want}")

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 
 from circarc.arcs import ArcRepresentation
-from circarc.check import (EdgeType, InternalError, UnreducedGraphError, _matrices,
-                           avoids, circular_pairs, classify_all, completion_error)
+from circarc.check import (EdgeType, InternalError, TypedGraph, UnreducedGraphError,
+                           _matrices, avoids, circular_pairs, classify_all,
+                           completion_error)
 from circarc import edgetypes
 from circarc.delta import implication_classes, labelled_from_typed
 from circarc.edgetypes import avoiding, avoiding_labels, complete
@@ -191,6 +192,15 @@ class TestCircularPairs:
     def test_p4(self, p4):
         assert circular_pairs(classify_all(p4)).tolist() == [2, 3, 0, 1]
 
+    def test_two_partners_named(self):
+        # the InternalError guards a structural guarantee, so the spanning
+        # matrix is made by hand: x spans with y and with z
+        G = build_graph(3, [], ["x", "y", "z"])
+        spanning = ~np.eye(3, dtype=bool)
+        T = TypedGraph(G, np.zeros((3, 3), dtype=np.int8), np.eye(3, dtype=bool), spanning)
+        with pytest.raises(InternalError, match="^vertex 'x' has two circular partners$"):
+            circular_pairs(T)
+
 
 class TestComplete:
     def test_biclaw_completion(self, biclaw):
@@ -342,12 +352,12 @@ class TestVerifyCompletion:
 
     def test_names_vertex_without_partner(self, biclaw):
         # ~a and ~g become adjacent; a, the least vertex left unpaired,
-        # is named by its index
+        # is named by its name
         T = classify_all(biclaw)
         H, _ = complete(T)
         idx = H.graph.index_of
         Ht = _toggled(H, idx("~a"), idx("~g"))
-        assert completion_error(T, Ht) == f"vertex {idx('a')} has no circular partner"
+        assert completion_error(T, Ht) == "vertex 'a' has no circular partner"
 
 
 def _completion_verdicts(Gt, Ht):

@@ -258,6 +258,22 @@ class TestNamesInCertificate:
         with pytest.raises(FormatError, match="unknown vertex name: 'zz'"):
             _parse_doc(c4, doc)
 
+    @pytest.mark.parametrize("arcs,message", [
+        ({"v1": [0, 1], "v2": [2, True], "zz": [3, 4]},
+         "arc of 'v2' must be a pair of integers"),
+        ({"v1": [0, 1], "zz": [3, 4], "v2": [2, True]},
+         "unknown vertex name: 'zz'"),
+        ({"v1": [0, 1], "zz": [3], "v2": [2, True]},
+         "arc of 'zz' must be a pair of integers"),
+    ], ids=["bad-arc-first", "unknown-name-first", "both-in-one-item"])
+    def test_first_error_in_document_order(self, c4, arcs, message):
+        # the first bad item of the document is reported, and of one item
+        # its arc before its name
+        doc = certificate_to_doc(c4, recognize(c4))
+        doc["positive"]["arcs"] = arcs
+        with pytest.raises(FormatError, match=f"{message}$"):
+            _parse_doc(c4, doc)
+
     @pytest.mark.parametrize("name", ["zz", ["d"]], ids=["unknown", "unhashable"])
     def test_unknown_reduction_vertex(self, biclaw, name):
         # the vertex set S names survivors of the reduction, by input name
