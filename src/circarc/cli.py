@@ -2,8 +2,8 @@
 
 Exit codes: 0 = circular-arc (or success), 10 = not circular-arc,
 1 = failed verification / cross-check disagreement, 2 = usage error,
-70 = internal error, reported as '#' comments and, if a graph was read, the
-graph as an edge list: stderr replays as `circarc recognize` input.
+70 = internal error, reported as '#' comments naming the failing stage and,
+if a graph was read, the graph as an edge list: `circarc recognize` input.
 71 = out of memory, reported as one line without the input, whose writing
 may itself need memory.
 """

@@ -3,10 +3,9 @@
 The circular completion gives each vertex without a circular partner
 (``check.circular_pairs``) a new partner vertex, all built in one pass
 from the containment and closed-adjacency matrices of the input
-(``completion_graph``).  It is not trusted: the recognizer's ``complete``
-checks it with ``check.completion_error``, the certificate checker's own
-test, which derives the pairing from the completion alone; the reader of
-certificates builds the bare graph and leaves every check to the checker.
+(``completion_graph``).  It is not trusted, and neither ``complete`` nor
+the reader of certificates checks it: ``check.completion_error`` does,
+from the completion alone, as part of a negative certificate's check.
 ``avoiding_labels`` labels the components of the edges that avoid
 each anchor, for the knotting graph and the Δ-forcing classes alike.
 """
@@ -15,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .check import InternalError, TypedGraph, circular_pairs, classify_all, completion_error
+from .check import InternalError, TypedGraph, circular_pairs, classify_all
 from .graph import Graph, components, disjoint_rows, unpack_rows
 
 
@@ -51,20 +50,10 @@ def completion_graph(T: TypedGraph) -> Graph:
 
 
 def complete(T: TypedGraph) -> tuple[TypedGraph, np.ndarray]:
-    """The circular completion of T, classified and checked, and each of
-    its vertices' partner, each added vertex paired with the original it
-    was added for."""
-    n0 = T.graph.n
+    """The circular completion of T, classified but unchecked, and each of
+    its vertices' circular partner (-1 where it has none)."""
     H = classify_all(completion_graph(T))
-    err = completion_error(T, H)
-    if err is not None:
-        raise InternalError(f"completion check failed: {err}")
-    partner = circular_pairs(H)
-    # with the cardinality checked, the originals paired with added vertices
-    # are exactly those T leaves unpaired
-    if not np.array_equal(partner[n0:], np.flatnonzero(partner[:n0] >= n0)):
-        raise InternalError("an added vertex is not paired with its origin")
-    return H, partner
+    return H, circular_pairs(H)
 
 
 AVOID_WORDS = 1 << 20  # words of packed avoidance rows built per block of anchors

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .arcs import ArcRepresentation
-from .check import InternalError, TypedGraph, representation_error
+from .check import InternalError
 from .delta import Label, LabelledGraph
 
 
@@ -46,8 +46,8 @@ def build_intervals(L: LabelledGraph, order: list[int]) -> np.ndarray:
     """Realize an interval ordering as concrete integer intervals.
 
     Left endpoints come out in exactly the given order, by construction.
-    The result is checked against the labels; a failure means the ordering
-    was not an interval ordering and is reported as an internal error.
+    An inner interval before its outer one is an internal error; the rest
+    of the labels are not checked here (see ``_consistency_error``).
     """
     n = L.n
     idx = np.array(order, dtype=np.intp)
@@ -79,28 +79,22 @@ def build_intervals(L: LabelledGraph, order: list[int]) -> np.ndarray:
     rank[sorted(range(2 * n), key=keys.__getitem__)] = np.arange(1, 2 * n + 1)
     lr = np.empty((n, 2), dtype=np.intp)
     lr[idx] = rank.reshape(2, n).T
-    err = _consistency_error(L, lr)
-    if err is not None:
-        raise InternalError(f"built intervals inconsistent with labels: {err}")
     return lr
 
 
 def lift_to_circle(ivals: np.ndarray, zmap: list[int],
-                   partner: np.ndarray, H: TypedGraph) -> ArcRepresentation:
-    """Lift intervals on one side of every circular pair to arcs for all of H.
+                   partner: np.ndarray) -> ArcRepresentation:
+    """Lift intervals on one side of every circular pair to arcs for all of
+    the completion H, unchecked (its check is ``representation_error``).
 
     zmap sends the interval vertices, the rows of ivals, to their H indices.
     Each lifted interval is scaled by 4 onto a circle of 8|Z|+8 slots; the
     partner of each vertex gets the complementary arc shrunk by one slot at
-    both ends.  The result must verify against H, else the pipeline is
-    broken.
+    both ends.
     """
     m = 8 * len(zmap) + 8
     arcs: dict[int, tuple[int, int]] = {}
     for u, w, (l, r) in zip(zmap, partner[zmap].tolist(), (4 * ivals).tolist()):
         arcs[u] = (l, r)
         arcs[w] = ((r + 1) % m, (l - 1) % m)
-    err = representation_error(H.graph, ArcRepresentation(m, arcs))
-    if err is not None:
-        raise InternalError(f"lifted arcs fail verification: {err}")
     return ArcRepresentation(m, arcs)

@@ -194,17 +194,13 @@ def extract_invertible_pair(K: KnottingGraph, cycle: list[int]) -> AvoidWalkPair
     checked with the rest of the negative certificate, not here.
     """
     k = len(cycle)
-    if k < 3 or k % 2 == 0:
-        raise InternalError("need an odd cycle of length at least 3")
     us = K.copies[cycle, 0].tolist()
     walk_p = [us[0]]
     walk_q = [us[-1]]
     for j, c in enumerate(cycle):
         path = K.component_path(c, us[j - 1], us[(j + 1) % k])
         moving, waiting = (walk_q, walk_p) if j % 2 == 0 else (walk_p, walk_q)
-        if moving[-1] != path[0]:
-            raise InternalError("walk assembly lost continuity")
-        moving += path[1:]
+        moving += path[1:]  # path[0] is us[j - 1], where moving stands
         waiting += [us[j]] * (len(path) - 1)
     return AvoidWalkPair(K.anchor, (us[0], us[-1]), walk_p, walk_q)
 

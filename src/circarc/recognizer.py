@@ -2,62 +2,106 @@
 
 recognize() either produces an arc representation of the input or a pair
 of mutually avoiding walks, anchored at a minimum-degree vertex of the
-circular completion of the reduced input.  Both certificate kinds are
-checked by the independent checker in ``check`` before being returned.
+circular completion of the reduced input.  Only the certificate is
+checked, by the independent checker in ``check``; the stage checks run
+only to name the failing stage.
 """
 
 from __future__ import annotations
 
 from .arcs import ArcRepresentation, expand_arcs
 from .check import (NEGATIVE, POSITIVE, Certificate, InternalError, classify_all,
-                    negative_error, positive_error)
+                    completion_error, negative_error, positive_error, representation_error)
 from .check import verify_negative, verify_positive  # re-exported under their old names
-from .delta import DeltaInvertiblePair, interval_orientation, labelled_from_typed
+from .delta import interval_orientation, labelled_from_typed, ordering_violation
 from .edgetypes import complete
-from .graph import Graph, ReductionTrace, reduce
-from .intervals import build_intervals, lift_to_circle
+from .graph import Graph, reduce
+from .intervals import _consistency_error, build_intervals, lift_to_circle
 from .knotting import (bipartite_or_odd_cycle, build_knotting, build_Z,
                        extract_invertible_pair, overlap_side)
 
 
-def _checked(G: Graph, cert: Certificate) -> Certificate:
-    """cert, once the checker accepts it for G."""
-    err = (positive_error if cert.verdict == POSITIVE else negative_error)(G, cert)
-    if err is not None:
-        raise InternalError(f"emitted certificate invalid: {err}")
-    return cert
+class _Run(dict):
+    """One run's stage outputs by stage name; .stage is the stage started last."""
+    stage = "recognize"
+
+    def __call__(self, stage: str, fn, *args):
+        self.stage = stage
+        self[stage] = out = fn(*args)
+        return out
 
 
-def _positive(G: Graph, trace: ReductionTrace, reduced_rep: ArcRepresentation) -> Certificate:
-    return _checked(G, Certificate(POSITIVE, arcs=expand_arcs(trace, reduced_rep)))
+def _certificate(G: Graph, run: _Run) -> Certificate:
+    """G's certificate, unchecked, each stage run through run."""
+    G_r, trace = run("reduce", reduce, G)
+    if G_r.n <= 1:
+        reduced_rep = ArcRepresentation(4, {v: (0, 1) for v in range(G_r.n)})
+    else:
+        T = run("classify_all", classify_all, G_r)
+        H, partner = run("complete", complete, T)
+        z = int(H.graph.adj.sum(axis=1).argmin())
+        K = run("build_knotting", build_knotting, H, z)
+        res = run("bipartite_or_odd_cycle", bipartite_or_odd_cycle, K)
+        if isinstance(res, list):
+            awp = run("extract_invertible_pair", extract_invertible_pair, K, res)
+            return Certificate(NEGATIVE, vertices=trace.survivors, completion=H.graph,
+                               obstruction=awp)
+        side = run("overlap_side", overlap_side, H, K, res, partner[z])
+        zset = run("build_Z", build_Z, H, z, side, partner)
+        L = run("labelled_from_typed", labelled_from_typed, H, zset)
+        order = run("interval_orientation", interval_orientation, L)
+        ivals = run("build_intervals", build_intervals, L, order)
+        arcs_h = run("lift_to_circle", lift_to_circle, ivals, zset, partner)
+        reduced_rep = ArcRepresentation(arcs_h.circle_size,
+                                        {v: arcs_h.arcs[v] for v in range(G_r.n)})
+    return Certificate(POSITIVE, arcs=run("expand_arcs", expand_arcs, trace, reduced_rep))
+
+
+_STAGE_CHECKS = (
+    ("complete", "completion check failed",
+     lambda run: completion_error(run["classify_all"], run["complete"][0])),
+    ("interval_orientation", "constructed order fails pattern check",
+     lambda run: ordering_violation(run["labelled_from_typed"], run["interval_orientation"])),
+    ("build_intervals", "built intervals inconsistent with labels",
+     lambda run: _consistency_error(run["labelled_from_typed"], run["build_intervals"])),
+    ("lift_to_circle", "lifted arcs fail verification",
+     lambda run: representation_error(run["complete"][0].graph, run["lift_to_circle"])),
+)
+
+
+def _reason(exc: Exception) -> str:
+    return str(exc) if isinstance(exc, InternalError) else f"{type(exc).__name__}: {exc}"
+
+
+def _diagnosis(run: _Run, reason: str) -> InternalError:
+    """The error of a failed run: the first stage, in pipeline order, whose
+    check (stage, reason prefix, check) in _STAGE_CHECKS rejects or raises
+    on the outputs run recorded, with its reason; if none, the stage started
+    last, which raised or made the certificate, with reason."""
+    for stage, prefix, check in _STAGE_CHECKS:
+        if stage in run:
+            try:
+                err = check(run)
+            except MemoryError:
+                raise
+            except Exception as exc:
+                return InternalError(f"{stage}: {_reason(exc)}")
+            if err is not None:
+                return InternalError(f"{stage}: {prefix}: {err}")
+    return InternalError(f"{run.stage}: {reason}")
 
 
 def recognize(G: Graph) -> Certificate:
-    """Decide circular-arc-ness of G with a verified certificate."""
-    G_r, trace = reduce(G)
-    if G_r.n == 0:
-        return _positive(G, trace, ArcRepresentation(4, {}))
-    if G_r.n == 1:
-        return _positive(G, trace, ArcRepresentation(4, {0: (0, 1)}))
-    T = classify_all(G_r)
-    H, partner = complete(T)
-    z = int(H.graph.adj.sum(axis=1).argmin())
-    K = build_knotting(H, z)
-    res = bipartite_or_odd_cycle(K)
-    if isinstance(res, list):
-        awp = extract_invertible_pair(K, res)
-        return _checked(G, Certificate(NEGATIVE, vertices=trace.survivors, completion=H.graph,
-                                       obstruction=awp))
-    zset = build_Z(H, z, overlap_side(H, K, res, partner[z]), partner)
-    L = labelled_from_typed(H, zset)
+    """Decide circular-arc-ness of G with a verified certificate, or raise
+    InternalError naming the failing stage (MemoryError passes through)."""
+    run = _Run()
     try:
-        order = interval_orientation(L)
-    except DeltaInvertiblePair as exc:
-        raise InternalError(
-            "interval orientation failed although the knotting graph "
-            f"is bipartite: {exc}") from exc
-    ivals = build_intervals(L, order)
-    arcs_h = lift_to_circle(ivals, zset, partner, H)
-    reduced_rep = ArcRepresentation(arcs_h.circle_size,
-                                    {v: arcs_h.arcs[v] for v in range(G_r.n)})
-    return _positive(G, trace, reduced_rep)
+        cert = _certificate(G, run)
+        err = (positive_error if cert.verdict == POSITIVE else negative_error)(G, cert)
+        if err is not None:
+            raise InternalError(f"emitted certificate invalid: {err}")
+        return cert
+    except MemoryError:
+        raise
+    except Exception as exc:
+        raise _diagnosis(run, _reason(exc)) from exc

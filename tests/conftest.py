@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from circarc.delta import Label, LabelledGraph, labelled_from_typed
-from circarc.check import EdgeType, circular_pairs, classify_all
+from circarc.check import EdgeType, circular_pairs, classify_all, completion_error
 from circarc.edgetypes import complete
 from circarc.formats import parse_edge_list
 from circarc.graph import Graph, build_graph, reduce as reduce_graph
@@ -189,9 +189,12 @@ def stepwise_walk_pair_error(H, awp):
 
 
 def completion_of(G):
-    """Reduce, classify and complete; returns (reduced, trace, H, partner)."""
+    """Reduce, classify and complete, checking the completion; returns
+    (reduced, trace, H, partner)."""
     reduced, trace = reduce_graph(G)
-    H, partner = complete(classify_all(reduced))
+    T = classify_all(reduced)
+    H, partner = complete(T)
+    assert completion_error(T, H) is None
     return reduced, trace, H, partner
 
 

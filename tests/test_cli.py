@@ -9,9 +9,11 @@ import pytest
 
 import circarc.oracle
 import circarc.recognizer
+from circarc.arcs import ArcRepresentation
 from circarc.cli import main
-from circarc.check import InternalError
+from circarc.check import InternalError, classify_all
 from circarc.formats import parse_edge_list, write_graph6
+from circarc.graph import Graph
 from arc_model_edges import edge_lines
 from conftest import BICLAW_EDGES, NEAR_BICLAW_EDGES, arc_model, planted_negative
 
@@ -174,6 +176,69 @@ class TestRecognizeCommand:
         G, replay = parse_edge_list(BICLAW_EDGES + "\nlone"), parse_edge_list(err)
         assert replay.names == G.names
         assert (replay.adj == G.adj).all()
+
+
+def _toggle_first_to_last(out):
+    """complete's output with the edge between its first and last vertex
+    toggled, classified afresh."""
+    H, partner = out
+    adj = H.graph.adj.copy()
+    adj[0, -1] = adj[-1, 0] = not adj[0, -1]
+    return classify_all(Graph(H.graph.n, adj, H.graph.names)), partner
+
+
+def _swap_first_two_arcs(rep):
+    arcs = dict(rep.arcs)
+    arcs[0], arcs[1] = arcs[1], arcs[0]
+    return ArcRepresentation(rep.circle_size, arcs)
+
+
+def _raise(exc):
+    def stage(*args):
+        raise exc
+    return stage
+
+
+class TestStageFaults:
+    """A fault in a stage's output reaches exit 70 through the certificate
+    check, which then names the first stage whose own check fails."""
+
+    # each stage's output, corrupted so that the certificate check fails
+    CORRUPT = {
+        "complete": _toggle_first_to_last,
+        "interval_orientation": lambda order: order[::-1],
+        "build_intervals": lambda iv: iv[[1, 0, *range(2, len(iv))]],
+        "lift_to_circle": _swap_first_two_arcs,
+    }
+
+    def run_with(self, tmp_path, capsys, monkeypatch, stage, replacement):
+        monkeypatch.setattr(circarc.recognizer, stage, replacement)
+        f = write(tmp_path, "g.txt", NEAR_BICLAW_EDGES)
+        code = main(["recognize", f])
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        G, replay = parse_edge_list(NEAR_BICLAW_EDGES), parse_edge_list(err)
+        assert replay.names == G.names and (replay.adj == G.adj).all()
+        return code, err.splitlines()[0]
+
+    @pytest.mark.parametrize("stage", list(CORRUPT))
+    def test_corrupt_output_names_the_stage(self, tmp_path, capsys, monkeypatch, stage):
+        original, corrupt = getattr(circarc.recognizer, stage), self.CORRUPT[stage]
+        code, first = self.run_with(tmp_path, capsys, monkeypatch, stage,
+                                    lambda *args: corrupt(original(*args)))
+        assert code == 70
+        assert first.startswith(f"# internal error: {stage}: "), first
+
+    def test_stray_exception_names_the_stage(self, tmp_path, capsys, monkeypatch):
+        code, first = self.run_with(tmp_path, capsys, monkeypatch, "expand_arcs",
+                                    _raise(IndexError("planted")))
+        assert (code, first) == (70, "# internal error: expand_arcs: IndexError: planted")
+
+    def test_out_of_memory_passes_through(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(circarc.recognizer, "build_intervals", _raise(MemoryError()))
+        f = write(tmp_path, "g.txt", NEAR_BICLAW_EDGES)
+        assert main(["recognize", f]) == 71
+        assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
 class TestVerifyCommand:

@@ -173,7 +173,7 @@ def _recursive_order_vertices(L: LabelledGraph, visit=None,
                               vertices=None) -> list[int]:
     """Order L by recursing on modules, a stack frame per module level, with
     the classes of each level computed afresh: the reference for the
-    work-stack delta._order_vertices.  Exceptions name vertices of the level
+    work-stack delta.interval_orientation.  Exceptions name vertices of the level
     that raised them.  visit, if given, is called with each level's vertices
     as the list of their indices in the outermost L."""
     n = L.n
@@ -555,13 +555,31 @@ class TestOrdering:
         order = interval_orientation(L)
         assert verify_interval_ordering(L, order)
 
+    def test_orders_pass_the_pattern_check(self):
+        # interval_orientation does not check its order; on criterion 7's
+        # family every order it returns has no forbidden pattern and puts
+        # each container before its contents
+        rng = random.Random(77)
+        built = 0
+        for _ in range(1000):
+            L = random_labelled(rng, rng.randint(1, 5))
+            try:
+                order = interval_orientation(L)
+            except DeltaInvertiblePair:
+                continue
+            assert ordering_violation(L, order) is None, (L.labels, L.inside, order)
+            pos = np.argsort(order)
+            assert not (L.inside & (pos[:, None] > pos[None, :])).any(), (L.labels, order)
+            built += 1
+        assert built > 900
+
     def test_brute_force_agreement(self):
         rng = random.Random(23)
         for _ in range(150):
             L = random_labelled(rng, rng.randint(1, 5))
             try:
-                interval_orientation(L)
-                ok = True
+                ok = verify_interval_ordering(L, interval_orientation(L))
+                assert ok, L.labels
             except DeltaInvertiblePair:
                 ok = False
             brute = any(
@@ -666,7 +684,7 @@ class TestOrderVertices:
     @staticmethod
     def assert_matches_recursion(L):
         want = outcome(_recursive_order_vertices, L)
-        assert outcome(delta._order_vertices, L) == want, L.labels
+        assert outcome(delta.interval_orientation, L) == want, L.labels
         return want[0]
 
     def test_random_labelled(self):
@@ -723,7 +741,7 @@ def pair_partition(a, b, cid) -> set[frozenset[Pair]]:
 
 
 class TestRestrictedClasses:
-    """delta._order_vertices computes the forcing classes once, on L: it
+    """delta.interval_orientation computes the forcing classes once, on L: it
     rests on the classes of every set the recursion visits being L's
     classes restricted to the pairs inside that set."""
 

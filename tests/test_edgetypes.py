@@ -251,6 +251,16 @@ class TestComplete:
             H2, _ = complete(H)
             assert H2.graph.n == H.graph.n
 
+    def test_passes_the_completion_check(self):
+        # complete does not check its output; the certificate checker's
+        # completion check accepts it, and each added vertex is paired with
+        # the original it was added for
+        for G in reduced_graphs(4):
+            T = classify_all(G)
+            H, partner = complete(T)
+            assert completion_error(T, H) is None
+            assert np.array_equal(partner[G.n:], np.flatnonzero(partner[:G.n] >= G.n))
+
     def test_original_circular_pairs_survive(self):
         for G in reduced_graphs(4):
             T = classify_all(G)

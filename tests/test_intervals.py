@@ -9,7 +9,7 @@ from circarc.check import InternalError, representation_error
 from circarc.delta import (DeltaInvertiblePair, Label, interval_orientation,
                            ordering_violation, verify_interval_ordering)
 from circarc.intervals import _consistency_error, build_intervals, lift_to_circle
-from conftest import arc_model, completion_of, labels_on_Z, make_labelled
+from conftest import arc_model, labels_on_Z, make_labelled
 
 
 def _loop_consistency_error(L, iv):
@@ -52,6 +52,16 @@ def corrupted(rng, iv):
         iv[u, su] = a
         if u != v:
             iv[v, sv] = b
+    return iv
+
+
+def checked_build_intervals(L, order):
+    """build_intervals, then its label check, raised as the recognizer's
+    diagnosis reports it."""
+    iv = build_intervals(L, order)
+    err = _consistency_error(L, iv)
+    if err is not None:
+        raise InternalError(f"built intervals inconsistent with labels: {err}")
     return iv
 
 
@@ -118,7 +128,8 @@ class TestBuildIntervals:
                 order = interval_orientation(L)
             except DeltaInvertiblePair:
                 continue
-            assert np.array_equal(build_intervals(L, order), _list_build_intervals(L, order))
+            assert np.array_equal(checked_build_intervals(L, order),
+                                  _list_build_intervals(L, order))
             built += 1
         assert built >= 20
 
@@ -131,7 +142,7 @@ class TestBuildIntervals:
             except InternalError as exc:
                 want = str(exc)
             try:
-                got = build_intervals(L, order).tolist()
+                got = checked_build_intervals(L, order).tolist()
             except InternalError as exc:
                 got = str(exc)
             assert got == want, (L.labels, L.inside, order)
@@ -155,11 +166,11 @@ class TestBuildIntervals:
     def test_rejects_bad_order(self):
         L = make_labelled(3, overlaps=[(0, 1), (1, 2)])
         with pytest.raises(InternalError):
-            build_intervals(L, [1, 0, 2])
+            checked_build_intervals(L, [1, 0, 2])
 
     def test_rejects_exactly_the_bad_orders(self):
-        # build_intervals' own label check rejects an order exactly when it
-        # has a forbidden pattern or puts an inner interval before its outer
+        # build_intervals and its label check reject an order exactly when
+        # it has a forbidden pattern or puts an inner interval before its outer
         rng = random.Random(12)
         from test_delta import random_labelled
         seen = set()
@@ -171,7 +182,7 @@ class TestBuildIntervals:
                 bad = (ordering_violation(L, order) is not None
                        or (L.inside & (pos[:, None] > pos[None, :])).any())
                 try:
-                    build_intervals(L, order)
+                    checked_build_intervals(L, order)
                     raised = False
                 except InternalError:
                     raised = True
@@ -189,7 +200,7 @@ class TestBuildIntervals:
                  if verify_interval_ordering(L, list(p))), None)
             if order is None:
                 continue
-            iv = build_intervals(L, order)
+            iv = checked_build_intervals(L, order)
             assert np.argsort(iv[:, 0]).tolist() == order
             assert np.sort(iv, axis=None).tolist() == list(range(1, 2 * L.n + 1))
 
@@ -222,7 +233,7 @@ class TestLiftToCircle:
         assert [H.graph.names[v] for v in zset] == ["v2", "v3"]
         order = interval_orientation(L)
         iv = build_intervals(L, order)
-        rep = lift_to_circle(iv, zset, partner, H)
+        rep = lift_to_circle(iv, zset, partner)
         assert rep.circle_size == 24
         by_name = {H.graph.names[v]: a for v, a in rep.arcs.items()}
         assert by_name == {"v2": (4, 12), "v3": (8, 16),
@@ -232,10 +243,10 @@ class TestLiftToCircle:
     def test_single_pair(self):
         # one vertex and its partner split the circle into two arcs
         from circarc.graph import build_graph
-        _, partner, zset, L = labels_on_Z(build_graph(2, []))
-        H = completion_of(build_graph(2, []))[2]
+        H, partner, zset, L = labels_on_Z(build_graph(2, []))
         iv = build_intervals(L, [0])
-        rep = lift_to_circle(iv, zset, partner, H)
+        rep = lift_to_circle(iv, zset, partner)
+        assert representation_error(H.graph, rep) is None
         assert rep.circle_size == 16
         u = zset[0]
         assert rep.arcs[u] == (4, 8)
@@ -244,7 +255,7 @@ class TestLiftToCircle:
     def test_near_biclaw_end_to_end(self, near_biclaw):
         H, partner, zset, L = labels_on_Z(near_biclaw)
         order = interval_orientation(L)
-        rep = lift_to_circle(build_intervals(L, order), zset, partner, H)
+        rep = lift_to_circle(build_intervals(L, order), zset, partner)
         assert len(rep.arcs) == 12
         assert representation_error(H.graph, rep) is None
         covers = H.graph.closed_adj()
@@ -258,8 +269,8 @@ class TestLiftToCircle:
         a, b = zset
         broken[a], broken[b] = partner[b], partner[a]
         broken[partner[b]], broken[partner[a]] = a, b
-        with pytest.raises(InternalError):
-            lift_to_circle(iv, zset, broken, H)
+        # lift_to_circle does not check its arcs; their check on H rejects them
+        assert representation_error(H.graph, lift_to_circle(iv, zset, broken)) is not None
 
 
 class TestVerifyRepresentation:

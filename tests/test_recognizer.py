@@ -87,8 +87,11 @@ def count_calls(monkeypatch, names):
 
 
 class TestSelfChecksRunOnce:
+    """A valid run checks only its certificate: no stage checks its own
+    output."""
     NAMES = ("delta.implication_classes", "delta.ordering_violation",
-             "knotting.walk_pair_error", "arcs.representation_error")
+             "knotting.walk_pair_error", "arcs.representation_error",
+             "check.completion_error", "check.circular_pairs")
 
     def test_positive_route(self, monkeypatch):
         counts = count_calls(monkeypatch, self.NAMES)
@@ -96,12 +99,14 @@ class TestSelfChecksRunOnce:
         for G in [arc_model(random.Random(seed), 30) for seed in range(3)] + [nested]:
             counts.update(dict.fromkeys(counts, 0))
             assert recognize(G).verdict == POSITIVE
-            # the forcing classes and the Δ-order once; the lift, then the
-            # emitted certificate
+            # the forcing classes once, the pairing once, for the lift; the
+            # arcs once, with the emitted certificate
             assert counts == {"delta.implication_classes": 1,
-                              "delta.ordering_violation": 1,
+                              "delta.ordering_violation": 0,
                               "knotting.walk_pair_error": 0,
-                              "arcs.representation_error": 2}
+                              "arcs.representation_error": 1,
+                              "check.completion_error": 0,
+                              "check.circular_pairs": 1}
 
     def test_negative_route(self, monkeypatch):
         counts = count_calls(monkeypatch, self.NAMES)
@@ -109,11 +114,15 @@ class TestSelfChecksRunOnce:
             counts.update(dict.fromkeys(counts, 0))
             G = planted_negative(random.Random(seed), 30, pattern)
             assert recognize(G).verdict == NEGATIVE
-            # the walks are checked once, with the emitted certificate
+            # the completion and the walks are checked once, with the
+            # emitted certificate, whose completion check pairs G[S] and the
+            # completion; complete pairs the completion once more
             assert counts == {"delta.implication_classes": 0,
                               "delta.ordering_violation": 0,
                               "knotting.walk_pair_error": 1,
-                              "arcs.representation_error": 0}
+                              "arcs.representation_error": 0,
+                              "check.completion_error": 1,
+                              "check.circular_pairs": 3}
 
 
 class TestNegativeCheckWork:
