@@ -141,17 +141,12 @@ def _cmd_complete(args, G: Graph) -> int:
 
 
 def _knotting_dot(K: KnottingGraph, names) -> str:
-    lines = ["graph knotting {"]
-    copies = K.copies.tolist()
-    for u, i in copies:
-        node = f'"{names[u]}/{i + 1}"'
-        lines.append(f"  {node};")
-    adjacency = K.adjacency
-    for a, (u, i) in enumerate(copies):
-        for b in adjacency[a]:
-            if b > a:
-                v, j = copies[b]
-                lines.append(f'  "{names[u]}/{i + 1}" -- "{names[v]}/{j + 1}";')
+    # a raw '"' would end a quoted DOT ID, and a backslash escapes the next one
+    ids = ['"{}/{}"'.format(names[u].replace("\\", "\\\\").replace('"', '\\"'), i + 1)
+           for u, i in K.copies.tolist()]
+    lines = ["graph knotting {"] + [f"  {node};" for node in ids]
+    for a, nbrs in enumerate(K.adjacency):
+        lines += [f"  {ids[a]} -- {ids[b]};" for b in nbrs if b > a]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

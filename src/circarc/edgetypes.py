@@ -7,7 +7,11 @@ from the containment and closed-adjacency matrices of the input
 the reader of certificates checks it: ``check.completion_error`` does,
 from the completion alone, as part of a negative certificate's check.
 ``avoiding_labels`` labels the components of the edges that avoid
-each anchor, for the knotting graph and the Δ-forcing classes alike.
+each anchor, for the knotting graph and the Δ-forcing classes alike, in
+one lock-step breadth-first search per block of anchors.  Each level
+reads its frontier's rows straight off the packed closed and overlap
+matrices (``avoiding_rows``), so no anchor's avoidance matrix is ever
+built.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .check import InternalError, TypedGraph, circular_pairs, classify_all
-from .graph import Graph, components, disjoint_rows, unpack_rows
+from .graph import Graph, disjoint_rows, unpack_rows
 
 
 def completion_graph(T: TypedGraph) -> Graph:
@@ -56,52 +60,84 @@ def complete(T: TypedGraph) -> tuple[TypedGraph, np.ndarray]:
     return H, circular_pairs(H)
 
 
-AVOID_WORDS = 1 << 20  # words of packed avoidance rows built per block of anchors
+AVOID_WORDS = 1 << 20  # words of packed rows a block of anchors gathers per level
 
 
-def avoiding(closed: np.ndarray, overlap: np.ndarray, included: np.ndarray,
-             zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The edges (loops included) that avoid each anchor z in zs, bit-packed.
+def avoiding_rows(closed: np.ndarray, overlap: np.ndarray, vs: np.ndarray,
+                  zrows: np.ndarray, meets: np.ndarray) -> np.ndarray:
+    """Rows vs of the edges (loops included) that avoid an anchor z, packed,
+    but for the columns included with z, which the caller clears.
 
-    closed is the adjacency with loops, overlap marks the overlap edges and
-    included the inclusion pairs, loops included, each as (n, w) rows
-    packed by ``graph.pack_rows``.  xy avoids z when neither end is
-    included with z and xy is not an overlap edge between two vertices that
-    both overlap z, so no edge at z avoids z.  Returns rows, (k, n, w):
-    rows[i, x] packs the y with xy avoiding zs[i], and on, (k, n): on[i, x]
-    says the loop at x avoids zs[i], that is x is not included with it.
+    closed is the adjacency with loops and overlap marks the overlap edges,
+    each as (n, w) rows packed by ``graph.pack_rows``.  zrows is z's packed
+    overlap row, or one per row of vs, and meets says whether each v in vs
+    overlaps z.  An edge at a vertex not included with z avoids z unless
+    it is an overlap edge between two overlappers of z, so v's row is
+    closed[v] less overlap[v] & overlap[z] when v overlaps z.  Given the
+    rows that avoid another anchor as closed, it gives those avoiding both.
+    """
+    return closed[vs] & ~(overlap[vs] & (zrows * meets[:, None]))
 
-    The stack is built word-major, (k, w, n), so every broadcast runs along
-    the long vertex axis, and rows are cleared by multiplying with 0/1
-    masks rather than through boolean indexing; rows is its (k, n, w)
-    transposed view, whose last axis is strided.
+
+def _label_block(closed: np.ndarray, overlap: np.ndarray, included: np.ndarray,
+                 zs: np.ndarray) -> np.ndarray:
+    """``avoiding_labels`` for one block of anchors, any ``also`` already
+    folded into closed and included.
+
+    Every anchor's graph grows its components in lock-step, one
+    breadth-first level at a time: the frontier's ``avoiding_rows`` are
+    ORed per anchor, and a graph whose component is done starts the next at
+    its least unreached vertex, which is therefore the least vertex of that
+    component.
     """
     n = closed.shape[0]
-    free, ov = ~included[zs], overlap[zs]  # padding bits meet none of closed
-    on = ~unpack_rows(included[zs], n)
-    rows = free[:, :, None] & np.ascontiguousarray(closed.T)
-    rows *= on[:, None, :]
-    cut = ov[:, :, None] & np.ascontiguousarray(overlap.T)
-    cut *= unpack_rows(ov, n)[:, None, :]  # only rows of z's overlappers lose edges
-    rows &= np.invert(cut, out=cut)
-    return rows.transpose(0, 2, 1), on
+    todo = ~unpack_rows(included[zs], n)  # the vertices not yet reached
+    ovz = overlap[zs]
+    meets = unpack_rows(ovz, n)  # meets[g, v]: v overlaps zs[g]
+    label = np.full(todo.shape, n, dtype=np.intp)
+    lead = np.zeros(len(zs), dtype=np.intp)  # the start of each graph's component
+    fg = fv = np.zeros(0, dtype=np.intp)  # the frontier, by graph
+    while True:
+        idle = todo.any(axis=1)
+        idle[fg] = False
+        idle = np.flatnonzero(idle)
+        if idle.size:
+            s = todo[idle].argmax(axis=1)
+            lead[idle] = label[idle, s] = s
+            todo[idle, s] = False
+            fg, fv = np.concatenate((fg, idle)), np.concatenate((fv, s))
+            by_graph = np.argsort(fg, kind="stable")
+            fg, fv = fg[by_graph], fv[by_graph]
+        if not fg.size:
+            return label
+        first = np.flatnonzero(np.concatenate(([True], fg[1:] != fg[:-1])))  # fg is sorted
+        gs = fg[first]
+        rows = avoiding_rows(closed, overlap, fv, ovz[fg], meets[fg, fv])
+        seen = unpack_rows(np.bitwise_or.reduceat(rows, first), n)
+        seen &= todo[gs]
+        i, fv = np.nonzero(seen)
+        fg = gs[i]
+        todo[fg, fv] = False
+        label[fg, fv] = lead[fg]
 
 
 def avoiding_labels(closed: np.ndarray, overlap: np.ndarray, included: np.ndarray,
                     zs: np.ndarray, also: int | None = None) -> np.ndarray:
     """Label each vertex, for each anchor z in zs, with the least vertex of
     its component among the edges (loops included) avoiding z, and also if
-    given, or with n where its loop does not.  The relations are packed for
-    ``avoiding``; blocks of anchors whose packed rows hold at most
-    AVOID_WORDS words (one anchor at least) go to ``graph.components``."""
-    labels = []
-    if also is not None:
-        also_rows, also_on = avoiding(closed, overlap, included, np.array([also]))
+    given, or with n where its loop does not.
+
+    closed is the adjacency with loops, overlap marks the overlap edges and
+    included the inclusion pairs, loops included, each as (n, w) rows
+    packed by ``graph.pack_rows``; no anchor's avoidance matrix is built.
+    The anchors go to ``_label_block`` in blocks whose frontier rows hold
+    at most AVOID_WORDS words per level (one anchor at least).
+    """
+    if also is not None:  # among the edges avoiding also, off its inclusions
+        closed = avoiding_rows(closed, overlap, np.arange(len(closed)), overlap[also],
+                               unpack_rows(overlap[also], len(closed)))
+        included = included | included[also]
     step = max(1, AVOID_WORDS // max(1, closed.size))
-    for i in range(0, max(1, len(zs)), step):  # no anchors: one empty block
-        rows, on = avoiding(closed, overlap, included, zs[i:i + step])
-        if also is not None:
-            rows &= also_rows
-            on &= also_on
-        labels.append(components(rows, on))
+    labels = [_label_block(closed, overlap, included, zs[i:i + step])
+              for i in range(0, max(1, len(zs)), step)]  # no anchors: one empty block
     return labels[0] if len(labels) == 1 else np.concatenate(labels)

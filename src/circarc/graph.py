@@ -3,16 +3,12 @@
 All adjacency questions are asked about closed neighbourhoods: a vertex is
 always considered adjacent to itself.  The adjacency matrix we store has a
 False diagonal; helpers that need the closed version OR in the identity.
-``components`` labels a whole stack of graphs given by bit-packed rows in
-one lock-step breadth-first search, each level an OR of the frontier's
-uint64 rows per graph, for ``edgetypes.avoiding_labels`` alone.
 ``union_find`` labels the components of a graph given as an edge list by
 hook-and-jump over arrays; it is the package's one union-find, for the
-Δ-forcing classes and the knotting graph's 2-colouring.  Both give each
+Δ-forcing classes and the knotting graph's 2-colouring; it gives each
 node its component's least member.
-``disjoint_rows`` is the only 0/1 matrix product: bit-packed, because numpy
-multiplies integer matrices without BLAS.  It and ``components`` take rows
-packed by ``pack_rows``.
+``disjoint_rows`` is the only 0/1 matrix product: bit-packed by
+``pack_rows``, because numpy multiplies integer matrices without BLAS.
 
 ``reduce`` strips universal vertices and merges true twins in closed form:
 neither step creates or destroys universality or twinness among the
@@ -43,55 +39,8 @@ def pack_rows(M: np.ndarray) -> np.ndarray:
 
 
 def unpack_rows(words: np.ndarray, c: int) -> np.ndarray:
-    """The first c columns of rows packed by ``pack_rows``, as booleans.
-
-    The words of a row need not be adjacent in memory (a transposed
-    word-major stack); such rows are copied to C order first.
-    """
-    words = np.ascontiguousarray(words)
+    """The first c columns of rows packed by ``pack_rows``, as booleans."""
     return np.unpackbits(words.view(np.uint8), axis=-1, count=c).view(bool)
-
-
-def components(rows: np.ndarray, on: np.ndarray) -> np.ndarray:
-    """Label the components of a stack of graphs given by bit-packed rows.
-
-    rows is (k, n, w) uint64: row v of graph g, packed by ``pack_rows``,
-    lists v's neighbours and must be symmetric among the vertices of g,
-    which are those where on (k, n) is True; bits of other rows and
-    columns are ignored.  Each vertex gets the least vertex of its
-    component, and every non-vertex gets n.
-
-    All graphs grow their components in lock-step, one breadth-first level
-    at a time: the frontier rows of every graph are ORed per graph, and a
-    graph whose component is done starts the next at its least unreached
-    vertex, which is therefore the least vertex of that component.
-    """
-    k, n = on.shape
-    label = np.full((k, n), n, dtype=np.intp)
-    todo = on.copy()  # the vertices not yet reached
-    lead = np.zeros(k, dtype=np.intp)  # the start of each graph's component
-    fg = fv = np.zeros(0, dtype=np.intp)  # the frontier, by graph
-    while True:
-        idle = todo.any(axis=1)
-        idle[fg] = False
-        idle = np.flatnonzero(idle)
-        if idle.size:
-            s = todo[idle].argmax(axis=1)
-            lead[idle] = label[idle, s] = s
-            todo[idle, s] = False
-            fg, fv = np.concatenate((fg, idle)), np.concatenate((fv, s))
-            by_graph = np.argsort(fg, kind="stable")
-            fg, fv = fg[by_graph], fv[by_graph]
-        if not fg.size:
-            return label
-        first = np.flatnonzero(np.r_[True, fg[1:] != fg[:-1]])  # fg is sorted
-        gs = fg[first]
-        seen = unpack_rows(np.bitwise_or.reduceat(rows[fg, fv], first), n)
-        seen &= todo[gs]
-        i, fv = np.nonzero(seen)
-        fg = gs[i]
-        todo[fg, fv] = False
-        label[fg, fv] = lead[fg]
 
 
 def union_find(m: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:

@@ -5,13 +5,15 @@ include gets one copy per component of the "safe" subgraph around u: the
 edges, loops included, that avoid both u and z, labelled for every u by
 one ``edgetypes.avoiding_labels`` call.  Its loops mark its vertices,
 so walks inside a component avoid both u and z.  The knotting graph K is
-held as CSR arrays and 2-coloured by one ``graph.union_find`` call over
-its bipartite double cover.  An odd cycle among the copies rolls out into
-two mutually avoiding walks anchored at z; bipartiteness certifies there
-are none, and the 2-colouring splits the overlappers of z so that one
-side joins the non-inverting set Z.  The odd cycle and the walks inside a
-component come from one breadth-first search over a dense boolean matrix,
-``_search``, run level by level.
+held as its list of edges, one per tolerated pair of vertices, and
+2-coloured by one ``graph.union_find`` call over its bipartite double
+cover.  An odd cycle among the copies rolls out into two mutually
+avoiding walks anchored at z; bipartiteness certifies there are none,
+and the 2-colouring splits the overlappers of z so that one side joins
+the non-inverting set Z.  The odd cycle and the walks inside a component
+come from one breadth-first search over a dense boolean matrix,
+``_search``, run level by level; a walk's matrix is the safe subgraph,
+read off the packed relations by ``edgetypes.avoiding_rows``.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import numpy as np
 
 from .check import AvoidWalkPair, EdgeType, InternalError, TypedGraph
 from .check import walk_pair_error  # re-exported under its old name
-from .edgetypes import avoiding, avoiding_labels
-from .graph import pack_rows, sorted_unique, union_find, unpack_rows
+from .edgetypes import avoiding_labels, avoiding_rows
+from .graph import pack_rows, union_find, unpack_rows
 
 
 def _search(adj: np.ndarray, a: int,
@@ -57,24 +59,32 @@ class KnottingGraph:
     anchor: int
     copies: np.ndarray   # int (m, 2): copy c is the component copies[c, 1] of copies[c, 0]
     copy_at: np.ndarray  # int32 [u, v]: the copy of u whose component holds v, or -1
-    ends: np.ndarray     # copy i's neighbours are tails[ends[i]:ends[i + 1]]
-    tails: np.ndarray    # the neighbours of every copy, sorted, copy by copy
+    pairs: np.ndarray    # int32 (e, 2): an edge per tolerated pair x < y, copy of x first
     avoid: tuple[np.ndarray, ...]  # H's packed closed, overlap and included rows
 
     @property
     def adjacency(self) -> list[list[int]]:
         """The sorted neighbours of each copy, as Python lists."""
-        flat, ends = self.tails.tolist(), self.ends.tolist()
+        both = np.concatenate((self.pairs, self.pairs[:, ::-1]))
+        both = both[np.lexsort(both.T[::-1])]  # by copy, then neighbour
+        ends = np.searchsorted(both[:, 0], np.arange(len(self.copies) + 1)).tolist()
+        flat = both[:, 1].tolist()
         return [flat[i:j] for i, j in zip(ends[:-1], ends[1:])]
 
     def component_path(self, c: int, a: int, b: int) -> list[int]:
         """Shortest a-b path inside copy c's component of its owner's safe
-        subgraph, read off a ``_search`` from a over the dense safe matrix."""
+        subgraph, read off a ``_search`` from a over the dense safe matrix,
+        whose columns included with u or the anchor are cleared."""
         u, comp = self.copies[c].tolist()
         if (self.copy_at[u, [a, b]] != c).any():
             raise InternalError(f"path endpoints outside component {u}/{comp}")
-        rows, _ = avoiding(*self.avoid, np.array([u, self.anchor]))
-        parent, _ = _search(unpack_rows(rows[0] & rows[1], len(self.copy_at)), a, b)
+        closed, overlap, included = self.avoid
+        rows, n = closed, len(closed)
+        for z in (u, self.anchor):
+            rows = avoiding_rows(rows, overlap, np.arange(n), overlap[z],
+                                 unpack_rows(overlap[z], n))
+        rows &= ~(included[u] | included[self.anchor])
+        parent, _ = _search(unpack_rows(rows, n), a, b)
         if a != b and parent[b] < 0:
             raise InternalError(f"no path {a}-{b} in component {u}/{comp}")
         path = [b]
@@ -103,16 +113,13 @@ def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
     at[i, v] = np.arange(i.size)
     copy_at = np.full((n, n), -1, dtype=np.int32)
     copy_at[us] = np.take_along_axis(at, label, axis=1)
-    # copies meet for every non-inclusion pair, adjacent or not
-    xs, ys = np.nonzero(~included & az[:, None] & az[None, :])
-    a, b = copy_at[xs, ys].astype(np.int64), copy_at[ys, xs].astype(np.int64)
-    if (a < 0).any():
+    # copies meet for every non-inclusion pair, adjacent or not; a copy
+    # names its owner, so no two pairs x < y give the same edge
+    xs, ys = np.nonzero(np.triu(~included & az[:, None] & az[None, :], 1))
+    pairs = np.stack((copy_at[xs, ys], copy_at[ys, xs]), axis=1)
+    if (pairs < 0).any():
         raise InternalError("a tolerated pair lies outside a safe subgraph")
-    # both directions are listed; one sort of the int64 keys a*m + b groups them
-    m = len(copies)
-    heads, tails = np.divmod(sorted_unique(a * m + b), m)
-    ends = np.searchsorted(heads, np.arange(m + 1))
-    return KnottingGraph(z, copies, copy_at, ends, tails, avoid)
+    return KnottingGraph(z, copies, copy_at, pairs, avoid)
 
 
 def bipartite_or_odd_cycle(K: KnottingGraph) -> Union[np.ndarray, list[int]]:
@@ -130,8 +137,9 @@ def bipartite_or_odd_cycle(K: KnottingGraph) -> Union[np.ndarray, list[int]]:
     closed through both tree paths to their common ancestor.
     """
     m = len(K.copies)
-    heads = np.repeat(np.arange(m), np.diff(K.ends))
-    f = union_find(2 * m, 2 * heads, 2 * K.tails + 1)
+    a, b = K.pairs.T
+    f = union_find(2 * m, np.concatenate((2 * a, 2 * b)),
+                   np.concatenate((2 * b + 1, 2 * a + 1)))
     side = f[0::2]
     odd = side == f[1::2]
     if not odd.any():
@@ -140,10 +148,10 @@ def bipartite_or_odd_cycle(K: KnottingGraph) -> Union[np.ndarray, list[int]]:
     members = np.flatnonzero(side // 2 == r)  # increasing, so r is member 0
     at = np.full(m, -1)
     at[members] = np.arange(members.size)
-    a, b = at[heads], at[K.tails]
+    a, b = at[a], at[b]
     inside = a >= 0
     adj = np.zeros((members.size, members.size), dtype=bool)
-    adj[a[inside], b[inside]] = True
+    adj[a[inside], b[inside]] = adj[b[inside], a[inside]] = True
     parent, levels = _search(adj, 0)
     depth = np.empty(members.size, dtype=np.intp)
     for d, level in enumerate(levels):

@@ -6,9 +6,10 @@ import pytest
 
 from circarc.delta import Label, LabelledGraph, labelled_from_typed
 from circarc.check import EdgeType, circular_pairs, classify_all, completion_error
-from circarc.edgetypes import complete
+from circarc.edgetypes import avoiding_rows, complete
 from circarc.formats import parse_edge_list
-from circarc.graph import Graph, build_graph, reduce as reduce_graph
+from circarc.graph import (Graph, build_graph, pack_rows, reduce as reduce_graph,
+                           unpack_rows)
 from circarc.knotting import (bipartite_or_odd_cycle, build_knotting, build_Z,
                               overlap_side)
 
@@ -82,16 +83,32 @@ def tree_path(parent: Mapping[Node, Optional[Node]], a: Node, b: Node) -> list[N
 
 def _dense_avoiding(closed, overlap, included, z):
     """[x, y] = the edge xy (a loop when x = y) avoids z, from dense boolean
-    matrices: the reference for the bit-packed edgetypes.avoiding."""
+    matrices: the reference for the bit-packed rows of
+    edgetypes.avoiding_rows."""
     free, ov = ~included[z], overlap[z]
     return (closed & free[:, None] & free[None, :]
             & ~(overlap & ov[:, None] & ov[None, :]))
 
 
+def packed_avoiding(closed, overlap, included, zs):
+    """[x, y] = the edge xy avoids every anchor in zs, from dense boolean
+    matrices by way of edgetypes.avoiding_rows on their packed rows, one
+    anchor at a time, then with the rows and columns included with an
+    anchor cleared, as in _dense_avoiding."""
+    n, rows, packed = len(closed), pack_rows(closed), pack_rows(overlap)
+    for z in zs:
+        rows = avoiding_rows(rows, packed, np.arange(n), packed[z], overlap[:, z])
+    M = unpack_rows(rows, n)
+    off = included[zs].any(axis=0)
+    M[off] = False
+    M[:, off] = False
+    return M
+
+
 def _bfs_components(M):
     """Least member per component of the graph a boolean symmetric matrix
     induces on its diagonal, len(M) off it; one breadth-first search per
-    component: the reference for the stack labeller graph.components."""
+    component: the reference for the labeller edgetypes.avoiding_labels."""
     n = M.shape[0]
     label = np.full(n, n, dtype=np.intp)
     reach = ~M.diagonal()  # off-diagonal vertices are never reached

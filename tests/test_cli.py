@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -421,6 +422,25 @@ class TestKnottingCommand:
         assert capsys.readouterr().out == ("knotting graph at anchor 'f': NOT bipartite "
                                            "(odd cycle: g/1, d/1, h/1)\n")
         assert dot.read_text() == BICLAW_DOT
+
+    def test_dot_escapes_quotes_and_backslashes(self, tmp_path, capsys):
+        # the biclaw with d named 'd"q' and g named 'g\': each line of the
+        # DOT file must still read as quoted IDs that unescape to the names
+        edges = BICLAW_EDGES.replace("d", 'd"q').replace("g", "g\\")
+        f = write(tmp_path, "g.txt", edges)
+        dot = tmp_path / "k.dot"
+        assert main(["knotting", f, "--anchor", "f", "--dot", str(dot)]) == 10
+        capsys.readouterr()
+        quoted = r'"((?:[^"\\]|\\.)*)"'
+        ids = []
+        for line in dot.read_text().splitlines()[1:-1]:
+            m = re.fullmatch(rf"  {quoted}(?: -- {quoted})?;", line)
+            assert m, line
+            ids += [re.sub(r"\\(.)", r"\1", g) for g in m.groups() if g is not None]
+        plain = BICLAW_DOT.splitlines()[1:-1]
+        want = [x.replace("d", 'd"q').replace("g", "g\\")
+                for line in plain for x in re.findall(r'"([^"]*)"', line)]
+        assert ids == want
 
     def test_dot_dir_missing(self, tmp_path, capsys):
         f = write(tmp_path, "g.txt", NEAR_BICLAW_EDGES)

@@ -17,13 +17,13 @@ from circarc.delta import (DeltaInvertiblePair, Label, LabelledGraph,
                            interval_orientation, labelled_from_typed,
                            ordering_violation, verify_interval_ordering)
 from circarc.check import InternalError, classify_all
-from circarc.edgetypes import avoiding, complete
+from circarc.edgetypes import complete
 from circarc.formats import parse_edge_list
-from circarc.graph import pack_rows, sorted_unique, unpack_rows
+from circarc.graph import sorted_unique
 from circarc.knotting import build_knotting, build_Z, overlap_side
 from arc_model_edges import nested_lines, short_lines
 from conftest import (_dense_avoiding, arc_model, bfs, labels_on_Z, make_labelled,
-                      tree_path)
+                      packed_avoiding, tree_path)
 
 
 def overlap_path():
@@ -67,7 +67,7 @@ def random_labelled(rng, n):
 
 
 def label_avoids(L: LabelledGraph, x: int, y: int, z: int) -> bool:
-    """Reference for edgetypes.avoiding, one triple at a time from the labels."""
+    """Reference for edgetypes.avoiding_rows, one triple at a time from the labels."""
     if x != y and L.labels[x, y] == Label.NONEDGE:
         return False
     if L.labels[x, z] == Label.INCLUSION or L.labels[y, z] == Label.INCLUSION:
@@ -336,13 +336,11 @@ class TestAvoiding:
         rng = random.Random(13)
         for _ in range(60):
             L = random_labelled(rng, rng.randint(1, 6))
-            rows, on = avoiding(pack_rows(L.labels != Label.NONEDGE),
-                                pack_rows(L.labels == Label.OVERLAP),
-                                pack_rows(L.labels == Label.INCLUSION), np.arange(L.n))
+            dense = (L.labels != Label.NONEDGE, L.labels == Label.OVERLAP,
+                     L.labels == Label.INCLUSION)
             for z in range(L.n):
                 M = avoid_at(L, z)
-                assert np.array_equal(unpack_rows(rows[z], L.n), M)
-                assert np.array_equal(on[z], M.diagonal())
+                assert np.array_equal(packed_avoiding(*dense, [z]), M)
                 for x in range(L.n):
                     for y in range(L.n):
                         assert M[x, y] == label_avoids(L, x, y, z)

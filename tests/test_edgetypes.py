@@ -11,15 +11,15 @@ from circarc.check import (EdgeType, InternalError, TypedGraph, UnreducedGraphEr
                            completion_error)
 from circarc import edgetypes
 from circarc.delta import implication_classes, labelled_from_typed
-from circarc.edgetypes import avoiding, avoiding_labels, complete
+from circarc.edgetypes import avoiding_labels, avoiding_rows, complete
 from circarc.graph import (Graph, build_graph, pack_rows, reduce as reduce_graph,
                            unpack_rows)
 from circarc.formats import parse_edge_list
 from circarc.knotting import build_knotting
 from arc_model_edges import nested_lines
 from conftest import (BICLAW_EDGES, _bfs_components, _dense_avoiding, arc_model,
-                      arcs_meet, completion_of, pairing_completion_error,
-                      planted_negative, stepwise_avoids)
+                      arcs_meet, completion_of, packed_avoiding,
+                      pairing_completion_error, planted_negative, stepwise_avoids)
 from test_graph import random_graph_strategy
 
 
@@ -518,43 +518,53 @@ class TestAvoids:
         return H.graph.closed_adj(), overlap, H.types == EdgeType.INCLUSION
 
     def test_packed_rows_unpack_to_dense_reference(self):
-        # |H| > 128, so every row spans three or more words
+        # |H| > 128, so every row spans three or more words; one anchor, and
+        # two as the knotting graph's safe subgraphs take them
         H = completion_of(arc_model(random.Random(7), 100))[2]
         n = H.graph.n
         assert n > 128
         dense = self.masks(H)
-        rows, on = avoiding(*map(pack_rows, dense), np.arange(n))
-        assert rows.shape == (n, n, (n + 63) // 64) and rows.shape[2] >= 3
         for z in range(n):
             want = _dense_avoiding(*dense, z)
-            assert np.array_equal(unpack_rows(rows[z], n), want)
-            assert np.array_equal(on[z], want.diagonal())
+            assert np.array_equal(packed_avoiding(*dense, [z]), want)
+            also = (7 * z + 3) % n
+            assert np.array_equal(packed_avoiding(*dense, [z, also]),
+                                  want & _dense_avoiding(*dense, also))
         # the padding past column n stays clear
+        closed, overlap, _ = map(pack_rows, dense)
+        rows = avoiding_rows(closed, overlap, np.arange(n), overlap[0], dense[1][:, 0])
         assert not (rows & ~pack_rows(np.ones(n, dtype=bool))).any()
 
     def test_packed_rows_of_an_anchor_subset(self):
+        # one anchor row per row of vs, as the labeller gathers a frontier
+        # over a block of anchors; anchors may repeat
         H = completion_of(arc_model(random.Random(6), 30))[2]
+        n = H.graph.n
         dense = self.masks(H)
-        zs = np.array([4, 0, 4, H.graph.n - 1])
-        rows, on = avoiding(*map(pack_rows, dense), zs)
+        closed, overlap, _ = map(pack_rows, dense)
+        zs = np.array([4, 0, 4, n - 1])
+        vs = np.tile(np.arange(n), len(zs))
+        by_row = np.repeat(zs, n)
+        rows = avoiding_rows(closed, overlap, vs, overlap[by_row], dense[1][vs, by_row])
         for i, z in enumerate(zs.tolist()):
             want = _dense_avoiding(*dense, z)
-            assert np.array_equal(unpack_rows(rows[i], H.graph.n), want)
-            assert np.array_equal(on[i], want.diagonal())
+            got = unpack_rows(rows[i * n:(i + 1) * n], n)
+            on = ~dense[2][z]  # avoiding_rows leaves these to the caller
+            assert np.array_equal(got & on & on[:, None], want)
 
 
 class TestAvoidingLabels:
     @staticmethod
     def counted_blocks(monkeypatch):
-        """The anchor count of every graph.components call made from now on."""
+        """The anchor count of every block labelled from now on."""
         sizes = []
-        real = edgetypes.components
+        real = edgetypes._label_block
 
-        def counted(rows, on):
-            sizes.append(len(on))
-            return real(rows, on)
+        def counted(closed, overlap, included, zs):
+            sizes.append(len(zs))
+            return real(closed, overlap, included, zs)
 
-        monkeypatch.setattr(edgetypes, "components", counted)
+        monkeypatch.setattr(edgetypes, "_label_block", counted)
         return sizes
 
     def test_matches_dense_reference(self, monkeypatch):

@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from circarc.arcs import ArcRepresentation, expand_arcs
 from circarc.check import representation_error
+from circarc.edgetypes import avoiding_labels
 from circarc.graph import (Graph, GraphError, ReductionTrace, build_graph,
-                           components, disjoint_rows, pack_rows, reduce,
-                           sorted_unique, union_find, unpack_rows)
-from conftest import _bfs_components, bfs, tree_path
+                           disjoint_rows, pack_rows, reduce, sorted_unique,
+                           union_find, unpack_rows)
+from conftest import _bfs_components, _dense_avoiding, bfs, tree_path
 
 
 def random_graph_strategy(max_n=7):
@@ -234,6 +235,12 @@ class TestSearch:
 
 
 class TestComponents:
+    """Component labels of the edges avoiding each anchor, as
+    edgetypes.avoiding_labels gives them from packed relations, against
+    networkx and a breadth-first search per component of the dense
+    avoidance matrix.  A vertex included with an anchor is off that
+    anchor's graph and labelled n; its edges must not join anything."""
+
     @staticmethod
     def networkx_labels(M):
         """Least member per component of the graph M induces on its
@@ -249,83 +256,95 @@ class TestComponents:
         return want
 
     @staticmethod
-    def labellers(M):
-        """The labels of M from the reference and from the stack labeller,
-        which reads M as a stack of one graph whose vertices are M's
-        diagonal."""
-        return (_bfs_components(M).tolist(),
-                components(pack_rows(M)[None], M.diagonal()[None])[0].tolist())
+    def relations(adj, overlap, included):
+        """Closed, overlap and included matrices: loops on the closed and
+        included diagonals, none on overlap's, which lies inside adj."""
+        eye = np.eye(len(adj), dtype=bool)
+        return adj | eye, overlap & adj & ~eye, included | eye
+
+    @classmethod
+    def random_relations(cls, rng, n):
+        """Random relations on n vertices: a symmetric adjacency of random
+        density, about half its edges overlap edges, and each vertex
+        included with about a fifth of the others, not symmetrically."""
+        p = rng.choice([0.0, 1.5 / max(n, 1), 4.0 / max(n, 1), 0.3])
+        adj = np.triu(rng.random((n, n)) < p, 1)
+        overlap = np.triu(rng.random((n, n)) < 0.5, 1)
+        return cls.relations(adj | adj.T, overlap | overlap.T, rng.random((n, n)) < 0.2)
+
+    @staticmethod
+    def labellers(dense, zs, also=None):
+        """Each anchor's labels from the dense reference and from
+        avoiding_labels, as lists."""
+        want = []
+        for z in zs:
+            M = _dense_avoiding(*dense, z)
+            if also is not None:
+                M &= _dense_avoiding(*dense, also)
+            want.append(_bfs_components(M).tolist())
+        got = avoiding_labels(*map(pack_rows, dense), np.array(zs, dtype=np.intp), also)
+        assert got.shape == (len(zs), len(dense[0]))
+        return want, got.tolist()
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_networkx(self, seed):
         G, rng = seeded_gnp(seed)
         n = G.number_of_nodes()
-        M = nx.to_numpy_array(G, nodelist=range(n), dtype=bool)
-        # off-diagonal vertices keep their edges, which must not join anything
-        M[np.diag_indices(n)] = [rng.random() < 0.8 for _ in range(n)]
-        want = self.networkx_labels(M).tolist()
-        assert self.labellers(M) == (want, want)
+        adj = nx.to_numpy_array(G, nodelist=range(n), dtype=bool)
+        nrng = np.random.default_rng(seed)
+        overlap = np.triu(nrng.random((n, n)) < 0.5, 1)
+        dense = self.relations(adj, overlap | overlap.T, nrng.random((n, n)) < 0.2)
+        zs = list(range(n))
+        want = [self.networkx_labels(_dense_avoiding(*dense, z)).tolist() for z in zs]
+        assert self.labellers(dense, zs) == (want, want)
+        also = rng.randrange(n)
+        want, got = self.labellers(dense, zs, also)
+        assert got == want
 
     def test_off_diagonal_vertex_does_not_bridge(self):
-        # 0 - 1 - 2 is a path, but 1 is off the diagonal
-        M = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=bool)
-        assert self.labellers(M) == ([0, 3, 2], [0, 3, 2])
+        # 0 - 1 - 2 is a path, but 1 is included with the anchor 3
+        adj = np.zeros((4, 4), dtype=bool)
+        adj[[0, 1], [1, 2]] = adj[[1, 2], [0, 1]] = True
+        included = np.zeros((4, 4), dtype=bool)
+        included[3, 1] = True
+        dense = self.relations(adj, np.zeros((4, 4), dtype=bool), included)
+        assert self.labellers(dense, [3]) == ([[0, 4, 2, 4]], [[0, 4, 2, 4]])
 
     def test_empty(self):
         assert _bfs_components(np.zeros((0, 0), dtype=bool)).shape == (0,)
-        rows = np.zeros((2, 0, 0), dtype=np.uint64)
-        assert components(rows, np.zeros((2, 0), dtype=bool)).shape == (2, 0)
+        dense = self.relations(*np.zeros((3, 0, 0), dtype=bool))
+        assert self.labellers(dense, []) == ([], [])
+        dense = self.relations(*np.zeros((3, 2, 2), dtype=bool))
+        assert self.labellers(dense, []) == ([], [])
 
     def test_no_members(self):
-        M = np.ones((3, 3), dtype=bool) & ~np.eye(3, dtype=bool)
-        assert self.labellers(M) == ([3, 3, 3], [3, 3, 3])
-
-    @staticmethod
-    def random_stack(rng, k, n):
-        """k random graphs on subsets of 0..n-1: each a boolean matrix,
-        symmetric among its vertices (its diagonal), with random bits in the
-        rows and columns of the other vertices."""
-        stack = np.zeros((k, n, n), dtype=bool)
-        for g in range(k):
-            p = rng.choice([0.0, 1.5 / max(n, 1), 4.0 / max(n, 1), 0.3])
-            M = np.triu(rng.random((n, n)) < p, 1)
-            M |= M.T
-            off = rng.random(n) >= 0.7
-            M |= (rng.random((n, n)) < 0.5) & (off[:, None] | off[None, :])
-            M[np.diag_indices(n)] = ~off
-            stack[g] = M
-        return stack
+        # every vertex is included with the anchor, itself too
+        dense = self.relations(~np.eye(3, dtype=bool), np.zeros((3, 3), dtype=bool),
+                               np.ones((3, 3), dtype=bool))
+        assert self.labellers(dense, [0, 2]) == ([[3, 3, 3]] * 2, [[3, 3, 3]] * 2)
 
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
     def test_stack_matches_reference(self, n):
+        # every anchor, some twice, with and without a second anchor
         rng = np.random.default_rng(n)
-        stack = self.random_stack(rng, 7, n)
-        on = stack.diagonal(axis1=1, axis2=2)
-        got = components(pack_rows(stack), on)
-        assert got.shape == (7, n)
-        for g in range(7):
-            assert got[g].tolist() == _bfs_components(stack[g]).tolist()
+        dense = self.random_relations(rng, n)
+        zs = list(range(n)) + list(range(0, n, 3))
+        want, got = self.labellers(dense, zs)
+        assert got == want
+        if n:
+            want, got = self.labellers(dense, zs, also=n // 2)
+            assert got == want
 
     def test_padding_bits_are_ignored(self):
         # bits past column n in the last word name no vertex
         rng = np.random.default_rng(7)
-        stack = self.random_stack(rng, 4, 70)
-        on = stack.diagonal(axis1=1, axis2=2)
-        rows = pack_rows(stack)
-        rows[..., -1] |= ~pack_rows(np.ones(70, dtype=bool))[-1]
-        assert np.array_equal(components(rows, on), components(pack_rows(stack), on))
-
-    @pytest.mark.parametrize("n", [65, 130, 200])
-    def test_strided_word_major_stack(self, n):
-        # edgetypes.avoiding returns the (k, n, w) view of a (k, w, n) stack
-        rng = np.random.default_rng(n)
-        stack = self.random_stack(rng, 5, n)
-        on = stack.diagonal(axis1=1, axis2=2)
-        rows = pack_rows(stack)
-        strided = np.ascontiguousarray(rows.transpose(0, 2, 1)).transpose(0, 2, 1)
-        assert not strided.flags.c_contiguous and np.array_equal(strided, rows)
-        assert np.array_equal(unpack_rows(strided, n), stack)
-        assert np.array_equal(components(strided, on), components(rows, on))
+        packed = tuple(map(pack_rows, self.random_relations(rng, 70)))
+        padding = ~pack_rows(np.ones(70, dtype=bool))
+        dirty = tuple(words | padding for words in packed)
+        zs = np.arange(70)
+        for also in (None, 5):
+            assert np.array_equal(avoiding_labels(*dirty, zs, also),
+                                  avoiding_labels(*packed, zs, also))
 
     def test_pack_round_trip(self):
         rng = np.random.default_rng(3)

@@ -190,14 +190,18 @@ class TestBuildKnotting:
                 assert avoids(H, z, path)
 
     @staticmethod
-    def assert_paths_match_bfs_reference(G):
+    def assert_paths_match_bfs_reference(G, every_anchor=False):
         # every (copy, a, b), a = b included, at a minimum-degree anchor
+        # or at every anchor
         H = completion_of(G)[2]
-        K = build_knotting(H, int(H.graph.adj.sum(axis=1).argmin()))
-        for c, group in components(K).items():
-            for a, b in itertools.product(group, repeat=2):
-                assert (K.component_path(c, a, b)
-                        == _bfs_component_path(H, K, K.copies[c, 0], a, b))
+        anchors = (range(H.graph.n) if every_anchor
+                   else [int(H.graph.adj.sum(axis=1).argmin())])
+        for z in anchors:
+            K = build_knotting(H, z)
+            for c, group in components(K).items():
+                for a, b in itertools.product(group, repeat=2):
+                    assert (K.component_path(c, a, b)
+                            == _bfs_component_path(H, K, K.copies[c, 0], a, b))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_component_paths_match_bfs_reference(self, seed):
@@ -205,6 +209,13 @@ class TestBuildKnotting:
         for G in (arc_model(rng, 14), planted_negative(rng, 10, "biclaw"),
                   planted_negative(rng, 10, "c4+k1")):
             self.assert_paths_match_bfs_reference(G)
+
+    def test_component_paths_match_bfs_reference_at_every_anchor(self):
+        # the cut by the anchor's own overlap row shapes some paths only at
+        # anchors other than the minimum-degree one
+        rng = random.Random(5)
+        for G in (arc_model(rng, 10), planted_negative(rng, 6, "biclaw")):
+            self.assert_paths_match_bfs_reference(G, every_anchor=True)
 
     def test_long_component_paths_match_bfs_reference(self):
         # paths of up to 12 vertices in the path's safe subgraphs
@@ -349,8 +360,7 @@ class TestOddCycle:
         # with no edges, each copy alone is a component: copy i gets side 2i
         T = classify_all(c4)
         K = build_knotting(T, 0)
-        K2 = dataclasses.replace(K, ends=np.zeros(len(K.copies) + 1, dtype=np.intp),
-                                 tails=np.zeros(0, dtype=np.intp))
+        K2 = dataclasses.replace(K, pairs=np.zeros((0, 2), dtype=np.int32))
         coloring = bipartite_or_odd_cycle(K2)
         assert coloring.tolist() == [2 * i for i in range(len(K.copies))]
 
