@@ -4,6 +4,8 @@ Trusting a verdict means trusting this module and ``graph``, the only
 module of the package it imports.  A certificate binds its input by
 ``graph_digest``; a positive one is checked by ``representation_error``,
 a negative one by ``negative_error``, neither relying on how it was made.
+``negative_error`` classifies G[S] and the completion, then hands both to
+``obstruction_error``, which a run may call on its own classifications.
 """
 
 from __future__ import annotations
@@ -81,7 +83,8 @@ def classify_all(G: Graph) -> TypedGraph:
     by G.names, if G still has a universal vertex or true twins (their
     edges would admit no type).  Graphs with at most one vertex pass
     trivially.  The types are int8 arithmetic on the boolean matrices
-    viewed as int8, with no masked assignment.
+    viewed as int8, with no masked assignment.  All three arrays are
+    read-only, so no caller changes what a later check reads.
     """
     closed = G.closed_adj()
     contains, spanning = _matrices(closed)
@@ -100,6 +103,8 @@ def classify_all(G: Graph) -> TypedGraph:
     incl = (contains | contains.T).view(np.int8)
     np.maximum(types, incl * np.int8(EdgeType.INCLUSION), out=types)
     types *= closed.view(np.int8)
+    for a in (types, contains, spanning):
+        a.flags.writeable = False
     return TypedGraph(G, types, contains, spanning)
 
 
@@ -306,14 +311,25 @@ def verify_positive(G: Graph, cert: Certificate) -> bool:
     return positive_error(G, cert) is None
 
 
-def negative_error(G: Graph, cert: Certificate) -> Optional[str]:
-    """Check a negative certificate from first principles.
+def obstruction_error(Gt: TypedGraph, Ht: TypedGraph, awp: AvoidWalkPair) -> Optional[str]:
+    """First-principles check that Ht completes Gt and awp is an anchored
+    pair of avoiding walks in Ht; None if both hold.  Gt and Ht must be
+    ``classify_all``'s classifications of G[S] and of the completion."""
+    try:
+        err = completion_error(Gt, Ht)
+        if err is not None:
+            return f"completion check failed: {err}"
+        err = walk_pair_error(Ht, awp)
+        if err is not None:
+            return f"walk check failed: {err}"
+    except (ValueError, InternalError) as exc:
+        return str(exc)
+    return None
 
-    The certificate names a vertex set S of G.  Induced subgraphs inherit
-    circular-arc-ness, so an obstruction for G[S] condemns G, whichever S
-    it is.  G[S] must be reduced, its completion is re-verified from its
-    adjacency alone, types and pairing included, and the walks stepwise.
-    """
+
+def _vertex_set_error(G: Graph, cert: Certificate) -> Optional[str]:
+    """First problem with a negative certificate's verdict, payload or
+    vertex set S, or None."""
     if cert.verdict != NEGATIVE:
         return "not a negative certificate"
     if cert.vertices is None or cert.completion is None or cert.obstruction is None:
@@ -323,18 +339,27 @@ def negative_error(G: Graph, cert: Certificate) -> Optional[str]:
         return "vertex set names a vertex outside the input"
     if len(set(S)) != len(S):
         return "vertex set repeats a vertex"
+    return None
+
+
+def negative_error(G: Graph, cert: Certificate) -> Optional[str]:
+    """Check a negative certificate from first principles.
+
+    The certificate names a vertex set S of G.  Induced subgraphs inherit
+    circular-arc-ness, so an obstruction for G[S] condemns G, whichever S
+    it is.  G[S] must be reduced, its completion is re-verified from its
+    adjacency alone, types and pairing included, and the walks stepwise
+    (``obstruction_error``).
+    """
+    err = _vertex_set_error(G, cert)
+    if err is not None:
+        return err
     try:
-        Gt = classify_all(G.induced(S))
+        Gt = classify_all(G.induced(cert.vertices))
         Ht = classify_all(cert.completion)
-        err = completion_error(Gt, Ht)
-        if err is not None:
-            return f"completion check failed: {err}"
-        err = walk_pair_error(Ht, cert.obstruction)
-        if err is not None:
-            return f"walk check failed: {err}"
     except (ValueError, InternalError) as exc:
         return str(exc)
-    return None
+    return obstruction_error(Gt, Ht, cert.obstruction)
 
 
 def verify_negative(G: Graph, cert: Certificate) -> bool:

@@ -104,8 +104,7 @@ def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
     overlap = (H.types == EdgeType.OVERLAP1) | (H.types == EdgeType.OVERLAP2)
     included = H.types == EdgeType.INCLUSION
     avoid = tuple(map(pack_rows, (H.graph.closed_adj(), overlap, included)))
-    az = ~included[z]  # the vertices z tolerates, z itself excluded
-    us = np.flatnonzero(az)
+    us = np.flatnonzero(~included[z])  # the vertices z tolerates, z itself excluded
     label = avoiding_labels(*avoid, us, also=z)  # n off each safe subgraph
     i, v = np.nonzero(label == np.arange(n))
     copies = np.stack((us[i], np.arange(i.size) - np.searchsorted(i, i)), axis=1)
@@ -114,8 +113,9 @@ def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
     copy_at = np.full((n, n), -1, dtype=np.int32)
     copy_at[us] = np.take_along_axis(at, label, axis=1)
     # copies meet for every non-inclusion pair, adjacent or not; a copy
-    # names its owner, so no two pairs x < y give the same edge
-    xs, ys = np.nonzero(np.triu(~included & az[:, None] & az[None, :], 1))
+    # names its owner, so no two pairs x < y give the same edge; us is
+    # increasing, so the pairs come in row-major order
+    xs, ys = us[np.stack(np.nonzero(np.triu(~included[np.ix_(us, us)], 1)))]
     pairs = np.stack((copy_at[xs, ys], copy_at[ys, xs]), axis=1)
     if (pairs < 0).any():
         raise InternalError("a tolerated pair lies outside a safe subgraph")

@@ -163,6 +163,13 @@ class TestClassify:
         with pytest.raises(UnreducedGraphError):
             classify_all(build_graph(3, [(0, 1), (0, 2)]))
 
+    @pytest.mark.parametrize("field", ["types", "contains", "spanning"])
+    def test_arrays_are_read_only(self, biclaw, field):
+        # a run checks its certificate on its own classifications, so no
+        # stage may write into them
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(classify_all(biclaw), field)[0, 1] = 0
+
     def test_true_twins_rejected(self):
         # triangle abc with a path c-d-e: a and b are true twins, named as in G
         G = build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)], list("abcde"))

@@ -3,18 +3,22 @@ import itertools
 import json
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 
+from circarc import recognizer
 from circarc.arcs import ArcRepresentation
-from circarc.check import (NEGATIVE, POSITIVE, AvoidWalkPair, Certificate,
-                           negative_error, verify_negative, verify_positive)
+from circarc.check import (NEGATIVE, POSITIVE, AvoidWalkPair, Certificate, InternalError,
+                           circular_pairs, classify_all, negative_error, verify_negative,
+                           verify_positive)
 from circarc.formats import (FormatError, parse_certificate, parse_edge_list,
                              serialize_certificate)
-from circarc.graph import build_graph
+from circarc.graph import Graph, build_graph
 from circarc.recognizer import recognize
 from arc_model_edges import edge_lines, nested_lines, short_lines
-from conftest import arc_model, covers, planted_negative
+from conftest import BICLAW_EDGES, arc_model, covers, planted_negative
+from test_ground_truth import cycle_plus_vertex
 
 
 class TestRecognize:
@@ -91,7 +95,8 @@ class TestSelfChecksRunOnce:
     output."""
     NAMES = ("delta.implication_classes", "delta.ordering_violation",
              "knotting.walk_pair_error", "arcs.representation_error",
-             "check.completion_error", "check.circular_pairs")
+             "check.completion_error", "check.circular_pairs",
+             "check.classify_all", "check.negative_error")
 
     def test_positive_route(self, monkeypatch):
         counts = count_calls(monkeypatch, self.NAMES)
@@ -100,13 +105,16 @@ class TestSelfChecksRunOnce:
             counts.update(dict.fromkeys(counts, 0))
             assert recognize(G).verdict == POSITIVE
             # the forcing classes once, the pairing once, for the lift; the
-            # arcs once, with the emitted certificate
+            # arcs once, with the emitted certificate; the reduced graph and
+            # its completion are classified once each
             assert counts == {"delta.implication_classes": 1,
                               "delta.ordering_violation": 0,
                               "knotting.walk_pair_error": 0,
                               "arcs.representation_error": 1,
                               "check.completion_error": 0,
-                              "check.circular_pairs": 1}
+                              "check.circular_pairs": 1,
+                              "check.classify_all": 2,
+                              "check.negative_error": 0}
 
     def test_negative_route(self, monkeypatch):
         counts = count_calls(monkeypatch, self.NAMES)
@@ -116,13 +124,18 @@ class TestSelfChecksRunOnce:
             assert recognize(G).verdict == NEGATIVE
             # the completion and the walks are checked once, with the
             # emitted certificate, whose completion check pairs G[S] and the
-            # completion; complete pairs the completion once more
+            # completion; complete pairs the completion once more.  The
+            # check reads the run's own classifications of the reduced
+            # graph, which is G[S], and of the completion: negative_error
+            # would classify both again
             assert counts == {"delta.implication_classes": 0,
                               "delta.ordering_violation": 0,
                               "knotting.walk_pair_error": 1,
                               "arcs.representation_error": 0,
                               "check.completion_error": 1,
-                              "check.circular_pairs": 3}
+                              "check.circular_pairs": 3,
+                              "check.classify_all": 2,
+                              "check.negative_error": 0}
 
 
 class TestNegativeCheckWork:
@@ -142,6 +155,103 @@ class TestNegativeCheckWork:
         doc["negative"]["vertices"].remove("b0")
         with pytest.raises(FormatError, match=r"true twins 'b\d+', 'b\d+'"):
             parse_certificate(G, json.dumps(doc))
+
+
+def run_parts(G):
+    """G's negative certificate, unchecked, with the run's classifications
+    of the reduced graph and of the completion."""
+    run = recognizer._Run()
+    cert = recognizer._certificate(G, run)
+    assert cert.verdict == NEGATIVE
+    return cert, run["classify_all"], run["complete"][0]
+
+
+def broken_obstructions(awp):
+    """awp, then awp with a walk broken by hand, each under a name."""
+    p, q = awp.walk_p, awp.walk_q
+    yield "emitted", awp
+    yield "step replaced by the anchor", replace(awp, walk_p=[p[0], awp.anchor, *p[2:]])
+    yield "walk cut short", replace(awp, walk_q=q[:-1])
+    yield "walks swapped", replace(awp, walk_p=q, walk_q=p)
+
+
+NEGATIVES = {
+    "biclaw": lambda: parse_edge_list(BICLAW_EDGES),
+    **{f"planted {pattern}": (lambda pattern=pattern:
+                              planted_negative(random.Random(1), 30, pattern))
+       for pattern in ("biclaw", "c4+k1")},
+    **{f"C{n}+K1": (lambda n=n: cycle_plus_vertex(n)) for n in (4, 5, 50)},
+}
+
+
+class TestHeldNegativeCheck:
+    """The check a run makes on its own classifications answers as
+    negative_error does."""
+
+    @pytest.mark.parametrize("graph", list(NEGATIVES))
+    def test_same_answer_as_negative_error(self, monkeypatch, graph):
+        G = NEGATIVES[graph]()
+        cert, T, H = run_parts(G)
+        counts = count_calls(monkeypatch, ("check.classify_all", "check.negative_error"))
+        for name, awp in broken_obstructions(cert.obstruction):
+            broken = replace(cert, obstruction=awp)  # the same completion object
+            got = recognizer._negative_run_error(G, broken, T, H)
+            assert counts == {"check.classify_all": 0, "check.negative_error": 0}, name
+            assert got == negative_error(G, broken), name
+            assert (got is None) == (name == "emitted"), (name, got)
+            counts.update(dict.fromkeys(counts, 0))
+
+    def test_other_graphs_get_the_full_check(self, monkeypatch, biclaw):
+        cert, T, H = run_parts(biclaw)
+        Hg = H.graph
+        renamed = Graph(biclaw.n, biclaw.adj, tuple(n + "'" for n in biclaw.names))
+        toggled = biclaw.adj.copy()
+        toggled[0, -1] = toggled[-1, 0] = not toggled[0, -1]
+        cases = {
+            "completion copied": (biclaw, replace(
+                cert, completion=Graph(Hg.n, Hg.adj.copy(), Hg.names))),
+            "vertex set reordered": (biclaw, replace(cert, vertices=cert.vertices[1:] + [0])),
+            "input renamed": (renamed, cert),
+            "input edge toggled": (Graph(biclaw.n, toggled, biclaw.names), cert),
+        }
+        counts = count_calls(monkeypatch, ("check.negative_error",))
+        for name, (G, other) in cases.items():
+            counts["check.negative_error"] = 0
+            got = recognizer._negative_run_error(G, other, T, H)
+            assert counts == {"check.negative_error": 1}, name
+            assert got == negative_error(G, other), name
+
+
+class TestNegativeFaults:
+    """A fault on the negative route reaches InternalError through the
+    certificate check, named by the stage that made it."""
+
+    def test_walk_step_replaced_by_anchor(self, monkeypatch, biclaw):
+        extract = recognizer.extract_invertible_pair
+
+        def broken(K, cycle):
+            awp = extract(K, cycle)
+            awp.walk_p[1] = awp.anchor
+            return awp
+        monkeypatch.setattr(recognizer, "extract_invertible_pair", broken)
+        with pytest.raises(InternalError) as info:
+            recognize(biclaw)
+        assert str(info.value).startswith(
+            "extract_invertible_pair: emitted certificate invalid: walk check failed")
+
+    def test_completion_missing_its_last_vertex(self, monkeypatch, biclaw):
+        original = recognizer.complete
+
+        def broken(T):
+            H, _ = original(T)
+            assert H.graph.n > T.graph.n  # its last vertex is an added one
+            short = classify_all(H.graph.induced(range(H.graph.n - 1)))
+            return short, circular_pairs(short)
+        monkeypatch.setattr(recognizer, "complete", broken)
+        with pytest.raises(InternalError) as info:
+            recognize(biclaw)
+        assert str(info.value).startswith(
+            "complete: completion check failed: wrong completion cardinality")
 
 
 class TestVerifyPositive:
@@ -194,11 +304,13 @@ class TestVerifyNegative:
         (lambda S: S + S[:1], "repeats a vertex"),
     ], ids=["past-the-end", "negative", "repeated", "repeated-extra"])
     def test_bad_vertex_set(self, biclaw, edit, message):
-        # an index past the end would raise, and -1 would wrap, in G.induced
-        cert = recognize(biclaw)
+        # an index past the end would raise, and -1 would wrap, in G.induced;
+        # a run's own check on its classifications gives the same reason
+        cert, T, H = run_parts(biclaw)
         assert cert.vertices == list(range(7))
         cert.vertices = edit(cert.vertices)
         assert message in negative_error(biclaw, cert)
+        assert recognizer._negative_run_error(biclaw, cert, T, H) == negative_error(biclaw, cert)
 
 
 class TestOracleAgreementSmall:
