@@ -3,7 +3,10 @@
 A labelled graph carries a {NonEdge, Overlap, Inclusion} label per vertex
 pair plus a transitive orientation of its inclusion edges.  The labels are
 data: they may come from an ambient graph and need not agree with the
-neighborhoods of the labelled graph itself.
+neighborhoods of the labelled graph itself, but ``interval_orientation``
+needs each Inclusion label to hold as containment, in its direction, in
+the edge graph (the pairs not labelled NonEdge); ``labelled_from_typed``
+meets this, since containment restricts to a vertex subset.
 
 Ordered pairs with Overlap or NonEdge labels force each other: (x,z) and
 (y,z) must orient the same way whenever the edge xy avoids z.  The
@@ -40,14 +43,6 @@ class DeltaInvertiblePair(Exception):
     def __init__(self, pair: Pair):
         super().__init__(f"pair {pair} is forced onto its own reversal")
         self.pair = pair
-
-
-class NonUniformQuotientLabel(InternalError):
-    pass
-
-
-class TournamentNotTransitive(InternalError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -132,27 +127,11 @@ def implication_classes(L: LabelledGraph) -> DeltaClasses:
     return DeltaClasses(a, b, cid, cid[rank[b[roots], a[roots]]])
 
 
-def _check_module(L: LabelledGraph, vs: np.ndarray, module: np.ndarray) -> None:
-    """Fail, naming a vertex of L, unless every vertex of vs outside the
-    module sees it with one label and, on inclusion edges, one direction."""
-    outside = np.setdiff1d(vs, module, assume_unique=True)
-    labs = L.labels[np.ix_(outside, module)]
-    dirs = L.inside[np.ix_(outside, module)]
-    # inside is False off the inclusion edges, so directions can only differ
-    # in a row whose labels differ or are all Inclusion
-    mixed = (labs != labs[:, :1]).any(axis=1)
-    bad = mixed | (dirs != dirs[:, :1]).any(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if mixed[i]:
-            raise NonUniformQuotientLabel(f"vertex {outside[i]} sees mixed labels in module")
-        raise NonUniformQuotientLabel(f"vertex {outside[i]} sees mixed directions")
-
-
 def interval_orientation(L: LabelledGraph) -> list[int]:
     """Construct an interval ordering, or fail with DeltaInvertiblePair.
 
-    The order is not checked here (see ``ordering_violation``).  It comes
+    The order is not checked here (see ``ordering_violation``), and it may
+    fail that check off the module's precondition on L.  It comes
     from a loop over a stack of sorted vertex sets of L.  The forcing
     classes are computed once, on L: as in modular decomposition, a
     module's or a quotient's classes are the whole graph's restricted to
@@ -163,7 +142,8 @@ def interval_orientation(L: LabelledGraph) -> list[int]:
     class, the class of its least pair, gives its p-th vertex in the
     class's tournament the key of its least vertex extended by p.  These
     are preorder keys: one sort splices each module into the slot of its
-    least vertex.
+    least vertex.  A module of one vertex, which only a fault can give,
+    raises InternalError, so every set pushed is smaller than the set popped.
     """
     a, b, cid, inverse = implication_classes(L)
     self_inverse = np.flatnonzero(inverse[cid] == cid)
@@ -190,29 +170,22 @@ def interval_orientation(L: LabelledGraph) -> list[int]:
             narrow = classes[proper & (size == size[proper].min())]
             narrowest = c[np.isin(c, narrow)][0]
             module = vs[members[members // n == narrowest] % n]
-            _check_module(L, vs, module)
+            if module.size < 2:
+                raise InternalError(f"class {narrowest} spans one vertex, {module[0]}")
             stack += [module, np.setdiff1d(vs, module[1:], assume_unique=True)]
             continue
         rel = np.zeros((n, n), dtype=bool)
         if classes.size:
             # every class spans all vertices: a single class and its inverse
-            # remain, as no class of L is self-inverse, so rel is antisymmetric
-            if classes.size != 2:
-                raise InternalError("expected exactly one spanning class up to reversal")
-            least = c == c[0]  # the class of the least pair
+            # remain, and rel takes the class of the least pair
+            least = c == c[0]
             rel[sa[least], sb[least]] = True
-        # with no classes every pair is inclusion-labelled and 'inside' alone
-        # must be a transitive tournament
+        # rel and 'inside' make a transitive tournament, ranked by out-degree;
+        # with no classes every pair is inclusion-labelled
         tournament = rel | L.inside[np.ix_(vs, vs)]
-        deg = tournament.sum(axis=1)
-        order = sorted(range(n), key=lambda u: (-int(deg[u]), u))
-        gaps = np.argwhere(np.triu(~tournament[np.ix_(order, order)], 1))
-        named = vs[order].tolist()
-        if gaps.size:
-            i, j = gaps[0]
-            raise TournamentNotTransitive(f"orientation cyclic at {named[i]},{named[j]}")
+        order = np.argsort(-tournament.sum(axis=1), kind="stable")
         head = key[vs[0]]
-        for p, u in enumerate(named):
+        for p, u in enumerate(vs[order].tolist()):
             key[u] = head + (p,)
     return sorted(range(L.n), key=key.__getitem__)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .check import InternalError, TypedGraph, circular_pairs, classify_all
+from .check import TypedGraph, circular_pairs, classify_all
 from .graph import Graph, disjoint_rows, unpack_rows
 
 
@@ -37,8 +37,6 @@ def completion_graph(T: TypedGraph) -> Graph:
     cross = not_c[unpaired]
     covered = disjoint_rows(cross, not_n[unpaired])
     apart = not_c[np.ix_(unpaired, unpaired)] & covered
-    if not np.array_equal(apart, apart.T):
-        raise InternalError("added vertices have an asymmetric adjacency")
     added = ~apart
     np.fill_diagonal(added, False)
     adj = np.block([[T.graph.adj, cross.T], [cross, added]])

@@ -160,13 +160,10 @@ def bipartite_or_odd_cycle(K: KnottingGraph) -> Union[np.ndarray, list[int]]:
     order = np.concatenate(levels)
     up = [order[same[order].any(axis=1).argmax()]]
     down = [same[up[0]].argmax()]  # its least neighbour of the same depth
-    while up[-1] != down[-1]:  # both climb to the common ancestor
+    while up[-1] != down[-1]:  # both climb in lock-step, so the cycle is odd
         up.append(parent[up[-1]])
         down.append(parent[down[-1]])
-    cycle = members[up + down[-2::-1]].tolist()
-    if len(cycle) % 2 == 0 or len(cycle) < 3:
-        raise InternalError("odd cycle extraction produced an even walk")
-    return cycle
+    return members[up + down[-2::-1]].tolist()
 
 
 def overlap_side(H: TypedGraph, K: KnottingGraph, side: np.ndarray,

@@ -11,14 +11,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 import circarc
 from circarc import delta
-from circarc.delta import (DeltaInvertiblePair, Label, LabelledGraph,
-                           NonUniformQuotientLabel, Pair,
-                           TournamentNotTransitive, implication_classes,
-                           interval_orientation, labelled_from_typed,
-                           ordering_violation, verify_interval_ordering)
+from circarc.delta import (DeltaInvertiblePair, Label, LabelledGraph, Pair,
+                           implication_classes, interval_orientation,
+                           labelled_from_typed, ordering_violation,
+                           verify_interval_ordering)
 from circarc.check import InternalError, classify_all
 from circarc.edgetypes import complete
-from circarc.formats import parse_edge_list
+from circarc.formats import parse_edge_list, write_edge_list
 from circarc.graph import sorted_unique
 from circarc.knotting import build_knotting, build_Z, overlap_side
 from arc_model_edges import nested_lines, short_lines
@@ -149,9 +148,17 @@ def span(pairs) -> frozenset[int]:
     return frozenset(itertools.chain.from_iterable(pairs))
 
 
+class NonUniformQuotientLabel(InternalError):
+    """A vertex outside a module of the recursive reference sees it unevenly."""
+
+
+class TournamentNotTransitive(InternalError):
+    """A spanning class of the recursive reference orients a cycle."""
+
+
 def check_module(L: LabelledGraph, module: list[int]) -> None:
-    """Reference for the module uniformity check delta._check_module, one
-    outside vertex and one module member at a time."""
+    """The recursive reference's module check: every vertex outside the
+    module sees it with one label and, on inclusion edges, one direction."""
     inside_set = set(module)
     for x in [v for v in range(L.n) if v not in inside_set]:
         labs = {int(L.labels[x, s]) for s in module}
@@ -586,6 +593,57 @@ class TestOrdering:
             assert ok == brute
 
 
+def every_labelled_graph(n: int):
+    """Every LabelledGraph on n vertices: each pair a NonEdge, an Overlap
+    or an Inclusion either way, kept when the orientation is transitive."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for choice in itertools.product(range(4), repeat=len(pairs)):
+        labels = np.full((n, n), Label.NONEDGE, dtype=np.int8)
+        np.fill_diagonal(labels, Label.INCLUSION)
+        inside = np.zeros((n, n), dtype=bool)
+        for (u, v), c in zip(pairs, choice):
+            labels[u, v] = labels[v, u] = min(c, Label.INCLUSION)
+            if c >= Label.INCLUSION:
+                inside[(u, v) if c == Label.INCLUSION else (v, u)] = True
+        try:
+            L = LabelledGraph(n, labels, inside)
+        except ValueError:
+            continue  # the orientation is not transitive
+        yield L
+
+
+def inclusion_is_containment(L: LabelledGraph) -> bool:
+    """inside[u, v] implies N[v] within N[u] in L's edge graph (the pairs
+    not labelled NonEdge): interval_orientation's precondition."""
+    closed = L.labels != Label.NONEDGE
+    u, v = np.nonzero(L.inside)
+    return not (closed[v] & ~closed[u]).any()
+
+
+class TestEveryLabelledGraph:
+    def test_up_to_four_vertices(self):
+        # any labelling gets an order or DeltaInvertiblePair, nothing else;
+        # under the precondition the verdict is brute force's and the order
+        # has no forbidden pattern
+        graphs = meeting = 0
+        for n in range(1, 5):
+            perms = [list(p) for p in itertools.permutations(range(n))]
+            for L in every_labelled_graph(n):
+                graphs += 1
+                try:
+                    order = interval_orientation(L)
+                    assert sorted(order) == list(range(n))
+                except DeltaInvertiblePair:
+                    order = None
+                if not inclusion_is_containment(L):
+                    continue
+                meeting += 1
+                brute = any(ordering_violation(L, p) is None for p in perms)
+                assert (order is not None) == brute, (L.labels, L.inside)
+                assert order is None or ordering_violation(L, order) is None, L.labels
+        assert (graphs, meeting) == (1839, 962)
+
+
 class TestDisjointClassSpans:
     def test_disjoint_class_avoids_shared_vertex(self):
         # three distinct classes meeting pairwise cannot all touch one vertex
@@ -611,57 +669,24 @@ class TestDisjointClassSpans:
                         assert a not in touched
 
 
-class TestSpliceModule:
-    @staticmethod
-    def planted(rng):
-        """A random labelled graph and a proper module, with an outside
-        vertex whose labels or directions towards the module often differ."""
-        n = rng.randint(3, 8)
-        if rng.random() < 0.5:
-            L = random_labelled(rng, n)
-        else:
-            # a chain x -> s, t -> x: uniform Inclusion, mixed directions,
-            # the rest random labels towards a module {s, t, ...}
-            x, s, t = rng.sample(range(n), 3)
-            L = make_labelled(n, overlaps=[(u, v) for u in range(n)
-                                           for v in range(u + 1, n)
-                                           if {u, v} & {x, s, t} == set()
-                                           and rng.random() < 0.5],
-                              inclusions=[(x, s), (t, x), (t, s)])
-            rest = [v for v in range(n) if v not in (x, s, t)]
-            return L, sorted([s, t] + rng.sample(rest, rng.randint(0, len(rest))))
-        return L, sorted(rng.sample(range(n), rng.randint(2, n - 1)))
-
-    def test_uniformity_check_matches_loop(self):
-        rng = random.Random(41)
-        seen = set()
-        for _ in range(400):
-            L, module = self.planted(rng)
-            try:
-                check_module(L, module)
-                want = None
-            except NonUniformQuotientLabel as exc:
-                want = str(exc)
-            try:
-                delta._check_module(L, np.arange(L.n), np.array(module))
-                got = None
-            except NonUniformQuotientLabel as exc:
-                got = str(exc)
-            assert got == want
-            seen.add(want.split(" sees ")[1] if want else None)
-        assert seen == {None, "mixed labels in module", "mixed directions"}
-
-    def test_check_names_the_vertex_of_L_within_vs(self):
-        # in vs = [2, 3, 4], vertex 2 (position 0) includes 3 and is included
-        # in 4; vertex 0 overlaps only 3 of the module, but is outside vs
-        L = make_labelled(5, overlaps=[(0, 3)],
-                          inclusions=[(2, 3), (4, 2), (4, 3)])
-        with pytest.raises(NonUniformQuotientLabel,
-                           match="^vertex 2 sees mixed directions$"):
-            delta._check_module(L, np.array([2, 3, 4]), np.array([3, 4]))
-        with pytest.raises(NonUniformQuotientLabel,
-                           match="^vertex 0 sees mixed labels in module$"):
-            delta._check_module(L, np.arange(5), np.array([3, 4]))
+def planted(rng):
+    """A random labelled graph and a proper module, with an outside vertex
+    whose labels or directions towards the module often differ."""
+    n = rng.randint(3, 8)
+    if rng.random() < 0.5:
+        L = random_labelled(rng, n)
+    else:
+        # a chain x -> s, t -> x: uniform Inclusion, mixed directions,
+        # the rest random labels towards a module {s, t, ...}
+        x, s, t = rng.sample(range(n), 3)
+        L = make_labelled(n, overlaps=[(u, v) for u in range(n)
+                                       for v in range(u + 1, n)
+                                       if {u, v} & {x, s, t} == set()
+                                       and rng.random() < 0.5],
+                          inclusions=[(x, s), (t, x), (t, s)])
+        rest = [v for v in range(n) if v not in (x, s, t)]
+        return L, sorted([s, t] + rng.sample(rest, rng.randint(0, len(rest))))
+    return L, sorted(rng.sample(range(n), rng.randint(2, n - 1)))
 
 
 def outcome(order_vertices, L):
@@ -693,7 +718,7 @@ class TestOrderVertices:
 
     def test_planted(self):
         rng = random.Random(47)
-        seen = {self.assert_matches_recursion(TestSpliceModule.planted(rng)[0])
+        seen = {self.assert_matches_recursion(planted(rng)[0])
                 for _ in range(400)}
         assert seen == {"order", DeltaInvertiblePair}
 
@@ -727,6 +752,27 @@ class TestOrderVertices:
         run = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
+
+
+    def test_span_fault_ends_in_exit_70(self, tmp_path):
+        # every span loses its last key, so some class spans one vertex:
+        # the loop must stop there rather than push its set back unchanged
+        f = tmp_path / "arcs.txt"
+        f.write_text(write_edge_list(arc_model(random.Random(0), 40)))
+        code = "\n".join([
+            "import sys",
+            "from circarc import delta",
+            "from circarc.cli import main",
+            "unique = delta.sorted_unique",
+            "delta.sorted_unique = lambda keys: unique(keys)[:-1]",
+            "sys.exit(main(['recognize', sys.argv[1]]))",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(Path(circarc.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", code, str(f)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 70, run.stderr
+        assert run.stderr.startswith("# internal error: interval_orientation: "), run.stderr
+        assert "Traceback" not in run.stderr
 
 
 def pair_partition(a, b, cid) -> set[frozenset[Pair]]:
