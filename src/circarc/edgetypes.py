@@ -11,7 +11,8 @@ each anchor, for the knotting graph and the Δ-forcing classes alike, in
 one lock-step breadth-first search per block of anchors.  Each level
 reads its frontier's rows straight off the packed closed and overlap
 matrices (``avoiding_rows``), so no anchor's avoidance matrix is ever
-built.
+built.  A caller folds in a second anchor, as the knotting graph does,
+once: ``avoiding_rows`` at it over every row, its included row ORed in.
 """
 
 from __future__ import annotations
@@ -79,8 +80,7 @@ def avoiding_rows(closed: np.ndarray, overlap: np.ndarray, vs: np.ndarray,
 
 def _label_block(closed: np.ndarray, overlap: np.ndarray, included: np.ndarray,
                  zs: np.ndarray) -> np.ndarray:
-    """``avoiding_labels`` for one block of anchors, any ``also`` already
-    folded into closed and included.
+    """``avoiding_labels`` for one block of anchors.
 
     Every anchor's graph grows its components in lock-step, one
     breadth-first level at a time: the frontier's ``avoiding_rows`` are
@@ -120,10 +120,10 @@ def _label_block(closed: np.ndarray, overlap: np.ndarray, included: np.ndarray,
 
 
 def avoiding_labels(closed: np.ndarray, overlap: np.ndarray, included: np.ndarray,
-                    zs: np.ndarray, also: int | None = None) -> np.ndarray:
+                    zs: np.ndarray) -> np.ndarray:
     """Label each vertex, for each anchor z in zs, with the least vertex of
-    its component among the edges (loops included) avoiding z, and also if
-    given, or with n where its loop does not.
+    its component among the edges (loops included) avoiding z, or with n
+    where its loop does not.
 
     closed is the adjacency with loops, overlap marks the overlap edges and
     included the inclusion pairs, loops included, each as (n, w) rows
@@ -131,10 +131,6 @@ def avoiding_labels(closed: np.ndarray, overlap: np.ndarray, included: np.ndarra
     The anchors go to ``_label_block`` in blocks whose frontier rows hold
     at most AVOID_WORDS words per level (one anchor at least).
     """
-    if also is not None:  # among the edges avoiding also, off its inclusions
-        closed = avoiding_rows(closed, overlap, np.arange(len(closed)), overlap[also],
-                               unpack_rows(overlap[also], len(closed)))
-        included = included | included[also]
     step = max(1, AVOID_WORDS // max(1, closed.size))
     labels = [_label_block(closed, overlap, included, zs[i:i + step])
               for i in range(0, max(1, len(zs)), step)]  # no anchors: one empty block

@@ -2,18 +2,20 @@
 
 For a fixed anchor z of a completed graph, every vertex u that z does not
 include gets one copy per component of the "safe" subgraph around u: the
-edges, loops included, that avoid both u and z, labelled for every u by
-one ``edgetypes.avoiding_labels`` call.  Its loops mark its vertices,
-so walks inside a component avoid both u and z.  The knotting graph K is
-held as its list of edges, one per tolerated pair of vertices, and
-2-coloured by one ``graph.union_find`` call over its bipartite double
-cover.  An odd cycle among the copies rolls out into two mutually
-avoiding walks anchored at z; bipartiteness certifies there are none,
-and the 2-colouring splits the overlappers of z so that one side joins
-the non-inverting set Z.  The odd cycle and the walks inside a component
-come from one breadth-first search over a dense boolean matrix,
-``_search``, run level by level; a walk's matrix is the safe subgraph,
-read off the packed relations by ``edgetypes.avoiding_rows``.
+edges, loops included, that avoid both u and z.  z is folded into H's
+packed rows once (``edgetypes.avoiding_rows``), and one
+``edgetypes.avoiding_labels`` call over those rows, which K keeps, labels
+the safe subgraph of every u.  Its loops mark its vertices, so walks
+inside a component avoid both u and z.  The knotting graph K is held as
+its list of edges, one per tolerated pair of vertices, and 2-coloured by
+one ``graph.union_find`` call over its bipartite double cover.  An odd
+cycle among the copies rolls out into two mutually avoiding walks
+anchored at z; bipartiteness certifies there are none, and the
+2-colouring splits the overlappers of z so that one side joins the
+non-inverting set Z.  The odd cycle and the walks inside a component come
+from one breadth-first search, ``_search``, over rows packed by
+``graph.pack_rows``, unpacked one level at a time; a walk's rows are the
+kept rows with u folded in as z was.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ from .edgetypes import avoiding_labels, avoiding_rows
 from .graph import pack_rows, union_find, unpack_rows
 
 
-def _search(adj: np.ndarray, a: int,
+def _search(rows: np.ndarray, n: int, a: int,
             stop: Optional[int] = None) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Breadth-first search from a over a dense symmetric boolean matrix,
-    level by level, ended after the level that reaches stop, if given.
+    """Breadth-first search from a over a symmetric relation on n vertices,
+    its rows packed by ``graph.pack_rows``, level by level, ended after the
+    level that reaches stop, if given.
 
     Returns each vertex's tree parent (-1 for a and the unreached) and the
     levels in visit order.  A new vertex's parent is the first vertex of
@@ -40,12 +43,12 @@ def _search(adj: np.ndarray, a: int,
     by index: the tree of a first-in first-out search that scans
     neighbours by index.
     """
-    parent = np.full(len(adj), -1, dtype=np.intp)
-    todo = np.ones(len(adj), dtype=bool)
+    parent = np.full(n, -1, dtype=np.intp)
+    todo = np.ones(n, dtype=bool)
     todo[a] = False
     levels = [np.array([a])]
     while levels[-1].size and (stop is None or todo[stop]):
-        sees = adj[levels[-1]] & todo  # (level, n): who in level sees whom
+        sees = unpack_rows(rows[levels[-1]], n) & todo  # (level, n): who in level sees whom
         new = np.flatnonzero(sees.any(axis=0))
         first = sees[:, new].argmax(axis=0)  # first seer in visit order
         parent[new] = levels[-1][first]
@@ -60,7 +63,8 @@ class KnottingGraph:
     copies: np.ndarray   # int (m, 2): copy c is the component copies[c, 1] of copies[c, 0]
     copy_at: np.ndarray  # int32 [u, v]: the copy of u whose component holds v, or -1
     pairs: np.ndarray    # int32 (e, 2): an edge per tolerated pair x < y, copy of x first
-    avoid: tuple[np.ndarray, ...]  # H's packed closed, overlap and included rows
+    avoid: tuple[np.ndarray, ...]  # packed rows: closed avoiding the anchor, overlap,
+    # and included ORed with the anchor's
 
     @property
     def adjacency(self) -> list[list[int]]:
@@ -72,19 +76,17 @@ class KnottingGraph:
         return [flat[i:j] for i, j in zip(ends[:-1], ends[1:])]
 
     def component_path(self, c: int, a: int, b: int) -> list[int]:
-        """Shortest a-b path inside copy c's component of its owner's safe
-        subgraph, read off a ``_search`` from a over the dense safe matrix,
-        whose columns included with u or the anchor are cleared."""
+        """Shortest a-b path inside copy c's component of its owner u's safe
+        subgraph, read off a ``_search`` from a over the kept rows with u
+        folded in: ``avoiding_rows`` at u, the columns included with u or
+        the anchor cleared."""
         u, comp = self.copies[c].tolist()
         if (self.copy_at[u, [a, b]] != c).any():
             raise InternalError(f"path endpoints outside component {u}/{comp}")
         closed, overlap, included = self.avoid
-        rows, n = closed, len(closed)
-        for z in (u, self.anchor):
-            rows = avoiding_rows(rows, overlap, np.arange(n), overlap[z],
-                                 unpack_rows(overlap[z], n))
-        rows &= ~(included[u] | included[self.anchor])
-        parent, _ = _search(unpack_rows(rows, n), a, b)
+        n = len(closed)
+        rows = avoiding_rows(closed, overlap, np.arange(n), overlap[u], unpack_rows(overlap[u], n))
+        parent, _ = _search(rows & ~included[u], n, a, b)
         if a != b and parent[b] < 0:
             raise InternalError(f"no path {a}-{b} in component {u}/{comp}")
         path = [b]
@@ -103,9 +105,10 @@ def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
     n = H.graph.n
     overlap = (H.types == EdgeType.OVERLAP1) | (H.types == EdgeType.OVERLAP2)
     included = H.types == EdgeType.INCLUSION
-    avoid = tuple(map(pack_rows, (H.graph.closed_adj(), overlap, included)))
+    closed, ov, inc = map(pack_rows, (H.graph.closed_adj(), overlap, included))
+    avoid = (avoiding_rows(closed, ov, np.arange(n), ov[z], overlap[z]), ov, inc | inc[z])
     us = np.flatnonzero(~included[z])  # the vertices z tolerates, z itself excluded
-    label = avoiding_labels(*avoid, us, also=z)  # n off each safe subgraph
+    label = avoiding_labels(*avoid, us)  # n off each safe subgraph
     i, v = np.nonzero(label == np.arange(n))
     copies = np.stack((us[i], np.arange(i.size) - np.searchsorted(i, i)), axis=1)
     at = np.full((us.size, n + 1), -1, dtype=np.int32)  # label -> copy, n -> -1
@@ -152,7 +155,7 @@ def bipartite_or_odd_cycle(K: KnottingGraph) -> Union[np.ndarray, list[int]]:
     inside = a >= 0
     adj = np.zeros((members.size, members.size), dtype=bool)
     adj[a[inside], b[inside]] = adj[b[inside], a[inside]] = True
-    parent, levels = _search(adj, 0)
+    parent, levels = _search(pack_rows(adj), members.size, 0)
     depth = np.empty(members.size, dtype=np.intp)
     for d, level in enumerate(levels):
         depth[level] = d

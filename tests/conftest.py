@@ -105,6 +105,17 @@ def packed_avoiding(closed, overlap, included, zs):
     return M
 
 
+def fold_anchor(packed, also):
+    """Packed closed, overlap and included rows with the anchor also folded
+    in, as build_knotting folds its anchor: the closed rows avoiding also
+    by edgetypes.avoiding_rows over every row, off also's inclusions."""
+    closed, overlap, included = packed
+    n = len(closed)
+    return (avoiding_rows(closed, overlap, np.arange(n), overlap[also],
+                          unpack_rows(overlap[also], n)),
+            overlap, included | included[also])
+
+
 def _bfs_components(M):
     """Least member per component of the graph a boolean symmetric matrix
     induces on its diagonal, len(M) off it; one breadth-first search per

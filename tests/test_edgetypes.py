@@ -18,7 +18,7 @@ from circarc.formats import parse_edge_list
 from circarc.knotting import build_knotting
 from arc_model_edges import nested_lines
 from conftest import (BICLAW_EDGES, _bfs_components, _dense_avoiding, arc_model,
-                      arcs_meet, completion_of, packed_avoiding,
+                      arcs_meet, completion_of, fold_anchor, packed_avoiding,
                       pairing_completion_error, planted_negative, stepwise_avoids)
 from test_graph import random_graph_strategy
 
@@ -582,7 +582,8 @@ class TestAvoidingLabels:
         packed = tuple(map(pack_rows, dense))
         sizes = self.counted_blocks(monkeypatch)
         for also in (None, 0, n - 1):
-            got = avoiding_labels(*packed, np.arange(n), also=also)
+            rows = packed if also is None else fold_anchor(packed, also)
+            got = avoiding_labels(*rows, np.arange(n))
             for z in range(n):
                 M = _dense_avoiding(*dense, z)
                 if also is not None:
@@ -590,8 +591,9 @@ class TestAvoidingLabels:
                 assert got[z].tolist() == _bfs_components(M).tolist()
         assert sizes == [n] * 3  # every anchor in one block
         zs = np.array([5, 2, 5])
-        got = avoiding_labels(*packed, zs, also=3)
-        assert np.array_equal(got, avoiding_labels(*packed, np.arange(n), also=3)[zs])
+        folded = fold_anchor(packed, 3)
+        got = avoiding_labels(*folded, zs)
+        assert np.array_equal(got, avoiding_labels(*folded, np.arange(n))[zs])
         assert avoiding_labels(*packed, zs[:0]).shape == (0, n)
 
     def test_blocks_of_one_anchor_keep_the_labels(self, monkeypatch):

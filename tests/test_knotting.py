@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 import re
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -12,7 +13,7 @@ from circarc.check import (AvoidWalkPair, EdgeType, InternalError, avoids,
                            circular_pairs, classify_all, walk_pair_error)
 from circarc.edgetypes import complete
 from circarc.formats import parse_edge_list
-from circarc.graph import build_graph, reduce as reduce_graph
+from circarc.graph import build_graph, pack_rows, reduce as reduce_graph, unpack_rows
 from circarc.knotting import (bipartite_or_odd_cycle, build_Z, build_knotting,
                               extract_invertible_pair, overlap_side)
 from circarc.recognizer import recognize
@@ -229,6 +230,47 @@ class TestBuildKnotting:
         c, group = next(iter(components(K).items()))
         with pytest.raises(InternalError):
             K.component_path(c, group[0], K.copies[c, 0])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_keeps_the_rows_with_its_anchor_folded_in(self, seed):
+        # at every anchor: the closed rows avoiding it, less the rows and
+        # columns included with it; H's overlap rows; the included rows
+        # ORed with the anchor's
+        rng = random.Random(seed)
+        for G in (arc_model(rng, 20), planted_negative(rng, 12, "biclaw"),
+                  planted_negative(rng, 12, "c4+k1")):
+            H = completion_of(G)[2]
+            n = H.graph.n
+            closed = H.graph.closed_adj()
+            overlap = (H.types == EdgeType.OVERLAP1) | (H.types == EdgeType.OVERLAP2)
+            included = H.types == EdgeType.INCLUSION
+            for z in range(n):
+                K = build_knotting(H, z)
+                rows = unpack_rows(K.avoid[0], n)
+                rows[included[z]] = False
+                rows[:, included[z]] = False
+                assert np.array_equal(rows, _dense_avoiding(closed, overlap, included, z))
+                assert np.array_equal(K.avoid[1], pack_rows(overlap))
+                assert np.array_equal(K.avoid[2], pack_rows(included | included[z]))
+
+    def test_component_paths_peak_below_a_safe_matrix(self):
+        # each path of the walks at |H| = 532 allocates less than one
+        # unpacked |H| x |H| safe matrix: the search unpacks a level at a time
+        H = completion_of(parse_edge_list("\n".join(edge_lines(300, 1, biclaw=True))))[2]
+        n = H.graph.n
+        K = build_knotting(H, int(H.graph.adj.sum(axis=1).argmin()))
+        cycle = bipartite_or_odd_cycle(K)
+        assert n == 532 and isinstance(cycle, list)
+        us = K.copies[cycle, 0].tolist()
+        peaks = []
+        for j, c in enumerate(cycle):  # the calls extract_invertible_pair makes
+            tracemalloc.start()
+            try:
+                K.component_path(c, us[j - 1], us[(j + 1) % len(cycle)])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < n * n, peaks
 
 
 def _forest_bipartite_or_odd_cycle(K):
