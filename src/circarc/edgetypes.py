@@ -38,9 +38,14 @@ def completion_graph(T: TypedGraph) -> Graph:
     cross = not_c[unpaired]
     covered = disjoint_rows(cross, not_n[unpaired])
     apart = not_c[np.ix_(unpaired, unpaired)] & covered
-    added = ~apart
+    n, k = T.graph.n, len(unpaired)
+    adj = np.empty((n + k, n + k), dtype=bool)
+    adj[:n, :n] = T.graph.adj
+    adj[n:, :n] = cross
+    adj[:n, n:] = cross.T
+    added = adj[n:, n:]
+    np.logical_not(apart, out=added)
     np.fill_diagonal(added, False)
-    adj = np.block([[T.graph.adj, cross.T], [cross, added]])
     names = list(T.graph.names)
     taken = set(names)
     for v in unpaired:
@@ -49,7 +54,7 @@ def completion_graph(T: TypedGraph) -> Graph:
             name = "~" + name
         taken.add(name)
         names.append(name)
-    return Graph(adj.shape[0], adj, tuple(names))
+    return Graph(n + k, adj, tuple(names))
 
 
 def complete(T: TypedGraph) -> tuple[TypedGraph, np.ndarray]:

@@ -11,12 +11,16 @@ newline (``check.graph_digest``).  Beyond that a document holds only what
 its checker reads.  A positive one holds the arcs of every input vertex.
 A negative one holds a vertex set S, named in input order (the
 reduction's survivors), and the anchor, the pair and the two walks, named
-in the circular completion of G[S]: the reader rebuilds it with the
-untrusted ``edgetypes.completion_graph`` and checks nothing of it, and
-``check.negative_error`` re-classifies it from adjacency and checks it
-before it checks the walks.  "ca-cert/1" and
-"ca-cert/2" documents, which carried the reduction trace, are no longer
-read.
+in the circular completion of G[S].  The reader classifies G[S], which
+it must do to rebuild the completion with the untrusted
+``edgetypes.completion_graph``, and checks nothing of either.  It hands
+that classification, ``classify_all``'s output, on as the certificate's
+``reduced``.  ``check.negative_error`` reuses it only once it confirms
+that its arrays are still read-only and its graph has G[S]'s names and
+adjacency; it classifies the completion from its adjacency and checks
+it before it checks the walks.  So a negative parse plus verify
+classifies twice.  "ca-cert/1" and "ca-cert/2" documents, which carried
+the reduction trace, are no longer read.
 """
 
 from __future__ import annotations
@@ -146,8 +150,10 @@ def certificate_from_doc(G: Graph, doc: dict[str, Any]) -> Certificate:
     """Rebuild a certificate against G, checking that it was issued for G.
 
     A negative certificate names a vertex set S of G, then vertices of the
-    circular completion of G[S], which is rebuilt here; negative_error
-    then checks it from first principles like any other completion.
+    circular completion of G[S], which is rebuilt here from
+    ``classify_all(G[S])``; that classification becomes the certificate's
+    ``reduced``, and negative_error checks the completion from first
+    principles like any other, on it once it has confirmed it.
     """
     tag = doc.get("format")
     if tag in ("ca-cert/1", "ca-cert/2"):
@@ -184,7 +190,8 @@ def certificate_from_doc(G: Graph, doc: dict[str, Any]) -> Certificate:
     S = _vertices(index, neg["vertices"], "vertices")
     if len(set(S)) != len(S):
         raise FormatError("vertices must name each vertex once")
-    H = completion_graph(classify_all(G.induced(S)))
+    Gt = classify_all(G.induced(S))
+    H = completion_graph(Gt)
     h_index = {name: i for i, name in enumerate(H.names)}
     pair = _vertices(h_index, neg["pair"], "pair")
     if len(pair) != 2:
@@ -192,7 +199,7 @@ def certificate_from_doc(G: Graph, doc: dict[str, Any]) -> Certificate:
     awp = AvoidWalkPair(_vertex(h_index, neg["anchor"]), (pair[0], pair[1]),
                         _vertices(h_index, neg["walk_p"], "walk_p"),
                         _vertices(h_index, neg["walk_q"], "walk_q"))
-    return Certificate(NEGATIVE, vertices=S, completion=H, obstruction=awp)
+    return Certificate(NEGATIVE, vertices=S, completion=H, obstruction=awp, reduced=Gt)
 
 
 def serialize_certificate(G: Graph, cert: Certificate) -> str:

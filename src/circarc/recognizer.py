@@ -5,22 +5,18 @@ of mutually avoiding walks, anchored at a minimum-degree vertex of the
 circular completion of the reduced input.  Only the certificate is
 checked, by the independent checker in ``check``; the stage checks run
 only to name the failing stage.  A positive certificate gets
-``positive_error``.  A negative one gets ``obstruction_error`` on the
-run's own classifications of the reduced graph, which is G[S], and of
-the completion, which the certificate holds: 2 ``classify_all`` calls
-per negative run, where ``negative_error`` would add 2 more.
+``positive_error``, a negative one ``negative_error``.  A negative
+certificate carries the run's classification of the reduced graph, which
+is G[S], as its ``reduced``, and ``negative_error`` is handed the
+classified completion; it confirms both before it reads them, so a
+negative run classifies twice.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 from .arcs import ArcRepresentation, expand_arcs
-from .check import (NEGATIVE, POSITIVE, Certificate, InternalError, TypedGraph,
-                    _vertex_set_error, classify_all, completion_error, negative_error,
-                    obstruction_error, positive_error, representation_error)
+from .check import (NEGATIVE, POSITIVE, Certificate, InternalError, classify_all,
+                    completion_error, negative_error, positive_error, representation_error)
 from .check import verify_negative, verify_positive  # re-exported under their old names
 from .delta import interval_orientation, labelled_from_typed, ordering_violation
 from .edgetypes import complete
@@ -54,7 +50,7 @@ def _certificate(G: Graph, run: _Run) -> Certificate:
         if isinstance(res, list):
             awp = run("extract_invertible_pair", extract_invertible_pair, K, res)
             return Certificate(NEGATIVE, vertices=trace.survivors, completion=H.graph,
-                               obstruction=awp)
+                               obstruction=awp, reduced=T)
         side = run("overlap_side", overlap_side, H, K, res, partner[z])
         zset = run("build_Z", build_Z, H, z, side, partner)
         L = run("labelled_from_typed", labelled_from_typed, H, zset)
@@ -100,27 +96,6 @@ def _diagnosis(run: _Run, reason: str) -> InternalError:
     return InternalError(f"{run.stage}: {reason}")
 
 
-def _negative_run_error(G: Graph, cert: Certificate, T: TypedGraph,
-                        H: TypedGraph) -> Optional[str]:
-    """negative_error(G, cert), read off a run's classifications: T of the
-    reduced graph and H, from ``complete``, of the completion.
-
-    When T's graph has G[S]'s names and adjacency and the certificate's
-    completion is H's graph, T and H are ``classify_all`` of the very
-    graphs negative_error classifies, read-only since, so
-    ``obstruction_error`` on them gives its answer.  Otherwise the full
-    check runs.
-    """
-    err = _vertex_set_error(G, cert)
-    if err is not None:
-        return err
-    S = np.asarray(cert.vertices, dtype=np.intp)
-    if (cert.completion is H.graph and T.graph.names == tuple(G.names[v] for v in S)
-            and np.array_equal(T.graph.adj, G.adj[np.ix_(S, S)])):
-        return obstruction_error(T, H, cert.obstruction)
-    return negative_error(G, cert)
-
-
 def recognize(G: Graph) -> Certificate:
     """Decide circular-arc-ness of G with a verified certificate, or raise
     InternalError naming the failing stage (MemoryError passes through)."""
@@ -130,7 +105,7 @@ def recognize(G: Graph) -> Certificate:
         if cert.verdict == POSITIVE:
             err = positive_error(G, cert)
         else:
-            err = _negative_run_error(G, cert, run["classify_all"], run["complete"][0])
+            err = negative_error(G, cert, run["complete"][0])
         if err is not None:
             raise InternalError(f"emitted certificate invalid: {err}")
         return cert

@@ -157,7 +157,7 @@ def pairing_completion_error(Gt, Ht, partner):
     for u, v in enumerate(partner.tolist()):
         if u == v or partner[v] != u:
             return "pairing is not an involution without fixed points"
-        if Ht.graph.adjacent(u, v) or not Ht.spanning[u, v]:
+        if Ht.graph.adj[u, v] or not Ht.spanning[u, v]:
             return f"{u}, {v} paired but not a circular pair"
         if u >= n and v >= n:
             return f"added vertices {u}, {v} paired together"
@@ -172,10 +172,11 @@ def stepwise_avoids(T, z, walk):
     """Does z avoid the walk, vertex by vertex and step by step: the
     reference for the array ``check.avoids``."""
     for a, b in zip(walk, walk[1:]):
-        if a != b and not T.graph.adjacent(a, b):
+        if a != b and not T.graph.adj[a, b]:
             raise ValueError(f"not a walk: {a} and {b} are non-adjacent")
+    closed = T.graph.closed_adj()
     for x in walk:
-        if T.graph.adjacent(z, x) and not _overlaps(T, z, x):
+        if closed[z, x] and not _overlaps(T, z, x):
             return False
     for a, b in zip(walk, walk[1:]):
         if a != b and _overlaps(T, z, a) and _overlaps(T, z, b) and _overlaps(T, a, b):
@@ -202,7 +203,7 @@ def stepwise_walk_pair_error(H, awp):
     names = H.graph.names
     for walk in (p, q):
         for a, b in zip(walk, walk[1:]):
-            if a != b and not H.graph.adjacent(a, b):
+            if a != b and not H.graph.adj[a, b]:
                 return f"step {names[a]!r}-{names[b]!r} is not an edge"
     if not stepwise_avoids(H, z, p):
         return f"anchor {names[z]!r} does not avoid the first walk"

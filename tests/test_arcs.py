@@ -27,8 +27,8 @@ def _loop_representation_error(G: Graph, rep: ArcRepresentation):
             seen[e] = v
     for u in range(G.n):
         for v in range(u + 1, G.n):
-            if arcs_meet(rep, u, v) != G.adjacent(u, v):
-                want = "intersect" if G.adjacent(u, v) else "be disjoint"
+            if arcs_meet(rep, u, v) != G.adj[u, v]:
+                want = "intersect" if G.adj[u, v] else "be disjoint"
                 return f"arcs of {names[u]!r} and {names[v]!r} should {want}"
     return None
 

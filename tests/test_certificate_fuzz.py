@@ -10,20 +10,23 @@ anchor, the pair or a walk is replaced by another name of the same
 completion, or a walk step is repeated or dropped.
 parse_certificate and the verifier must answer "invalid" (FormatError)
 or "REJECTED" (False), or accept a certificate whose verdict the
-brute-force oracle confirms; any other exception fails.
+brute-force oracle confirms; any other exception fails.  A negative
+certificate gets the same answer from ``negative_error`` with the
+reader's classification of G[S] as with none.
 """
 
 import copy
 import json
+from dataclasses import replace
 from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
+from circarc.check import negative_error
 from circarc.formats import (FormatError, certificate_to_doc,
                              parse_certificate, parse_edge_list)
 from circarc.oracle import oracle_is_ca
-from circarc.recognizer import (NEGATIVE, POSITIVE, recognize,
-                                verify_negative, verify_positive)
+from circarc.recognizer import NEGATIVE, POSITIVE, recognize, verify_positive
 from conftest import BICLAW_EDGES, NEAR_BICLAW_EDGES
 
 
@@ -137,8 +140,13 @@ def test_mutated_certificates_never_crash(example):
         cert = parse_certificate(G, json.dumps(doc))
     except FormatError:
         return
-    ok = (verify_positive(G, cert) if cert.verdict == POSITIVE
-          else verify_negative(G, cert))
+    if cert.verdict == POSITIVE:
+        ok = verify_positive(G, cert)
+    else:
+        # the reader's classification of G[S] changes no answer
+        err = negative_error(G, cert)
+        assert err == negative_error(G, replace(cert, reduced=None))
+        ok = err is None
     assert ok in (True, False)
     if ok:
         # an accepted certificate, however mangled, tells the truth

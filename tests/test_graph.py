@@ -465,11 +465,11 @@ class TestBuildGraph:
         assert biclaw.n == 7
         assert len(biclaw.edges()) == 6
         d, f = biclaw.index_of("d"), biclaw.index_of("f")
-        assert biclaw.adjacent(d, f)
+        assert biclaw.adj[d, f]
 
     def test_single_vertex_has_implicit_loop(self):
         G = build_graph(1, [])
-        assert G.adjacent(0, 0)
+        assert G.closed_adj()[0, 0]
         assert not G.adj[0, 0]
 
     def test_c4(self, c4):
@@ -698,4 +698,4 @@ class TestGraphValidation:
     def test_induced_subgraph(self, biclaw):
         sub = biclaw.induced([0, 1, 2])
         assert sub.names == ("d", "f", "a")
-        assert sub.adjacent(0, 1) and not sub.adjacent(0, 2)
+        assert sub.adj[0, 1] and not sub.adj[0, 2]

@@ -4,6 +4,7 @@ import json
 import random
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -126,8 +127,8 @@ class TestSelfChecksRunOnce:
             # emitted certificate, whose completion check pairs G[S] and the
             # completion; complete pairs the completion once more.  The
             # check reads the run's own classifications of the reduced
-            # graph, which is G[S], and of the completion: negative_error
-            # would classify both again
+            # graph, which is G[S], and of the completion, and classifies
+            # neither again
             assert counts == {"delta.implication_classes": 0,
                               "delta.ordering_violation": 0,
                               "knotting.walk_pair_error": 1,
@@ -135,7 +136,12 @@ class TestSelfChecksRunOnce:
                               "check.completion_error": 1,
                               "check.circular_pairs": 3,
                               "check.classify_all": 2,
-                              "check.negative_error": 0}
+                              "check.negative_error": 1}
+
+
+def fresh_error(G, cert):
+    """negative_error with every classification made afresh."""
+    return negative_error(G, replace(cert, reduced=None))
 
 
 class TestNegativeCheckWork:
@@ -146,9 +152,9 @@ class TestNegativeCheckWork:
         text = serialize_certificate(G, recognize(G))
         counts = count_calls(monkeypatch, ("check.classify_all", "check.circular_pairs"))
         assert verify_negative(G, parse_certificate(G, text))
-        # the reader classifies G[S] to build the completion; the checker
-        # classifies G[S] and the completion, and pairs each once
-        assert counts == {"check.classify_all": 3, "check.circular_pairs": 2}
+        # the reader classifies G[S] to build the completion and hands it
+        # on; the checker classifies the completion, and pairs each once
+        assert counts == {"check.classify_all": 2, "check.circular_pairs": 2}
         # without the biclaw centre b0, G[S] has true twins: the reader
         # refuses it, naming them by input name
         doc = json.loads(text)
@@ -156,14 +162,36 @@ class TestNegativeCheckWork:
         with pytest.raises(FormatError, match=r"true twins 'b\d+', 'b\d+'"):
             parse_certificate(G, json.dumps(doc))
 
+    def test_unconfirmed_classifications_are_made_afresh(self, monkeypatch, biclaw):
+        parsed = parse_certificate(biclaw, serialize_certificate(biclaw, recognize(biclaw)))
+        T = parsed.reduced
+        counts = count_calls(monkeypatch, ("check.classify_all",))
+        for name, awp in broken_obstructions(parsed.obstruction):
+            cert = replace(parsed, obstruction=awp)
+            cases = {
+                "no reduced": replace(cert, reduced=None),
+                "vertices changed after parsing": replace(cert, vertices=cert.vertices[::-1]),
+                "reduced not a TypedGraph": replace(cert, reduced=SimpleNamespace(**vars(T))),
+                "reduced with a writable array": replace(
+                    cert, reduced=replace(T, types=T.types.copy())),
+            }
+            for case, other in cases.items():
+                counts["check.classify_all"] = 0
+                got = negative_error(biclaw, other)
+                # G[S] afresh: one more than the completion alone, which
+                # the reader leaves unclassified
+                assert counts == {"check.classify_all": 2}, (name, case)
+                assert got == fresh_error(biclaw, other), (name, case)
+
 
 def run_parts(G):
-    """G's negative certificate, unchecked, with the run's classifications
-    of the reduced graph and of the completion."""
+    """G's negative certificate, unchecked, with the run's classification
+    of the completion; its reduced is the run's of the reduced graph."""
     run = recognizer._Run()
     cert = recognizer._certificate(G, run)
     assert cert.verdict == NEGATIVE
-    return cert, run["classify_all"], run["complete"][0]
+    assert cert.reduced is run["classify_all"]
+    return cert, run["complete"][0]
 
 
 def broken_obstructions(awp):
@@ -185,24 +213,25 @@ NEGATIVES = {
 
 
 class TestHeldNegativeCheck:
-    """The check a run makes on its own classifications answers as
-    negative_error does."""
+    """negative_error on a run's own classifications answers as it does on
+    classifications made afresh."""
 
     @pytest.mark.parametrize("graph", list(NEGATIVES))
     def test_same_answer_as_negative_error(self, monkeypatch, graph):
         G = NEGATIVES[graph]()
-        cert, T, H = run_parts(G)
-        counts = count_calls(monkeypatch, ("check.classify_all", "check.negative_error"))
-        for name, awp in broken_obstructions(cert.obstruction):
-            broken = replace(cert, obstruction=awp)  # the same completion object
-            got = recognizer._negative_run_error(G, broken, T, H)
-            assert counts == {"check.classify_all": 0, "check.negative_error": 0}, name
-            assert got == negative_error(G, broken), name
+        cert, H = run_parts(G)
+        broken = {name: replace(cert, obstruction=awp)  # the same completion object
+                  for name, awp in broken_obstructions(cert.obstruction)}
+        want = {name: fresh_error(G, other) for name, other in broken.items()}
+        counts = count_calls(monkeypatch, ("check.classify_all",))
+        for name, other in broken.items():
+            got = negative_error(G, other, H)
+            assert counts == {"check.classify_all": 0}, name
+            assert got == want[name], name
             assert (got is None) == (name == "emitted"), (name, got)
-            counts.update(dict.fromkeys(counts, 0))
 
     def test_other_graphs_get_the_full_check(self, monkeypatch, biclaw):
-        cert, T, H = run_parts(biclaw)
+        cert, H = run_parts(biclaw)
         Hg = H.graph
         renamed = Graph(biclaw.n, biclaw.adj, tuple(n + "'" for n in biclaw.names))
         toggled = biclaw.adj.copy()
@@ -214,12 +243,13 @@ class TestHeldNegativeCheck:
             "input renamed": (renamed, cert),
             "input edge toggled": (Graph(biclaw.n, toggled, biclaw.names), cert),
         }
-        counts = count_calls(monkeypatch, ("check.negative_error",))
+        counts = count_calls(monkeypatch, ("check.classify_all",))
         for name, (G, other) in cases.items():
-            counts["check.negative_error"] = 0
-            got = recognizer._negative_run_error(G, other, T, H)
-            assert counts == {"check.negative_error": 1}, name
-            assert got == negative_error(G, other), name
+            counts["check.classify_all"] = 0
+            got = negative_error(G, other, H)
+            # the one classification that does not match is made afresh
+            assert counts == {"check.classify_all": 1}, name
+            assert got == fresh_error(G, other), name
 
 
 class TestNegativeFaults:
@@ -305,12 +335,12 @@ class TestVerifyNegative:
     ], ids=["past-the-end", "negative", "repeated", "repeated-extra"])
     def test_bad_vertex_set(self, biclaw, edit, message):
         # an index past the end would raise, and -1 would wrap, in G.induced;
-        # a run's own check on its classifications gives the same reason
-        cert, T, H = run_parts(biclaw)
+        # the check on a run's own classifications gives the same reason
+        cert, H = run_parts(biclaw)
         assert cert.vertices == list(range(7))
         cert.vertices = edit(cert.vertices)
-        assert message in negative_error(biclaw, cert)
-        assert recognizer._negative_run_error(biclaw, cert, T, H) == negative_error(biclaw, cert)
+        assert message in fresh_error(biclaw, cert)
+        assert negative_error(biclaw, cert, H) == fresh_error(biclaw, cert)
 
 
 class TestOracleAgreementSmall:
