@@ -15,6 +15,8 @@ import json
 import sys
 from typing import Optional
 
+import numpy as np
+
 from .check import POSITIVE, InternalError, classify_all, negative_error, positive_error
 from .edgetypes import complete
 from .formats import (FormatError, parse_certificate, parse_edge_list,
@@ -145,8 +147,9 @@ def _knotting_dot(K: KnottingGraph, names) -> str:
     ids = ['"{}/{}"'.format(names[u].replace("\\", "\\\\").replace('"', '\\"'), i + 1)
            for u, i in K.copies.tolist()]
     lines = ["graph knotting {"] + [f"  {node};" for node in ids]
-    for a, nbrs in enumerate(K.adjacency):
-        lines += [f"  {ids[a]} -- {ids[b]};" for b in nbrs if b > a]
+    edges = np.sort(K.pairs, axis=1)
+    edges = edges[np.lexsort(edges.T[::-1])]  # by first copy, then second
+    lines += [f"  {ids[a]} -- {ids[b]};" for a, b in edges.tolist()]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .check import EdgeType, InternalError, TypedGraph
+from .check import InternalError, TypedGraph
 from .edgetypes import avoiding_labels
 from .graph import disjoint_rows, pack_rows, sorted_unique, union_find
 
@@ -70,18 +70,17 @@ class LabelledGraph:
 def labelled_from_typed(T: TypedGraph, vertices: list[int]) -> LabelledGraph:
     """Restrict a typed graph to a vertex subset, keeping the ambient types.
 
-    1-overlap and 2-overlap collapse to Overlap; inclusion edges are
-    oriented by the ambient closed-neighborhood containment.
+    Rows, then columns, as in ``Graph.induced``.  One table lookup collapses
+    1-overlap and 2-overlap to Overlap; inside is the ambient closed-
+    neighborhood containment off the diagonal, which LabelledGraph checks
+    orients exactly the inclusion edges.
     """
-    idx = np.array(vertices, dtype=int)
-    k = len(vertices)
-    t = T.types[np.ix_(idx, idx)]
-    labels = np.zeros((k, k), dtype=np.int8)
-    labels[(t == EdgeType.OVERLAP1) | (t == EdgeType.OVERLAP2)] = Label.OVERLAP
-    labels[t == EdgeType.INCLUSION] = Label.INCLUSION
-    incl = (labels == Label.INCLUSION) & ~np.eye(k, dtype=bool)
-    # LabelledGraph rejects an inclusion edge that containment leaves unoriented
-    return LabelledGraph(k, labels, incl & T.contains[np.ix_(idx, idx)])
+    idx = np.array(vertices, dtype=np.intp)
+    table = np.array([Label.NONEDGE, Label.OVERLAP, Label.OVERLAP, Label.INCLUSION], np.int8)
+    labels = table[T.types[idx][:, idx]]  # indexed by EdgeType
+    inside = T.contains[idx][:, idx]
+    np.fill_diagonal(inside, False)
+    return LabelledGraph(len(idx), labels, inside)
 
 
 class DeltaClasses(NamedTuple):
@@ -135,12 +134,14 @@ def interval_orientation(L: LabelledGraph) -> list[int]:
     from a loop over a stack of sorted vertex sets of L.  The forcing
     classes are computed once, on L: as in modular decomposition, a
     module's or a quotient's classes are the whole graph's restricted to
-    it, ranked by their least pair there.  A set whose
+    it, ranked by their least pair there.  A set is read through a
+    membership mask, its class spans keyed by class, then vertex; a set whose
     narrowest proper class (the first in rank among equal sizes) spans a
     module M pushes M, then the quotient that keeps only M's least vertex,
     so the quotient's subtree is ordered first.  A set with only a spanning
     class, the class of its least pair, gives its p-th vertex in the
-    class's tournament the key of its least vertex extended by p.  These
+    class's tournament, ranked by out-degrees counted off its pairs and
+    inside, the key of its least vertex extended by p.  These
     are preorder keys: one sort splices each module into the slot of its
     least vertex.  A module of one vertex, which only a fault can give,
     raises InternalError, so every set pushed is smaller than the set popped.
@@ -150,44 +151,42 @@ def interval_orientation(L: LabelledGraph) -> list[int]:
     if self_inverse.size:
         i = self_inverse[0]  # the least pair of the least self-inverse class
         raise DeltaInvertiblePair((int(a[i]), int(b[i])))
-    key: list[tuple[int, ...]] = [()] * L.n
+    n = L.n
+    key: list[tuple[int, ...]] = [()] * n
+    held = np.zeros(n, dtype=bool)  # the popped set
     # a class spans two vertices, so no set pushed below has fewer
-    stack = [np.arange(L.n)] if L.n > 1 else []
+    stack = [np.arange(n)] if n > 1 else []
     while stack:
         vs = stack.pop()
-        n = vs.size
-        pos = np.full(L.n, -1)
-        pos[vs] = np.arange(n)  # position in vs, -1 outside it
-        keep = np.flatnonzero((pos[a] >= 0) & (pos[b] >= 0))
+        held[vs] = True
+        keep = np.flatnonzero(held[a] & held[b])
         c = cid[keep]  # the kept pairs stay in lexicographic order
-        sa, sb = pos[a[keep]], pos[b[keep]]
-        # span members as keys c*n + p, sorted by class and then by position
-        members = sorted_unique(np.concatenate([c * n + sa, c * n + sb]))
+        # span members as keys c*n + v, sorted by class and then by vertex
+        members = sorted_unique(np.concatenate([c * n + a[keep], c * n + b[keep]]))
         classes, size = np.unique(members // n, return_counts=True)
-        proper = size < n
+        proper = size < vs.size
         if proper.any():
+            held[vs] = False
             # of the narrowest proper classes, the one with the least pair in vs
             narrow = classes[proper & (size == size[proper].min())]
             narrowest = c[np.isin(c, narrow)][0]
-            module = vs[members[members // n == narrowest] % n]
+            module = members[members // n == narrowest] % n
             if module.size < 2:
                 raise InternalError(f"class {narrowest} spans one vertex, {module[0]}")
             stack += [module, np.setdiff1d(vs, module[1:], assume_unique=True)]
             continue
-        rel = np.zeros((n, n), dtype=bool)
-        if classes.size:
-            # every class spans all vertices: a single class and its inverse
-            # remain, and rel takes the class of the least pair
-            least = c == c[0]
-            rel[sa[least], sb[least]] = True
-        # rel and 'inside' make a transitive tournament, ranked by out-degree;
+        # every class spans vs, so one class and its inverse remain; the
+        # least pair's class and 'inside' make a transitive tournament, and
+        # its active pairs are never inclusion pairs, so out-degrees add;
         # with no classes every pair is inclusion-labelled
-        tournament = rel | L.inside[np.ix_(vs, vs)]
-        order = np.argsort(-tournament.sum(axis=1), kind="stable")
+        out = L.inside[vs].sum(axis=1, where=held)
+        held[vs] = False
+        if classes.size:
+            out += np.bincount(a[keep[c == c[0]]], minlength=n)[vs]
         head = key[vs[0]]
-        for p, u in enumerate(vs[order].tolist()):
+        for p, u in enumerate(vs[np.argsort(-out, kind="stable")].tolist()):
             key[u] = head + (p,)
-    return sorted(range(L.n), key=key.__getitem__)
+    return sorted(range(n), key=key.__getitem__)
 
 
 def ordering_violation(L: LabelledGraph, order: list[int]) -> Optional[tuple]:
@@ -208,8 +207,8 @@ def ordering_violation(L: LabelledGraph, order: list[int]) -> Optional[tuple]:
     n = L.n
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the vertices")
-    idx = np.array(order, dtype=int)
-    lab = L.labels[np.ix_(idx, idx)]
+    idx = np.array(order, dtype=np.intp)
+    lab = L.labels[idx][:, idx]
     # rows and columns by position; the diagonal drops out of every triu
     non = np.triu(lab == Label.NONEDGE, 1)
     ov = np.triu(lab == Label.OVERLAP, 1)

@@ -170,19 +170,13 @@ def certificate_from_doc(G: Graph, doc: dict[str, Any]) -> Certificate:
         pos = doc["positive"]
         if type(pos["circle_size"]) is not int:  # JSON integers; bool is not one
             raise FormatError("circle_size must be an integer")
-        named = pos["arcs"]
-        lrs = list(named.values())
-        vs = [index.get(name) for name in named]
-        ok = [type(lr) is list and len(lr) == 2 and type(lr[0]) is int and type(lr[1]) is int
-              for lr in lrs]
-        if not all(ok) or None in vs:
-            # the first bad item in document order; its arc before its name
-            for name, good, v in zip(named, ok, vs):
-                if not good:
-                    raise FormatError(f"arc of {name!r} must be a pair of integers")
-                if v is None:
-                    _vertex(index, name)  # raises: no vertex has this name
-        arcs = dict(zip(vs, map(tuple, lrs)))
+        arcs = {}
+        # in document order, each item's arc before its name
+        for name, lr in pos["arcs"].items():
+            if not (type(lr) is list and len(lr) == 2
+                    and type(lr[0]) is int and type(lr[1]) is int):
+                raise FormatError(f"arc of {name!r} must be a pair of integers")
+            arcs[_vertex(index, name)] = (lr[0], lr[1])
         return Certificate(POSITIVE, arcs=ArcRepresentation(pos["circle_size"], arcs))
     if verdict != NEGATIVE:
         raise FormatError(f"unknown verdict {verdict!r}")

@@ -51,12 +51,12 @@ def build_intervals(L: LabelledGraph, order: list[int]) -> np.ndarray:
     """
     n = L.n
     idx = np.array(order, dtype=np.intp)
-    lab = L.labels[np.ix_(idx, idx)]  # rows and columns by position
+    lab = L.labels[idx][:, idx]  # rows, then columns, by position
     # last[k]: the position of y, the last vertex from order[k] on that
     # meets order[k]; the loop at order[k] is never a non-edge
     last = np.where(np.triu(lab != Label.NONEDGE), np.arange(n), 0).max(axis=1, initial=0)
     incl = np.triu(lab == Label.INCLUSION, 1)
-    outer = incl & ~L.inside[np.ix_(idx, idx)]
+    outer = incl & ~L.inside[idx][:, idx]
     if outer.any():
         k = int(np.flatnonzero(outer.any(axis=1))[-1])
         v = order[int(np.argmax(outer[k]))]

@@ -11,12 +11,14 @@ import pytest
 import circarc.oracle
 import circarc.recognizer
 from circarc.arcs import ArcRepresentation
-from circarc.cli import main
+from circarc.cli import _knotting_dot, main
 from circarc.check import InternalError, classify_all
 from circarc.formats import parse_edge_list, write_graph6
 from circarc.graph import Graph
+from circarc.knotting import build_knotting
 from arc_model_edges import edge_lines
-from conftest import BICLAW_EDGES, NEAR_BICLAW_EDGES, arc_model, planted_negative
+from conftest import (BICLAW_EDGES, NEAR_BICLAW_EDGES, arc_model, completion_of,
+                      planted_negative)
 
 
 NOT_UTF8 = b"a b\n\xff\xfe c\n"
@@ -441,6 +443,23 @@ class TestKnottingCommand:
         want = [x.replace("d", 'd"q').replace("g", "g\\")
                 for line in plain for x in re.findall(r'"([^"]*)"', line)]
         assert ids == want
+
+    def test_dot_edges_in_adjacency_order(self):
+        # each knotting edge once, from its lower copy, by that copy and then
+        # by the other: the order of K.adjacency, on an arc model whose
+        # owners have several copies, so the order of K.pairs differs
+        H = completion_of(arc_model(random.Random(3), 30))[2]
+        reordered = 0
+        for z in range(H.graph.n):
+            K = build_knotting(H, z)
+            lines = _knotting_dot(K, H.graph.names).splitlines()[1:-1]
+            node = {line[2:-1]: c for c, line in enumerate(lines[:len(K.copies)])}
+            got = [tuple(node[x] for x in line[2:-1].split(" -- "))
+                   for line in lines[len(K.copies):]]
+            want = [(a, b) for a, nbrs in enumerate(K.adjacency) for b in nbrs if b > a]
+            assert got == want, z
+            reordered += want != [tuple(p) for p in K.pairs.tolist()]
+        assert reordered
 
     def test_dot_dir_missing(self, tmp_path, capsys):
         f = write(tmp_path, "g.txt", NEAR_BICLAW_EDGES)

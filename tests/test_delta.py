@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import networkx as nx
 from hypothesis import assume, given, settings, strategies as st
 
 import circarc
@@ -15,14 +16,14 @@ from circarc.delta import (DeltaInvertiblePair, Label, LabelledGraph, Pair,
                            implication_classes, interval_orientation,
                            labelled_from_typed, ordering_violation,
                            verify_interval_ordering)
-from circarc.check import InternalError, classify_all
+from circarc.check import EdgeType, InternalError, classify_all
 from circarc.edgetypes import complete
 from circarc.formats import parse_edge_list, write_edge_list
-from circarc.graph import sorted_unique
+from circarc.graph import build_graph, sorted_unique
 from circarc.knotting import build_knotting, build_Z, overlap_side
 from arc_model_edges import nested_lines, short_lines
-from conftest import (_dense_avoiding, arc_model, bfs, labels_on_Z, make_labelled,
-                      packed_avoiding, tree_path)
+from conftest import (_dense_avoiding, arc_model, bfs, completion_of, labels_on_Z,
+                      make_labelled, packed_avoiding, tree_path)
 
 
 def overlap_path():
@@ -505,6 +506,41 @@ class TestSpan:
             classes, _ = class_sets(cls)
             for k, c in enumerate(classes):
                 assert span(c) == span(classes[cls.inverse[k]])
+
+
+def _loop_labelled_from_typed(T, vertices: list[int]):
+    """(labels, inside) of T restricted to vertices, pair by pair: the
+    reference for labelled_from_typed."""
+    label_of = {EdgeType.NONEDGE: Label.NONEDGE, EdgeType.OVERLAP1: Label.OVERLAP,
+                EdgeType.OVERLAP2: Label.OVERLAP, EdgeType.INCLUSION: Label.INCLUSION}
+    k = len(vertices)
+    labels = np.zeros((k, k), dtype=np.int8)
+    inside = np.zeros((k, k), dtype=bool)
+    for i, u in enumerate(vertices):
+        for j, v in enumerate(vertices):
+            labels[i, j] = label_of[EdgeType(int(T.types[u, v]))]
+            inside[i, j] = u != v and bool(T.contains[u, v])
+    return labels, inside
+
+
+class TestLabelledFromTyped:
+    def test_matches_loop_reference_on_atlas_completions(self):
+        # every atlas graph's completion, at its full vertex set and at two
+        # random subsets in random order
+        rng = random.Random(59)
+        restrictions = 0
+        for g in nx.graph_atlas_g()[1:]:
+            H = completion_of(build_graph(g.number_of_nodes(), list(g.edges())))[2]
+            n = H.graph.n
+            for vertices in [list(range(n))] + [rng.sample(range(n), rng.randint(0, n))
+                                                for _ in range(2)]:
+                L = labelled_from_typed(H, vertices)
+                labels, inside = _loop_labelled_from_typed(H, vertices)
+                assert L.n == len(vertices)
+                assert L.labels.dtype == np.int8 and np.array_equal(L.labels, labels), vertices
+                assert np.array_equal(L.inside, inside), vertices
+                restrictions += 1
+        assert restrictions == 3 * 1252
 
 
 class TestOrdering:
