@@ -102,28 +102,33 @@ def implication_classes(L: LabelledGraph) -> DeltaClasses:
     A step (a,b) -> (c,b) needs the edge ac to avoid b, and (a,b) -> (a,c)
     needs bc to avoid a, so each kind of step stays inside one anchor's
     avoidance matrix.  Labelling the components of those matrices
-    (``edgetypes.avoiding_labels``) gives two partitions of the pairs:
-    the pairs (x, z) joined by the first kind of step, and the pairs (z, x)
-    joined by the second.  The classes are the components of the two
-    together: ``graph.union_find`` over the edges joining each pair to a
-    member of its block in either partition.  They are numbered by least
-    pair.
+    (``edgetypes.avoiding_labels``) gives two partitions of the pairs into
+    blocks: the pairs (x, b) joined by the first kind of step, and the
+    pairs (a, y) joined by the second, each block rooted at its least
+    pair.  The classes are the components of the two together:
+    ``graph.union_find`` over one edge per pair, joining the roots of its
+    two blocks.  A class's least pair roots its own block at b, so it is
+    the least member of the roots' component, and the classes are numbered
+    by least pair with a running count of those roots.  Pairs (a, b) are
+    read through flat indices a * n + b.
     """
     n = L.n
     # lab[z, x]: least vertex of x's component in the matrix at z, n when the
-    # loop at x does not avoid z, that is when (x, z) is not an active pair
+    # loop at x does not avoid z, that is when (x, z) is not an active pair;
+    # an active pair's reversal is active, so lab < n is symmetric
     lab = avoiding_labels(pack_rows(L.labels != Label.NONEDGE),
                           pack_rows(L.labels == Label.OVERLAP),
-                          pack_rows(L.labels == Label.INCLUSION), np.arange(n))
-    a, b = np.nonzero(lab.T < n)  # the active pairs, in lexicographic order
-    rank = np.full((n, n), -1, dtype=np.intp)
-    rank[a, b] = np.arange(a.size)
-    # ranks keep the pair order, so the least rank is the least pair
-    least = union_find(a.size, np.tile(np.arange(a.size), 2),
-                       np.concatenate([rank[lab[b, a], b], rank[a, lab[a, b]]]))
-    roots, cid = np.unique(least, return_inverse=True)
-    cid = cid.reshape(-1)
-    return DeltaClasses(a, b, cid, cid[rank[b[roots], a[roots]]])
+                          pack_rows(L.labels == Label.INCLUSION), np.arange(n)).reshape(-1)
+    a, b = np.divmod(np.flatnonzero(lab < n), n)  # the active pairs, in lexicographic order
+    rank = np.full(n * n, -1, dtype=np.intp)
+    rank[a * n + b] = np.arange(a.size)
+    # ranks keep the pair order, so the least rank is the least pair; each
+    # pair joins its block's root at b, (lab[b, a], b), to its root at a, (a, lab[a, b])
+    src = rank[lab[b * n + a] * n + b]
+    least = union_find(a.size, src, rank[a * n + lab[a * n + b]])[src]
+    root = least == np.arange(a.size)
+    cid = (np.cumsum(root) - 1)[least]
+    return DeltaClasses(a, b, cid, cid[rank[b[root] * n + a[root]]])
 
 
 def interval_orientation(L: LabelledGraph) -> list[int]:
@@ -135,10 +140,12 @@ def interval_orientation(L: LabelledGraph) -> list[int]:
     classes are computed once, on L: as in modular decomposition, a
     module's or a quotient's classes are the whole graph's restricted to
     it, ranked by their least pair there.  A set is read through a
-    membership mask, its class spans keyed by class, then vertex; a set whose
-    narrowest proper class (the first in rank among equal sizes) spans a
-    module M pushes M, then the quotient that keeps only M's least vertex,
-    so the quotient's subtree is ordered first.  A set with only a spanning
+    membership mask, its class spans keyed by class, then vertex, so each
+    class's size is the length of its run of sorted keys; a set whose
+    narrowest proper class (the first in rank among equal sizes, found
+    through a mask over the classes) spans a module M pushes M, then the
+    quotient that keeps only M's least vertex, read off the membership
+    mask, so the quotient's subtree is ordered first.  A set with only a spanning
     class, the class of its least pair, gives its p-th vertex in the
     class's tournament, ranked by out-degrees counted off its pairs and
     inside, the key of its least vertex extended by p.  These
@@ -154,6 +161,7 @@ def interval_orientation(L: LabelledGraph) -> list[int]:
     n = L.n
     key: list[tuple[int, ...]] = [()] * n
     held = np.zeros(n, dtype=bool)  # the popped set
+    narrow = np.zeros(inverse.size, dtype=bool)  # the narrowest proper classes
     # a class spans two vertices, so no set pushed below has fewer
     stack = [np.arange(n)] if n > 1 else []
     while stack:
@@ -163,17 +171,22 @@ def interval_orientation(L: LabelledGraph) -> list[int]:
         c = cid[keep]  # the kept pairs stay in lexicographic order
         # span members as keys c*n + v, sorted by class and then by vertex
         members = sorted_unique(np.concatenate([c * n + a[keep], c * n + b[keep]]))
-        classes, size = np.unique(members // n, return_counts=True)
+        cls = members // n
+        starts = np.flatnonzero(np.diff(cls, prepend=-1))  # each class's run
+        classes, size = cls[starts], np.diff(starts, append=cls.size)
         proper = size < vs.size
         if proper.any():
-            held[vs] = False
             # of the narrowest proper classes, the one with the least pair in vs
-            narrow = classes[proper & (size == size[proper].min())]
-            narrowest = c[np.isin(c, narrow)][0]
-            module = members[members // n == narrowest] % n
+            narrow[classes[proper & (size == size[proper].min())]] = True
+            narrowest = c[narrow[c].argmax()]
+            narrow[classes] = False
+            module = members[cls == narrowest] % n
             if module.size < 2:
                 raise InternalError(f"class {narrowest} spans one vertex, {module[0]}")
-            stack += [module, np.setdiff1d(vs, module[1:], assume_unique=True)]
+            held[module[1:]] = False
+            quotient = vs[held[vs]]
+            held[vs] = False
+            stack += [module, quotient]
             continue
         # every class spans vs, so one class and its inverse remain; the
         # least pair's class and 'inside' make a transitive tournament, and

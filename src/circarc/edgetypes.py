@@ -37,7 +37,7 @@ def completion_graph(T: TypedGraph) -> Graph:
     # not_c[v, v] is False, so no added vertex sees its own partner
     cross = not_c[unpaired]
     covered = disjoint_rows(cross, not_n[unpaired])
-    apart = not_c[np.ix_(unpaired, unpaired)] & covered
+    apart = cross[:, unpaired] & covered
     n, k = T.graph.n, len(unpaired)
     adj = np.empty((n + k, n + k), dtype=bool)
     adj[:n, :n] = T.graph.adj
@@ -91,13 +91,16 @@ def _label_block(closed: np.ndarray, overlap: np.ndarray, included: np.ndarray,
     breadth-first level at a time: the frontier's ``avoiding_rows`` are
     ORed per anchor, and a graph whose component is done starts the next at
     its least unreached vertex, which is therefore the least vertex of that
-    component.
+    component.  The (anchor, vertex) arrays are read and written through
+    flat indices g * n + v: a level finds its new vertices with one
+    ``np.flatnonzero`` of its contiguous seen block, divided by n.
     """
     n = closed.shape[0]
     todo = ~unpack_rows(included[zs], n)  # the vertices not yet reached
     ovz = overlap[zs]
-    meets = unpack_rows(ovz, n)  # meets[g, v]: v overlaps zs[g]
+    meets = unpack_rows(ovz, n).reshape(-1)  # meets[g * n + v]: v overlaps zs[g]
     label = np.full(todo.shape, n, dtype=np.intp)
+    flat_todo, flat_label = todo.reshape(-1), label.reshape(-1)
     lead = np.zeros(len(zs), dtype=np.intp)  # the start of each graph's component
     fg = fv = np.zeros(0, dtype=np.intp)  # the frontier, by graph
     while True:
@@ -106,8 +109,9 @@ def _label_block(closed: np.ndarray, overlap: np.ndarray, included: np.ndarray,
         idle = np.flatnonzero(idle)
         if idle.size:
             s = todo[idle].argmax(axis=1)
-            lead[idle] = label[idle, s] = s
-            todo[idle, s] = False
+            at = idle * n + s
+            lead[idle] = flat_label[at] = s
+            flat_todo[at] = False
             fg, fv = np.concatenate((fg, idle)), np.concatenate((fv, s))
             by_graph = np.argsort(fg, kind="stable")
             fg, fv = fg[by_graph], fv[by_graph]
@@ -115,13 +119,14 @@ def _label_block(closed: np.ndarray, overlap: np.ndarray, included: np.ndarray,
             return label
         first = np.flatnonzero(np.concatenate(([True], fg[1:] != fg[:-1])))  # fg is sorted
         gs = fg[first]
-        rows = avoiding_rows(closed, overlap, fv, ovz[fg], meets[fg, fv])
+        rows = avoiding_rows(closed, overlap, fv, ovz[fg], meets[fg * n + fv])
         seen = unpack_rows(np.bitwise_or.reduceat(rows, first), n)
         seen &= todo[gs]
-        i, fv = np.nonzero(seen)
+        i, fv = np.divmod(np.flatnonzero(seen), n)
         fg = gs[i]
-        todo[fg, fv] = False
-        label[fg, fv] = lead[fg]
+        at = fg * n + fv
+        flat_todo[at] = False
+        flat_label[at] = lead[fg]
 
 
 def avoiding_labels(closed: np.ndarray, overlap: np.ndarray, included: np.ndarray,

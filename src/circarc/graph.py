@@ -143,7 +143,7 @@ class Graph:
     def induced(self, vertices: Sequence[int]) -> "Graph":
         vs = list(vertices)
         idx = np.array(vs, dtype=np.intp)
-        # rows, then columns: a quarter of the time of np.ix_ at n ~ 100
+        # rows, then columns: a quarter of the time of an open-mesh (ix_) index at n ~ 100
         return Graph(len(vs), self.adj[idx][:, idx], tuple(self.names[v] for v in vs))
 
 

@@ -66,7 +66,7 @@ def build_intervals(L: LabelledGraph, order: list[int]) -> np.ndarray:
     # latest of L(y) and the R(i) of the vertices i inside it.  Insertions
     # never reorder what is placed, so the sequence is a preorder: L(order[j])
     # has key (j,) and R(order[k]) the key of that anchor extended by k.
-    rows, inner = np.nonzero(incl)
+    rows, inner = np.divmod(np.flatnonzero(incl), n)
     starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
     inner, last = inner.tolist(), last.tolist()
     lkey = [(j,) for j in range(n)]

@@ -109,17 +109,19 @@ def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
     avoid = (avoiding_rows(closed, ov, np.arange(n), ov[z], overlap[z]), ov, inc | inc[z])
     us = np.flatnonzero(~included[z])  # the vertices z tolerates, z itself excluded
     label = avoiding_labels(*avoid, us)  # n off each safe subgraph
-    i, v = np.nonzero(label == np.arange(n))
+    i, v = np.divmod(np.flatnonzero(label == np.arange(n)), n)
     copies = np.stack((us[i], np.arange(i.size) - np.searchsorted(i, i)), axis=1)
-    at = np.full((us.size, n + 1), -1, dtype=np.int32)  # label -> copy, n -> -1
-    at[i, v] = np.arange(i.size)
+    at = np.full(us.size * (n + 1), -1, dtype=np.int32)  # [i * (n + 1) + label]: copy, n -> -1
+    at[i * (n + 1) + v] = np.arange(i.size)
     copy_at = np.full((n, n), -1, dtype=np.int32)
-    copy_at[us] = np.take_along_axis(at, label, axis=1)
+    copy_at[us] = at[label + (n + 1) * np.arange(us.size)[:, None]]
     # copies meet for every non-inclusion pair, adjacent or not; a copy
     # names its owner, so no two pairs x < y give the same edge; us is
     # increasing, so the pairs come in row-major order
-    xs, ys = us[np.stack(np.nonzero(np.triu(~included[np.ix_(us, us)], 1)))]
-    pairs = np.stack((copy_at[xs, ys], copy_at[ys, xs]), axis=1)
+    x, y = np.divmod(np.flatnonzero(np.triu(~included[us][:, us], 1)), us.size)
+    xs, ys = us[x], us[y]
+    flat = copy_at.reshape(-1)
+    pairs = np.stack((flat[xs * n + ys], flat[ys * n + xs]), axis=1)
     if (pairs < 0).any():
         raise InternalError("a tolerated pair lies outside a safe subgraph")
     return KnottingGraph(z, copies, copy_at, pairs, avoid)
@@ -225,8 +227,8 @@ def build_Z(H: TypedGraph, z: int, Y: set[int], partner: np.ndarray) -> list[int
     if unsplit.size:
         u = int(unsplit[0])
         raise InternalError(f"pair {u},{partner[u]} not split by Z")
-    inside = np.argwhere(np.triu(H.types[np.ix_(zset, zset)] == EdgeType.OVERLAP2, 1))
+    inside = np.flatnonzero(np.triu(H.types[zset][:, zset] == EdgeType.OVERLAP2, 1))
     if inside.size:
-        i, j = inside[0]
+        i, j = divmod(int(inside[0]), len(zset))
         raise InternalError(f"2-overlap edge {zset[i]},{zset[j]} inside Z")
     return zset

@@ -474,6 +474,32 @@ class TestImplicationClasses:
         assert L.n >= 20
         self.assert_matches_reference(L, 5)
 
+    @pytest.mark.parametrize("seed,n", [(7, 35), (2, 35), (17, 34), (17, 38),
+                                        (19, 30), (19, 38), (27, 30)])
+    def test_matches_bfs_reference_mid_arc_models(self, seed, n):
+        # |Z| of 14-26: more than two classes at (7, 35) and (2, 35), and
+        # two hooking rounds of union_find at the others
+        L = labels_on_Z(arc_model(random.Random(seed), n))[3]
+        assert L.n >= 12
+        self.assert_matches_reference(L, 5)
+
+    def test_one_union_find_edge_per_active_pair(self, monkeypatch):
+        calls = []
+        real = delta.union_find
+
+        def spy(m, src, dst):
+            calls.append((m, len(src), len(dst)))
+            return real(m, src, dst)
+
+        monkeypatch.setattr(delta, "union_find", spy)
+        rng = random.Random(23)
+        cases = [random_labelled(rng, rng.randint(2, 9)) for _ in range(20)]
+        cases.append(labels_on_Z(arc_model(random.Random(7), 35))[3])
+        for L in cases:
+            calls.clear()
+            cls = implication_classes(L)
+            assert calls == [(cls.a.size,) * 3]
+
     def test_chain_across_classes_rejected(self):
         # the reference forest has one tree per class
         L = make_labelled(2, overlaps=[(0, 1)])

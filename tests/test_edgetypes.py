@@ -628,6 +628,48 @@ class TestAvoidingLabels:
         assert set(sizes) == {1} and len(sizes) == anchors
 
 
+class TestDeepLabels:
+    """The labeller on graphs whose avoidance components are long paths,
+    so that it runs about n lock-step levels, not the handful of dense
+    random graphs."""
+
+    @pytest.mark.parametrize("graph", ["path", "cycle"])
+    @pytest.mark.parametrize("words", [None, 1])
+    def test_matches_dense_reference(self, monkeypatch, graph, words):
+        # P_200, and C_200 + K_1 with the isolated vertex last; both are
+        # reduced, so their own classification is the one to label
+        n = 200
+        if graph == "path":
+            G = build_graph(n, [(i, i + 1) for i in range(n - 1)])
+        else:
+            G = build_graph(n + 1, [(i, (i + 1) % n) for i in range(n)])
+        H = classify_all(G)
+        m = H.graph.n
+        dense = TestAvoids.masks(H)
+        packed = tuple(map(pack_rows, dense))
+        zs = np.array([0, 1, 57, m // 2, m - 2, m - 1])
+        if words is not None:
+            monkeypatch.setattr(edgetypes, "AVOID_WORDS", words)
+        levels = []
+        real = edgetypes.avoiding_rows
+
+        def counted(*args):  # called once per level of a block
+            levels.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(edgetypes, "avoiding_rows", counted)
+        for also in (None, 3, m - 1):
+            rows = packed if also is None else fold_anchor(packed, also)
+            levels.clear()
+            got = avoiding_labels(*rows, zs)
+            assert len(levels) >= n // 2 * (1 if words is None else len(zs))
+            for k, z in enumerate(zs.tolist()):
+                M = _dense_avoiding(*dense, z)
+                if also is not None:
+                    M &= _dense_avoiding(*dense, also)
+                assert got[k].tolist() == _bfs_components(M).tolist(), (also, z)
+
+
 class TestCompletionUniqueness:
     def test_isomorphic_under_reversal(self):
         import networkx as nx
