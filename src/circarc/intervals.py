@@ -1,10 +1,10 @@
 """Intervals from an interval ordering, and the lift onto a circle.
 
-The builder processes the ordering right to left, always giving the new
-leftmost vertex a fresh global-minimum left endpoint and a right endpoint
-squeezed into a fresh slot just past everything it must reach.  Endpoint
-positions are integers 1..2n, all distinct; the intervals are an (n, 2)
-array whose row v is (l, r) of vertex v.
+Left ends come in the order given.  A right end has one place it can go:
+the gap after the left end of the last vertex it meets and before the next
+left end, which it misses.  Within a gap the labels rank the right ends.
+Endpoint positions are integers 1..2n, all distinct; the intervals are an
+(n, 2) array whose row v is (l, r) of vertex v.
 """
 
 from __future__ import annotations
@@ -45,15 +45,21 @@ def _consistency_error(L: LabelledGraph, lr: np.ndarray) -> str | None:
 def build_intervals(L: LabelledGraph, order: list[int]) -> np.ndarray:
     """Realize an interval ordering as concrete integer intervals.
 
-    Left endpoints come out in exactly the given order, by construction.
+    Vertices are named by position, k for order[k].  L(k) comes k-th among
+    the left ends; R(k) falls in the gap after L(last[k]), last[k] the last
+    vertex from k on that k meets, and before the next left end, which k
+    misses.  Two vertices in one gap both meet the gap's vertex, so with no
+    forbidden pattern they meet each other and their label orders their
+    right ends: R(i) is first when i < k and k is not inside i, or when
+    i > k and i is inside k.  So L(j) has the key (j, -1) and R(k) the key
+    (last[k], r[k]), r[k] counting the right ends of its gap before it.
     An inner interval before its outer one is an internal error; the rest
     of the labels are not checked here (see ``_consistency_error``).
     """
     n = L.n
     idx = np.array(order, dtype=np.intp)
     lab = L.labels[idx][:, idx]  # rows, then columns, by position
-    # last[k]: the position of y, the last vertex from order[k] on that
-    # meets order[k]; the loop at order[k] is never a non-edge
+    # the loop at k is never a non-edge, so last[k] >= k
     last = np.where(np.triu(lab != Label.NONEDGE), np.arange(n), 0).max(axis=1, initial=0)
     incl = np.triu(lab == Label.INCLUSION, 1)
     outer = incl & ~L.inside[idx][:, idx]
@@ -62,21 +68,12 @@ def build_intervals(L: LabelledGraph, order: list[int]) -> np.ndarray:
         v = order[int(np.argmax(outer[k]))]
         raise InternalError(
             f"vertex {v} inclusion-tied to leftmost {order[k]} but not inside it")
-    # Right to left, L(order[k]) goes first and R(order[k]) right after the
-    # latest of L(y) and the R(i) of the vertices i inside it.  Insertions
-    # never reorder what is placed, so the sequence is a preorder: L(order[j])
-    # has key (j,) and R(order[k]) the key of that anchor extended by k.
-    rows, inner = np.divmod(np.flatnonzero(incl), n)
-    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    inner, last = inner.tolist(), last.tolist()
-    lkey = [(j,) for j in range(n)]
-    rkey: list[tuple[int, ...]] = [()] * n
-    for k in range(n - 1, -1, -1):
-        anchor = max([lkey[last[k]]] + [rkey[i] for i in inner[starts[k]:starts[k + 1]]])
-        rkey[k] = anchor + (k,)
-    keys = lkey + rkey
+    before = np.where(np.tri(n, k=-1, dtype=bool), ~incl.T, incl)  # R(col) before R(row)
+    r = ((last[:, None] == last) & before).sum(axis=1)
+    ends = np.lexsort((np.concatenate((np.full(n, -1), r)),
+                       np.concatenate((np.arange(n), last))))
     rank = np.empty(2 * n, dtype=np.intp)
-    rank[sorted(range(2 * n), key=keys.__getitem__)] = np.arange(1, 2 * n + 1)
+    rank[ends] = np.arange(1, 2 * n + 1)
     lr = np.empty((n, 2), dtype=np.intp)
     lr[idx] = rank.reshape(2, n).T
     return lr

@@ -338,6 +338,20 @@ class TestLabelledGraph:
         with pytest.raises(ValueError, match="transitive"):
             LabelledGraph(*self.fan(middles))
 
+    @pytest.mark.parametrize("array,cell,value,message", [
+        ("labels", (0, 2), Label.OVERLAP, "labels must be symmetric"),
+        ("labels", (2, 2), Label.OVERLAP, "loops must be labelled inclusion"),
+        ("inside", (0, 1), False, "orientation must cover exactly the inclusion edges"),
+        ("inside", (1, 0), True, "orientation must be antisymmetric"),
+    ], ids=["asymmetric", "loop", "uncovered", "both-ways"])
+    def test_malformed_labelling_rejected(self, array, cell, value, message):
+        # 0 contains 1, 1 overlaps 2, 0 misses 2, with one entry changed
+        L = make_labelled(3, overlaps=[(1, 2)], inclusions=[(0, 1)])
+        arrays = {"labels": L.labels.copy(), "inside": L.inside.copy()}
+        arrays[array][cell] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LabelledGraph(3, arrays["labels"], arrays["inside"])
+
 
 class TestAvoiding:
     def test_matches_label_avoids(self):
@@ -389,6 +403,11 @@ class TestOrderingViolation:
         # both 1 and 2 fit as b in (0, b, 3): the least is named
         L = make_labelled(4, overlaps=[(0, 3)])
         assert ordering_violation(L, [0, 1, 2, 3]) == ("i", 0, 1, 3)
+
+    @pytest.mark.parametrize("order", [[0, 1], [0, 1, 1], [0, 1, 3]])
+    def test_not_a_permutation(self, order):
+        with pytest.raises(ValueError, match="^order must be a permutation of the vertices$"):
+            ordering_violation(make_labelled(3), order)
 
 
 class TestDeltaStep:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -10,6 +11,7 @@ from circarc.formats import (FormatError, certificate_from_doc,
                              parse_certificate, parse_edge_list, parse_graph6,
                              serialize_certificate, write_edge_list,
                              write_graph6)
+from circarc.check import G6_MAX_N
 from circarc.cli import main
 from circarc.graph import Graph, build_graph
 from circarc.recognizer import (recognize, verify_negative, verify_positive)
@@ -58,6 +60,12 @@ class TestGraph6:
     def test_bad_bytes(self):
         with pytest.raises(FormatError):
             parse_graph6("C\x1f")
+
+    def test_too_many_vertices_to_write(self):
+        # the bound is checked on G.n before the adjacency is read
+        too_big = SimpleNamespace(n=G6_MAX_N + 1)
+        with pytest.raises(ValueError, match=f"^graph6 handles at most {G6_MAX_N} vertices here$"):
+            write_graph6(too_big)
 
     def test_wrong_length(self):
         with pytest.raises(FormatError):

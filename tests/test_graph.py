@@ -695,6 +695,21 @@ class TestGraphValidation:
         with pytest.raises(GraphError):
             build_graph(2, [], ["x", "x"])
 
+    @pytest.mark.parametrize("n,adj,names,message", [
+        (3, np.zeros((2, 2), dtype=bool), ("a", "b", "c"),
+         "adjacency shape does not match vertex count"),
+        (2, np.zeros((2, 2), dtype=np.int8), ("a", "b"), "adjacency must be boolean"),
+        (2, np.eye(2, dtype=bool), ("a", "b"), "no explicit loops; loops are implicit"),
+        (2, np.zeros((2, 2), dtype=bool), ("a",), "one name per vertex required"),
+    ], ids=["shape", "dtype", "loop", "names"])
+    def test_malformed_graph_rejected(self, n, adj, names, message):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            Graph(n, adj, names)
+
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(GraphError, match="^vertex count must be nonnegative$"):
+            build_graph(-1, [])
+
     def test_induced_subgraph(self, biclaw):
         sub = biclaw.induced([0, 1, 2])
         assert sub.names == ("d", "f", "a")

@@ -11,8 +11,8 @@ import pytest
 from circarc import recognizer
 from circarc.arcs import ArcRepresentation
 from circarc.check import (NEGATIVE, POSITIVE, AvoidWalkPair, Certificate, InternalError,
-                           circular_pairs, classify_all, negative_error, verify_negative,
-                           verify_positive)
+                           circular_pairs, classify_all, negative_error, positive_error,
+                           verify_negative, verify_positive)
 from circarc.formats import (FormatError, parse_certificate, parse_edge_list,
                              serialize_certificate)
 from circarc.graph import Graph, build_graph
@@ -63,6 +63,24 @@ class TestRecognize:
         cert = recognize(G)
         assert cert.verdict == POSITIVE
         assert verify_positive(G, cert)
+
+    @pytest.mark.parametrize("exc,raised,message", [
+        (RuntimeError("boom"), InternalError, "^complete: RuntimeError: boom$"),
+        (MemoryError(), MemoryError, None),
+    ], ids=["runtime", "memory"])
+    def test_stage_check_that_raises(self, monkeypatch, near_biclaw, exc, raised, message):
+        # a planted row swap in build_intervals fails the run; its diagnosis
+        # then meets a raising completion check, which names the complete
+        # stage, or passes straight through if it is out of memory
+        build = recognizer.build_intervals
+        monkeypatch.setattr(recognizer, "build_intervals",
+                            lambda L, order: build(L, order)[[1, 0, *range(2, L.n)]])
+
+        def completion_error(*args):
+            raise exc
+        monkeypatch.setattr(recognizer, "completion_error", completion_error)
+        with pytest.raises(raised, match=message):
+            recognize(near_biclaw)
 
     def test_deterministic(self, biclaw, near_biclaw):
         from circarc.formats import serialize_certificate
@@ -297,6 +315,9 @@ class TestVerifyPositive:
     def test_verdict_mismatch(self, biclaw):
         assert not verify_positive(biclaw, recognize(biclaw))
 
+    def test_missing_arcs(self, c4):
+        assert positive_error(c4, Certificate(POSITIVE)) == "missing arcs"
+
 
 class TestVerifyNegative:
     def test_perturbed_walk_rejected(self, biclaw):
@@ -326,6 +347,11 @@ class TestVerifyNegative:
 
     def test_verdict_mismatch(self, c4):
         assert not verify_negative(c4, recognize(c4))
+
+    @pytest.mark.parametrize("field", ["vertices", "completion", "obstruction"])
+    def test_missing_payload(self, biclaw, field):
+        cert = replace(recognize(biclaw), **{field: None})
+        assert negative_error(biclaw, cert) == "missing negative payload"
 
     @pytest.mark.parametrize("edit,message", [
         (lambda S: S[:-1] + [7], "outside the input"),
