@@ -91,8 +91,10 @@ def _label_block(closed: np.ndarray, overlap: np.ndarray, included: np.ndarray,
     breadth-first level at a time: the frontier's ``avoiding_rows`` are
     ORed per anchor, and a graph whose component is done starts the next at
     its least unreached vertex, which is therefore the least vertex of that
-    component.  The (anchor, vertex) arrays are read and written through
-    flat indices g * n + v: a level finds its new vertices with one
+    component.  Each graph's frontier is one run, for the per-anchor OR:
+    a decode emits the runs in graph order, and seeds are appended only for
+    graphs without one.  The (anchor, vertex) arrays are read and written
+    through flat indices g * n + v: a level finds its new vertices with one
     ``np.flatnonzero`` of its contiguous seen block, divided by n.
     """
     n = closed.shape[0]
@@ -113,11 +115,9 @@ def _label_block(closed: np.ndarray, overlap: np.ndarray, included: np.ndarray,
             lead[idle] = flat_label[at] = s
             flat_todo[at] = False
             fg, fv = np.concatenate((fg, idle)), np.concatenate((fv, s))
-            by_graph = np.argsort(fg, kind="stable")
-            fg, fv = fg[by_graph], fv[by_graph]
         if not fg.size:
             return label
-        first = np.flatnonzero(np.concatenate(([True], fg[1:] != fg[:-1])))  # fg is sorted
+        first = np.flatnonzero(np.concatenate(([True], fg[1:] != fg[:-1])))  # one run per graph
         gs = fg[first]
         rows = avoiding_rows(closed, overlap, fv, ovz[fg], meets[fg * n + fv])
         seen = unpack_rows(np.bitwise_or.reduceat(rows, first), n)
@@ -144,4 +144,4 @@ def avoiding_labels(closed: np.ndarray, overlap: np.ndarray, included: np.ndarra
     step = max(1, AVOID_WORDS // max(1, closed.size))
     labels = [_label_block(closed, overlap, included, zs[i:i + step])
               for i in range(0, max(1, len(zs)), step)]  # no anchors: one empty block
-    return labels[0] if len(labels) == 1 else np.concatenate(labels)
+    return np.concatenate(labels)

@@ -91,13 +91,12 @@ def disjoint_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     for i in range(0, p, step):
         rows = a[i:i + step]
         acc = rows[:, :1] & b[0]
-        if w > 1:
-            tmp = np.empty_like(acc)
-            for t in range(1, w):
-                np.bitwise_and(rows[:, t:t + 1], b[t], out=tmp)
-                acc |= tmp
+        tmp = np.empty_like(acc)
+        for t in range(1, w):
+            np.bitwise_and(rows[:, t:t + 1], b[t], out=tmp)
+            acc |= tmp
         blocks.append(acc == 0)
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return np.concatenate(blocks)
 
 
 @dataclass(frozen=True)

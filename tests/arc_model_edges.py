@@ -1,6 +1,7 @@
 """Print the edge list of a seeded random arc model, for the CI smokes.
 
-Usage: python tests/arc_model_edges.py N SEED [--twins T] [--biclaw | --nested | --short]
+Usage: python tests/arc_model_edges.py N SEED [--twins T]
+           [--biclaw | --nested | --short | --path | --cycle] [--shuffle S]
 
 The N arcs have their 2N ends shuffled over 2N slots by random.Random(SEED).
 --twins T makes each arc T true twins: on the circle refined 2T-fold, copy j
@@ -11,6 +12,10 @@ then every intersecting pair; --biclaw appends a disjoint biclaw on b0..b6,
 which makes the graph not circular-arc.  --nested prints the interval graph of
 nested_lines instead, whose Δ-orientation is about N/2 modules deep; SEED is
 then unused.  --short prints the sparse model of short_lines instead.
+--path prints the path P_N and --cycle C_N beside an isolated vertex, which
+is not circular-arc; SEED is unused by both.  --shuffle S first declares
+every vertex in random.Random(S) order, then prints the same lines, so the
+graph is the same but its vertex ids are shuffled.
 """
 
 import argparse
@@ -56,6 +61,23 @@ def short_lines(n: int, seed: int) -> list[str]:
                or (arcs[u][0] - arcs[v][0]) % m < arcs[v][1]])
 
 
+def path_lines(n: int) -> list[str]:
+    """The path p0 - p1 - ... - p(N-1)."""
+    return [f"p{i} p{i + 1}" for i in range(n - 1)]
+
+
+def cycle_lines(n: int) -> list[str]:
+    """The isolated vertex k, then the cycle c0 - c1 - ... - c(N-1) - c0."""
+    return ["k"] + [f"c{i} c{(i + 1) % n}" for i in range(n)]
+
+
+def shuffled(lines: list[str], seed: int) -> list[str]:
+    """Every vertex of lines declared in random.Random(SEED) order, then lines."""
+    names = list(dict.fromkeys(name for line in lines for name in line.split()))
+    random.Random(seed).shuffle(names)
+    return names + lines
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("n", type=int)
@@ -64,11 +86,19 @@ if __name__ == "__main__":
     family.add_argument("--biclaw", action="store_true")
     family.add_argument("--nested", action="store_true")
     family.add_argument("--short", action="store_true")
+    family.add_argument("--path", action="store_true")
+    family.add_argument("--cycle", action="store_true")
     parser.add_argument("--twins", type=int, default=1, metavar="T")
+    parser.add_argument("--shuffle", type=int, metavar="S")
     args = parser.parse_args()
-    if args.twins < 1 or (args.twins > 1 and (args.nested or args.short)):
+    if args.twins < 1 or (args.twins > 1 and (args.nested or args.short
+                                              or args.path or args.cycle)):
         parser.error("--twins takes T >= 1 and applies to the arc model alone")
     lines = (nested_lines(args.n) if args.nested
              else short_lines(args.n, args.seed) if args.short
+             else path_lines(args.n) if args.path
+             else cycle_lines(args.n) if args.cycle
              else edge_lines(args.n, args.seed, args.biclaw, args.twins))
+    if args.shuffle is not None:
+        lines = shuffled(lines, args.shuffle)
     print("\n".join(lines))

@@ -633,16 +633,21 @@ class TestDeepLabels:
     so that it runs about n lock-step levels, not the handful of dense
     random graphs."""
 
-    @pytest.mark.parametrize("graph", ["path", "cycle"])
+    @pytest.mark.parametrize("graph", ["path", "cycle", "path-shuffled", "cycle-shuffled"])
     @pytest.mark.parametrize("words", [None, 1])
     def test_matches_dense_reference(self, monkeypatch, graph, words):
         # P_200, and C_200 + K_1 with the isolated vertex last; both are
-        # reduced, so their own classification is the one to label
+        # reduced, so their own classification is the one to label.  Shuffled
+        # ids put the restarts of a block's graphs in other orders
         n = 200
-        if graph == "path":
+        if graph.startswith("path"):
             G = build_graph(n, [(i, i + 1) for i in range(n - 1)])
         else:
             G = build_graph(n + 1, [(i, (i + 1) % n) for i in range(n)])
+        if graph.endswith("shuffled"):
+            ids = list(range(G.n))
+            random.Random(1).shuffle(ids)
+            G = G.induced(ids)
         H = classify_all(G)
         m = H.graph.n
         dense = TestAvoids.masks(H)
