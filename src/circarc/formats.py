@@ -1,26 +1,37 @@
 """Text formats: edge lists, graph6, and certificate documents.
 
-Certificate documents are JSON with format tag "ca-cert/3".  Serialization
+Certificate documents are JSON with format tag "ca-cert/4".  Serialization
 is canonical (sorted keys, fixed separators) so identical certificates are
 byte-identical on disk.
 
 A document binds its input graph G by ``{"n": n, "sha256": graph_digest(G)}``,
 the SHA-256 of the compact JSON text ``[names, graph6]``; graph6 is written
 as ``networkx.to_graph6_bytes(g, header=False)`` writes it, less the final
-newline (``check.graph_digest``).  Beyond that a document holds only what
-its checker reads.  A positive one holds the arcs of every input vertex.
-A negative one holds a vertex set S, named in input order (the
-reduction's survivors), and the anchor, the pair and the two walks, named
-in the circular completion of G[S].  The reader classifies G[S], which
-it must do to rebuild the completion with the untrusted
-``edgetypes.completion_graph``, and checks nothing of either.  It hands
-that classification, ``classify_all``'s output, on as the certificate's
-``reduced``.  ``check.negative_error`` reuses it only once it confirms
-that its arrays are still read-only and its graph has G[S]'s names and
-adjacency; it classifies the completion from its adjacency and checks
-it before it checks the walks.  So a negative parse plus verify
-classifies twice.  "ca-cert/1" and "ca-cert/2" documents, which carried
-the reduction trace, are no longer read.
+newline (``check.graph_digest``).  The binding fixes G's names, so a
+document names every vertex by its index, a JSON integer: position i
+stands for ``names[i]``.  Beyond that a document holds only what its
+checker reads.  A positive one holds ``arcs``, a flat list of 2n integers
+in input vertex order: vertex v's arc is ``(arcs[2v], arcs[2v+1])``.  A
+negative one holds a vertex set S, as input indices in input order (the
+reduction's survivors), and the anchor, the pair and the two walks, as
+indices into the circular completion of G[S] in the order that
+``edgetypes.completion_graph`` gives it: G[S]'s vertices first, then the
+added ones.
+
+The reader takes a list only if every entry is a JSON integer (``bool`` is
+not one), the arcs only if there are 2n of them, and S only if every entry
+indexes G, which it checks before ``Graph.induced`` reads S.  The ranges of
+the anchor, the pair and the walks are ``check.walk_pair_error``'s to check.
+The reader classifies G[S], which it must do to rebuild the completion
+with the untrusted ``edgetypes.completion_graph``, and checks nothing of
+either.  It hands that classification, ``classify_all``'s output, on as
+the certificate's ``reduced``.  ``check.negative_error`` reuses it only
+once it confirms that its arrays are still read-only and its graph has
+G[S]'s names and adjacency; it classifies the completion from its
+adjacency and checks it before it checks the walks.  So a negative parse
+plus verify classifies twice.  "ca-cert/1" and "ca-cert/2" documents,
+which carried the reduction trace, and "ca-cert/3" ones, which named
+vertices by name, are no longer read.
 """
 
 from __future__ import annotations
@@ -35,9 +46,9 @@ from .check import (G6_MAX_N, NEGATIVE, POSITIVE, AvoidWalkPair, Certificate,
                     InternalError, classify_all, graph_digest)
 from .check import write_graph6  # re-exported: the writer graph_digest relies on
 from .edgetypes import completion_graph
-from .graph import Graph, GraphError, build_graph
+from .graph import Graph, build_graph
 
-FORMAT_TAG = "ca-cert/3"
+FORMAT_TAG = "ca-cert/4"
 
 
 class FormatError(ValueError):
@@ -107,15 +118,6 @@ def write_edge_list(G: Graph) -> str:
     return "\n".join([*G.names, *edges]) + "\n"
 
 
-def _vertex(index: dict[str, int], name: Any) -> int:
-    """Index of the input vertex called name; GraphError, as from
-    Graph.index_of, when there is none."""
-    try:
-        return index[name]
-    except (KeyError, TypeError):
-        raise GraphError(f"unknown vertex name: {name!r}") from None
-
-
 def certificate_to_doc(G: Graph, cert: Certificate) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "format": FORMAT_TAG,
@@ -123,40 +125,45 @@ def certificate_to_doc(G: Graph, cert: Certificate) -> dict[str, Any]:
         "verdict": cert.verdict,
     }
     if cert.verdict == POSITIVE:
+        arcs = cert.arcs.arcs
         doc["positive"] = {
             "circle_size": cert.arcs.circle_size,
-            "arcs": {G.names[v]: list(lr) for v, lr in sorted(cert.arcs.arcs.items())},
+            "arcs": [end for v in range(G.n) for end in arcs[v]],
         }
     else:
-        names = cert.completion.names
         awp = cert.obstruction
         doc["negative"] = {
-            "vertices": [G.names[v] for v in cert.vertices],
-            "anchor": names[awp.anchor],
-            "pair": [names[awp.pair[0]], names[awp.pair[1]]],
-            "walk_p": [names[v] for v in awp.walk_p],
-            "walk_q": [names[v] for v in awp.walk_q],
+            "vertices": list(cert.vertices),
+            "anchor": awp.anchor,
+            "pair": list(awp.pair),
+            "walk_p": list(awp.walk_p),
+            "walk_q": list(awp.walk_q),
         }
     return doc
 
 
-def _vertices(index: dict[str, int], names: Any, what: str) -> list[int]:
-    if not isinstance(names, list):
-        raise FormatError(f"{what} must be a list of vertex names")
-    return [_vertex(index, name) for name in names]
+def _integers(values: Any, what: str) -> list[int]:
+    """values, if it is a list of JSON integers; otherwise FormatError,
+    naming the first entry that is not one."""
+    if type(values) is not list:
+        raise FormatError(f"{what} must be a list of integers")
+    if not {*map(type, values)} <= {int}:  # bool is no JSON integer
+        i = next(i for i, x in enumerate(values) if type(x) is not int)
+        raise FormatError(f"{what}[{i}] must be an integer, not {values[i]!r}")
+    return values
 
 
 def certificate_from_doc(G: Graph, doc: dict[str, Any]) -> Certificate:
     """Rebuild a certificate against G, checking that it was issued for G.
 
-    A negative certificate names a vertex set S of G, then vertices of the
-    circular completion of G[S], which is rebuilt here from
-    ``classify_all(G[S])``; that classification becomes the certificate's
-    ``reduced``, and negative_error checks the completion from first
-    principles like any other, on it once it has confirmed it.
+    A negative certificate gives a vertex set S of G by index, then
+    vertices of the circular completion of G[S] by index, which is rebuilt
+    here from ``classify_all(G[S])``; that classification becomes the
+    certificate's ``reduced``, and negative_error checks the completion
+    from first principles like any other, on it once it has confirmed it.
     """
     tag = doc.get("format")
-    if tag in ("ca-cert/1", "ca-cert/2"):
+    if tag in ("ca-cert/1", "ca-cert/2", "ca-cert/3"):
         raise FormatError(f"{tag} certificates are no longer read; re-run "
                           f"`circarc recognize` to issue a {FORMAT_TAG} one")
     if tag != FORMAT_TAG:
@@ -164,36 +171,38 @@ def certificate_from_doc(G: Graph, doc: dict[str, Any]) -> Certificate:
     binding = doc["input"]
     if binding["n"] != G.n or binding["sha256"] != graph_digest(G):
         raise FormatError("certificate was issued for a different graph")
-    index = {name: i for i, name in enumerate(G.names)}
     verdict = doc["verdict"]
     if verdict == POSITIVE:
         pos = doc["positive"]
         if type(pos["circle_size"]) is not int:  # JSON integers; bool is not one
             raise FormatError("circle_size must be an integer")
-        arcs = {}
-        # in document order, each item's arc before its name
-        for name, lr in pos["arcs"].items():
-            if not (type(lr) is list and len(lr) == 2
-                    and type(lr[0]) is int and type(lr[1]) is int):
-                raise FormatError(f"arc of {name!r} must be a pair of integers")
-            arcs[_vertex(index, name)] = (lr[0], lr[1])
+        ends = _integers(pos["arcs"], "arcs")
+        if len(ends) != 2 * G.n:
+            raise FormatError(f"arcs must hold 2n = {2 * G.n} integers, not {len(ends)}")
+        arcs = dict(enumerate(zip(ends[0::2], ends[1::2])))
         return Certificate(POSITIVE, arcs=ArcRepresentation(pos["circle_size"], arcs))
     if verdict != NEGATIVE:
         raise FormatError(f"unknown verdict {verdict!r}")
     neg = doc["negative"]
-    S = _vertices(index, neg["vertices"], "vertices")
+    S = _integers(neg["vertices"], "vertices")
+    # before G.induced: numpy would wrap -1 round, and overflow on 2**70
+    outside = [v for v in S if not 0 <= v < G.n]
+    if outside:
+        raise FormatError(f"vertices holds {outside[0]}, not an index of the "
+                          f"{G.n} input vertices")
     if len(set(S)) != len(S):
         raise FormatError("vertices must name each vertex once")
-    Gt = classify_all(G.induced(S))
-    H = completion_graph(Gt)
-    h_index = {name: i for i, name in enumerate(H.names)}
-    pair = _vertices(h_index, neg["pair"], "pair")
+    anchor = neg["anchor"]
+    if type(anchor) is not int:
+        raise FormatError(f"anchor must be an integer, not {anchor!r}")
+    pair = _integers(neg["pair"], "pair")
     if len(pair) != 2:
         raise FormatError("pair must name two vertices")
-    awp = AvoidWalkPair(_vertex(h_index, neg["anchor"]), (pair[0], pair[1]),
-                        _vertices(h_index, neg["walk_p"], "walk_p"),
-                        _vertices(h_index, neg["walk_q"], "walk_q"))
-    return Certificate(NEGATIVE, vertices=S, completion=H, obstruction=awp, reduced=Gt)
+    awp = AvoidWalkPair(anchor, (pair[0], pair[1]), _integers(neg["walk_p"], "walk_p"),
+                        _integers(neg["walk_q"], "walk_q"))
+    Gt = classify_all(G.induced(S))
+    return Certificate(NEGATIVE, vertices=S, completion=completion_graph(Gt),
+                       obstruction=awp, reduced=Gt)
 
 
 def serialize_certificate(G: Graph, cert: Certificate) -> str:
@@ -206,6 +215,8 @@ def parse_certificate(G: Graph, text: str) -> Certificate:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad JSON: {exc}") from exc
+    except RecursionError:  # arrays or objects nested about 1000 deep
+        raise FormatError("bad JSON: nested too deeply") from None
     try:
         return certificate_from_doc(G, doc)
     except FormatError:

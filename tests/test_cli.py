@@ -265,7 +265,7 @@ class TestVerifyCommand:
         out = tmp_path / "cert.json"
         main(["recognize", g, "--out", str(out)])
         doc = json.loads(out.read_text())
-        doc["positive"]["arcs"]["d"] = [0, 1]
+        doc["positive"]["arcs"][:2] = [0, 1]  # d's arc: d is vertex 0
         out.write_text(json.dumps(doc))
         assert main(["verify", g, str(out)]) == 1
         capsys.readouterr()
@@ -283,7 +283,10 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == "certificate REJECTED\n"
         assert "walk check failed" in captured.err
-        assert repr(neg["anchor"]) in captured.err
+        # the anchor indexes the completion, as `circarc complete` lists
+        # it; the reason names it
+        names = json.loads(BICLAW_COMPLETE)["vertices"]
+        assert repr(names[neg["anchor"]]) in captured.err
 
     def test_copied_arc(self, tmp_path, capsys):
         g = write(tmp_path, "g.txt", NEAR_BICLAW_EDGES)
@@ -291,8 +294,7 @@ class TestVerifyCommand:
         main(["recognize", g, "--out", str(out)])
         doc = json.loads(out.read_text())
         arcs = doc["positive"]["arcs"]
-        first, second = sorted(arcs)[:2]
-        arcs[second] = list(arcs[first])
+        arcs[2:4] = arcs[:2]  # vertex 1's arc made vertex 0's
         out.write_text(json.dumps(doc))
         assert main(["verify", g, str(out)]) == 1
         captured = capsys.readouterr()
@@ -311,7 +313,7 @@ class TestVerifyCommand:
         main(["recognize", g, "--out", str(out)])
         doc = json.loads(out.read_text())
         if field == "arc":
-            doc["positive"]["arcs"]["d"] = value
+            doc["positive"]["arcs"][:2] = value  # d's arc
         else:
             doc["positive"]["circle_size"] = value
         out.write_text(json.dumps(doc))

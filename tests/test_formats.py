@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 from types import SimpleNamespace
 
 import networkx as nx
@@ -11,7 +12,7 @@ from circarc.formats import (FormatError, certificate_from_doc,
                              parse_certificate, parse_edge_list, parse_graph6,
                              serialize_certificate, write_edge_list,
                              write_graph6)
-from circarc.check import G6_MAX_N
+from circarc.check import G6_MAX_N, negative_error
 from circarc.cli import main
 from circarc.graph import Graph, build_graph
 from circarc.recognizer import (recognize, verify_negative, verify_positive)
@@ -142,6 +143,19 @@ class TestCertificateDocs:
         with pytest.raises(FormatError):
             parse_certificate(c4, "{not json")
 
+    def test_nested_too_deeply(self, c4, tmp_path, capsys):
+        # the JSON decoder recurses once per level and stops at Python's
+        # recursion limit; the document is refused, without a traceback
+        text = "[" * 100_000 + "]" * 100_000
+        with pytest.raises(FormatError, match="bad JSON: nested too deeply"):
+            parse_certificate(c4, text)
+        g, cert = tmp_path / "g.txt", tmp_path / "c.json"
+        g.write_text(write_edge_list(c4))
+        cert.write_text(text)
+        assert main(["verify", str(g), str(cert)]) == 1
+        err = capsys.readouterr().err
+        assert "nested too deeply" in err and "Traceback" not in err
+
     def test_tampered_partner_rejected(self, biclaw):
         # the completion is rebuilt by the reader, not read; one with an edge
         # between two added vertices toggled still fails the verifier's
@@ -167,29 +181,40 @@ class TestCertificateDocs:
         assert doc["input"]["sha256"] == hashlib.sha256(text.encode()).hexdigest()
 
     def test_negative_names_only_the_obstruction(self, biclaw):
-        doc = certificate_to_doc(biclaw, recognize(biclaw))
+        cert = recognize(biclaw)
+        doc = certificate_to_doc(biclaw, cert)
         assert set(doc) == {"format", "input", "verdict", "negative"}
-        assert set(doc["negative"]) == {"vertices", "anchor", "pair",
-                                        "walk_p", "walk_q"}
-        assert doc["negative"]["vertices"] == list(biclaw.names)
+        neg = doc["negative"]
+        assert set(neg) == {"vertices", "anchor", "pair", "walk_p", "walk_q"}
+        # every vertex by index: of the input in S, of the completion after
+        assert neg["vertices"] == list(range(biclaw.n))
+        awp = cert.obstruction
+        assert (neg["anchor"], neg["pair"], neg["walk_p"], neg["walk_q"]) == (
+            awp.anchor, list(awp.pair), awp.walk_p, awp.walk_q)
 
     def test_positive_names_only_the_arcs(self, c4):
-        doc = certificate_to_doc(c4, recognize(c4))
+        cert = recognize(c4)
+        doc = certificate_to_doc(c4, cert)
         assert set(doc) == {"format", "input", "verdict", "positive"}
         assert set(doc["positive"]) == {"circle_size", "arcs"}
+        # one flat list in input vertex order: v's arc is arcs[2v], arcs[2v+1]
+        arcs = doc["positive"]["arcs"]
+        assert arcs == [end for v in range(c4.n) for end in cert.arcs.arcs[v]]
 
     def test_vertices_are_the_survivors_in_input_order(self):
         # h2 is a true twin of h, and u is universal: neither survives
         G = parse_edge_list(BICLAW_EDGES + "\nh2 h\nh2 d\nh2 c"
                             + "".join(f"\nu {v}" for v in "dfaghbc") + "\nu h2")
         doc = certificate_to_doc(G, recognize(G))
-        assert doc["negative"]["vertices"] == ["d", "f", "a", "g", "h", "b", "c"]
+        assert [G.names[v] for v in doc["negative"]["vertices"]] == [
+            "d", "f", "a", "g", "h", "b", "c"]
+        assert doc["negative"]["vertices"] == list(range(7))
 
     def test_doc_is_json(self, biclaw):
         text = serialize_certificate(biclaw, recognize(biclaw))
         doc = json.loads(text)
         assert doc["verdict"] == "NotCircularArc"
-        assert doc["format"] == "ca-cert/3"
+        assert doc["format"] == "ca-cert/4"
 
 
 def _parse_doc(G, doc):
@@ -260,35 +285,89 @@ class TestEdgeEcho:
 
 
 class TestNamesInCertificate:
+    """A document names every vertex by its index, a JSON integer: the
+    input binding fixes which name each index stands for."""
+
     def test_unknown_arc_vertex(self, c4):
+        # an arc past the last vertex: the list must hold exactly 2n ends
         doc = certificate_to_doc(c4, recognize(c4))
-        doc["positive"]["arcs"]["zz"] = [0, 1]
-        with pytest.raises(FormatError, match="unknown vertex name: 'zz'"):
+        doc["positive"]["arcs"] += [0, 1]
+        with pytest.raises(FormatError, match="arcs must hold 2n = 8 integers, not 10$"):
+            _parse_doc(c4, doc)
+
+    @pytest.mark.parametrize("edit,length", [
+        (lambda arcs: arcs.append(30), 9),
+        (lambda arcs: arcs.pop(), 7),
+        (lambda arcs: arcs.clear(), 0),
+    ], ids=["one-longer", "one-shorter", "empty"])
+    def test_arcs_hold_two_ends_per_vertex(self, c4, edit, length):
+        doc = certificate_to_doc(c4, recognize(c4))
+        edit(doc["positive"]["arcs"])
+        with pytest.raises(FormatError, match=f"arcs must hold 2n = 8 integers, not {length}$"):
             _parse_doc(c4, doc)
 
     @pytest.mark.parametrize("arcs,message", [
-        ({"v1": [0, 1], "v2": [2, True], "zz": [3, 4]},
-         "arc of 'v2' must be a pair of integers"),
-        ({"v1": [0, 1], "zz": [3, 4], "v2": [2, True]},
-         "unknown vertex name: 'zz'"),
-        ({"v1": [0, 1], "zz": [3], "v2": [2, True]},
-         "arc of 'zz' must be a pair of integers"),
+        ([0, True, 2, 3, "zz", 5, 6, 7], "arcs[1] must be an integer, not True"),
+        ([0, "zz", 2, 3, True, 5, 6, 7], "arcs[1] must be an integer, not 'zz'"),
+        ([0, 1, "zz", True, 4, 5, 6], "arcs[2] must be an integer, not 'zz'"),
     ], ids=["bad-arc-first", "unknown-name-first", "both-in-one-item"])
     def test_first_error_in_document_order(self, c4, arcs, message):
-        # the first bad item of the document is reported, and of one item
-        # its arc before its name
+        # the first bad entry of the list is reported, before its length
         doc = certificate_to_doc(c4, recognize(c4))
         doc["positive"]["arcs"] = arcs
-        with pytest.raises(FormatError, match=f"{message}$"):
+        with pytest.raises(FormatError, match=f"{re.escape(message)}$"):
             _parse_doc(c4, doc)
 
-    @pytest.mark.parametrize("name", ["zz", ["d"]], ids=["unknown", "unhashable"])
+    @pytest.mark.parametrize("name", [7, ["d"]], ids=["unknown", "unhashable"])
     def test_unknown_reduction_vertex(self, biclaw, name):
-        # the vertex set S names survivors of the reduction, by input name
+        # the vertex set S holds survivors of the reduction, by input index
         doc = certificate_to_doc(biclaw, recognize(biclaw))
         doc["negative"]["vertices"].append(name)
-        with pytest.raises(FormatError, match="unknown vertex name"):
+        message = ("vertices holds 7, not an index of the 7 input vertices"
+                   if name == 7 else "vertices[7] must be an integer")
+        with pytest.raises(FormatError, match=re.escape(message)):
             _parse_doc(biclaw, doc)
+
+    @pytest.mark.parametrize("value,message", [
+        (-1, "vertices holds -1, not an index"),
+        (2 ** 70, f"vertices holds {2 ** 70}, not an index"),
+        (True, "vertices[0] must be an integer, not True"),
+        (0.0, "vertices[0] must be an integer, not 0.0"),
+    ], ids=["minus-one", "past-int64", "bool", "float"])
+    def test_reduction_vertex_is_an_input_index(self, biclaw, value, message):
+        # checked before G[S] is built: numpy would take -1 for the last
+        # vertex, and overflow on 2**70
+        doc = certificate_to_doc(biclaw, recognize(biclaw))
+        doc["negative"]["vertices"][0] = value
+        with pytest.raises(FormatError, match=re.escape(message)):
+            _parse_doc(biclaw, doc)
+
+    @pytest.mark.parametrize("field", ["anchor", "pair", "walk_p", "walk_q"])
+    @pytest.mark.parametrize("value", [True, 1.0, "1"], ids=["bool", "float", "string"])
+    def test_completion_index_is_an_integer(self, biclaw, field, value):
+        doc = certificate_to_doc(biclaw, recognize(biclaw))
+        neg = doc["negative"]
+        if field == "anchor":
+            neg[field] = value
+        else:
+            neg[field][-1] = value
+        where = field if field == "anchor" else f"{field}[{len(neg[field]) - 1}]"
+        with pytest.raises(FormatError, match=re.escape(f"{where} must be an integer, not {value!r}")):
+            _parse_doc(biclaw, doc)
+
+    @pytest.mark.parametrize("field", ["anchor", "pair", "walk_p", "walk_q"])
+    @pytest.mark.parametrize("value", [-1, 14, 2 ** 70], ids=["minus-one", "size", "past-int64"])
+    def test_completion_index_out_of_range(self, biclaw, field, value):
+        # the completion has 14 vertices; its ranges are the checker's
+        doc = certificate_to_doc(biclaw, recognize(biclaw))
+        neg = doc["negative"]
+        if field == "anchor":
+            neg[field] = value
+        else:
+            neg[field][-1] = value
+        cert = _parse_doc(biclaw, doc)
+        assert cert.completion.n == 14
+        assert negative_error(biclaw, cert) == f"walk check failed: vertex {value} out of range"
 
     @pytest.mark.parametrize("edit", [
         lambda S: S.append(S[0]),
@@ -304,7 +383,7 @@ class TestNamesInCertificate:
     def test_names_must_be_a_list(self, biclaw, field):
         doc = certificate_to_doc(biclaw, recognize(biclaw))
         neg = doc["negative"]
-        neg[field] = "".join(neg[field])
+        neg[field] = ",".join(map(str, neg[field]))
         with pytest.raises(FormatError, match=f"{field} must be a list"):
             _parse_doc(biclaw, doc)
 
@@ -330,6 +409,7 @@ def _swap_pair(doc):
 
 
 def _unknown_walk_name(doc):
+    # a name where an index belongs
     doc["negative"]["walk_q"][1] = "zz"
 
 
@@ -349,13 +429,18 @@ def _trace_format(doc):
     del doc["negative"]["vertices"]
 
 
+def _v3(doc):
+    # ca-cert/3 named every vertex by name
+    doc["format"] = "ca-cert/3"
+
+
 def _drop_centre(doc):
-    # G[S] must be reduced; f and a are true twins once d is gone
-    doc["negative"]["vertices"].remove("d")
+    # G[S] must be reduced; f and a are true twins once d (index 0) is gone
+    doc["negative"]["vertices"].remove(0)
 
 
 class TestCertificateSafety:
-    """Tampered ca-cert/3 documents, or the right one against another
+    """Tampered ca-cert/4 documents, or the right one against another
     graph: "invalid" or "REJECTED", never "OK", and never a traceback."""
 
     @staticmethod
@@ -383,14 +468,16 @@ class TestCertificateSafety:
         (_replace_walk_vertex, "REJECTED"),
         (_anchor_on_walk, "REJECTED"),
         (_swap_pair, "REJECTED"),
-        (_unknown_walk_name, "unknown vertex name: 'zz'"),
+        (_unknown_walk_name, "walk_q[1] must be an integer, not 'zz'"),
         (_old_format, "ca-cert/1 certificates are no longer read; "
                       "re-run `circarc recognize`"),
         (_trace_format, "ca-cert/2 certificates are no longer read; "
                         "re-run `circarc recognize`"),
+        (_v3, "ca-cert/3 certificates are no longer read; "
+              "re-run `circarc recognize` to issue a ca-cert/4 one"),
         (_drop_centre, "true twins 'f', 'a'"),
     ], ids=["digest", "walk-vertex", "anchor", "pair-swapped", "unknown-name",
-            "ca-cert-1", "ca-cert-2", "unreduced"])
+            "ca-cert-1", "ca-cert-2", "ca-cert-3", "unreduced"])
     def test_tampered_document(self, biclaw, tmp_path, capsys, edit, message):
         doc = certificate_to_doc(biclaw, recognize(biclaw))
         edit(doc)

@@ -16,7 +16,7 @@ from circarc.graph import build_graph
 from circarc.oracle import oracle_is_ca
 from circarc.recognizer import NEGATIVE, POSITIVE, recognize
 
-ATLAS_SHA256 = "ee43a09b847ecaed6afba6e9211788854ad99fb8e54816e6dc935adf7a389b5b"
+ATLAS_SHA256 = "74fac7692d278771bd13e74bdd91bd94b3ca76997a1bfa186373741b8d84efe0"
 
 
 def test_atlas_certificates_are_unchanged():

@@ -19,8 +19,8 @@ from circarc.formats import parse_edge_list, serialize_certificate
 from circarc.recognizer import NEGATIVE, POSITIVE, recognize
 from conftest import arc_model, planted_negative
 
-SCALE_SHA256 = "4d59392c5aa33c9009c19c15ad4b7cc6606ff1ae3c2ff04919dce25178bf22d4"
-TWIN_SHA256 = "2c2d8773a0b07bf7c030735f0931a45d56e8fdccb33d8956a7925832c3c8d0c1"
+SCALE_SHA256 = "ba0a474e313d087096ffe8a25873625533d10b91ce6facedc867b604f416cd5a"
+TWIN_SHA256 = "2a0c552dfa8cbd7dc457a398f92eba5971fe2f27057726f2439a5eccea55ec28"
 
 
 def corpus():

@@ -174,9 +174,9 @@ class TestNegativeCheckWork:
         # on; the checker classifies the completion, and pairs each once
         assert counts == {"check.classify_all": 2, "check.circular_pairs": 2}
         # without the biclaw centre b0, G[S] has true twins: the reader
-        # refuses it, naming them by input name
+        # refuses it, naming them by input name, not by index
         doc = json.loads(text)
-        doc["negative"]["vertices"].remove("b0")
+        doc["negative"]["vertices"].remove(G.index_of("b0"))
         with pytest.raises(FormatError, match=r"true twins 'b\d+', 'b\d+'"):
             parse_certificate(G, json.dumps(doc))
 
