@@ -13,7 +13,10 @@ Ordered pairs with Overlap or NonEdge labels force each other: (x,z) and
 connected classes of this relation, computed once, either name a pair
 forced onto its reversal or build an interval ordering through a stack of
 modules (vertex sets seen uniformly from outside), each reading the classes
-restricted to it.
+restricted to it.  ``implication_classes`` labels them from the labels
+alone; the recognizer reads the same classes off its knotting graph
+(``knotting.forcing_classes``) where it can, and falls back to
+``implication_classes`` elsewhere.
 """
 
 from __future__ import annotations
@@ -131,13 +134,15 @@ def implication_classes(L: LabelledGraph) -> DeltaClasses:
     return DeltaClasses(a, b, cid, cid[rank[b[root] * n + a[root]]])
 
 
-def interval_orientation(L: LabelledGraph) -> list[int]:
+def interval_orientation(L: LabelledGraph,
+                         classes: Optional[DeltaClasses] = None) -> list[int]:
     """Construct an interval ordering, or fail with DeltaInvertiblePair.
 
     The order is not checked here (see ``ordering_violation``), and it may
     fail that check off the module's precondition on L.  It comes
     from a loop over a stack of sorted vertex sets of L.  The forcing
-    classes are computed once, on L: as in modular decomposition, a
+    classes are ``implication_classes(L)``, or classes equal to them given
+    by the caller, computed once, on L: as in modular decomposition, a
     module's or a quotient's classes are the whole graph's restricted to
     it, ranked by their least pair there.  A set is read through a
     membership mask, its class spans keyed by class, then vertex, so each
@@ -153,7 +158,7 @@ def interval_orientation(L: LabelledGraph) -> list[int]:
     least vertex.  A module of one vertex, which only a fault can give,
     raises InternalError, so every set pushed is smaller than the set popped.
     """
-    a, b, cid, inverse = implication_classes(L)
+    a, b, cid, inverse = implication_classes(L) if classes is None else classes
     self_inverse = np.flatnonzero(inverse[cid] == cid)
     if self_inverse.size:
         i = self_inverse[0]  # the least pair of the least self-inverse class

@@ -12,10 +12,13 @@ one ``graph.union_find`` call over its bipartite double cover.  An odd
 cycle among the copies rolls out into two mutually avoiding walks
 anchored at z; bipartiteness certifies there are none, and the
 2-colouring splits the overlappers of z so that one side joins the
-non-inverting set Z.  The odd cycle and the walks inside a component come
-from one breadth-first search, ``_search``, over rows packed by
-``graph.pack_rows``, unpacked one level at a time; a walk's rows are the
-kept rows with u folded in as z was.
+non-inverting set Z.  When z overlaps no vertex, Z is every vertex z
+tolerates, K's copies are the blocks of L's Δ-forcing, and the
+2-colouring's side ids name L's forcing classes (``forcing_classes``), so
+the positive route labels the avoiding edges once.  The odd cycle and the
+walks inside a component come from one breadth-first search,
+``_search``, over rows packed by ``graph.pack_rows``, unpacked one level
+at a time; a walk's rows are the kept rows with u folded in as z was.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 
 from .check import AvoidWalkPair, EdgeType, InternalError, TypedGraph
 from .check import walk_pair_error  # re-exported under its old name
+from .delta import DeltaClasses, LabelledGraph, implication_classes
 from .edgetypes import avoiding_labels, avoiding_rows
 from .graph import pack_rows, union_find, unpack_rows
 
@@ -213,6 +217,44 @@ def extract_invertible_pair(K: KnottingGraph, cycle: list[int]) -> AvoidWalkPair
         moving += path[1:]  # path[0] is us[j - 1], where moving stands
         waiting += [us[j]] * (len(path) - 1)
     return AvoidWalkPair(K.anchor, (us[0], us[-1]), walk_p, walk_q)
+
+
+def forcing_classes(K: KnottingGraph, side: np.ndarray, zset: list[int],
+                    L: LabelledGraph) -> DeltaClasses:
+    """The Δ-forcing classes of L, the labelled graph on zset, read off the
+    bipartite K and its side ids when the anchor z overlaps no vertex, and
+    ``delta.implication_classes(L)`` otherwise.
+
+    If z overlaps nothing, Y is empty and zset is exactly the vertices z
+    tolerates, the owners of K's copies.  An edge between two of them
+    avoids z, as neither end is included with z and z has no overlapper,
+    so the safe subgraph at u in zset is L's avoidance graph at u, and the
+    copies of u are the blocks of ``implication_classes`` at u.  The
+    active pair (a, b) lies in the block copy_at[a, b] of the pairs (a, y)
+    and in the block copy_at[b, a] of the pairs (x, b), so it is the
+    double-cover edge from 2 copy_at[a, b] to 2 copy_at[b, a] + 1, and
+    (b, a) is its mirror.  The classes are the components of the double
+    cover: the class of (a, b) is side[copy_at[a, b]].  A copy's component
+    holds some vertex its owner tolerates, so every copy meets an edge,
+    each component of K has both side ids 2r and 2r + 1, and the class of
+    the reversals is the side id with its last bit flipped.  Copies are
+    listed by owner, then by least member, so a class's least pair is
+    (owner, least member) of its least copy, and the classes are numbered
+    by first occurrence in side.
+    """
+    if K.avoid[1][K.anchor].any():
+        return implication_classes(L)
+    zs = np.asarray(zset)
+    at = K.copy_at.take(zs, axis=0).take(zs, axis=1)  # [a, b], by index into zset
+    active = at >= 0
+    m = side.size
+    first = np.full(2 * m, m)  # by side id: its least copy
+    np.minimum.at(first, side, np.arange(m))
+    lead = np.flatnonzero(first[side] == np.arange(m))  # each class's least copy
+    number = np.empty(2 * m, dtype=np.intp)  # by side id: its class
+    number[side[lead]] = np.arange(lead.size)
+    a, b = np.divmod(np.flatnonzero(active), zs.size)  # in lexicographic order
+    return DeltaClasses(a, b, number[side].take(at[active]), number[side[lead] ^ 1])
 
 
 def build_Z(H: TypedGraph, z: int, Y: set[int], partner: np.ndarray) -> list[int]:

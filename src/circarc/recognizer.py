@@ -2,7 +2,10 @@
 
 recognize() either produces an arc representation of the input or a pair
 of mutually avoiding walks, anchored at a minimum-degree vertex of the
-circular completion of the reduced input.  Only the certificate is
+circular completion of the reduced input.  On the positive route the
+Δ-forcing classes of the labelled graph on Z come off the bipartite
+knotting graph when the anchor overlaps no vertex (``forcing_classes``),
+and from ``delta.implication_classes`` otherwise.  Only the certificate is
 checked, by the independent checker in ``check``; the stage checks run
 only to name the failing stage.  A positive certificate gets
 ``positive_error``, a negative one ``negative_error``.  A negative
@@ -14,16 +17,21 @@ negative run classifies twice.
 
 from __future__ import annotations
 
+from typing import Optional
+
+import numpy as np
+
 from .arcs import ArcRepresentation, expand_arcs
 from .check import (NEGATIVE, POSITIVE, Certificate, InternalError, classify_all,
                     completion_error, negative_error, positive_error, representation_error)
 from .check import verify_negative, verify_positive  # re-exported under their old names
-from .delta import interval_orientation, labelled_from_typed, ordering_violation
+from .delta import (implication_classes, interval_orientation, labelled_from_typed,
+                    ordering_violation)
 from .edgetypes import complete
 from .graph import Graph, reduce
 from .intervals import _consistency_error, build_intervals, lift_to_circle
 from .knotting import (bipartite_or_odd_cycle, build_knotting, build_Z,
-                       extract_invertible_pair, overlap_side)
+                       extract_invertible_pair, forcing_classes, overlap_side)
 
 
 class _Run(dict):
@@ -54,7 +62,8 @@ def _certificate(G: Graph, run: _Run) -> Certificate:
         side = run("overlap_side", overlap_side, H, K, res, partner[z])
         zset = run("build_Z", build_Z, H, z, side, partner)
         L = run("labelled_from_typed", labelled_from_typed, H, zset)
-        order = run("interval_orientation", interval_orientation, L)
+        classes = run("forcing_classes", forcing_classes, K, res, zset, L)
+        order = run("interval_orientation", interval_orientation, L, classes)
         ivals = run("build_intervals", build_intervals, L, order)
         arcs_h = run("lift_to_circle", lift_to_circle, ivals, zset, partner)
         reduced_rep = ArcRepresentation(arcs_h.circle_size,
@@ -65,6 +74,8 @@ def _certificate(G: Graph, run: _Run) -> Certificate:
 _STAGE_CHECKS = (
     ("complete", "completion check failed",
      lambda run: completion_error(run["classify_all"], run["complete"][0])),
+    ("forcing_classes", "classes differ from implication_classes",
+     lambda run: _classes_error(run["labelled_from_typed"], run["forcing_classes"])),
     ("interval_orientation", "constructed order fails pattern check",
      lambda run: ordering_violation(run["labelled_from_typed"], run["interval_orientation"])),
     ("build_intervals", "built intervals inconsistent with labels",
@@ -72,6 +83,13 @@ _STAGE_CHECKS = (
     ("lift_to_circle", "lifted arcs fail verification",
      lambda run: representation_error(run["complete"][0].graph, run["lift_to_circle"])),
 )
+
+
+def _classes_error(L, classes) -> Optional[str]:
+    """The first field of classes that differs from ``implication_classes(L)``."""
+    want = implication_classes(L)
+    return next((f"{name} differs" for name, got, ref in zip(want._fields, classes, want)
+                 if not np.array_equal(got, ref)), None)
 
 
 def _reason(exc: Exception) -> str:

@@ -209,6 +209,7 @@ class TestStageFaults:
     # each stage's output, corrupted so that the certificate check fails
     CORRUPT = {
         "complete": _toggle_first_to_last,
+        "forcing_classes": lambda classes: classes._replace(cid=0 * classes.cid),
         "interval_orientation": lambda order: order[::-1],
         "build_intervals": lambda iv: iv[[1, 0, *range(2, len(iv))]],
         "lift_to_circle": _swap_first_two_arcs,
@@ -501,8 +502,9 @@ sys.exit(main(["recognize", sys.argv[1], "--out", sys.argv[3]]))
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 class TestOutOfMemory:
     # the 1000-vertex arc model: with 60 MB to spare the edge-list parser
-    # runs out of memory, with 90 MB a later stage does
-    @pytest.mark.parametrize("spare_mb", [60, 90])
+    # runs out of memory, with 77 MB a later stage does (build_knotting
+    # from 68 MB, interval_orientation from 80 MB; from 87 MB the run completes)
+    @pytest.mark.parametrize("spare_mb", [60, 77])
     def test_one_line_and_exit_71(self, tmp_path, spare_mb):
         f = write(tmp_path, "g.txt", "\n".join(edge_lines(1000, 1000, False)) + "\n")
         src = str(Path(circarc.oracle.__file__).resolve().parents[1])

@@ -9,18 +9,21 @@ import pytest
 
 import numpy as np
 
+import circarc.knotting
 from circarc.check import (AvoidWalkPair, EdgeType, InternalError, avoids,
                            circular_pairs, classify_all, walk_pair_error)
+from circarc.delta import implication_classes, labelled_from_typed
 from circarc.edgetypes import complete
 from circarc.formats import parse_edge_list
 from circarc.graph import build_graph, pack_rows, reduce as reduce_graph, unpack_rows
 from circarc.knotting import (bipartite_or_odd_cycle, build_Z, build_knotting,
-                              extract_invertible_pair, overlap_side)
+                              extract_invertible_pair, forcing_classes, overlap_side)
 from circarc.recognizer import recognize
-from arc_model_edges import edge_lines, nested_lines, short_lines
+from arc_model_edges import edge_lines, nested_lines, path_lines, short_lines, shuffled
 from conftest import (_dense_avoiding, arc_model, bfs, completion_of,
                       planted_negative, side_at, stepwise_walk_pair_error,
                       tree_path)
+from test_golden_scale import corpus, twin_corpus
 
 
 def knotting_at(G, name):
@@ -646,3 +649,59 @@ class TestBothDirections:
                     awp = extract_invertible_pair(K, cycle)
                     assert walk_pair_error(H, awp) is None
             assert all(flags) == oracle_is_ca(G)
+
+
+def assert_forcing_classes_match(monkeypatch, graphs):
+    """forcing_classes, at the anchor and on the Z that recognize takes,
+    equals implication_classes on L array for array, and falls back to it
+    exactly when the anchor overlaps some vertex.  Returns the number of
+    graphs that reach L and how many of them fell back."""
+    calls = []
+    monkeypatch.setattr(circarc.knotting, "implication_classes",
+                        lambda L: calls.append(L) or implication_classes(L))
+    reached = fell = 0
+    for G in graphs:
+        if reduce_graph(G)[0].n < 2:
+            continue
+        _, _, H, partner = completion_of(G)
+        z = int(H.graph.adj.sum(axis=1).argmin())
+        K = build_knotting(H, z)
+        side = bipartite_or_odd_cycle(K)
+        if not isinstance(side, np.ndarray):
+            continue
+        zset = build_Z(H, z, overlap_side(H, K, side, partner[z]), partner)
+        L = labelled_from_typed(H, zset)
+        calls.clear()
+        got = forcing_classes(K, side, zset, L)
+        overlapped = bool(np.isin(H.types[z], [EdgeType.OVERLAP1, EdgeType.OVERLAP2]).any())
+        assert len(calls) == overlapped
+        for name, x, y in zip(got._fields, got, implication_classes(L)):
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+        reached += 1
+        fell += overlapped
+    return reached, fell
+
+
+class TestForcingClasses:
+    def test_atlas(self, monkeypatch):
+        graphs = (build_graph(g.number_of_nodes(), list(g.edges()))
+                  for g in nx.graph_atlas_g()[1:])
+        assert assert_forcing_classes_match(monkeypatch, graphs) == (819, 65)
+
+    def test_golden_corpora(self, monkeypatch):
+        graphs = [G for G, _ in corpus()] + [parse_edge_list("\n".join(lines))
+                                             for lines in twin_corpus()]
+        reached, _ = assert_forcing_classes_match(monkeypatch, graphs)
+        assert reached == 10
+
+    @pytest.mark.parametrize("lines", [path_lines(200), nested_lines(200)],
+                             ids=["path", "nested"])
+    def test_deep_shuffled(self, monkeypatch, lines):
+        G = parse_edge_list("\n".join(shuffled(lines, 1)))
+        assert assert_forcing_classes_match(monkeypatch, [G]) == (1, 0)
+
+    def test_fallback(self, monkeypatch):
+        # the anchor overlaps 4 vertices, and Z takes 2 of them: 245 of the
+        # 247 vertices it tolerates
+        G = parse_edge_list("\n".join(edge_lines(300, 19, False)))
+        assert assert_forcing_classes_match(monkeypatch, [G]) == (1, 1)
