@@ -12,11 +12,12 @@ document names every vertex by its index, a JSON integer: position i
 stands for ``names[i]``.  Beyond that a document holds only what its
 checker reads.  A positive one holds ``arcs``, a flat list of 2n integers
 in input vertex order: vertex v's arc is ``(arcs[2v], arcs[2v+1])``.  A
-negative one holds a vertex set S, as input indices in input order (the
-reduction's survivors), and the anchor, the pair and the two walks, as
-indices into the circular completion of G[S] in the order that
-``edgetypes.completion_graph`` gives it: G[S]'s vertices first, then the
-added ones.
+negative one holds a vertex set S, as input indices in input order, and
+the anchor, the pair and the two walks, as indices into the circular
+completion of G[S] in the order that ``edgetypes.completion_graph`` gives
+it: G[S]'s vertices first, then the added ones.  S is the reduction's
+survivors, or, when the reduced graph splits, the survivors of one
+piece: a component plus one vertex outside it (``recognizer``).
 
 The reader takes a list only if every entry is a JSON integer (``bool`` is
 not one), the arcs only if there are 2n of them, and S only if every entry

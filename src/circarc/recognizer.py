@@ -9,15 +9,42 @@ and from ``delta.implication_classes`` otherwise.  Only the certificate is
 checked, by the independent checker in ``check``; the stage checks run
 only to name the failing stage.  A positive certificate gets
 ``positive_error``, a negative one ``negative_error``.  A negative
-certificate carries the run's classification of the reduced graph, which
-is G[S], as its ``reduced``, and ``negative_error`` is handed the
-classified completion; it confirms both before it reads them, so a
-negative run classifies twice.
+certificate carries the run's classification of the graph it condemns,
+G[S], as its ``reduced``, and ``negative_error`` is handed the classified
+completion; it confirms both before it reads them, so a negative run
+classifies twice.
+
+A reduced graph G_r with two or more components of two or more vertices
+is certified piece by piece.  Each such component C gives the piece
+G_r[C + x], x the least vertex of G_r outside C.  The pieces run every
+stage from ``classify_all`` on, by |C|, then by least vertex, and the first
+that is not circular-arc gives the certificate: S is its vertices, by
+input index in input order, and its anchor, pair and walks index the
+completion of G[S].  If every piece is circular-arc, each piece's arcs are
+turned so that x's right end is its circle's last slot, x is dropped, and
+the pieces, then two slots per isolated vertex of G_r, are laid side by
+side on one circle.  Otherwise, G_r is the one piece.  This is exact:
+
+1. In an arc model of a graph with two or more components, no
+   component's arcs cover the circle, for an arc of another component
+   would meet one of them.  So every component is an interval graph, and
+   interval models laid side by side on a circle model their union.
+2. So G_r[C + x] is circular-arc exactly when C is an interval graph.  In
+   its model x's arc meets no other, so once x's right end is the last
+   slot no arc of C wraps, and the pieces laid side by side stay apart.
+3. A piece is reduced, so ``classify_all`` does not refuse it: the closed
+   neighbourhoods of C's vertices lie inside C, and x is isolated.
+4. The checker accepts any vertex set S of G: induced subgraphs inherit
+   circular-arc-ness.
+
+Each piece runs on its own ``_Run``; a failure is diagnosed on the pieces
+in run order.  A connected G_r pays one breadth-first search for this;
+only a disconnected one has its components labelled.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -28,46 +55,111 @@ from .check import verify_negative, verify_positive  # re-exported under their o
 from .delta import (implication_classes, interval_orientation, labelled_from_typed,
                     ordering_violation)
 from .edgetypes import complete
-from .graph import Graph, reduce
+from .graph import Graph, pack_rows, reduce, union_find
 from .intervals import _consistency_error, build_intervals, lift_to_circle
-from .knotting import (bipartite_or_odd_cycle, build_knotting, build_Z,
+from .knotting import (_search, bipartite_or_odd_cycle, build_knotting, build_Z,
                        extract_invertible_pair, forcing_classes, overlap_side)
 
 
 class _Run(dict):
-    """One run's stage outputs by stage name; .stage is the stage started last."""
+    """One run's stage outputs by stage name; .stage is the stage started
+    last.  A split input runs each piece on a _Run of its own, listed in
+    .pieces in run order, whose stages set this run's .stage too."""
     stage = "recognize"
+
+    def __init__(self, parent: Optional["_Run"] = None):
+        super().__init__()
+        self.parent, self.pieces = parent, []
 
     def __call__(self, stage: str, fn, *args):
         self.stage = stage
+        if self.parent is not None:
+            self.parent.stage = stage
         self[stage] = out = fn(*args)
         return out
 
+    def piece(self) -> "_Run":
+        self.pieces.append(run := _Run(self))
+        return run
+
+
+def _piece(P: Graph, S: list[int], run: _Run) -> Union[Certificate, ArcRepresentation]:
+    """The stages from classify_all on, each run through run, of a reduced
+    graph P on two or more vertices, the input's G[S]: its negative
+    certificate, unchecked, or its arcs."""
+    T = run("classify_all", classify_all, P)
+    H, partner = run("complete", complete, T)
+    z = int(H.graph.adj.sum(axis=1).argmin())
+    K = run("build_knotting", build_knotting, H, z)
+    res = run("bipartite_or_odd_cycle", bipartite_or_odd_cycle, K)
+    if isinstance(res, list):
+        awp = run("extract_invertible_pair", extract_invertible_pair, K, res)
+        return Certificate(NEGATIVE, vertices=S, completion=H.graph, obstruction=awp, reduced=T)
+    side = run("overlap_side", overlap_side, H, K, res, partner[z])
+    zset = run("build_Z", build_Z, H, z, side, partner)
+    L = run("labelled_from_typed", labelled_from_typed, H, zset)
+    classes = run("forcing_classes", forcing_classes, K, res, zset, L)
+    order = run("interval_orientation", interval_orientation, L, classes)
+    ivals = run("build_intervals", build_intervals, L, order)
+    arcs_h = run("lift_to_circle", lift_to_circle, ivals, zset, partner)
+    return ArcRepresentation(arcs_h.circle_size, {v: arcs_h.arcs[v] for v in range(P.n)})
+
+
+def _split(G_r: Graph) -> Optional[tuple[list[tuple[np.ndarray, int]], np.ndarray]]:
+    """The pieces of G_r, each as its sorted vertices and the position xi
+    of its added vertex x among them, and G_r's isolated vertices; None when
+    G_r, on two or more vertices, has at most one component of two or
+    more.  A piece is such a component C, plus the least vertex x outside
+    it; pieces come by |C|, then by least vertex."""
+    n = G_r.n
+    _, levels = _search(pack_rows(G_r.closed_adj()), n, 0)
+    if sum(map(len, levels)) == n:  # connected: one search, no labelling
+        return None
+    label = union_find(n, *np.nonzero(G_r.adj))  # each vertex's component's least member
+    size = np.bincount(label, minlength=n)
+    roots = np.flatnonzero(size >= 2)
+    if roots.size < 2:
+        return None
+    pieces = []
+    for r in roots[np.argsort(size[roots], kind="stable")].tolist():
+        x = int(np.argmax(label != r))
+        vs = np.flatnonzero((label == r) | (np.arange(n) == x))
+        pieces.append((vs, int(np.searchsorted(vs, x))))
+    return pieces, np.flatnonzero(size[label] == 1)
+
 
 def _certificate(G: Graph, run: _Run) -> Certificate:
-    """G's certificate, unchecked, each stage run through run."""
+    """G's certificate, unchecked, each stage run through run, or through
+    a run from run.piece() for each piece of a split input."""
     G_r, trace = run("reduce", reduce, G)
     if G_r.n <= 1:
         reduced_rep = ArcRepresentation(4, {v: (0, 1) for v in range(G_r.n)})
+    elif (split := _split(G_r)) is None:
+        reduced_rep = _piece(G_r, trace.survivors, run)
+        if isinstance(reduced_rep, Certificate):
+            return reduced_rep
     else:
-        T = run("classify_all", classify_all, G_r)
-        H, partner = run("complete", complete, T)
-        z = int(H.graph.adj.sum(axis=1).argmin())
-        K = run("build_knotting", build_knotting, H, z)
-        res = run("bipartite_or_odd_cycle", bipartite_or_odd_cycle, K)
-        if isinstance(res, list):
-            awp = run("extract_invertible_pair", extract_invertible_pair, K, res)
-            return Certificate(NEGATIVE, vertices=trace.survivors, completion=H.graph,
-                               obstruction=awp, reduced=T)
-        side = run("overlap_side", overlap_side, H, K, res, partner[z])
-        zset = run("build_Z", build_Z, H, z, side, partner)
-        L = run("labelled_from_typed", labelled_from_typed, H, zset)
-        classes = run("forcing_classes", forcing_classes, K, res, zset, L)
-        order = run("interval_orientation", interval_orientation, L, classes)
-        ivals = run("build_intervals", build_intervals, L, order)
-        arcs_h = run("lift_to_circle", lift_to_circle, ivals, zset, partner)
-        reduced_rep = ArcRepresentation(arcs_h.circle_size,
-                                        {v: arcs_h.arcs[v] for v in range(G_r.n)})
+        pieces, lone = split
+        survivors = np.asarray(trace.survivors)
+        arcs: dict[int, tuple[int, int]] = {}
+        offset = 0
+        for vs, xi in pieces:
+            piece = run.piece()
+            out = _piece(G_r.induced(vs), survivors[vs].tolist(), piece)
+            if isinstance(out, Certificate):
+                run.update(piece)  # the run's own classifications, for the check
+                return out
+            # x meets no arc, so no arc wraps once x's right end is the last
+            # slot; x is dropped and the piece moved past those before it
+            c, (_, r) = out.circle_size, out.arcs[xi]
+            for i, v in enumerate(vs.tolist()):
+                if i != xi:
+                    arcs[v] = tuple(offset + (e - r - 1) % c for e in out.arcs[i])
+            offset += c
+        for v in lone.tolist():
+            arcs[v] = (offset, offset + 1)
+            offset += 2
+        reduced_rep = ArcRepresentation(offset, arcs)
     return Certificate(POSITIVE, arcs=run("expand_arcs", expand_arcs, trace, reduced_rep))
 
 
@@ -97,20 +189,22 @@ def _reason(exc: Exception) -> str:
 
 
 def _diagnosis(run: _Run, reason: str) -> InternalError:
-    """The error of a failed run: the first stage, in pipeline order, whose
-    check (stage, reason prefix, check) in _STAGE_CHECKS rejects or raises
-    on the outputs run recorded, with its reason; if none, the stage started
-    last, which raised or made the certificate, with reason."""
-    for stage, prefix, check in _STAGE_CHECKS:
-        if stage in run:
-            try:
-                err = check(run)
-            except MemoryError:
-                raise
-            except Exception as exc:
-                return InternalError(f"{stage}: {_reason(exc)}")
-            if err is not None:
-                return InternalError(f"{stage}: {prefix}: {err}")
+    """The error of a failed run: the first stage, by piece in run order
+    (run alone if unsplit), then in pipeline order, whose check (stage,
+    reason prefix, check) in _STAGE_CHECKS rejects or raises on the
+    outputs recorded, with its reason; if none, the stage started last,
+    which raised or made the certificate, with reason."""
+    for piece in run.pieces or [run]:
+        for stage, prefix, check in _STAGE_CHECKS:
+            if stage in piece:
+                try:
+                    err = check(piece)
+                except MemoryError:
+                    raise
+                except Exception as exc:
+                    return InternalError(f"{stage}: {_reason(exc)}")
+                if err is not None:
+                    return InternalError(f"{stage}: {prefix}: {err}")
     return InternalError(f"{run.stage}: {reason}")
 
 

@@ -1,7 +1,7 @@
 """Print the edge list of a seeded random arc model, for the CI smokes.
 
 Usage: python tests/arc_model_edges.py N SEED [--twins T]
-           [--biclaw | --nested | --short | --path | --cycle] [--shuffle S]
+           [--biclaw [--join] | --nested | --short | --path | --cycle] [--shuffle S]
 
 The N arcs have their 2N ends shuffled over 2N slots by random.Random(SEED).
 --twins T makes each arc T true twins: on the circle refined 2T-fold, copy j
@@ -9,7 +9,9 @@ of an arc starts j fine slots before it and ends j fine slots after it, which
 is less than half an old slot, so copies meet exactly when their arcs do.
 Copy j of arc a is v(aT + j), so the vertices are v0..v(NT-1), listed first,
 then every intersecting pair; --biclaw appends a disjoint biclaw on b0..b6,
-which makes the graph not circular-arc.  --nested prints the interval graph of
+which makes the graph not circular-arc.  --join then adds the edge b2 v0: the
+biclaw stays induced, so the graph is still not circular-arc, but it is no
+longer split into components, which the recognizer would certify apart.  --nested prints the interval graph of
 nested_lines instead, whose Δ-orientation is about N/2 modules deep; SEED is
 then unused.  --short prints the sparse model of short_lines instead.
 --path prints the path P_N and --cycle C_N beside an isolated vertex, which
@@ -88,17 +90,21 @@ if __name__ == "__main__":
     family.add_argument("--short", action="store_true")
     family.add_argument("--path", action="store_true")
     family.add_argument("--cycle", action="store_true")
+    parser.add_argument("--join", action="store_true")
     parser.add_argument("--twins", type=int, default=1, metavar="T")
     parser.add_argument("--shuffle", type=int, metavar="S")
     args = parser.parse_args()
     if args.twins < 1 or (args.twins > 1 and (args.nested or args.short
                                               or args.path or args.cycle)):
         parser.error("--twins takes T >= 1 and applies to the arc model alone")
+    if args.join and not args.biclaw:
+        parser.error("--join applies to --biclaw alone")
     lines = (nested_lines(args.n) if args.nested
              else short_lines(args.n, args.seed) if args.short
              else path_lines(args.n) if args.path
              else cycle_lines(args.n) if args.cycle
-             else edge_lines(args.n, args.seed, args.biclaw, args.twins))
+             else edge_lines(args.n, args.seed, args.biclaw, args.twins)
+             + (["b2 v0"] if args.join else []))
     if args.shuffle is not None:
         lines = shuffled(lines, args.shuffle)
     print("\n".join(lines))

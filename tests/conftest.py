@@ -289,6 +289,21 @@ def planted_negative(rng: random.Random, n: int, pattern: str) -> Graph:
     return Graph(n + k, adj[np.ix_(perm, perm)], tuple(map(str, range(n + k))))
 
 
+def disjoint_union(*graphs: Graph, seed: Optional[int] = None) -> Graph:
+    """The disjoint union of graphs, named 0, 1, ... in order, its vertex
+    ids shuffled by random.Random(seed) if a seed is given."""
+    n = sum(g.n for g in graphs)
+    adj = np.zeros((n, n), dtype=bool)
+    at = 0
+    for g in graphs:
+        adj[at:at + g.n, at:at + g.n] = g.adj
+        at += g.n
+    perm = list(range(n))
+    if seed is not None:
+        random.Random(seed).shuffle(perm)
+    return Graph(n, adj[perm][:, perm], tuple(map(str, range(n))))
+
+
 def make_labelled(n, overlaps=(), inclusions=()):
     """Labelled graph from explicit pair lists.
 

@@ -16,7 +16,7 @@ from circarc.graph import build_graph
 from circarc.oracle import oracle_is_ca
 from circarc.recognizer import NEGATIVE, POSITIVE, recognize
 
-ATLAS_SHA256 = "74fac7692d278771bd13e74bdd91bd94b3ca76997a1bfa186373741b8d84efe0"
+ATLAS_SHA256 = "383151ffc431a03a60ecb8eecc54901fcd601eaa248f1cdee7d4f256e2744ae3"
 
 
 def test_atlas_certificates_are_unchanged():

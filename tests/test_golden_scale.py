@@ -19,7 +19,7 @@ from circarc.formats import parse_edge_list, serialize_certificate
 from circarc.recognizer import NEGATIVE, POSITIVE, recognize
 from conftest import arc_model, planted_negative
 
-SCALE_SHA256 = "ba0a474e313d087096ffe8a25873625533d10b91ce6facedc867b604f416cd5a"
+SCALE_SHA256 = "7d7a18e79d50439a8677ef22977daa0af2e8ed2ff9680d483afc5bddb0777434"
 TWIN_SHA256 = "2a0c552dfa8cbd7dc457a398f92eba5971fe2f27057726f2439a5eccea55ec28"
 
 

@@ -6,19 +6,22 @@ import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from circarc import recognizer
 from circarc.arcs import ArcRepresentation
 from circarc.check import (NEGATIVE, POSITIVE, AvoidWalkPair, Certificate, InternalError,
                            circular_pairs, classify_all, negative_error, positive_error,
-                           verify_negative, verify_positive)
+                           representation_error, verify_negative, verify_positive)
+from circarc.cli import main
 from circarc.formats import (FormatError, parse_certificate, parse_edge_list,
                              serialize_certificate)
 from circarc.graph import Graph, build_graph
 from circarc.recognizer import recognize
 from arc_model_edges import edge_lines, nested_lines, short_lines
-from conftest import BICLAW_EDGES, arc_model, covers, planted_negative
+from conftest import (BICLAW_EDGES, NEAR_BICLAW_EDGES, arc_model, bfs, covers, disjoint_union,
+                      planted_negative)
 from test_ground_truth import cycle_plus_vertex
 
 
@@ -139,6 +142,23 @@ class TestSelfChecksRunOnce:
                               "check.classify_all": 2,
                               "check.negative_error": 0}
 
+    def test_two_component_positive(self, monkeypatch):
+        counts = count_calls(monkeypatch, self.NAMES)
+        G = disjoint_union(interval_model(random.Random(1), 20),
+                           interval_model(random.Random(2), 30))
+        assert recognize(G).verdict == POSITIVE
+        # each piece, a component plus one vertex of the other, is
+        # classified and completed, and paired for its lift, on its own; the
+        # arcs laid side by side are checked once, on G
+        assert counts == {"delta.implication_classes": 0,
+                          "delta.ordering_violation": 0,
+                          "knotting.walk_pair_error": 0,
+                          "arcs.representation_error": 1,
+                          "check.completion_error": 0,
+                          "check.circular_pairs": 2,
+                          "check.classify_all": 4,
+                          "check.negative_error": 0}
+
     def test_negative_route(self, monkeypatch):
         counts = count_calls(monkeypatch, self.NAMES)
         for seed, pattern in enumerate(["biclaw", "c4+k1"]):
@@ -159,6 +179,97 @@ class TestSelfChecksRunOnce:
                               "check.circular_pairs": 3,
                               "check.classify_all": 2,
                               "check.negative_error": 1}
+
+
+def interval_model(rng: random.Random, n: int) -> Graph:
+    """The intersection graph of n intervals whose 2n ends are shuffled."""
+    ends = list(range(2 * n))
+    rng.shuffle(ends)
+    ivs = [sorted(ends[2 * v:2 * v + 2]) for v in range(n)]
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                           if ivs[u][0] < ivs[v][1] and ivs[v][0] < ivs[u][1]])
+
+
+def cycle(n: int) -> Graph:
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+class TestPieces:
+    """A reduced graph with two or more components of two or more vertices
+    is certified piece by piece: each such component C plus the least
+    vertex x outside it, smallest C first, ties by least vertex."""
+
+    @staticmethod
+    def component(G: Graph, v: int) -> set[int]:
+        return set(bfs({}, v, lambda u: np.flatnonzero(G.adj[u]).tolist()))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_smallest_component_plus_least_outside_vertex(self, seed):
+        # C4, C5 and K1, shuffled: the C4 is the smallest multi-vertex
+        # component, so its piece runs first, and it is not circular-arc
+        G = disjoint_union(cycle(4), cycle(5), build_graph(1, []), seed=seed)
+        c4 = self.component(G, next(v for v in range(G.n)
+                                    if len(self.component(G, v)) == 4))
+        cert = recognize(G)
+        assert cert.verdict == NEGATIVE
+        assert cert.vertices == sorted(c4 | {min(set(range(G.n)) - c4)})
+        assert cert.completion.n == 10
+        assert verify_negative(G, cert)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tie_goes_to_least_vertex(self, seed):
+        G = disjoint_union(cycle(4), cycle(4), seed=seed)
+        first = self.component(G, 0)
+        cert = recognize(G)
+        assert cert.vertices == sorted(first | {min(set(range(G.n)) - first)})
+        assert verify_negative(G, cert)
+
+    @pytest.mark.parametrize("graph", ["2K1", "nested"])
+    def test_one_multi_vertex_component_stays_whole(self, graph):
+        # nested intervals lose their universal vertex and keep one
+        # isolated vertex beside the rest
+        G = (build_graph(2, []) if graph == "2K1"
+             else parse_edge_list("\n".join(nested_lines(60))))
+        run = recognizer._Run()
+        cert = recognizer._certificate(G, run)
+        assert run.pieces == [] and "classify_all" in run
+        assert positive_error(G, cert) is None
+
+    def test_positive_pieces_side_by_side(self):
+        # two interval models, a path and two isolated vertices
+        parts = (interval_model(random.Random(3), 12), build_graph(3, [(0, 1), (1, 2)]),
+                 interval_model(random.Random(4), 9), build_graph(2, []))
+        G = disjoint_union(*parts, seed=5)
+        run = recognizer._Run()
+        cert = recognizer._certificate(G, run)
+        assert len(run.pieces) == 3
+        assert representation_error(G, cert.arcs) is None
+        # no arc wraps: each piece's own circle is cut just past its added
+        # vertex, and expanding twins nests their arcs inside their kept one
+        assert all(l < r for l, r in run["expand_arcs"].arcs.values())
+
+    @pytest.mark.parametrize("pattern,size", [("biclaw", 8), ("c4+k1", 5)])
+    def test_planted_negative_names_its_piece(self, pattern, size):
+        for seed in range(3):
+            G = planted_negative(random.Random(seed), 30, pattern)
+            cert = recognize(G)
+            assert cert.verdict == NEGATIVE
+            assert len(cert.vertices) == size
+            assert verify_negative(G, parse_certificate(G, serialize_certificate(G, cert)))
+
+    def test_planted_fault_is_named(self, monkeypatch, tmp_path, capsys):
+        # the CI's row swap in build_intervals, on two disjoint near-biclaws:
+        # the check of the arcs laid side by side fails, and the diagnosis
+        # over the pieces names the stage
+        edges = NEAR_BICLAW_EDGES.splitlines()
+        path = tmp_path / "two.txt"
+        path.write_text("\n".join(edges + [" ".join(v + "2" for v in e.split())
+                                          for e in edges]) + "\n")
+        build = recognizer.build_intervals
+        monkeypatch.setattr(recognizer, "build_intervals",
+                            lambda L, order: build(L, order)[[1, 0, *range(2, L.n)]])
+        assert main(["recognize", str(path)]) == 70
+        assert capsys.readouterr().err.startswith("# internal error: build_intervals: ")
 
 
 def fresh_error(G, cert):
