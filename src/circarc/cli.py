@@ -17,14 +17,13 @@ from typing import Optional
 
 import numpy as np
 
-from .check import POSITIVE, InternalError, classify_all, negative_error, positive_error
-from .edgetypes import complete
+from .check import POSITIVE, InternalError, negative_error, positive_error
 from .formats import (FormatError, parse_certificate, parse_edge_list,
                       parse_graph6, serialize_certificate, write_edge_list)
 from .graph import Graph, GraphError, reduce as reduce_graph
 from .knotting import KnottingGraph, bipartite_or_odd_cycle, build_knotting
 from .oracle import cross_check, oracle_is_ca
-from .recognizer import recognize
+from .recognizer import certified_completion, recognize
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -121,15 +120,16 @@ def _cmd_crosscheck(args, _graph) -> int:
 
 
 def _completion_of(G: Graph):
-    reduced, trace = reduce_graph(G)
+    """The completion of G's reduction, or of the piece of it that G's
+    negative certificate names (``recognizer.certified_completion``)."""
+    reduced, _ = reduce_graph(G)
     if reduced.n <= 1:
         raise UsageError("graph reduces to a trivial graph; nothing to complete")
-    H, partner = complete(classify_all(reduced))
-    return reduced, trace, H, partner
+    return certified_completion(reduced)
 
 
 def _cmd_complete(args, G: Graph) -> int:
-    _, _, H, partner = _completion_of(G)
+    H, partner = _completion_of(G)
     names = H.graph.names
     doc = {
         "n": H.graph.n,
@@ -155,7 +155,7 @@ def _knotting_dot(K: KnottingGraph, names) -> str:
 
 
 def _cmd_knotting(args, G: Graph) -> int:
-    _, _, H, _ = _completion_of(G)
+    H, _ = _completion_of(G)
     try:
         z = H.graph.index_of(args.anchor)
     except GraphError as exc:

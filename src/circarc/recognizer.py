@@ -38,8 +38,10 @@ side on one circle.  Otherwise, G_r is the one piece.  This is exact:
    circular-arc-ness.
 
 Each piece runs on its own ``_Run``; a failure is diagnosed on the pieces
-in run order.  A connected G_r pays one breadth-first search for this;
-only a disconnected one has its components labelled.
+in run order.  Every G_r on two or more vertices has its components
+labelled once, by ``graph.union_find``.  ``certified_completion`` gives
+the completion that a negative certificate's indices refer to, for the
+command line's inspection commands.
 """
 
 from __future__ import annotations
@@ -55,9 +57,9 @@ from .check import verify_negative, verify_positive  # re-exported under their o
 from .delta import (implication_classes, interval_orientation, labelled_from_typed,
                     ordering_violation)
 from .edgetypes import complete
-from .graph import Graph, pack_rows, reduce, union_find
+from .graph import Graph, reduce, union_find
 from .intervals import _consistency_error, build_intervals, lift_to_circle
-from .knotting import (_search, bipartite_or_odd_cycle, build_knotting, build_Z,
+from .knotting import (bipartite_or_odd_cycle, build_knotting, build_Z,
                        extract_invertible_pair, forcing_classes, overlap_side)
 
 
@@ -83,13 +85,18 @@ class _Run(dict):
         return run
 
 
+def _anchor(H) -> int:
+    """The anchor of a completion H: its first vertex of least degree."""
+    return int(H.graph.adj.sum(axis=1).argmin())
+
+
 def _piece(P: Graph, S: list[int], run: _Run) -> Union[Certificate, ArcRepresentation]:
     """The stages from classify_all on, each run through run, of a reduced
     graph P on two or more vertices, the input's G[S]: its negative
     certificate, unchecked, or its arcs."""
     T = run("classify_all", classify_all, P)
     H, partner = run("complete", complete, T)
-    z = int(H.graph.adj.sum(axis=1).argmin())
+    z = _anchor(H)
     K = run("build_knotting", build_knotting, H, z)
     res = run("bipartite_or_odd_cycle", bipartite_or_odd_cycle, K)
     if isinstance(res, list):
@@ -112,9 +119,6 @@ def _split(G_r: Graph) -> Optional[tuple[list[tuple[np.ndarray, int]], np.ndarra
     more.  A piece is such a component C, plus the least vertex x outside
     it; pieces come by |C|, then by least vertex."""
     n = G_r.n
-    _, levels = _search(pack_rows(G_r.closed_adj()), n, 0)
-    if sum(map(len, levels)) == n:  # connected: one search, no labelling
-        return None
     label = union_find(n, *np.nonzero(G_r.adj))  # each vertex's component's least member
     size = np.bincount(label, minlength=n)
     roots = np.flatnonzero(size >= 2)
@@ -161,6 +165,20 @@ def _certificate(G: Graph, run: _Run) -> Certificate:
             offset += 2
         reduced_rep = ArcRepresentation(offset, arcs)
     return Certificate(POSITIVE, arcs=run("expand_arcs", expand_arcs, trace, reduced_rep))
+
+
+def certified_completion(G_r: Graph):
+    """The completion, with its partner array, whose vertices a negative
+    certificate of a reduced graph G_r on two or more vertices indexes by
+    position: that of the first piece, in run order, whose knotting graph
+    at its anchor is not bipartite, the piece recognize certifies; that of
+    G_r itself when G_r does not split or no piece is."""
+    split = _split(G_r)
+    for vs, _ in split[0] if split is not None else ():
+        H, partner = complete(classify_all(G_r.induced(vs)))
+        if isinstance(bipartite_or_odd_cycle(build_knotting(H, _anchor(H))), list):
+            return H, partner
+    return complete(classify_all(G_r))
 
 
 _STAGE_CHECKS = (

@@ -12,13 +12,14 @@ import circarc.oracle
 import circarc.recognizer
 from circarc.arcs import ArcRepresentation
 from circarc.cli import _knotting_dot, main
-from circarc.check import InternalError, classify_all
-from circarc.formats import parse_edge_list, write_graph6
-from circarc.graph import Graph
+from circarc.check import NEGATIVE, InternalError, classify_all
+from circarc.formats import parse_edge_list, write_edge_list, write_graph6
+from circarc.graph import Graph, reduce as reduce_graph
 from circarc.knotting import build_knotting
+from circarc.recognizer import recognize
 from arc_model_edges import edge_lines
 from conftest import (BICLAW_EDGES, NEAR_BICLAW_EDGES, arc_model, completion_of,
-                      planted_negative)
+                      disjoint_union, planted_negative)
 
 
 NOT_UTF8 = b"a b\n\xff\xfe c\n"
@@ -405,6 +406,31 @@ class TestCompleteCommand:
         f = write(tmp_path, "g.txt", "a b")
         assert main(["complete", f]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("pattern", ["biclaw", "c4+k1"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_split_negative_lists_the_certified_piece(self, tmp_path, capsys, pattern, seed):
+        # the reduced graph splits, so the certificate indexes the completion
+        # of one piece; `circarc complete` lists that one, and at the anchor
+        # the certificate names the knotting graph has an odd cycle
+        G = planted_negative(random.Random(seed), 30, pattern)
+        cert = recognize(G)
+        assert cert.verdict == NEGATIVE and len(cert.vertices) < G.n
+        f = write(tmp_path, "g.txt", write_edge_list(G))
+        assert main(["complete", f]) == 0
+        names = json.loads(capsys.readouterr().out)["vertices"]
+        assert names == list(cert.completion.names)
+        assert main(["knotting", f, "--anchor", names[cert.obstruction.anchor]]) == 10
+        assert "NOT bipartite" in capsys.readouterr().out
+
+    def test_split_positive_lists_the_whole_completion(self, tmp_path, capsys):
+        G = disjoint_union(arc_model(random.Random(4), 12), arc_model(random.Random(5), 9),
+                           seed=6)
+        assert circarc.recognizer._split(reduce_graph(G)[0]) is not None
+        f = write(tmp_path, "g.txt", write_edge_list(G))
+        assert main(["complete", f]) == 0
+        names = json.loads(capsys.readouterr().out)["vertices"]
+        assert names == list(completion_of(G)[2].graph.names)
 
 
 class TestKnottingCommand:
