@@ -17,13 +17,15 @@ from typing import Optional
 
 import numpy as np
 
-from .check import POSITIVE, InternalError, negative_error, positive_error
+from .check import (NEGATIVE, POSITIVE, InternalError, classify_all, negative_error,
+                    positive_error)
+from .edgetypes import complete
 from .formats import (FormatError, parse_certificate, parse_edge_list,
                       parse_graph6, serialize_certificate, write_edge_list)
 from .graph import Graph, GraphError, reduce as reduce_graph
 from .knotting import KnottingGraph, bipartite_or_odd_cycle, build_knotting
 from .oracle import cross_check, oracle_is_ca
-from .recognizer import certified_completion, recognize
+from .recognizer import recognize
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -120,12 +122,17 @@ def _cmd_crosscheck(args, _graph) -> int:
 
 
 def _completion_of(G: Graph):
-    """The completion of G's reduction, or of the piece of it that G's
-    negative certificate names (``recognizer.certified_completion``)."""
+    """The completion, with its partner array, that G's certificate from
+    ``recognize`` indexes: for a negative one, the completion of G[S] from
+    the certificate's own classification of G[S]; otherwise that of G's
+    reduction."""
+    cert = recognize(G)
+    if cert.verdict == NEGATIVE:
+        return complete(cert.reduced)
     reduced, _ = reduce_graph(G)
     if reduced.n <= 1:
         raise UsageError("graph reduces to a trivial graph; nothing to complete")
-    return certified_completion(reduced)
+    return complete(classify_all(reduced))
 
 
 def _cmd_complete(args, G: Graph) -> int:

@@ -241,6 +241,15 @@ def forcing_classes(K: KnottingGraph, side: np.ndarray, zset: list[int],
     listed by owner, then by least member, so a class's least pair is
     (owner, least member) of its least copy, and the classes are numbered
     by first occurrence in side.
+
+    If z overlaps some vertex, the read-off can split a class of L, so
+    the labelling stays.  K's safe subgraphs drop every overlap edge
+    between two overlappers of z; inside zset those are the overlap edges
+    within Y, which L's avoidance graph at u keeps wherever they avoid u.
+    The complement of P_6 + K_2, circular-arc on 8 vertices, is such an
+    input: its anchor overlaps four vertices, Y holds two that overlap
+    each other, and the side ids split each of L's two classes in two.
+    No graph on 7 or fewer vertices splits a class.
     """
     if K.avoid[1][K.anchor].any():
         return implication_classes(L)

@@ -39,9 +39,7 @@ side on one circle.  Otherwise, G_r is the one piece.  This is exact:
 
 Each piece runs on its own ``_Run``; a failure is diagnosed on the pieces
 in run order.  Every G_r on two or more vertices has its components
-labelled once, by ``graph.union_find``.  ``certified_completion`` gives
-the completion that a negative certificate's indices refer to, for the
-command line's inspection commands.
+labelled once, by ``graph.union_find``.
 """
 
 from __future__ import annotations
@@ -85,18 +83,13 @@ class _Run(dict):
         return run
 
 
-def _anchor(H) -> int:
-    """The anchor of a completion H: its first vertex of least degree."""
-    return int(H.graph.adj.sum(axis=1).argmin())
-
-
 def _piece(P: Graph, S: list[int], run: _Run) -> Union[Certificate, ArcRepresentation]:
     """The stages from classify_all on, each run through run, of a reduced
     graph P on two or more vertices, the input's G[S]: its negative
     certificate, unchecked, or its arcs."""
     T = run("classify_all", classify_all, P)
     H, partner = run("complete", complete, T)
-    z = _anchor(H)
+    z = int(H.graph.adj.sum(axis=1).argmin())  # the first vertex of least degree
     K = run("build_knotting", build_knotting, H, z)
     res = run("bipartite_or_odd_cycle", bipartite_or_odd_cycle, K)
     if isinstance(res, list):
@@ -165,20 +158,6 @@ def _certificate(G: Graph, run: _Run) -> Certificate:
             offset += 2
         reduced_rep = ArcRepresentation(offset, arcs)
     return Certificate(POSITIVE, arcs=run("expand_arcs", expand_arcs, trace, reduced_rep))
-
-
-def certified_completion(G_r: Graph):
-    """The completion, with its partner array, whose vertices a negative
-    certificate of a reduced graph G_r on two or more vertices indexes by
-    position: that of the first piece, in run order, whose knotting graph
-    at its anchor is not bipartite, the piece recognize certifies; that of
-    G_r itself when G_r does not split or no piece is."""
-    split = _split(G_r)
-    for vs, _ in split[0] if split is not None else ():
-        H, partner = complete(classify_all(G_r.induced(vs)))
-        if isinstance(bipartite_or_odd_cycle(build_knotting(H, _anchor(H))), list):
-            return H, partner
-    return complete(classify_all(G_r))
 
 
 _STAGE_CHECKS = (

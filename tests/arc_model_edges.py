@@ -1,7 +1,8 @@
 """Print the edge list of a seeded random arc model, for the CI smokes.
 
 Usage: python tests/arc_model_edges.py N SEED [--twins T]
-           [--biclaw [--join] | --nested | --short | --path | --cycle] [--shuffle S]
+           [--biclaw [--join] | --nested | --short | --path | --cycle | --ring]
+           [--shuffle S]
 
 The N arcs have their 2N ends shuffled over 2N slots by random.Random(SEED).
 --twins T makes each arc T true twins: on the circle refined 2T-fold, copy j
@@ -15,9 +16,10 @@ longer split into components, which the recognizer would certify apart.  --neste
 nested_lines instead, whose Δ-orientation is about N/2 modules deep; SEED is
 then unused.  --short prints the sparse model of short_lines instead.
 --path prints the path P_N and --cycle C_N beside an isolated vertex, which
-is not circular-arc; SEED is unused by both.  --shuffle S first declares
-every vertex in random.Random(S) order, then prints the same lines, so the
-graph is the same but its vertex ids are shuffled.
+is not circular-arc; --ring prints the plain cycle C_N, which is; SEED is
+unused by all three.  --shuffle S first declares every vertex in
+random.Random(S) order, then prints the same lines, so the graph is the
+same but its vertex ids are shuffled.
 """
 
 import argparse
@@ -68,9 +70,14 @@ def path_lines(n: int) -> list[str]:
     return [f"p{i} p{i + 1}" for i in range(n - 1)]
 
 
+def ring_lines(n: int) -> list[str]:
+    """The cycle c0 - c1 - ... - c(N-1) - c0."""
+    return [f"c{i} c{(i + 1) % n}" for i in range(n)]
+
+
 def cycle_lines(n: int) -> list[str]:
     """The isolated vertex k, then the cycle c0 - c1 - ... - c(N-1) - c0."""
-    return ["k"] + [f"c{i} c{(i + 1) % n}" for i in range(n)]
+    return ["k"] + ring_lines(n)
 
 
 def shuffled(lines: list[str], seed: int) -> list[str]:
@@ -90,12 +97,13 @@ if __name__ == "__main__":
     family.add_argument("--short", action="store_true")
     family.add_argument("--path", action="store_true")
     family.add_argument("--cycle", action="store_true")
+    family.add_argument("--ring", action="store_true")
     parser.add_argument("--join", action="store_true")
     parser.add_argument("--twins", type=int, default=1, metavar="T")
     parser.add_argument("--shuffle", type=int, metavar="S")
     args = parser.parse_args()
     if args.twins < 1 or (args.twins > 1 and (args.nested or args.short
-                                              or args.path or args.cycle)):
+                                              or args.path or args.cycle or args.ring)):
         parser.error("--twins takes T >= 1 and applies to the arc model alone")
     if args.join and not args.biclaw:
         parser.error("--join applies to --biclaw alone")
@@ -103,6 +111,7 @@ if __name__ == "__main__":
              else short_lines(args.n, args.seed) if args.short
              else path_lines(args.n) if args.path
              else cycle_lines(args.n) if args.cycle
+             else ring_lines(args.n) if args.ring
              else edge_lines(args.n, args.seed, args.biclaw, args.twins)
              + (["b2 v0"] if args.join else []))
     if args.shuffle is not None:

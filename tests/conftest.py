@@ -272,6 +272,15 @@ def arc_model(rng: random.Random, n: int) -> Graph:
     return Graph(n, adj, tuple(map(str, range(n))))
 
 
+def interval_model(rng: random.Random, n: int) -> Graph:
+    """The intersection graph of n intervals whose 2n ends are shuffled."""
+    ends = list(range(2 * n))
+    rng.shuffle(ends)
+    ivs = [sorted(ends[2 * v:2 * v + 2]) for v in range(n)]
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                           if ivs[u][0] < ivs[v][1] and ivs[v][0] < ivs[u][1]])
+
+
 # minimal non-circular-arc graphs, as (vertex count, edges)
 PLANTED = {"biclaw": (7, [(0, 1), (1, 2), (0, 3), (0, 4), (3, 5), (4, 6)]),
            "c4+k1": (5, [(0, 1), (1, 2), (2, 3), (3, 0)])}

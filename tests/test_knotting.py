@@ -10,7 +10,7 @@ import pytest
 import numpy as np
 
 import circarc.knotting
-from circarc.check import (AvoidWalkPair, EdgeType, InternalError, avoids,
+from circarc.check import (POSITIVE, AvoidWalkPair, EdgeType, InternalError, avoids,
                            circular_pairs, classify_all, walk_pair_error)
 from circarc.delta import implication_classes, labelled_from_typed
 from circarc.edgetypes import complete
@@ -20,7 +20,7 @@ from circarc.knotting import (bipartite_or_odd_cycle, build_Z, build_knotting,
                               extract_invertible_pair, forcing_classes, overlap_side)
 from circarc.recognizer import recognize
 from arc_model_edges import edge_lines, nested_lines, path_lines, short_lines, shuffled
-from conftest import (_dense_avoiding, arc_model, bfs, completion_of,
+from conftest import (_dense_avoiding, arc_model, bfs, completion_of, interval_model,
                       planted_negative, side_at, stepwise_walk_pair_error,
                       tree_path)
 from test_golden_scale import corpus, twin_corpus
@@ -653,13 +653,15 @@ class TestBothDirections:
 
 def assert_forcing_classes_match(monkeypatch, graphs):
     """forcing_classes, at the anchor and on the Z that recognize takes,
-    equals implication_classes on L array for array, and falls back to it
-    exactly when the anchor overlaps some vertex.  Returns the number of
-    graphs that reach L and how many of them fell back."""
+    equals implication_classes on L array for array, dtypes included, and
+    falls back to it exactly when the anchor overlaps some vertex.  Returns
+    the number of graphs that reach L, how many of them fell back, and on
+    how many the side ids alone, side[copy_at[a, b]] without the fallback,
+    would not partition the active pairs as L's classes do."""
     calls = []
     monkeypatch.setattr(circarc.knotting, "implication_classes",
                         lambda L: calls.append(L) or implication_classes(L))
-    reached = fell = 0
+    reached = fell = split = 0
     for G in graphs:
         if reduce_graph(G)[0].n < 2:
             continue
@@ -675,33 +677,66 @@ def assert_forcing_classes_match(monkeypatch, graphs):
         got = forcing_classes(K, side, zset, L)
         overlapped = bool(np.isin(H.types[z], [EdgeType.OVERLAP1, EdgeType.OVERLAP2]).any())
         assert len(calls) == overlapped
-        for name, x, y in zip(got._fields, got, implication_classes(L)):
+        want = implication_classes(L)
+        for name, x, y in zip(got._fields, got, want):
             assert x.dtype == y.dtype and np.array_equal(x, y), name
+        zs = np.asarray(zset)
+        links = set(zip(side[K.copy_at[zs[want.a], zs[want.b]]].tolist(), want.cid.tolist()))
+        split += not len(links) == len(dict(links)) == len({c for _, c in links})
         reached += 1
         fell += overlapped
-    return reached, fell
+    return reached, fell, split
+
+
+def cycle_power(n: int, k: int):
+    """C_n^k: vertex i sees i ± 1, ..., i ± k modulo n."""
+    return build_graph(n, [(i, (i + d) % n) for i in range(n) for d in range(1, k + 1)])
 
 
 class TestForcingClasses:
     def test_atlas(self, monkeypatch):
         graphs = (build_graph(g.number_of_nodes(), list(g.edges()))
                   for g in nx.graph_atlas_g()[1:])
-        assert assert_forcing_classes_match(monkeypatch, graphs) == (819, 65)
+        assert assert_forcing_classes_match(monkeypatch, graphs) == (819, 65, 0)
 
     def test_golden_corpora(self, monkeypatch):
         graphs = [G for G, _ in corpus()] + [parse_edge_list("\n".join(lines))
                                              for lines in twin_corpus()]
-        reached, _ = assert_forcing_classes_match(monkeypatch, graphs)
-        assert reached == 10
+        reached, _, split = assert_forcing_classes_match(monkeypatch, graphs)
+        assert (reached, split) == (10, 0)
 
     @pytest.mark.parametrize("lines", [path_lines(200), nested_lines(200)],
                              ids=["path", "nested"])
     def test_deep_shuffled(self, monkeypatch, lines):
         G = parse_edge_list("\n".join(shuffled(lines, 1)))
-        assert assert_forcing_classes_match(monkeypatch, [G]) == (1, 0)
+        assert assert_forcing_classes_match(monkeypatch, [G]) == (1, 0, 0)
 
     def test_fallback(self, monkeypatch):
         # the anchor overlaps 4 vertices, and Z takes 2 of them: 245 of the
         # 247 vertices it tolerates
         G = parse_edge_list("\n".join(edge_lines(300, 19, False)))
-        assert assert_forcing_classes_match(monkeypatch, [G]) == (1, 1)
+        assert assert_forcing_classes_match(monkeypatch, [G]) == (1, 1, 0)
+
+    def test_cycles_and_powers(self, monkeypatch):
+        # proper circular-arc inputs, C_n for n = 4..59 and C_n^k for
+        # k = 2..4, on each of which the anchor overlaps some vertex
+        graphs = [cycle_power(n, 1) for n in range(4, 60)]
+        graphs += [cycle_power(n, k) for k in (2, 3, 4) for n in range(2 * k + 2, 60)]
+        assert assert_forcing_classes_match(monkeypatch, graphs) == (212, 212, 0)
+
+    def test_random_models(self, monkeypatch):
+        # 400 seeded models on 4..60 vertices; 8 reduce to one vertex
+        rng = random.Random(41)
+        graphs = [model(rng, rng.randint(4, 60)) for model in (arc_model, interval_model)
+                  for _ in range(200)]
+        assert assert_forcing_classes_match(monkeypatch, graphs) == (392, 9, 0)
+
+    def test_side_ids_split_a_class_past_an_overlapper(self, monkeypatch):
+        # the complement of P_6 + K_2 is circular-arc; its anchor overlaps
+        # four vertices and Y holds two that overlap each other.  K's safe
+        # subgraphs drop that edge, which L's avoidance graphs keep, so the
+        # side ids alone would split a class, and forcing_classes falls back
+        g = nx.complement(nx.disjoint_union(nx.path_graph(6), nx.path_graph(2)))
+        G = build_graph(8, sorted(g.edges()))
+        assert recognize(G).verdict == POSITIVE
+        assert assert_forcing_classes_match(monkeypatch, [G]) == (1, 1, 1)

@@ -21,7 +21,7 @@ from circarc.graph import Graph, build_graph
 from circarc.recognizer import recognize
 from arc_model_edges import edge_lines, nested_lines, short_lines
 from conftest import (BICLAW_EDGES, NEAR_BICLAW_EDGES, arc_model, bfs, covers, disjoint_union,
-                      planted_negative)
+                      interval_model, planted_negative)
 from test_ground_truth import cycle_plus_vertex
 
 
@@ -179,15 +179,6 @@ class TestSelfChecksRunOnce:
                               "check.circular_pairs": 3,
                               "check.classify_all": 2,
                               "check.negative_error": 1}
-
-
-def interval_model(rng: random.Random, n: int) -> Graph:
-    """The intersection graph of n intervals whose 2n ends are shuffled."""
-    ends = list(range(2 * n))
-    rng.shuffle(ends)
-    ivs = [sorted(ends[2 * v:2 * v + 2]) for v in range(n)]
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                           if ivs[u][0] < ivs[v][1] and ivs[v][0] < ivs[u][1]])
 
 
 def cycle(n: int) -> Graph:
