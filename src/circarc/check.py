@@ -129,27 +129,49 @@ class Arcs(Protocol):  # what the checker reads of an arcs.ArcRepresentation
     arcs: dict[int, tuple[int, int]]  # vertex -> (left slot, right slot)
 
 
+def _is_index(v) -> bool:
+    """Is v an integer, as a certificate gives vertices and slots?"""
+    return isinstance(v, (int, np.integer))
+
+
 def representation_error(G, rep: Arcs) -> Optional[str]:
     """First problem found in rep as a model of G, or None if it is valid.
 
     G only needs .n, .adj (boolean, False diagonal) and .names, by which
     the reasons name vertices; the check is first-principles and does not
-    rely on how the representation was produced.  Endpoints are read
-    vertex by vertex, left before right; the first one outside the circle
-    or already used is reported, then the first vertex pair u < v, in row
-    order, that meets wrongly.
+    rely on how the representation was produced.  An arc that is not a
+    pair, then an endpoint that is not an integer, is reported first.
+    Endpoints are then read vertex by vertex, left before right; the first
+    one outside the circle or already used is reported, then the first
+    vertex pair u < v, in row order, that meets wrongly.
     """
-    if rep.circle_size < 1:
+    size = rep.circle_size
+    if not _is_index(size):
+        return f"circle size {size!r} is not an integer"
+    if size < 1:
         return "circle has no slots"
-    if set(rep.arcs) != set(range(G.n)):
+    if not isinstance(rep.arcs, dict) or set(rep.arcs) != set(range(G.n)):
         return "arc set does not match vertex set"
-    flat = [e for v in range(G.n) for e in rep.arcs[v]]
+    flat = []
+    for v in range(G.n):
+        arc = rep.arcs[v]
+        if not isinstance(arc, (tuple, list)) or len(arc) != 2:
+            return f"arc of vertex {G.names[v]!r} is not a pair of endpoints"
+        flat += arc
     try:
-        ends = np.array(flat, dtype=np.int64)
-    except OverflowError:  # integers past 64 bits, as a JSON document may hold
+        ends = np.array(flat)
+        kind = ends.dtype.kind if ends.ndim == 1 else "O"
+    except ValueError:  # an endpoint that is itself a sequence
+        kind = "O"
+    if kind not in "iu":
+        # no integer array: some endpoint is no integer, or some integer
+        # is past 64 bits, as a JSON document may hold
+        i = next((i for i, e in enumerate(flat) if not _is_index(e)), None)
+        if i is not None:
+            return f"endpoint {flat[i]!r} of vertex {G.names[i // 2]!r} is not an integer"
         ends = np.array(flat, dtype=object)
     order = ends.argsort(kind="stable")
-    outside = (ends < 0) | (ends >= rep.circle_size)
+    outside = (ends < 0) | (ends >= size)
     if outside.any() or (ends[order[1:]] == ends[order[:-1]]).any():
         # first[rank[i]]: the first position holding the value at position i
         _, first, rank = np.unique(ends, return_index=True, return_inverse=True)
@@ -253,8 +275,13 @@ def walk_pair_error(H: TypedGraph, awp: AvoidWalkPair) -> Optional[str]:
     vertices by name, except an index out of range.
     """
     n = H.graph.n
-    (x, y), z, p, q = awp.pair, awp.anchor, awp.walk_p, awp.walk_q
+    try:
+        (x, y), z, p, q = awp.pair, awp.anchor, list(awp.walk_p), list(awp.walk_q)
+    except (TypeError, ValueError):
+        return "the pair must be two vertices and each walk a sequence of them"
     for v in [x, y, z, *p, *q]:
+        if not _is_index(v):
+            return f"vertex {v!r} is not an integer"
         if not 0 <= v < n:
             return f"vertex {v} out of range"
     if x == y:
@@ -325,9 +352,15 @@ def _vertex_set_error(G: Graph, cert: Certificate) -> Optional[str]:
         return "not a negative certificate"
     if cert.vertices is None or cert.completion is None or cert.obstruction is None:
         return "missing negative payload"
+    if not (isinstance(cert.vertices, (list, tuple)) and isinstance(cert.completion, Graph)
+            and isinstance(cert.obstruction, AvoidWalkPair)):
+        return "negative payload of the wrong types"
     S = cert.vertices
-    if not all(0 <= v < G.n for v in S):
-        return "vertex set names a vertex outside the input"
+    for v in S:
+        if not _is_index(v):
+            return f"vertex set holds {v!r}, not an integer"
+        if not 0 <= v < G.n:
+            return "vertex set names a vertex outside the input"
     if len(set(S)) != len(S):
         return "vertex set repeats a vertex"
     return None

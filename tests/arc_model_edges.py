@@ -1,8 +1,8 @@
-"""Print the edge list of a seeded random arc model, for the CI smokes.
+"""Print the edge list of a seeded random arc model, for the CI smokes and the golden table.
 
 Usage: python tests/arc_model_edges.py N SEED [--twins T]
-           [--biclaw [--join] | --nested | --short | --path | --cycle | --ring]
-           [--shuffle S]
+           [--biclaw [--join] | --nested | --short [--backbone] | --path
+            | --cycle | --ring] [--shuffle S]
 
 The N arcs have their 2N ends shuffled over 2N slots by random.Random(SEED).
 --twins T makes each arc T true twins: on the circle refined 2T-fold, copy j
@@ -14,7 +14,8 @@ which makes the graph not circular-arc.  --join then adds the edge b2 v0: the
 biclaw stays induced, so the graph is still not circular-arc, but it is no
 longer split into components, which the recognizer would certify apart.  --nested prints the interval graph of
 nested_lines instead, whose Δ-orientation is about N/2 modules deep; SEED is
-then unused.  --short prints the sparse model of short_lines instead.
+then unused.  --short prints the sparse model of short_lines instead, and
+--backbone adds its backbone, which keeps it in one piece.
 --path prints the path P_N and --cycle C_N beside an isolated vertex, which
 is not circular-arc; --ring prints the plain cycle C_N, which is; SEED is
 unused by all three.  --shuffle S first declares every vertex in
@@ -24,6 +25,7 @@ same but its vertex ids are shuffled.
 
 import argparse
 import random
+import sys
 
 BICLAW = ["b0 b1", "b1 b2", "b0 b3", "b0 b4", "b3 b5", "b4 b6"]
 
@@ -52,15 +54,20 @@ def nested_lines(n: int) -> list[str]:
                if ivs[v][0] <= ivs[u][1] and ivs[u][0] <= ivs[v][1]])
 
 
-def short_lines(n: int, seed: int) -> list[str]:
+def short_lines(n: int, seed: int, backbone: bool = False) -> list[str]:
     """Short arcs: v covers the 1-12 consecutive slots from a start slot on a
     circle of 4N slots, both drawn by random.Random(SEED).  The graph is
-    sparse and its Δ-orientation nests many modules."""
+    sparse and its Δ-orientation nests many modules.  With backbone, the
+    arcs vN, vN+1, ... cover 17 slots from every 16th slot: each meets the
+    next, so every short arc meets one and the graph is connected."""
     rng = random.Random(seed)
     m = 4 * n
     arcs = [(rng.randrange(m), rng.randint(1, 12)) for _ in range(n)]
-    return ([f"v{v}" for v in range(n)]
-            + [f"v{u} v{v}" for u in range(n) for v in range(u + 1, n)
+    if backbone:
+        arcs += [(start, 17) for start in range(0, m, 16)]
+    k = len(arcs)
+    return ([f"v{v}" for v in range(k)]
+            + [f"v{u} v{v}" for u in range(k) for v in range(u + 1, k)
                if (arcs[v][0] - arcs[u][0]) % m < arcs[u][1]
                or (arcs[u][0] - arcs[v][0]) % m < arcs[v][1]])
 
@@ -87,7 +94,8 @@ def shuffled(lines: list[str], seed: int) -> list[str]:
     return names + lines
 
 
-if __name__ == "__main__":
+def command_lines(argv: list[str]) -> list[str]:
+    """The lines that the command line argv (without the program) prints."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("n", type=int)
     parser.add_argument("seed", type=int)
@@ -99,16 +107,19 @@ if __name__ == "__main__":
     family.add_argument("--cycle", action="store_true")
     family.add_argument("--ring", action="store_true")
     parser.add_argument("--join", action="store_true")
+    parser.add_argument("--backbone", action="store_true")
     parser.add_argument("--twins", type=int, default=1, metavar="T")
     parser.add_argument("--shuffle", type=int, metavar="S")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     if args.twins < 1 or (args.twins > 1 and (args.nested or args.short
                                               or args.path or args.cycle or args.ring)):
         parser.error("--twins takes T >= 1 and applies to the arc model alone")
     if args.join and not args.biclaw:
         parser.error("--join applies to --biclaw alone")
+    if args.backbone and not args.short:
+        parser.error("--backbone applies to --short alone")
     lines = (nested_lines(args.n) if args.nested
-             else short_lines(args.n, args.seed) if args.short
+             else short_lines(args.n, args.seed, args.backbone) if args.short
              else path_lines(args.n) if args.path
              else cycle_lines(args.n) if args.cycle
              else ring_lines(args.n) if args.ring
@@ -116,4 +127,8 @@ if __name__ == "__main__":
              + (["b2 v0"] if args.join else []))
     if args.shuffle is not None:
         lines = shuffled(lines, args.shuffle)
-    print("\n".join(lines))
+    return lines
+
+
+if __name__ == "__main__":
+    print("\n".join(command_lines(sys.argv[1:])))

@@ -23,7 +23,7 @@ from arc_model_edges import edge_lines, nested_lines, path_lines, short_lines, s
 from conftest import (_dense_avoiding, arc_model, bfs, completion_of, interval_model,
                       planted_negative, side_at, stepwise_walk_pair_error,
                       tree_path)
-from test_golden_scale import corpus, twin_corpus
+from test_golden import corpus, twin_corpus
 
 
 def knotting_at(G, name):

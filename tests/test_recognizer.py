@@ -475,6 +475,73 @@ class TestVerifyNegative:
         assert negative_error(biclaw, cert, H) == fresh_error(biclaw, cert)
 
 
+PATH_EDGES = "a b\nb c"  # a: (0, 2), b: (1, 4) and c: (3, 5) on a circle of 6
+
+
+def _path_cert(arcs=None, circle_size=6):
+    """The certificate of a-b-c above, with some arcs replaced."""
+    model = {0: (0, 2), 1: (1, 4), 2: (3, 5), **(arcs or {})}
+    return Certificate(POSITIVE, arcs=ArcRepresentation(circle_size, model))
+
+
+def _biclaw_cert(obstruction=None, **fields):
+    """The biclaw's certificate with some fields, or obstruction fields, replaced."""
+    cert = recognize(parse_edge_list(BICLAW_EDGES))
+    awp = replace(cert.obstruction, **(obstruction or {}))
+    return replace(cert, obstruction=awp, **fields)
+
+
+NOT_A_PAIR = "arc of vertex {!r} is not a pair of endpoints"
+WALK_SEQUENCES = "walk check failed: the pair must be two vertices and each walk a sequence of them"
+WRONG_TYPES = "negative payload of the wrong types"
+HAND_BUILT = {
+    "path as built": (_path_cert, None),
+    "one end": (lambda: _path_cert({0: (0,)}), NOT_A_PAIR.format("a")),
+    "three ends": (lambda: _path_cert({2: (3, 5, 0)}), NOT_A_PAIR.format("c")),
+    "None arc": (lambda: _path_cert({1: None}), NOT_A_PAIR.format("b")),
+    "int arc": (lambda: _path_cert({1: 1}), NOT_A_PAIR.format("b")),
+    "float end": (lambda: _path_cert({1: (1.5, 4)}),
+                  "endpoint 1.5 of vertex 'b' is not an integer"),
+    "whole float end": (lambda: _path_cert({0: (0.0, 2)}),
+                        "endpoint 0.0 of vertex 'a' is not an integer"),
+    "str end": (lambda: _path_cert({2: (3, "5")}),
+                "endpoint '5' of vertex 'c' is not an integer"),
+    "str circle": (lambda: _path_cert(circle_size="10"), "circle size '10' is not an integer"),
+    "None circle": (lambda: _path_cert(circle_size=None), "circle size None is not an integer"),
+    "float circle": (lambda: _path_cert(circle_size=6.0), "circle size 6.0 is not an integer"),
+    "arcs not a dict": (lambda: Certificate(POSITIVE, arcs=ArcRepresentation(6, None)),
+                        "arc set does not match vertex set"),
+    "biclaw as built": (_biclaw_cert, None),
+    "float anchor": (lambda: _biclaw_cert({"anchor": 1.0}),
+                     "walk check failed: vertex 1.0 is not an integer"),
+    "str anchor": (lambda: _biclaw_cert({"anchor": "x"}),
+                   "walk check failed: vertex 'x' is not an integer"),
+    "None walk": (lambda: _biclaw_cert({"walk_p": None}), WALK_SEQUENCES),
+    "None pair": (lambda: _biclaw_cert({"pair": None}), WALK_SEQUENCES),
+    "three in pair": (lambda: _biclaw_cert({"pair": (0, 1, 2)}), WALK_SEQUENCES),
+    "float in S": (lambda: _biclaw_cert(vertices=[0.0, *range(1, 7)]),
+                   "vertex set holds 0.0, not an integer"),
+    "str in S": (lambda: _biclaw_cert(vertices=["0", *range(1, 7)]),
+                 "vertex set holds '0', not an integer"),
+    "S not a list": (lambda: _biclaw_cert(vertices=7), WRONG_TYPES),
+    "completion not a graph": (lambda: _biclaw_cert(completion="H"), WRONG_TYPES),
+    "obstruction not a walk pair": (lambda: replace(_biclaw_cert(), obstruction=(0, 1)),
+                                    WRONG_TYPES),
+}
+
+
+@pytest.mark.parametrize("name", HAND_BUILT)
+def test_hand_built_certificate_gets_a_reason(name):
+    # every malformed field is named, never an exception nor a float truncated
+    build, reason = HAND_BUILT[name]
+    cert = build()
+    G = parse_edge_list(PATH_EDGES if cert.verdict == POSITIVE else BICLAW_EDGES)
+    error, verify = ((positive_error, verify_positive) if cert.verdict == POSITIVE
+                     else (negative_error, verify_negative))
+    assert error(G, cert) == reason
+    assert verify(G, cert) == (reason is None)
+
+
 class TestOracleAgreementSmall:
     def test_all_four_vertex_graphs(self):
         from circarc.oracle import oracle_is_ca
