@@ -4,19 +4,17 @@ Trusting a verdict means trusting this module and ``graph``, the only
 module of the package it imports.  A certificate binds its input by
 ``graph_digest``; a positive one is checked by ``representation_error``,
 a negative one by ``negative_error``, neither relying on how it was made.
-``negative_error`` checks a completion of G[S] and two walks in it on two
-classifications, of G[S] and of the completion.  Those the certificate's
-reader or maker already holds, which must be ``classify_all``'s output,
-it reuses only after confirming them: read-only arrays, and a graph with
-G[S]'s names and adjacency or the certificate's very completion graph.
-Otherwise it classifies afresh.
+``negative_error`` classifies G[S] and the certificate's completion
+itself, every time, and checks the completion and two walks in it on those
+classifications; it takes no classification from the certificate's reader
+or maker.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Protocol, Sequence
 
@@ -328,9 +326,6 @@ class Certificate:
     vertices: Optional[list[int]] = None                # negative: S, by input index
     completion: Optional[Graph] = None                  # negative: of G[S], re-classified
     obstruction: Optional[AvoidWalkPair] = None         # by the checker; the walks index it
-    # negative: classify_all(G[S]) as its maker or reader computed it; the
-    # checker reuses it only once _is_reduced confirms it
-    reduced: Optional[TypedGraph] = field(default=None, compare=False, repr=False)
 
 
 def positive_error(G: Graph, cert: Certificate) -> Optional[str]:
@@ -366,50 +361,21 @@ def _vertex_set_error(G: Graph, cert: Certificate) -> Optional[str]:
     return None
 
 
-def _read_only(Xt) -> bool:
-    """Is Xt a TypedGraph whose three arrays are still read-only, as
-    ``classify_all`` leaves them?"""
-    return isinstance(Xt, TypedGraph) and not any(
-        not isinstance(a, np.ndarray) or a.flags.writeable
-        for a in (Xt.types, Xt.contains, Xt.spanning))
-
-
-def _is_reduced(G: Graph, vertices: list[int], Gt) -> bool:
-    """Does Gt stand for classify_all(G[S]), S the given vertices?  It must
-    be read-only (``_read_only``) and its graph must have G[S]'s names and
-    adjacency."""
-    S = np.asarray(vertices, dtype=np.intp)
-    return (_read_only(Gt) and isinstance(Gt.graph, Graph)
-            and Gt.graph.names == tuple(G.names[v] for v in vertices)
-            and np.array_equal(Gt.graph.adj, G.adj[S][:, S]))
-
-
-def negative_error(G: Graph, cert: Certificate,
-                   completion: Optional[TypedGraph] = None) -> Optional[str]:
+def negative_error(G: Graph, cert: Certificate) -> Optional[str]:
     """Check a negative certificate from first principles.
 
     The certificate names a vertex set S of G.  Induced subgraphs inherit
     circular-arc-ness, so an obstruction for G[S] condemns G, whichever S
     it is.  G[S] must be reduced, its completion is re-verified from its
     adjacency alone, types and pairing included (``completion_error``),
-    and the walks stepwise (``walk_pair_error``).
-
-    Both checks read ``classify_all`` of G[S] and of the completion.
-    cert.reduced stands in for the first when ``_is_reduced`` confirms it,
-    and completion, the run's classified completion, for the second when
-    it is read-only and its graph is cert.completion itself; each must be
-    ``classify_all``'s output.  Otherwise the graph is classified afresh,
-    so a certificate built by hand is checked from its adjacency alone.
+    and the walks stepwise (``walk_pair_error``).  Both checks read
+    ``classify_all`` of G[S] and of the completion, made here.
     """
     err = _vertex_set_error(G, cert)
     if err is not None:
         return err
-    Gt, Ht = cert.reduced, completion
     try:
-        if not _is_reduced(G, cert.vertices, Gt):
-            Gt = classify_all(G.induced(cert.vertices))
-        if not (_read_only(Ht) and Ht.graph is cert.completion):
-            Ht = classify_all(cert.completion)
+        Gt, Ht = classify_all(G.induced(cert.vertices)), classify_all(cert.completion)
         err = completion_error(Gt, Ht)
         if err is not None:
             return f"completion check failed: {err}"

@@ -123,12 +123,11 @@ def _cmd_crosscheck(args, _graph) -> int:
 
 def _completion_of(G: Graph):
     """The completion, with its partner array, that G's certificate from
-    ``recognize`` indexes: for a negative one, the completion of G[S] from
-    the certificate's own classification of G[S]; otherwise that of G's
-    reduction."""
+    ``recognize`` indexes: for a negative one, the completion of G[S], S
+    the certificate's vertices; otherwise that of G's reduction."""
     cert = recognize(G)
     if cert.verdict == NEGATIVE:
-        return complete(cert.reduced)
+        return complete(classify_all(G.induced(cert.vertices)))
     reduced, _ = reduce_graph(G)
     if reduced.n <= 1:
         raise UsageError("graph reduces to a trivial graph; nothing to complete")

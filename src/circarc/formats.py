@@ -25,14 +25,12 @@ indexes G, which it checks before ``Graph.induced`` reads S.  The ranges of
 the anchor, the pair and the walks are ``check.walk_pair_error``'s to check.
 The reader classifies G[S], which it must do to rebuild the completion
 with the untrusted ``edgetypes.completion_graph``, and checks nothing of
-either.  It hands that classification, ``classify_all``'s output, on as
-the certificate's ``reduced``.  ``check.negative_error`` reuses it only
-once it confirms that its arrays are still read-only and its graph has
-G[S]'s names and adjacency; it classifies the completion from its
-adjacency and checks it before it checks the walks.  So a negative parse
-plus verify classifies twice.  "ca-cert/1" and "ca-cert/2" documents,
-which carried the reduction trace, and "ca-cert/3" ones, which named
-vertices by name, are no longer read.
+either.  ``check.negative_error`` classifies G[S] again, and the
+completion, from their adjacency, and checks the completion before it
+checks the walks.  So a negative parse plus verify runs ``classify_all``
+three times.  "ca-cert/1" and "ca-cert/2" documents, which carried the
+reduction trace, and "ca-cert/3" ones, which named vertices by name, are
+no longer read.
 """
 
 from __future__ import annotations
@@ -159,9 +157,8 @@ def certificate_from_doc(G: Graph, doc: dict[str, Any]) -> Certificate:
 
     A negative certificate gives a vertex set S of G by index, then
     vertices of the circular completion of G[S] by index, which is rebuilt
-    here from ``classify_all(G[S])``; that classification becomes the
-    certificate's ``reduced``, and negative_error checks the completion
-    from first principles like any other, on it once it has confirmed it.
+    here from ``classify_all(G[S])``; negative_error checks the completion
+    from first principles like any other.
     """
     tag = doc.get("format")
     if tag in ("ca-cert/1", "ca-cert/2", "ca-cert/3"):
@@ -201,9 +198,9 @@ def certificate_from_doc(G: Graph, doc: dict[str, Any]) -> Certificate:
         raise FormatError("pair must name two vertices")
     awp = AvoidWalkPair(anchor, (pair[0], pair[1]), _integers(neg["walk_p"], "walk_p"),
                         _integers(neg["walk_q"], "walk_q"))
-    Gt = classify_all(G.induced(S))
-    return Certificate(NEGATIVE, vertices=S, completion=completion_graph(Gt),
-                       obstruction=awp, reduced=Gt)
+    return Certificate(NEGATIVE, vertices=S,
+                       completion=completion_graph(classify_all(G.induced(S))),
+                       obstruction=awp)
 
 
 def serialize_certificate(G: Graph, cert: Certificate) -> str:

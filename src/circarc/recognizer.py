@@ -8,11 +8,10 @@ knotting graph when the anchor overlaps no vertex (``forcing_classes``),
 and from ``delta.implication_classes`` otherwise.  Only the certificate is
 checked, by the independent checker in ``check``; the stage checks run
 only to name the failing stage.  A positive certificate gets
-``positive_error``, a negative one ``negative_error``.  A negative
-certificate carries the run's classification of the graph it condemns,
-G[S], as its ``reduced``, and ``negative_error`` is handed the classified
-completion; it confirms both before it reads them, so a negative run
-classifies twice.
+``positive_error``, a negative one ``negative_error``, as ``circarc
+verify`` runs them: on the input and the certificate alone.  So a
+negative run classifies four times, G[S] and its completion once in its
+stages and once more in the check.
 
 A reduced graph G_r with two or more components of two or more vertices
 is certified piece by piece.  Each such component C gives the piece
@@ -94,7 +93,7 @@ def _piece(P: Graph, S: list[int], run: _Run) -> Union[Certificate, ArcRepresent
     res = run("bipartite_or_odd_cycle", bipartite_or_odd_cycle, K)
     if isinstance(res, list):
         awp = run("extract_invertible_pair", extract_invertible_pair, K, res)
-        return Certificate(NEGATIVE, vertices=S, completion=H.graph, obstruction=awp, reduced=T)
+        return Certificate(NEGATIVE, vertices=S, completion=H.graph, obstruction=awp)
     side = run("overlap_side", overlap_side, H, K, res, partner[z])
     zset = run("build_Z", build_Z, H, z, side, partner)
     L = run("labelled_from_typed", labelled_from_typed, H, zset)
@@ -144,7 +143,6 @@ def _certificate(G: Graph, run: _Run) -> Certificate:
             piece = run.piece()
             out = _piece(G_r.induced(vs), survivors[vs].tolist(), piece)
             if isinstance(out, Certificate):
-                run.update(piece)  # the run's own classifications, for the check
                 return out
             # x meets no arc, so no arc wraps once x's right end is the last
             # slot; x is dropped and the piece moved past those before it
@@ -211,10 +209,7 @@ def recognize(G: Graph) -> Certificate:
     run = _Run()
     try:
         cert = _certificate(G, run)
-        if cert.verdict == POSITIVE:
-            err = positive_error(G, cert)
-        else:
-            err = negative_error(G, cert, run["complete"][0])
+        err = (positive_error if cert.verdict == POSITIVE else negative_error)(G, cert)
         if err is not None:
             raise InternalError(f"emitted certificate invalid: {err}")
         return cert

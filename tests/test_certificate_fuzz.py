@@ -15,13 +15,11 @@ parse_certificate and the verifier must answer "invalid" (FormatError)
 or "REJECTED" (False), or accept a certificate whose verdict the
 brute-force oracle confirms; any other exception fails.  A document whose
 walks alone moved must parse, and its answer must come from the walk
-checker.  A negative certificate gets the same answer from
-``negative_error`` with the reader's classification of G[S] as with none.
+checker.
 """
 
 import copy
 import json
-from dataclasses import replace
 from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
@@ -171,9 +169,7 @@ def test_mutated_certificates_never_crash(example):
     if cert.verdict == POSITIVE:
         ok = verify_positive(G, cert)
     else:
-        # the reader's classification of G[S] changes no answer
         err = negative_error(G, cert)
-        assert err == negative_error(G, replace(cert, reduced=None))
         assert err is None or not walks_only or err.startswith("walk check failed: ")
         ok = err is None
     assert ok in (True, False)

@@ -165,8 +165,8 @@ class TestClassify:
 
     @pytest.mark.parametrize("field", ["types", "contains", "spanning"])
     def test_arrays_are_read_only(self, biclaw, field):
-        # a run checks its certificate on its own classifications, so no
-        # stage may write into them
+        # a run's stage checks read the classifications its stages made,
+        # so no stage may write into them
         with pytest.raises(ValueError, match="read-only"):
             getattr(classify_all(biclaw), field)[0, 1] = 0
 

@@ -1,10 +1,10 @@
 import importlib
+import inspect
 import itertools
 import json
 import random
 import sys
-from dataclasses import replace
-from types import SimpleNamespace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -167,17 +167,16 @@ class TestSelfChecksRunOnce:
             assert recognize(G).verdict == NEGATIVE
             # the completion and the walks are checked once, with the
             # emitted certificate, whose completion check pairs G[S] and the
-            # completion; complete pairs the completion once more.  The
-            # check reads the run's own classifications of the reduced
-            # graph, which is G[S], and of the completion, and classifies
-            # neither again
+            # completion; complete pairs the completion once more.  The run
+            # classifies the reduced graph, which is G[S], and the
+            # completion, and the check classifies both again
             assert counts == {"delta.implication_classes": 0,
                               "delta.ordering_violation": 0,
                               "knotting.walk_pair_error": 1,
                               "arcs.representation_error": 0,
                               "check.completion_error": 1,
                               "check.circular_pairs": 3,
-                              "check.classify_all": 2,
+                              "check.classify_all": 4,
                               "check.negative_error": 1}
 
 
@@ -263,11 +262,6 @@ class TestPieces:
         assert capsys.readouterr().err.startswith("# internal error: build_intervals: ")
 
 
-def fresh_error(G, cert):
-    """negative_error with every classification made afresh."""
-    return negative_error(G, replace(cert, reduced=None))
-
-
 class TestNegativeCheckWork:
     def test_parse_and_verify(self, monkeypatch):
         # an 85-arc model beside a biclaw on b0..b6, as the bench's planted
@@ -276,9 +270,9 @@ class TestNegativeCheckWork:
         text = serialize_certificate(G, recognize(G))
         counts = count_calls(monkeypatch, ("check.classify_all", "check.circular_pairs"))
         assert verify_negative(G, parse_certificate(G, text))
-        # the reader classifies G[S] to build the completion and hands it
-        # on; the checker classifies the completion, and pairs each once
-        assert counts == {"check.classify_all": 2, "check.circular_pairs": 2}
+        # the reader classifies G[S] to build the completion; the checker
+        # classifies G[S] again and the completion, and pairs each once
+        assert counts == {"check.classify_all": 3, "check.circular_pairs": 2}
         # without the biclaw centre b0, G[S] has true twins: the reader
         # refuses it, naming them by input name, not by index
         doc = json.loads(text)
@@ -286,94 +280,61 @@ class TestNegativeCheckWork:
         with pytest.raises(FormatError, match=r"true twins 'b\d+', 'b\d+'"):
             parse_certificate(G, json.dumps(doc))
 
-    def test_unconfirmed_classifications_are_made_afresh(self, monkeypatch, biclaw):
-        parsed = parse_certificate(biclaw, serialize_certificate(biclaw, recognize(biclaw)))
-        T = parsed.reduced
-        counts = count_calls(monkeypatch, ("check.classify_all",))
-        for name, awp in broken_obstructions(parsed.obstruction):
-            cert = replace(parsed, obstruction=awp)
-            cases = {
-                "no reduced": replace(cert, reduced=None),
-                "vertices changed after parsing": replace(cert, vertices=cert.vertices[::-1]),
-                "reduced not a TypedGraph": replace(cert, reduced=SimpleNamespace(**vars(T))),
-                "reduced with a writable array": replace(
-                    cert, reduced=replace(T, types=T.types.copy())),
-            }
-            for case, other in cases.items():
-                counts["check.classify_all"] = 0
-                got = negative_error(biclaw, other)
-                # G[S] afresh: one more than the completion alone, which
-                # the reader leaves unclassified
-                assert counts == {"check.classify_all": 2}, (name, case)
-                assert got == fresh_error(biclaw, other), (name, case)
 
+class TestCheckReadsInputAndCertificateOnly:
+    """negative_error takes the input and the certificate, nothing more: it
+    classifies G[S] and the completion itself, so no classification that a
+    run or a reader made can stand in for them."""
 
-def run_parts(G):
-    """G's negative certificate, unchecked, with the run's classification
-    of the completion; its reduced is the run's of the reduced graph."""
-    run = recognizer._Run()
-    cert = recognizer._certificate(G, run)
-    assert cert.verdict == NEGATIVE
-    assert cert.reduced is run["classify_all"]
-    return cert, run["complete"][0]
+    def test_no_classification_is_handed_in(self):
+        assert list(inspect.signature(negative_error).parameters) == ["G", "cert"]
+        assert [f.name for f in fields(Certificate)] == [
+            "verdict", "arcs", "vertices", "completion", "obstruction"]
 
+    @staticmethod
+    def path_beside_biclaw_completion():
+        # P_14 is circular-arc.  A completion that holds it beside the
+        # biclaw's 14-vertex completion, with the biclaw's walks shifted
+        # past it, has the right size and keeps P_14's types, but P_14's
+        # vertices have no circular partner in it
+        P = build_graph(14, [(i, i + 1) for i in range(13)], [f"g{i}" for i in range(14)])
+        cert = recognize(parse_edge_list(BICLAW_EDGES))
+        H, awp = cert.completion, cert.obstruction
+        assert H.n == 14
+        adj = np.zeros((28, 28), dtype=bool)
+        adj[:14, :14], adj[14:, 14:] = P.adj, H.adj
 
-def broken_obstructions(awp):
-    """awp, then awp with a walk broken by hand, each under a name."""
-    p, q = awp.walk_p, awp.walk_q
-    yield "emitted", awp
-    yield "step replaced by the anchor", replace(awp, walk_p=[p[0], awp.anchor, *p[2:]])
-    yield "walk cut short", replace(awp, walk_q=q[:-1])
-    yield "walks swapped", replace(awp, walk_p=q, walk_q=p)
+        def shift(walk):
+            return [v + 14 for v in walk]
+        return P, Certificate(NEGATIVE, vertices=list(range(14)),
+                              completion=Graph(28, adj, P.names + H.names),
+                              obstruction=AvoidWalkPair(awp.anchor + 14, tuple(shift(awp.pair)),
+                                                        shift(awp.walk_p), shift(awp.walk_q)))
 
+    @staticmethod
+    def biclaw_edge_added():
+        # the biclaw's certificate, for the biclaw plus the edge d-c
+        G = parse_edge_list(BICLAW_EDGES)
+        adj = G.adj.copy()
+        adj[0, -1] = adj[-1, 0] = True
+        return Graph(G.n, adj, G.names), recognize(G)
 
-NEGATIVES = {
-    "biclaw": lambda: parse_edge_list(BICLAW_EDGES),
-    **{f"planted {pattern}": (lambda pattern=pattern:
-                              planted_negative(random.Random(1), 30, pattern))
-       for pattern in ("biclaw", "c4+k1")},
-    **{f"C{n}+K1": (lambda n=n: cycle_plus_vertex(n)) for n in (4, 5, 50)},
-}
+    @staticmethod
+    def biclaw_vertices_rotated():
+        G = parse_edge_list(BICLAW_EDGES)
+        cert = recognize(G)
+        return G, replace(cert, vertices=cert.vertices[1:] + cert.vertices[:1])
 
-
-class TestHeldNegativeCheck:
-    """negative_error on a run's own classifications answers as it does on
-    classifications made afresh."""
-
-    @pytest.mark.parametrize("graph", list(NEGATIVES))
-    def test_same_answer_as_negative_error(self, monkeypatch, graph):
-        G = NEGATIVES[graph]()
-        cert, H = run_parts(G)
-        broken = {name: replace(cert, obstruction=awp)  # the same completion object
-                  for name, awp in broken_obstructions(cert.obstruction)}
-        want = {name: fresh_error(G, other) for name, other in broken.items()}
-        counts = count_calls(monkeypatch, ("check.classify_all",))
-        for name, other in broken.items():
-            got = negative_error(G, other, H)
-            assert counts == {"check.classify_all": 0}, name
-            assert got == want[name], name
-            assert (got is None) == (name == "emitted"), (name, got)
-
-    def test_other_graphs_get_the_full_check(self, monkeypatch, biclaw):
-        cert, H = run_parts(biclaw)
-        Hg = H.graph
-        renamed = Graph(biclaw.n, biclaw.adj, tuple(n + "'" for n in biclaw.names))
-        toggled = biclaw.adj.copy()
-        toggled[0, -1] = toggled[-1, 0] = not toggled[0, -1]
-        cases = {
-            "completion copied": (biclaw, replace(
-                cert, completion=Graph(Hg.n, Hg.adj.copy(), Hg.names))),
-            "vertex set reordered": (biclaw, replace(cert, vertices=cert.vertices[1:] + [0])),
-            "input renamed": (renamed, cert),
-            "input edge toggled": (Graph(biclaw.n, toggled, biclaw.names), cert),
-        }
-        counts = count_calls(monkeypatch, ("check.classify_all",))
-        for name, (G, other) in cases.items():
-            counts["check.classify_all"] = 0
-            got = negative_error(G, other, H)
-            # the one classification that does not match is made afresh
-            assert counts == {"check.classify_all": 1}, name
-            assert got == fresh_error(G, other), name
+    @pytest.mark.parametrize("case, reason", [
+        ("path_beside_biclaw_completion",
+         "completion check failed: vertex 'g0' has no circular partner"),
+        ("biclaw_edge_added", "true twins 'h', 'c'"),
+        ("biclaw_vertices_rotated",
+         "completion check failed: input graph is not induced in the completion"),
+    ])
+    def test_forged_certificate(self, case, reason):
+        G, cert = getattr(self, case)()
+        assert negative_error(G, cert) == reason
 
 
 class TestNegativeFaults:
@@ -425,6 +386,24 @@ class TestVerifyPositive:
         assert positive_error(c4, Certificate(POSITIVE)) == "missing arcs"
 
 
+def broken_obstructions(awp):
+    """awp, then awp with a walk broken by hand, each under a name."""
+    p, q = awp.walk_p, awp.walk_q
+    yield "emitted", awp
+    yield "step replaced by the anchor", replace(awp, walk_p=[p[0], awp.anchor, *p[2:]])
+    yield "walk cut short", replace(awp, walk_q=q[:-1])
+    yield "walks swapped", replace(awp, walk_p=q, walk_q=p)
+
+
+NEGATIVES = {
+    "biclaw": lambda: parse_edge_list(BICLAW_EDGES),
+    **{f"planted {pattern}": (lambda pattern=pattern:
+                              planted_negative(random.Random(1), 30, pattern))
+       for pattern in ("biclaw", "c4+k1")},
+    **{f"C{n}+K1": (lambda n=n: cycle_plus_vertex(n)) for n in (4, 5, 50)},
+}
+
+
 class TestVerifyNegative:
     def test_perturbed_walk_rejected(self, biclaw):
         cert = recognize(biclaw)
@@ -466,13 +445,26 @@ class TestVerifyNegative:
         (lambda S: S + S[:1], "repeats a vertex"),
     ], ids=["past-the-end", "negative", "repeated", "repeated-extra"])
     def test_bad_vertex_set(self, biclaw, edit, message):
-        # an index past the end would raise, and -1 would wrap, in G.induced;
-        # the check on a run's own classifications gives the same reason
-        cert, H = run_parts(biclaw)
+        # an index past the end would raise, and -1 would wrap, in G.induced
+        cert = recognize(biclaw)
         assert cert.vertices == list(range(7))
         cert.vertices = edit(cert.vertices)
-        assert message in fresh_error(biclaw, cert)
-        assert negative_error(biclaw, cert, H) == fresh_error(biclaw, cert)
+        assert message in negative_error(biclaw, cert)
+
+    @pytest.mark.parametrize("graph", list(NEGATIVES))
+    def test_broken_walks(self, graph):
+        G = NEGATIVES[graph]()
+        cert = recognize(G)
+        names, awp = cert.completion.names, cert.obstruction
+        want = {
+            "emitted": None,
+            "step replaced by the anchor": (f"walk check failed: step {names[awp.walk_p[0]]!r}-"
+                                            f"{names[awp.anchor]!r} is not an edge"),
+            "walk cut short": "walk check failed: walks must be nonempty and of equal length",
+            "walks swapped": "walk check failed: walk endpoints do not match the pair",
+        }
+        for name, broken in broken_obstructions(awp):
+            assert negative_error(G, replace(cert, obstruction=broken)) == want[name], name
 
 
 PATH_EDGES = "a b\nb c"  # a: (0, 2), b: (1, 4) and c: (3, 5) on a circle of 6

@@ -22,7 +22,7 @@ CHECKS = {
     "EdgeType", "TypedGraph", "UnreducedGraphError", "InternalError",
     "classify_all", "_matrices", "circular_pairs",
     "representation_error", "avoids", "completion_error", "walk_pair_error",
-    "_vertex_set_error", "_read_only", "_is_reduced",
+    "_vertex_set_error",
     "Arcs", "Certificate", "POSITIVE", "NEGATIVE", "AvoidWalkPair",
     "positive_error", "negative_error", "verify_positive", "verify_negative",
 }
