@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 = circular-arc (or success), 10 = not circular-arc,
-1 = failed verification / cross-check disagreement, 2 = usage error,
+1 = failed verification / cross-check disagreement, 2 = usage error or
+standard output that cannot be written,
 70 = internal error, reported as '#' comments naming the failing stage and,
 if a graph was read, the graph as an edge list: `circarc recognize` input.
 71 = out of memory, reported as one line without the input, whose writing
@@ -12,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
 import numpy as np
 
-from .check import (NEGATIVE, POSITIVE, InternalError, classify_all, negative_error,
-                    positive_error)
+from .check import (NEGATIVE, POSITIVE, InternalError, circular_pairs, classify_all,
+                    negative_error, positive_error)
 from .edgetypes import complete
 from .formats import (FormatError, parse_certificate, parse_edge_list,
                       parse_graph6, serialize_certificate, write_edge_list)
@@ -57,6 +59,18 @@ def _write_text(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
+def _print(text: str, end: str = "\n") -> None:
+    """Write text to standard output, flushed, or raise UsageError if it
+    cannot be written, as on a full disk or a closed pipe."""
+    try:
+        print(text, end=end, flush=True)
+    except OSError as exc:
+        # what stdout still holds goes to the null device, so that the
+        # flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise UsageError(f"cannot write standard output: {exc}") from exc
+
+
 def _load_graph(path: str, fmt: str) -> Graph:
     try:
         text = _read_text(path)
@@ -75,7 +89,7 @@ def _cmd_recognize(args, G: Graph) -> int:
     if args.out:
         _write_text(args.out, doc)
     else:
-        sys.stdout.write(doc)
+        _print(doc, end="")
     return EXIT_OK if cert.verdict == POSITIVE else EXIT_NOT_CA
 
 
@@ -88,7 +102,7 @@ def _cmd_verify(args, G: Graph) -> int:
     err = (positive_error if cert.verdict == POSITIVE else negative_error)(G, cert)
     if err is not None:
         print(err, file=sys.stderr)
-    print("certificate OK" if err is None else "certificate REJECTED")
+    _print("certificate OK" if err is None else "certificate REJECTED")
     return EXIT_OK if err is None else EXIT_INVALID
 
 
@@ -97,7 +111,7 @@ def _cmd_oracle(args, G: Graph) -> int:
         is_ca = oracle_is_ca(G)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    print("circular-arc" if is_ca else "not-circular-arc")
+    _print("circular-arc" if is_ca else "not-circular-arc")
     return EXIT_OK if is_ca else EXIT_NOT_CA
 
 
@@ -115,19 +129,20 @@ def _cmd_crosscheck(args, _graph) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     for item in report.disagreements:
-        print(json.dumps(item, sort_keys=True))
-    print(json.dumps({"checked": report.checked,
+        _print(json.dumps(item, sort_keys=True))
+    _print(json.dumps({"checked": report.checked,
                       "disagreements": len(report.disagreements)}, sort_keys=True))
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
 def _completion_of(G: Graph):
     """The completion, with its partner array, that G's certificate from
-    ``recognize`` indexes: for a negative one, the completion of G[S], S
-    the certificate's vertices; otherwise that of G's reduction."""
+    ``recognize`` indexes: for a negative one, the certificate's own
+    completion of G[S]; otherwise that of G's reduction."""
     cert = recognize(G)
     if cert.verdict == NEGATIVE:
-        return complete(classify_all(G.induced(cert.vertices)))
+        H = classify_all(cert.completion)
+        return H, circular_pairs(H)
     reduced, _ = reduce_graph(G)
     if reduced.n <= 1:
         raise UsageError("graph reduces to a trivial graph; nothing to complete")
@@ -144,7 +159,7 @@ def _cmd_complete(args, G: Graph) -> int:
         "pairs": sorted([sorted((names[u], names[v]))
                          for u, v in enumerate(partner.tolist()) if u < v]),
     }
-    print(json.dumps(doc, sort_keys=True))
+    _print(json.dumps(doc, sort_keys=True))
     return EXIT_OK
 
 
@@ -171,11 +186,10 @@ def _cmd_knotting(args, G: Graph) -> int:
     if args.dot:
         _write_text(args.dot, _knotting_dot(K, H.graph.names))
     if not isinstance(result, list):
-        print(f"knotting graph at anchor {args.anchor!r}: bipartite")
+        _print(f"knotting graph at anchor {args.anchor!r}: bipartite")
         return EXIT_OK
     cyc = ", ".join(f"{H.graph.names[u]}/{i + 1}" for u, i in K.copies[result].tolist())
-    print(f"knotting graph at anchor {args.anchor!r}: NOT bipartite "
-          f"(odd cycle: {cyc})")
+    _print(f"knotting graph at anchor {args.anchor!r}: NOT bipartite (odd cycle: {cyc})")
     return EXIT_NOT_CA
 
 

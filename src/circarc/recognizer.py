@@ -13,16 +13,18 @@ verify`` runs them: on the input and the certificate alone.  So a
 negative run classifies four times, G[S] and its completion once in its
 stages and once more in the check.
 
-A reduced graph G_r with two or more components of two or more vertices
-is certified piece by piece.  Each such component C gives the piece
-G_r[C + x], x the least vertex of G_r outside C.  The pieces run every
-stage from ``classify_all`` on, by |C|, then by least vertex, and the first
-that is not circular-arc gives the certificate: S is its vertices, by
-input index in input order, and its anchor, pair and walks index the
-completion of G[S].  If every piece is circular-arc, each piece's arcs are
-turned so that x's right end is its circle's last slot, x is dropped, and
-the pieces, then two slots per isolated vertex of G_r, are laid side by
-side on one circle.  Otherwise, G_r is the one piece.  This is exact:
+A reduced graph G_r on two or more vertices is certified piece by piece.
+If two or more of its components have two or more vertices, each such
+component C gives the piece G_r[C + x], x the least vertex of G_r outside
+C, and its isolated vertices are laid apart; otherwise G_r is the one
+piece, with no x.  The pieces run every stage from ``classify_all`` on, by
+|C|, then by least vertex, and the first that is not circular-arc gives
+the certificate: S is its vertices, by input index in input order, and its
+anchor, pair and walks index the completion of G[S].  If every piece is
+circular-arc, each piece's arcs are turned so that x's right end, if it
+has an x, is its circle's last slot, x is dropped, and the pieces, then
+two slots per vertex laid apart, are laid side by side on one circle.
+This is exact:
 
 1. In an arc model of a graph with two or more components, no
    component's arcs cover the circle, for an arc of another component
@@ -36,9 +38,9 @@ side on one circle.  Otherwise, G_r is the one piece.  This is exact:
 4. The checker accepts any vertex set S of G: induced subgraphs inherit
    circular-arc-ness.
 
-Each piece runs on its own ``_Run``; a failure is diagnosed on the pieces
-in run order.  Every G_r on two or more vertices has its components
-labelled once, by ``graph.union_find``.
+A run keeps one record, ``_Run``: a dict of stage outputs for each piece,
+in run order, on which a failure is diagnosed.  Every G_r on two or more
+vertices has its components labelled once, by ``graph.union_find``.
 """
 
 from __future__ import annotations
@@ -60,32 +62,22 @@ from .knotting import (bipartite_or_odd_cycle, build_knotting, build_Z,
                        extract_invertible_pair, forcing_classes, overlap_side)
 
 
-class _Run(dict):
-    """One run's stage outputs by stage name; .stage is the stage started
-    last.  A split input runs each piece on a _Run of its own, listed in
-    .pieces in run order, whose stages set this run's .stage too."""
+class _Run(list):
+    """One run's stage outputs: a dict by stage name for each piece, in run
+    order.  .stage is the stage started last, of a piece or not."""
     stage = "recognize"
-
-    def __init__(self, parent: Optional["_Run"] = None):
-        super().__init__()
-        self.parent, self.pieces = parent, []
 
     def __call__(self, stage: str, fn, *args):
         self.stage = stage
-        if self.parent is not None:
-            self.parent.stage = stage
-        self[stage] = out = fn(*args)
+        self[-1][stage] = out = fn(*args)
         return out
-
-    def piece(self) -> "_Run":
-        self.pieces.append(run := _Run(self))
-        return run
 
 
 def _piece(P: Graph, S: list[int], run: _Run) -> Union[Certificate, ArcRepresentation]:
-    """The stages from classify_all on, each run through run, of a reduced
-    graph P on two or more vertices, the input's G[S]: its negative
-    certificate, unchecked, or its arcs."""
+    """The stages from classify_all on of a reduced graph P on two or more
+    vertices, the input's G[S], each kept in a new piece dict of run: its
+    negative certificate, unchecked, or the arcs of its completion."""
+    run.append({})
     T = run("classify_all", classify_all, P)
     H, partner = run("complete", complete, T)
     z = int(H.graph.adj.sum(axis=1).argmin())  # the first vertex of least degree
@@ -100,22 +92,22 @@ def _piece(P: Graph, S: list[int], run: _Run) -> Union[Certificate, ArcRepresent
     classes = run("forcing_classes", forcing_classes, K, res, zset, L)
     order = run("interval_orientation", interval_orientation, L, classes)
     ivals = run("build_intervals", build_intervals, L, order)
-    arcs_h = run("lift_to_circle", lift_to_circle, ivals, zset, partner)
-    return ArcRepresentation(arcs_h.circle_size, {v: arcs_h.arcs[v] for v in range(P.n)})
+    return run("lift_to_circle", lift_to_circle, ivals, zset, partner)
 
 
-def _split(G_r: Graph) -> Optional[tuple[list[tuple[np.ndarray, int]], np.ndarray]]:
-    """The pieces of G_r, each as its sorted vertices and the position xi
-    of its added vertex x among them, and G_r's isolated vertices; None when
-    G_r, on two or more vertices, has at most one component of two or
-    more.  A piece is such a component C, plus the least vertex x outside
-    it; pieces come by |C|, then by least vertex."""
+def _pieces(G_r: Graph) -> tuple[list[tuple[np.ndarray, Optional[int]]], np.ndarray]:
+    """The pieces of G_r, on two or more vertices, each as its sorted
+    vertices and the position xi of its added vertex x among them, and the
+    isolated vertices laid apart.  With two or more components of two or
+    more vertices, a piece is such a component C plus the least vertex x
+    outside it, by |C|, then by least vertex, and every isolated vertex is
+    laid apart; otherwise G_r is the one piece, with no x."""
     n = G_r.n
     label = union_find(n, *np.nonzero(G_r.adj))  # each vertex's component's least member
     size = np.bincount(label, minlength=n)
     roots = np.flatnonzero(size >= 2)
     if roots.size < 2:
-        return None
+        return [(np.arange(n), None)], roots[:0]
     pieces = []
     for r in roots[np.argsort(size[roots], kind="stable")].tolist():
         x = int(np.argmax(label != r))
@@ -125,37 +117,36 @@ def _split(G_r: Graph) -> Optional[tuple[list[tuple[np.ndarray, int]], np.ndarra
 
 
 def _certificate(G: Graph, run: _Run) -> Certificate:
-    """G's certificate, unchecked, each stage run through run, or through
-    a run from run.piece() for each piece of a split input."""
-    G_r, trace = run("reduce", reduce, G)
+    """G's certificate, unchecked.  Each piece of G's reduced graph runs its
+    stages through run, in turn, and the first negative one gives the
+    certificate; if none does, the pieces' arcs and the vertices laid apart
+    share one circle."""
+    run.stage = "reduce"
+    G_r, trace = reduce(G)
     if G_r.n <= 1:
         reduced_rep = ArcRepresentation(4, {v: (0, 1) for v in range(G_r.n)})
-    elif (split := _split(G_r)) is None:
-        reduced_rep = _piece(G_r, trace.survivors, run)
-        if isinstance(reduced_rep, Certificate):
-            return reduced_rep
     else:
-        pieces, lone = split
-        survivors = np.asarray(trace.survivors)
-        arcs: dict[int, tuple[int, int]] = {}
-        offset = 0
+        pieces, lone = _pieces(G_r)
+        arcs, offset = {}, 0
         for vs, xi in pieces:
-            piece = run.piece()
-            out = _piece(G_r.induced(vs), survivors[vs].tolist(), piece)
+            S = np.asarray(trace.survivors)[vs].tolist()
+            out = _piece(G_r if xi is None else G_r.induced(vs), S, run)
             if isinstance(out, Certificate):
                 return out
-            # x meets no arc, so no arc wraps once x's right end is the last
-            # slot; x is dropped and the piece moved past those before it
-            c, (_, r) = out.circle_size, out.arcs[xi]
-            for i, v in enumerate(vs.tolist()):
-                if i != xi:
-                    arcs[v] = tuple(offset + (e - r - 1) % c for e in out.arcs[i])
-            offset += c
+            own = [out.arcs[i] for i in range(len(vs))]  # P's arcs, not its partners'
+            if xi is not None:  # else P is all of G_r, alone on its circle
+                # x meets no arc, so no arc wraps once x's right end is the
+                # last slot; x is dropped and the piece moved past those before it
+                turned = offset + (np.array(own) - own[xi][1] - 1) % out.circle_size
+                own, vs = map(tuple, np.delete(turned, xi, axis=0).tolist()), np.delete(vs, xi)
+            arcs.update(zip(vs.tolist(), own))
+            offset += out.circle_size
         for v in lone.tolist():
             arcs[v] = (offset, offset + 1)
             offset += 2
         reduced_rep = ArcRepresentation(offset, arcs)
-    return Certificate(POSITIVE, arcs=run("expand_arcs", expand_arcs, trace, reduced_rep))
+    run.stage = "expand_arcs"
+    return Certificate(POSITIVE, arcs=expand_arcs(trace, reduced_rep))
 
 
 _STAGE_CHECKS = (
@@ -184,12 +175,12 @@ def _reason(exc: Exception) -> str:
 
 
 def _diagnosis(run: _Run, reason: str) -> InternalError:
-    """The error of a failed run: the first stage, by piece in run order
-    (run alone if unsplit), then in pipeline order, whose check (stage,
-    reason prefix, check) in _STAGE_CHECKS rejects or raises on the
-    outputs recorded, with its reason; if none, the stage started last,
-    which raised or made the certificate, with reason."""
-    for piece in run.pieces or [run]:
+    """The error of a failed run: the first stage, by piece in run order,
+    then in pipeline order, whose check (stage, reason prefix, check) in
+    _STAGE_CHECKS rejects or raises on the piece's outputs, with its
+    reason; if none, the stage started last, which raised or made the
+    certificate, with reason."""
+    for piece in run:
         for stage, prefix, check in _STAGE_CHECKS:
             if stage in piece:
                 try:

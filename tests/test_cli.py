@@ -24,6 +24,12 @@ from conftest import (BICLAW_EDGES, NEAR_BICLAW_EDGES, arc_model, completion_of,
 
 NOT_UTF8 = b"a b\n\xff\xfe c\n"
 
+# two disjoint near-biclaws, the second's names suffixed 2: the reduced
+# graph splits into two pieces
+TWO_NEAR_BICLAWS_EDGES = "\n".join(
+    NEAR_BICLAW_EDGES.splitlines()
+    + [" ".join(v + "2" for v in line.split()) for line in NEAR_BICLAW_EDGES.splitlines()])
+
 # `circarc knotting --dot` at anchor f, byte for byte
 NEAR_BICLAW_DOT = (
     'graph knotting {\n'
@@ -205,7 +211,8 @@ def _raise(exc):
 
 class TestStageFaults:
     """A fault in a stage's output reaches exit 70 through the certificate
-    check, which then names the first stage whose own check fails."""
+    check, which then names the first stage whose own check fails, piece by
+    piece on a split input."""
 
     # each stage's output, corrupted so that the certificate check fails
     CORRUPT = {
@@ -216,21 +223,25 @@ class TestStageFaults:
         "lift_to_circle": _swap_first_two_arcs,
     }
 
-    def run_with(self, tmp_path, capsys, monkeypatch, stage, replacement):
+    def run_with(self, tmp_path, capsys, monkeypatch, stage, replacement,
+                 edges=NEAR_BICLAW_EDGES):
         monkeypatch.setattr(circarc.recognizer, stage, replacement)
-        f = write(tmp_path, "g.txt", NEAR_BICLAW_EDGES)
+        f = write(tmp_path, "g.txt", edges)
         code = main(["recognize", f])
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err
-        G, replay = parse_edge_list(NEAR_BICLAW_EDGES), parse_edge_list(err)
+        G, replay = parse_edge_list(edges), parse_edge_list(err)
         assert replay.names == G.names and (replay.adj == G.adj).all()
         return code, err.splitlines()[0]
 
-    @pytest.mark.parametrize("stage", list(CORRUPT))
-    def test_corrupt_output_names_the_stage(self, tmp_path, capsys, monkeypatch, stage):
+    @pytest.mark.parametrize("stage,edges", [
+        *(pytest.param(stage, NEAR_BICLAW_EDGES, id=stage) for stage in CORRUPT),
+        *(pytest.param(stage, TWO_NEAR_BICLAWS_EDGES, id=f"{stage}-two-near-biclaws")
+          for stage in CORRUPT)])
+    def test_corrupt_output_names_the_stage(self, tmp_path, capsys, monkeypatch, stage, edges):
         original, corrupt = getattr(circarc.recognizer, stage), self.CORRUPT[stage]
         code, first = self.run_with(tmp_path, capsys, monkeypatch, stage,
-                                    lambda *args: corrupt(original(*args)))
+                                    lambda *args: corrupt(original(*args)), edges)
         assert code == 70
         assert first.startswith(f"# internal error: {stage}: "), first
 
@@ -426,7 +437,7 @@ class TestCompleteCommand:
     def test_split_positive_lists_the_whole_completion(self, tmp_path, capsys):
         G = disjoint_union(arc_model(random.Random(4), 12), arc_model(random.Random(5), 9),
                            seed=6)
-        assert circarc.recognizer._split(reduce_graph(G)[0]) is not None
+        assert len(circarc.recognizer._pieces(reduce_graph(G)[0])[0]) == 2
         f = write(tmp_path, "g.txt", write_edge_list(G))
         assert main(["complete", f]) == 0
         names = json.loads(capsys.readouterr().out)["vertices"]
@@ -512,6 +523,13 @@ class TestUsage:
         capsys.readouterr()
 
 
+def child_env() -> dict[str, str]:
+    """The environment of a child Python that imports this circarc."""
+    src = str(Path(circarc.oracle.__file__).resolve().parents[1])
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 # Caps its own address space at its size after the import plus argv[2] MB,
 # then runs `circarc recognize argv[1] --out argv[3]`.
 OUT_OF_MEMORY_CHILD = """
@@ -533,10 +551,28 @@ class TestOutOfMemory:
     @pytest.mark.parametrize("spare_mb", [60, 77])
     def test_one_line_and_exit_71(self, tmp_path, spare_mb):
         f = write(tmp_path, "g.txt", "\n".join(edge_lines(1000, 1000, False)) + "\n")
-        src = str(Path(circarc.oracle.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         run = subprocess.run([sys.executable, "-c", OUT_OF_MEMORY_CHILD, f, str(spare_mb),
                               str(tmp_path / "c.json")],
-                             env=env, capture_output=True, text=True, timeout=120)
+                             env=child_env(), capture_output=True, text=True, timeout=120)
         assert (run.returncode, run.stderr) == (71, "error: out of memory\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="writes to /dev/full")
+class TestUnwritableStdout:
+    """Each command that writes standard output exits 2 with one line on
+    stderr when it cannot: a full disk is not a rejected certificate."""
+
+    @pytest.mark.parametrize("argv", [
+        ["recognize", "{g}"], ["verify", "{g}", "{c}"], ["oracle", "{g}"],
+        ["crosscheck", "--max-n", "2"], ["complete", "{g}"],
+        ["knotting", "{g}", "--anchor", "f"]], ids=lambda argv: argv[0])
+    def test_one_line_and_exit_2(self, tmp_path, argv):
+        g, c = write(tmp_path, "g.txt", NEAR_BICLAW_EDGES), str(tmp_path / "c.json")
+        assert main(["recognize", g, "--out", c]) == 0
+        with open("/dev/full", "w") as full:
+            run = subprocess.run([sys.executable, "-m", "circarc.cli",
+                                  *(arg.format(g=g, c=c) for arg in argv)],
+                                 env=child_env(), stdout=full, stderr=subprocess.PIPE,
+                                 text=True, timeout=120)
+        assert run.returncode == 2
+        assert re.fullmatch(r"error: cannot write standard output: [^\n]*\n", run.stderr)

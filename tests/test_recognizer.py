@@ -17,7 +17,7 @@ from circarc.check import (NEGATIVE, POSITIVE, AvoidWalkPair, Certificate, Inter
 from circarc.cli import main
 from circarc.formats import (FormatError, parse_certificate, parse_edge_list,
                              serialize_certificate)
-from circarc.graph import Graph, build_graph
+from circarc.graph import Graph, build_graph, reduce
 from circarc.recognizer import recognize
 from arc_model_edges import edge_lines, nested_lines, short_lines
 from conftest import (BICLAW_EDGES, NEAR_BICLAW_EDGES, arc_model, bfs, covers, disjoint_union,
@@ -217,12 +217,14 @@ class TestPieces:
     @pytest.mark.parametrize("graph", ["2K1", "nested"])
     def test_one_multi_vertex_component_stays_whole(self, graph):
         # nested intervals lose their universal vertex and keep one
-        # isolated vertex beside the rest
+        # isolated vertex beside the rest; the whole reduced graph is the
+        # one piece, so the run keeps one piece record
         G = (build_graph(2, []) if graph == "2K1"
              else parse_edge_list("\n".join(nested_lines(60))))
         run = recognizer._Run()
         cert = recognizer._certificate(G, run)
-        assert run.pieces == [] and "classify_all" in run
+        assert len(run) == 1 and "lift_to_circle" in run[0]
+        assert run[0]["classify_all"].graph.n == reduce(G)[0].n
         assert positive_error(G, cert) is None
 
     def test_positive_pieces_side_by_side(self):
@@ -232,11 +234,11 @@ class TestPieces:
         G = disjoint_union(*parts, seed=5)
         run = recognizer._Run()
         cert = recognizer._certificate(G, run)
-        assert len(run.pieces) == 3
+        assert len(run) == 3 and all("lift_to_circle" in piece for piece in run)
         assert representation_error(G, cert.arcs) is None
         # no arc wraps: each piece's own circle is cut just past its added
         # vertex, and expanding twins nests their arcs inside their kept one
-        assert all(l < r for l, r in run["expand_arcs"].arcs.values())
+        assert all(l < r for l, r in cert.arcs.arcs.values())
 
     @pytest.mark.parametrize("pattern,size", [("biclaw", 8), ("c4+k1", 5)])
     def test_planted_negative_names_its_piece(self, pattern, size):
