@@ -5,6 +5,11 @@ modulo the circle size.  Two arcs intersect when they share a slot.  A
 representation is valid for a graph when arcs pairwise intersect exactly
 for (closed-)adjacent vertex pairs, and all endpoints are distinct
 (``check.representation_error``).
+
+A certificate, the reader, the writer and the checker hold the arcs as an
+``ArcRepresentation``, a dict by vertex.  The recognizer's positive route
+hands them on as one (n, 2) array of slots instead, from the lift to
+``expand_arcs``, which makes the certificate's dict.
 """
 
 from __future__ import annotations
@@ -22,8 +27,10 @@ class ArcRepresentation:
     arcs: dict[int, tuple[int, int]]  # vertex -> (left slot, right slot)
 
 
-def expand_arcs(trace, rep: ArcRepresentation) -> ArcRepresentation:
-    """Undo a reduction trace on a representation of the reduced graph.
+def expand_arcs(trace, circle_size: int, ends: np.ndarray) -> ArcRepresentation:
+    """Undo a reduction trace on arcs of the reduced graph: a circle of
+    circle_size slots and an (n_r, 2) integer array whose row i is the arc
+    (l, r) of survivor i.
 
     Returns a representation of the original graph, indexed by its vertices.
     Each slot gets a key (reduced slot, offset), and one sort of the keys
@@ -35,17 +42,16 @@ def expand_arcs(trace, rep: ArcRepresentation) -> ArcRepresentation:
     vertex must be a survivor.
     """
     surv = trace.survivors
-    if set(rep.arcs) != set(range(len(surv))):
+    if ends.shape != (len(surv), 2):
         raise ValueError("representation does not match the reduced graph")
     kept, removed = trace.steps.T
     twin = kept >= 0
     universal, kept, removed = removed[~twin], kept[twin], removed[twin]
     at = np.searchsorted(surv, kept)  # each kept vertex's survivor rank
-    n, c, t = trace.n_original, rep.circle_size, kept.size
+    n, c, t = trace.n_original, circle_size, kept.size
     everyone = np.sort(np.concatenate((surv, trace.steps[:, 1])))
     if not (np.array_equal(everyone, np.arange(n)) and np.array_equal(np.r_[surv, -1][at], kept)):
         raise ValueError("malformed reduction trace")
-    ends = np.array([rep.arcs[i] for i in range(len(surv))], dtype=np.intp).reshape(-1, 2)
     i = np.arange(1, t + 1)
     major = np.concatenate((np.arange(c), ends[at].T.reshape(-1)))
     minor = np.concatenate((np.zeros(c, dtype=np.intp), -i, i))

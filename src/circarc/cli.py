@@ -12,6 +12,8 @@ may itself need memory.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -73,10 +75,7 @@ def _print(text: str, end: str = "\n") -> None:
 
 def _load_graph(path: str, fmt: str) -> Graph:
     try:
-        text = _read_text(path)
-        if fmt == "graph6":
-            return parse_graph6(text)
-        return parse_edge_list(text)
+        return (parse_graph6 if fmt == "graph6" else parse_edge_list)(_read_text(path))
     except UnicodeDecodeError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except (FormatError, GraphError) as exc:
@@ -241,12 +240,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     G: Optional[Graph] = None
     try:
+        try:  # argparse drops an error writing --help, so its text goes through _print
+            with contextlib.redirect_stdout(io.StringIO()) as shown:
+                args = parser.parse_args(argv)
+        except SystemExit as exc:
+            if exc.code:  # a usage error, already on stderr
+                return EXIT_USAGE
+            _print(shown.getvalue(), end="")
+            return EXIT_OK
         if args.graph_arg is not None:
             G = _load_graph(getattr(args, args.graph_arg), args.format)
         return args.func(args, G)

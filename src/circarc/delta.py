@@ -58,9 +58,10 @@ class LabelledGraph:
         lb, ins = self.labels, self.inside
         if not np.array_equal(lb, lb.T):
             raise ValueError("labels must be symmetric")
-        if self.n and not (lb.diagonal() == Label.INCLUSION).all():
+        # plain ints: numpy compares with an IntEnum member several times slower
+        if self.n and not (lb.diagonal() == Label.INCLUSION.value).all():
             raise ValueError("loops must be labelled inclusion")
-        incl = (lb == Label.INCLUSION) & ~np.eye(self.n, dtype=bool)
+        incl = (lb == Label.INCLUSION.value) & ~np.eye(self.n, dtype=bool)
         if not np.array_equal(incl, ins | ins.T):
             raise ValueError("orientation must cover exactly the inclusion edges")
         if (ins & ins.T).any():
@@ -119,9 +120,9 @@ def implication_classes(L: LabelledGraph) -> DeltaClasses:
     # lab[z, x]: least vertex of x's component in the matrix at z, n when the
     # loop at x does not avoid z, that is when (x, z) is not an active pair;
     # an active pair's reversal is active, so lab < n is symmetric
-    lab = avoiding_labels(pack_rows(L.labels != Label.NONEDGE),
-                          pack_rows(L.labels == Label.OVERLAP),
-                          pack_rows(L.labels == Label.INCLUSION), np.arange(n)).reshape(-1)
+    lab = avoiding_labels(pack_rows(L.labels != Label.NONEDGE.value),
+                          pack_rows(L.labels == Label.OVERLAP.value),
+                          pack_rows(L.labels == Label.INCLUSION.value), np.arange(n)).reshape(-1)
     a, b = np.divmod(np.flatnonzero(lab < n), n)  # the active pairs, in lexicographic order
     rank = np.full(n * n, -1, dtype=np.intp)
     rank[a * n + b] = np.arange(a.size)
@@ -228,9 +229,9 @@ def ordering_violation(L: LabelledGraph, order: list[int]) -> Optional[tuple]:
     idx = np.array(order, dtype=np.intp)
     lab = L.labels[idx][:, idx]
     # rows and columns by position; the diagonal drops out of every triu
-    non = np.triu(lab == Label.NONEDGE, 1)
-    ov = np.triu(lab == Label.OVERLAP, 1)
-    inc = np.triu(lab == Label.INCLUSION, 1)
+    non = np.triu(lab == Label.NONEDGE.value, 1)
+    ov = np.triu(lab == Label.OVERLAP.value, 1)
+    inc = np.triu(lab == Label.INCLUSION.value, 1)
     edge = ov | inc
     pats = [
         ("i", non, np.triu(np.ones((n, n), dtype=bool), 1), edge),

@@ -4,14 +4,16 @@ Left ends come in the order given.  A right end has one place it can go:
 the gap after the left end of the last vertex it meets and before the next
 left end, which it misses.  Within a gap the labels rank the right ends.
 Endpoint positions are integers 1..2n, all distinct; the intervals are an
-(n, 2) array whose row v is (l, r) of vertex v.
+(n, 2) array whose row v is (l, r) of vertex v.  The lift keeps that form:
+the arcs of the completion leave it as one (|H|, 2) array of slots, which
+the recognizer lays out on the certificate's circle and
+``arcs.expand_arcs`` turns into the certificate's dict.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .arcs import ArcRepresentation
 from .check import InternalError
 from .delta import Label, LabelledGraph
 
@@ -25,11 +27,12 @@ def _consistency_error(L: LabelledGraph, lr: np.ndarray) -> str | None:
     disjoint = (r[:, None] < l[None, :]) | (r[None, :] < l[:, None])
     inner = (l[:, None] < l[None, :]) & (r[None, :] < r[:, None])  # v inside u
     lab = L.labels
+    # plain ints: numpy compares with an IntEnum member several times slower
     faults = [
-        ((lab == Label.NONEDGE) & ~disjoint, "labelled non-edge but intervals meet"),
-        ((lab == Label.OVERLAP) & (disjoint | inner | inner.T),
+        ((lab == Label.NONEDGE.value) & ~disjoint, "labelled non-edge but intervals meet"),
+        ((lab == Label.OVERLAP.value) & (disjoint | inner | inner.T),
          "labelled overlap but intervals do not overlap"),
-        ((lab == Label.INCLUSION) & ~np.where(L.inside, inner, inner.T),
+        ((lab == Label.INCLUSION.value) & ~np.where(L.inside, inner, inner.T),
          "containment direction wrong"),
     ]
     bad = np.triu(np.logical_or.reduce([m for m, _ in faults]), 1)
@@ -60,8 +63,8 @@ def build_intervals(L: LabelledGraph, order: list[int]) -> np.ndarray:
     idx = np.array(order, dtype=np.intp)
     lab = L.labels[idx][:, idx]  # rows, then columns, by position
     # the loop at k is never a non-edge, so last[k] >= k
-    last = np.where(np.triu(lab != Label.NONEDGE), np.arange(n), 0).max(axis=1, initial=0)
-    incl = np.triu(lab == Label.INCLUSION, 1)
+    last = np.where(np.triu(lab != Label.NONEDGE.value), np.arange(n), 0).max(axis=1, initial=0)
+    incl = np.triu(lab == Label.INCLUSION.value, 1)
     outer = incl & ~L.inside[idx][:, idx]
     if outer.any():
         k = int(np.flatnonzero(outer.any(axis=1))[-1])
@@ -80,18 +83,18 @@ def build_intervals(L: LabelledGraph, order: list[int]) -> np.ndarray:
 
 
 def lift_to_circle(ivals: np.ndarray, zmap: list[int],
-                   partner: np.ndarray) -> ArcRepresentation:
+                   partner: np.ndarray) -> tuple[int, np.ndarray]:
     """Lift intervals on one side of every circular pair to arcs for all of
     the completion H, unchecked (its check is ``representation_error``).
 
     zmap sends the interval vertices, the rows of ivals, to their H indices.
-    Each lifted interval is scaled by 4 onto a circle of 8|Z|+8 slots; the
-    partner of each vertex gets the complementary arc shrunk by one slot at
-    both ends.
+    Each lifted interval is scaled by 4 onto a circle of m = 8|Z|+8 slots;
+    the partner of each vertex gets the complementary arc shrunk by one slot
+    at both ends.  Returns m and the arcs as an (|H|, 2) array whose row v
+    is (l, r) of vertex v; a row that no pair reaches stays (-1, -1).
     """
     m = 8 * len(zmap) + 8
-    arcs: dict[int, tuple[int, int]] = {}
-    for u, w, (l, r) in zip(zmap, partner[zmap].tolist(), (4 * ivals).tolist()):
-        arcs[u] = (l, r)
-        arcs[w] = ((r + 1) % m, (l - 1) % m)
-    return ArcRepresentation(m, arcs)
+    ends = np.full((len(partner), 2), -1)
+    ends[zmap] = 4 * ivals
+    ends[partner[zmap]] = (ends[zmap, ::-1] + [1, -1]) % m
+    return m, ends

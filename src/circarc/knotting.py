@@ -107,8 +107,9 @@ def build_knotting(H: TypedGraph, z: int) -> KnottingGraph:
     vertex: row-major order lists them by u, then by least member.
     """
     n = H.graph.n
-    overlap = (H.types == EdgeType.OVERLAP1) | (H.types == EdgeType.OVERLAP2)
-    included = H.types == EdgeType.INCLUSION
+    # plain ints: numpy compares with an IntEnum member several times slower
+    overlap = (H.types == EdgeType.OVERLAP1.value) | (H.types == EdgeType.OVERLAP2.value)
+    included = H.types == EdgeType.INCLUSION.value
     closed, ov, inc = map(pack_rows, (H.graph.closed_adj(), overlap, included))
     avoid = (avoiding_rows(closed, ov, np.arange(n), ov[z], overlap[z]), ov, inc | inc[z])
     us = np.flatnonzero(~included[z])  # the vertices z tolerates, z itself excluded
@@ -186,7 +187,7 @@ def overlap_side(H: TypedGraph, K: KnottingGraph, side: np.ndarray,
     """
     z = K.anchor
     tz = H.types[:, z]
-    xs = np.flatnonzero((tz == EdgeType.OVERLAP1) | (tz == EdgeType.OVERLAP2)).tolist()
+    xs = np.flatnonzero((tz == EdgeType.OVERLAP1.value) | (tz == EdgeType.OVERLAP2.value)).tolist()
     copies = K.copy_at[xs, zbar]
     for x, c in zip(xs, copies.tolist()):
         if tz[x] != EdgeType.OVERLAP1:
@@ -278,7 +279,7 @@ def build_Z(H: TypedGraph, z: int, Y: set[int], partner: np.ndarray) -> list[int
     if unsplit.size:
         u = int(unsplit[0])
         raise InternalError(f"pair {u},{partner[u]} not split by Z")
-    inside = np.flatnonzero(np.triu(H.types[zset][:, zset] == EdgeType.OVERLAP2, 1))
+    inside = np.flatnonzero(np.triu(H.types[zset][:, zset] == EdgeType.OVERLAP2.value, 1))
     if inside.size:
         i, j = divmod(int(inside[0]), len(zset))
         raise InternalError(f"2-overlap edge {zset[i]},{zset[j]} inside Z")

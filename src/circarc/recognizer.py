@@ -38,9 +38,13 @@ This is exact:
 4. The checker accepts any vertex set S of G: induced subgraphs inherit
    circular-arc-ness.
 
-A run keeps one record, ``_Run``: a dict of stage outputs for each piece,
-in run order, on which a failure is diagnosed.  Every G_r on two or more
-vertices has its components labelled once, by ``graph.union_find``.
+The arcs go from ``lift_to_circle`` to ``expand_arcs`` as integer arrays
+of (left, right) slots, one row per vertex: the layout fills one array
+for G_r, which ``expand_arcs`` turns into the certificate's dict.  A run
+keeps one record, ``_Run``: a dict of stage outputs for each piece, in
+run order, on which a failure is diagnosed; the lift's stage check alone
+reads its array as a dict.  Every G_r on two or more vertices has its
+components labelled once, by ``graph.union_find``.
 """
 
 from __future__ import annotations
@@ -73,10 +77,11 @@ class _Run(list):
         return out
 
 
-def _piece(P: Graph, S: list[int], run: _Run) -> Union[Certificate, ArcRepresentation]:
+def _piece(P: Graph, S: list[int], run: _Run) -> Union[Certificate, tuple[int, np.ndarray]]:
     """The stages from classify_all on of a reduced graph P on two or more
     vertices, the input's G[S], each kept in a new piece dict of run: its
-    negative certificate, unchecked, or the arcs of its completion."""
+    negative certificate, unchecked, or the circle size and the (|H|, 2)
+    array of arcs of its completion H, whose first rows are P's."""
     run.append({})
     T = run("classify_all", classify_all, P)
     H, partner = run("complete", complete, T)
@@ -124,29 +129,27 @@ def _certificate(G: Graph, run: _Run) -> Certificate:
     run.stage = "reduce"
     G_r, trace = reduce(G)
     if G_r.n <= 1:
-        reduced_rep = ArcRepresentation(4, {v: (0, 1) for v in range(G_r.n)})
+        size, ends = 4, np.tile([0, 1], (G_r.n, 1))
     else:
         pieces, lone = _pieces(G_r)
-        arcs, offset = {}, 0
+        size, ends = 0, np.empty((G_r.n, 2), dtype=np.intp)
         for vs, xi in pieces:
             S = np.asarray(trace.survivors)[vs].tolist()
             out = _piece(G_r if xi is None else G_r.induced(vs), S, run)
             if isinstance(out, Certificate):
                 return out
-            own = [out.arcs[i] for i in range(len(vs))]  # P's arcs, not its partners'
+            m, own = out[0], out[1][:len(vs)]  # P's arcs, not its partners'
             if xi is not None:  # else P is all of G_r, alone on its circle
                 # x meets no arc, so no arc wraps once x's right end is the
                 # last slot; x is dropped and the piece moved past those before it
-                turned = offset + (np.array(own) - own[xi][1] - 1) % out.circle_size
-                own, vs = map(tuple, np.delete(turned, xi, axis=0).tolist()), np.delete(vs, xi)
-            arcs.update(zip(vs.tolist(), own))
-            offset += out.circle_size
-        for v in lone.tolist():
-            arcs[v] = (offset, offset + 1)
-            offset += 2
-        reduced_rep = ArcRepresentation(offset, arcs)
+                turned = size + (own - own[xi, 1] - 1) % m
+                own, vs = np.delete(turned, xi, axis=0), np.delete(vs, xi)
+            ends[vs] = own
+            size += m
+        ends[lone] = size + np.arange(2 * lone.size).reshape(-1, 2)
+        size += 2 * lone.size
     run.stage = "expand_arcs"
-    return Certificate(POSITIVE, arcs=expand_arcs(trace, reduced_rep))
+    return Certificate(POSITIVE, arcs=expand_arcs(trace, size, ends))
 
 
 _STAGE_CHECKS = (
@@ -159,7 +162,8 @@ _STAGE_CHECKS = (
     ("build_intervals", "built intervals inconsistent with labels",
      lambda run: _consistency_error(run["labelled_from_typed"], run["build_intervals"])),
     ("lift_to_circle", "lifted arcs fail verification",
-     lambda run: representation_error(run["complete"][0].graph, run["lift_to_circle"])),
+     lambda run: representation_error(run["complete"][0].graph, ArcRepresentation(
+         run["lift_to_circle"][0], dict(enumerate(run["lift_to_circle"][1].tolist()))))),
 )
 
 

@@ -10,7 +10,6 @@ import pytest
 
 import circarc.oracle
 import circarc.recognizer
-from circarc.arcs import ArcRepresentation
 from circarc.cli import _knotting_dot, main
 from circarc.check import NEGATIVE, InternalError, classify_all
 from circarc.formats import parse_edge_list, write_edge_list, write_graph6
@@ -197,10 +196,10 @@ def _toggle_first_to_last(out):
     return classify_all(Graph(H.graph.n, adj, H.graph.names)), partner
 
 
-def _swap_first_two_arcs(rep):
-    arcs = dict(rep.arcs)
-    arcs[0], arcs[1] = arcs[1], arcs[0]
-    return ArcRepresentation(rep.circle_size, arcs)
+def _swap_first_two_arcs(out):
+    """lift_to_circle's circle size and arcs, the first two rows swapped."""
+    circle_size, ends = out
+    return circle_size, ends[[1, 0, *range(2, len(ends))]]
 
 
 def _raise(exc):
@@ -221,6 +220,15 @@ class TestStageFaults:
         "interval_orientation": lambda order: order[::-1],
         "build_intervals": lambda iv: iv[[1, 0, *range(2, len(iv))]],
         "lift_to_circle": _swap_first_two_arcs,
+    }
+    # the reason each stage's own check gives; a corruption that crashes
+    # the check instead would name the stage with the exception's type
+    REASON = {
+        "complete": "completion check failed",
+        "forcing_classes": "classes differ from implication_classes",
+        "interval_orientation": "constructed order fails pattern check",
+        "build_intervals": "built intervals inconsistent with labels",
+        "lift_to_circle": "lifted arcs fail verification",
     }
 
     def run_with(self, tmp_path, capsys, monkeypatch, stage, replacement,
@@ -243,7 +251,7 @@ class TestStageFaults:
         code, first = self.run_with(tmp_path, capsys, monkeypatch, stage,
                                     lambda *args: corrupt(original(*args)), edges)
         assert code == 70
-        assert first.startswith(f"# internal error: {stage}: "), first
+        assert first.startswith(f"# internal error: {stage}: {self.REASON[stage]}: "), first
 
     def test_stray_exception_names_the_stage(self, tmp_path, capsys, monkeypatch):
         code, first = self.run_with(tmp_path, capsys, monkeypatch, "expand_arcs",
@@ -559,13 +567,16 @@ class TestOutOfMemory:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="writes to /dev/full")
 class TestUnwritableStdout:
-    """Each command that writes standard output exits 2 with one line on
-    stderr when it cannot: a full disk is not a rejected certificate."""
+    """Each command that writes standard output, and --help, exits 2 with
+    one line on stderr when it cannot: a full disk is not a rejected
+    certificate, and help text that cannot be written is no success."""
 
     @pytest.mark.parametrize("argv", [
         ["recognize", "{g}"], ["verify", "{g}", "{c}"], ["oracle", "{g}"],
         ["crosscheck", "--max-n", "2"], ["complete", "{g}"],
-        ["knotting", "{g}", "--anchor", "f"]], ids=lambda argv: argv[0])
+        ["knotting", "{g}", "--anchor", "f"],
+        pytest.param(["--help"], id="help"),
+        pytest.param(["recognize", "--help"], id="recognize-help")], ids=lambda argv: argv[0])
     def test_one_line_and_exit_2(self, tmp_path, argv):
         g, c = write(tmp_path, "g.txt", NEAR_BICLAW_EDGES), str(tmp_path / "c.json")
         assert main(["recognize", g, "--out", c]) == 0

@@ -104,6 +104,13 @@ def _loop_expand(trace: ReductionTrace, rep: ArcRepresentation) -> ArcRepresenta
     return ArcRepresentation(len(circle), out)
 
 
+def expand(trace: ReductionTrace, rep: ArcRepresentation) -> ArcRepresentation:
+    """expand_arcs on a representation of the reduced graph, its arcs handed
+    on as the recognizer does: an (n_r, 2) array whose row i is survivor i's."""
+    ends = np.array([rep.arcs[i] for i in range(len(rep.arcs))], dtype=np.intp)
+    return expand_arcs(trace, rep.circle_size, ends.reshape(-1, 2))
+
+
 def planted_blowup(seed):
     """Random graph with true-twin classes and universal vertices planted,
     its vertex indices shuffled."""
@@ -588,20 +595,20 @@ class TestExpandArcs:
     def test_identity_on_empty_trace(self, c4):
         _, trace = reduce(c4)
         rep = ArcRepresentation(8, {0: (0, 2), 1: (1, 4), 2: (3, 6), 3: (5, 7)})
-        out = expand_arcs(trace, rep)
+        out = expand(trace, rep)
         assert out.arcs == rep.arcs
 
     def test_k2_twin(self):
         K2 = build_graph(2, [(0, 1)])
         _, trace = reduce(K2)
         rep = ArcRepresentation(4, {0: (0, 1)})
-        out = expand_arcs(trace, rep)
+        out = expand(trace, rep)
         assert representation_error(K2, out) is None
 
     def test_k3(self):
         K3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
         _, trace = reduce(K3)
-        out = expand_arcs(trace, ArcRepresentation(4, {0: (0, 1)}))
+        out = expand(trace, ArcRepresentation(4, {0: (0, 1)}))
         assert representation_error(K3, out) is None
 
     def test_universal_vertex(self):
@@ -611,17 +618,19 @@ class TestExpandArcs:
         assert (trace.steps[:, 0] < 0).any()
         base = ArcRepresentation(4, {i: (2 * i, 2 * i + 1)
                                      for i in range(reduced.n)})
-        assert representation_error(G, expand_arcs(trace, base)) is None
+        assert representation_error(G, expand(trace, base)) is None
 
     def test_mismatched_representation(self):
         K2 = build_graph(2, [(0, 1)])
         _, trace = reduce(K2)
-        with pytest.raises(ValueError):
-            expand_arcs(trace, ArcRepresentation(4, {0: (0, 1), 1: (2, 3)}))
+        with pytest.raises(ValueError, match="does not match the reduced graph"):
+            expand(trace, ArcRepresentation(4, {0: (0, 1), 1: (2, 3)}))
+        with pytest.raises(ValueError, match="does not match the reduced graph"):
+            expand_arcs(trace, 4, np.array([0, 1]))  # not one row per survivor
 
     @staticmethod
     def assert_matches_loop(trace, rep):
-        got, want = expand_arcs(trace, rep), _loop_expand(trace, rep)
+        got, want = expand(trace, rep), _loop_expand(trace, rep)
         assert got.circle_size == want.circle_size
         assert got.arcs == want.arcs
 
@@ -681,7 +690,7 @@ class TestExpandArcs:
         rep = ArcRepresentation(2 * len(trace.survivors),
                                 {i: (2 * i, 2 * i + 1) for i in range(len(trace.survivors))})
         with pytest.raises(ValueError, match="malformed reduction trace"):
-            expand_arcs(trace, rep)
+            expand(trace, rep)
 
 
 class TestGraphValidation:

@@ -1,9 +1,13 @@
+import importlib.util
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from circarc import recognizer
 from circarc.arcs import ArcRepresentation
 from circarc.check import InternalError, representation_error
 from circarc.delta import (DeltaInvertiblePair, Label, interval_orientation,
@@ -114,6 +118,37 @@ def _loop_build_intervals(L, order):
     if err is not None:
         raise InternalError(f"built intervals inconsistent with labels: {err}")
     return iv
+
+
+def _loop_lift_to_circle(ivals, zmap, partner):
+    """The lift as a loop over the interval vertices into a dict of arcs:
+    the reference for lift_to_circle.  Returns the circle size and the dict."""
+    m = 8 * len(zmap) + 8
+    arcs: dict[int, tuple[int, int]] = {}
+    for u, w, (l, r) in zip(zmap, partner[zmap].tolist(), (4 * ivals).tolist()):
+        arcs[u] = (l, r)
+        arcs[w] = ((r + 1) % m, (l - 1) % m)
+    return m, arcs
+
+
+def lifted(ivals, zmap, partner) -> ArcRepresentation:
+    """lift_to_circle's arcs as a representation, checked against the loop
+    reference."""
+    m, ends = lift_to_circle(ivals, zmap, partner)
+    rep = ArcRepresentation(m, dict(enumerate(map(tuple, ends.tolist()))))
+    assert (rep.circle_size, rep.arcs) == _loop_lift_to_circle(ivals, zmap, partner)
+    return rep
+
+
+def bench_pool(workload: str) -> list:
+    """The graphs of a benchmark workload's pool at seed 1, as
+    ``bench/run.py --seed 1`` draws them for a 35-second run."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cases = workloads.make_cases(workload, 1, workloads.pool_size(workload, 35))
+    return [case.graph for case in cases]
 
 
 class TestBuildIntervals:
@@ -240,7 +275,7 @@ class TestLiftToCircle:
         assert [H.graph.names[v] for v in zset] == ["v2", "v3"]
         order = interval_orientation(L)
         iv = build_intervals(L, order)
-        rep = lift_to_circle(iv, zset, partner)
+        rep = lifted(iv, zset, partner)
         assert rep.circle_size == 24
         by_name = {H.graph.names[v]: a for v, a in rep.arcs.items()}
         assert by_name == {"v2": (4, 12), "v3": (8, 16),
@@ -252,7 +287,7 @@ class TestLiftToCircle:
         from circarc.graph import build_graph
         H, partner, zset, L = labels_on_Z(build_graph(2, []))
         iv = build_intervals(L, [0])
-        rep = lift_to_circle(iv, zset, partner)
+        rep = lifted(iv, zset, partner)
         assert representation_error(H.graph, rep) is None
         assert rep.circle_size == 16
         u = zset[0]
@@ -262,7 +297,7 @@ class TestLiftToCircle:
     def test_near_biclaw_end_to_end(self, near_biclaw):
         H, partner, zset, L = labels_on_Z(near_biclaw)
         order = interval_orientation(L)
-        rep = lift_to_circle(build_intervals(L, order), zset, partner)
+        rep = lifted(build_intervals(L, order), zset, partner)
         assert len(rep.arcs) == 12
         assert representation_error(H.graph, rep) is None
         covers = H.graph.closed_adj()
@@ -277,7 +312,22 @@ class TestLiftToCircle:
         broken[a], broken[b] = partner[b], partner[a]
         broken[partner[b]], broken[partner[a]] = a, b
         # lift_to_circle does not check its arcs; their check on H rejects them
-        assert representation_error(H.graph, lift_to_circle(iv, zset, broken)) is not None
+        assert representation_error(H.graph, lifted(iv, zset, broken)) is not None
+
+    @pytest.mark.parametrize("workload", ["arc-positive", "twin-blowup"])
+    def test_matches_loop_reference_on_bench_pools(self, workload, monkeypatch):
+        # every Z graph that a positive run lifts, piece by piece
+        lifts = []
+
+        def checked(ivals, zmap, partner):
+            lifts.append(lifted(ivals, zmap, partner))
+            return lift_to_circle(ivals, zmap, partner)
+
+        monkeypatch.setattr(recognizer, "lift_to_circle", checked)
+        graphs = bench_pool(workload)
+        for G in graphs:
+            assert recognizer.recognize(G).verdict == recognizer.POSITIVE
+        assert len(lifts) >= len(graphs)
 
 
 class TestVerifyRepresentation:
