@@ -11,7 +11,9 @@ newline (``check.graph_digest``).  The binding fixes G's names, so a
 document names every vertex by its index, a JSON integer: position i
 stands for ``names[i]``.  Beyond that a document holds only what its
 checker reads.  A positive one holds ``arcs``, a flat list of 2n integers
-in input vertex order: vertex v's arc is ``(arcs[2v], arcs[2v+1])``.  A
+in input vertex order: vertex v's arc is ``(arcs[2v], arcs[2v+1])``, on a
+circle of ``circle_size`` slots.  The recognizer writes a compact circle,
+2n slots, one per endpoint; the reader and the checker accept any size.  A
 negative one holds a vertex set S, as input indices in input order, and
 the anchor, the pair and the two walks, as indices into the circular
 completion of G[S] in the order that ``edgetypes.completion_graph`` gives

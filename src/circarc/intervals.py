@@ -6,8 +6,8 @@ left end, which it misses.  Within a gap the labels rank the right ends.
 Endpoint positions are integers 1..2n, all distinct; the intervals are an
 (n, 2) array whose row v is (l, r) of vertex v.  The lift keeps that form:
 the arcs of the completion leave it as one (|H|, 2) array of slots, which
-the recognizer lays out on the certificate's circle and
-``arcs.expand_arcs`` turns into the certificate's dict.
+the recognizer lays out side by side and ``arcs.expand_arcs`` ranks
+into the certificate's dict.
 """
 
 from __future__ import annotations

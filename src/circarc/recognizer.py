@@ -40,7 +40,7 @@ This is exact:
 
 The arcs go from ``lift_to_circle`` to ``expand_arcs`` as integer arrays
 of (left, right) slots, one row per vertex: the layout fills one array
-for G_r, which ``expand_arcs`` turns into the certificate's dict.  A run
+for G_r, whose ends ``expand_arcs`` ranks into the certificate's dict.  A run
 keeps one record, ``_Run``: a dict of stage outputs for each piece, in
 run order, on which a failure is diagnosed; the lift's stage check alone
 reads its array as a dict.  Every G_r on two or more vertices has its
@@ -128,11 +128,10 @@ def _certificate(G: Graph, run: _Run) -> Certificate:
     share one circle."""
     run.stage = "reduce"
     G_r, trace = reduce(G)
-    if G_r.n <= 1:
-        size, ends = 4, np.tile([0, 1], (G_r.n, 1))
-    else:
+    ends = np.tile([0, 1], (G_r.n, 1))
+    if G_r.n >= 2:
         pieces, lone = _pieces(G_r)
-        size, ends = 0, np.empty((G_r.n, 2), dtype=np.intp)
+        size = 0  # the slots the pieces before this one take
         for vs, xi in pieces:
             S = np.asarray(trace.survivors)[vs].tolist()
             out = _piece(G_r if xi is None else G_r.induced(vs), S, run)
@@ -147,9 +146,8 @@ def _certificate(G: Graph, run: _Run) -> Certificate:
             ends[vs] = own
             size += m
         ends[lone] = size + np.arange(2 * lone.size).reshape(-1, 2)
-        size += 2 * lone.size
     run.stage = "expand_arcs"
-    return Certificate(POSITIVE, arcs=expand_arcs(trace, size, ends))
+    return Certificate(POSITIVE, arcs=expand_arcs(trace, ends))
 
 
 _STAGE_CHECKS = (

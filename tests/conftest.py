@@ -281,6 +281,33 @@ def interval_model(rng: random.Random, n: int) -> Graph:
                            if ivs[u][0] < ivs[v][1] and ivs[v][0] < ivs[u][1]])
 
 
+# each family's arc length, as a share of the circle
+ARC_LENGTHS = {"uniform": lambda rng: rng.random(),
+               "short": lambda rng: rng.uniform(0.01, 0.1),
+               "near-equal": lambda rng: rng.uniform(0.38, 0.42),
+               "long": lambda rng: rng.uniform(0.5, 0.95)}
+
+
+def arc_length_model(rng: random.Random, n: int, family: str) -> Graph:
+    """The intersection graph of n arcs on a circle of circumference 1, each
+    running clockwise from a random start over a length drawn by
+    ARC_LENGTHS[family]."""
+    start = np.array([rng.random() for _ in range(n)])
+    length = np.array([ARC_LENGTHS[family](rng) for _ in range(n)])
+    cov = (start[None, :] - start[:, None]) % 1 <= length[:, None]  # u covers v's start
+    adj = cov | cov.T
+    np.fill_diagonal(adj, False)
+    return Graph(n, adj, tuple(map(str, range(n))))
+
+
+def is_compact(G: Graph, rep) -> bool:
+    """rep's endpoints are exactly the slots 0, 1, ..., 2n - 1 of its circle,
+    as on every positive certificate the recognizer writes (one slot if
+    n = 0)."""
+    ends = sorted(e for arc in rep.arcs.values() for e in arc)
+    return rep.circle_size == max(2 * G.n, 1) and ends == list(range(2 * G.n))
+
+
 # minimal non-circular-arc graphs, as (vertex count, edges)
 PLANTED = {"biclaw": (7, [(0, 1), (1, 2), (0, 3), (0, 4), (3, 5), (4, 6)]),
            "c4+k1": (5, [(0, 1), (1, 2), (2, 3), (3, 0)])}

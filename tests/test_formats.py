@@ -108,13 +108,23 @@ class TestGraph6:
             parse_graph6("D?@")
 
 
+# The certificate of P_4 (the p4 fixture) as the recognizer wrote it
+# before it ranked its endpoints: arcs in the same circular order as today's,
+# on a circle of 24 slots.  The reader and the checker take any circle size.
+P4_SPARSE_DOC = ('{"format":"ca-cert/4","input":{"n":4,"sha256":"10a0529557edccb636c0530ab6414c'
+                 '2442ed570d824605a54f388632f9142044"},"positive":{"arcs":[17,3,13,7,4,16,8,12],'
+                 '"circle_size":24},"verdict":"CircularArc"}\n')
+
+
 class TestCertificateDocs:
-    def test_positive_round_trip(self, c4):
-        cert = recognize(c4)
-        text = serialize_certificate(c4, cert)
-        back = parse_certificate(c4, text)
-        assert verify_positive(c4, back)
-        assert serialize_certificate(c4, back) == text
+    def test_positive_round_trip(self, c4, p4):
+        for G, old in ((c4, None), (p4, P4_SPARSE_DOC)):
+            text = serialize_certificate(G, recognize(G))
+            assert json.loads(text)["positive"]["circle_size"] == 2 * G.n
+            for doc in filter(None, (text, old)):
+                back = parse_certificate(G, doc)
+                assert verify_positive(G, back)
+                assert serialize_certificate(G, back) == doc
 
     def test_negative_round_trip(self, biclaw):
         cert = recognize(biclaw)

@@ -15,8 +15,9 @@ its command line for ``arc_model_edges.py``: deep breadth-first levels,
 nested modules, sparse pieces, the Δ-classes fallback and negative
 certificates whose walks cross large completions.  Each row is
 recognized, serialized, hashed, parsed back and verified, within a wall
-time.  A change that alters any pinned certificate must say why and
-update its digest.
+time.  Every positive certificate is checked to lie on a circle of
+exactly its 2n endpoints.  A change that alters any pinned certificate
+must say why and update its digest.
 """
 
 import hashlib
@@ -33,11 +34,11 @@ from circarc.formats import parse_certificate, parse_edge_list, serialize_certif
 from circarc.graph import build_graph
 from circarc.oracle import oracle_is_ca
 from circarc.recognizer import NEGATIVE, POSITIVE, recognize
-from conftest import arc_model, planted_negative
+from conftest import arc_model, is_compact, planted_negative
 
-ATLAS_SHA256 = "383151ffc431a03a60ecb8eecc54901fcd601eaa248f1cdee7d4f256e2744ae3"
-SCALE_SHA256 = "7d7a18e79d50439a8677ef22977daa0af2e8ed2ff9680d483afc5bddb0777434"
-TWIN_SHA256 = "2a0c552dfa8cbd7dc457a398f92eba5971fe2f27057726f2439a5eccea55ec28"
+ATLAS_SHA256 = "cc1876c6fd786cec422a6fee632659080fef8fdee5ac4d1540d822de3c145299"
+SCALE_SHA256 = "f69a81b1cafc5d53acf6b1ceb4920f9b48dc877246e3149f3ab413d35fffa06c"
+TWIN_SHA256 = "17514f273c4483c469da2dd4c8bac5967440da8e9a8c9ccacb631206b0c8030f"
 
 
 def test_atlas_certificates_are_unchanged():
@@ -48,6 +49,7 @@ def test_atlas_certificates_are_unchanged():
         cert = recognize(G)
         verdicts[cert.verdict] += 1
         assert oracle_is_ca(G) == (cert.verdict == POSITIVE), list(g.edges())
+        assert cert.verdict == NEGATIVE or is_compact(G, cert.arcs)
         digest.update(serialize_certificate(G, cert).encode())
     assert verdicts == {POSITIVE: 826, NEGATIVE: 426}
     assert digest.hexdigest() == ATLAS_SHA256
@@ -66,6 +68,7 @@ def test_scale_certificates_are_unchanged():
     for G, verdict in corpus():
         cert = recognize(G)
         assert cert.verdict == verdict
+        assert verdict == NEGATIVE or is_compact(G, cert.arcs)
         digest.update(serialize_certificate(G, cert).encode())
     assert digest.hexdigest() == SCALE_SHA256
 
@@ -83,7 +86,7 @@ def test_twin_certificates_are_unchanged():
     for lines in twin_corpus():
         G = parse_edge_list("\n".join(lines))
         cert = recognize(G)
-        assert cert.verdict == POSITIVE
+        assert cert.verdict == POSITIVE and is_compact(G, cert.arcs)
         digest.update(serialize_certificate(G, cert).encode())
     assert digest.hexdigest() == TWIN_SHA256
 
@@ -97,26 +100,26 @@ DEEP = [
     ("400 0 --cycle", NEGATIVE,
      "b9d71d0a425a9554e14b9374d4ced8c9f4306d7b84c3612d7a510d96789c6e00", 120),
     ("400 0 --path", POSITIVE,
-     "bd8fa6a8d306e41771aa2a23e9fc2a44aee17a7edb8fdc72135f27ccf9f50007", 120),
+     "88b4a82c4e4effb60fdaffd9c31d69be25f282b7f67b3cba1bd5837973b38f00", 120),
     ("400 0 --cycle --shuffle 1", NEGATIVE, None, 120),
     ("400 0 --path --shuffle 1", POSITIVE, None, 120),
     # the order comes from 198 nested modules
     ("400 0 --nested", POSITIVE,
-     "658d09878ef8f2edf13a458f98e100363a7254b8e32ca25252357d0883a126ee", 300),
+     "d94e08c3b9d565b8255140b54ecd18ef05d2a9d51852281bac9ce98e53f4db70", 300),
     # the model falls apart into components, each certified on its own and
     # laid side by side
     ("800 1 --short", POSITIVE,
-     "efbfd6fe786e332d3b2c5efe453711d0d0fae98197e9aa1451944b48989c3563", 120),
+     "4f666ff0cd6d7510c6dd1b996abd6ceb1597761bfcbd020e991c9415a33f73ae", 120),
     # the backbone keeps the short arcs in one piece of 500 vertices
     ("400 1 --short --backbone", POSITIVE,
-     "cb83413db7f288866272b0f2a2daa5368d7af5f1a4034007b8162a369684176f", 120),
+     "d155bdac96f367b78e091c7aab3f3013b533c1ebbc2605fae25ba4e2b2a845c3", 120),
     # the anchor overlaps 4 vertices, so the Δ-forcing classes come from
     # delta.implication_classes, not off the knotting graph: an arc model,
     # and the plain cycle C_600
     ("300 19", POSITIVE,
-     "f2a84e9795c6d62e4743dbc51b2039ff155455171d042e031eaf624b0435a0e4", 120),
+     "2b263c484e1a57a30940a9eebf74fa7b86a79793490617c7a3b82078ddc65976", 120),
     ("600 0 --ring", POSITIVE,
-     "0c4bd1ac1032345ab7dd81b5b10e78d59729989a8f98e9ed0c475d458cf956d2", 120),
+     "6cd16b44abf55803f6c845a0aad809ef4f5d63f365687fe20d6f4869831eba03", 120),
     # 100 arcs, each as 10 true twins
     ("100 100 --twins 10", POSITIVE, None, 120),
     # the edge b2 v0 keeps the biclaw induced and the graph connected, so
@@ -141,6 +144,7 @@ def test_deep_certificates_are_unchanged(argv, verdict, sha256, seconds):
     err = error(G, parse_certificate(G, doc))
     elapsed = time.perf_counter() - start
     assert cert.verdict == verdict
+    assert verdict == NEGATIVE or is_compact(G, cert.arcs)
     if sha256 is not None:
         assert hashlib.sha256(doc.encode()).hexdigest() == sha256
     assert err is None

@@ -19,9 +19,9 @@ from circarc.formats import (FormatError, parse_certificate, parse_edge_list,
                              serialize_certificate)
 from circarc.graph import Graph, build_graph, reduce
 from circarc.recognizer import recognize
-from arc_model_edges import edge_lines, nested_lines, short_lines
-from conftest import (BICLAW_EDGES, NEAR_BICLAW_EDGES, arc_model, bfs, covers, disjoint_union,
-                      interval_model, planted_negative)
+from arc_model_edges import command_lines, edge_lines, nested_lines, short_lines
+from conftest import (ARC_LENGTHS, BICLAW_EDGES, NEAR_BICLAW_EDGES, arc_length_model, arc_model,
+                      bfs, covers, disjoint_union, interval_model, is_compact, planted_negative)
 from test_ground_truth import cycle_plus_vertex
 
 
@@ -53,12 +53,15 @@ class TestRecognize:
         assert verify_negative(G, cert)
 
     def test_trivial_graphs(self):
-        for n in (0, 1, 2):
-            edges = [(0, 1)] if n == 2 else []
+        # K_5 reduces to one survivor and four universal vertices, so its
+        # circle is 10 slots; the empty graph's is one slot
+        for n, edges in ((0, []), (1, []), (2, [(0, 1)]), (3, []),
+                         (5, list(itertools.combinations(range(5), 2)))):
             G = build_graph(n, edges)
             cert = recognize(G)
             assert cert.verdict == POSITIVE
             assert verify_positive(G, cert)
+            assert is_compact(G, cert.arcs)
 
     def test_short_arc_model(self):
         # a sparse model whose Δ-orientation splits off 74 modules
@@ -262,6 +265,41 @@ class TestPieces:
                             lambda L, order: build(L, order)[[1, 0, *range(2, L.n)]])
         assert main(["recognize", str(path)]) == 70
         assert capsys.readouterr().err.startswith("# internal error: build_intervals: ")
+
+
+def sweep_inputs():
+    """Seeded inputs of the stage-check sweep: arc models of 4 to 30 arcs in
+    each arc-length family, then negatives, a biclaw joined to an arc model
+    by one edge that keeps it induced and C_n + K_1."""
+    for family in ARC_LENGTHS:
+        rng = random.Random(family)
+        for _ in range(400):
+            yield arc_length_model(rng, rng.randint(4, 30), family)
+    for n in range(1, 25, 4):
+        yield parse_edge_list("\n".join(command_lines([str(n), str(n), "--biclaw", "--join"])))
+    for n in range(4, 25, 4):
+        yield cycle_plus_vertex(n)
+
+
+def test_every_stage_check_passes_on_every_piece():
+    # every stage a piece ran is checked; a positive piece ran all five
+    # checked stages, a negative one the completion alone
+    passed = {stage: None for stage, _, _ in recognizer._STAGE_CHECKS}
+    ran = {POSITIVE: 0, NEGATIVE: 0}
+    for G in sweep_inputs():
+        run = recognizer._Run()
+        cert = recognizer._certificate(G, run)
+        for piece in run:
+            errors = {stage: check(piece) for stage, _, check in recognizer._STAGE_CHECKS
+                      if stage in piece}
+            assert errors == (passed if "lift_to_circle" in piece else {"complete": None})
+        ran[cert.verdict] += 1
+        if cert.verdict == POSITIVE:
+            assert is_compact(G, cert.arcs)
+            assert positive_error(G, cert) is None
+        else:
+            assert negative_error(G, cert) is None
+    assert ran == {POSITIVE: 1600, NEGATIVE: 12}
 
 
 class TestNegativeCheckWork:
