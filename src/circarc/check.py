@@ -77,7 +77,16 @@ class TypedGraph:
 
 
 def classify_all(G: Graph) -> TypedGraph:
-    """Classify every vertex pair of a reduced graph.
+    """Classify every vertex pair of a reduced graph: ``typed_graph`` of its
+    containment and spanning matrices, two packed products."""
+    closed = G.closed_adj()
+    return typed_graph(G, *_matrices(closed), closed)
+
+
+def typed_graph(G: Graph, contains: np.ndarray, spanning: np.ndarray,
+                closed: np.ndarray) -> TypedGraph:
+    """G classified, given its containment and spanning matrices and its
+    closed adjacency ``G.closed_adj()``, which callers have already built.
 
     Every edge is an inclusion (one closed neighbourhood inside the other)
     or an overlap, and an overlap is a 2-overlap exactly when its ends
@@ -88,8 +97,6 @@ def classify_all(G: Graph) -> TypedGraph:
     viewed as int8, with no masked assignment.  All three arrays are
     read-only, so no caller changes what a later check reads.
     """
-    closed = G.closed_adj()
-    contains, spanning = _matrices(closed)
     if G.n >= 2:
         universal = np.flatnonzero(closed.all(axis=1))
         if universal.size:

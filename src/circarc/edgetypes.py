@@ -3,9 +3,14 @@
 The circular completion gives each vertex without a circular partner
 (``check.circular_pairs``) a new partner vertex, all built in one pass
 from the containment and closed-adjacency matrices of the input
-(``completion_graph``).  It is not trusted, and neither ``complete`` nor
-the reader of certificates checks it: ``check.completion_error`` does,
-from the completion alone, as part of a negative certificate's check.
+(``completion_graph``).  ``complete`` classifies it with no product
+over it: each block of its containment and spanning matrices is a block
+of the input's containment, spanning or closed adjacency, its complement
+or its transpose, as its docstring argues.  It is not trusted, and
+neither ``complete`` nor the reader of certificates checks it:
+``check.completion_error`` does, from the completion alone, as part of a
+negative certificate's check, and the recognizer's diagnosis compares it
+with ``classify_all`` of the completion.
 ``avoiding_labels`` labels the components of the edges that avoid
 each anchor, for the knotting graph and the Δ-forcing classes alike, in
 one lock-step breadth-first search per block of anchors.  Each level
@@ -19,7 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .check import TypedGraph, circular_pairs, classify_all
+from .check import TypedGraph, circular_pairs, typed_graph
+from .check import classify_all  # noqa: F401  re-exported: the benchmark traces it here
 from .graph import Graph, disjoint_rows, unpack_rows
 
 
@@ -59,9 +65,80 @@ def completion_graph(T: TypedGraph) -> Graph:
 
 def complete(T: TypedGraph) -> tuple[TypedGraph, np.ndarray]:
     """The circular completion of T, classified but unchecked, and each of
-    its vertices' circular partner (-1 where it has none)."""
-    H = classify_all(completion_graph(T))
-    return H, circular_pairs(H)
+    its vertices' circular partner (-1 where it has none).
+
+    H is ``completion_graph(T)``; its classification is assembled block by
+    block from T's, with no product over H.  T is reduced: classified on
+    two or more vertices, it has no universal vertex and no true twins.
+    Write N[x] for x's closed neighbourhood in T, x <= y for N[x] inside
+    N[y] (C[y, x], C = T.contains), U for T's unpaired vertices and ~v for
+    the partner added for v in U.  In any graph, "every x outside N[b] has
+    N[x] inside N[a]" says that no x outside N[a] and y outside N[b] have
+    x in N[y]; that is symmetric in a and b, so it is the spanning
+    relation S = T.spanning itself.  Three facts follow:
+
+    (i) S[a, b] gives a, b not <= each other: some x lies outside N[b], as
+        b is not universal, and a <= b would put x outside N[a] too.
+    (ii) S[a, b] and a <= a' give S[a', b]: N[a'] leaves out less.
+    (iii) S[a, a] holds exactly when a is universal.
+
+    By its construction and (i), u ~ ~v in H iff u is not <= v, and
+    ~v ~ ~w (v != w) iff not S[v, w].  contains_H[a, b] says N_H[b] lies
+    inside N_H[a]:
+
+    - [u, w] = C[u, w]: N[w] inside N[u] is needed, and then u <= y gives
+      w <= y.
+    - [u, ~v] = S[u, v] and u != v: the originals of N_H[~v], the x not
+      <= v, lie in N[u] iff S[v, u]; ~v is in N_H[u] iff u is not <= v,
+      which S[u, v] gives by (i); and ~w outside N_H[u], u <= w, is
+      outside N_H[~v], S[v, w], by (ii).
+    - [~v, u] = not N[v, u]: if u is in N[v], so is v in N[u], and v <= v;
+      else no x in N[u] is <= v (u would be in N[v]), and ~w in N_H[u], u
+      not <= w, has not S[v, w], by x = u and some y in N[u] - N[w].
+    - [~v, ~w] = C[w, v]: the x not <= w are all not <= v iff v <= w; then
+      not S[v, w] by (i), so ~w is in N_H[~v], and S[v, y] gives S[w, y]
+      by (ii).
+
+    spanning_H[a, b] says each x outside N_H[b] has N_H[x] inside N_H[a]:
+
+    - [u, w] = S[u, w]: x outside N[w] needs C[u, x], and ~y with w <= y
+      needs S[u, y] and u != y, which (ii) and (i) give.
+    - [~v, u] = [u, ~v] = C[u, v]: x outside N[u] needs x outside N[v],
+      which is v <= u, and then u <= y gives v <= y.
+    - [~v, ~w] = not N[v, w]: x <= w needs x outside N[v], which is w
+      outside N[v]; then S[w, y] puts every x outside N[y] outside N[v],
+      so v <= y.
+
+    Its diagonal is False, by (iii) in H.  S's is too, by (iii) in T, but
+    for K_1, whose completion is 2K_1.  Off T's pairs, spanning_H and no
+    edge meet only at (v, ~v): v <= u <= v gives u = v, as T has no true
+    twins, and S[v, w] off N[v, w] would pair v and w in T.  So the
+    partners are T's pairs and v <-> ~v.  ``check.typed_graph`` makes the
+    types and refuses a universal vertex or true twins of H, as
+    ``classify_all(H)`` would.
+    """
+    G = completion_graph(T)
+    n, m = T.graph.n, G.n
+    C, S, N = T.contains, T.spanning, T.graph.closed_adj()
+    pairs = circular_pairs(T)
+    unpaired = np.flatnonzero(pairs < 0)
+    added = np.arange(n, m)
+    contains = np.empty((m, m), dtype=bool)
+    contains[:n, :n] = C
+    contains[:n, n:] = S[:, unpaired]
+    contains[unpaired, added] = False
+    apart = ~N[unpaired]
+    contains[n:, :n] = apart
+    contains[n:, n:] = C[unpaired][:, unpaired].T  # np.ix_ gathers several times slower
+    spanning = np.empty((m, m), dtype=bool)
+    spanning[:n, :n] = S
+    spanning[:n, n:] = C[:, unpaired]
+    spanning[n:, :n] = spanning[:n, n:].T
+    spanning[n:, n:] = apart[:, unpaired]
+    np.fill_diagonal(spanning, False)
+    partner = np.concatenate((pairs, unpaired))
+    partner[unpaired] = added
+    return typed_graph(G, contains, spanning, G.closed_adj()), partner
 
 
 AVOID_WORDS = 1 << 20  # words of packed rows a block of anchors gathers per level

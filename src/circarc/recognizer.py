@@ -9,9 +9,11 @@ and from ``delta.implication_classes`` otherwise.  Only the certificate is
 checked, by the independent checker in ``check``; the stage checks run
 only to name the failing stage.  A positive certificate gets
 ``positive_error``, a negative one ``negative_error``, as ``circarc
-verify`` runs them: on the input and the certificate alone.  So a
-negative run classifies four times, G[S] and its completion once in its
-stages and once more in the check.
+verify`` runs them: on the input and the certificate alone.  The stages
+classify a piece once: ``complete`` derives its completion's
+classification from the piece's.  So a positive run classifies once per
+piece, and a negative run three times: G[S] in its stages, and G[S] and
+its completion in the check.
 
 A reduced graph G_r on two or more vertices is certified piece by piece.
 If two or more of its components have two or more vertices, each such
@@ -54,8 +56,9 @@ from typing import Optional, Union
 import numpy as np
 
 from .arcs import ArcRepresentation, expand_arcs
-from .check import (NEGATIVE, POSITIVE, Certificate, InternalError, classify_all,
-                    completion_error, negative_error, positive_error, representation_error)
+from .check import (NEGATIVE, POSITIVE, Certificate, InternalError, circular_pairs,
+                    classify_all, completion_error, negative_error, positive_error,
+                    representation_error)
 from .check import verify_negative, verify_positive  # re-exported under their old names
 from .delta import (implication_classes, interval_orientation, labelled_from_typed,
                     ordering_violation)
@@ -152,7 +155,7 @@ def _certificate(G: Graph, run: _Run) -> Certificate:
 
 _STAGE_CHECKS = (
     ("complete", "completion check failed",
-     lambda run: completion_error(run["classify_all"], run["complete"][0])),
+     lambda run: _completion_error(run["classify_all"], run["complete"])),
     ("forcing_classes", "classes differ from implication_classes",
      lambda run: _classes_error(run["labelled_from_typed"], run["forcing_classes"])),
     ("interval_orientation", "constructed order fails pattern check",
@@ -163,6 +166,19 @@ _STAGE_CHECKS = (
      lambda run: representation_error(run["complete"][0].graph, ArcRepresentation(
          run["lift_to_circle"][0], dict(enumerate(run["lift_to_circle"][1].tolist()))))),
 )
+
+
+def _completion_error(T, out) -> Optional[str]:
+    """The first field of complete's output that differs from
+    ``classify_all`` of its graph and that classification's
+    ``circular_pairs``, else ``completion_error``'s reason."""
+    H, partner = out
+    want = classify_all(H.graph)
+    got = (H.contains, H.spanning, H.types, partner)
+    ref = (want.contains, want.spanning, want.types, circular_pairs(want))
+    return next((f"{name} differs" for name, a, b in
+                 zip(("contains", "spanning", "types", "partner"), got, ref)
+                 if not np.array_equal(a, b)), None) or completion_error(T, H)
 
 
 def _classes_error(L, classes) -> Optional[str]:

@@ -6,7 +6,7 @@ import pytest
 
 from circarc.delta import Label, LabelledGraph, labelled_from_typed
 from circarc.check import EdgeType, circular_pairs, classify_all, completion_error
-from circarc.edgetypes import avoiding_rows, complete
+from circarc.edgetypes import avoiding_rows, complete, completion_graph
 from circarc.formats import parse_edge_list
 from circarc.graph import (Graph, build_graph, pack_rows, reduce as reduce_graph,
                            unpack_rows)
@@ -217,12 +217,26 @@ def stepwise_walk_pair_error(H, awp):
     return None
 
 
+def classified_completion(T):
+    """complete(T), asserted equal to ``classify_all`` of its graph and
+    ``circular_pairs`` of that: names, and each array's values, dtype and
+    read-only flag."""
+    H, partner = complete(T)
+    want = classify_all(completion_graph(T))
+    assert H.graph.names == want.graph.names
+    for got, ref in [(H.types, want.types), (H.contains, want.contains),
+                     (H.spanning, want.spanning), (partner, circular_pairs(want))]:
+        assert got.dtype == ref.dtype and got.flags.writeable == ref.flags.writeable
+        assert np.array_equal(got, ref)
+    return H, partner
+
+
 def completion_of(G):
-    """Reduce, classify and complete, checking the completion; returns
-    (reduced, trace, H, partner)."""
+    """Reduce, classify and complete, checking the completion and its
+    derived classification; returns (reduced, trace, H, partner)."""
     reduced, trace = reduce_graph(G)
     T = classify_all(reduced)
-    H, partner = complete(T)
+    H, partner = classified_completion(T)
     assert completion_error(T, H) is None
     return reduced, trace, H, partner
 

@@ -11,7 +11,7 @@ import pytest
 import circarc.oracle
 import circarc.recognizer
 from circarc.cli import _knotting_dot, main
-from circarc.check import NEGATIVE, InternalError, classify_all
+from circarc.check import NEGATIVE, InternalError, classify_all, typed_graph
 from circarc.formats import parse_edge_list, write_edge_list, write_graph6
 from circarc.graph import Graph, reduce as reduce_graph
 from circarc.knotting import build_knotting
@@ -196,6 +196,24 @@ def _toggle_first_to_last(out):
     return classify_all(Graph(H.graph.n, adj, H.graph.names)), partner
 
 
+def _flip_derived(field, a, b):
+    """A corruption of complete's output: the entry (a, b) of its contains
+    or spanning, named by vertex, flipped (spanning's (b, a) with it), and
+    the types made afresh from both."""
+    def corrupt(out):
+        H, partner = out
+        arrays = {"contains": H.contains.copy(), "spanning": H.spanning.copy()}
+        u, v = H.graph.index_of(a), H.graph.index_of(b)
+        M = arrays[field]
+        M[u, v] = not M[u, v]
+        if field == "spanning":
+            M[v, u] = M[u, v]
+        retyped = typed_graph(H.graph, arrays["contains"], arrays["spanning"],
+                              H.graph.closed_adj())
+        return retyped, partner
+    return corrupt
+
+
 def _swap_first_two_arcs(out):
     """lift_to_circle's circle size and arcs, the first two rows swapped."""
     circle_size, ends = out
@@ -252,6 +270,19 @@ class TestStageFaults:
                                     lambda *args: corrupt(original(*args)), edges)
         assert code == 70
         assert first.startswith(f"# internal error: {stage}: {self.REASON[stage]}: "), first
+
+    # in the near-biclaw (d - f - a, g and h at d, b at g), d and ~f, the
+    # partner added for f, are a 1-overlap.  Flipping spanning there makes
+    # a 2-overlap inside Z, and flipping contains[~f, d] a wrong arc; the
+    # completion's check names the stage before either is found
+    @pytest.mark.parametrize("field,a,b", [("spanning", "d", "~f"), ("contains", "~f", "d")])
+    def test_derived_block_fault_names_complete(self, tmp_path, capsys, monkeypatch,
+                                                field, a, b):
+        original, corrupt = circarc.recognizer.complete, _flip_derived(field, a, b)
+        code, first = self.run_with(tmp_path, capsys, monkeypatch, "complete",
+                                    lambda T: corrupt(original(T)))
+        assert (code, first) == (70, f"# internal error: complete: {self.REASON['complete']}: "
+                                     f"{field} differs")
 
     def test_stray_exception_names_the_stage(self, tmp_path, capsys, monkeypatch):
         code, first = self.run_with(tmp_path, capsys, monkeypatch, "expand_arcs",

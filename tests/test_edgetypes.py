@@ -17,9 +17,11 @@ from circarc.graph import (Graph, build_graph, pack_rows, reduce as reduce_graph
 from circarc.formats import parse_edge_list
 from circarc.knotting import build_knotting
 from arc_model_edges import nested_lines
-from conftest import (BICLAW_EDGES, _bfs_components, _dense_avoiding, arc_model,
-                      arcs_meet, completion_of, fold_anchor, packed_avoiding,
-                      pairing_completion_error, planted_negative, stepwise_avoids)
+from conftest import (ARC_LENGTHS, BICLAW_EDGES, _bfs_components, _dense_avoiding,
+                      arc_length_model, arc_model, arcs_meet, classified_completion,
+                      completion_of, fold_anchor, packed_avoiding, pairing_completion_error,
+                      planted_negative, stepwise_avoids)
+from test_golden import corpus as scale_corpus
 from test_graph import random_graph_strategy
 
 
@@ -326,6 +328,50 @@ class TestClosedFormCompletion:
             seen = {u for u in range(n0) if H.graph.adj[bar, u]}
             assert seen == {u for u in range(n0)
                             if u != v and not nbhd[u] <= nbhd[v]}
+
+
+class TestDerivedClassification:
+    """complete derives the completion's classification and pairing from
+    the input's; they equal ``classify_all`` of the completion graph and
+    its ``circular_pairs`` (``conftest.classified_completion``)."""
+
+    @staticmethod
+    def check(G):
+        reduced = reduce_graph(G)[0]
+        if reduced.n < 2:
+            return 0
+        classified_completion(classify_all(reduced))
+        return 1
+
+    def test_reduced_graphs(self):
+        assert sum(map(self.check, reduced_graphs(4))) == 30
+
+    def test_atlas(self):
+        import networkx as nx
+        graphs = (build_graph(g.number_of_nodes(), list(g.edges())) for g in nx.graph_atlas_g())
+        assert sum(map(self.check, graphs)) == 1245
+
+    def test_arc_length_models(self):
+        checked = {}
+        for family in ARC_LENGTHS:
+            rng = random.Random(family)
+            graphs = [arc_length_model(rng, rng.randint(2, 30), family) for _ in range(150)]
+            checked[family] = sum(map(self.check, graphs))
+        # arcs longer than half the circle pairwise meet: complete graphs,
+        # which reduce to fewer than two vertices
+        assert checked == {"uniform": 140, "short": 150, "near-equal": 130, "long": 0}
+
+    def test_seeded_gnp(self):
+        rng = np.random.default_rng(47)
+        graphs = []
+        for _ in range(300):
+            n, p = int(rng.integers(2, 41)), rng.random()
+            M = np.triu(rng.random((n, n)) < p, 1)
+            graphs.append(Graph(n, M | M.T, tuple(map(str, range(n)))))
+        assert sum(map(self.check, graphs)) == 289
+
+    def test_scale_corpus(self):
+        assert sum(self.check(G) for G, _ in scale_corpus()) == 10
 
 
 def _toggled(H, u, v):

@@ -20,7 +20,7 @@ ROUTES = {"recognizer", "knotting", "delta", "intervals"}
 CHECKS = {
     "write_graph6", "graph_digest", "G6_MAX_N",
     "EdgeType", "TypedGraph", "UnreducedGraphError", "InternalError",
-    "classify_all", "_matrices", "circular_pairs",
+    "classify_all", "typed_graph", "_matrices", "circular_pairs",
     "representation_error", "avoids", "completion_error", "walk_pair_error",
     "_vertex_set_error",
     "Arcs", "Certificate", "POSITIVE", "NEGATIVE", "AvoidWalkPair",
