@@ -21,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .check import (NEGATIVE, POSITIVE, InternalError, circular_pairs, classify_all,
-                    negative_error, positive_error)
+from .check import (NEGATIVE, POSITIVE, InternalError, classify_all, negative_error,
+                    positive_error)
 from .edgetypes import complete
 from .formats import (FormatError, parse_certificate, parse_edge_list,
                       parse_graph6, serialize_certificate, write_edge_list)
@@ -136,16 +136,13 @@ def _cmd_crosscheck(args, _graph) -> int:
 
 def _completion_of(G: Graph):
     """The completion, with its partner array, that G's certificate from
-    ``recognize`` indexes: for a negative one, the certificate's own
-    completion of G[S]; otherwise that of G's reduction."""
+    ``recognize`` indexes: that of G[S] for a negative one, otherwise that
+    of G's reduction."""
     cert = recognize(G)
-    if cert.verdict == NEGATIVE:
-        H = classify_all(cert.completion)
-        return H, circular_pairs(H)
-    reduced, _ = reduce_graph(G)
-    if reduced.n <= 1:
+    P = G.induced(cert.vertices) if cert.verdict == NEGATIVE else reduce_graph(G)[0]
+    if P.n <= 1:
         raise UsageError("graph reduces to a trivial graph; nothing to complete")
-    return complete(classify_all(reduced))
+    return complete(classify_all(P))
 
 
 def _cmd_complete(args, G: Graph) -> int:

@@ -1,10 +1,10 @@
 """The circular completion and the edges that avoid an anchor.
 
 The circular completion gives each vertex without a circular partner
-(``check.circular_pairs``) a new partner vertex, all built in one pass
-from the containment and closed-adjacency matrices of the input
-(``completion_graph``).  ``complete`` classifies it with no product
-over it: each block of its containment and spanning matrices is a block
+(``check.circular_pairs``) a new partner vertex.  Its edges are read off
+the input's containment and spanning matrices, with no product
+(``completion_graph``), and ``complete`` classifies it with none
+either: each block of its containment and spanning matrices is a block
 of the input's containment, spanning or closed adjacency, its complement
 or its transpose, as its docstring argues.  It is not trusted, and
 neither ``complete`` nor the reader of certificates checks it:
@@ -26,31 +26,29 @@ import numpy as np
 
 from .check import TypedGraph, circular_pairs, typed_graph
 from .check import classify_all  # noqa: F401  re-exported: the benchmark traces it here
-from .graph import Graph, disjoint_rows, unpack_rows
+from .graph import Graph, unpack_rows
 
 
 def completion_graph(T: TypedGraph) -> Graph:
-    """Build the circular completion of T, unchecked.
+    """Build the circular completion of T, unchecked, from T's containment
+    C = T.contains and spanning S = T.spanning alone.
 
     Each vertex v without a circular partner gets a partner ~v, placed after
-    the originals in increasing order of v.  ~v sees the originals u != v
-    with N[u] not inside N[v]; ~v and ~w are non-adjacent iff N[v] is not
-    inside N[w] and N[w] contains N[u] for every u outside N[v].  ~v is
-    named "~" + v's name, with more "~" prefixed while that name is taken.
+    the originals in increasing order of v.  ~v sees the originals u with
+    not C[v, u], N[u] not inside N[v]; ~v and ~w (v != w) are adjacent iff
+    not S[v, w].  ~v is named "~" + v's name, with more "~" prefixed while
+    that name is taken.
     """
-    not_c, not_n = ~T.contains, ~T.graph.closed_adj()
-    unpaired = np.flatnonzero(~(T.spanning & not_n).any(axis=1))
-    # not_c[v, v] is False, so no added vertex sees its own partner
-    cross = not_c[unpaired]
-    covered = disjoint_rows(cross, not_n[unpaired])
-    apart = cross[:, unpaired] & covered
+    S = T.spanning
+    unpaired = np.flatnonzero(~(S & ~T.graph.closed_adj()).any(axis=1))
     n, k = T.graph.n, len(unpaired)
     adj = np.empty((n + k, n + k), dtype=bool)
     adj[:n, :n] = T.graph.adj
-    adj[n:, :n] = cross
-    adj[:n, n:] = cross.T
+    # C[v, v] holds, so no added vertex sees its own partner
+    np.logical_not(T.contains[unpaired], out=adj[n:, :n])
+    adj[:n, n:] = adj[n:, :n].T
     added = adj[n:, n:]
-    np.logical_not(apart, out=added)
+    np.logical_not(S[unpaired][:, unpaired], out=added)
     np.fill_diagonal(added, False)
     names = list(T.graph.names)
     taken = set(names)
@@ -82,9 +80,9 @@ def complete(T: TypedGraph) -> tuple[TypedGraph, np.ndarray]:
     (ii) S[a, b] and a <= a' give S[a', b]: N[a'] leaves out less.
     (iii) S[a, a] holds exactly when a is universal.
 
-    By its construction and (i), u ~ ~v in H iff u is not <= v, and
-    ~v ~ ~w (v != w) iff not S[v, w].  contains_H[a, b] says N_H[b] lies
-    inside N_H[a]:
+    In this notation ``completion_graph`` puts u ~ ~v in H iff u is not
+    <= v, and ~v ~ ~w (v != w) iff not S[v, w].  contains_H[a, b] says
+    N_H[b] lies inside N_H[a]:
 
     - [u, w] = C[u, w]: N[w] inside N[u] is needed, and then u <= y gives
       w <= y.

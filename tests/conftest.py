@@ -299,7 +299,7 @@ def interval_model(rng: random.Random, n: int) -> Graph:
 ARC_LENGTHS = {"uniform": lambda rng: rng.random(),
                "short": lambda rng: rng.uniform(0.01, 0.1),
                "near-equal": lambda rng: rng.uniform(0.38, 0.42),
-               "long": lambda rng: rng.uniform(0.5, 0.95)}
+               "long": lambda rng: rng.uniform(0.3, 0.6)}
 
 
 def arc_length_model(rng: random.Random, n: int, family: str) -> Graph:

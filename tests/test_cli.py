@@ -11,7 +11,7 @@ import pytest
 import circarc.oracle
 import circarc.recognizer
 from circarc.cli import _knotting_dot, main
-from circarc.check import NEGATIVE, InternalError, classify_all, typed_graph
+from circarc.check import NEGATIVE, InternalError, circular_pairs, classify_all, typed_graph
 from circarc.formats import parse_edge_list, write_edge_list, write_graph6
 from circarc.graph import Graph, reduce as reduce_graph
 from circarc.knotting import build_knotting
@@ -461,15 +461,21 @@ class TestCompleteCommand:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_split_negative_lists_the_certified_piece(self, tmp_path, capsys, pattern, seed):
         # the reduced graph splits, so the certificate indexes the completion
-        # of one piece; `circarc complete` lists that one, and at the anchor
-        # the certificate names the knotting graph has an odd cycle
+        # of one piece; `circarc complete` lists that one, its edges and its
+        # pairs, and at the anchor the certificate names the knotting graph
+        # has an odd cycle
         G = planted_negative(random.Random(seed), 30, pattern)
         cert = recognize(G)
         assert cert.verdict == NEGATIVE and len(cert.vertices) < G.n
         f = write(tmp_path, "g.txt", write_edge_list(G))
         assert main(["complete", f]) == 0
-        names = json.loads(capsys.readouterr().out)["vertices"]
+        doc = json.loads(capsys.readouterr().out)
+        names = doc["vertices"]
         assert names == list(cert.completion.names)
+        assert doc["edges"] == [[names[u], names[v]] for u, v in cert.completion.edges()]
+        partner = circular_pairs(classify_all(cert.completion)).tolist()
+        assert doc["pairs"] == sorted(sorted((names[u], names[v]))
+                                      for u, v in enumerate(partner) if u < v)
         assert main(["knotting", f, "--anchor", names[cert.obstruction.anchor]]) == 10
         assert "NOT bipartite" in capsys.readouterr().out
 

@@ -11,9 +11,9 @@ from circarc.check import (EdgeType, InternalError, TypedGraph, UnreducedGraphEr
                            completion_error)
 from circarc import edgetypes
 from circarc.delta import implication_classes, labelled_from_typed
-from circarc.edgetypes import avoiding_labels, avoiding_rows, complete
-from circarc.graph import (Graph, build_graph, pack_rows, reduce as reduce_graph,
-                           unpack_rows)
+from circarc.edgetypes import avoiding_labels, avoiding_rows, complete, completion_graph
+from circarc.graph import (Graph, build_graph, disjoint_rows, pack_rows,
+                           reduce as reduce_graph, unpack_rows)
 from circarc.formats import parse_edge_list
 from circarc.knotting import build_knotting
 from arc_model_edges import nested_lines
@@ -330,17 +330,48 @@ class TestClosedFormCompletion:
                             if u != v and not nbhd[u] <= nbhd[v]}
 
 
+def _product_completion_graph(T):
+    """The completion's adjacency by the completion's rule as written, a
+    packed product over the unpaired rows: the reference for
+    ``completion_graph``, which reads it off T's spanning relation.
+
+    ~v sees the originals u != v with N[u] not inside N[v]; ~v and ~w are
+    apart iff N[v] is not inside N[w] and N[w] holds N[u] for every u
+    outside N[v].
+    """
+    not_c, not_n = ~T.contains, ~T.graph.closed_adj()
+    unpaired = np.flatnonzero(~(T.spanning & not_n).any(axis=1))
+    cross = not_c[unpaired]
+    apart = cross[:, unpaired] & disjoint_rows(cross, not_n[unpaired])
+    n, k = T.graph.n, len(unpaired)
+    added = ~apart
+    np.fill_diagonal(added, False)
+    adj = np.block([[T.graph.adj, cross.T], [cross, added]])
+    names = list(T.graph.names)
+    for v in unpaired:
+        name = "~" + names[v]
+        while name in names:
+            name = "~" + name
+        names.append(name)
+    return Graph(n + k, adj, tuple(names))
+
+
 class TestDerivedClassification:
     """complete derives the completion's classification and pairing from
     the input's; they equal ``classify_all`` of the completion graph and
-    its ``circular_pairs`` (``conftest.classified_completion``)."""
+    its ``circular_pairs`` (``conftest.classified_completion``).  The
+    completion graph, read off the input's relations, equals the product
+    reference ``_product_completion_graph``: adjacency and names."""
 
     @staticmethod
     def check(G):
         reduced = reduce_graph(G)[0]
         if reduced.n < 2:
             return 0
-        classified_completion(classify_all(reduced))
+        T = classify_all(reduced)
+        classified_completion(T)
+        got, want = completion_graph(T), _product_completion_graph(T)
+        assert np.array_equal(got.adj, want.adj) and got.names == want.names
         return 1
 
     def test_reduced_graphs(self):
@@ -357,9 +388,7 @@ class TestDerivedClassification:
             rng = random.Random(family)
             graphs = [arc_length_model(rng, rng.randint(2, 30), family) for _ in range(150)]
             checked[family] = sum(map(self.check, graphs))
-        # arcs longer than half the circle pairwise meet: complete graphs,
-        # which reduce to fewer than two vertices
-        assert checked == {"uniform": 140, "short": 150, "near-equal": 130, "long": 0}
+        assert checked == {"uniform": 140, "short": 150, "near-equal": 130, "long": 127}
 
     def test_seeded_gnp(self):
         rng = np.random.default_rng(47)
